@@ -29,9 +29,9 @@ to approximate mode, where comparisons use a relative tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ValidationError, ModeMixError
@@ -60,6 +60,10 @@ class AlgebraSpec:
 
     `number_rule` is None for tau-structured algebras; otherwise it maps
     n >= 0 to [n] directly and identity checks run in diagnostic mode.
+
+    Deformed numbers, factorials and binomials are memoised in tables held
+    by the instance.  They take no part in equality, hashing or repr, so
+    `replace()` starts fresh ones, and they are freed with the algebra.
     """
 
     name: str
@@ -69,6 +73,9 @@ class AlgebraSpec:
     tau2: Optional[Scalar]
     number_rule: Optional[NumberRule] = None
     tol: float = DEFAULT_TOL
+    _numbers: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _factorials: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _binomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         present = [v for v in (self.p, self.q, self.tau1, self.tau2) if v is not None]
@@ -314,32 +321,44 @@ def deformed_number(alg: AlgebraSpec, n: int) -> Scalar:
         raise ValidationError(f"n: deformed number needs n >= 0, got {n}")
     if alg.number_rule is not None:
         return alg.number_rule(n)
-    return _tau_number(alg, n)
+    numbers = alg._numbers
+    if n >= len(numbers):
+        t1, t2 = alg.tau1, alg.tau2
+        for m in range(len(numbers), n + 1):
+            if t1 == t2:
+                numbers.append(m * t1 ** (m - 1) if m else (0.0 if isinstance(t1, float) else Fraction(0)))
+            else:
+                numbers.append((t1**m - t2**m) / (t1 - t2))
+    return numbers[n]
 
 
-@lru_cache(maxsize=None)
-def _tau_number(alg: AlgebraSpec, n: int) -> Scalar:
-    t1, t2 = alg.tau1, alg.tau2
-    if t1 == t2:
-        return n * t1 ** (n - 1) if n else (0.0 if isinstance(t1, float) else Fraction(0))
-    return (t1**n - t2**n) / (t1 - t2)
-
-
-@lru_cache(maxsize=None)
 def deformed_factorial(alg: AlgebraSpec, n: int) -> Scalar:
     """[n]! = [1][2]...[n], with [0]! = 1."""
     if n < 0:
         raise ValidationError(f"n: factorial needs n >= 0, got {n}")
-    if n == 0:
-        return 1.0 if not alg.exact else Fraction(1)
-    return deformed_factorial(alg, n - 1) * deformed_number(alg, n)
+    factorials = alg._factorials
+    if not factorials:
+        factorials.append(Fraction(1) if alg.exact else 1.0)
+    for m in range(len(factorials), n + 1):
+        factorials.append(factorials[m - 1] * deformed_number(alg, m))
+    return factorials[n]
 
 
 def deformed_binomial(alg: AlgebraSpec, m: int, n: int) -> Scalar:
     """[m]! / ([n]! [m-n]!) for m >= n >= 0."""
-    if not 0 <= n <= m:
-        raise ValidationError(f"binomial needs m >= n >= 0, got m={m}, n={n}")
-    return deformed_factorial(alg, m) / (deformed_factorial(alg, n) * deformed_factorial(alg, m - n))
+    value = alg._binomials.get((m, n))
+    if value is None:
+        if not 0 <= n <= m:
+            raise ValidationError(f"binomial needs m >= n >= 0, got m={m}, n={n}")
+        if alg.exact:
+            # The same rational from the shorter product, so a large m does
+            # not build [m]!, whose exact value has O(m^2) bits.
+            j = min(n, m - n)
+            value = deformed_falling_factorial(alg, m, j) / deformed_factorial(alg, j)
+        else:
+            value = deformed_factorial(alg, m) / (deformed_factorial(alg, n) * deformed_factorial(alg, m - n))
+        alg._binomials[(m, n)] = value
+    return value
 
 
 def binomial_or_zero(alg: AlgebraSpec, m: int, n: int) -> Scalar:
@@ -394,14 +413,27 @@ class MonomialFit:
         return {"exact": self.exact, "found": self.found, "a": self.a, "b": self.b}
 
 
+def _has_foreign_prime(value: int, base: int) -> bool:
+    """True when `value` has a prime factor that does not divide `base`."""
+    common = math.gcd(value, base)
+    while common > 1:
+        value //= common
+        common = math.gcd(value, common)
+    return value != 1
+
+
 def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> MonomialFit:
     """Search integer exponents |a|, |b| <= bound with lhs*tau1^a*tau2^b = rhs.
 
-    Equality is exact in exact mode and tolerance-checked otherwise.  The
-    search prefers small |a| then small |b|, so a degenerate tau1 = 1 axis
-    reports a = 0.
+    Equality is exact in exact mode; in approximate mode it is a relative
+    comparison with the algebra's tolerance.  The search prefers small |a|
+    then small |b|, so a degenerate tau1 = 1 axis reports a = 0.
     """
-    if alg.close(lhs, rhs):
+    if alg.exact:
+        close = lhs == rhs
+    else:
+        close = math.isclose(lhs, rhs, rel_tol=alg.tol)
+    if close:
         return MonomialFit(exact=True, found=True)
     if not alg.tau_structured and (alg.tau1 is None or alg.tau2 is None):
         return MonomialFit(exact=False, found=False)
@@ -414,16 +446,31 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
     for step in range(1, bound + 1):
         offsets.extend((step, -step))
     if alg.exact:
+        # A monomial in tau1, tau2 has no prime outside theirs.
+        base = math.prod(t.numerator * t.denominator for t in (Fraction(t1), Fraction(t2)))
+        exact_ratio = Fraction(ratio)
+        if ratio <= 0 or any(_has_foreign_prime(v, base) for v in (exact_ratio.numerator, exact_ratio.denominator)):
+            return MonomialFit(exact=False, found=False)
         t2_pow = {t2**b: b for b in offsets}
         for a in offsets:
             need = ratio / t1**a
             if need in t2_pow:
                 return MonomialFit(exact=False, found=True, a=a, b=t2_pow[need])
     else:
+        # Relative comparison lets at most one b match each a unless tau2 = 1;
+        # it sits next to log(need) / log(tau2).
         for a in offsets:
             need = ratio / t1**a
-            for b in offsets:
-                if scalars_close(t2**b, need, exact=False, tol=alg.tol):
+            if t2 == 1:
+                candidates = [0]
+            elif 0 < need < math.inf:
+                b0 = round(math.log(need) / math.log(t2))
+                candidates = sorted((b for b in (b0 - 1, b0, b0 + 1) if abs(b) <= bound),
+                                    key=lambda b: (abs(b), b < 0))
+            else:
+                continue
+            for b in candidates:
+                if math.isclose(t2**b, need, rel_tol=alg.tol):
                     return MonomialFit(exact=False, found=True, a=a, b=b)
     return MonomialFit(exact=False, found=False)
 

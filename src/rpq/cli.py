@@ -270,15 +270,18 @@ def _write_output(text: str, args) -> None:
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"output: cannot write {path}: {exc.strerror}") from None
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _COMMANDS[args.subcommand](args)
+        _write_output(_COMMANDS[args.subcommand](args), args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -288,7 +291,6 @@ def main(argv: Optional[list] = None) -> int:
     except RpqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_output(text, args)
     return 0
 
 

@@ -119,10 +119,6 @@ def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable
     )
 
 
-def _mass_map(table: PmfTable) -> Dict[SupportPoint, Scalar]:
-    return dict(zip(table.support, table.weights))
-
-
 def _accumulate(table: PmfTable, project) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
     acc: Dict[SupportPoint, Scalar] = {}
     for point, mass in zip(table.support, table.weights):

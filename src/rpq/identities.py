@@ -1,4 +1,4 @@
-"""Hypergeometric-sum identities checked by exact enumeration.
+"""Hypergeometric-sum identities and their exact left-hand sides.
 
 Five families of lattice sums, each claimed equal to a single deformed
 binomial coefficient:
@@ -10,9 +10,15 @@ binomial coefficient:
   cauchy  Vandermonde-style convolution     = [k+n over n]
 
 For tau1 = 1 the equalities are exact.  For general structure constants the
-enumerated side can differ from the binomial by a monomial tau1^a tau2^b;
+summed side can differ from the binomial by a monomial tau1^a tau2^b;
 `verify_identity` computes both sides exactly and fits that monomial rather
 than asserting the raw equality.
+
+The summands of hs1, hs2, hsa and hsb factor over the coordinates once the
+running occupancy sum S_j = r_1 + ... + r_j is known, so these sums come
+from `lattice.partial_sum_total`, a recursion over (coordinate, running
+sum) that lists no lattice point.  The tests check each of them against the
+listing sum `lattice.weighted_sum` of its per-point weight.
 
 Window note: in the capacity-one model the overflow urn also holds at most
 one ball, so admissible occupancy sums are n-1 and n, never less.  The
@@ -26,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -37,7 +44,7 @@ from .algebra import (
     fit_monomial,
 )
 from .errors import ValidationError
-from .lattice import ConstraintSet, weighted_sum
+from .lattice import ConstraintSet, partial_sum_total
 from .scalars import Scalar, scalar_str
 
 IDENTITY_IDS = ("hs1", "hs2", "hsa", "hsb", "cauchy")
@@ -46,6 +53,17 @@ IDENTITY_IDS = ("hs1", "hs2", "hsa", "hsb", "cauchy")
 def _require_taus(alg: AlgebraSpec) -> None:
     if alg.tau1 is None or alg.tau2 is None:
         raise ValidationError(f"algebra {alg.name!r}: identity sums need structure constants")
+
+
+def _position_factor(alg: AlgebraSpec):
+    """Per-coordinate factor tau1^(-(j+1) r_j) tau2^((j+1) r_j) of the
+    weight tau1^(-s) tau2^s, s = sum((j+1) r_j), shared by hs1 and hs2."""
+    t1, t2 = alg.tau1, alg.tau2
+
+    def factor(j, r_j, s_j):
+        return t1 ** (-(j + 1) * r_j) * t2 ** ((j + 1) * r_j)
+
+    return factor
 
 
 def hs1_lhs(alg: AlgebraSpec, k: int, n: int, *, literal_window: bool = False) -> Scalar:
@@ -57,13 +75,7 @@ def hs1_lhs(alg: AlgebraSpec, k: int, n: int, *, literal_window: bool = False) -
     lo = 0 if literal_window else max(0, n - 1)
     constraints = ConstraintSet(upper=(1,) * k, sum_min=lo, sum_max=min(n, k))
     c2 = comb(n, 2)
-    t1, t2 = alg.tau1, alg.tau2
-
-    def weight(point):
-        s = sum((j + 1) * r for j, r in enumerate(point))
-        return t1 ** (c2 - s) * t2 ** (s - c2)
-
-    return weighted_sum(constraints, weight)
+    return alg.tau1**c2 * alg.tau2 ** (-c2) * partial_sum_total(constraints, _position_factor(alg))
 
 
 def hs2_lhs(alg: AlgebraSpec, k: int, n: int) -> Scalar:
@@ -73,13 +85,7 @@ def hs2_lhs(alg: AlgebraSpec, k: int, n: int) -> Scalar:
     if k < 1 or n < 0:
         raise ValidationError(f"hs2 needs k >= 1 and n >= 0, got k={k}, n={n}")
     constraints = ConstraintSet(upper=(n,) * k, sum_min=0, sum_max=n)
-    t1, t2 = alg.tau1, alg.tau2
-
-    def weight(point):
-        s = sum((j + 1) * r for j, r in enumerate(point))
-        return t1 ** (-s) * t2**s
-
-    return weighted_sum(constraints, weight)
+    return partial_sum_total(constraints, _position_factor(alg))
 
 
 def _check_groups(k: int, groups: Sequence[int]) -> Tuple[int, ...]:
@@ -104,54 +110,33 @@ def hsa_lhs(
     lo = 0 if literal_window else max(0, n - 1)
     constraints = ConstraintSet(upper=groups, sum_min=lo, sum_max=min(n, k))
     t1, t2 = alg.tau1, alg.tau2
+    big_m = list(accumulate(groups))
 
-    def weight(point):
-        e1 = e2 = 0
-        big_m = 0
-        s = 0
-        value = 1 if alg.exact else 1.0
-        for m_j, r_j in zip(groups, point):
-            big_m += m_j
-            s += r_j
-            e1 += (n - s) * (m_j - r_j)
-            e2 += (k + 1 - big_m - n + s) * r_j
-            value *= deformed_binomial(alg, m_j, r_j)
-        return t1**e1 * t2**e2 * value
+    def factor(j, r_j, s_j):
+        m_j = groups[j]
+        return (t1 ** ((n - s_j) * (m_j - r_j)) * t2 ** ((k + 1 - big_m[j] - n + s_j) * r_j)
+                * deformed_binomial(alg, m_j, r_j))
 
-    return weighted_sum(constraints, weight)
+    return partial_sum_total(constraints, factor)
 
 
-def hsb_lhs(
-    alg: AlgebraSpec, k: int, n: int, groups: Sequence[int], *, mirror: bool = False
-) -> Scalar:
+def hsb_lhs(alg: AlgebraSpec, k: int, n: int, groups: Sequence[int]) -> Scalar:
     """Grouped unbounded sum: per-group coefficients [m_j+r_j-1 over r_j]
-    weighted by tau1^((n-S_j)(m_j-1)) tau2^((k+1-M_j) r_j).
-
-    `mirror=True` negates the tau2 exponent; both sign conventions are
-    checked by `verify_identity` and the verified one is recorded.
-    """
+    weighted by tau1^((n-S_j)(m_j-1)) tau2^((k+1-M_j) r_j)."""
     _require_taus(alg)
     groups = _check_groups(k, groups)
     if n < 0:
         raise ValidationError(f"n: hsb needs n >= 0, got {n}")
     constraints = ConstraintSet(upper=(n,) * len(groups), sum_min=0, sum_max=n)
     t1, t2 = alg.tau1, alg.tau2
-    sign = -1 if mirror else 1
+    big_m = list(accumulate(groups))
 
-    def weight(point):
-        e1 = e2 = 0
-        big_m = 0
-        s = 0
-        value = 1 if alg.exact else 1.0
-        for m_j, r_j in zip(groups, point):
-            big_m += m_j
-            s += r_j
-            e1 += (n - s) * (m_j - 1)
-            e2 += (k + 1 - big_m) * r_j
-            value *= binomial_or_zero(alg, m_j + r_j - 1, r_j)
-        return t1**e1 * t2 ** (sign * e2) * value
+    def factor(j, r_j, s_j):
+        m_j = groups[j]
+        return (t1 ** ((n - s_j) * (m_j - 1)) * t2 ** ((k + 1 - big_m[j]) * r_j)
+                * binomial_or_zero(alg, m_j + r_j - 1, r_j))
 
-    return weighted_sum(constraints, weight)
+    return partial_sum_total(constraints, factor)
 
 
 def cauchy_lhs(alg: AlgebraSpec, k: int, n: int, m: int) -> Scalar:
@@ -187,12 +172,11 @@ class IdentityReport:
     monomial_found: bool
     a: Optional[int]
     b: Optional[int]
-    note: str = ""
+    note: str = ""  # always empty; kept so the report schema does not change
 
 
 def _report(alg: AlgebraSpec, identity: str, k: int, n: int, lhs: Scalar, rhs: Scalar,
-            m: Optional[int] = None, groups: Optional[Tuple[int, ...]] = None,
-            note: str = "") -> IdentityReport:
+            m: Optional[int] = None, groups: Optional[Tuple[int, ...]] = None) -> IdentityReport:
     fit = fit_monomial(alg, lhs, rhs, (k + 1) * n)
     return IdentityReport(
         identity=identity,
@@ -206,7 +190,6 @@ def _report(alg: AlgebraSpec, identity: str, k: int, n: int, lhs: Scalar, rhs: S
         monomial_found=fit.found,
         a=fit.a if fit.found else None,
         b=fit.b if fit.found else None,
-        note=note,
     )
 
 
@@ -250,16 +233,9 @@ def verify_identity(
             schemes = compositions(k) if all_groupings else [(k,)]
             for groups in schemes:
                 for n in range(0, nmax + 1):
-                    rhs = deformed_binomial(alg, k + n, n)
                     lhs = hsb_lhs(alg, k, n, groups)
-                    report = _report(alg, "hsb", k, n, lhs, rhs, groups=groups)
-                    if not report.monomial_found:
-                        mirrored = hsb_lhs(alg, k, n, groups, mirror=True)
-                        alt = _report(alg, "hsb", k, n, mirrored, rhs, groups=groups,
-                                      note="mirrored tau2 sign")
-                        if alt.monomial_found:
-                            report = alt
-                    reports.append(report)
+                    rhs = deformed_binomial(alg, k + n, n)
+                    reports.append(_report(alg, "hsb", k, n, lhs, rhs, groups=groups))
         else:  # cauchy
             for n in range(0, nmax + 1):
                 for m in range(0, k + 1):

@@ -74,15 +74,19 @@ def count_points(constraints: ConstraintSet) -> int:
     return total
 
 
+def _suffix_sums(bounds: Tuple[int, ...]) -> list:
+    """out[i] = bounds[i] + ... + bounds[-1], with out[len(bounds)] = 0."""
+    out = [0] * (len(bounds) + 1)
+    for i in range(len(bounds) - 1, -1, -1):
+        out[i] = out[i + 1] + bounds[i]
+    return out
+
+
 def iter_points(constraints: ConstraintSet) -> Iterator[SupportPoint]:
     """Lexicographically ordered stream of admissible points."""
     dim = constraints.dim
     lower, upper = constraints.lower, constraints.upper
-    lo_suffix = [0] * (dim + 1)
-    up_suffix = [0] * (dim + 1)
-    for i in range(dim - 1, -1, -1):
-        lo_suffix[i] = lo_suffix[i + 1] + lower[i]
-        up_suffix[i] = up_suffix[i + 1] + upper[i]
+    lo_suffix, up_suffix = _suffix_sums(lower), _suffix_sums(upper)
     point = [0] * dim
 
     def rec(i: int, s: int) -> Iterator[SupportPoint]:
@@ -113,6 +117,34 @@ def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:
             f"enumeration self-check failed: {len(points)} points listed, {expected} counted"
         )
     return points
+
+
+def partial_sum_total(
+    constraints: ConstraintSet, factor: Callable[[int, int, int], Scalar]
+) -> Scalar:
+    """Sum over the admissible points x of prod_j factor(j, x_j, S_j), where
+    S_j = x_0 + ... + x_j is the running sum, without listing the points.
+
+    The same recursion as `count_points`, with the unit weights replaced by
+    the factors: partial[s] holds the summed products of every admissible
+    prefix whose running sum is s.  The result equals `weighted_sum` over
+    the product weight, exactly in exact mode.
+    """
+    count_points(constraints)
+    lower, upper = constraints.lower, constraints.upper
+    smin, smax = constraints.sum_min, constraints.sum_max
+    lo_suffix, up_suffix = _suffix_sums(lower), _suffix_sums(upper)
+    partial = {0: 1}
+    for j in range(constraints.dim):
+        nxt = {}
+        for s, value in partial.items():
+            lo = max(lower[j], smin - s - up_suffix[j + 1])
+            up = min(upper[j], smax - s - lo_suffix[j + 1])
+            for v in range(lo, up + 1):
+                term = value * factor(j, v, s + v)
+                nxt[s + v] = nxt[s + v] + term if s + v in nxt else term
+        partial = nxt
+    return sum(value for s, value in partial.items() if smin <= s <= smax)
 
 
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:

@@ -159,3 +159,19 @@ def test_algebra_config_file(tmp_path):
     code, out, _ = run_cli("tabulate", "--algebra-config", str(path), "--k", "1", "--n", "1")
     assert code == 0
     assert "# algebra=jagannathan-srinivasa" in out
+
+
+def test_output_into_missing_directory_exit_code(tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli("tabulate", "--preset", "q", "--q", "1/2", "--k", "1", "--n", "1",
+                             "--output", str(path))
+    assert code == 2
+    assert out == "" and not path.exists()
+    assert str(path) in err
+
+
+def test_large_n_second_kind_table_exits_zero():
+    code, out, err = run_cli("tabulate", "--kind", "second", "--preset", "q", "--q", "1/2",
+                             "--k", "1", "--n", "2000")
+    assert code == 0, err
+    assert len([line for line in out.splitlines() if not line.startswith("#")]) == 2002

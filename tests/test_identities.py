@@ -112,8 +112,8 @@ def test_cauchy_m_invariance_tau1_one():
 
 
 def test_hsb_sign_conventions_recorded():
-    # the stated tau2 sign verifies wherever tau1 = 1; the mirror is never
-    # the one that rescues it
+    # the stated tau2 sign verifies wherever tau1 = 1, and the report
+    # carries an empty note
     for rep in verify_identity("hsb", Q_HALF, 4, 4):
         assert rep.exact_match and rep.note == ""
     # for general tau the grouped sum needs per-term tau1 corrections, so no
