@@ -451,7 +451,9 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
         exact_ratio = Fraction(ratio)
         if ratio <= 0 or any(_has_foreign_prime(v, base) for v in (exact_ratio.numerator, exact_ratio.denominator)):
             return MonomialFit(exact=False, found=False)
-        t2_pow = {t2**b: b for b in offsets}
+        t2_pow = {}
+        for b in offsets:
+            t2_pow.setdefault(t2**b, b)  # tau2 = 1: keep the smallest |b|
         for a in offsets:
             need = ratio / t1**a
             if need in t2_pow:

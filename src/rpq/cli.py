@@ -88,8 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_algebra(args) -> AlgebraSpec:
     if args.algebra_config:
-        with open(args.algebra_config, "r", encoding="utf-8") as handle:
-            return load_algebra_config(handle.read())
+        try:
+            with open(args.algebra_config, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ValidationError(
+                f"algebra-config: cannot read {args.algebra_config}: {exc.strerror}"
+            ) from None
+        return load_algebra_config(text)
     if args.preset is None:
         raise ValidationError("preset: required (or pass --algebra-config)")
     return make_preset(args.preset, p=args.p, q=args.q, tol=args.tol)
@@ -290,6 +296,13 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except RpqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(
+            f"error: p, q: approximate-mode arithmetic overflowed a float ({exc}); "
+            "rational p and q (e.g. 1/10) run in exact mode",
+            file=sys.stderr,
+        )
         return 2
     return 0
 

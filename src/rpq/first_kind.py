@@ -22,6 +22,7 @@ the closed-form bookkeeping behaves for tau1 != 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -76,7 +77,8 @@ def joint_weight(params: FirstKindParams, x: SupportPoint) -> Scalar:
     return alg.tau1 ** (c2 + k * n - e) * alg.tau2 ** (e - c2)
 
 
-@lru_cache(maxsize=None)
+# Bounded: a long-lived process keeps at most 32 joints, with their memos.
+@lru_cache(maxsize=32)
 def joint_pmf(params: FirstKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+1 over n]."""
     alg, k, n = params.alg, params.k, params.n
@@ -119,13 +121,33 @@ def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable
     )
 
 
-def _accumulate(table: PmfTable, project) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+def _accumulate(
+    points: Sequence[SupportPoint], masses: Sequence[Scalar], project
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    """Summed mass per projected key, in sorted key order; each sum is taken
+    in the order of `points`."""
     acc: Dict[SupportPoint, Scalar] = {}
-    for point, mass in zip(table.support, table.weights):
+    for point, mass in zip(points, masses):
         key = project(point)
         acc[key] = acc[key] + mass if key in acc else mass
     items = sorted(acc.items())
     return tuple(p for p, _ in items), tuple(m for _, m in items)
+
+
+def _conditional_masses(
+    points: Sequence[SupportPoint], masses: Sequence[Scalar], given: SupportPoint, m: int
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    """`_accumulate` of x[r:m] over the points whose prefix is `given`.
+
+    `points` is strictly increasing, so those points form one contiguous
+    block; two bisections find it without scanning the rest.
+    """
+    r = len(given)
+    lo = bisect_left(points, given)
+    hi = bisect_left(points, given[:-1] + (given[-1] + 1,), lo)
+    if lo == hi:
+        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
+    return _accumulate(points[lo:hi], masses[lo:hi], lambda x: x[r:m])
 
 
 def _marginal_closed_weight(params: FirstKindParams, prefix: SupportPoint) -> Scalar:
@@ -148,7 +170,7 @@ def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint, lambda x: x[:r])
+    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r])
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -195,15 +217,7 @@ def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> Pm
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
     joint = joint_pmf(params)
-    restricted = [(x, w) for x, w in zip(joint.support, joint.weights) if x[:r] == given]
-    if not restricted:
-        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    acc: Dict[SupportPoint, Scalar] = {}
-    for x, w in restricted:
-        key = x[r:m]
-        acc[key] = acc[key] + w if key in acc else w
-    support = tuple(sorted(acc))
-    masses = tuple(acc[p] for p in support)
+    support, masses = _conditional_masses(joint.support, joint.weights, given, m)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -296,7 +310,7 @@ def grouped_pmf(params: FirstKindParams, scheme: GroupingScheme) -> PmfTable:
     """
     scheme.validate_for(params.k)
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint, scheme.project)
+    support, masses = _accumulate(joint.support, joint.weights, scheme.project)
     table_params = params.describe()
     table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
     return make_table(
@@ -317,8 +331,9 @@ def grouped_marginal_pmf(params: FirstKindParams, scheme: GroupingScheme, nu: in
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    grouped = grouped_pmf(params, scheme)
-    support, masses = _accumulate(grouped, lambda y: y[:nu])
+    joint = joint_pmf(params)
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
+    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu])
     table_params = params.describe()
     table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
     return make_table(
@@ -343,15 +358,9 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    grouped = grouped_pmf(params, scheme)
-    acc: Dict[SupportPoint, Scalar] = {}
-    for y, w in zip(grouped.support, grouped.weights):
-        if y[:nu] == given:
-            acc[y[nu:]] = acc[y[nu:]] + w if y[nu:] in acc else w
-    if not acc:
-        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    support = tuple(sorted(acc))
-    masses = tuple(acc[p] for p in support)
+    joint = joint_pmf(params)
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
+    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes))
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight

@@ -7,14 +7,20 @@ cross-check records, never as the source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, ValidationError
 from .lattice import SupportPoint
 from .scalars import Scalar, scalars_close
+
+# A sampler variate is a CDF_BITS-bit mantissa over 2^CDF_BITS (see
+# `sampler`), so CDF thresholds are kept on that integer scale.
+CDF_BITS = 53
+CDF_SCALE = 1 << CDF_BITS
 
 
 @dataclass(frozen=True)
@@ -27,6 +33,13 @@ class ClosedFormCheck:
 
 @dataclass(frozen=True)
 class PmfTable:
+    """A normalized law over a strictly increasing (lexicographic) support.
+
+    The CDF thresholds and prefix masses that repeated queries read are
+    memoised on the table on first use.  They take no part in equality or
+    repr, so `replace()` starts fresh ones, and they are freed with the table.
+    """
+
     kind: str
     params: Mapping[str, object]
     coord_labels: Tuple[str, ...]
@@ -39,15 +52,45 @@ class PmfTable:
     z_closed_form: Optional[Scalar] = None
     z_discrepancy: Optional[MonomialFit] = None
     closed_form_check: Optional[ClosedFormCheck] = None
+    _thresholds: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _prefix_masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def probability(self, point: SupportPoint) -> Scalar:
-        try:
-            return self.probabilities[self.support.index(point)]
-        except ValueError:
-            return Fraction(0) if self.exact else 0.0
+        i = bisect_left(self.support, point)
+        if i < len(self.support) and self.support[i] == point:
+            return self.probabilities[i]
+        return Fraction(0) if self.exact else 0.0
 
     def as_mapping(self) -> dict:
         return dict(zip(self.support, self.probabilities))
+
+    def cdf_thresholds(self) -> list:
+        """ceil(F_i * 2^53) per cumulative probability F_i in exact mode,
+        F_i * 2^53 in approximate mode; non-decreasing."""
+        if not self._thresholds:
+            thresholds = []
+            cumulative: Scalar = 0
+            for prob in self.probabilities:
+                cumulative += prob
+                if self.exact:
+                    frac = Fraction(cumulative) * CDF_SCALE
+                    thresholds.append(-(-frac.numerator // frac.denominator))
+                else:
+                    thresholds.append(cumulative * CDF_SCALE)
+            self._thresholds.extend(thresholds)
+        return self._thresholds
+
+    def prefix_masses(self) -> Dict[SupportPoint, Scalar]:
+        """Summed weight of every support-point prefix, the empty one
+        included, each sum taken in support order."""
+        if not self._prefix_masses:
+            masses: Dict[SupportPoint, Scalar] = {}
+            for point, weight in zip(self.support, self.weights):
+                for cut in range(len(point) + 1):
+                    key = point[:cut]
+                    masses[key] = masses[key] + weight if key in masses else weight
+            self._prefix_masses.update(masses)
+        return self._prefix_masses
 
 
 def make_table(
@@ -69,6 +112,8 @@ def make_table(
         raise ValidationError(f"{kind} table: empty support")
     if len(support) != len(weights):
         raise ValidationError(f"{kind} table: {len(support)} points vs {len(weights)} weights")
+    if any(a >= b for a, b in zip(support, support[1:])):
+        raise ValidationError(f"{kind} table: support is not strictly increasing")
     z = weights[0]
     for w in weights[1:]:
         z = z + w

@@ -11,11 +11,13 @@ Selection rule: a variate u picks the first support point (in the table's
 lexicographic order) whose cumulative probability exceeds u.  Thresholds
 are exact rationals in exact mode; u < F is decided by integer comparison
 against ceil(F * 2^53), which never misassigns a boundary and never lands
-on a zero-probability point.
+on a zero-probability point.  A table computes its thresholds and prefix
+masses once, and each draw is found by binary search over the thresholds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +26,13 @@ from typing import Dict, Mapping, Tuple
 from .errors import ValidationError
 from .first_kind import FirstKindParams, joint_pmf
 from .lattice import SupportPoint
-from .pmf import PmfTable
+from .pmf import CDF_BITS, CDF_SCALE, PmfTable
 from .scalars import Scalar
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_MANTISSA_BITS = 53
-_MANTISSA_DENOM = 1 << _MANTISSA_BITS
 
 
 class SplitMix64:
@@ -50,7 +50,7 @@ class SplitMix64:
 
     def next_mantissa(self) -> int:
         """Top 53 bits of one output: the variate is mantissa / 2^53."""
-        return self.next_uint64() >> (64 - _MANTISSA_BITS)
+        return self.next_uint64() >> (64 - CDF_BITS)
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,8 @@ class SampleBatch:
 
 def _integer_thresholds(table: PmfTable) -> list:
     """ceil(F_i * 2^53) per cumulative probability F_i; mantissa < threshold
-    is exactly the event u < F_i."""
-    thresholds = []
-    cumulative: Scalar = 0
-    for prob in table.probabilities:
-        cumulative += prob
-        if table.exact:
-            frac = Fraction(cumulative) * _MANTISSA_DENOM
-            thresholds.append(-(-frac.numerator // frac.denominator))
-        else:
-            thresholds.append(cumulative * _MANTISSA_DENOM)
-    return thresholds
+    is exactly the event u < F_i.  Computed once per table."""
+    return table.cdf_thresholds()
 
 
 def _empirical(draws, count) -> Tuple[Tuple[SupportPoint, Fraction], ...]:
@@ -86,48 +77,29 @@ def _empirical(draws, count) -> Tuple[Tuple[SupportPoint, Fraction], ...]:
 
 
 def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
-    """Draw `count` inverse-CDF samples from a normalized table."""
+    """Draw `count` inverse-CDF samples from a normalized table.
+
+    Each draw is found by binary search over the thresholds.  An approximate
+    table whose float CDF ends below 1 sends a variate past the last
+    threshold to the last point.
+    """
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")
     thresholds = _integer_thresholds(table)
     support = table.support
+    last = len(support) - 1
     gen = SplitMix64(seed)
-    draws = []
-    if table.exact:
-        for _ in range(count):
-            mantissa = gen.next_mantissa()
-            for i, bound in enumerate(thresholds):
-                if mantissa < bound:
-                    draws.append(support[i])
-                    break
-    else:
-        for _ in range(count):
-            u = gen.next_mantissa()
-            for i, bound in enumerate(thresholds):
-                if u < bound:
-                    draws.append(support[i])
-                    break
-            else:
-                draws.append(support[-1])
-    draws = tuple(draws)
+    draws = tuple(
+        support[min(bisect_right(thresholds, gen.next_mantissa()), last)] for _ in range(count)
+    )
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(draws, count))
-
-
-def _prefix_masses(table: PmfTable) -> Dict[SupportPoint, Scalar]:
-    """Mass of every support-point prefix, including the empty one."""
-    masses: Dict[SupportPoint, Scalar] = {}
-    for point, weight in zip(table.support, table.weights):
-        for cut in range(len(point) + 1):
-            key = point[:cut]
-            masses[key] = masses[key] + weight if key in masses else weight
-    return masses
 
 
 def path_probabilities(params: FirstKindParams) -> Dict[SupportPoint, Scalar]:
     """Chain-rule probability of each support point, coordinate by
     coordinate; equals the joint probability exactly."""
     table = joint_pmf(params)
-    masses = _prefix_masses(table)
+    masses = table.prefix_masses()
     out = {}
     for point in table.support:
         prob: Scalar = 1 if table.exact else 1.0
@@ -147,7 +119,7 @@ def sequential_sample(params: FirstKindParams, seed: int, count: int) -> SampleB
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")
     table = joint_pmf(params)
-    masses = _prefix_masses(table)
+    masses = table.prefix_masses()
     k = params.k
     gen = SplitMix64(seed)
     draws = []
@@ -157,11 +129,11 @@ def sequential_sample(params: FirstKindParams, seed: int, count: int) -> SampleB
             zero_mass = masses.get(prefix + (0,), 0)
             total = masses[prefix]
             if table.exact:
-                frac = Fraction(zero_mass) / total * _MANTISSA_DENOM
+                frac = Fraction(zero_mass) / total * CDF_SCALE
                 bound = -(-frac.numerator // frac.denominator)
                 value = 0 if gen.next_mantissa() < bound else 1
             else:
-                value = 0 if gen.next_mantissa() < (zero_mass / total) * _MANTISSA_DENOM else 1
+                value = 0 if gen.next_mantissa() < (zero_mass / total) * CDF_SCALE else 1
             prefix = prefix + (value,)
         draws.append(prefix)
     draws = tuple(draws)

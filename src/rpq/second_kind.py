@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Sequence
+from typing import Sequence
 
 from .algebra import (
     AlgebraSpec,
@@ -36,7 +36,7 @@ from .algebra import (
     inverse_algebra,
 )
 from .errors import ValidationError, ZeroProbabilityEventError
-from .first_kind import ConstructionReport, GroupingScheme, _accumulate
+from .first_kind import ConstructionReport, GroupingScheme, _accumulate, _conditional_masses
 from .lattice import ConstraintSet, SupportPoint, enumerate_points
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
@@ -79,7 +79,8 @@ def joint_weight(params: SecondKindParams, x: SupportPoint) -> Scalar:
     return alg.tau1 ** (_phi_constant_exponent(k, n) - e) * alg.tau2**e
 
 
-@lru_cache(maxsize=None)
+# Bounded: a long-lived process keeps at most 32 joints, with their memos.
+@lru_cache(maxsize=32)
 def joint_pmf(params: SecondKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+n over n]."""
     alg, k, n = params.alg, params.k, params.n
@@ -111,7 +112,7 @@ def marginal_pmf(params: SecondKindParams, r: int) -> PmfTable:
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint, lambda x: x[:r])
+    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r])
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -152,15 +153,7 @@ def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> P
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
     joint = joint_pmf(params)
-    acc: Dict[SupportPoint, Scalar] = {}
-    for x, w in zip(joint.support, joint.weights):
-        if x[:r] == given:
-            key = x[r:m]
-            acc[key] = acc[key] + w if key in acc else w
-    if not acc:
-        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    support = tuple(sorted(acc))
-    masses = tuple(acc[p] for p in support)
+    support, masses = _conditional_masses(joint.support, joint.weights, given, m)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -212,7 +205,7 @@ def grouped_pmf(params: SecondKindParams, scheme: GroupingScheme) -> PmfTable:
     """Law of the block sums (Y_1..Y_r), as the pushforward of the joint."""
     scheme.validate_for(params.k)
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint, scheme.project)
+    support, masses = _accumulate(joint.support, joint.weights, scheme.project)
     table_params = params.describe()
     table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
     return make_table(
@@ -233,8 +226,9 @@ def grouped_marginal_pmf(params: SecondKindParams, scheme: GroupingScheme, nu: i
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    grouped = grouped_pmf(params, scheme)
-    support, masses = _accumulate(grouped, lambda y: y[:nu])
+    joint = joint_pmf(params)
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
+    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu])
     table_params = params.describe()
     table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
     return make_table(
@@ -259,15 +253,9 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    grouped = grouped_pmf(params, scheme)
-    acc: Dict[SupportPoint, Scalar] = {}
-    for y, w in zip(grouped.support, grouped.weights):
-        if y[:nu] == given:
-            acc[y[nu:]] = acc[y[nu:]] + w if y[nu:] in acc else w
-    if not acc:
-        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    support = tuple(sorted(acc))
-    masses = tuple(acc[p] for p in support)
+    joint = joint_pmf(params)
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
+    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes))
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight

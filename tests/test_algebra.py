@@ -180,6 +180,13 @@ def test_fit_monomial_finds_unique_pair():
     assert not fit.found
 
 
+def test_fit_monomial_tau2_one_prefers_smallest_b():
+    exact = fit_monomial(custom_algebra("t", tau1=Fraction(2), tau2=Fraction(1)), Fraction(1), Fraction(2), 3)
+    approx = fit_monomial(custom_algebra("t", tau1=2.0, tau2=1.0), 1.0, 2.0, 3)
+    for fit in (exact, approx):
+        assert fit.found and (fit.a, fit.b) == (1, 0)
+
+
 def test_load_algebra_config():
     alg = load_algebra_config("name=jagannathan-srinivasa\np=9/10\nq=1/2\nmode=exact\n")
     assert alg == JS

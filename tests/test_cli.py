@@ -175,3 +175,20 @@ def test_large_n_second_kind_table_exits_zero():
                              "--k", "1", "--n", "2000")
     assert code == 0, err
     assert len([line for line in out.splitlines() if not line.startswith("#")]) == 2002
+
+
+def test_unreadable_algebra_config_exit_code(tmp_path):
+    path = tmp_path / "missing.cfg"
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli("tabulate", "--algebra-config", str(path), "--k", "1", "--n", "1",
+                             "--output", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert "algebra-config" in err and str(path) in err
+
+
+def test_approximate_overflow_exit_code():
+    code, out, err = run_cli("tabulate", "--kind", "second", "--preset", "cj", "--p", "0.1",
+                             "--q", "0.05", "--k", "6", "--n", "30")
+    assert code == 2 and out == ""
+    assert "p, q" in err and "exact mode" in err

@@ -37,6 +37,18 @@ GOLDEN = {
         "d7990e150c407c62c32242932160cdae958a3bb533303e4df8e655850d1c3c1c",
     ("moments", "--kind", "second") + CJ + ("--k", "3", "--n", "2", "--format", "csv"):
         "c0f3746436addde9acdb69925ddf79771781801a4a43249b69886ebb737eebec",
+    ("conditional", "--kind", "first") + JS + ("--k", "6", "--n", "3", "--given", "0,1", "--format", "csv"):
+        "d2e3b35124f4f9b219f3c18468b22e74a57d0c4080efa679bcfc823fd6d013e5",
+    ("conditional", "--kind", "second") + Q + ("--k", "4", "--n", "4", "--given", "1,0", "--m", "3", "--format", "json"):
+        "c12ae059532455c74d675084e4872d182950125418137cee698b05c7c8b2ea4c",
+    ("sample", "--kind", "first") + JS + ("--k", "5", "--n", "3", "--seed", "11", "--count", "200", "--format", "csv"):
+        "2c91e67174d73748741d4964a4e91cda586957feee5e8f958322336b616c6a01",
+    ("sample", "--kind", "second") + CJ + ("--k", "3", "--n", "4", "--seed", "12", "--count", "200", "--format", "json"):
+        "c3e94f08c2f66e220d8368339eefd9f5f33323f2523461df9c26cd79987f76e8",
+    ("sample", "--kind", "first", "--sequential") + Q + ("--k", "5", "--n", "2", "--seed", "13", "--count", "200", "--format", "csv"):
+        "64a3d2c283dfe866648e2a84d3c23eb21467f55058bad6cdd06b4a95ddfd8eb0",
+    ("moments", "--kind", "second") + JS + ("--k", "3", "--n", "3", "--format", "json"):
+        "0b69b7b5c143367aa33a5c5293507d1608dd17703636ff6400852aa4958ebe2c",
 }
 
 

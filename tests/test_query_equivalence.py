@@ -1,0 +1,218 @@
+"""Derived laws and draws against scan-and-sum references over the joint.
+
+Conditionals, grouped marginals and grouped conditionals are summed here
+from the joint in support order, the way the straightforward scan does it,
+and the samplers are replayed with a linear threshold scan and uncached
+prefix masses.  Floats are compared with `==`: the library must reproduce
+the scan bit for bit, not just within tolerance.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from conftest import ALL_PRESETS, Q_HALF
+from rpq import (
+    ValidationError,
+    ZeroProbabilityEventError,
+    jagannathan_srinivasa,
+    sample,
+    sequential_sample,
+)
+from rpq import first_kind, second_kind
+from rpq.first_kind import FirstKindParams, GroupingScheme
+from rpq.pmf import make_table
+from rpq.sampler import SplitMix64
+from rpq.second_kind import SecondKindParams
+
+PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
+DENOM = 1 << 53
+
+KINDS = [(first_kind, alg) for alg in PRESETS] + [(second_kind, alg) for alg in PRESETS]
+
+
+def _kind_id(case):
+    module, alg = case
+    return f"{module.KIND}-{alg.name}-{'exact' if alg.exact else 'approx'}"
+
+
+def _params(module, alg):
+    """Every small (k, n): k <= 4 for the first kind, k, n <= 3 for the second."""
+    if module is first_kind:
+        return [FirstKindParams(alg, k, n) for k in range(1, 5) for n in range(k + 2)]
+    return [SecondKindParams(alg, k, n) for k in range(1, 4) for n in range(4)]
+
+
+def _scan(points, masses, keep, project):
+    acc = {}
+    for point, mass in zip(points, masses):
+        if keep(point):
+            key = project(point)
+            acc[key] = acc[key] + mass if key in acc else mass
+    support = tuple(sorted(acc))
+    return support, tuple(acc[p] for p in support)
+
+
+def _compositions(k):
+    for cuts in product((0, 1), repeat=k - 1):
+        sizes, run = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(run)
+                run = 1
+            else:
+                run += 1
+        sizes.append(run)
+        if len(sizes) > 1:
+            yield tuple(sizes)
+
+
+def _assert_same(table, support, masses):
+    assert table.support == support
+    assert table.weights == masses
+    total = masses[0]
+    for w in masses[1:]:
+        total = total + w
+    assert table.probabilities == tuple(w / total for w in masses)
+
+
+def _prefixes(module, params, r):
+    top = 1 if module is first_kind else params.n
+    return [g for g in product(range(top + 1), repeat=r) if sum(g) <= params.n]
+
+
+@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+def test_conditionals_equal_scan(case):
+    for params in _params(*case):
+        _check_conditionals(case[0], params)
+
+
+def _check_conditionals(module, params):
+    joint = module.joint_pmf(params)
+    for r in range(1, params.k):
+        for given in _prefixes(module, params, r):
+            for m in range(r + 1, params.k + 1):
+                support, masses = _scan(
+                    joint.support, joint.weights, lambda x: x[:r] == given, lambda x: x[r:m]
+                )
+                if not support:
+                    with pytest.raises(ZeroProbabilityEventError, match="has probability zero"):
+                        module.conditional_pmf(params, given, m)
+                    continue
+                table = module.conditional_pmf(params, given, m)
+                _assert_same(table, support, masses)
+                again = module.conditional_pmf(params, given, m)
+                assert (again.support, again.weights) == (table.support, table.weights)
+
+
+@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+def test_grouped_marginals_and_conditionals_equal_scan(case):
+    for params in _params(*case):
+        _check_grouped(case[0], params)
+
+
+def _check_grouped(module, params):
+    joint = module.joint_pmf(params)
+    for sizes in _compositions(params.k):
+        scheme = GroupingScheme(sizes)
+        blocks, block_masses = _scan(
+            joint.support, joint.weights, lambda x: True, scheme.project
+        )
+        for nu in range(1, len(sizes)):
+            support, masses = _scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
+            _assert_same(module.grouped_marginal_pmf(params, scheme, nu), support, masses)
+            for given in set(y[:nu] for y in blocks) | {tuple(params.n + 1 for _ in range(nu))}:
+                support, masses = _scan(
+                    blocks, block_masses, lambda y: y[:nu] == given, lambda y: y[nu:]
+                )
+                if not support:
+                    with pytest.raises(ZeroProbabilityEventError, match="has probability zero"):
+                        module.grouped_conditional_pmf(params, scheme, given)
+                    continue
+                _assert_same(module.grouped_conditional_pmf(params, scheme, given), support, masses)
+
+
+def _scan_sample(table, seed, count):
+    thresholds = []
+    cumulative = 0
+    for prob in table.probabilities:
+        cumulative += prob
+        if table.exact:
+            frac = Fraction(cumulative) * DENOM
+            thresholds.append(-(-frac.numerator // frac.denominator))
+        else:
+            thresholds.append(cumulative * DENOM)
+    gen = SplitMix64(seed)
+    draws = []
+    for _ in range(count):
+        u = gen.next_mantissa()
+        for i, bound in enumerate(thresholds):
+            if u < bound:
+                draws.append(table.support[i])
+                break
+        else:
+            draws.append(table.support[-1])
+    return tuple(draws)
+
+
+def _scan_sequential(table, k, seed, count):
+    masses = {}
+    for point, weight in zip(table.support, table.weights):
+        for cut in range(len(point) + 1):
+            key = point[:cut]
+            masses[key] = masses[key] + weight if key in masses else weight
+    gen = SplitMix64(seed)
+    draws = []
+    for _ in range(count):
+        prefix = ()
+        for _coord in range(k):
+            zero_mass = masses.get(prefix + (0,), 0)
+            total = masses[prefix]
+            if table.exact:
+                frac = Fraction(zero_mass) / total * DENOM
+                bound = -(-frac.numerator // frac.denominator)
+            else:
+                bound = (zero_mass / total) * DENOM
+            prefix = prefix + (0 if gen.next_mantissa() < bound else 1,)
+        draws.append(prefix)
+    return tuple(draws)
+
+
+@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+def test_draws_equal_linear_scan(case):
+    module = case[0]
+    for params in _params(*case):
+        table = module.joint_pmf(params)
+        for seed in (1, 2):
+            expected = _scan_sample(table, seed, 300)
+            assert sample(table, seed, 300).draws == expected
+            assert sample(table, seed, 300).draws == expected
+        if module is first_kind:
+            expected = _scan_sequential(table, params.k, 3, 300)
+            assert sequential_sample(params, 3, 300).draws == expected
+            assert sequential_sample(params, 3, 300).draws == expected
+
+
+def test_approximate_draw_past_last_threshold_takes_last_point():
+    joint = first_kind.joint_pmf(FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 2))
+    # Half the mass is missing, so about half of the variates fall past the
+    # last threshold; `replace` starts the copy without the joint's memos.
+    short = replace(joint, probabilities=tuple(p / 2 for p in joint.probabilities))
+    draws = sample(short, 4, 400).draws
+    assert draws == _scan_sample(short, 4, 400)
+    assert 100 < draws.count(short.support[-1]) < 400
+    assert sample(joint, 4, 400).draws == _scan_sample(joint, 4, 400)
+
+
+def test_table_lookup_and_support_order():
+    joint = first_kind.joint_pmf(FirstKindParams(Q_HALF, 3, 2))
+    for point, prob in zip(joint.support, joint.probabilities):
+        assert joint.probability(point) == prob
+    for absent in ((), (0, 0, 0), (0, 1, 0, 0), (1, 1, 1), (2,)):
+        assert joint.probability(absent) == 0
+    for support in (((1,), (0,)), ((0,), (0,))):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            make_table(kind="t", params={}, coord_labels=("x",), support=support,
+                       weights=(Fraction(1), Fraction(1)), alg=Q_HALF)
