@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Sequence, Tuple
+from operator import mul
+from typing import Callable, List, Sequence, Tuple
 
 from .algebra import (
     AlgebraSpec,
@@ -38,7 +39,7 @@ from .algebra import (
 )
 from .errors import ValidationError, ZeroProbabilityEventError
 from .lattice import ConstraintSet, SupportPoint, enumerate_points
-from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
+from .pmf import PmfTable, compare_moment, grouped_sums, make_table, oracle_expectation
 from .scalars import Scalar
 from ._coerce import coerce_theta
 
@@ -70,11 +71,29 @@ def support_constraints(params: FirstKindParams) -> ConstraintSet:
     return ConstraintSet(upper=(1,) * k, sum_min=max(0, n - 1), sum_max=min(n, k))
 
 
-def joint_weight(params: FirstKindParams, x: SupportPoint) -> Scalar:
+def area(x: SupportPoint) -> int:
+    """E(x) = sum_j (k - j + 1) x_j, the one statistic a joint weight reads."""
+    return sum(map(mul, range(len(x), 0, -1), x))
+
+
+def class_weights(
+    support: Sequence[SupportPoint], weight_of_area: Callable[[int], Scalar]
+) -> List[Scalar]:
+    """Weight of each point, computed once per weight class (value of E):
+    the points of a class share one weight object."""
+    areas = [area(x) for x in support]
+    weights = {e: weight_of_area(e) for e in sorted(set(areas))}
+    return [weights[e] for e in areas]
+
+
+def _area_weight(params: FirstKindParams, e: int) -> Scalar:
     alg, k, n = params.alg, params.k, params.n
-    e = sum((k - j) * x[j] for j in range(k))
     c2 = comb(n, 2)
     return alg.tau1 ** (c2 + k * n - e) * alg.tau2 ** (e - c2)
+
+
+def joint_weight(params: FirstKindParams, x: SupportPoint) -> Scalar:
+    return _area_weight(params, area(x))
 
 
 # Bounded: a long-lived process keeps at most 32 joints, with their memos.
@@ -83,7 +102,7 @@ def joint_pmf(params: FirstKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+1 over n]."""
     alg, k, n = params.alg, params.k, params.n
     support = enumerate_points(support_constraints(params))
-    weights = [joint_weight(params, x) for x in support]
+    weights = class_weights(support, lambda e: _area_weight(params, e))
     return make_table(
         kind=KIND,
         params=params.describe(),
@@ -122,20 +141,20 @@ def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable
 
 
 def _accumulate(
-    points: Sequence[SupportPoint], masses: Sequence[Scalar], project
+    points: Sequence[SupportPoint], masses: Sequence[Scalar], project, exact: bool
 ) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """Summed mass per projected key, in sorted key order; each sum is taken
-    in the order of `points`."""
-    acc: Dict[SupportPoint, Scalar] = {}
-    for point, mass in zip(points, masses):
-        key = project(point)
-        acc[key] = acc[key] + mass if key in acc else mass
+    """Summed mass per projected key (`pmf.class_sum`), in sorted key order."""
+    acc = grouped_sums(((project(point), mass) for point, mass in zip(points, masses)), exact)
     items = sorted(acc.items())
     return tuple(p for p, _ in items), tuple(m for _, m in items)
 
 
 def _conditional_masses(
-    points: Sequence[SupportPoint], masses: Sequence[Scalar], given: SupportPoint, m: int
+    points: Sequence[SupportPoint],
+    masses: Sequence[Scalar],
+    given: SupportPoint,
+    m: int,
+    exact: bool,
 ) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
     """`_accumulate` of x[r:m] over the points whose prefix is `given`.
 
@@ -147,7 +166,7 @@ def _conditional_masses(
     hi = bisect_left(points, given[:-1] + (given[-1] + 1,), lo)
     if lo == hi:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    return _accumulate(points[lo:hi], masses[lo:hi], lambda x: x[r:m])
+    return _accumulate(points[lo:hi], masses[lo:hi], lambda x: x[r:m], exact)
 
 
 def _marginal_closed_weight(params: FirstKindParams, prefix: SupportPoint) -> Scalar:
@@ -170,7 +189,7 @@ def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r])
+    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r], joint.exact)
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -217,7 +236,7 @@ def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> Pm
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
     joint = joint_pmf(params)
-    support, masses = _conditional_masses(joint.support, joint.weights, given, m)
+    support, masses = _conditional_masses(joint.support, joint.weights, given, m, joint.exact)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -310,7 +329,7 @@ def grouped_pmf(params: FirstKindParams, scheme: GroupingScheme) -> PmfTable:
     """
     scheme.validate_for(params.k)
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, scheme.project)
+    support, masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
     table_params = params.describe()
     table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
     return make_table(
@@ -332,8 +351,8 @@ def grouped_marginal_pmf(params: FirstKindParams, scheme: GroupingScheme, nu: in
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
     joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
-    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu])
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu], joint.exact)
     table_params = params.describe()
     table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
     return make_table(
@@ -359,8 +378,8 @@ def grouped_conditional_pmf(
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
     joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
-    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes))
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes), joint.exact)
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight

@@ -1,14 +1,14 @@
 """Exact enumeration of constrained integer boxes.
 
 The brute-force ground truth behind every closed form in the package:
-a box `lower[j] <= x[j] <= upper[j]` intersected with a coordinate-sum
+a box `0 <= x[j] <= upper[j]` intersected with a coordinate-sum
 window `sum_min <= sum(x) <= sum_max`, enumerated in lexicographic order
 and summed with exact arithmetic.  Hard guards keep everything desk-scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Tuple
 
 from .errors import CapacityError, ValidationError
@@ -23,21 +23,16 @@ MAX_SUM = 1_000_000
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Integer box with per-coordinate bounds and a coordinate-sum window."""
+    """Integer box 0 <= x[j] <= upper[j] with a coordinate-sum window."""
 
     upper: Tuple[int, ...]
     sum_min: int
     sum_max: int
-    lower: Tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not self.lower:
-            object.__setattr__(self, "lower", (0,) * len(self.upper))
-        if len(self.lower) != len(self.upper):
-            raise ValidationError("lower/upper bound vectors differ in length")
-        for lo, up in zip(self.lower, self.upper):
-            if not 0 <= lo <= up:
-                raise ValidationError(f"need 0 <= lower <= upper per coordinate, got [{lo}, {up}]")
+        for up in self.upper:
+            if up < 0:
+                raise ValidationError(f"need 0 <= upper per coordinate, got {up}")
         if self.sum_min > self.sum_max:
             raise ValidationError(f"sum window is inverted: [{self.sum_min}, {self.sum_max}]")
         if self.dim > MAX_DIM:
@@ -50,22 +45,20 @@ class ConstraintSet:
 
 def count_points(constraints: ConstraintSet) -> int:
     """Number of admissible points, by a sum-indexed recursion (no listing)."""
-    lo_total = sum(constraints.lower)
-    up_total = sum(constraints.upper)
-    smax = min(constraints.sum_max, up_total)
-    smin = max(constraints.sum_min, lo_total)
+    smax = min(constraints.sum_max, sum(constraints.upper))
+    smin = max(constraints.sum_min, 0)
     if smin > smax:
         return 0
     if smax > MAX_SUM:
         raise CapacityError(f"sum window up to {smax} exceeds the guard ({MAX_SUM})")
     ways = [0] * (smax + 1)
     ways[0] = 1
-    for lo, up in zip(constraints.lower, constraints.upper):
+    for up in constraints.upper:
         nxt = [0] * (smax + 1)
         for s, w in enumerate(ways):
             if not w:
                 continue
-            for v in range(lo, min(up, smax - s) + 1):
+            for v in range(min(up, smax - s) + 1):
                 nxt[s + v] += w
         ways = nxt
     total = sum(ways[smin : smax + 1])
@@ -85,8 +78,8 @@ def _suffix_sums(bounds: Tuple[int, ...]) -> list:
 def iter_points(constraints: ConstraintSet) -> Iterator[SupportPoint]:
     """Lexicographically ordered stream of admissible points."""
     dim = constraints.dim
-    lower, upper = constraints.lower, constraints.upper
-    lo_suffix, up_suffix = _suffix_sums(lower), _suffix_sums(upper)
+    upper = constraints.upper
+    up_suffix = _suffix_sums(upper)
     point = [0] * dim
 
     def rec(i: int, s: int) -> Iterator[SupportPoint]:
@@ -94,12 +87,12 @@ def iter_points(constraints: ConstraintSet) -> Iterator[SupportPoint]:
             if constraints.sum_min <= s <= constraints.sum_max:
                 yield tuple(point)
             return
-        lo = max(lower[i], constraints.sum_min - s - up_suffix[i + 1])
-        up = min(upper[i], constraints.sum_max - s - lo_suffix[i + 1])
+        lo = max(0, constraints.sum_min - s - up_suffix[i + 1])
+        up = min(upper[i], constraints.sum_max - s)
         for v in range(lo, up + 1):
             point[i] = v
             yield from rec(i + 1, s + v)
-        point[i] = lower[i]
+        point[i] = 0
 
     return rec(0, 0)
 
@@ -131,15 +124,15 @@ def partial_sum_total(
     the product weight, exactly in exact mode.
     """
     count_points(constraints)
-    lower, upper = constraints.lower, constraints.upper
+    upper = constraints.upper
     smin, smax = constraints.sum_min, constraints.sum_max
-    lo_suffix, up_suffix = _suffix_sums(lower), _suffix_sums(upper)
+    up_suffix = _suffix_sums(upper)
     partial = {0: 1}
     for j in range(constraints.dim):
         nxt = {}
         for s, value in partial.items():
-            lo = max(lower[j], smin - s - up_suffix[j + 1])
-            up = min(upper[j], smax - s - lo_suffix[j + 1])
+            lo = max(0, smin - s - up_suffix[j + 1])
+            up = min(upper[j], smax - s)
             for v in range(lo, up + 1):
                 term = value * factor(j, v, s + v)
                 nxt[s + v] = nxt[s + v] + term if s + v in nxt else term

@@ -8,9 +8,13 @@ cross-check records, never as the source of truth.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from math import lcm
+from operator import add
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, ValidationError
@@ -21,6 +25,38 @@ from .scalars import Scalar, scalars_close
 # `sampler`), so CDF thresholds are kept on that integer scale.
 CDF_BITS = 53
 CDF_SCALE = 1 << CDF_BITS
+
+
+def class_sum(values: Sequence[Scalar], exact: bool) -> Scalar:
+    """Sum of `values` (at least one).
+
+    Points of one weight class share one weight object, and so do sums and
+    quotients built from it.  In exact mode the values are grouped by object
+    identity and each class adds multiplicity * value, over a common
+    denominator in integers: one term per class, the same rational as the
+    point-by-point sum.  A lone value is returned as is, and two are simply
+    added.  In approximate mode the values are added left to right, so the
+    float rounds as the point-by-point sum does.
+    """
+    if not exact or len(values) < 3:
+        return reduce(add, values)
+    counts = Counter(map(id, values))
+    value_of = dict(zip(map(id, values), values))
+    classes = [(value_of[i], m) for i, m in counts.items()]
+    denominator = lcm(*[v.denominator for v, _ in classes])
+    numerator = sum(m * v.numerator * (denominator // v.denominator) for v, m in classes)
+    return Fraction(numerator, denominator)
+
+
+def grouped_sums(
+    pairs: Iterable[Tuple[Hashable, Scalar]], exact: bool
+) -> Dict[Hashable, Scalar]:
+    """`class_sum` of the values of each key over (key, value) pairs, keys in
+    first-seen order."""
+    groups: Dict[Hashable, List[Scalar]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: class_sum(group, exact) for key, group in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -54,6 +90,7 @@ class PmfTable:
     closed_form_check: Optional[ClosedFormCheck] = None
     _thresholds: list = field(default_factory=list, init=False, repr=False, compare=False)
     _prefix_masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _zero_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def probability(self, point: SupportPoint) -> Scalar:
         i = bisect_left(self.support, point)
@@ -84,13 +121,32 @@ class PmfTable:
         """Summed weight of every support-point prefix, the empty one
         included, each sum taken in support order."""
         if not self._prefix_masses:
-            masses: Dict[SupportPoint, Scalar] = {}
-            for point, weight in zip(self.support, self.weights):
-                for cut in range(len(point) + 1):
-                    key = point[:cut]
-                    masses[key] = masses[key] + weight if key in masses else weight
-            self._prefix_masses.update(masses)
+            cuts = range(len(self.support[0]) + 1)
+            pairs = (
+                (point[:cut], weight)
+                for point, weight in zip(self.support, self.weights)
+                for cut in cuts
+            )
+            self._prefix_masses.update(grouped_sums(pairs, self.exact))
         return self._prefix_masses
+
+    def zero_bound(self, prefix: SupportPoint) -> Scalar:
+        """Threshold on a 53-bit mantissa below which the point extending
+        `prefix` takes the value 0 next: ceil(m0 / m * 2^53) in exact mode,
+        m0 / m * 2^53 in approximate mode, where m is the prefix mass and m0
+        the mass of prefix + (0,).  Memoised per prefix."""
+        bound = self._zero_bounds.get(prefix)
+        if bound is None:
+            masses = self.prefix_masses()
+            zero_mass = masses.get(prefix + (0,), 0)
+            total = masses[prefix]
+            if self.exact:
+                frac = Fraction(zero_mass) / total * CDF_SCALE
+                bound = -(-frac.numerator // frac.denominator)
+            else:
+                bound = (zero_mass / total) * CDF_SCALE
+            self._zero_bounds[prefix] = bound
+        return bound
 
 
 def make_table(
@@ -114,16 +170,19 @@ def make_table(
         raise ValidationError(f"{kind} table: {len(support)} points vs {len(weights)} weights")
     if any(a >= b for a, b in zip(support, support[1:])):
         raise ValidationError(f"{kind} table: support is not strictly increasing")
-    z = weights[0]
-    for w in weights[1:]:
-        z = z + w
+    z = class_sum(weights, alg.exact)
     if z <= 0:
         raise ValidationError(f"{kind} table: nonpositive normalizer {z}")
-    probabilities = tuple(w / z for w in weights)
-    for prob in probabilities:
+    # One quotient per distinct weight object, shared by its class.
+    quotient: Dict[int, Scalar] = {}
+    for w in weights:
+        if id(w) not in quotient:
+            quotient[id(w)] = w / z
+    for prob in quotient.values():
         if prob < 0:
             raise ValidationError(f"{kind} table: negative probability {prob}")
-    total = sum(probabilities)
+    probabilities = tuple(quotient[id(w)] for w in weights)
+    total = class_sum(probabilities, alg.exact)
     if not scalars_close(total, 1, alg.exact, alg.tol):
         raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
 

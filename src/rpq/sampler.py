@@ -11,8 +11,9 @@ Selection rule: a variate u picks the first support point (in the table's
 lexicographic order) whose cumulative probability exceeds u.  Thresholds
 are exact rationals in exact mode; u < F is decided by integer comparison
 against ceil(F * 2^53), which never misassigns a boundary and never lands
-on a zero-probability point.  A table computes its thresholds and prefix
-masses once, and each draw is found by binary search over the thresholds.
+on a zero-probability point.  A table computes its thresholds, prefix
+masses and per-prefix sequential bounds once, and each draw is found by
+binary search over the thresholds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Dict, Mapping, Tuple
 from .errors import ValidationError
 from .first_kind import FirstKindParams, joint_pmf
 from .lattice import SupportPoint
-from .pmf import CDF_BITS, CDF_SCALE, PmfTable
+from .pmf import CDF_BITS, PmfTable
 from .scalars import Scalar
 
 _MASK64 = (1 << 64) - 1
@@ -119,22 +120,13 @@ def sequential_sample(params: FirstKindParams, seed: int, count: int) -> SampleB
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")
     table = joint_pmf(params)
-    masses = table.prefix_masses()
     k = params.k
     gen = SplitMix64(seed)
     draws = []
     for _ in range(count):
         prefix: SupportPoint = ()
         for _coord in range(k):
-            zero_mass = masses.get(prefix + (0,), 0)
-            total = masses[prefix]
-            if table.exact:
-                frac = Fraction(zero_mass) / total * CDF_SCALE
-                bound = -(-frac.numerator // frac.denominator)
-                value = 0 if gen.next_mantissa() < bound else 1
-            else:
-                value = 0 if gen.next_mantissa() < (zero_mass / total) * CDF_SCALE else 1
-            prefix = prefix + (value,)
+            prefix = prefix + (0 if gen.next_mantissa() < table.zero_bound(prefix) else 1,)
         draws.append(prefix)
     draws = tuple(draws)
     batch_params = dict(table.params)

@@ -36,7 +36,14 @@ from .algebra import (
     inverse_algebra,
 )
 from .errors import ValidationError, ZeroProbabilityEventError
-from .first_kind import ConstructionReport, GroupingScheme, _accumulate, _conditional_masses
+from .first_kind import (
+    ConstructionReport,
+    GroupingScheme,
+    _accumulate,
+    _conditional_masses,
+    area,
+    class_weights,
+)
 from .lattice import ConstraintSet, SupportPoint, enumerate_points
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
@@ -73,10 +80,13 @@ def _phi_constant_exponent(k: int, n: int) -> int:
     return 2 * k * n + comb(k + 1, 2)
 
 
+def _area_weight(params: SecondKindParams, e: int) -> Scalar:
+    alg = params.alg
+    return alg.tau1 ** (_phi_constant_exponent(params.k, params.n) - e) * alg.tau2**e
+
+
 def joint_weight(params: SecondKindParams, x: SupportPoint) -> Scalar:
-    alg, k, n = params.alg, params.k, params.n
-    e = sum((k - j) * x[j] for j in range(k))
-    return alg.tau1 ** (_phi_constant_exponent(k, n) - e) * alg.tau2**e
+    return _area_weight(params, area(x))
 
 
 # Bounded: a long-lived process keeps at most 32 joints, with their memos.
@@ -85,7 +95,7 @@ def joint_pmf(params: SecondKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+n over n]."""
     alg, k, n = params.alg, params.k, params.n
     support = enumerate_points(support_constraints(params))
-    weights = [joint_weight(params, x) for x in support]
+    weights = class_weights(support, lambda e: _area_weight(params, e))
     return make_table(
         kind=KIND,
         params=params.describe(),
@@ -112,7 +122,7 @@ def marginal_pmf(params: SecondKindParams, r: int) -> PmfTable:
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r])
+    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r], joint.exact)
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -153,7 +163,7 @@ def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> P
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
     joint = joint_pmf(params)
-    support, masses = _conditional_masses(joint.support, joint.weights, given, m)
+    support, masses = _conditional_masses(joint.support, joint.weights, given, m, joint.exact)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -205,7 +215,7 @@ def grouped_pmf(params: SecondKindParams, scheme: GroupingScheme) -> PmfTable:
     """Law of the block sums (Y_1..Y_r), as the pushforward of the joint."""
     scheme.validate_for(params.k)
     joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, scheme.project)
+    support, masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
     table_params = params.describe()
     table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
     return make_table(
@@ -227,8 +237,8 @@ def grouped_marginal_pmf(params: SecondKindParams, scheme: GroupingScheme, nu: i
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
     joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
-    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu])
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu], joint.exact)
     table_params = params.describe()
     table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
     return make_table(
@@ -254,8 +264,8 @@ def grouped_conditional_pmf(
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
     joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project)
-    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes))
+    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes), joint.exact)
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from .pmf import MomentReport, PmfTable
 from .sampler import SampleBatch
-from .scalars import scalar_str
+from .scalars import Scalar, scalar_str
 
 SCHEMA_VERSION = 1
 
@@ -29,12 +29,22 @@ def config_header(config: Mapping[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strings(values: Sequence[Scalar]) -> List[str]:
+    """`scalar_str` of each value, formatted once per distinct object (the
+    points of a weight class share their weight and probability objects)."""
+    text = {}
+    for value in values:
+        if id(value) not in text:
+            text[id(value)] = scalar_str(value)
+    return [text[id(value)] for value in values]
+
+
 def table_to_csv(table: PmfTable) -> str:
     out = io.StringIO()
     writer = _csv_writer(out)
     writer.writerow(list(table.coord_labels) + ["weight", "probability"])
-    for point, weight, prob in zip(table.support, table.weights, table.probabilities):
-        writer.writerow([*point, scalar_str(weight), scalar_str(prob)])
+    rows = zip(table.support, _strings(table.weights), _strings(table.probabilities))
+    writer.writerows([*point, weight, prob] for point, weight, prob in rows)
     return out.getvalue()
 
 
@@ -45,8 +55,10 @@ def table_to_json_obj(table: PmfTable) -> dict:
         "params": {k: _plain(v) for k, v in table.params.items()},
         "coords": list(table.coord_labels),
         "rows": [
-            {"point": list(p), "weight": scalar_str(w), "probability": scalar_str(pr)}
-            for p, w, pr in zip(table.support, table.weights, table.probabilities)
+            {"point": list(p), "weight": w, "probability": pr}
+            for p, w, pr in zip(
+                table.support, _strings(table.weights), _strings(table.probabilities)
+            )
         ],
         "z_enumerated": scalar_str(table.z_enumerated),
         "z_closed_form": None if table.z_closed_form is None else scalar_str(table.z_closed_form),

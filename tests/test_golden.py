@@ -49,6 +49,16 @@ GOLDEN = {
         "64a3d2c283dfe866648e2a84d3c23eb21467f55058bad6cdd06b4a95ddfd8eb0",
     ("moments", "--kind", "second") + JS + ("--k", "3", "--n", "3", "--format", "json"):
         "0b69b7b5c143367aa33a5c5293507d1608dd17703636ff6400852aa4958ebe2c",
+    ("tabulate", "--kind", "second") + JS + ("--k", "5", "--n", "4", "--format", "json"):
+        "d10a064f3d49730d5bc1ae6830157c0abe722c429a5148efddccb6c6ce83ca5b",
+    ("grouped", "--kind", "second") + JS + ("--k", "6", "--n", "4", "--groups", "2,3,1", "--format", "json"):
+        "a8e1875c26439be74085c32aff54ee5de0d4731193017e43760986e905eef480",
+    ("tabulate", "--kind", "first") + JS + ("--k", "8", "--n", "4", "--format", "json"):
+        "9e32a9301550b9a3c74281b878ff9502358e9df220a6d374d3c1b8d05a54c4e8",
+    ("grouped", "--kind", "first") + JS + ("--k", "8", "--n", "4", "--groups", "3,2,3", "--format", "csv"):
+        "1d839d1d6eb9589e25561188f2bbcc71c5f5fcf5d75a8b0620e05d09952e4867",
+    ("marginal", "--kind", "second") + JS + ("--k", "5", "--n", "4", "--r", "2", "--format", "json"):
+        "87bf83ca421dc852953c6f880487bdd611b006de8d9c6bbc008ab559f76eb3a0",
 }
 
 

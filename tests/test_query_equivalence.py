@@ -195,6 +195,22 @@ def test_draws_equal_linear_scan(case):
             assert sequential_sample(params, 3, 300).draws == expected
 
 
+@pytest.mark.parametrize("alg", PRESETS, ids=lambda a: f"{a.name}-{'exact' if a.exact else 'approx'}")
+def test_memoised_zero_bounds_equal_uncached(alg):
+    for params in _params(first_kind, alg):
+        table = first_kind.joint_pmf(params)
+        masses = table.prefix_masses()
+        for prefix in [p for p in masses if len(p) < params.k]:
+            zero_mass = masses.get(prefix + (0,), 0)
+            if table.exact:
+                frac = Fraction(zero_mass) / masses[prefix] * DENOM
+                expected = -(-frac.numerator // frac.denominator)
+            else:
+                expected = (zero_mass / masses[prefix]) * DENOM
+            assert table.zero_bound(prefix) == expected
+            assert table.zero_bound(prefix) == expected
+
+
 def test_approximate_draw_past_last_threshold_takes_last_point():
     joint = first_kind.joint_pmf(FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 2))
     # Half the mass is missing, so about half of the variates fall past the

@@ -1,0 +1,122 @@
+"""Weight-class tables against per-point references.
+
+A joint weight depends on a point only through E(x), so the library builds
+one weight object per value of E, sums a class of m points as m * weight in
+exact mode, and divides and formats once per class.  These tests rebuild
+every quantity point by point, the way a plain scan does it, and compare
+with `==`, floats included: the class engine must reproduce the scan bit
+for bit.
+"""
+
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+
+from conftest import ALL_PRESETS, JS, Q_HALF
+from rpq import ValidationError, jagannathan_srinivasa
+from rpq import first_kind, second_kind
+from rpq.first_kind import FirstKindParams, GroupingScheme, area
+from rpq.pmf import class_sum, make_table
+from rpq.second_kind import SecondKindParams
+from test_query_equivalence import _compositions
+
+PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
+
+KINDS = [(first_kind, alg) for alg in PRESETS] + [(second_kind, alg) for alg in PRESETS]
+
+
+def _kind_id(case):
+    module, alg = case
+    return f"{module.KIND}-{alg.name}-{'exact' if alg.exact else 'approx'}"
+
+
+def _params(module, alg):
+    """k <= 6; every n for the first kind, n <= 4 for the second."""
+    if module is first_kind:
+        return [FirstKindParams(alg, k, n) for k in range(1, 7) for n in range(k + 2)]
+    return [SecondKindParams(alg, k, n) for k in range(1, 7) for n in range(5)]
+
+
+def _in_order(values):
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
+
+
+def _scan(points, masses, project):
+    acc = {}
+    for point, mass in zip(points, masses):
+        key = project(point)
+        acc[key] = acc[key] + mass if key in acc else mass
+    support = tuple(sorted(acc))
+    return support, tuple(acc[p] for p in support)
+
+
+def _assert_table(table, support, weights):
+    assert table.support == support
+    assert table.weights == weights
+    z = _in_order(weights)
+    assert table.z_enumerated == z
+    assert table.probabilities == tuple(w / z for w in weights)
+
+
+@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+def test_joint_weights_are_per_point_weights(case):
+    module = case[0]
+    for params in _params(*case):
+        joint = module.joint_pmf(params)
+        weights = tuple(module.joint_weight(params, x) for x in joint.support)
+        _assert_table(joint, joint.support, weights)
+        # One weight object per weight class.
+        classes = {area(x) for x in joint.support}
+        assert len({id(w) for w in joint.weights}) == len(classes)
+
+
+@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+def test_marginals_grouped_and_prefix_masses_equal_scan(case):
+    module = case[0]
+    for params in _params(*case):
+        joint = module.joint_pmf(params)
+        k = params.k
+        for r in range(1, k):
+            support, masses = _scan(joint.support, joint.weights, lambda x: x[:r])
+            _assert_table(module.marginal_pmf(params, r), support, masses)
+        for sizes in islice(_compositions(k), 4):
+            scheme = GroupingScheme(sizes)
+            support, masses = _scan(joint.support, joint.weights, scheme.project)
+            _assert_table(module.grouped_pmf(params, scheme), support, masses)
+        expected = {}
+        for point, weight in zip(joint.support, joint.weights):
+            for cut in range(k + 1):
+                key = point[:cut]
+                expected[key] = expected[key] + weight if key in expected else weight
+        assert joint.prefix_masses() == expected
+
+
+@pytest.mark.parametrize("alg", [JS, Q_HALF, jagannathan_srinivasa(0.9, 0.5)], ids=lambda a: a.name)
+def test_make_table_with_fresh_and_repeated_weight_objects(alg):
+    one = Fraction(1) if alg.exact else 1.0
+    values = [alg.tau2**e for e in (0, 1, 1, 2, 0, 1, 3)]
+    # Equal values, distinct objects: nothing is shared.
+    fresh = [v * one for v in values]
+    assert len({id(v) for v in fresh}) == len(fresh)
+    # One object repeated at every point.
+    shared = alg.tau2**2
+    for weights in (fresh, [shared] * 6):
+        support = tuple((i,) for i in range(len(weights)))
+        table = make_table(kind="t", params={}, coord_labels=("x",), support=support,
+                           weights=weights, alg=alg)
+        _assert_table(table, support, tuple(weights))
+        assert class_sum(table.probabilities, alg.exact) == _in_order(table.probabilities)
+    if alg.exact:
+        assert class_sum([shared] * 6, True) == 6 * shared
+        assert class_sum([shared], True) is shared
+
+
+def test_make_table_checks_each_distinct_value():
+    negative = Fraction(-1)
+    with pytest.raises(ValidationError, match="negative probability -1/2"):
+        make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,), (2,)),
+                   weights=(Fraction(1), negative, Fraction(2)), alg=Q_HALF)
