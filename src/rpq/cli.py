@@ -133,65 +133,47 @@ def _params(args, alg: AlgebraSpec):
     return SecondKindParams(alg, args.k, args.n)
 
 
-def _emit_table(table, args, config) -> str:
+def _emit(args, config, json_obj, csv_body) -> str:
+    """JSON: json_obj() with the config object; CSV: the config header, then
+    csv_body()."""
     if args.format == "json":
-        obj = serialize.table_to_json_obj(table)
+        obj = json_obj()
         obj["config"] = {k: serialize._plain(v) for k, v in config.items()}
         return serialize.dumps_json(obj)
-    return serialize.config_header(config) + serialize.table_to_csv(table)
+    return serialize.config_header(config) + csv_body()
 
 
-def _cmd_tabulate(args) -> str:
+def _query(args, module, params):
+    """The table (or moment reports) a model command asks for, and the
+    config entries it adds."""
+    command = args.subcommand
+    if command == "tabulate":
+        return module.joint_pmf(params), {}
+    if command == "marginal":
+        return module.marginal_pmf(params, args.r), {"r": args.r}
+    if command == "conditional":
+        given = _parse_int_list(args.given, "given")
+        m = args.m if args.m is not None else args.k
+        table = module.conditional_pmf(params, given, m)
+        return table, {"given": ",".join(map(str, given)), "m": m}
+    if command == "grouped":
+        scheme = GroupingScheme(_parse_int_list(args.groups, "groups"))
+        return module.grouped_pmf(params, scheme), {"groups": ",".join(map(str, scheme.sizes))}
+    return module.bivariate_moments(params, args.i1, args.i2), {"i1": args.i1, "i2": args.i2}
+
+
+def _cmd_model(args) -> str:
+    """tabulate, marginal, conditional, grouped and moments."""
     alg = _make_algebra(args)
     params = _params(args, alg)
     module = first_kind if args.kind == "first" else second_kind
-    table = module.joint_pmf(params)
-    return _emit_table(table, args, _config(args, alg, kind=args.kind, k=args.k, n=args.n))
-
-
-def _cmd_marginal(args) -> str:
-    alg = _make_algebra(args)
-    params = _params(args, alg)
-    module = first_kind if args.kind == "first" else second_kind
-    table = module.marginal_pmf(params, args.r)
-    config = _config(args, alg, kind=args.kind, k=args.k, n=args.n, r=args.r)
-    return _emit_table(table, args, config)
-
-
-def _cmd_conditional(args) -> str:
-    alg = _make_algebra(args)
-    params = _params(args, alg)
-    given = _parse_int_list(args.given, "given")
-    m = args.m if args.m is not None else args.k
-    module = first_kind if args.kind == "first" else second_kind
-    table = module.conditional_pmf(params, given, m)
-    config = _config(args, alg, kind=args.kind, k=args.k, n=args.n,
-                     given=",".join(map(str, given)), m=m)
-    return _emit_table(table, args, config)
-
-
-def _cmd_grouped(args) -> str:
-    alg = _make_algebra(args)
-    params = _params(args, alg)
-    scheme = GroupingScheme(_parse_int_list(args.groups, "groups"))
-    module = first_kind if args.kind == "first" else second_kind
-    table = module.grouped_pmf(params, scheme)
-    config = _config(args, alg, kind=args.kind, k=args.k, n=args.n,
-                     groups=",".join(map(str, scheme.sizes)))
-    return _emit_table(table, args, config)
-
-
-def _cmd_moments(args) -> str:
-    alg = _make_algebra(args)
-    params = _params(args, alg)
-    module = first_kind if args.kind == "first" else second_kind
-    reports = module.bivariate_moments(params, args.i1, args.i2)
-    config = _config(args, alg, kind=args.kind, k=args.k, n=args.n, i1=args.i1, i2=args.i2)
-    if args.format == "json":
-        obj = serialize.moments_to_json_obj(reports)
-        obj["config"] = {k: serialize._plain(v) for k, v in config.items()}
-        return serialize.dumps_json(obj)
-    return serialize.config_header(config) + serialize.moments_to_csv(reports)
+    result, extra = _query(args, module, params)
+    config = _config(args, alg, kind=args.kind, k=args.k, n=args.n, **extra)
+    if args.subcommand == "moments":
+        to_json_obj, to_csv = serialize.moments_to_json_obj, serialize.moments_to_csv
+    else:
+        to_json_obj, to_csv = serialize.table_to_json_obj, serialize.table_to_csv
+    return _emit(args, config, lambda: to_json_obj(result), lambda: to_csv(result))
 
 
 def _cmd_sample(args) -> str:
@@ -207,11 +189,8 @@ def _cmd_sample(args) -> str:
         batch = sample(table, args.seed, args.count)
     config = _config(args, alg, kind=args.kind, k=args.k, n=args.n,
                      seed=args.seed, count=args.count, sequential=args.sequential)
-    if args.format == "json":
-        obj = serialize.batch_to_json_obj(batch, table)
-        obj["config"] = {k: serialize._plain(v) for k, v in config.items()}
-        return serialize.dumps_json(obj)
-    return serialize.config_header(config) + serialize.batch_to_csv(batch, table.coord_labels)
+    return _emit(args, config, lambda: serialize.batch_to_json_obj(batch, table),
+                 lambda: serialize.batch_to_csv(batch, table.coord_labels))
 
 
 def _cmd_verify(args) -> str:
@@ -258,11 +237,11 @@ def _cmd_verify(args) -> str:
 
 
 _COMMANDS = {
-    "tabulate": _cmd_tabulate,
-    "marginal": _cmd_marginal,
-    "conditional": _cmd_conditional,
-    "grouped": _cmd_grouped,
-    "moments": _cmd_moments,
+    "tabulate": _cmd_model,
+    "marginal": _cmd_model,
+    "conditional": _cmd_model,
+    "grouped": _cmd_model,
+    "moments": _cmd_model,
     "sample": _cmd_sample,
     "verify": _cmd_verify,
 }

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from .algebra import (
     AlgebraSpec,
@@ -76,14 +76,29 @@ def area(x: SupportPoint) -> int:
     return sum(map(mul, range(len(x), 0, -1), x))
 
 
-def class_weights(
-    support: Sequence[SupportPoint], weight_of_area: Callable[[int], Scalar]
+def sum_and_area(x: SupportPoint) -> Tuple[int, int]:
+    """(sum x, E(x)): a closed-form marginal or conditional value reads its
+    point only through these two."""
+    return sum(x), area(x)
+
+
+def class_values(
+    points: Sequence[SupportPoint],
+    key: Callable[[SupportPoint], Hashable],
+    value: Callable[[SupportPoint], Scalar],
 ) -> List[Scalar]:
-    """Weight of each point, computed once per weight class (value of E):
-    the points of a class share one weight object."""
-    areas = [area(x) for x in support]
-    weights = {e: weight_of_area(e) for e in sorted(set(areas))}
-    return [weights[e] for e in areas]
+    """value(x) of each point, computed at the first point of each class
+    (value of key(x)) and shared by the rest: one object per class.  `value`
+    must read x only through key(x)."""
+    memo: Dict[Hashable, Scalar] = {}
+    out = []
+    for x in points:
+        k = key(x)
+        v = memo.get(k)
+        if v is None:
+            v = memo[k] = value(x)
+        out.append(v)
+    return out
 
 
 def _area_weight(params: FirstKindParams, e: int) -> Scalar:
@@ -102,7 +117,7 @@ def joint_pmf(params: FirstKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+1 over n]."""
     alg, k, n = params.alg, params.k, params.n
     support = enumerate_points(support_constraints(params))
-    weights = class_weights(support, lambda e: _area_weight(params, e))
+    weights = class_values(support, area, lambda x: joint_weight(params, x))
     return make_table(
         kind=KIND,
         params=params.describe(),
@@ -149,24 +164,21 @@ def _accumulate(
     return tuple(p for p, _ in items), tuple(m for _, m in items)
 
 
-def _conditional_masses(
-    points: Sequence[SupportPoint],
-    masses: Sequence[Scalar],
-    given: SupportPoint,
-    m: int,
-    exact: bool,
+def _given_block(
+    points: Sequence[SupportPoint], masses: Tuple[Scalar, ...], given: SupportPoint
 ) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """`_accumulate` of x[r:m] over the points whose prefix is `given`.
+    """The points that extend `given`, cut to what follows it, and their
+    masses.
 
     `points` is strictly increasing, so those points form one contiguous
     block; two bisections find it without scanning the rest.
     """
-    r = len(given)
     lo = bisect_left(points, given)
     hi = bisect_left(points, given[:-1] + (given[-1] + 1,), lo)
     if lo == hi:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    return _accumulate(points[lo:hi], masses[lo:hi], lambda x: x[r:m], exact)
+    r = len(given)
+    return tuple(x[r:] for x in points[lo:hi]), masses[lo:hi]
 
 
 def _marginal_closed_weight(params: FirstKindParams, prefix: SupportPoint) -> Scalar:
@@ -188,8 +200,7 @@ def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r], joint.exact)
+    support, masses = joint_pmf(params).cut_masses(r)
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -201,7 +212,9 @@ def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
         alg=params.alg,
         z_closed_form=deformed_binomial(params.alg, params.k + 1, params.n),
         fit_bound=(params.k + 1) * max(params.n, 1),
-        closed_values=[_marginal_closed_weight(params, p) for p in support],
+        closed_values=class_values(
+            support, sum_and_area, lambda p: _marginal_closed_weight(params, p)
+        ),
     )
 
 
@@ -235,8 +248,7 @@ def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> Pm
         raise ValidationError(f"given: capacity-one occupancies are 0/1, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    joint = joint_pmf(params)
-    support, masses = _conditional_masses(joint.support, joint.weights, given, m, joint.exact)
+    support, masses = _given_block(*joint_pmf(params).cut_masses(m), given)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -246,7 +258,9 @@ def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> Pm
         support=support,
         weights=masses,
         alg=params.alg,
-        closed_values=[_conditional_closed_value(params, given, s) for s in support],
+        closed_values=class_values(
+            support, sum_and_area, lambda s: _conditional_closed_value(params, given, s)
+        ),
     )
 
 
@@ -281,6 +295,17 @@ class GroupingScheme:
             out.append(sum(x[start : start + m]))
             start += m
         return tuple(out)
+
+
+# Bounded like `joint_pmf`: a long-lived process keeps at most 32 block-mass
+# tables.
+@lru_cache(maxsize=32)
+def block_masses(
+    params: FirstKindParams, scheme: GroupingScheme
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    """Block-sum vectors of `scheme` in sorted order, and their joint masses."""
+    joint = joint_pmf(params)
+    return _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
 
 
 def _grouped_closed_weight(params: FirstKindParams, scheme: GroupingScheme, y: SupportPoint) -> Scalar:
@@ -328,8 +353,7 @@ def grouped_pmf(params: FirstKindParams, scheme: GroupingScheme) -> PmfTable:
     a cross-check; it matches the pushforward exactly when tau1 = 1.
     """
     scheme.validate_for(params.k)
-    joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+    support, masses = block_masses(params, scheme)
     table_params = params.describe()
     table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
     return make_table(
@@ -350,9 +374,8 @@ def grouped_marginal_pmf(params: FirstKindParams, scheme: GroupingScheme, nu: in
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
-    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu], joint.exact)
+    blocks, masses = block_masses(params, scheme)
+    support, masses = _accumulate(blocks, masses, lambda y: y[:nu], params.alg.exact)
     table_params = params.describe()
     table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
     return make_table(
@@ -377,9 +400,7 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
-    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes), joint.exact)
+    support, masses = _given_block(*block_masses(params, scheme), given)
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight

@@ -52,11 +52,26 @@ def grouped_sums(
     pairs: Iterable[Tuple[Hashable, Scalar]], exact: bool
 ) -> Dict[Hashable, Scalar]:
     """`class_sum` of the values of each key over (key, value) pairs, keys in
-    first-seen order."""
+    first-seen order.
+
+    Many keys hold a few values each, so in exact mode each distinct value
+    object is brought once to a denominator common to all the values, and a
+    key adds integers and builds one Fraction; a key with one value keeps
+    that object.
+    """
     groups: Dict[Hashable, List[Scalar]] = {}
     for key, value in pairs:
         groups.setdefault(key, []).append(value)
-    return {key: class_sum(group, exact) for key, group in groups.items()}
+    if not exact:
+        return {key: reduce(add, group) for key, group in groups.items()}
+    distinct = {id(v): v for group in groups.values() for v in group}
+    denominator = lcm(*[v.denominator for v in distinct.values()])
+    scaled = {i: v.numerator * (denominator // v.denominator) for i, v in distinct.items()}
+    return {
+        key: group[0] if len(group) == 1
+        else Fraction(sum([scaled[id(v)] for v in group]), denominator)
+        for key, group in groups.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -71,9 +86,10 @@ class ClosedFormCheck:
 class PmfTable:
     """A normalized law over a strictly increasing (lexicographic) support.
 
-    The CDF thresholds and prefix masses that repeated queries read are
-    memoised on the table on first use.  They take no part in equality or
-    repr, so `replace()` starts fresh ones, and they are freed with the table.
+    The CDF thresholds and the prefix masses that repeated queries read are
+    memoised on the table on first use, the masses one cut (prefix length) at
+    a time.  They take no part in equality or repr, so `replace()` starts
+    fresh ones, and they are freed with the table.
     """
 
     kind: str
@@ -89,7 +105,7 @@ class PmfTable:
     z_discrepancy: Optional[MonomialFit] = None
     closed_form_check: Optional[ClosedFormCheck] = None
     _thresholds: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _prefix_masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cut_masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _zero_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def probability(self, point: SupportPoint) -> Scalar:
@@ -117,18 +133,30 @@ class PmfTable:
             self._thresholds.extend(thresholds)
         return self._thresholds
 
+    def cut_masses(self, cut: int) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+        """The distinct prefixes of length `cut`, in support (so sorted)
+        order, and their summed weights, each sum taken in support order.
+        One pass over the support per cut, memoised."""
+        entry = self._cut_masses.get(cut)
+        if entry is None:
+            pairs = ((point[:cut], weight) for point, weight in zip(self.support, self.weights))
+            sums = grouped_sums(pairs, self.exact)
+            entry = self._cut_masses[cut] = (tuple(sums), tuple(sums.values()))
+        return entry
+
+    def prefix_mass(self, prefix: SupportPoint) -> Scalar:
+        """Summed weight of the support points extending `prefix`, 0 if none."""
+        prefixes, masses = self.cut_masses(len(prefix))
+        i = bisect_left(prefixes, prefix)
+        return masses[i] if i < len(prefixes) and prefixes[i] == prefix else 0
+
     def prefix_masses(self) -> Dict[SupportPoint, Scalar]:
         """Summed weight of every support-point prefix, the empty one
-        included, each sum taken in support order."""
-        if not self._prefix_masses:
-            cuts = range(len(self.support[0]) + 1)
-            pairs = (
-                (point[:cut], weight)
-                for point, weight in zip(self.support, self.weights)
-                for cut in cuts
-            )
-            self._prefix_masses.update(grouped_sums(pairs, self.exact))
-        return self._prefix_masses
+        included: a new dict over the per-cut memo."""
+        out: Dict[SupportPoint, Scalar] = {}
+        for cut in range(len(self.support[0]) + 1):
+            out.update(zip(*self.cut_masses(cut)))
+        return out
 
     def zero_bound(self, prefix: SupportPoint) -> Scalar:
         """Threshold on a 53-bit mantissa below which the point extending
@@ -137,9 +165,8 @@ class PmfTable:
         the mass of prefix + (0,).  Memoised per prefix."""
         bound = self._zero_bounds.get(prefix)
         if bound is None:
-            masses = self.prefix_masses()
-            zero_mass = masses.get(prefix + (0,), 0)
-            total = masses[prefix]
+            zero_mass = self.prefix_mass(prefix + (0,))
+            total = self.prefix_mass(prefix)
             if self.exact:
                 frac = Fraction(zero_mass) / total * CDF_SCALE
                 bound = -(-frac.numerator // frac.denominator)
@@ -195,13 +222,18 @@ def make_table(
         closed_values = tuple(closed_values)
         if len(closed_values) != len(support):
             raise ValidationError(f"{kind} table: closed-form values mismatch support size")
-        closed_total = sum(closed_values)
+        closed_total = class_sum(closed_values, alg.exact)
         if closed_total <= 0:
             raise ValidationError(f"{kind} table: closed form sums to {closed_total}")
-        closed_probs = tuple(v / closed_total for v in closed_values)
-        equal = all(
-            scalars_close(a, b, alg.exact, alg.tol) for a, b in zip(closed_probs, probabilities)
-        )
+        # As for the weights: one quotient per distinct closed-value object,
+        # and one comparison per distinct (closed, probability) pair.
+        closed_quotient: Dict[int, Scalar] = {}
+        for v in closed_values:
+            if id(v) not in closed_quotient:
+                closed_quotient[id(v)] = v / closed_total
+        closed_probs = tuple(closed_quotient[id(v)] for v in closed_values)
+        pairs = {(id(a), id(b)): (a, b) for a, b in zip(closed_probs, probabilities)}
+        equal = all(scalars_close(a, b, alg.exact, alg.tol) for a, b in pairs.values())
         check = ClosedFormCheck(closed_probs, equal)
 
     return PmfTable(

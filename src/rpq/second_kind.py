@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from .algebra import (
     AlgebraSpec,
@@ -40,9 +40,10 @@ from .first_kind import (
     ConstructionReport,
     GroupingScheme,
     _accumulate,
-    _conditional_masses,
+    _given_block,
     area,
-    class_weights,
+    class_values,
+    sum_and_area,
 )
 from .lattice import ConstraintSet, SupportPoint, enumerate_points
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
@@ -95,7 +96,7 @@ def joint_pmf(params: SecondKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+n over n]."""
     alg, k, n = params.alg, params.k, params.n
     support = enumerate_points(support_constraints(params))
-    weights = class_weights(support, lambda e: _area_weight(params, e))
+    weights = class_values(support, area, lambda x: joint_weight(params, x))
     return make_table(
         kind=KIND,
         params=params.describe(),
@@ -121,8 +122,7 @@ def marginal_pmf(params: SecondKindParams, r: int) -> PmfTable:
     """Law of (X_1..X_r), 1 <= r < k, by exact summation of the joint."""
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, lambda x: x[:r], joint.exact)
+    support, masses = joint_pmf(params).cut_masses(r)
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -134,7 +134,9 @@ def marginal_pmf(params: SecondKindParams, r: int) -> PmfTable:
         alg=params.alg,
         z_closed_form=deformed_binomial(params.alg, params.k + params.n, params.n),
         fit_bound=_phi_constant_exponent(params.k, params.n) + params.k * params.n,
-        closed_values=[_marginal_closed_weight(params, p) for p in support],
+        closed_values=class_values(
+            support, sum_and_area, lambda p: _marginal_closed_weight(params, p)
+        ),
     )
 
 
@@ -162,8 +164,7 @@ def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> P
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    joint = joint_pmf(params)
-    support, masses = _conditional_masses(joint.support, joint.weights, given, m, joint.exact)
+    support, masses = _given_block(*joint_pmf(params).cut_masses(m), given)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -173,8 +174,21 @@ def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> P
         support=support,
         weights=masses,
         alg=params.alg,
-        closed_values=[_conditional_closed_value(params, given, s) for s in support],
+        closed_values=class_values(
+            support, sum_and_area, lambda s: _conditional_closed_value(params, given, s)
+        ),
     )
+
+
+# Bounded like `joint_pmf`: a long-lived process keeps at most 32 block-mass
+# tables.
+@lru_cache(maxsize=32)
+def block_masses(
+    params: SecondKindParams, scheme: GroupingScheme
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    """Block-sum vectors of `scheme` in sorted order, and their joint masses."""
+    joint = joint_pmf(params)
+    return _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
 
 
 def _grouped_closed_weight(params: SecondKindParams, scheme: GroupingScheme, y: SupportPoint) -> Scalar:
@@ -214,8 +228,7 @@ def _grouped_marginal_closed_weight(
 def grouped_pmf(params: SecondKindParams, scheme: GroupingScheme) -> PmfTable:
     """Law of the block sums (Y_1..Y_r), as the pushforward of the joint."""
     scheme.validate_for(params.k)
-    joint = joint_pmf(params)
-    support, masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+    support, masses = block_masses(params, scheme)
     table_params = params.describe()
     table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
     return make_table(
@@ -236,9 +249,8 @@ def grouped_marginal_pmf(params: SecondKindParams, scheme: GroupingScheme, nu: i
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
-    support, masses = _accumulate(blocks, block_masses, lambda y: y[:nu], joint.exact)
+    blocks, masses = block_masses(params, scheme)
+    support, masses = _accumulate(blocks, masses, lambda y: y[:nu], params.alg.exact)
     table_params = params.describe()
     table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
     return make_table(
@@ -263,9 +275,7 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    joint = joint_pmf(params)
-    blocks, block_masses = _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
-    support, masses = _conditional_masses(blocks, block_masses, given, len(scheme.sizes), joint.exact)
+    support, masses = _given_block(*block_masses(params, scheme), given)
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight
