@@ -87,6 +87,8 @@ class AlgebraSpec:
                 raise ValidationError(f"algebra {self.name!r}: parameters must be positive")
         if self.number_rule is None and (self.tau1 is None or self.tau2 is None):
             raise ValidationError(f"algebra {self.name!r}: tau-structured form needs tau1 and tau2")
+        if not (isinstance(self.tol, (int, float, Fraction)) and math.isfinite(self.tol) and self.tol >= 0):
+            raise ValidationError(f"tol: need a finite tolerance >= 0, got {self.tol!r}")
 
     @property
     def exact(self) -> bool:
@@ -304,7 +306,10 @@ def load_algebra_config(text: str) -> AlgebraSpec:
     mode = fields.get("mode", "exact")
     if mode not in ("exact", "approximate"):
         raise ValidationError(f"mode: must be exact or approximate, got {mode!r}")
-    tol = float(fields["tol"]) if "tol" in fields else DEFAULT_TOL
+    try:
+        tol = float(fields["tol"]) if "tol" in fields else DEFAULT_TOL
+    except ValueError:
+        raise ValidationError(f"tol: expected a number, got {fields['tol']!r}") from None
 
     def read(key):
         if key not in fields:

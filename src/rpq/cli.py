@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
-from typing import Optional
+from contextlib import suppress
+from itertools import chain
+from typing import Iterable, Optional
 
 from . import first_kind, second_kind
 from .algebra import AlgebraSpec, load_algebra_config, make_preset
@@ -133,14 +136,25 @@ def _params(args, alg: AlgebraSpec):
     return SecondKindParams(alg, args.k, args.n)
 
 
-def _emit(args, config, json_obj, csv_body) -> str:
-    """JSON: json_obj() with the config object; CSV: the config header, then
-    csv_body()."""
+def _plain_config(config) -> dict:
+    return {k: serialize._plain(v) for k, v in config.items()}
+
+
+def _emit(args, config, json_obj, csv_body) -> Iterable[str]:
+    """The output chunks.  JSON: json_obj() with the config object; CSV: the
+    config header, then csv_body()."""
     if args.format == "json":
         obj = json_obj()
-        obj["config"] = {k: serialize._plain(v) for k, v in config.items()}
-        return serialize.dumps_json(obj)
-    return serialize.config_header(config) + csv_body()
+        obj["config"] = _plain_config(config)
+        return [serialize.dumps_json(obj)]
+    return [serialize.config_header(config), csv_body()]
+
+
+def _emit_table(args, config, table) -> Iterable[str]:
+    """`_emit` of a table as a lazy stream of chunks of rows."""
+    if args.format == "json":
+        return serialize.table_json_chunks(table, _plain_config(config))
+    return chain([serialize.config_header(config)], serialize.table_csv_chunks(table))
 
 
 def _query(args, module, params):
@@ -162,7 +176,7 @@ def _query(args, module, params):
     return module.bivariate_moments(params, args.i1, args.i2), {"i1": args.i1, "i2": args.i2}
 
 
-def _cmd_model(args) -> str:
+def _cmd_model(args) -> Iterable[str]:
     """tabulate, marginal, conditional, grouped and moments."""
     alg = _make_algebra(args)
     params = _params(args, alg)
@@ -170,13 +184,12 @@ def _cmd_model(args) -> str:
     result, extra = _query(args, module, params)
     config = _config(args, alg, kind=args.kind, k=args.k, n=args.n, **extra)
     if args.subcommand == "moments":
-        to_json_obj, to_csv = serialize.moments_to_json_obj, serialize.moments_to_csv
-    else:
-        to_json_obj, to_csv = serialize.table_to_json_obj, serialize.table_to_csv
-    return _emit(args, config, lambda: to_json_obj(result), lambda: to_csv(result))
+        return _emit(args, config, lambda: serialize.moments_to_json_obj(result),
+                     lambda: serialize.moments_to_csv(result))
+    return _emit_table(args, config, result)
 
 
-def _cmd_sample(args) -> str:
+def _cmd_sample(args) -> Iterable[str]:
     alg = _make_algebra(args)
     params = _params(args, alg)
     module = first_kind if args.kind == "first" else second_kind
@@ -193,7 +206,9 @@ def _cmd_sample(args) -> str:
                  lambda: serialize.batch_to_csv(batch, table.coord_labels))
 
 
-def _cmd_verify(args) -> str:
+def _cmd_verify(args) -> Iterable[str]:
+    if args.nmax is not None and args.nmax < 0:
+        raise ValidationError(f"nmax: need nmax >= 0, got {args.nmax}")
     alg = _make_algebra(args)
     config = _config(args, alg, suite=args.suite, kmax=args.kmax,
                      nmax=args.kmax if args.nmax is None else args.nmax)
@@ -202,7 +217,7 @@ def _cmd_verify(args) -> str:
         if args.format == "json":
             obj = {
                 "schema_version": serialize.SCHEMA_VERSION,
-                "config": {k: serialize._plain(v) for k, v in config.items()},
+                "config": _plain_config(config),
                 "variant_a_holds": report.variant_a_holds,
                 "variant_b_holds": report.variant_b_holds,
                 "entries": [
@@ -210,11 +225,11 @@ def _cmd_verify(args) -> str:
                     for e in report.entries
                 ],
             }
-            return serialize.dumps_json(obj)
+            return [serialize.dumps_json(obj)]
         lines = [serialize.config_header(config), "m,n,variant_a,variant_b\n"]
         for e in report.entries:
             lines.append(f"{e.m},{e.n},{str(e.variant_a).lower()},{str(e.variant_b).lower()}\n")
-        return "".join(lines)
+        return lines
 
     suites = IDENTITY_IDS if args.suite == "all" else (args.suite,)
     reports = []
@@ -229,11 +244,11 @@ def _cmd_verify(args) -> str:
     if args.format == "json":
         obj = {
             "schema_version": serialize.SCHEMA_VERSION,
-            "config": {k: serialize._plain(v) for k, v in config.items()},
+            "config": _plain_config(config),
             "reports": reports_to_json_obj(reports),
         }
-        return serialize.dumps_json(obj)
-    return serialize.config_header(config) + reports_to_csv(reports)
+        return [serialize.dumps_json(obj)]
+    return [serialize.config_header(config), reports_to_csv(reports)]
 
 
 _COMMANDS = {
@@ -247,19 +262,41 @@ _COMMANDS = {
 }
 
 
-def _write_output(text: str, args) -> None:
+def _write_output(chunks: Iterable[str], args) -> None:
+    """Write the chunks one at a time to stdout or to --output.
+
+    The command has validated its input and built its result before this
+    opens the output.  If writing the file fails, the partial file is
+    removed, unless the path is a symlink or not a regular file (say
+    /dev/stdout), and the failure is a validation error.
+    """
     if args.output is None:
-        sys.stdout.write(text)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone (say `| head`): stop quietly, and keep the
+            # flush at exit from failing again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     path = args.output
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
+    removable = False
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ValidationError(f"output: cannot write {path}: {exc.strerror}") from None
+            removable = stat.S_ISREG(os.fstat(handle.fileno()).st_mode) and not os.path.islink(path)
+            for chunk in chunks:
+                handle.write(chunk)
+    except BaseException as exc:
+        if removable:
+            with suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"output: cannot write {path}: {exc.strerror}") from None
+        raise
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -211,6 +211,8 @@ def verify_identity(
         raise ValidationError(f"identity: unknown suite {identity!r}")
     if kmax < 1:
         raise ValidationError(f"kmax: need kmax >= 1, got {kmax}")
+    if nmax is not None and nmax < 0:
+        raise ValidationError(f"nmax: need nmax >= 0, got {nmax}")
     nmax = kmax if nmax is None else nmax
     reports = []
     for k in range(1, kmax + 1):

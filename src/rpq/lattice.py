@@ -76,25 +76,55 @@ def _suffix_sums(bounds: Tuple[int, ...]) -> list:
 
 
 def iter_points(constraints: ConstraintSet) -> Iterator[SupportPoint]:
-    """Lexicographically ordered stream of admissible points."""
-    dim = constraints.dim
-    upper = constraints.upper
+    """Lexicographically ordered stream of admissible points.
+
+    An odometer: coordinate j ranges over [lo_j, min(upper[j], sum_max -
+    S_j)], where S_j is the sum of the coordinates before j and lo_j =
+    max(0, sum_min - S_j - upper[j+1] - ... - upper[-1]) is the least value
+    the rest can still lift into the window.  The last coordinate runs
+    through its range; then the rightmost other coordinate below its top
+    steps up by one, and every coordinate after it resets to its least
+    value.  Once the first coordinate's range is non-empty, every range
+    reached this way is non-empty, so each point listed is admissible.
+    """
+    dim, upper = constraints.dim, constraints.upper
+    smin, smax = constraints.sum_min, constraints.sum_max
     up_suffix = _suffix_sums(upper)
+    if dim == 0:
+        if smin <= 0 <= smax:
+            yield ()
+        return
+    if max(0, smin - up_suffix[1]) > min(upper[0], smax):
+        return
     point = [0] * dim
+    sums = [0] * (dim + 1)  # sums[j] = S_j
 
-    def rec(i: int, s: int) -> Iterator[SupportPoint]:
-        if i == dim:
-            if constraints.sum_min <= s <= constraints.sum_max:
-                yield tuple(point)
+    def reset_from(i: int) -> None:
+        s = sums[i]
+        for j in range(i, dim):
+            v = smin - s - up_suffix[j + 1]
+            if v < 0:
+                v = 0
+            point[j] = v
+            s += v
+            sums[j + 1] = s
+
+    reset_from(0)
+    last = dim - 1
+    while True:
+        head = point[:last]
+        for v in range(point[last], min(upper[last], smax - sums[last]) + 1):
+            yield (*head, v)
+        j = last - 1
+        while j >= 0:
+            if point[j] < upper[j] and sums[j + 1] < smax:
+                break
+            j -= 1
+        else:
             return
-        lo = max(0, constraints.sum_min - s - up_suffix[i + 1])
-        up = min(upper[i], constraints.sum_max - s)
-        for v in range(lo, up + 1):
-            point[i] = v
-            yield from rec(i + 1, s + v)
-        point[i] = 0
-
-    return rec(0, 0)
+        point[j] += 1
+        sums[j + 1] += 1
+        reset_from(j + 1)
 
 
 def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:

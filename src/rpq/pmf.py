@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import lcm
 from operator import add
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -176,6 +176,15 @@ class PmfTable:
         return bound
 
 
+@lru_cache(maxsize=64, typed=True)
+def _normalizer_fit(alg: AlgebraSpec, z: Scalar, z_closed_form: Scalar, bound: int) -> MonomialFit:
+    """`fit_monomial` of a table normalizer, memoised: an exact joint's
+    marginal and grouped tables share its normalizer and closed form, so
+    they take its fit.  Typed, because an exact and a decimal algebra with
+    the same dyadic parameters compare equal."""
+    return fit_monomial(alg, z, z_closed_form, bound)
+
+
 def make_table(
     *,
     kind: str,
@@ -215,7 +224,7 @@ def make_table(
 
     z_fit = None
     if z_closed_form is not None:
-        z_fit = fit_monomial(alg, z, z_closed_form, fit_bound)
+        z_fit = _normalizer_fit(alg, z, z_closed_form, fit_bound)
 
     check = None
     if closed_values is not None:

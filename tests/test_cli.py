@@ -1,6 +1,12 @@
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from rpq.cli import main
 
@@ -192,3 +198,97 @@ def test_approximate_overflow_exit_code():
                              "--q", "0.05", "--k", "6", "--n", "30")
     assert code == 2 and out == ""
     assert "p, q" in err and "exact mode" in err
+
+
+@pytest.mark.parametrize("suite", ("hs1", "triangular", "all"))
+def test_negative_nmax_exit_code(suite):
+    code, out, err = run_cli("verify", "--suite", suite, "--preset", "js", "--p", "9/10",
+                             "--q", "1/2", "--kmax", "3", "--nmax", "-2")
+    assert code == 2 and out == ""
+    assert "nmax: need nmax >= 0" in err
+
+
+def test_invalid_tolerance_exit_code(tmp_path):
+    base = ("tabulate", "--preset", "js", "--p", "0.9", "--q", "0.5", "--k", "2", "--n", "1")
+    for tol in ("-1", "nan", "inf"):
+        code, out, err = run_cli(*base, "--tol", tol)
+        assert code == 2 and out == "" and "tol" in err, tol
+    path = tmp_path / "algebra.cfg"
+    path.write_text("name=js\np=9/10\nq=1/2\nmode=approximate\ntol=abc\n")
+    code, out, err = run_cli("tabulate", "--algebra-config", str(path), "--k", "2", "--n", "1")
+    assert code == 2 and out == "" and "tol" in err
+    code, out, _ = run_cli(*base, "--tol", "0")
+    assert code == 0 and "# tol=0.0" in out
+
+
+K14_JSON = ("tabulate", "--kind", "first", "--preset", "js", "--p", "9/10", "--q", "1/2",
+            "--k", "14", "--n", "7", "--format", "json")
+
+
+class _WriteLog(io.StringIO):
+    """A stdout that records the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_table_output_is_written_in_bounded_chunks():
+    log = _WriteLog()
+    with redirect_stdout(log), redirect_stderr(io.StringIO()):
+        assert main(list(K14_JSON)) == 0
+    size = len(log.getvalue())
+    assert size > 3_000_000
+    assert len(log.sizes) > 10
+    assert max(log.sizes) <= min(1 << 20, size // 10)
+
+
+def test_failed_chunk_write_exits_2_and_leaves_no_file(tmp_path, monkeypatch):
+    from rpq import cli
+
+    class DiskFull:
+        """A text file whose second write fails as a full disk does."""
+
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def fileno(self):
+            return self.handle.fileno()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.handle.write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: DiskFull(open(*args, **kwargs)),
+                        raising=False)
+    path = tmp_path / "table.json"
+    code, out, err = run_cli(*K14_JSON, "--output", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and os.strerror(errno.ENOSPC) in err
+    assert not path.exists()
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    import rpq
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpq.__file__)))
+    with subprocess.Popen([sys.executable, "-m", "rpq.cli", *K14_JSON], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        # The 3 MB document cannot fit in the pipe, so the writer is still
+        # writing when the reader goes.
+        assert proc.stdout.read(10) == b"{\n  \"confi"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0 and err == b""

@@ -3,10 +3,11 @@
 README promises that every run ends with exit 0 (success), 2 (validation
 error) or 3 (capacity guard), never with a traceback, and that output is
 byte-deterministic.  Hypothesis drives `cli.main()` in-process with random
-subcommands, presets, small (k, n), groupings, prefixes and rational or
-decimal p, q, valid or not.  A failed run must print nothing on stdout, and
-a successful one, repeated in the same process (so from warm caches), must
-print the same bytes.  Examples are derandomized so the suite is
+subcommands, presets, small (k, n), groupings, prefixes, tolerances and
+rational or decimal p, q, valid or not.  A failed run must print nothing
+on stdout, and a successful one, repeated in the same process (so from warm
+caches), must print the same bytes.  A tolerance that is not finite and
+non-negative always fails.  Examples are derandomized so the suite is
 repeatable; argparse rejections count as exit 2.
 """
 
@@ -52,6 +53,9 @@ any_scalar = st.none() | st.builds(
     lambda a, b: f"{a}/{b}", st.integers(-1, 12), st.integers(0, 12)
 ) | st.floats(-0.5, 1.5, allow_nan=False).map(lambda v: repr(round(v, 3)))
 pairs = _mostly(valid_pairs, st.tuples(any_scalar, any_scalar))
+# --tol must be finite and >= 0; argparse itself rejects non-numbers.
+BAD_TOLERANCES = ("-1", "-1e-12", "nan", "inf", "-inf", "abc")
+tolerances = st.sampled_from(("1e-10", "1e-6", "0.5", "0", "-0.0")) | st.sampled_from(BAD_TOLERANCES)
 
 
 @st.composite
@@ -74,6 +78,8 @@ def command_lines(draw):
     argv += [] if p is None else ["--p", p]
     argv += [] if q is None else ["--q", q]
     argv += ["--format", draw(st.sampled_from(("csv", "json")))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(tolerances)]
     if command == "verify":
         argv += ["--suite", draw(st.sampled_from(SUITES))]
         argv += ["--kmax", str(draw(_mostly(st.integers(1, 3), st.integers(-1, 0))))]
@@ -115,6 +121,8 @@ def command_lines(draw):
 def test_exit_code_contract_and_deterministic_stdout(argv):
     code, out, err = _run(argv)
     assert code in (0, 2, 3), (argv, err)
+    if "--tol" in argv and argv[argv.index("--tol") + 1] in BAD_TOLERANCES:
+        assert code == 2, argv
     if code == 0:
         assert err == ""
         assert _run(argv) == (code, out, err)

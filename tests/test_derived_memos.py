@@ -16,9 +16,9 @@ from itertools import product
 import pytest
 
 from conftest import ALL_PRESETS, JS
-from rpq import ZeroProbabilityEventError, jagannathan_srinivasa
-from rpq import first_kind, second_kind
-from rpq.algebra import deformed_binomial, fit_monomial
+from rpq import ZeroProbabilityEventError, jagannathan_srinivasa, q_deformation
+from rpq import first_kind, pmf, second_kind
+from rpq.algebra import MonomialFit, deformed_binomial, fit_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme, sum_and_area
 from rpq.pmf import make_table
 from rpq.scalars import scalars_close
@@ -156,6 +156,7 @@ def _clear_caches():
     for module in (first_kind, second_kind):
         module.joint_pmf.cache_clear()
         module.block_masses.cache_clear()
+    pmf._normalizer_fit.cache_clear()
 
 
 def _derived_calls(module, params):
@@ -261,3 +262,39 @@ def test_shared_closed_value_is_compared_with_every_probability():
     assert table.closed_form_check.probabilities == (Fraction(1, 4),) * 4
     assert table.probabilities[-1] == Fraction(1, 4)
     assert table.closed_form_check.pointwise_equal is False
+
+
+@pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
+@pytest.mark.parametrize("alg", ALL_PRESETS, ids=lambda alg: alg.name)
+def test_exact_derived_tables_reuse_the_joint_fit(module, alg):
+    for params in _params(module, alg):
+        if params.k < 2:
+            continue
+        _clear_caches()
+        module.joint_pmf(params)
+        z_closed, bound = _z_reference(module, params)
+        tables = [module.marginal_pmf(params, r) for r in range(1, params.k)]
+        for sizes in _compositions(params.k):
+            scheme = GroupingScheme(sizes)
+            tables.append(module.grouped_pmf(params, scheme))
+            tables.extend(module.grouped_marginal_pmf(params, scheme, nu) for nu in range(1, len(sizes)))
+        tables.append(module.bivariate_table(params))
+        # The joint's fit is the only one computed.
+        assert pmf._normalizer_fit.cache_info().misses == 1
+        for table in tables:
+            assert table.z_discrepancy == fit_monomial(alg, table.z_enumerated, z_closed, bound)
+
+
+def test_fit_memo_keys_on_the_bound_the_algebra_and_the_scalar_types():
+    fit = pmf._normalizer_fit
+    fit.cache_clear()
+    cube = JS.tau1**3
+    assert fit(JS, Fraction(1), cube, 3) == MonomialFit(exact=False, found=True, a=3, b=0)
+    assert not fit(JS, Fraction(1), cube, 2).found
+    assert not fit(replace(JS, tau1=Fraction(2, 3)), Fraction(1), cube, 3).found
+    # Equal algebras and equal scalars of another type: a separate entry.
+    exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
+    assert exact == decimal
+    assert fit(exact, Fraction(1, 4), Fraction(1, 2), 3) == MonomialFit(exact=False, found=True, a=0, b=-1)
+    assert fit(decimal, 0.25, 0.5, 3) == MonomialFit(exact=False, found=True, a=0, b=-1)
+    assert fit.cache_info().misses == 5

@@ -13,6 +13,7 @@ import pytest
 from test_cli import run_cli
 
 JS = ("--preset", "js", "--p", "9/10", "--q", "1/2")
+JS_DECIMAL = ("--preset", "js", "--p", "0.9", "--q", "0.5")
 Q = ("--preset", "q", "--q", "1/2")
 QUESNE = ("--preset", "quesne", "--p", "9/10", "--q", "1/2")
 CJ = ("--preset", "cj", "--p", "9/10", "--q", "1/2")
@@ -59,6 +60,16 @@ GOLDEN = {
         "1d839d1d6eb9589e25561188f2bbcc71c5f5fcf5d75a8b0620e05d09952e4867",
     ("marginal", "--kind", "second") + JS + ("--k", "5", "--n", "4", "--r", "2", "--format", "json"):
         "87bf83ca421dc852953c6f880487bdd611b006de8d9c6bbc008ab559f76eb3a0",
+    # Mid-size tables (6,435 rows) pin the streamed CSV and JSON writers past
+    # the first chunk; the decimal table pins approximate-mode float text.
+    ("tabulate", "--kind", "first") + JS + ("--k", "14", "--n", "7", "--format", "csv"):
+        "3794d6eab0d1670e0e8796c85548ce00884703814fdcbc754274c4cd0d2baa6f",
+    ("tabulate", "--kind", "first") + JS + ("--k", "14", "--n", "7", "--format", "json"):
+        "12ffd943a4cdda08b5bf1cd99e6d76129cfffad3b03699bf96e0df5484049577",
+    ("tabulate", "--kind", "second") + JS_DECIMAL + ("--k", "6", "--n", "5", "--format", "csv"):
+        "eaf878205cfadbeb524afe81af756e6fe47038566c7aa3c9e1af98a280501f7b",
+    ("tabulate", "--kind", "second") + JS_DECIMAL + ("--k", "6", "--n", "5", "--format", "json"):
+        "effb4eaf053b03c348ac220dc05df38caa7ee3651329121604c90e330d3de693",
 }
 
 

@@ -12,6 +12,7 @@ from rpq import (
     enumerate_points,
     weighted_sum,
 )
+from rpq.lattice import iter_points
 
 
 def test_enumeration_listings():
@@ -92,3 +93,27 @@ def test_reproducibility():
     w = lambda x: Fraction(2, 3) ** sum(x)
     assert weighted_sum(c, w) == weighted_sum(c, w)
     assert enumerate_points(c) == enumerate_points(c)
+
+
+def _recursive_points(c):
+    """Reference listing: every box point, depth first, kept if its sum is
+    in the window."""
+    def rec(prefix):
+        if len(prefix) == c.dim:
+            if c.sum_min <= sum(prefix) <= c.sum_max:
+                yield prefix
+            return
+        for v in range(c.upper[len(prefix)] + 1):
+            yield from rec(prefix + (v,))
+
+    return list(rec(()))
+
+
+@pytest.mark.parametrize("upper", [(), (0,), (3,), (1, 1), (0, 2), (2, 0, 1), (1, 1, 1, 1), (2, 3, 1), (3, 0, 2, 1)])
+def test_iter_points_matches_recursive_reference(upper):
+    total = sum(upper)
+    # Windows below, across and beyond the box, sum_min > 0 and empty ones included.
+    for smin in range(-1, total + 3):
+        for smax in range(smin, total + 3):
+            c = ConstraintSet(upper, smin, smax)
+            assert list(iter_points(c)) == _recursive_points(c), (upper, smin, smax)

@@ -1,0 +1,84 @@
+"""The streamed table writers against whole-document references.
+
+The references are the writers as they were before streaming: the csv
+module over `str` of every field, and `json.dumps(sort_keys=True,
+indent=2)` of the full table object.  Chunk sizes that divide the row count
+and ones that do not are both covered.
+"""
+
+import csv
+import io
+import json
+
+import pytest
+
+from conftest import ALL_PRESETS
+from rpq import first_kind, jagannathan_srinivasa, second_kind, serialize
+from rpq.first_kind import FirstKindParams, GroupingScheme
+from rpq.scalars import scalar_str
+from rpq.second_kind import SecondKindParams
+
+PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
+
+
+def _tables(alg):
+    out = []
+    for module, params in ((first_kind, FirstKindParams(alg, 5, 3)), (second_kind, SecondKindParams(alg, 3, 3))):
+        out += [
+            module.joint_pmf(params),
+            module.marginal_pmf(params, 2),
+            module.conditional_pmf(params, (0,), 3),
+            module.grouped_pmf(params, GroupingScheme((2, params.k - 2))),
+        ]
+    return out
+
+
+def _csv_reference(table):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(table.coord_labels) + ["weight", "probability"])
+    for point, weight, prob in zip(table.support, table.weights, table.probabilities):
+        writer.writerow([*point, scalar_str(weight), scalar_str(prob)])
+    return out.getvalue()
+
+
+def _json_reference(table, config):
+    obj = serialize.table_to_json_obj(table)
+    if config is not None:
+        obj["config"] = config
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("alg", PRESETS, ids=lambda alg: f"{alg.name}-{'exact' if alg.exact else 'approx'}")
+@pytest.mark.parametrize("chunk_rows", (1, 2, 3, serialize.CHUNK_ROWS))
+def test_streamed_tables_equal_whole_documents(alg, chunk_rows, monkeypatch):
+    monkeypatch.setattr(serialize, "CHUNK_ROWS", chunk_rows)
+    for table in _tables(alg):
+        csv_chunks = list(serialize.table_csv_chunks(table))
+        assert serialize.table_to_csv(table) == "".join(csv_chunks) == _csv_reference(table)
+        assert len(csv_chunks) == -(-len(table.support) // chunk_rows)
+        for config in (None, {"k": 5, "q": "1/2", "scheme": [2, 3]}):
+            chunks = list(serialize.table_json_chunks(table, config))
+            assert "".join(chunks) == _json_reference(table, config)
+            # Header, one chunk per CHUNK_ROWS rows, trailer.
+            assert len(chunks) == 2 + -(-len(table.support) // chunk_rows)
+
+
+def test_rows_share_one_suffix_per_weight_class():
+    table = first_kind.joint_pmf(FirstKindParams(ALL_PRESETS[0], 8, 4))
+    calls = []
+    rows = serialize._rows(table, 0, None, "%d" * 8, lambda w, p: calls.append((w, p)) or "\n", {})
+    assert len(rows) == len(table.support)
+    assert len(calls) == len({id(w) for w in table.weights}) < len(table.support)
+    assert calls[0] == (scalar_str(table.weights[0]), scalar_str(table.probabilities[0]))
+
+
+def test_csv_stream_is_made_of_table_to_csv_calls(monkeypatch):
+    """Each chunk is the return value of `table_to_csv`, so wrapping that
+    one function sees every byte of a streamed CSV table."""
+    table = first_kind.joint_pmf(FirstKindParams(ALL_PRESETS[0], 8, 4))
+    returned = []
+    original = serialize.table_to_csv
+    monkeypatch.setattr(serialize, "table_to_csv", lambda *args: returned.append(original(*args)) or returned[-1])
+    assert list(serialize.table_csv_chunks(table)) == returned
+    assert "".join(returned) == original(table)
