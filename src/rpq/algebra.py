@@ -51,6 +51,10 @@ PRESET_NAMES = (
     CHAKRABARTY_JAGANNATHAN,
 )
 
+# The identity suites of `rpq.identities`, named here so the CLI can list
+# them without loading that module.
+IDENTITY_IDS = ("hs1", "hs2", "hsa", "hsb", "cauchy")
+
 NumberRule = Callable[[int], Scalar]
 
 
@@ -61,9 +65,14 @@ class AlgebraSpec:
     `number_rule` is None for tau-structured algebras; otherwise it maps
     n >= 0 to [n] directly and identity checks run in diagnostic mode.
 
-    Deformed numbers, factorials and binomials are memoised in tables held
-    by the instance.  They take no part in equality, hashing or repr, so
-    `replace()` starts fresh ones, and they are freed with the algebra.
+    `exact` is False when a parameter is a float.  It is derived, not
+    passed, and takes part in equality and hashing, so an exact and an
+    approximate algebra with equal parameter values (1/2 and 0.5) differ.
+
+    Deformed numbers, factorials, binomials and monomials tau1^a tau2^b are
+    memoised in tables held by the instance.  They take no part in
+    equality, hashing or repr, so `replace()` starts fresh ones, and they
+    are freed with the algebra.
     """
 
     name: str
@@ -73,9 +82,11 @@ class AlgebraSpec:
     tau2: Optional[Scalar]
     number_rule: Optional[NumberRule] = None
     tol: float = DEFAULT_TOL
+    exact: bool = field(init=False, repr=False)
     _numbers: list = field(default_factory=list, init=False, repr=False, compare=False)
     _factorials: list = field(default_factory=list, init=False, repr=False, compare=False)
     _binomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         present = [v for v in (self.p, self.q, self.tau1, self.tau2) if v is not None]
@@ -89,13 +100,7 @@ class AlgebraSpec:
             raise ValidationError(f"algebra {self.name!r}: tau-structured form needs tau1 and tau2")
         if not (isinstance(self.tol, (int, float, Fraction)) and math.isfinite(self.tol) and self.tol >= 0):
             raise ValidationError(f"tol: need a finite tolerance >= 0, got {self.tol!r}")
-
-    @property
-    def exact(self) -> bool:
-        for v in (self.p, self.q, self.tau1, self.tau2):
-            if isinstance(v, float):
-                return False
-        return True
+        object.__setattr__(self, "exact", not any(isinstance(v, float) for v in present))
 
     @property
     def tau_structured(self) -> bool:
@@ -369,12 +374,19 @@ def deformed_binomial(alg: AlgebraSpec, m: int, n: int) -> Scalar:
 def binomial_or_zero(alg: AlgebraSpec, m: int, n: int) -> Scalar:
     """Binomial with the summation-friendly convention: 1 when n = 0 (any m),
     0 when n < 0 or 0 <= m < n."""
+    if 0 < n <= m:
+        value = alg._binomials.get((m, n))
+        return deformed_binomial(alg, m, n) if value is None else value
     one = Fraction(1) if alg.exact else 1.0
-    if n == 0:
-        return one
-    if n < 0 or m < n:
-        return one * 0
-    return deformed_binomial(alg, m, n)
+    return one if n == 0 else one * 0
+
+
+def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
+    """tau1^a * tau2^b, memoised per (a, b)."""
+    value = alg._monomials.get((a, b))
+    if value is None:
+        value = alg._monomials[(a, b)] = alg.tau1**a * alg.tau2**b
+    return value
 
 
 def deformed_falling_factorial(alg: AlgebraSpec, n: int, i: int) -> Scalar:
@@ -465,19 +477,21 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
                 return MonomialFit(exact=False, found=True, a=a, b=t2_pow[need])
     else:
         # Relative comparison lets at most one b match each a unless tau2 = 1;
-        # it sits next to log(need) / log(tau2).
+        # it sits next to b0 = log(need) / log(tau2).  The candidates b0 - 1,
+        # b0, b0 + 1 are tried in order of (|b|, b < 0).
+        log_t2 = None if t2 == 1 else math.log(t2)
         for a in offsets:
             need = ratio / t1**a
-            if t2 == 1:
-                candidates = [0]
+            if log_t2 is None:
+                candidates = (0,)
             elif 0 < need < math.inf:
-                b0 = round(math.log(need) / math.log(t2))
-                candidates = sorted((b for b in (b0 - 1, b0, b0 + 1) if abs(b) <= bound),
-                                    key=lambda b: (abs(b), b < 0))
+                b0 = round(math.log(need) / log_t2)
+                step = 1 if b0 >= 0 else -1
+                candidates = (0, 1, -1) if b0 == 0 else (b0 - step, b0, b0 + step)
             else:
                 continue
             for b in candidates:
-                if math.isclose(t2**b, need, rel_tol=alg.tol):
+                if abs(b) <= bound and math.isclose(t2**b, need, rel_tol=alg.tol):
                     return MonomialFit(exact=False, found=True, a=a, b=b)
     return MonomialFit(exact=False, found=False)
 

@@ -6,6 +6,10 @@ is byte-deterministic for exact-mode runs; every run echoes its fully
 resolved configuration (CSV: leading `#` comment lines; JSON: a config
 object).  Rational parameters are "a/b" or integer strings; decimal input
 switches the run to approximate mode and says so in the banner.
+
+Each command imports the modules it uses when it runs: `verify` loads
+neither model nor the sampler, and a table of one kind loads neither the
+other kind, the identities nor the sampler.
 """
 
 from __future__ import annotations
@@ -18,17 +22,22 @@ from contextlib import suppress
 from itertools import chain
 from typing import Iterable, Optional
 
-from . import first_kind, second_kind
-from .algebra import AlgebraSpec, load_algebra_config, make_preset
-from .errors import CapacityError, ModeMixError, RpqError, ValidationError, ZeroProbabilityEventError
-from .first_kind import FirstKindParams, GroupingScheme
-from .identities import IDENTITY_IDS, reports_to_csv, reports_to_json_obj, verify_identity
-from .sampler import sample, sequential_sample
-from .second_kind import SecondKindParams
 from . import serialize
-from .algebra import check_triangular_recurrence
+from .algebra import IDENTITY_IDS, AlgebraSpec, check_triangular_recurrence, load_algebra_config, make_preset
+from .errors import CapacityError, ModeMixError, RpqError, ValidationError, ZeroProbabilityEventError
 
 OUTPUT_DIR_ENV = "RPQ_OUTPUT_DIR"
+
+
+def __getattr__(name):
+    # `rpq.cli.verify_identity` stays readable (the benchmark's tracer tests
+    # read it) without this module loading `identities`: each read looks the
+    # name up there.
+    if name == "verify_identity":
+        from .identities import verify_identity
+
+        return verify_identity
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,11 +138,16 @@ def _config(args, alg: AlgebraSpec, **extra) -> dict:
     return config
 
 
-def _params(args, alg: AlgebraSpec):
+def _model(args, alg: AlgebraSpec):
+    """The module of args.kind, imported here, and the command's params."""
     _validate_counts(args.kind, args.k, args.n)
     if args.kind == "first":
-        return FirstKindParams(alg, args.k, args.n)
-    return SecondKindParams(alg, args.k, args.n)
+        from . import first_kind
+
+        return first_kind, first_kind.FirstKindParams(alg, args.k, args.n)
+    from . import second_kind
+
+    return second_kind, second_kind.SecondKindParams(alg, args.k, args.n)
 
 
 def _plain_config(config) -> dict:
@@ -171,6 +185,8 @@ def _query(args, module, params):
         table = module.conditional_pmf(params, given, m)
         return table, {"given": ",".join(map(str, given)), "m": m}
     if command == "grouped":
+        from .first_kind import GroupingScheme
+
         scheme = GroupingScheme(_parse_int_list(args.groups, "groups"))
         return module.grouped_pmf(params, scheme), {"groups": ",".join(map(str, scheme.sizes))}
     return module.bivariate_moments(params, args.i1, args.i2), {"i1": args.i1, "i2": args.i2}
@@ -179,8 +195,7 @@ def _query(args, module, params):
 def _cmd_model(args) -> Iterable[str]:
     """tabulate, marginal, conditional, grouped and moments."""
     alg = _make_algebra(args)
-    params = _params(args, alg)
-    module = first_kind if args.kind == "first" else second_kind
+    module, params = _model(args, alg)
     result, extra = _query(args, module, params)
     config = _config(args, alg, kind=args.kind, k=args.k, n=args.n, **extra)
     if args.subcommand == "moments":
@@ -190,9 +205,10 @@ def _cmd_model(args) -> Iterable[str]:
 
 
 def _cmd_sample(args) -> Iterable[str]:
+    from .sampler import sample, sequential_sample
+
     alg = _make_algebra(args)
-    params = _params(args, alg)
-    module = first_kind if args.kind == "first" else second_kind
+    module, params = _model(args, alg)
     table = module.joint_pmf(params)
     if args.sequential:
         if args.kind != "first":
@@ -230,6 +246,8 @@ def _cmd_verify(args) -> Iterable[str]:
         for e in report.entries:
             lines.append(f"{e.m},{e.n},{str(e.variant_a).lower()},{str(e.variant_b).lower()}\n")
         return lines
+
+    from .identities import reports_to_csv, reports_to_json_obj, verify_identity
 
     suites = IDENTITY_IDS if args.suite == "all" else (args.suite,)
     reports = []

@@ -37,17 +37,17 @@ from math import comb
 from typing import Optional, Sequence, Tuple
 
 from .algebra import (
+    IDENTITY_IDS,
     AlgebraSpec,
     binomial_or_zero,
     compositions,
     deformed_binomial,
     fit_monomial,
+    tau_monomial,
 )
 from .errors import ValidationError
 from .lattice import ConstraintSet, partial_sum_total
 from .scalars import Scalar, scalar_str
-
-IDENTITY_IDS = ("hs1", "hs2", "hsa", "hsb", "cauchy")
 
 
 def _require_taus(alg: AlgebraSpec) -> None:
@@ -58,10 +58,9 @@ def _require_taus(alg: AlgebraSpec) -> None:
 def _position_factor(alg: AlgebraSpec):
     """Per-coordinate factor tau1^(-(j+1) r_j) tau2^((j+1) r_j) of the
     weight tau1^(-s) tau2^s, s = sum((j+1) r_j), shared by hs1 and hs2."""
-    t1, t2 = alg.tau1, alg.tau2
 
     def factor(j, r_j, s_j):
-        return t1 ** (-(j + 1) * r_j) * t2 ** ((j + 1) * r_j)
+        return tau_monomial(alg, -(j + 1) * r_j, (j + 1) * r_j)
 
     return factor
 
@@ -75,7 +74,7 @@ def hs1_lhs(alg: AlgebraSpec, k: int, n: int, *, literal_window: bool = False) -
     lo = 0 if literal_window else max(0, n - 1)
     constraints = ConstraintSet(upper=(1,) * k, sum_min=lo, sum_max=min(n, k))
     c2 = comb(n, 2)
-    return alg.tau1**c2 * alg.tau2 ** (-c2) * partial_sum_total(constraints, _position_factor(alg))
+    return tau_monomial(alg, c2, -c2) * partial_sum_total(constraints, _position_factor(alg))
 
 
 def hs2_lhs(alg: AlgebraSpec, k: int, n: int) -> Scalar:
@@ -109,12 +108,11 @@ def hsa_lhs(
         raise ValidationError(f"n: hsa needs 1 <= n <= k+1, got k={k}, n={n}")
     lo = 0 if literal_window else max(0, n - 1)
     constraints = ConstraintSet(upper=groups, sum_min=lo, sum_max=min(n, k))
-    t1, t2 = alg.tau1, alg.tau2
     big_m = list(accumulate(groups))
 
     def factor(j, r_j, s_j):
         m_j = groups[j]
-        return (t1 ** ((n - s_j) * (m_j - r_j)) * t2 ** ((k + 1 - big_m[j] - n + s_j) * r_j)
+        return (tau_monomial(alg, (n - s_j) * (m_j - r_j), (k + 1 - big_m[j] - n + s_j) * r_j)
                 * deformed_binomial(alg, m_j, r_j))
 
     return partial_sum_total(constraints, factor)
@@ -128,12 +126,11 @@ def hsb_lhs(alg: AlgebraSpec, k: int, n: int, groups: Sequence[int]) -> Scalar:
     if n < 0:
         raise ValidationError(f"n: hsb needs n >= 0, got {n}")
     constraints = ConstraintSet(upper=(n,) * len(groups), sum_min=0, sum_max=n)
-    t1, t2 = alg.tau1, alg.tau2
     big_m = list(accumulate(groups))
 
     def factor(j, r_j, s_j):
         m_j = groups[j]
-        return (t1 ** ((n - s_j) * (m_j - 1)) * t2 ** ((k + 1 - big_m[j]) * r_j)
+        return (tau_monomial(alg, (n - s_j) * (m_j - 1), (k + 1 - big_m[j]) * r_j)
                 * binomial_or_zero(alg, m_j + r_j - 1, r_j))
 
     return partial_sum_total(constraints, factor)
@@ -147,10 +144,9 @@ def cauchy_lhs(alg: AlgebraSpec, k: int, n: int, m: int) -> Scalar:
         raise ValidationError(f"m: cauchy needs 0 <= m <= k, got m={m}, k={k}")
     if n < 0:
         raise ValidationError(f"n: cauchy needs n >= 0, got {n}")
-    t1, t2 = alg.tau1, alg.tau2
     total: Scalar = 0
     for r in range(n + 1):
-        term = t1 ** ((m - k) * r) * t2 ** ((k - m) * r)
+        term = tau_monomial(alg, (m - k) * r, (k - m) * r)
         term *= binomial_or_zero(alg, m + r, r)
         term *= binomial_or_zero(alg, k - m + n - r - 1, n - r)
         total += term

@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .pmf import MomentReport, PmfTable
-from .sampler import SampleBatch
 from .scalars import Scalar, scalar_str
+
+if TYPE_CHECKING:  # annotations only: `rpq verify` loads neither module
+    from .pmf import MomentReport, PmfTable
+    from .sampler import SampleBatch
 
 SCHEMA_VERSION = 1
 

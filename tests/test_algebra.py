@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from rpq import (
     make_preset,
     q_deformation,
 )
+from rpq.algebra import binomial_or_zero, tau_monomial
 
 
 def test_preset_tau_assignments():
@@ -185,6 +187,55 @@ def test_fit_monomial_tau2_one_prefers_smallest_b():
     approx = fit_monomial(custom_algebra("t", tau1=2.0, tau2=1.0), 1.0, 2.0, 3)
     for fit in (exact, approx):
         assert fit.found and (fit.a, fit.b) == (1, 0)
+
+
+def test_approximate_fit_tries_b_by_size_then_sign():
+    # At rel_tol 1/2 both neighbours of b0 = log(need) / log(tau2) match as
+    # well, so the order of the candidates decides the fit.
+    alg = custom_algebra("t", tau1=3.0, tau2=0.5, tol=0.5)
+    for b0 in (-6, -3, -2, 2, 3, 6):
+        for bound in (abs(b0) - 1, abs(b0), abs(b0) + 1):
+            fit = fit_monomial(alg, 1.0, 0.5**b0, bound)
+            within = [b for b in (b0 - 1, b0, b0 + 1) if abs(b) <= bound]
+            assert (fit.found, fit.a, fit.b) == (True, 0, min(within, key=lambda b: (abs(b), b < 0)))
+
+
+def test_algebras_of_equal_values_in_two_modes_differ():
+    exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
+    assert exact.exact and not decimal.exact
+    assert exact != decimal and len({exact, decimal}) == 2
+    assert make_preset("q", q="1/2") == exact and hash(make_preset("q", q="1/2")) == hash(exact)
+    assert not replace(decimal, tol=1e-6).exact
+    with pytest.raises(TypeError):
+        AlgebraSpec("t", None, None, Fraction(1), Fraction(2), exact=False)
+
+
+def test_tau_monomials_equal_the_power_product_and_are_memoised():
+    for preset in ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),):
+        alg = replace(preset)
+        assert alg._monomials == {}
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                value = tau_monomial(alg, a, b)
+                expected = alg.tau1**a * alg.tau2**b
+                assert value == expected and type(value) is type(expected)
+                assert tau_monomial(alg, a, b) is value
+        assert len(alg._monomials) == 81
+
+
+def test_binomial_or_zero_conventions():
+    for alg in (JS, jagannathan_srinivasa(0.9, 0.5)):
+        one = Fraction(1) if alg.exact else 1.0
+        for m in range(-1, 6):
+            for n in range(-2, 7):
+                value = binomial_or_zero(alg, m, n)
+                if n == 0:
+                    expected = one
+                elif n < 0 or m < n:
+                    expected = one * 0
+                else:
+                    expected = deformed_binomial(alg, m, n)
+                assert value == expected and type(value) is type(expected)
 
 
 def test_load_algebra_config():

@@ -236,6 +236,27 @@ def test_replace_starts_with_empty_memos():
     assert copy.zero_bound((0, 1)) == joint.zero_bound((0, 1))
 
 
+@pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
+def test_exact_and_decimal_algebras_of_equal_values_keep_their_own_tables(module):
+    exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
+    assert exact != decimal
+    make = FirstKindParams if module is first_kind else SecondKindParams
+    exact_params, decimal_params = make(exact, 3, 2), make(decimal, 3, 2)
+    assert exact_params != decimal_params
+    scheme = GroupingScheme((2, 1))
+    _clear_caches()
+    # Both joints, then both block masses in the other order, in one process.
+    exact_joint = module.joint_pmf(exact_params)
+    decimal_joint = module.joint_pmf(decimal_params)
+    decimal_masses = module.block_masses(decimal_params, scheme)[1]
+    exact_masses = module.block_masses(exact_params, scheme)[1]
+    assert decimal_joint is not exact_joint
+    assert all(type(v) is Fraction for v in exact_joint.probabilities + exact_masses)
+    assert all(type(v) is float for v in decimal_joint.probabilities + decimal_masses)
+    assert module.joint_pmf(exact_params) is exact_joint
+    assert module.joint_pmf(decimal_params) is decimal_joint
+
+
 @pytest.mark.parametrize(
     "module, params",
     [(first_kind, FirstKindParams(JS, 7, 3)), (second_kind, SecondKindParams(JS, 7, 2))],
@@ -292,9 +313,10 @@ def test_fit_memo_keys_on_the_bound_the_algebra_and_the_scalar_types():
     assert fit(JS, Fraction(1), cube, 3) == MonomialFit(exact=False, found=True, a=3, b=0)
     assert not fit(JS, Fraction(1), cube, 2).found
     assert not fit(replace(JS, tau1=Fraction(2, 3)), Fraction(1), cube, 3).found
-    # Equal algebras and equal scalars of another type: a separate entry.
+    # Algebras with equal values in the other mode, and equal scalars of
+    # another type: a separate entry.
     exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
-    assert exact == decimal
+    assert exact != decimal
     assert fit(exact, Fraction(1, 4), Fraction(1, 2), 3) == MonomialFit(exact=False, found=True, a=0, b=-1)
     assert fit(decimal, 0.25, 0.5, 3) == MonomialFit(exact=False, found=True, a=0, b=-1)
     assert fit.cache_info().misses == 5
