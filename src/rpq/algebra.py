@@ -68,9 +68,11 @@ class AlgebraSpec:
     `exact` is False when a parameter is a float.  It is derived, not
     passed, and takes part in equality and hashing, so an exact and an
     approximate algebra with equal parameter values (1/2 and 0.5) differ.
+    In exact mode an int parameter is stored as a Fraction, so every value
+    derived from it (a deformed number, a weight) is a Fraction too.
 
-    Deformed numbers, factorials, binomials and monomials tau1^a tau2^b are
-    memoised in tables held by the instance.  They take no part in
+    Deformed numbers, factorials, binomials, monomials tau1^a tau2^b and the
+    inverse algebra are memoised on the instance.  They take no part in
     equality, hashing or repr, so `replace()` starts fresh ones, and they
     are freed with the algebra.
     """
@@ -87,6 +89,7 @@ class AlgebraSpec:
     _factorials: list = field(default_factory=list, init=False, repr=False, compare=False)
     _binomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _inverse: Optional["AlgebraSpec"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         present = [v for v in (self.p, self.q, self.tau1, self.tau2) if v is not None]
@@ -100,7 +103,12 @@ class AlgebraSpec:
             raise ValidationError(f"algebra {self.name!r}: tau-structured form needs tau1 and tau2")
         if not (isinstance(self.tol, (int, float, Fraction)) and math.isfinite(self.tol) and self.tol >= 0):
             raise ValidationError(f"tol: need a finite tolerance >= 0, got {self.tol!r}")
-        object.__setattr__(self, "exact", not any(isinstance(v, float) for v in present))
+        exact = not any(isinstance(v, float) for v in present)
+        if exact:
+            for key in ("p", "q", "tau1", "tau2"):
+                if type(getattr(self, key)) is int:
+                    object.__setattr__(self, key, Fraction(getattr(self, key)))
+        object.__setattr__(self, "exact", exact)
 
     @property
     def tau_structured(self) -> bool:
@@ -405,16 +413,20 @@ def deformed_falling_factorial(alg: AlgebraSpec, n: int, i: int) -> Scalar:
 
 
 def inverse_algebra(alg: AlgebraSpec) -> AlgebraSpec:
-    """The algebra with p -> 1/p, q -> 1/q (hence tau -> 1/tau)."""
-    if alg.number_rule is not None:
-        raise ValidationError(f"algebra {alg.name!r}: cannot invert a custom number rule")
+    """The algebra with p -> 1/p, q -> 1/q (hence tau -> 1/tau), built once
+    per instance so its own memos are shared by every caller."""
+    if alg._inverse is None:
+        if alg.number_rule is not None:
+            raise ValidationError(f"algebra {alg.name!r}: cannot invert a custom number rule")
 
-    def flip(v):
-        if v is None:
-            return None
-        return 1 / v if isinstance(v, float) else Fraction(1) / v
+        def flip(v):
+            if v is None:
+                return None
+            return 1 / v if isinstance(v, float) else Fraction(1) / v
 
-    return replace(alg, p=flip(alg.p), q=flip(alg.q), tau1=flip(alg.tau1), tau2=flip(alg.tau2))
+        inv = replace(alg, p=flip(alg.p), q=flip(alg.q), tau1=flip(alg.tau1), tau2=flip(alg.tau2))
+        object.__setattr__(alg, "_inverse", inv)
+    return alg._inverse
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Sequence, Tuple
 
 from .algebra import (
     AlgebraSpec,
@@ -36,9 +35,10 @@ from .algebra import (
     deformed_binomial,
     deformed_number,
     inverse_algebra,
+    tau_monomial,
 )
 from .errors import ValidationError, ZeroProbabilityEventError
-from .lattice import ConstraintSet, SupportPoint, enumerate_points
+from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
 from .pmf import PmfTable, compare_moment, grouped_sums, make_table, oracle_expectation
 from .scalars import Scalar
 from ._coerce import coerce_theta
@@ -71,40 +71,19 @@ def support_constraints(params: FirstKindParams) -> ConstraintSet:
     return ConstraintSet(upper=(1,) * k, sum_min=max(0, n - 1), sum_max=min(n, k))
 
 
-def area(x: SupportPoint) -> int:
-    """E(x) = sum_j (k - j + 1) x_j, the one statistic a joint weight reads."""
-    return sum(map(mul, range(len(x), 0, -1), x))
-
-
-def sum_and_area(x: SupportPoint) -> Tuple[int, int]:
-    """(sum x, E(x)): a closed-form marginal or conditional value reads its
-    point only through these two."""
-    return sum(x), area(x)
-
-
-def class_values(
-    points: Sequence[SupportPoint],
-    key: Callable[[SupportPoint], Hashable],
-    value: Callable[[SupportPoint], Scalar],
-) -> List[Scalar]:
-    """value(x) of each point, computed at the first point of each class
-    (value of key(x)) and shared by the rest: one object per class.  `value`
-    must read x only through key(x)."""
-    memo: Dict[Hashable, Scalar] = {}
-    out = []
-    for x in points:
-        k = key(x)
-        v = memo.get(k)
-        if v is None:
-            v = memo[k] = value(x)
-        out.append(v)
-    return out
+def class_values(keys: Iterable[Hashable], value: Callable[[Hashable], Scalar]) -> List[Scalar]:
+    """value(key) of each point's class key, computed once per distinct key
+    (in first-seen order) and shared by the points of that class: one
+    object per class."""
+    keys = list(keys)
+    memo = {key: value(key) for key in dict.fromkeys(keys)}
+    return list(map(memo.__getitem__, keys))
 
 
 def _area_weight(params: FirstKindParams, e: int) -> Scalar:
     alg, k, n = params.alg, params.k, params.n
     c2 = comb(n, 2)
-    return alg.tau1 ** (c2 + k * n - e) * alg.tau2 ** (e - c2)
+    return tau_monomial(alg, c2 + k * n - e, e - c2)
 
 
 def joint_weight(params: FirstKindParams, x: SupportPoint) -> Scalar:
@@ -117,7 +96,7 @@ def joint_pmf(params: FirstKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+1 over n]."""
     alg, k, n = params.alg, params.k, params.n
     support = enumerate_points(support_constraints(params))
-    weights = class_values(support, area, lambda x: joint_weight(params, x))
+    weights = class_values(map(area, support), lambda e: _area_weight(params, e))
     return make_table(
         kind=KIND,
         params=params.describe(),
@@ -166,9 +145,9 @@ def _accumulate(
 
 def _given_block(
     points: Sequence[SupportPoint], masses: Tuple[Scalar, ...], given: SupportPoint
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """The points that extend `given`, cut to what follows it, and their
-    masses.
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...], slice]:
+    """The points that extend `given`, cut to what follows it, their masses,
+    and the slice of `points` they occupy.
 
     `points` is strictly increasing, so those points form one contiguous
     block; two bisections find it without scanning the rest.
@@ -178,17 +157,19 @@ def _given_block(
     if lo == hi:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
     r = len(given)
-    return tuple(x[r:] for x in points[lo:hi]), masses[lo:hi]
+    return tuple(x[r:] for x in points[lo:hi]), masses[lo:hi], slice(lo, hi)
 
 
-def _marginal_closed_weight(params: FirstKindParams, prefix: SupportPoint) -> Scalar:
+def _marginal_closed_weight(params: FirstKindParams, r: int, key: Tuple[int, int]) -> Scalar:
+    """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
+    tau1^(C(y,2) + kn - g) tau2^(g - C(y,2)) [k-r+1 over n-y], where
+    g = sum_j (k - j - n + y) p_j over j = 0..r-1 equals (k - n - r + y) y + E."""
     alg, k, n = params.alg, params.k, params.n
-    r = len(prefix)
-    y = sum(prefix)
-    g = sum((k - j - n + y) * prefix[j] for j in range(r))
+    y, e = key
+    g = (k - n - r + y) * y + e
     c2 = comb(y, 2)
     tail = binomial_or_zero(alg, k - r + 1, n - y)
-    return alg.tau1 ** (c2 + k * n - g) * alg.tau2 ** (g - c2) * tail
+    return tau_monomial(alg, c2 + k * n - g, g - c2) * tail
 
 
 def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
@@ -200,7 +181,8 @@ def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    support, masses = joint_pmf(params).cut_masses(r)
+    joint = joint_pmf(params)
+    support, masses = joint.cut_masses(r)
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -213,24 +195,37 @@ def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
         z_closed_form=deformed_binomial(params.alg, params.k + 1, params.n),
         fit_bound=(params.k + 1) * max(params.n, 1),
         closed_values=class_values(
-            support, sum_and_area, lambda p: _marginal_closed_weight(params, p)
+            zip(*joint.cut_classes(r)), lambda key: _marginal_closed_weight(params, r, key)
         ),
     )
 
 
+def _suffix_key(given: SupportPoint, m: int, key: Tuple[int, int]) -> Tuple[int, int]:
+    """(sum s, E(s)) of the suffix s = x[r:m] of an m-prefix x that extends
+    `given` (r = len(given)), from the m-prefix's key (sum, E):
+    E(x[:m]) = E(given) + (m - r) sum(given) + E(s)."""
+    y_r = sum(given)
+    return key[0] - y_r, key[1] - area(given) - (m - len(given)) * y_r
+
+
 def _conditional_closed_value(
-    params: FirstKindParams, given: SupportPoint, suffix: SupportPoint
+    params: FirstKindParams, given: SupportPoint, m: int, key: Tuple[int, int]
 ) -> Scalar:
+    """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from the
+    m-prefix's key: tau1^(C(t,2) + kn - h) tau2^(h - C(t,2))
+    [k-m+1 over n-y_m] / [k-r+1 over n-y_r], where t = sum s and
+    h = sum_j (k - r - j - n + y_m) s_j over j = 0..m-r-1 equals
+    (k - m - n + y_m) t + E(s)."""
     alg, k, n = params.alg, params.k, params.n
     r = len(given)
     y_r = sum(given)
-    y_m = y_r + sum(suffix)
-    m = r + len(suffix)
-    h = sum((k - (r + j + 1) - n + y_m + 1) * suffix[j] for j in range(len(suffix)))
-    c2 = comb(y_m - y_r, 2)
+    y_m = key[0]
+    t, e = _suffix_key(given, m, key)
+    h = (k - m - n + y_m) * t + e
+    c2 = comb(t, 2)
     numerator = binomial_or_zero(alg, k - m + 1, n - y_m)
     denominator = deformed_binomial(alg, k - r + 1, n - y_r)
-    return alg.tau1 ** (c2 + k * n - h) * alg.tau2 ** (h - c2) * numerator / denominator
+    return tau_monomial(alg, c2 + k * n - h, h - c2) * numerator / denominator
 
 
 def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> PmfTable:
@@ -248,7 +243,9 @@ def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> Pm
         raise ValidationError(f"given: capacity-one occupancies are 0/1, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    support, masses = _given_block(*joint_pmf(params).cut_masses(m), given)
+    joint = joint_pmf(params)
+    support, masses, rows = _given_block(*joint.cut_masses(m), given)
+    sums, areas = joint.cut_classes(m)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -259,7 +256,7 @@ def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> Pm
         weights=masses,
         alg=params.alg,
         closed_values=class_values(
-            support, sum_and_area, lambda s: _conditional_closed_value(params, given, s)
+            zip(sums[rows], areas[rows]), lambda key: _conditional_closed_value(params, given, m, key)
         ),
     )
 
@@ -319,7 +316,7 @@ def _grouped_closed_weight(params: FirstKindParams, scheme: GroupingScheme, y: S
         e1 += (n - z - s[j]) * (m_j - y_j)
         e2 += (k - s[j] - n + z + 1) * y_j
         value *= deformed_binomial(alg, m_j, y_j)
-    return alg.tau1**e1 * alg.tau2**e2 * value
+    return tau_monomial(alg, e1, e2) * value
 
 
 def _grouped_marginal_closed_weight(
@@ -343,7 +340,7 @@ def _grouped_marginal_closed_weight(
         value *= deformed_binomial(alg, m_j, y_j)
     e2 -= comb(z_nu, 2)
     tail = binomial_or_zero(alg, k - s[nu - 1] + 1, n - z_nu)
-    return alg.tau1**e1 * alg.tau2**e2 * value * tail
+    return tau_monomial(alg, e1, e2) * value * tail
 
 
 def grouped_pmf(params: FirstKindParams, scheme: GroupingScheme) -> PmfTable:
@@ -400,7 +397,7 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    support, masses = _given_block(*block_masses(params, scheme), given)
+    support, masses, _ = _given_block(*block_masses(params, scheme), given)
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight

@@ -9,6 +9,7 @@ and summed with exact arithmetic.  Hard guards keep everything desk-scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterator, Tuple
 
 from .errors import CapacityError, ValidationError
@@ -19,6 +20,12 @@ SupportPoint = Tuple[int, ...]
 MAX_DIM = 20
 MAX_POINTS = 10_000_000
 MAX_SUM = 1_000_000
+
+
+def area(x: SupportPoint) -> int:
+    """E(x) = sum_j (d - j + 1) x_j over the coordinates j = 1..d of x: the
+    one statistic a joint weight of either urn kind reads."""
+    return sum(map(mul, range(len(x), 0, -1), x))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
-from operator import add
+from operator import add, lt
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, ValidationError
-from .lattice import SupportPoint
+from .lattice import SupportPoint, area
 from .scalars import Scalar, scalars_close
 
 # A sampler variate is a CDF_BITS-bit mantissa over 2^CDF_BITS (see
@@ -74,6 +74,18 @@ def grouped_sums(
     }
 
 
+def class_quotients(values: Sequence[Scalar], total: Scalar, exact: bool) -> Dict[int, Scalar]:
+    """value / total per distinct value object, keyed by its id: one quotient
+    shared by the points of a class.  In exact mode the quotient is built
+    from integers, Fraction(num(v) den(t), den(v) num(t)), so it is a
+    Fraction even when the values are ints; `total` is nonzero."""
+    distinct = dict(zip(map(id, values), values))
+    if exact:
+        tn, td = total.numerator, total.denominator
+        return {i: Fraction(v.numerator * td, v.denominator * tn) for i, v in distinct.items()}
+    return {i: v / total for i, v in distinct.items()}
+
+
 @dataclass(frozen=True)
 class ClosedFormCheck:
     """Closed-form distribution (normalized) compared point-by-point."""
@@ -86,10 +98,11 @@ class ClosedFormCheck:
 class PmfTable:
     """A normalized law over a strictly increasing (lexicographic) support.
 
-    The CDF thresholds and the prefix masses that repeated queries read are
-    memoised on the table on first use, the masses one cut (prefix length) at
-    a time.  They take no part in equality or repr, so `replace()` starts
-    fresh ones, and they are freed with the table.
+    The CDF thresholds and the prefix masses and classes that repeated
+    queries read are memoised on the table on first use, the masses and
+    classes one cut (prefix length) at a time.  They take no part in
+    equality or repr, so `replace()` starts fresh ones, and they are freed
+    with the table.
     """
 
     kind: str
@@ -106,6 +119,7 @@ class PmfTable:
     closed_form_check: Optional[ClosedFormCheck] = None
     _thresholds: list = field(default_factory=list, init=False, repr=False, compare=False)
     _cut_masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cut_classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _zero_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def probability(self, point: SupportPoint) -> Scalar:
@@ -142,6 +156,17 @@ class PmfTable:
             pairs = ((point[:cut], weight) for point, weight in zip(self.support, self.weights))
             sums = grouped_sums(pairs, self.exact)
             entry = self._cut_masses[cut] = (tuple(sums), tuple(sums.values()))
+        return entry
+
+    def cut_classes(self, cut: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The sums and the `lattice.area`s of the prefixes `cut_masses(cut)`
+        lists, in its order: the class key (sum, area) a closed-form
+        marginal or conditional value reads.  Two tuples of small ints, not
+        one of pairs, to keep the memo small.  Memoised per cut."""
+        entry = self._cut_classes.get(cut)
+        if entry is None:
+            prefixes = self.cut_masses(cut)[0]
+            entry = self._cut_classes[cut] = (tuple(map(sum, prefixes)), tuple(map(area, prefixes)))
         return entry
 
     def prefix_mass(self, prefix: SupportPoint) -> Scalar:
@@ -204,20 +229,18 @@ def make_table(
         raise ValidationError(f"{kind} table: empty support")
     if len(support) != len(weights):
         raise ValidationError(f"{kind} table: {len(support)} points vs {len(weights)} weights")
-    if any(a >= b for a, b in zip(support, support[1:])):
+    if not all(map(lt, support, support[1:])):
         raise ValidationError(f"{kind} table: support is not strictly increasing")
     z = class_sum(weights, alg.exact)
+    if alg.exact:
+        z = Fraction(z)
     if z <= 0:
         raise ValidationError(f"{kind} table: nonpositive normalizer {z}")
-    # One quotient per distinct weight object, shared by its class.
-    quotient: Dict[int, Scalar] = {}
-    for w in weights:
-        if id(w) not in quotient:
-            quotient[id(w)] = w / z
+    quotient = class_quotients(weights, z, alg.exact)
     for prob in quotient.values():
         if prob < 0:
             raise ValidationError(f"{kind} table: negative probability {prob}")
-    probabilities = tuple(quotient[id(w)] for w in weights)
+    probabilities = tuple(map(quotient.__getitem__, map(id, weights)))
     total = class_sum(probabilities, alg.exact)
     if not scalars_close(total, 1, alg.exact, alg.tol):
         raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
@@ -236,12 +259,11 @@ def make_table(
             raise ValidationError(f"{kind} table: closed form sums to {closed_total}")
         # As for the weights: one quotient per distinct closed-value object,
         # and one comparison per distinct (closed, probability) pair.
-        closed_quotient: Dict[int, Scalar] = {}
-        for v in closed_values:
-            if id(v) not in closed_quotient:
-                closed_quotient[id(v)] = v / closed_total
-        closed_probs = tuple(closed_quotient[id(v)] for v in closed_values)
-        pairs = {(id(a), id(b)): (a, b) for a, b in zip(closed_probs, probabilities)}
+        closed_quotient = class_quotients(closed_values, closed_total, alg.exact)
+        closed_probs = tuple(map(closed_quotient.__getitem__, map(id, closed_values)))
+        pairs = dict(zip(
+            zip(map(id, closed_probs), map(id, probabilities)), zip(closed_probs, probabilities)
+        ))
         equal = all(scalars_close(a, b, alg.exact, alg.tol) for a, b in pairs.values())
         check = ClosedFormCheck(closed_probs, equal)
 

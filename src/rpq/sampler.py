@@ -22,7 +22,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from itertools import islice
+from typing import Dict, Iterator, Mapping, Tuple
 
 from .errors import ValidationError
 from .first_kind import FirstKindParams, joint_pmf
@@ -36,22 +37,33 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+# A variate's mantissa is an output shifted right by this much.
+_MANTISSA_SHIFT = 64 - CDF_BITS
+
+
+def _outputs(seed: int) -> Iterator[int]:
+    """The SplitMix64 output stream from `seed`, without end.  The draw
+    loops read it directly, one generator step per variate."""
+    state = seed & _MASK64
+    while True:
+        state = (state + _GOLDEN_GAMMA) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        yield z ^ (z >> 31)
+
+
 class SplitMix64:
     """Counter-based 64-bit generator with a fully specified stream."""
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        self._outputs = _outputs(seed)
 
     def next_uint64(self) -> int:
-        self._state = (self._state + _GOLDEN_GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return next(self._outputs)
 
     def next_mantissa(self) -> int:
         """Top 53 bits of one output: the variate is mantissa / 2^53."""
-        return self.next_uint64() >> (64 - CDF_BITS)
+        return next(self._outputs) >> _MANTISSA_SHIFT
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,11 @@ def _integer_thresholds(table: PmfTable) -> list:
 
 
 def _empirical(draws, count) -> Tuple[Tuple[SupportPoint, Fraction], ...]:
-    counts = Counter(draws)
-    return tuple((point, Fraction(c, count)) for point, c in sorted(counts.items()))
+    """(point, c / count) per drawn point in sorted order, where c is how
+    often it was drawn: one Fraction per distinct c, shared by its points."""
+    counts = sorted(Counter(draws).items())
+    frequency = {c: Fraction(c, count) for c in {c for _, c in counts}}
+    return tuple((point, frequency[c]) for point, c in counts)
 
 
 def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
@@ -89,9 +104,9 @@ def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
     thresholds = _integer_thresholds(table)
     support = table.support
     last = len(support) - 1
-    gen = SplitMix64(seed)
     draws = tuple(
-        support[min(bisect_right(thresholds, gen.next_mantissa()), last)] for _ in range(count)
+        support[min(bisect_right(thresholds, u >> _MANTISSA_SHIFT), last)]
+        for u in islice(_outputs(seed), count)
     )
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(draws, count))
 
@@ -121,12 +136,12 @@ def sequential_sample(params: FirstKindParams, seed: int, count: int) -> SampleB
         raise ValidationError(f"count: need count >= 1, got {count}")
     table = joint_pmf(params)
     k = params.k
-    gen = SplitMix64(seed)
+    outputs = _outputs(seed)
     draws = []
     for _ in range(count):
         prefix: SupportPoint = ()
-        for _coord in range(k):
-            prefix = prefix + (0 if gen.next_mantissa() < table.zero_bound(prefix) else 1,)
+        for u in islice(outputs, k):
+            prefix = prefix + (0 if u >> _MANTISSA_SHIFT < table.zero_bound(prefix) else 1,)
         draws.append(prefix)
     draws = tuple(draws)
     batch_params = dict(table.params)

@@ -34,6 +34,7 @@ from .algebra import (
     deformed_falling_factorial,
     deformed_number,
     inverse_algebra,
+    tau_monomial,
 )
 from .errors import ValidationError, ZeroProbabilityEventError
 from .first_kind import (
@@ -41,11 +42,10 @@ from .first_kind import (
     GroupingScheme,
     _accumulate,
     _given_block,
-    area,
+    _suffix_key,
     class_values,
-    sum_and_area,
 )
-from .lattice import ConstraintSet, SupportPoint, enumerate_points
+from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
 from ._coerce import coerce_theta
@@ -82,8 +82,7 @@ def _phi_constant_exponent(k: int, n: int) -> int:
 
 
 def _area_weight(params: SecondKindParams, e: int) -> Scalar:
-    alg = params.alg
-    return alg.tau1 ** (_phi_constant_exponent(params.k, params.n) - e) * alg.tau2**e
+    return tau_monomial(params.alg, _phi_constant_exponent(params.k, params.n) - e, e)
 
 
 def joint_weight(params: SecondKindParams, x: SupportPoint) -> Scalar:
@@ -96,7 +95,7 @@ def joint_pmf(params: SecondKindParams) -> PmfTable:
     """Joint law of (X_1..X_k); closed-form normalizer [k+n over n]."""
     alg, k, n = params.alg, params.k, params.n
     support = enumerate_points(support_constraints(params))
-    weights = class_values(support, area, lambda x: joint_weight(params, x))
+    weights = class_values(map(area, support), lambda e: _area_weight(params, e))
     return make_table(
         kind=KIND,
         params=params.describe(),
@@ -109,20 +108,23 @@ def joint_pmf(params: SecondKindParams) -> PmfTable:
     )
 
 
-def _marginal_closed_weight(params: SecondKindParams, prefix: SupportPoint) -> Scalar:
+def _marginal_closed_weight(params: SecondKindParams, r: int, key: Tuple[int, int]) -> Scalar:
+    """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
+    tau1^(phi - e) tau2^e [k-r+n-y over n-y], where e = sum_j (k - j) p_j
+    over j = 0..r-1 equals (k - r) y + E."""
     alg, k, n = params.alg, params.k, params.n
-    r = len(prefix)
-    y = sum(prefix)
-    e = sum((k - j) * prefix[j] for j in range(r))
+    y, area_p = key
+    e = (k - r) * y + area_p
     tail = binomial_or_zero(alg, k - r + n - y, n - y)
-    return alg.tau1 ** (_phi_constant_exponent(k, n) - e) * alg.tau2**e * tail
+    return tau_monomial(alg, _phi_constant_exponent(k, n) - e, e) * tail
 
 
 def marginal_pmf(params: SecondKindParams, r: int) -> PmfTable:
     """Law of (X_1..X_r), 1 <= r < k, by exact summation of the joint."""
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    support, masses = joint_pmf(params).cut_masses(r)
+    joint = joint_pmf(params)
+    support, masses = joint.cut_masses(r)
     table_params = params.describe()
     table_params.update({"table": "marginal", "r": r})
     return make_table(
@@ -135,23 +137,27 @@ def marginal_pmf(params: SecondKindParams, r: int) -> PmfTable:
         z_closed_form=deformed_binomial(params.alg, params.k + params.n, params.n),
         fit_bound=_phi_constant_exponent(params.k, params.n) + params.k * params.n,
         closed_values=class_values(
-            support, sum_and_area, lambda p: _marginal_closed_weight(params, p)
+            zip(*joint.cut_classes(r)), lambda key: _marginal_closed_weight(params, r, key)
         ),
     )
 
 
 def _conditional_closed_value(
-    params: SecondKindParams, given: SupportPoint, suffix: SupportPoint
+    params: SecondKindParams, given: SupportPoint, m: int, key: Tuple[int, int]
 ) -> Scalar:
+    """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from the
+    m-prefix's key: tau1^-e tau2^e [k-m+n-y_m over n-y_m] /
+    [k-r+n-y_r over n-y_r], where e = sum_j (k - r - j) s_j over
+    j = 0..m-r-1 equals (k - m) sum s + E(s)."""
     alg, k, n = params.alg, params.k, params.n
     r = len(given)
-    m = r + len(suffix)
     y_r = sum(given)
-    y_m = y_r + sum(suffix)
-    e = sum((k - (r + j)) * suffix[j] for j in range(len(suffix)))
+    y_m = key[0]
+    t, area_s = _suffix_key(given, m, key)
+    e = (k - m) * t + area_s
     numerator = binomial_or_zero(alg, k - m + n - y_m, n - y_m)
     denominator = deformed_binomial(alg, k - r + n - y_r, n - y_r)
-    return alg.tau1 ** (-e) * alg.tau2**e * numerator / denominator
+    return tau_monomial(alg, -e, e) * numerator / denominator
 
 
 def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> PmfTable:
@@ -164,7 +170,9 @@ def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> P
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    support, masses = _given_block(*joint_pmf(params).cut_masses(m), given)
+    joint = joint_pmf(params)
+    support, masses, rows = _given_block(*joint.cut_masses(m), given)
+    sums, areas = joint.cut_classes(m)
     table_params = params.describe()
     table_params.update({"table": "conditional", "given": list(given), "m": m})
     return make_table(
@@ -175,7 +183,7 @@ def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> P
         weights=masses,
         alg=params.alg,
         closed_values=class_values(
-            support, sum_and_area, lambda s: _conditional_closed_value(params, given, s)
+            zip(sums[rows], areas[rows]), lambda key: _conditional_closed_value(params, given, m, key)
         ),
     )
 
@@ -202,7 +210,7 @@ def _grouped_closed_weight(params: SecondKindParams, scheme: GroupingScheme, y: 
         e1 += (n - z - s[j]) * (m_j - 1)
         e2 += (k - s[j] + 1) * y_j
         value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
-    return alg.tau1**e1 * alg.tau2**e2 * value
+    return tau_monomial(alg, e1, e2) * value
 
 
 def _grouped_marginal_closed_weight(
@@ -222,7 +230,7 @@ def _grouped_marginal_closed_weight(
         e2 += (k - s[j] + 1) * y_j
         value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
     tail = binomial_or_zero(alg, k - s[nu - 1] + n - z_nu, n - z_nu)
-    return alg.tau1**e1 * alg.tau2**e2 * value * tail
+    return tau_monomial(alg, e1, e2) * value * tail
 
 
 def grouped_pmf(params: SecondKindParams, scheme: GroupingScheme) -> PmfTable:
@@ -275,7 +283,7 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    support, masses = _given_block(*block_masses(params, scheme), given)
+    support, masses, _ = _given_block(*block_masses(params, scheme), given)
     prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
     closed = [
         _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight
@@ -345,8 +353,7 @@ def factorial_moment_closed_form(alg: AlgebraSpec, k: int, n: int, i: int) -> Sc
     if i > n:
         return Fraction(0) if alg.exact else 0.0
     return (
-        alg.tau1 ** (_phi_constant_exponent(k, n) - k * i)
-        * alg.tau2 ** (k * i)
+        tau_monomial(alg, _phi_constant_exponent(k, n) - k * i, k * i)
         * deformed_falling_factorial(alg, n, i)
         * deformed_factorial(alg, i)
         / deformed_falling_factorial(alg, k + i, i)
@@ -360,8 +367,7 @@ def mixed_closed_form(alg: AlgebraSpec, k: int, n: int, i2: int) -> Scalar:
     if i2 > n:
         return Fraction(0) if alg.exact else 0.0
     return (
-        alg.tau1 ** (_phi_constant_exponent(k, n) + (1 - k) * i2)
-        * alg.tau2 ** ((k - 1) * i2)
+        tau_monomial(alg, _phi_constant_exponent(k, n) + (1 - k) * i2, (k - 1) * i2)
         * deformed_factorial(alg, i2)
         * deformed_falling_factorial(alg, n, i2)
         / deformed_falling_factorial(alg, k + i2, i2)
@@ -436,7 +442,7 @@ def bivariate_moments(params: SecondKindParams, i1: int = 1, i2: int = 1) -> lis
     mean_o = oracle_expectation(table, lambda x: deformed_number(alg, x[0]))
     var_o = oracle_expectation(table, lambda x: deformed_number(alg, x[0]) ** 2) - mean_o**2
     mixed_o = oracle_expectation(
-        table, lambda x: alg.tau1 ** (-i2 * x[0]) * alg.tau2 ** (i2 * x[0]) * fall(x[1], i2)
+        table, lambda x: tau_monomial(alg, -i2 * x[0], i2 * x[0]) * fall(x[1], i2)
     )
     cross_o = oracle_expectation(
         table,
@@ -446,7 +452,7 @@ def bivariate_moments(params: SecondKindParams, i1: int = 1, i2: int = 1) -> lis
         * deformed_number(alg, x[1]),
     )
     mixed1_o = oracle_expectation(
-        table, lambda x: alg.tau1 ** (-x[0]) * alg.tau2 ** (x[0]) * deformed_number(alg, x[1])
+        table, lambda x: tau_monomial(alg, -x[0], x[0]) * deformed_number(alg, x[1])
     )
     cov_o = cross_o - mean_o * mixed1_o
 

@@ -254,3 +254,28 @@ def test_make_preset_aliases():
     assert make_preset("q", q="1/2") == Q_HALF
     with pytest.raises(ValidationError):
         make_preset("unknown", q="1/2")
+
+
+def test_inverse_is_built_once_per_algebra():
+    exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
+    assert exact.inverse() is exact.inverse() is inverse_algebra(exact)
+    assert decimal.inverse() is decimal.inverse() is inverse_algebra(decimal)
+    # Equal parameter values in two modes: two inverses, each in its mode.
+    assert exact.inverse() is not decimal.inverse()
+    assert exact.inverse().tau2 == Fraction(2) and type(exact.inverse().tau2) is Fraction
+    assert decimal.inverse().tau2 == 2.0 and type(decimal.inverse().tau2) is float
+    # The memo takes no part in equality, and a copy starts without it.
+    copy = replace(exact)
+    assert copy == exact and copy._inverse is None
+    assert copy.inverse() == exact.inverse() and copy.inverse() is not exact.inverse()
+
+
+def test_integer_constants_are_stored_as_fractions_in_exact_mode():
+    alg = custom_algebra("ints", tau1=1, tau2=2)
+    assert alg.exact
+    assert (type(alg.tau1), type(alg.tau2)) == (Fraction, Fraction)
+    assert alg == custom_algebra("ints", tau1=Fraction(1), tau2=Fraction(2))
+    assert alg.describe()["tau2"] == "2"
+    for n in range(6):
+        assert type(deformed_number(alg, n)) is Fraction
+    assert deformed_number(alg, 3) == 7

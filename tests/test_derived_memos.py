@@ -4,22 +4,26 @@ per class; these tests rebuild them point by point and cold.
 Masses are summed here by a scan over the joint, and every closed-form
 record (`closed_form_check.probabilities`, `pointwise_equal`,
 `z_discrepancy`) is recomputed with one closed value, one division and one
-comparison per point.  Floats are compared with `==`: sharing must not move
-a single bit.
+comparison per point.  The closed values come from the formulas below,
+written out per point with their tau1^a * tau2^b powers, not from the
+library's per-class functions.  Floats are compared with `==`: sharing must
+not move a single bit.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
 
 from conftest import ALL_PRESETS, JS
 from rpq import ZeroProbabilityEventError, jagannathan_srinivasa, q_deformation
 from rpq import first_kind, pmf, second_kind
-from rpq.algebra import MonomialFit, deformed_binomial, fit_monomial
-from rpq.first_kind import FirstKindParams, GroupingScheme, sum_and_area
+from rpq.algebra import MonomialFit, binomial_or_zero, deformed_binomial, fit_monomial
+from rpq.first_kind import FirstKindParams, GroupingScheme
+from rpq.lattice import area
 from rpq.pmf import make_table
 from rpq.scalars import scalars_close
 from rpq.second_kind import SecondKindParams
@@ -57,6 +61,113 @@ def _z_reference(module, params):
     return deformed_binomial(alg, k + n, n), second_kind._phi_constant_exponent(k, n) + k * n
 
 
+def _first_marginal(params, prefix):
+    alg, k, n = params.alg, params.k, params.n
+    r, y = len(prefix), sum(prefix)
+    g = sum((k - j - n + y) * prefix[j] for j in range(r))
+    c2 = comb(y, 2)
+    tail = binomial_or_zero(alg, k - r + 1, n - y)
+    return alg.tau1 ** (c2 + k * n - g) * alg.tau2 ** (g - c2) * tail
+
+
+def _first_conditional(params, given, suffix):
+    alg, k, n = params.alg, params.k, params.n
+    r, m = len(given), len(given) + len(suffix)
+    y_r = sum(given)
+    y_m = y_r + sum(suffix)
+    h = sum((k - (r + j + 1) - n + y_m + 1) * suffix[j] for j in range(len(suffix)))
+    c2 = comb(y_m - y_r, 2)
+    numerator = binomial_or_zero(alg, k - m + 1, n - y_m)
+    denominator = deformed_binomial(alg, k - r + 1, n - y_r)
+    return alg.tau1 ** (c2 + k * n - h) * alg.tau2 ** (h - c2) * numerator / denominator
+
+
+def _first_grouped(params, scheme, y):
+    alg, k, n = params.alg, params.k, params.n
+    s = scheme.partial_sums
+    e1 = e2 = z = 0
+    value = 1 if alg.exact else 1.0
+    for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
+        z += y_j
+        e1 += (n - z - s[j]) * (m_j - y_j)
+        e2 += (k - s[j] - n + z + 1) * y_j
+        value *= deformed_binomial(alg, m_j, y_j)
+    return alg.tau1**e1 * alg.tau2**e2 * value
+
+
+def _first_grouped_marginal(params, scheme, prefix):
+    alg, k, n = params.alg, params.k, params.n
+    s = scheme.partial_sums
+    nu, z_nu = len(prefix), sum(prefix)
+    e1 = e2 = z = 0
+    value = 1 if alg.exact else 1.0
+    for j in range(nu):
+        m_j, y_j = scheme.sizes[j], prefix[j]
+        z += y_j
+        e1 += (n - z - s[j]) * (m_j - y_j)
+        e2 += (k - s[j] - n + z_nu + 1) * y_j + comb(y_j, 2)
+        value *= deformed_binomial(alg, m_j, y_j)
+    e2 -= comb(z_nu, 2)
+    tail = binomial_or_zero(alg, k - s[nu - 1] + 1, n - z_nu)
+    return alg.tau1**e1 * alg.tau2**e2 * value * tail
+
+
+def _second_marginal(params, prefix):
+    alg, k, n = params.alg, params.k, params.n
+    r, y = len(prefix), sum(prefix)
+    e = sum((k - j) * prefix[j] for j in range(r))
+    tail = binomial_or_zero(alg, k - r + n - y, n - y)
+    return alg.tau1 ** (second_kind._phi_constant_exponent(k, n) - e) * alg.tau2**e * tail
+
+
+def _second_conditional(params, given, suffix):
+    alg, k, n = params.alg, params.k, params.n
+    r, m = len(given), len(given) + len(suffix)
+    y_r = sum(given)
+    y_m = y_r + sum(suffix)
+    e = sum((k - (r + j)) * suffix[j] for j in range(len(suffix)))
+    numerator = binomial_or_zero(alg, k - m + n - y_m, n - y_m)
+    denominator = deformed_binomial(alg, k - r + n - y_r, n - y_r)
+    return alg.tau1 ** (-e) * alg.tau2**e * numerator / denominator
+
+
+def _second_grouped(params, scheme, y):
+    alg, k, n = params.alg, params.k, params.n
+    s = scheme.partial_sums
+    e1 = e2 = z = 0
+    value = 1 if alg.exact else 1.0
+    for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
+        z += y_j
+        e1 += (n - z - s[j]) * (m_j - 1)
+        e2 += (k - s[j] + 1) * y_j
+        value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
+    return alg.tau1**e1 * alg.tau2**e2 * value
+
+
+def _second_grouped_marginal(params, scheme, prefix):
+    alg, k, n = params.alg, params.k, params.n
+    s = scheme.partial_sums
+    nu, z_nu = len(prefix), sum(prefix)
+    e1 = e2 = z = 0
+    value = 1 if alg.exact else 1.0
+    for j in range(nu):
+        m_j, y_j = scheme.sizes[j], prefix[j]
+        z += y_j
+        e1 += (n - z - s[j]) * (m_j - 1)
+        e2 += (k - s[j] + 1) * y_j
+        value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
+    tail = binomial_or_zero(alg, k - s[nu - 1] + n - z_nu, n - z_nu)
+    return alg.tau1**e1 * alg.tau2**e2 * value * tail
+
+
+# Per kind: closed values of a marginal, a conditional, a grouped and a
+# grouped-marginal point.
+CLOSED = {
+    first_kind: (_first_marginal, _first_conditional, _first_grouped, _first_grouped_marginal),
+    second_kind: (_second_marginal, _second_conditional, _second_grouped, _second_grouped_marginal),
+}
+
+
 # Most tables of one joint share z, so the reference fits are memoised.
 _fit = lru_cache(maxsize=None)(fit_monomial)
 
@@ -74,6 +185,9 @@ def _assert_records(table, params, support, masses, closed, z_reference=None):
     closed_probs = tuple(v / closed_total for v in closed)
     check = table.closed_form_check
     assert check.probabilities == closed_probs
+    # `==` takes 1/2 for 0.5: the mode's type is checked apart.
+    scalar = Fraction if alg.exact else float
+    assert all(type(v) is scalar for v in (table.z_enumerated, *table.probabilities, *check.probabilities))
     assert check.pointwise_equal == all(
         scalars_close(a, b, alg.exact, alg.tol) for a, b in zip(closed_probs, table.probabilities)
     )
@@ -93,16 +207,17 @@ def _prefixes(module, params, r):
 @pytest.mark.parametrize("case", KINDS, ids=_kind_id)
 def test_marginal_and_conditional_records_equal_per_point(case):
     module = case[0]
+    marginal, conditional = CLOSED[module][:2]
     for params in _params(*case):
         joint = module.joint_pmf(params)
         k = params.k
         for r in range(1, k):
             support, masses = _scan(joint.support, joint.weights, lambda x: True, lambda x: x[:r])
-            closed = [module._marginal_closed_weight(params, p) for p in support]
+            closed = [marginal(params, p) for p in support]
             table = module.marginal_pmf(params, r)
             _assert_records(table, params, support, masses, closed, _z_reference(module, params))
             # One closed value per (sum, area) class, shared by its points.
-            classes = {sum_and_area(p) for p in support}
+            classes = {(sum(p), area(p)) for p in support}
             assert len({id(v) for v in table.closed_form_check.probabilities}) == len(classes)
             for given in _prefixes(module, params, r):
                 for m in range(r + 1, k + 1):
@@ -111,7 +226,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
                     )
                     if not support:
                         continue
-                    closed = [module._conditional_closed_value(params, given, s) for s in support]
+                    closed = [conditional(params, given, s) for s in support]
                     _assert_records(
                         module.conditional_pmf(params, given, m), params, support, masses, closed
                     )
@@ -120,6 +235,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
 @pytest.mark.parametrize("case", KINDS, ids=_kind_id)
 def test_grouped_records_equal_per_point(case):
     module = case[0]
+    grouped, grouped_marginal = CLOSED[module][2:]
     for params in _params(*case):
         joint = module.joint_pmf(params)
         z_reference = _z_reference(module, params)
@@ -128,26 +244,21 @@ def test_grouped_records_equal_per_point(case):
             blocks, block_masses = _scan(
                 joint.support, joint.weights, lambda x: True, scheme.project
             )
-            closed = [module._grouped_closed_weight(params, scheme, y) for y in blocks]
+            closed = [grouped(params, scheme, y) for y in blocks]
             _assert_records(
                 module.grouped_pmf(params, scheme), params, blocks, block_masses, closed, z_reference
             )
             for nu in range(1, len(sizes)):
                 support, masses = _scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
-                closed = [
-                    module._grouped_marginal_closed_weight(params, scheme, p) for p in support
-                ]
+                closed = [grouped_marginal(params, scheme, p) for p in support]
                 table = module.grouped_marginal_pmf(params, scheme, nu)
                 _assert_records(table, params, support, masses, closed, z_reference)
                 for given in support:
                     suffixes, masses = _scan(
                         blocks, block_masses, lambda y: y[:nu] == given, lambda y: y[nu:]
                     )
-                    prefix_weight = module._grouped_marginal_closed_weight(params, scheme, given)
-                    closed = [
-                        module._grouped_closed_weight(params, scheme, given + s) / prefix_weight
-                        for s in suffixes
-                    ]
+                    prefix_weight = grouped_marginal(params, scheme, given)
+                    closed = [grouped(params, scheme, given + s) / prefix_weight for s in suffixes]
                     table = module.grouped_conditional_pmf(params, scheme, given)
                     _assert_records(table, params, suffixes, masses, closed)
 

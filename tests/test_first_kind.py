@@ -10,6 +10,7 @@ from rpq import (
     ValidationError,
     ZeroProbabilityEventError,
     compositions,
+    custom_algebra,
     deformed_binomial,
     deformed_number,
     inverse_algebra,
@@ -31,6 +32,7 @@ from rpq.first_kind import (
     single_ball_pmf,
     variance_closed_form,
 )
+from rpq.pmf import make_table
 
 
 def test_joint_reference_table():
@@ -262,3 +264,30 @@ def test_general_tau_discrepancies_recorded_not_asserted():
     assert table.z_discrepancy.found
     reports = bivariate_moments(params)
     assert any(r.match is False for r in reports)
+
+
+def test_exact_tables_from_integer_weights_hold_fractions():
+    alg = custom_algebra("ints", tau1=1, tau2=2)
+    for table in (joint_pmf(FirstKindParams(alg, 1, 1)), single_ball_pmf(alg, 2)):
+        assert table.exact
+        assert table.probabilities == (Fraction(1, 3), Fraction(2, 3))
+        assert all(type(v) is Fraction for v in (table.z_enumerated, *table.probabilities))
+    marginal = marginal_pmf(FirstKindParams(alg, 3, 2), 1)
+    assert all(type(v) is Fraction for v in marginal.closed_form_check.probabilities)
+    # Plain int weights and closed values handed to make_table directly.
+    table = make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,)),
+                       weights=(1, 2), alg=JS, closed_values=(2, 1))
+    assert table.z_enumerated == 3 and type(table.z_enumerated) is Fraction
+    assert table.probabilities == (Fraction(1, 3), Fraction(2, 3))
+    assert table.closed_form_check.probabilities == (Fraction(2, 3), Fraction(1, 3))
+    assert all(
+        type(v) is Fraction for v in table.probabilities + table.closed_form_check.probabilities
+    )
+
+
+def test_moments_share_one_inverse_algebra():
+    alg = q_deformation(Fraction(1, 2))
+    inv = alg.inverse()
+    bivariate_moments(FirstKindParams(alg, 3, 2))
+    assert alg.inverse() is inv
+    assert inv._numbers  # the moments filled the shared inverse's memo

@@ -7,6 +7,7 @@ prefix masses.  Floats are compared with `==`: the library must reproduce
 the scan bit for bit, not just within tolerance.
 """
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -24,7 +25,6 @@ from rpq import (
 from rpq import first_kind, second_kind
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.pmf import make_table
-from rpq.sampler import SplitMix64
 from rpq.second_kind import SecondKindParams
 
 PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
@@ -134,6 +134,27 @@ def _check_grouped(module, params):
                 _assert_same(module.grouped_conditional_pmf(params, scheme, given), support, masses)
 
 
+class _SplitMix64:
+    """The sampler's variate stream, written out here: SplitMix64 outputs,
+    top 53 bits each."""
+
+    def __init__(self, seed):
+        self.state = seed % (1 << 64)
+
+    def next_mantissa(self):
+        mask = (1 << 64) - 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return (z ^ (z >> 31)) >> 11
+
+
+def _frequencies(draws):
+    """(point, c / count) per drawn point in sorted order, c its count."""
+    return tuple((point, Fraction(c, len(draws))) for point, c in sorted(Counter(draws).items()))
+
+
 def _scan_sample(table, seed, count):
     thresholds = []
     cumulative = 0
@@ -144,7 +165,7 @@ def _scan_sample(table, seed, count):
             thresholds.append(-(-frac.numerator // frac.denominator))
         else:
             thresholds.append(cumulative * DENOM)
-    gen = SplitMix64(seed)
+    gen = _SplitMix64(seed)
     draws = []
     for _ in range(count):
         u = gen.next_mantissa()
@@ -163,7 +184,7 @@ def _scan_sequential(table, k, seed, count):
         for cut in range(len(point) + 1):
             key = point[:cut]
             masses[key] = masses[key] + weight if key in masses else weight
-    gen = SplitMix64(seed)
+    gen = _SplitMix64(seed)
     draws = []
     for _ in range(count):
         prefix = ()
@@ -185,14 +206,19 @@ def test_draws_equal_linear_scan(case):
     module = case[0]
     for params in _params(*case):
         table = module.joint_pmf(params)
+        batches = []
         for seed in (1, 2):
             expected = _scan_sample(table, seed, 300)
-            assert sample(table, seed, 300).draws == expected
-            assert sample(table, seed, 300).draws == expected
+            for _ in range(2):
+                batches.append((sample(table, seed, 300), expected))
         if module is first_kind:
             expected = _scan_sequential(table, params.k, 3, 300)
-            assert sequential_sample(params, 3, 300).draws == expected
-            assert sequential_sample(params, 3, 300).draws == expected
+            for _ in range(2):
+                batches.append((sequential_sample(params, 3, 300), expected))
+        for batch, expected in batches:
+            assert batch.draws == expected
+            assert batch.empirical == _frequencies(expected)
+            assert all(type(freq) is Fraction for _, freq in batch.empirical)
 
 
 @pytest.mark.parametrize("alg", PRESETS, ids=lambda a: f"{a.name}-{'exact' if a.exact else 'approx'}")
