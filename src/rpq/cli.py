@@ -247,7 +247,7 @@ def _cmd_verify(args) -> Iterable[str]:
             lines.append(f"{e.m},{e.n},{str(e.variant_a).lower()},{str(e.variant_b).lower()}\n")
         return lines
 
-    from .identities import reports_json_chunks, reports_to_csv, verify_identity
+    from .identities import reports_to_csv, reports_to_json_obj, verify_identity
 
     suites = IDENTITY_IDS if args.suite == "all" else (args.suite,)
     reports = []
@@ -260,8 +260,12 @@ def _cmd_verify(args) -> Iterable[str]:
     config["exact_count"] = f"{exact}/{len(reports)}"
     config["fitted_count"] = f"{fitted}/{len(reports)}"
     if args.format == "json":
-        obj = {"schema_version": serialize.SCHEMA_VERSION, "config": _plain_config(config)}
-        return reports_json_chunks(obj, reports)
+        obj = {
+            "schema_version": serialize.SCHEMA_VERSION,
+            "config": _plain_config(config),
+            "reports": reports_to_json_obj(reports),
+        }
+        return [serialize.dumps_json(obj)]
     return [serialize.config_header(config), reports_to_csv(reports)]
 
 

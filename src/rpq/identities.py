@@ -33,9 +33,8 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import accumulate
-from json.encoder import encode_basestring_ascii
 from math import comb
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import (
     IDENTITY_IDS,
@@ -49,7 +48,6 @@ from .algebra import (
 from .errors import ValidationError
 from .lattice import ConstraintSet, partial_sum_total
 from .scalars import Scalar, scalar_str
-from .serialize import json_list_chunks
 
 
 def _require_taus(alg: AlgebraSpec) -> None:
@@ -282,47 +280,3 @@ def reports_to_json_obj(reports: Sequence[IdentityReport]) -> list:
             "note": r.note,
         })
     return rows
-
-
-# One row of `reports_to_json_obj` as the JSON encoder lays it out in a
-# top-level list (indent 2, sorted keys); each %s is a JSON value.
-_REPORT_JSON = (
-    '    {\n      "a": %s,\n      "b": %s,\n      "exact": %s,\n      "groups": %s,\n'
-    '      "identity": %s,\n      "k": %d,\n      "lhs": %s,\n      "m": %s,\n'
-    '      "monomial_found": %s,\n      "n": %d,\n      "note": %s,\n      "rhs": %s\n    }'
-)
-_JSON_BOOL = {True: "true", False: "false"}
-
-
-def _json_int(value: Optional[int]) -> str:
-    return "null" if value is None else str(value)
-
-
-def _json_groups(groups: Optional[Tuple[int, ...]]) -> str:
-    if groups is None:
-        return "null"
-    return "[\n        " + ",\n        ".join(map(str, groups)) + "\n      ]"
-
-
-def reports_json_chunks(obj: dict, reports: Sequence[IdentityReport]) -> Iterator[str]:
-    """`serialize.dumps_json(obj)` with `reports_to_json_obj(reports)` under
-    "reports", as a stream of chunks with the same bytes; each report is
-    written from one format, not by the indenting JSON encoder."""
-    rows = [
-        _REPORT_JSON % (
-            _json_int(r.a),
-            _json_int(r.b),
-            _JSON_BOOL[r.exact_match],
-            _json_groups(r.groups),
-            encode_basestring_ascii(r.identity),
-            r.k,
-            encode_basestring_ascii(scalar_str(r.lhs)),
-            _json_int(r.m),
-            _JSON_BOOL[r.monomial_found],
-            r.n,
-            encode_basestring_ascii(r.note),
-            encode_basestring_ascii(scalar_str(r.rhs)),
-        )
-        for r in reports
-    ]
-    return json_list_chunks(obj, "reports", [rows] if rows else [])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import Scalar, scalar_str
 
@@ -116,43 +116,26 @@ def table_to_json_obj(table: PmfTable) -> dict:
     return obj
 
 
-# Stands in for a list when the rest of an object is encoded.
-_LIST_MARK = "\x00list\x00"
-
-
-def json_list_chunks(obj: dict, key: str, batches: Iterable[List[str]]) -> Iterator[str]:
-    """`dumps_json(obj)` with a list under `key`, as a stream of chunks with
-    the same bytes: the text before the list, one chunk per batch, and the
-    rest.  `batches` yields the items' texts in non-empty runs, each text
-    laid out as the encoder lays out an item of a top-level list (indent 2,
-    sorted keys).
-
-    `obj` goes through `dumps_json` with a marker in place of the list and
-    is cut at the last occurrence of the marker, so the keys that sort
-    after `key` must hold no string containing it.
-    """
-    obj[key] = _LIST_MARK
-    head, _, tail = dumps_json(obj).rpartition(json.dumps(_LIST_MARK))
-    batches = iter(batches)
-    first = next(batches, None)
-    if first is None:
-        yield head + "[]" + tail
-        return
-    yield head + "[\n"
-    yield ",\n".join(first)
-    for items in batches:
-        yield ",\n" + ",\n".join(items)
-    yield "\n  ]" + tail
+# Stands in for the rows when the rest of a table object is encoded.
+_ROWS_MARK = "\x00rows\x00"
 
 
 def table_json_chunks(table: PmfTable, config: Optional[Mapping[str, object]] = None) -> Iterator[str]:
     """`dumps_json` of `table_to_json_obj(table)`, with `config` under
-    "config" when given, as a stream of chunks with the same bytes: the
-    rows, CHUNK_ROWS at a time, through `json_list_chunks`.  The keys after
-    "rows" hold a number or a scalar string."""
+    "config" when given, as a stream of chunks with the same bytes.
+
+    The object without its rows goes through `dumps_json` with a marker in
+    place of the rows and is cut at the marker.  The keys after "rows" hold
+    a number or a scalar string, so the last occurrence of the marker is the
+    rows.  The rows are written as the encoder lays them out at that depth
+    (indent 2, sorted keys).
+    """
     obj = _table_head(table)
     if config is not None:
         obj["config"] = config
+    obj["rows"] = _ROWS_MARK
+    head, _, tail = dumps_json(obj).rpartition(json.dumps(_ROWS_MARK))
+    yield head + "[\n"
     dim = len(table.coord_labels)
     point_format = '    {\n      "point": [\n        ' + ",\n        ".join(["%d"] * dim) + "\n      ],\n"
 
@@ -160,10 +143,10 @@ def table_json_chunks(table: PmfTable, config: Optional[Mapping[str, object]] = 
         return f'      "probability": {json.dumps(p)},\n      "weight": {json.dumps(w)}\n    }}'
 
     suffixes: Dict[Tuple[int, int], str] = {}
-    yield from json_list_chunks(obj, "rows", (
-        _rows(table, start, start + CHUNK_ROWS, point_format, suffix, suffixes)
-        for start in range(0, len(table.support), CHUNK_ROWS)
-    ))
+    for start in range(0, len(table.support), CHUNK_ROWS):
+        rows = _rows(table, start, start + CHUNK_ROWS, point_format, suffix, suffixes)
+        yield (",\n" if start else "") + ",\n".join(rows)
+    yield "\n  ]" + tail
 
 
 def moments_to_csv(reports: Sequence[MomentReport]) -> str:

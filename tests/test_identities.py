@@ -16,9 +16,7 @@ from rpq import (
     hsb_lhs,
     verify_identity,
 )
-from rpq import jagannathan_srinivasa, serialize
-from rpq.algebra import IDENTITY_IDS
-from rpq.identities import reports_json_chunks, reports_to_csv, reports_to_json_obj
+from rpq.identities import reports_to_csv, reports_to_json_obj
 
 
 def test_hs1_values():
@@ -141,23 +139,3 @@ def test_report_order_and_serialization():
     obj = reports_to_json_obj(reports)
     assert json.loads(json.dumps(obj)) == obj
     assert all(row["exact"] for row in obj)
-
-
-@pytest.mark.parametrize("alg", (JS, jagannathan_srinivasa(0.9, 0.5)), ids=("exact", "decimal"))
-def test_streamed_reports_equal_the_whole_document(alg):
-    """`verify --format json` streams its reports; the bytes are those of
-    the indenting encoder over `reports_to_json_obj`, for each suite and for
-    all of them together."""
-    config = {"suite": "all", "kmax": 4, "q": "1/2", "exact_count": "3/5"}
-    by_suite = [verify_identity(suite, alg, 4, 4) for suite in IDENTITY_IDS]
-    every = [r for reports in by_suite for r in reports]
-    for reports in by_suite + [every, []]:
-        head = {"schema_version": serialize.SCHEMA_VERSION, "config": dict(config)}
-        expected = serialize.dumps_json(dict(head, reports=reports_to_json_obj(reports)))
-        assert "".join(reports_json_chunks(head, reports)) == expected
-    # Every suite, groups and m present and absent, and both outcomes of
-    # each fit are covered.
-    assert {r.identity for r in every} == set(IDENTITY_IDS)
-    assert {r.identity for r in every if r.groups} == {"hsa", "hsb"}
-    assert {r.identity for r in every if r.m is not None} == {"cauchy"}
-    assert {r.monomial_found for r in every} == {r.exact_match for r in every} == {True, False}
