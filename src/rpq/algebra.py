@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError, ModeMixError
 from .scalars import DEFAULT_TOL, Scalar, check_uniform_mode, parse_scalar, scalars_close
@@ -338,7 +338,10 @@ def deformed_number(alg: AlgebraSpec, n: int) -> Scalar:
     if n < 0:
         raise ValidationError(f"n: deformed number needs n >= 0, got {n}")
     if alg.number_rule is not None:
-        return alg.number_rule(n)
+        value = alg.number_rule(n)
+        if alg.exact and isinstance(value, float):
+            raise ModeMixError(f"algebra {alg.name!r}: number rule gave a float [{n}] in exact mode")
+        return value
     numbers = alg._numbers
     if n >= len(numbers):
         t1, t2 = alg.tau1, alg.tau2
@@ -451,12 +454,30 @@ def _has_foreign_prime(value: int, base: int) -> bool:
     return value != 1
 
 
+def _log_and_size(x: Scalar) -> Tuple[float, float]:
+    """(log x, the size of the logs it is computed from).  An exact value
+    takes the logs of its numerator and denominator, so no size of rational
+    overflows a float."""
+    if isinstance(x, float):
+        value = math.log(x)
+        return value, abs(value)
+    x = Fraction(x)
+    top, bottom = math.log(x.numerator), math.log(x.denominator)
+    return top - bottom, top + bottom
+
+
 def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> MonomialFit:
     """Search integer exponents |a|, |b| <= bound with lhs*tau1^a*tau2^b = rhs.
 
     Equality is exact in exact mode; in approximate mode it is a relative
     comparison with the algebra's tolerance.  The search prefers small |a|
     then small |b|, so a degenerate tau1 = 1 axis reports a = 0.
+
+    Each a is screened with float logs first: a match needs
+    |log(rhs/lhs) - a log tau1 - b log tau2| <= width for some |b| <= bound,
+    where width is -log(1 - tol) (0 when exact) plus a bound on the rounding
+    of the logs.  Only the exponents that pass are tested for equality (or
+    closeness), so the screen skips no match.
     """
     if alg.exact:
         close = lhs == rhs
@@ -477,22 +498,45 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
     if alg.exact:
         # A monomial in tau1, tau2 has no prime outside theirs.
         base = math.prod(t.numerator * t.denominator for t in (Fraction(t1), Fraction(t2)))
-        exact_ratio = Fraction(ratio)
-        if ratio <= 0 or any(_has_foreign_prime(v, base) for v in (exact_ratio.numerator, exact_ratio.denominator)):
+        ratio = Fraction(ratio)
+        if ratio <= 0 or any(_has_foreign_prime(v, base) for v in (ratio.numerator, ratio.denominator)):
             return MonomialFit(exact=False, found=False)
-        t2_pow = {}
-        for b in offsets:
-            t2_pow.setdefault(t2**b, b)  # tau2 = 1: keep the smallest |b|
-        for a in offsets:
-            need = ratio / t1**a
-            if need in t2_pow:
-                return MonomialFit(exact=False, found=True, a=a, b=t2_pow[need])
+        width = 0.0
+    elif 0 < ratio < math.inf and alg.tol < 0.9:
+        width = -math.log1p(-alg.tol)
+    else:
+        width = math.inf  # no screen
+    screened = None  # (a, the b to test) in search order
+    if width < math.inf:
+        log_ratio, size = _log_and_size(ratio)
+        log_t1, size1 = _log_and_size(t1)
+        log_t2, size2 = _log_and_size(t2)
+        # Each log is within a few ulps of its size; 1e-9 leaves a wide margin.
+        width += 1e-9 * (1 + size + bound * (size1 + size2))
+        if t2 == 1:  # every b matches alike; b = 0 is the smallest |b|
+            screened = [(a, (0,)) for a in offsets if abs(log_ratio - a * log_t1) <= width]
+        elif width < 0.5 * abs(log_t2):
+            # At most one b lies within half of the centre: the nearest.
+            c0, c1, half = log_ratio / log_t2, log_t1 / log_t2, width / abs(log_t2)
+            screened = []
+            for a in offsets:
+                center = c0 - a * c1
+                b = round(center)
+                if abs(center - b) <= half and -bound <= b <= bound:
+                    screened.append((a, (b,)))
+    if screened is None:  # the logs do not narrow b down
+        screened = [(a, range(-bound, bound + 1)) for a in offsets]
+    if alg.exact:
+        for a, bs in screened:
+            for b in bs:
+                if t1**a * t2**b == ratio:
+                    return MonomialFit(exact=False, found=True, a=a, b=b)
     else:
         # Relative comparison lets at most one b match each a unless tau2 = 1;
         # it sits next to b0 = log(need) / log(tau2).  The candidates b0 - 1,
         # b0, b0 + 1 are tried in order of (|b|, b < 0).
         log_t2 = None if t2 == 1 else math.log(t2)
-        for a in offsets:
+        for a, _ in screened:
             need = ratio / t1**a
             if log_t2 is None:
                 candidates = (0,)

@@ -20,7 +20,7 @@ import stat
 import sys
 from contextlib import suppress
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import serialize
 from .algebra import IDENTITY_IDS, AlgebraSpec, check_triangular_recurrence, load_algebra_config, make_preset
@@ -40,61 +40,67 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SUBCOMMANDS = {
+    "tabulate": "joint occupancy table",
+    "marginal": "law of a leading prefix",
+    "conditional": "law of a middle block given a prefix",
+    "grouped": "law of consecutive urn blocks",
+    "moments": "closed-form moments vs the enumeration oracle",
+    "sample": "reproducible inverse-CDF draws",
+    "verify": "identity suites with discrepancy fits",
+}
+
+
+def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
+    """The options of subcommand `name`."""
+    if name != "verify":
+        p.add_argument("--kind", choices=("first", "second"), default="first")
+    p.add_argument("--preset", default=None, help="algebra preset name or alias (js, q, quesne, cj)")
+    p.add_argument("--p", dest="p", default=None, help='base parameter, rational string like "9/10"')
+    p.add_argument("--q", dest="q", default=None, help='base parameter, rational string like "1/2"')
+    p.add_argument("--algebra-config", default=None, help="path of a key=value algebra record")
+    p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance in approximate mode")
+    if name != "verify":
+        p.add_argument("--k", type=int, required=True, help="number of leading urns")
+        p.add_argument("--n", type=int, required=True, help="number of balls")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--output", default=None, help=f"output path (relative paths honor ${OUTPUT_DIR_ENV})")
+    if name == "marginal":
+        p.add_argument("--r", type=int, required=True, help="prefix length, 1 <= r < k")
+    elif name == "conditional":
+        p.add_argument("--given", required=True, help="comma-separated prefix values, e.g. 0,1")
+        p.add_argument("--m", type=int, default=None, help="last conditioned coordinate (default k)")
+    elif name == "grouped":
+        p.add_argument("--groups", required=True, help="comma-separated block sizes summing to k")
+    elif name == "moments":
+        p.add_argument("--i1", type=int, default=1)
+        p.add_argument("--i2", type=int, default=1)
+    elif name == "sample":
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--count", type=int, required=True)
+        p.add_argument("--sequential", action="store_true", help="draw coordinate-by-coordinate (first kind)")
+    elif name == "verify":
+        p.add_argument("--suite", required=True, choices=IDENTITY_IDS + ("triangular", "all"))
+        p.add_argument("--kmax", type=int, required=True)
+        p.add_argument("--nmax", type=int, default=None)
+        p.add_argument("--literal-window", action="store_true",
+                       help="diagnostic: drop the capacity cap on occupancy sums")
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand.  Given `argv`, only the subcommand
+    it names (its first word that is not an option) gets its options, the
+    only ones a parse of `argv` can read; otherwise all do."""
     parser = argparse.ArgumentParser(
         prog="rpq",
         description="Deformed occupancy distributions with an exact enumeration oracle.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, kind=True, counts=True):
-        if kind:
-            p.add_argument("--kind", choices=("first", "second"), default="first")
-        p.add_argument("--preset", default=None, help="algebra preset name or alias (js, q, quesne, cj)")
-        p.add_argument("--p", dest="p", default=None, help='base parameter, rational string like "9/10"')
-        p.add_argument("--q", dest="q", default=None, help='base parameter, rational string like "1/2"')
-        p.add_argument("--algebra-config", default=None, help="path of a key=value algebra record")
-        p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance in approximate mode")
-        if counts:
-            p.add_argument("--k", type=int, required=True, help="number of leading urns")
-            p.add_argument("--n", type=int, required=True, help="number of balls")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, help=f"output path (relative paths honor ${OUTPUT_DIR_ENV})")
-
-    p = sub.add_parser("tabulate", help="joint occupancy table")
-    add_common(p)
-
-    p = sub.add_parser("marginal", help="law of a leading prefix")
-    add_common(p)
-    p.add_argument("--r", type=int, required=True, help="prefix length, 1 <= r < k")
-
-    p = sub.add_parser("conditional", help="law of a middle block given a prefix")
-    add_common(p)
-    p.add_argument("--given", required=True, help="comma-separated prefix values, e.g. 0,1")
-    p.add_argument("--m", type=int, default=None, help="last conditioned coordinate (default k)")
-
-    p = sub.add_parser("grouped", help="law of consecutive urn blocks")
-    add_common(p)
-    p.add_argument("--groups", required=True, help="comma-separated block sizes summing to k")
-
-    p = sub.add_parser("moments", help="closed-form moments vs the enumeration oracle")
-    add_common(p)
-    p.add_argument("--i1", type=int, default=1)
-    p.add_argument("--i2", type=int, default=1)
-
-    p = sub.add_parser("sample", help="reproducible inverse-CDF draws")
-    add_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--sequential", action="store_true", help="draw coordinate-by-coordinate (first kind)")
-
-    p = sub.add_parser("verify", help="identity suites with discrepancy fits")
-    add_common(p, kind=False, counts=False)
-    p.add_argument("--suite", required=True, choices=IDENTITY_IDS + ("triangular", "all"))
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--literal-window", action="store_true",
-                   help="diagnostic: drop the capacity cap on occupancy sums")
+    named = None if argv is None else next((word for word in argv if not word.startswith("-")), "")
+    for name, summary in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if named is None or name == named:
+            _add_arguments(name, p)
     return parser
 
 
@@ -318,8 +324,8 @@ def _write_output(chunks: Iterable[str], args) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         _write_output(_COMMANDS[args.subcommand](args), args)
     except CapacityError as exc:

@@ -9,8 +9,10 @@ and summed with exact arithmetic.  Hard guards keep everything desk-scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from operator import mul
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .errors import CapacityError, ValidationError
 from .scalars import Scalar, check_uniform_mode
@@ -149,6 +151,71 @@ def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:
     return points
 
 
+# A layer of the recursion below: (partial, denominator).  partial[s] holds
+# the summed products over every admissible prefix whose running sum is s.
+# With denominator None the values are scalars; in exact mode they are
+# integer numerators over the one common denominator.
+Layer = Tuple[Dict[int, Scalar], Optional[int]]
+
+
+def layer_step(
+    layer: Layer, j: int, upper_j: int, t_lo: int, t_hi: int,
+    factor: Callable[[int, int, int], Scalar],
+) -> Layer:
+    """Extend every prefix of `layer` by coordinate j: a value v in
+    [0, upper_j] whose new running sum t = s + v lies in [t_lo, t_hi],
+    weighted by factor(j, v, t).
+
+    Scalar layers multiply and add in the order of the keys, which ascend.
+    An exact layer brings the factors of the step to their least common
+    denominator and adds integers, so no step reduces a fraction.
+    """
+    partial, denominator = layer
+    nxt = {}
+    if denominator is None:
+        for s, value in partial.items():
+            for t in range(max(s, t_lo), min(s + upper_j, t_hi) + 1):
+                term = value * factor(j, t - s, t)
+                nxt[t] = nxt[t] + term if t in nxt else term
+        return nxt, None
+    terms = [
+        (value, t, factor(j, t - s, t))
+        for s, value in partial.items()
+        for t in range(max(s, t_lo), min(s + upper_j, t_hi) + 1)
+    ]
+    scale = lcm(*{f.denominator for _, _, f in terms})
+    for value, t, f in terms:
+        nxt[t] = nxt.get(t, 0) + value * f.numerator * (scale // f.denominator)
+    return nxt, denominator * scale
+
+
+def first_layer(exact: bool) -> Layer:
+    """The layer of the empty prefix: product 1 at running sum 0."""
+    return {0: 1}, 1 if exact else None
+
+
+def final_layer(
+    upper: Tuple[int, ...], sum_min: int, sum_max: int,
+    factor: Callable[[int, int, int], Scalar], exact: bool = False,
+) -> Layer:
+    """The layer after every coordinate of the box `upper` under the sum
+    window [sum_min, sum_max].  A prefix that cannot reach sum_min is
+    dropped; that leaves the value at every other running sum as it is."""
+    up_suffix = _suffix_sums(upper)
+    layer = first_layer(exact)
+    for j, up in enumerate(upper):
+        layer = layer_step(layer, j, up, sum_min - up_suffix[j + 1], sum_max, factor)
+    return layer
+
+
+def window_total(layer: Layer, lo: int, hi: int) -> Scalar:
+    """Sum of the layer's values at running sums lo..hi, in key order; one
+    Fraction in exact mode."""
+    partial, denominator = layer
+    total = sum(value for s, value in partial.items() if lo <= s <= hi)
+    return total if denominator is None else Fraction(total, denominator)
+
+
 def partial_sum_total(
     constraints: ConstraintSet, factor: Callable[[int, int, int], Scalar]
 ) -> Scalar:
@@ -156,25 +223,12 @@ def partial_sum_total(
     S_j = x_0 + ... + x_j is the running sum, without listing the points.
 
     The same recursion as `count_points`, with the unit weights replaced by
-    the factors: partial[s] holds the summed products of every admissible
-    prefix whose running sum is s.  The result equals `weighted_sum` over
-    the product weight, exactly in exact mode.
+    the factors, one `layer_step` per coordinate.  The result equals
+    `weighted_sum` over the product weight, exactly in exact mode.
     """
     count_points(constraints)
-    upper = constraints.upper
     smin, smax = constraints.sum_min, constraints.sum_max
-    up_suffix = _suffix_sums(upper)
-    partial = {0: 1}
-    for j in range(constraints.dim):
-        nxt = {}
-        for s, value in partial.items():
-            lo = max(0, smin - s - up_suffix[j + 1])
-            up = min(upper[j], smax - s)
-            for v in range(lo, up + 1):
-                term = value * factor(j, v, s + v)
-                nxt[s + v] = nxt[s + v] + term if s + v in nxt else term
-        partial = nxt
-    return sum(value for s, value in partial.items() if smin <= s <= smax)
+    return window_total(final_layer(constraints.upper, smin, smax, factor), smin, smax)
 
 
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:

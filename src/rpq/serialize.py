@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import Scalar, scalar_str
@@ -207,8 +208,60 @@ def batch_to_json_obj(batch: SampleBatch, table: PmfTable) -> dict:
     }
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+# JSON text of each atom type, as `json` writes it.
+_ATOM_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _key_text(key) -> str:
+    """A key as `json` writes it: a number, bool or None as its text, quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _text(key, "")
+    return _ATOM_TEXT[str](key)
+
+
+def _text(obj, pad: str) -> str:
+    """The text of `obj` nested at indent `pad`, laid out as
+    json.dumps(obj, sort_keys=True, indent=2) lays it out."""
+    atom = _ATOM_TEXT.get(type(obj))
+    if atom is not None:
+        return atom(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [_key_text(key) + ": " + _text(obj[key], inner) for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = [_text(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    for base in (str, int, float):  # subclasses, read as `json` reads them
+        if isinstance(obj, base):
+            return _ATOM_TEXT[base](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, laid out
+    here: the json module runs its pure-Python encoder whenever it indents."""
+    return _text(obj, "") + "\n"
 
 
 def _plain(value):

@@ -279,3 +279,23 @@ def test_integer_constants_are_stored_as_fractions_in_exact_mode():
     for n in range(6):
         assert type(deformed_number(alg, n)) is Fraction
     assert deformed_number(alg, 3) == 7
+
+
+FLOAT_RULE = custom_algebra("x", tau1=Fraction(1), tau2=Fraction(1, 2), numbers=lambda n: float(n))
+
+
+def test_exact_algebra_refuses_a_float_number_rule_in_derived_tables():
+    from rpq.first_kind import FirstKindParams, marginal_pmf
+
+    assert FLOAT_RULE.exact
+    with pytest.raises(ModeMixError):
+        deformed_number(FLOAT_RULE, 2)
+    with pytest.raises(ModeMixError):
+        marginal_pmf(FirstKindParams(FLOAT_RULE, 4, 2), 2)
+
+
+def test_exact_algebra_refuses_a_float_number_rule_in_identities():
+    from rpq import verify_identity
+
+    with pytest.raises(ModeMixError):
+        verify_identity("hs2", FLOAT_RULE, 3)

@@ -292,3 +292,109 @@ def test_closed_stdout_pipe_ends_quietly():
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0 and err == b""
+
+
+# Parser texts at 80 columns.  The parser gives options only to the
+# subcommand its argv names; every text a user can see must read as it does
+# with all the options of every subcommand.
+TOP_HELP = """\
+usage: rpq [-h]
+           {tabulate,marginal,conditional,grouped,moments,sample,verify} ...
+
+Deformed occupancy distributions with an exact enumeration oracle.
+
+positional arguments:
+  {tabulate,marginal,conditional,grouped,moments,sample,verify}
+    tabulate            joint occupancy table
+    marginal            law of a leading prefix
+    conditional         law of a middle block given a prefix
+    grouped             law of consecutive urn blocks
+    moments             closed-form moments vs the enumeration oracle
+    sample              reproducible inverse-CDF draws
+    verify              identity suites with discrepancy fits
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+VERIFY_HELP = """\
+usage: rpq verify [-h] [--preset PRESET] [--p P] [--q Q]
+                  [--algebra-config ALGEBRA_CONFIG] [--tol TOL]
+                  [--format {csv,json}] [--output OUTPUT] --suite
+                  {hs1,hs2,hsa,hsb,cauchy,triangular,all} --kmax KMAX
+                  [--nmax NMAX] [--literal-window]
+
+options:
+  -h, --help            show this help message and exit
+  --preset PRESET       algebra preset name or alias (js, q, quesne, cj)
+  --p P                 base parameter, rational string like "9/10"
+  --q Q                 base parameter, rational string like "1/2"
+  --algebra-config ALGEBRA_CONFIG
+                        path of a key=value algebra record
+  --tol TOL             relative tolerance in approximate mode
+  --format {csv,json}
+  --output OUTPUT       output path (relative paths honor $RPQ_OUTPUT_DIR)
+  --suite {hs1,hs2,hsa,hsb,cauchy,triangular,all}
+  --kmax KMAX
+  --nmax NMAX
+  --literal-window      diagnostic: drop the capacity cap on occupancy sums
+"""
+
+TABULATE_HELP = """\
+usage: rpq tabulate [-h] [--kind {first,second}] [--preset PRESET] [--p P]
+                    [--q Q] [--algebra-config ALGEBRA_CONFIG] [--tol TOL] --k
+                    K --n N [--format {csv,json}] [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {first,second}
+  --preset PRESET       algebra preset name or alias (js, q, quesne, cj)
+  --p P                 base parameter, rational string like "9/10"
+  --q Q                 base parameter, rational string like "1/2"
+  --algebra-config ALGEBRA_CONFIG
+                        path of a key=value algebra record
+  --tol TOL             relative tolerance in approximate mode
+  --k K                 number of leading urns
+  --n N                 number of balls
+  --format {csv,json}
+  --output OUTPUT       output path (relative paths honor $RPQ_OUTPUT_DIR)
+"""
+
+
+def _usage(help_text):
+    return help_text.split("\n\n")[0] + "\n"
+
+
+PARSER_TEXTS = [
+    (("-h",), 0, TOP_HELP, ""),
+    (("verify", "-h"), 0, VERIFY_HELP, ""),
+    (("tabulate", "-h"), 0, TABULATE_HELP, ""),
+    (("bogus",), 2, "", _usage(TOP_HELP) + "rpq: error: argument subcommand: invalid choice: 'bogus' (choose from "
+     "'tabulate', 'marginal', 'conditional', 'grouped', 'moments', 'sample', 'verify')\n"),
+    ((), 2, "", _usage(TOP_HELP) + "rpq: error: the following arguments are required: subcommand\n"),
+    (("verify", "--preset", "js", "--kmax", "3"), 2, "",
+     _usage(VERIFY_HELP) + "rpq verify: error: the following arguments are required: --suite\n"),
+    (("tabulate", "--preset", "q", "--q", "1/2", "--k", "2"), 2, "",
+     _usage(TABULATE_HELP) + "rpq tabulate: error: the following arguments are required: --n\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSER_TEXTS, ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_parser_texts(argv, code, out, err, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got_out, got_err = io.StringIO(), io.StringIO()
+    with redirect_stdout(got_out), redirect_stderr(got_err), pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert (stop.value.code, got_out.getvalue(), got_err.getvalue()) == (code, out, err)
+
+
+@pytest.mark.parametrize("suite, message", [
+    ("hs2", "10015005 lattice points exceed the guard (10000000)"),
+    ("hsb", "10015005 lattice points exceed the guard (10000000)"),
+    ("hs1", "dimension 21 exceeds the guard (20)"),
+])
+def test_verify_capacity_guard_fires_on_the_same_tuple(suite, message):
+    # Each tuple's box is counted before its family is walked: hs2 and hsb
+    # stop at k = 9, n = 20 (C(29, 9) points), hs1 at k = 21.
+    code, out, err = run_cli("verify", "--suite", suite, "--preset", "q", "--q", "1/2", "--kmax", "21")
+    assert (code, out, err) == (3, "", f"error: {message}\n")

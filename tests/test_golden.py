@@ -70,6 +70,9 @@ GOLDEN = {
         "eaf878205cfadbeb524afe81af756e6fe47038566c7aa3c9e1af98a280501f7b",
     ("tabulate", "--kind", "second") + JS_DECIMAL + ("--k", "6", "--n", "5", "--format", "json"):
         "effb4eaf053b03c348ac220dc05df38caa7ee3651329121604c90e330d3de693",
+    # Decimal identity suites pin the float bits of every lhs and rhs.
+    VERIFY + JS_DECIMAL + ("--format", "json"): "1c5d88ef9e2755c0fcd7513ecb1e5d343067cbba3ec5c9e75a4180054981816f",
+    VERIFY + JS_DECIMAL + ("--format", "csv"): "91f51a93fea0c0b6a02256416ae6cc05463023840ebd68f7fe4003c620481523",
 }
 
 

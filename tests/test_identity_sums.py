@@ -6,6 +6,7 @@ box and adds them up, which is the independent oracle.
 """
 
 import math
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from conftest import ALL_PRESETS
 from rpq import (
     ConstraintSet,
+    arik_coon,
     compositions,
+    custom_algebra,
     deformed_binomial,
     fit_monomial,
     hs1_lhs,
@@ -21,6 +24,7 @@ from rpq import (
     hsa_lhs,
     hsb_lhs,
     jagannathan_srinivasa,
+    q_deformation,
     verify_identity,
     weighted_sum,
 )
@@ -143,3 +147,117 @@ def test_decimal_fits_match_exact_twin(p, q):
             key = (suite, want.k, want.n, want.m, want.groups)
             assert [getattr(got, f) for f in FIT_FIELDS] == [getattr(want, f) for f in FIT_FIELDS], key
             assert math.isclose(got.lhs, want.lhs, rel_tol=twin.tol), key
+
+
+def _per_tuple_lhs(alg, rep, literal):
+    if rep.identity == "hs1":
+        return hs1_lhs(alg, rep.k, rep.n, literal_window=literal)
+    if rep.identity == "hs2":
+        return hs2_lhs(alg, rep.k, rep.n)
+    if rep.identity == "hsa":
+        return hsa_lhs(alg, rep.k, rep.n, rep.groups, literal_window=literal)
+    return hsb_lhs(alg, rep.k, rep.n, rep.groups)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: f"{alg.name}-{alg.describe()['mode']}")
+def test_walked_sums_equal_per_tuple_sums(alg):
+    # verify_identity walks each family once (one recursion per k for hs1
+    # and hs2, one walk per (k, n) over the group-size prefixes for hsa and
+    # hsb, integer layers in exact mode); each lhs must be the per-tuple
+    # sum itself, to the last bit in approximate mode.
+    runs = [(suite, literal, all_groupings, nmax)
+            for suite in ("hs1", "hsa") for literal in (False, True) for all_groupings in (True, False)
+            for nmax in (None, 3)]
+    runs += [("hs2", False, True, nmax) for nmax in (None, 2, 9)]
+    runs += [("hsb", False, all_groupings, nmax) for all_groupings in (True, False) for nmax in (None, 3)]
+    for suite, literal, all_groupings, nmax in runs:
+        reports = verify_identity(suite, alg, 6, nmax, literal_window=literal, all_groupings=all_groupings)
+        assert reports
+        for rep in reports:
+            want = _per_tuple_lhs(alg, rep, literal)
+            key = (suite, rep.k, rep.n, rep.groups, literal)
+            assert rep.lhs == want and type(rep.lhs) is type(want), key
+
+
+def fit_reference(alg, lhs, rhs, bound):
+    """The exhaustive monomial search: every a in order of |a| (positive
+    first), with a dict of tau2 powers in exact mode and the three neighbours
+    of round(log(need) / log(tau2)) in approximate mode."""
+    if alg.exact:
+        close = lhs == rhs
+    else:
+        close = math.isclose(lhs, rhs, rel_tol=alg.tol)
+    if close:
+        return (True, True, 0, 0)
+    if not alg.tau_structured and (alg.tau1 is None or alg.tau2 is None):
+        return (False, False, 0, 0)
+    if lhs == 0:
+        return (False, False, 0, 0)
+    bound = max(0, bound)
+    t1, t2 = alg.tau1, alg.tau2
+    ratio = rhs / lhs
+    offsets = [0]
+    for step in range(1, bound + 1):
+        offsets.extend((step, -step))
+    if alg.exact:
+        t2_pow = {}
+        for b in offsets:
+            t2_pow.setdefault(t2**b, b)
+        for a in offsets:
+            need = ratio / t1**a
+            if need in t2_pow:
+                return (False, True, a, t2_pow[need])
+    else:
+        log_t2 = None if t2 == 1 else math.log(t2)
+        for a in offsets:
+            need = ratio / t1**a
+            if log_t2 is None:
+                candidates = (0,)
+            elif 0 < need < math.inf:
+                b0 = round(math.log(need) / log_t2)
+                step = 1 if b0 >= 0 else -1
+                candidates = (0, 1, -1) if b0 == 0 else (b0 - step, b0, b0 + step)
+            else:
+                continue
+            for b in candidates:
+                if abs(b) <= bound and math.isclose(t2**b, need, rel_tol=alg.tol):
+                    return (False, True, a, b)
+    return (False, False, 0, 0)
+
+
+def _fit_algebras():
+    out = list(ALGEBRAS)
+    for tol in (1e-10, 1e-3, 0.5):
+        out.append(jagannathan_srinivasa(0.9, 0.5, tol=tol))
+        out.append(q_deformation(0.5, tol=tol))
+        out.append(custom_algebra("tau2-one", tau1=0.8, tau2=1.0, tol=tol))
+        out.append(custom_algebra("tau2-square", tau1=0.75, tau2=0.5625, tol=tol))
+        out.append(arik_coon(0.5, tol=tol))
+    out += [
+        custom_algebra("tau2-one", tau1=Fraction(4, 5), tau2=Fraction(1)),
+        custom_algebra("tau2-square", tau1=Fraction(3, 4), tau2=Fraction(9, 16)),
+        custom_algebra("tau-equal", tau1=Fraction(2, 3), tau2=Fraction(2, 3)),
+        arik_coon(Fraction(1, 2)),
+        arik_coon(Fraction(2, 3)),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("alg", _fit_algebras(), ids=lambda alg: f"{alg.name}-{alg.describe()['mode']}-{alg.tol}")
+def test_screened_fit_equals_exhaustive_search(alg):
+    cases = []
+    for suite in ("hs1", "hs2", "hsa", "hsb", "cauchy"):
+        for rep in verify_identity(suite, alg, KMAX):
+            bound = (rep.k + 1) * rep.n
+            cases.append((rep.lhs, rep.rhs, bound))
+            cases.append((rep.rhs, rep.lhs, bound))
+            # Known monomial quotients, inside and just outside the bound.
+            for a, b in ((1, -1), (-2, 3), (bound, -bound), (bound + 1, 0), (0, -bound - 1)):
+                cases.append((rep.lhs, rep.lhs * alg.tau1**a * alg.tau2**b, bound))
+    found = 0
+    for lhs, rhs, bound in cases:
+        fit = fit_monomial(alg, lhs, rhs, bound)
+        want = fit_reference(alg, lhs, rhs, bound)
+        assert (fit.exact, fit.found, fit.a, fit.b) == want, (lhs, rhs, bound)
+        found += want[1]
+    assert found

@@ -82,3 +82,42 @@ def test_csv_stream_is_made_of_table_to_csv_calls(monkeypatch):
     monkeypatch.setattr(serialize, "table_to_csv", lambda *args: returned.append(original(*args)) or returned[-1])
     assert list(serialize.table_csv_chunks(table)) == returned
     assert "".join(returned) == original(table)
+
+
+def _json_documents():
+    from rpq import make_preset, verify_identity
+    from rpq.identities import reports_to_json_obj
+    from rpq.sampler import sample
+
+    docs = []
+    for alg in (ALL_PRESETS[0], jagannathan_srinivasa(0.9, 0.5)):
+        reports = [r for suite in ("hs1", "hsb", "cauchy") for r in verify_identity(suite, alg, 3)]
+        docs.append({"schema_version": 1, "config": {"kmax": 3, "note": "x"}, "reports": reports_to_json_obj(reports)})
+        params = SecondKindParams(alg, 3, 2)
+        table = second_kind.joint_pmf(params)
+        head = serialize._table_head(table)
+        head["rows"] = serialize._ROWS_MARK
+        docs.append(head)
+        docs.append(serialize.moments_to_json_obj(second_kind.bivariate_moments(params)))
+        docs.append(serialize.batch_to_json_obj(sample(table, 5, 40), table))
+    docs.append(make_preset("q", q="1/2").describe())
+    docs += [
+        {}, [], None, True, False, 0, -7, 10**40, 0.1, -0.0, 1e300, 5e-324,
+        float("nan"), float("inf"), float("-inf"), [float("nan"), float("inf"), float("-inf")],
+        {"": [], "a": {}, "b": [{}, [[]], None, True, False], "é\n\"\\": "\x00 \U0001f600"},
+        {2: "x", 10: "y"}, {True: 1, False: 0}, {None: 1}, {1.5: "f"}, (1, (2, 3)),
+    ]
+    return docs
+
+
+def test_dumps_json_equals_the_json_module():
+    for doc in _json_documents():
+        assert serialize.dumps_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", doc
+
+
+@pytest.mark.parametrize("doc", [object(), [set()], {(1, 2): 3}, {"a": 1, 2: 3}])
+def test_dumps_json_refuses_what_the_json_module_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        serialize.dumps_json(doc)
