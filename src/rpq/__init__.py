@@ -45,7 +45,7 @@ _EXPORTS = {
         "ValidationError",
         "ZeroProbabilityEventError",
     ),
-    "first_kind": ("ConstructionReport", "FirstKindParams", "GroupingScheme"),
+    "first_kind": ("FirstKindParams",),
     "identities": (
         "IdentityReport",
         "cauchy_lhs",
@@ -56,6 +56,7 @@ _EXPORTS = {
         "verify_identity",
     ),
     "lattice": ("ConstraintSet", "count_points", "enumerate_points", "weighted_sum"),
+    "occupancy": ("ConstructionReport", "GroupingScheme"),
     "pmf": ("ClosedFormCheck", "MomentReport", "PmfTable", "oracle_expectation"),
     "sampler": ("SampleBatch", "SplitMix64", "path_probabilities", "sample", "sequential_sample"),
     "second_kind": ("SecondKindParams",),

@@ -119,15 +119,6 @@ def _make_algebra(args) -> AlgebraSpec:
     return make_preset(args.preset, p=args.p, q=args.q, tol=args.tol)
 
 
-def _validate_counts(kind: str, k: int, n: int) -> None:
-    if k < 1:
-        raise ValidationError(f"k: need k >= 1, got {k}")
-    if n < 0:
-        raise ValidationError(f"n: need n >= 0, got {n}")
-    if kind == "first" and n > k + 1:
-        raise ValidationError(f"n: first kind needs n <= k+1, got n={n}, k={k}")
-
-
 def _parse_int_list(text: str, field: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -145,8 +136,8 @@ def _config(args, alg: AlgebraSpec, **extra) -> dict:
 
 
 def _model(args, alg: AlgebraSpec):
-    """The module of args.kind, imported here, and the command's params."""
-    _validate_counts(args.kind, args.k, args.n)
+    """The module of args.kind, imported here, and the command's params
+    (whose class checks k and n)."""
     if args.kind == "first":
         from . import first_kind
 
@@ -191,7 +182,7 @@ def _query(args, module, params):
         table = module.conditional_pmf(params, given, m)
         return table, {"given": ",".join(map(str, given)), "m": m}
     if command == "grouped":
-        from .first_kind import GroupingScheme
+        from .occupancy import GroupingScheme
 
         scheme = GroupingScheme(_parse_int_list(args.groups, "groups"))
         return module.grouped_pmf(params, scheme), {"groups": ",".join(map(str, scheme.sizes))}
@@ -217,8 +208,6 @@ def _cmd_sample(args) -> Iterable[str]:
     module, params = _model(args, alg)
     table = module.joint_pmf(params)
     if args.sequential:
-        if args.kind != "first":
-            raise ValidationError("sequential: only the first kind samples sequentially")
         batch = sequential_sample(params, args.seed, args.count)
     else:
         batch = sample(table, args.seed, args.count)

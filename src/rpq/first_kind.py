@@ -18,16 +18,20 @@ are reported (not asserted) otherwise.  Derived tables (marginals,
 conditionals, grouped laws) always carry the measure induced by the joint;
 this keeps every table a genuine probability distribution regardless of how
 the closed-form bookkeeping behaves for tau1 != 1.
+
+This module holds what is particular to the first kind: its `Model` record
+(support, weights, normalizer and closed-form hooks), the single-ball law,
+the Bernoulli construction check and the moment closed forms.  The joint,
+marginal, conditional and grouped laws are the functions of
+`rpq.occupancy`, re-exported here under the same names.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from typing import Callable, Hashable, Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 from .algebra import (
     AlgebraSpec,
@@ -37,127 +41,24 @@ from .algebra import (
     inverse_algebra,
     tau_monomial,
 )
-from .errors import ValidationError, ZeroProbabilityEventError
-from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
-from .pmf import PmfTable, compare_moment, grouped_sums, make_table, oracle_expectation
+from .errors import ValidationError
+from .lattice import SupportPoint
+# The model functions, re-exported from the core under their usual names.
+from .occupancy import (ConstructionReport, GroupingScheme, Model, OccupancyParams, _suffix_key,
+                        bivariate_table, block_masses, class_values, conditional_pmf, construction_report,
+                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf, joint_weight,
+                        marginal_pmf, support_constraints)
+from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
 from ._coerce import coerce_theta
 
 KIND = "first"
 
 
-@dataclass(frozen=True)
-class FirstKindParams:
-    """k+1 capacity-one urns, n balls, under a given deformation."""
-
-    alg: AlgebraSpec
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValidationError(f"k: need k >= 1, got {self.k}")
-        if not 0 <= self.n <= self.k + 1:
-            raise ValidationError(f"n: first kind needs 0 <= n <= k+1, got n={self.n}, k={self.k}")
-
-    def describe(self) -> dict:
-        out = {"kind": KIND, "k": self.k, "n": self.n}
-        out.update(self.alg.describe())
-        return out
-
-
-def support_constraints(params: FirstKindParams) -> ConstraintSet:
-    k, n = params.k, params.n
-    return ConstraintSet(upper=(1,) * k, sum_min=max(0, n - 1), sum_max=min(n, k))
-
-
-def class_values(keys: Iterable[Hashable], value: Callable[[Hashable], Scalar]) -> List[Scalar]:
-    """value(key) of each point's class key, computed once per distinct key
-    (in first-seen order) and shared by the points of that class: one
-    object per class."""
-    keys = list(keys)
-    memo = {key: value(key) for key in dict.fromkeys(keys)}
-    return list(map(memo.__getitem__, keys))
-
-
 def _area_weight(params: FirstKindParams, e: int) -> Scalar:
     alg, k, n = params.alg, params.k, params.n
     c2 = comb(n, 2)
     return tau_monomial(alg, c2 + k * n - e, e - c2)
-
-
-def joint_weight(params: FirstKindParams, x: SupportPoint) -> Scalar:
-    return _area_weight(params, area(x))
-
-
-# Bounded: a long-lived process keeps at most 32 joints, with their memos.
-@lru_cache(maxsize=32)
-def joint_pmf(params: FirstKindParams) -> PmfTable:
-    """Joint law of (X_1..X_k); closed-form normalizer [k+1 over n]."""
-    alg, k, n = params.alg, params.k, params.n
-    support = enumerate_points(support_constraints(params))
-    weights = class_values(map(area, support), lambda e: _area_weight(params, e))
-    return make_table(
-        kind=KIND,
-        params=params.describe(),
-        coord_labels=tuple(f"x{j}" for j in range(1, k + 1)),
-        support=support,
-        weights=weights,
-        alg=alg,
-        z_closed_form=deformed_binomial(alg, k + 1, n),
-        fit_bound=(k + 1) * max(n, 1),
-    )
-
-
-def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable:
-    """Law of the urn index receiving one ball passed through r urns.
-
-    Weight tau2^(j-1) for urn j (tau2^(r-j) in reverse order); the closed
-    normalizer [r] matches the enumerated one exactly when tau1 = 1.
-    """
-    if r < 1:
-        raise ValidationError(f"r: need at least one urn, got {r}")
-    if alg.tau2 is None:
-        raise ValidationError("single-ball law needs structure constants")
-    weights = [alg.tau2 ** (r - j if reverse else j - 1) for j in range(1, r + 1)]
-    params = {"kind": "single-ball", "r": r, "order": "reverse" if reverse else "forward"}
-    params.update(alg.describe())
-    return make_table(
-        kind="single-ball",
-        params=params,
-        coord_labels=("j",),
-        support=tuple((j,) for j in range(1, r + 1)),
-        weights=weights,
-        alg=alg,
-        z_closed_form=deformed_number(alg, r),
-        fit_bound=r,
-    )
-
-
-def _accumulate(
-    points: Sequence[SupportPoint], masses: Sequence[Scalar], project, exact: bool
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """Summed mass per projected key (`pmf.class_sum`), in sorted key order."""
-    acc = grouped_sums(((project(point), mass) for point, mass in zip(points, masses)), exact)
-    items = sorted(acc.items())
-    return tuple(p for p, _ in items), tuple(m for _, m in items)
-
-
-def _given_block(
-    points: Sequence[SupportPoint], masses: Tuple[Scalar, ...], given: SupportPoint
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...], slice]:
-    """The points that extend `given`, cut to what follows it, their masses,
-    and the slice of `points` they occupy.
-
-    `points` is strictly increasing, so those points form one contiguous
-    block; two bisections find it without scanning the rest.
-    """
-    lo = bisect_left(points, given)
-    hi = bisect_left(points, given[:-1] + (given[-1] + 1,), lo)
-    if lo == hi:
-        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    r = len(given)
-    return tuple(x[r:] for x in points[lo:hi]), masses[lo:hi], slice(lo, hi)
 
 
 def _marginal_closed_weight(params: FirstKindParams, r: int, key: Tuple[int, int]) -> Scalar:
@@ -170,42 +71,6 @@ def _marginal_closed_weight(params: FirstKindParams, r: int, key: Tuple[int, int
     c2 = comb(y, 2)
     tail = binomial_or_zero(alg, k - r + 1, n - y)
     return tau_monomial(alg, c2 + k * n - g, g - c2) * tail
-
-
-def marginal_pmf(params: FirstKindParams, r: int) -> PmfTable:
-    """Law of the prefix (X_1..X_r), 1 <= r < k, by exact summation.
-
-    Weights are the joint masses summed over the dropped coordinates, so the
-    enumerated normalizer coincides with the joint one.  The closed-form
-    weights tau-monomial * [k-r+1 over n-y] ride along as a cross-check.
-    """
-    if not 1 <= r < params.k:
-        raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    joint = joint_pmf(params)
-    support, masses = joint.cut_masses(r)
-    table_params = params.describe()
-    table_params.update({"table": "marginal", "r": r})
-    return make_table(
-        kind=f"{KIND}-marginal",
-        params=table_params,
-        coord_labels=tuple(f"x{j}" for j in range(1, r + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        z_closed_form=deformed_binomial(params.alg, params.k + 1, params.n),
-        fit_bound=(params.k + 1) * max(params.n, 1),
-        closed_values=class_values(
-            zip(*joint.cut_classes(r)), lambda key: _marginal_closed_weight(params, r, key)
-        ),
-    )
-
-
-def _suffix_key(given: SupportPoint, m: int, key: Tuple[int, int]) -> Tuple[int, int]:
-    """(sum s, E(s)) of the suffix s = x[r:m] of an m-prefix x that extends
-    `given` (r = len(given)), from the m-prefix's key (sum, E):
-    E(x[:m]) = E(given) + (m - r) sum(given) + E(s)."""
-    y_r = sum(given)
-    return key[0] - y_r, key[1] - area(given) - (m - len(given)) * y_r
 
 
 def _conditional_closed_value(
@@ -226,83 +91,6 @@ def _conditional_closed_value(
     numerator = binomial_or_zero(alg, k - m + 1, n - y_m)
     denominator = deformed_binomial(alg, k - r + 1, n - y_r)
     return tau_monomial(alg, c2 + k * n - h, h - c2) * numerator / denominator
-
-
-def conditional_pmf(params: FirstKindParams, given: Sequence[int], m: int) -> PmfTable:
-    """Law of (X_{r+1}..X_m) given (X_1..X_r) = `given`, via the chain rule.
-
-    Weights are restricted joint masses, the normalizer is the mass of the
-    conditioning event; a zero-probability event is an error, not an empty
-    table.
-    """
-    given = tuple(given)
-    r = len(given)
-    if not 1 <= r < m <= params.k:
-        raise ValidationError(f"conditional needs 1 <= r < m <= k, got r={r}, m={m}, k={params.k}")
-    if any(v not in (0, 1) for v in given):
-        raise ValidationError(f"given: capacity-one occupancies are 0/1, got {given}")
-    if sum(given) > params.n:
-        raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    joint = joint_pmf(params)
-    support, masses, rows = _given_block(*joint.cut_masses(m), given)
-    sums, areas = joint.cut_classes(m)
-    table_params = params.describe()
-    table_params.update({"table": "conditional", "given": list(given), "m": m})
-    return make_table(
-        kind=f"{KIND}-conditional",
-        params=table_params,
-        coord_labels=tuple(f"x{j}" for j in range(r + 1, m + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        closed_values=class_values(
-            zip(sums[rows], areas[rows]), lambda key: _conditional_closed_value(params, given, m, key)
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class GroupingScheme:
-    """Consecutive urn blocks of sizes m_1..m_r covering all k leading urns."""
-
-    sizes: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.sizes or any(m < 1 for m in self.sizes):
-            raise ValidationError(f"scheme: group sizes must be positive, got {self.sizes}")
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-
-    def validate_for(self, k: int) -> None:
-        if sum(self.sizes) != k:
-            raise ValidationError(f"scheme: group sizes {self.sizes} must sum to k={k}")
-
-    @property
-    def partial_sums(self) -> Tuple[int, ...]:
-        out = []
-        s = 0
-        for m in self.sizes:
-            s += m
-            out.append(s)
-        return tuple(out)
-
-    def project(self, x: SupportPoint) -> SupportPoint:
-        out = []
-        start = 0
-        for m in self.sizes:
-            out.append(sum(x[start : start + m]))
-            start += m
-        return tuple(out)
-
-
-# Bounded like `joint_pmf`: a long-lived process keeps at most 32 block-mass
-# tables.
-@lru_cache(maxsize=32)
-def block_masses(
-    params: FirstKindParams, scheme: GroupingScheme
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """Block-sum vectors of `scheme` in sorted order, and their joint masses."""
-    joint = joint_pmf(params)
-    return _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
 
 
 def _grouped_closed_weight(params: FirstKindParams, scheme: GroupingScheme, y: SupportPoint) -> Scalar:
@@ -343,93 +131,56 @@ def _grouped_marginal_closed_weight(
     return tau_monomial(alg, e1, e2) * value * tail
 
 
-def grouped_pmf(params: FirstKindParams, scheme: GroupingScheme) -> PmfTable:
-    """Law of the block sums (Y_1..Y_r), as the pushforward of the joint.
-
-    The closed form (per-block binomials with tau monomials) is attached as
-    a cross-check; it matches the pushforward exactly when tau1 = 1.
-    """
-    scheme.validate_for(params.k)
-    support, masses = block_masses(params, scheme)
-    table_params = params.describe()
-    table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
-    return make_table(
-        kind=f"{KIND}-grouped",
-        params=table_params,
-        coord_labels=tuple(f"y{j}" for j in range(1, len(scheme.sizes) + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        z_closed_form=deformed_binomial(params.alg, params.k + 1, params.n),
-        fit_bound=(params.k + 1) * max(params.n, 1),
-        closed_values=[_grouped_closed_weight(params, scheme, y) for y in support],
-    )
-
-
-def grouped_marginal_pmf(params: FirstKindParams, scheme: GroupingScheme, nu: int) -> PmfTable:
-    """Law of the leading blocks (Y_1..Y_nu), 1 <= nu < r."""
-    scheme.validate_for(params.k)
-    if not 1 <= nu < len(scheme.sizes):
-        raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    blocks, masses = block_masses(params, scheme)
-    support, masses = _accumulate(blocks, masses, lambda y: y[:nu], params.alg.exact)
-    table_params = params.describe()
-    table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
-    return make_table(
-        kind=f"{KIND}-grouped-marginal",
-        params=table_params,
-        coord_labels=tuple(f"y{j}" for j in range(1, nu + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        z_closed_form=deformed_binomial(params.alg, params.k + 1, params.n),
-        fit_bound=(params.k + 1) * max(params.n, 1),
-        closed_values=[_grouped_marginal_closed_weight(params, scheme, p) for p in support],
-    )
-
-
-def grouped_conditional_pmf(
-    params: FirstKindParams, scheme: GroupingScheme, given: Sequence[int]
-) -> PmfTable:
-    """Law of the trailing blocks given the leading block counts."""
-    scheme.validate_for(params.k)
-    given = tuple(given)
-    nu = len(given)
-    if not 1 <= nu < len(scheme.sizes):
-        raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    support, masses, _ = _given_block(*block_masses(params, scheme), given)
-    prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
-    closed = [
-        _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight
-        for suffix in support
-    ]
-    table_params = params.describe()
-    table_params.update(
-        {"table": "grouped-conditional", "scheme": list(scheme.sizes), "given": list(given)}
-    )
-    return make_table(
-        kind=f"{KIND}-grouped-conditional",
-        params=table_params,
-        coord_labels=tuple(f"y{j}" for j in range(nu + 1, len(scheme.sizes) + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        closed_values=closed,
-    )
+MODEL = Model(
+    name=KIND,
+    cap=1,
+    sum_min=lambda k, n: max(0, n - 1),
+    sum_max=lambda k, n: min(n, k),
+    area_weight=_area_weight,
+    normalizer=lambda params: deformed_binomial(params.alg, params.k + 1, params.n),
+    fit_bound=lambda params: (params.k + 1) * max(params.n, 1),
+    marginal_weight=_marginal_closed_weight,
+    conditional_value=_conditional_closed_value,
+    grouped_weight=_grouped_closed_weight,
+    grouped_marginal_weight=_grouped_marginal_closed_weight,
+)
 
 
 @dataclass(frozen=True)
-class ConstructionReport:
-    """Pointwise comparison of a conditional trials construction with the
-    urn-model law of the inverse-parameter algebra."""
+class FirstKindParams(OccupancyParams):
+    """k+1 capacity-one urns, n balls, under a given deformation."""
 
-    construction: str
-    theta: Scalar
-    support: Tuple[SupportPoint, ...]
-    construction_probs: Tuple[Scalar, ...]
-    model_probs: Tuple[Scalar, ...]
-    match: bool
-    note: str = ""
+    model = MODEL
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0 <= self.n <= self.k + 1:
+            raise ValidationError(f"n: first kind needs 0 <= n <= k+1, got n={self.n}, k={self.k}")
+
+
+def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable:
+    """Law of the urn index receiving one ball passed through r urns.
+
+    Weight tau2^(j-1) for urn j (tau2^(r-j) in reverse order); the closed
+    normalizer [r] matches the enumerated one exactly when tau1 = 1.
+    """
+    if r < 1:
+        raise ValidationError(f"r: need at least one urn, got {r}")
+    if alg.tau2 is None:
+        raise ValidationError("single-ball law needs structure constants")
+    weights = [alg.tau2 ** (r - j if reverse else j - 1) for j in range(1, r + 1)]
+    params = {"kind": "single-ball", "r": r, "order": "reverse" if reverse else "forward"}
+    params.update(alg.describe())
+    return make_table(
+        kind="single-ball",
+        params=params,
+        coord_labels=("j",),
+        support=tuple((j,) for j in range(1, r + 1)),
+        weights=weights,
+        alg=alg,
+        z_closed_form=deformed_number(alg, r),
+        fit_bound=r,
+    )
 
 
 def bernoulli_construction_check(alg: AlgebraSpec, k: int, n: int, theta) -> ConstructionReport:
@@ -445,24 +196,14 @@ def bernoulli_construction_check(alg: AlgebraSpec, k: int, n: int, theta) -> Con
     theta = coerce_theta(theta, alg)
     if alg.tau1 is None or alg.tau2 is None:
         raise ValidationError("construction check needs structure constants")
-    outcomes = enumerate_points(ConstraintSet(upper=(1,) * (k + 1), sum_min=n, sum_max=n))
-    masses = []
-    for x in outcomes:
-        mass = 1 if alg.exact else 1.0
+
+    def mass(x):
+        value = 1 if alg.exact else 1.0
         for i, x_i in enumerate(x):
-            mass *= theta**x_i * alg.tau2 ** (i * x_i) * alg.tau1 ** (i * (1 - x_i))
-        masses.append(mass)
-    total = sum(masses)
-    support = tuple(x[:k] for x in outcomes)
-    construction = tuple(m / total for m in masses)
-    model = joint_pmf(FirstKindParams(inverse_algebra(alg), k, n))
-    if model.support != support:
-        return ConstructionReport(
-            "bernoulli", theta, support, construction, model.probabilities, False,
-            note="support mismatch",
-        )
-    match = all(alg.close(a, b) for a, b in zip(construction, model.probabilities))
-    return ConstructionReport("bernoulli", theta, support, construction, model.probabilities, match)
+            value *= theta**x_i * alg.tau2 ** (i * x_i) * alg.tau1 ** (i * (1 - x_i))
+        return value
+
+    return construction_report("bernoulli", params, theta, mass)
 
 
 def mean_closed_form(alg: AlgebraSpec, k: int, n: int) -> Scalar:
@@ -502,16 +243,6 @@ def covariance_closed_form(alg: AlgebraSpec, k: int, n: int) -> Scalar:
             * deformed_number(inv, k)
         )
     )
-
-
-def bivariate_table(params: FirstKindParams) -> PmfTable:
-    """Oracle law of (X_1, X_2): the joint itself at k = 2, else the
-    exact 2-prefix marginal."""
-    if params.k < 2:
-        raise ValidationError(f"k: bivariate table needs k >= 2, got {params.k}")
-    if params.k == 2:
-        return joint_pmf(params)
-    return marginal_pmf(params, 2)
 
 
 def bivariate_moments(params: FirstKindParams, i1: int = 1, i2: int = 1) -> list:

@@ -306,11 +306,11 @@ def verify_identity(
     Failures are data: a report with exact_match False and the fitted
     discrepancy monomial when one exists within |a|, |b| <= (k+1)*n.
 
-    Each tuple's box passes the capacity guard (`count_points`) before its
-    family is walked: hs1 and hs2 run one recursion per k, hsa and hsb one
-    walk per (k, n) over the group-size prefixes.  The sums equal those of
-    `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and `hsb_lhs`, to the last bit in
-    approximate mode.
+    Every tuple's box, for every k, passes the capacity guard
+    (`count_points`) before any family is walked: hs1 and hs2 run one
+    recursion per k, hsa and hsb one walk per (k, n) over the group-size
+    prefixes.  The sums equal those of `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and
+    `hsb_lhs`, to the last bit in approximate mode.
     """
     if identity not in IDENTITY_IDS:
         raise ValidationError(f"identity: unknown suite {identity!r}")
@@ -320,15 +320,19 @@ def verify_identity(
         raise ValidationError(f"nmax: need nmax >= 0, got {nmax}")
     nmax = kmax if nmax is None else nmax
     reports = []
-    for k in range(1, kmax + 1):
-        if identity == "cauchy":
+    if identity == "cauchy":
+        for k in range(1, kmax + 1):
             for n in range(0, nmax + 1):
                 for m in range(0, k + 1):
                     lhs = cauchy_lhs(alg, k, n, m)
                     rhs = deformed_binomial(alg, k + n, n)
                     reports.append(_report(alg, "cauchy", k, n, lhs, rhs, m=m))
-            continue
-        capacity_one = identity in ("hs1", "hsa")
+        return reports
+    capacity_one = identity in ("hs1", "hsa")
+    # Every tuple's box passes the guard, in report order, before any walk:
+    # a run the guard refuses does no smaller work first.
+    plan = []
+    for k in range(1, kmax + 1):
         ns = range(1, min(k + 1, nmax) + 1) if capacity_one else range(0, nmax + 1)
         if identity in ("hs1", "hs2"):
             tuples = [(n, None) for n in ns]
@@ -339,6 +343,8 @@ def verify_identity(
         _require_taus(alg)
         for n, groups in tuples:
             count_points(_constraints(identity, k, n, groups, literal_window))
+        plan.append((k, ns, tuples))
+    for k, ns, tuples in plan:
         if identity in ("hs1", "hs2"):
             sums = _walk_positions(identity, alg, k, ns, literal_window)
         else:

@@ -1,0 +1,379 @@
+"""One occupancy-model core for both kinds of (p,q)-deformed occupancy law.
+
+n indistinguishable balls land in k+1 distinguishable urns; the last urn
+absorbs what the first k leave over.  The law of the first k occupancy
+counts (X_1..X_k) has joint weights that depend on x only through its area
+
+    E(x) = sum_j (k - j + 1) x_j,
+
+normalized by their enumerated sum.  The first kind (capacity one,
+Fermi-Dirac) and the second kind (unlimited capacity, Bose-Einstein) run
+the same construction: one support, one weight per area class, and derived
+tables (marginals, conditionals, grouped laws) that carry the measure the
+joint induces, with closed forms attached as cross-checks.  A `Model`
+record holds what the kinds differ in; each kind's params class carries its
+record as the class attribute `model`, and every function here reads it
+from there.  `rpq.first_kind` and `rpq.second_kind` build the two records
+and re-export these functions under their usual names.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Callable, ClassVar, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+from .algebra import AlgebraSpec, inverse_algebra
+from .errors import ValidationError, ZeroProbabilityEventError
+from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
+from .pmf import PmfTable, grouped_sums, make_table
+from .scalars import Scalar
+
+
+@dataclass(frozen=True)
+class Model:
+    """What one kind of occupancy law adds to the shared construction.
+
+    `cap` bounds each coordinate (None: no bound below n); it also decides
+    which `given` prefixes a conditional accepts and whether the sequential
+    sampler applies.  The sum window is [sum_min(k, n), sum_max(k, n)].
+    The hooks take the params first: `area_weight(params, e)` is the joint
+    weight of area class e, `normalizer(params)` and `fit_bound(params)` the
+    closed-form normalizer and its discrepancy-fit bound, and the last four
+    give closed weights for the marginal (per (sum, area) class key), the
+    conditional (per m-prefix key), the grouped law and its leading blocks.
+    """
+
+    name: str
+    cap: Optional[int]
+    sum_min: Callable[[int, int], int]
+    sum_max: Callable[[int, int], int]
+    area_weight: Callable
+    normalizer: Callable
+    fit_bound: Callable
+    marginal_weight: Callable
+    conditional_value: Callable
+    grouped_weight: Callable
+    grouped_marginal_weight: Callable
+
+
+@dataclass(frozen=True)
+class OccupancyParams:
+    """k+1 urns, n balls, under a given deformation.  Each kind subclasses
+    this with its `model` and its own check on n; equality sees the
+    subclass, so equal fields of two kinds are two cache keys."""
+
+    alg: AlgebraSpec
+    k: int
+    n: int
+
+    model: ClassVar[Model]
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValidationError(f"k: need k >= 1, got {self.k}")
+
+    def describe(self) -> dict:
+        out = {"kind": self.model.name, "k": self.k, "n": self.n}
+        out.update(self.alg.describe())
+        return out
+
+
+def support_constraints(params: OccupancyParams) -> ConstraintSet:
+    model, k, n = params.model, params.k, params.n
+    cap = n if model.cap is None else model.cap
+    return ConstraintSet(upper=(cap,) * k, sum_min=model.sum_min(k, n), sum_max=model.sum_max(k, n))
+
+
+def class_values(keys: Iterable[Hashable], value: Callable[[Hashable], Scalar]) -> List[Scalar]:
+    """value(key) of each point's class key, computed once per distinct key
+    (in first-seen order) and shared by the points of that class: one
+    object per class."""
+    keys = list(keys)
+    memo = {key: value(key) for key in dict.fromkeys(keys)}
+    return list(map(memo.__getitem__, keys))
+
+
+def _labels(prefix: str, first: int, last: int) -> Tuple[str, ...]:
+    return tuple(f"{prefix}{j}" for j in range(first, last + 1))
+
+
+def _table_params(params: OccupancyParams, **extra) -> dict:
+    out = params.describe()
+    out.update(extra)
+    return out
+
+
+def _normalizer(params: OccupancyParams) -> dict:
+    """make_table's closed-form normalizer arguments."""
+    return {"z_closed_form": params.model.normalizer(params), "fit_bound": params.model.fit_bound(params)}
+
+
+def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
+    return params.model.area_weight(params, area(x))
+
+
+# Bounded: a long-lived process keeps at most 32 joints, with their memos.
+@lru_cache(maxsize=32)
+def joint_pmf(params: OccupancyParams) -> PmfTable:
+    """Joint law of (X_1..X_k), one weight per area class."""
+    model = params.model
+    support = enumerate_points(support_constraints(params))
+    return make_table(
+        kind=model.name,
+        params=params.describe(),
+        coord_labels=_labels("x", 1, params.k),
+        support=support,
+        weights=class_values(map(area, support), lambda e: model.area_weight(params, e)),
+        alg=params.alg,
+        **_normalizer(params),
+    )
+
+
+def _accumulate(
+    points: Sequence[SupportPoint], masses: Sequence[Scalar], project, exact: bool
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    """Summed mass per projected key (`pmf.class_sum`), in sorted key order."""
+    acc = grouped_sums(((project(point), mass) for point, mass in zip(points, masses)), exact)
+    items = sorted(acc.items())
+    return tuple(p for p, _ in items), tuple(m for _, m in items)
+
+
+def _given_block(
+    points: Sequence[SupportPoint], masses: Tuple[Scalar, ...], given: SupportPoint
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...], slice]:
+    """The points that extend `given`, cut to what follows it, their masses,
+    and the slice of `points` they occupy.
+
+    `points` is strictly increasing, so those points form one contiguous
+    block; two bisections find it without scanning the rest.
+    """
+    lo = bisect_left(points, given)
+    hi = bisect_left(points, given[:-1] + (given[-1] + 1,), lo)
+    if lo == hi:
+        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
+    r = len(given)
+    return tuple(x[r:] for x in points[lo:hi]), masses[lo:hi], slice(lo, hi)
+
+
+def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
+    """Law of the prefix (X_1..X_r), 1 <= r < k, by exact summation.
+
+    Weights are the joint masses summed over the dropped coordinates, so the
+    enumerated normalizer coincides with the joint one.  The model's closed
+    marginal weights ride along as a cross-check.
+    """
+    if not 1 <= r < params.k:
+        raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
+    model = params.model
+    joint = joint_pmf(params)
+    support, masses = joint.cut_masses(r)
+    return make_table(
+        kind=f"{model.name}-marginal",
+        params=_table_params(params, table="marginal", r=r),
+        coord_labels=_labels("x", 1, r),
+        support=support,
+        weights=masses,
+        alg=params.alg,
+        **_normalizer(params),
+        closed_values=class_values(
+            zip(*joint.cut_classes(r)), lambda key: model.marginal_weight(params, r, key)
+        ),
+    )
+
+
+def _suffix_key(given: SupportPoint, m: int, key: Tuple[int, int]) -> Tuple[int, int]:
+    """(sum s, E(s)) of the suffix s = x[r:m] of an m-prefix x that extends
+    `given` (r = len(given)), from the m-prefix's key (sum, E):
+    E(x[:m]) = E(given) + (m - r) sum(given) + E(s)."""
+    y_r = sum(given)
+    return key[0] - y_r, key[1] - area(given) - (m - len(given)) * y_r
+
+
+def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> PmfTable:
+    """Law of (X_{r+1}..X_m) given (X_1..X_r) = `given`, via the chain rule.
+
+    Weights are restricted joint masses, the normalizer is the mass of the
+    conditioning event; a zero-probability event is an error, not an empty
+    table.
+    """
+    given = tuple(given)
+    r = len(given)
+    model = params.model
+    if not 1 <= r < m <= params.k:
+        raise ValidationError(f"conditional needs 1 <= r < m <= k, got r={r}, m={m}, k={params.k}")
+    if model.cap == 1 and any(v not in (0, 1) for v in given):
+        raise ValidationError(f"given: capacity-one occupancies are 0/1, got {given}")
+    if any(v < 0 for v in given):
+        raise ValidationError(f"given: occupancies are nonnegative, got {given}")
+    if sum(given) > params.n:
+        raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
+    joint = joint_pmf(params)
+    support, masses, rows = _given_block(*joint.cut_masses(m), given)
+    sums, areas = joint.cut_classes(m)
+    return make_table(
+        kind=f"{model.name}-conditional",
+        params=_table_params(params, table="conditional", given=list(given), m=m),
+        coord_labels=_labels("x", r + 1, m),
+        support=support,
+        weights=masses,
+        alg=params.alg,
+        closed_values=class_values(
+            zip(sums[rows], areas[rows]), lambda key: model.conditional_value(params, given, m, key)
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class GroupingScheme:
+    """Consecutive urn blocks of sizes m_1..m_r covering all k leading urns."""
+
+    sizes: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.sizes or any(m < 1 for m in self.sizes):
+            raise ValidationError(f"scheme: group sizes must be positive, got {self.sizes}")
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+
+    def validate_for(self, k: int) -> None:
+        if sum(self.sizes) != k:
+            raise ValidationError(f"scheme: group sizes {self.sizes} must sum to k={k}")
+
+    @property
+    def partial_sums(self) -> Tuple[int, ...]:
+        out = []
+        s = 0
+        for m in self.sizes:
+            s += m
+            out.append(s)
+        return tuple(out)
+
+    def project(self, x: SupportPoint) -> SupportPoint:
+        out = []
+        start = 0
+        for m in self.sizes:
+            out.append(sum(x[start : start + m]))
+            start += m
+        return tuple(out)
+
+
+# Bounded like `joint_pmf`: a long-lived process keeps at most 32 block-mass
+# tables.
+@lru_cache(maxsize=32)
+def block_masses(
+    params: OccupancyParams, scheme: GroupingScheme
+) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    """Block-sum vectors of `scheme` in sorted order, and their joint masses."""
+    joint = joint_pmf(params)
+    return _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+
+
+def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
+    """Law of the block sums (Y_1..Y_r), as the pushforward of the joint.
+
+    The model's closed form (per-block binomials with tau monomials) is
+    attached as a cross-check.
+    """
+    scheme.validate_for(params.k)
+    model = params.model
+    support, masses = block_masses(params, scheme)
+    return make_table(
+        kind=f"{model.name}-grouped",
+        params=_table_params(params, table="grouped", scheme=list(scheme.sizes)),
+        coord_labels=_labels("y", 1, len(scheme.sizes)),
+        support=support,
+        weights=masses,
+        alg=params.alg,
+        **_normalizer(params),
+        closed_values=[model.grouped_weight(params, scheme, y) for y in support],
+    )
+
+
+def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
+    """Law of the leading blocks (Y_1..Y_nu), 1 <= nu < r."""
+    scheme.validate_for(params.k)
+    if not 1 <= nu < len(scheme.sizes):
+        raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
+    model = params.model
+    blocks, masses = block_masses(params, scheme)
+    support, masses = _accumulate(blocks, masses, lambda y: y[:nu], params.alg.exact)
+    return make_table(
+        kind=f"{model.name}-grouped-marginal",
+        params=_table_params(params, table="grouped-marginal", scheme=list(scheme.sizes), nu=nu),
+        coord_labels=_labels("y", 1, nu),
+        support=support,
+        weights=masses,
+        alg=params.alg,
+        **_normalizer(params),
+        closed_values=[model.grouped_marginal_weight(params, scheme, p) for p in support],
+    )
+
+
+def grouped_conditional_pmf(
+    params: OccupancyParams, scheme: GroupingScheme, given: Sequence[int]
+) -> PmfTable:
+    """Law of the trailing blocks given the leading block counts."""
+    scheme.validate_for(params.k)
+    given = tuple(given)
+    nu = len(given)
+    if not 1 <= nu < len(scheme.sizes):
+        raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
+    model = params.model
+    support, masses, _ = _given_block(*block_masses(params, scheme), given)
+    prefix_weight = model.grouped_marginal_weight(params, scheme, given)
+    closed = [model.grouped_weight(params, scheme, given + suffix) / prefix_weight for suffix in support]
+    return make_table(
+        kind=f"{model.name}-grouped-conditional",
+        params=_table_params(params, table="grouped-conditional", scheme=list(scheme.sizes),
+                             given=list(given)),
+        coord_labels=_labels("y", nu + 1, len(scheme.sizes)),
+        support=support,
+        weights=masses,
+        alg=params.alg,
+        closed_values=closed,
+    )
+
+
+def bivariate_table(params: OccupancyParams) -> PmfTable:
+    """Oracle law of (X_1, X_2): the joint itself at k = 2, else the
+    exact 2-prefix marginal."""
+    if params.k < 2:
+        raise ValidationError(f"k: bivariate table needs k >= 2, got {params.k}")
+    if params.k == 2:
+        return joint_pmf(params)
+    return marginal_pmf(params, 2)
+
+
+@dataclass(frozen=True)
+class ConstructionReport:
+    """Pointwise comparison of a conditional trials construction with the
+    urn-model law of the inverse-parameter algebra."""
+
+    construction: str
+    theta: Scalar
+    support: Tuple[SupportPoint, ...]
+    construction_probs: Tuple[Scalar, ...]
+    model_probs: Tuple[Scalar, ...]
+    match: bool
+    note: str = ""
+
+
+def construction_report(name: str, params: OccupancyParams, theta: Scalar, mass) -> ConstructionReport:
+    """Condition k+1 independent trial counts, of joint mass `mass(x)`, on
+    n in total, and compare the law of the first k pointwise with the joint
+    law of `params` under the inverse-parameter algebra."""
+    alg, k, n = params.alg, params.k, params.n
+    cap = n if params.model.cap is None else params.model.cap
+    outcomes = enumerate_points(ConstraintSet(upper=(cap,) * (k + 1), sum_min=n, sum_max=n))
+    masses = [mass(x) for x in outcomes]
+    total = sum(masses)
+    support = tuple(x[:k] for x in outcomes)
+    construction = tuple(m / total for m in masses)
+    model = joint_pmf(replace(params, alg=inverse_algebra(alg)))
+    if model.support != support:
+        return ConstructionReport(
+            name, theta, support, construction, model.probabilities, False, note="support mismatch",
+        )
+    match = all(alg.close(a, b) for a, b in zip(construction, model.probabilities))
+    return ConstructionReport(name, theta, support, construction, model.probabilities, match)

@@ -26,8 +26,8 @@ from itertools import islice
 from typing import Dict, Iterator, Mapping, Tuple
 
 from .errors import ValidationError
-from .first_kind import FirstKindParams, joint_pmf
 from .lattice import SupportPoint
+from .occupancy import OccupancyParams, joint_pmf
 from .pmf import CDF_BITS, PmfTable
 from .scalars import Scalar
 
@@ -111,7 +111,7 @@ def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(draws, count))
 
 
-def path_probabilities(params: FirstKindParams) -> Dict[SupportPoint, Scalar]:
+def path_probabilities(params: OccupancyParams) -> Dict[SupportPoint, Scalar]:
     """Chain-rule probability of each support point, coordinate by
     coordinate; equals the joint probability exactly."""
     table = joint_pmf(params)
@@ -125,13 +125,17 @@ def path_probabilities(params: FirstKindParams) -> Dict[SupportPoint, Scalar]:
     return out
 
 
-def sequential_sample(params: FirstKindParams, seed: int, count: int) -> SampleBatch:
+def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleBatch:
     """Draw occupancy vectors one coordinate at a time.
 
     Each coordinate consumes one variate and is decided by the conditional
     law given the prefix drawn so far, so the induced distribution is
     exactly the joint law; only the variate stream differs from `sample`.
+    A coordinate is decided between 0 and 1, so only a model of cap 1 (the
+    first kind) samples sequentially.
     """
+    if params.model.cap != 1:
+        raise ValidationError("sequential: only the first kind samples sequentially")
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")
     table = joint_pmf(params)

@@ -16,15 +16,20 @@ tau1 = 1 (an inverse-parameter normalizer would be off by (tau1*tau2)^(-nk)
 and would not normalize even there).  As in the capacity-one family, all
 derived tables carry the exact law induced by the joint, with closed forms
 attached as cross-checks.
+
+This module holds what is particular to the second kind: its `Model`
+record (support, weights, normalizer and closed-form hooks), the geometric
+construction check and the moment closed forms.  The joint, marginal,
+conditional and grouped laws are the functions of `rpq.occupancy`,
+re-exported here under the same names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .algebra import (
     AlgebraSpec,
@@ -33,48 +38,20 @@ from .algebra import (
     deformed_factorial,
     deformed_falling_factorial,
     deformed_number,
-    inverse_algebra,
     tau_monomial,
 )
-from .errors import ValidationError, ZeroProbabilityEventError
-from .first_kind import (
-    ConstructionReport,
-    GroupingScheme,
-    _accumulate,
-    _given_block,
-    _suffix_key,
-    class_values,
-)
-from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
-from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
+from .errors import ValidationError
+from .lattice import SupportPoint
+# The model functions, re-exported from the core under their usual names.
+from .occupancy import (ConstructionReport, GroupingScheme, Model, OccupancyParams, _suffix_key,
+                        bivariate_table, block_masses, class_values, conditional_pmf, construction_report,
+                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf, joint_weight,
+                        marginal_pmf, support_constraints)
+from .pmf import compare_moment, oracle_expectation
 from .scalars import Scalar
 from ._coerce import coerce_theta
 
 KIND = "second"
-
-
-@dataclass(frozen=True)
-class SecondKindParams:
-    """k+1 unlimited-capacity urns, n balls, under a given deformation."""
-
-    alg: AlgebraSpec
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValidationError(f"k: need k >= 1, got {self.k}")
-        if self.n < 0:
-            raise ValidationError(f"n: need n >= 0, got {self.n}")
-
-    def describe(self) -> dict:
-        out = {"kind": KIND, "k": self.k, "n": self.n}
-        out.update(self.alg.describe())
-        return out
-
-
-def support_constraints(params: SecondKindParams) -> ConstraintSet:
-    return ConstraintSet(upper=(params.n,) * params.k, sum_min=0, sum_max=params.n)
 
 
 def _phi_constant_exponent(k: int, n: int) -> int:
@@ -83,29 +60,6 @@ def _phi_constant_exponent(k: int, n: int) -> int:
 
 def _area_weight(params: SecondKindParams, e: int) -> Scalar:
     return tau_monomial(params.alg, _phi_constant_exponent(params.k, params.n) - e, e)
-
-
-def joint_weight(params: SecondKindParams, x: SupportPoint) -> Scalar:
-    return _area_weight(params, area(x))
-
-
-# Bounded: a long-lived process keeps at most 32 joints, with their memos.
-@lru_cache(maxsize=32)
-def joint_pmf(params: SecondKindParams) -> PmfTable:
-    """Joint law of (X_1..X_k); closed-form normalizer [k+n over n]."""
-    alg, k, n = params.alg, params.k, params.n
-    support = enumerate_points(support_constraints(params))
-    weights = class_values(map(area, support), lambda e: _area_weight(params, e))
-    return make_table(
-        kind=KIND,
-        params=params.describe(),
-        coord_labels=tuple(f"x{j}" for j in range(1, k + 1)),
-        support=support,
-        weights=weights,
-        alg=alg,
-        z_closed_form=deformed_binomial(alg, k + n, n),
-        fit_bound=_phi_constant_exponent(k, n) + k * n,
-    )
 
 
 def _marginal_closed_weight(params: SecondKindParams, r: int, key: Tuple[int, int]) -> Scalar:
@@ -117,29 +71,6 @@ def _marginal_closed_weight(params: SecondKindParams, r: int, key: Tuple[int, in
     e = (k - r) * y + area_p
     tail = binomial_or_zero(alg, k - r + n - y, n - y)
     return tau_monomial(alg, _phi_constant_exponent(k, n) - e, e) * tail
-
-
-def marginal_pmf(params: SecondKindParams, r: int) -> PmfTable:
-    """Law of (X_1..X_r), 1 <= r < k, by exact summation of the joint."""
-    if not 1 <= r < params.k:
-        raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    joint = joint_pmf(params)
-    support, masses = joint.cut_masses(r)
-    table_params = params.describe()
-    table_params.update({"table": "marginal", "r": r})
-    return make_table(
-        kind=f"{KIND}-marginal",
-        params=table_params,
-        coord_labels=tuple(f"x{j}" for j in range(1, r + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        z_closed_form=deformed_binomial(params.alg, params.k + params.n, params.n),
-        fit_bound=_phi_constant_exponent(params.k, params.n) + params.k * params.n,
-        closed_values=class_values(
-            zip(*joint.cut_classes(r)), lambda key: _marginal_closed_weight(params, r, key)
-        ),
-    )
 
 
 def _conditional_closed_value(
@@ -158,45 +89,6 @@ def _conditional_closed_value(
     numerator = binomial_or_zero(alg, k - m + n - y_m, n - y_m)
     denominator = deformed_binomial(alg, k - r + n - y_r, n - y_r)
     return tau_monomial(alg, -e, e) * numerator / denominator
-
-
-def conditional_pmf(params: SecondKindParams, given: Sequence[int], m: int) -> PmfTable:
-    """Law of (X_{r+1}..X_m) given (X_1..X_r) = `given`, via the chain rule."""
-    given = tuple(given)
-    r = len(given)
-    if not 1 <= r < m <= params.k:
-        raise ValidationError(f"conditional needs 1 <= r < m <= k, got r={r}, m={m}, k={params.k}")
-    if any(v < 0 for v in given):
-        raise ValidationError(f"given: occupancies are nonnegative, got {given}")
-    if sum(given) > params.n:
-        raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    joint = joint_pmf(params)
-    support, masses, rows = _given_block(*joint.cut_masses(m), given)
-    sums, areas = joint.cut_classes(m)
-    table_params = params.describe()
-    table_params.update({"table": "conditional", "given": list(given), "m": m})
-    return make_table(
-        kind=f"{KIND}-conditional",
-        params=table_params,
-        coord_labels=tuple(f"x{j}" for j in range(r + 1, m + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        closed_values=class_values(
-            zip(sums[rows], areas[rows]), lambda key: _conditional_closed_value(params, given, m, key)
-        ),
-    )
-
-
-# Bounded like `joint_pmf`: a long-lived process keeps at most 32 block-mass
-# tables.
-@lru_cache(maxsize=32)
-def block_masses(
-    params: SecondKindParams, scheme: GroupingScheme
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """Block-sum vectors of `scheme` in sorted order, and their joint masses."""
-    joint = joint_pmf(params)
-    return _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
 
 
 def _grouped_closed_weight(params: SecondKindParams, scheme: GroupingScheme, y: SupportPoint) -> Scalar:
@@ -233,75 +125,31 @@ def _grouped_marginal_closed_weight(
     return tau_monomial(alg, e1, e2) * value * tail
 
 
-def grouped_pmf(params: SecondKindParams, scheme: GroupingScheme) -> PmfTable:
-    """Law of the block sums (Y_1..Y_r), as the pushforward of the joint."""
-    scheme.validate_for(params.k)
-    support, masses = block_masses(params, scheme)
-    table_params = params.describe()
-    table_params.update({"table": "grouped", "scheme": list(scheme.sizes)})
-    return make_table(
-        kind=f"{KIND}-grouped",
-        params=table_params,
-        coord_labels=tuple(f"y{j}" for j in range(1, len(scheme.sizes) + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        z_closed_form=deformed_binomial(params.alg, params.k + params.n, params.n),
-        fit_bound=_phi_constant_exponent(params.k, params.n) + params.k * params.n,
-        closed_values=[_grouped_closed_weight(params, scheme, y) for y in support],
-    )
+MODEL = Model(
+    name=KIND,
+    cap=None,
+    sum_min=lambda k, n: 0,
+    sum_max=lambda k, n: n,
+    area_weight=_area_weight,
+    normalizer=lambda params: deformed_binomial(params.alg, params.k + params.n, params.n),
+    fit_bound=lambda params: _phi_constant_exponent(params.k, params.n) + params.k * params.n,
+    marginal_weight=_marginal_closed_weight,
+    conditional_value=_conditional_closed_value,
+    grouped_weight=_grouped_closed_weight,
+    grouped_marginal_weight=_grouped_marginal_closed_weight,
+)
 
 
-def grouped_marginal_pmf(params: SecondKindParams, scheme: GroupingScheme, nu: int) -> PmfTable:
-    """Law of the leading blocks (Y_1..Y_nu), 1 <= nu < r."""
-    scheme.validate_for(params.k)
-    if not 1 <= nu < len(scheme.sizes):
-        raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    blocks, masses = block_masses(params, scheme)
-    support, masses = _accumulate(blocks, masses, lambda y: y[:nu], params.alg.exact)
-    table_params = params.describe()
-    table_params.update({"table": "grouped-marginal", "scheme": list(scheme.sizes), "nu": nu})
-    return make_table(
-        kind=f"{KIND}-grouped-marginal",
-        params=table_params,
-        coord_labels=tuple(f"y{j}" for j in range(1, nu + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        z_closed_form=deformed_binomial(params.alg, params.k + params.n, params.n),
-        fit_bound=_phi_constant_exponent(params.k, params.n) + params.k * params.n,
-        closed_values=[_grouped_marginal_closed_weight(params, scheme, p) for p in support],
-    )
+@dataclass(frozen=True)
+class SecondKindParams(OccupancyParams):
+    """k+1 unlimited-capacity urns, n balls, under a given deformation."""
 
+    model = MODEL
 
-def grouped_conditional_pmf(
-    params: SecondKindParams, scheme: GroupingScheme, given: Sequence[int]
-) -> PmfTable:
-    """Law of the trailing blocks given the leading block counts."""
-    scheme.validate_for(params.k)
-    given = tuple(given)
-    nu = len(given)
-    if not 1 <= nu < len(scheme.sizes):
-        raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    support, masses, _ = _given_block(*block_masses(params, scheme), given)
-    prefix_weight = _grouped_marginal_closed_weight(params, scheme, given)
-    closed = [
-        _grouped_closed_weight(params, scheme, given + suffix) / prefix_weight
-        for suffix in support
-    ]
-    table_params = params.describe()
-    table_params.update(
-        {"table": "grouped-conditional", "scheme": list(scheme.sizes), "given": list(given)}
-    )
-    return make_table(
-        kind=f"{KIND}-grouped-conditional",
-        params=table_params,
-        coord_labels=tuple(f"y{j}" for j in range(nu + 1, len(scheme.sizes) + 1)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        closed_values=closed,
-    )
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.n < 0:
+            raise ValidationError(f"n: need n >= 0, got {self.n}")
 
 
 def geometric_construction_check(alg: AlgebraSpec, k: int, n: int, theta) -> ConstructionReport:
@@ -322,28 +170,18 @@ def geometric_construction_check(alg: AlgebraSpec, k: int, n: int, theta) -> Con
             raise ValidationError(
                 f"theta: trial {j} has success probability outside (0,1) for theta={theta}"
             )
-    outcomes = enumerate_points(ConstraintSet(upper=(n,) * (k + 1), sum_min=n, sum_max=n))
-    masses = []
-    for w in outcomes:
-        mass = 1 if alg.exact else 1.0
+
+    def mass(w):
+        value = 1 if alg.exact else 1.0
         for j, w_j in enumerate(w, start=1):
-            mass *= (
+            value *= (
                 alg.tau1 ** ((1 - j) * (w_j + 1))
                 * (theta * alg.tau2 ** (j - 1)) ** w_j
                 * (alg.tau1 ** (j - 1) - theta * alg.tau2 ** (j - 1))
             )
-        masses.append(mass)
-    total = sum(masses)
-    support = tuple(w[:k] for w in outcomes)
-    construction = tuple(m / total for m in masses)
-    model = joint_pmf(SecondKindParams(inverse_algebra(alg), k, n))
-    if model.support != support:
-        return ConstructionReport(
-            "geometric", theta, support, construction, model.probabilities, False,
-            note="support mismatch",
-        )
-    match = all(alg.close(a, b) for a, b in zip(construction, model.probabilities))
-    return ConstructionReport("geometric", theta, support, construction, model.probabilities, match)
+        return value
+
+    return construction_report("geometric", params, theta, mass)
 
 
 def factorial_moment_closed_form(alg: AlgebraSpec, k: int, n: int, i: int) -> Scalar:
@@ -415,15 +253,6 @@ def covariance_closed_form(alg: AlgebraSpec, k: int, n: int) -> Scalar:
             * deformed_number(alg, k + 2)
         )
     )
-
-
-def bivariate_table(params: SecondKindParams) -> PmfTable:
-    """Oracle law of (X_1, X_2): the joint at k = 2, else the 2-prefix marginal."""
-    if params.k < 2:
-        raise ValidationError(f"k: bivariate table needs k >= 2, got {params.k}")
-    if params.k == 2:
-        return joint_pmf(params)
-    return marginal_pmf(params, 2)
 
 
 def bivariate_moments(params: SecondKindParams, i1: int = 1, i2: int = 1) -> list:

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import ALL_PRESETS, JS
 from rpq import ZeroProbabilityEventError, jagannathan_srinivasa, q_deformation
-from rpq import first_kind, pmf, second_kind
+from rpq import first_kind, occupancy, pmf, second_kind
 from rpq.algebra import MonomialFit, binomial_or_zero, deformed_binomial, fit_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
@@ -268,6 +268,25 @@ def _clear_caches():
         module.joint_pmf.cache_clear()
         module.block_masses.cache_clear()
     pmf._normalizer_fit.cache_clear()
+
+
+CORE_NAMES = (
+    "joint_pmf", "joint_weight", "marginal_pmf", "conditional_pmf", "block_masses", "grouped_pmf",
+    "grouped_marginal_pmf", "grouped_conditional_pmf", "bivariate_table", "class_values",
+    "GroupingScheme", "ConstructionReport",
+)
+
+
+def test_both_kinds_share_one_core_and_keep_their_own_joints():
+    for name in CORE_NAMES:
+        assert getattr(first_kind, name) is getattr(second_kind, name) is getattr(occupancy, name)
+    first, second = FirstKindParams(JS, 3, 2), SecondKindParams(JS, 3, 2)
+    assert first != second and hash(first) == hash(second)
+    _clear_caches()
+    assert occupancy.joint_pmf(first).params["kind"] == "first"
+    assert occupancy.joint_pmf(second).params["kind"] == "second"
+    assert len(occupancy.joint_pmf(second).support) == 10
+    assert occupancy.joint_pmf.cache_info().currsize == 2
 
 
 def _derived_calls(module, params):

@@ -73,6 +73,22 @@ GOLDEN = {
     # Decimal identity suites pin the float bits of every lhs and rhs.
     VERIFY + JS_DECIMAL + ("--format", "json"): "1c5d88ef9e2755c0fcd7513ecb1e5d343067cbba3ec5c9e75a4180054981816f",
     VERIFY + JS_DECIMAL + ("--format", "csv"): "91f51a93fea0c0b6a02256416ae6cc05463023840ebd68f7fe4003c620481523",
+    ("moments", "--kind", "first") + JS + ("--k", "4", "--n", "2", "--format", "csv"):
+        "3f79df03a4956fff8f2eac72eae278ab6c981a5f6779801f3c9e027363a5c4fc",
+    # Decimal derived tables pin the float bits of the joint-induced masses
+    # and (in JSON) of the closed-form cross-checks of both kinds.
+    ("marginal", "--kind", "first") + JS_DECIMAL + ("--k", "5", "--n", "3", "--r", "2", "--format", "csv"):
+        "73fa0bd63d6c440a6269b13315a9e6b87c5d88d6a5c0af9b26c8ccb8d77a9b00",
+    ("marginal", "--kind", "second") + JS_DECIMAL + ("--k", "4", "--n", "3", "--r", "2", "--format", "json"):
+        "55c1348c4fefb11a113a296f5bdbdf7c9e6e08140b4b5d5d39a241e3670ada51",
+    ("conditional", "--kind", "first") + JS_DECIMAL + ("--k", "6", "--n", "3", "--given", "0,1", "--format", "json"):
+        "85723759c86fd62d8b162035a0cfc2d408c1fb67070d8ecf649f727fd9055a98",
+    ("conditional", "--kind", "second") + JS_DECIMAL + ("--k", "4", "--n", "4", "--given", "1,0", "--m", "3", "--format", "csv"):
+        "2e008b5b6c82109d32d3d694b35891cf63e62b26a08fb47c7a8468706c616741",
+    ("grouped", "--kind", "first") + JS_DECIMAL + ("--k", "6", "--n", "3", "--groups", "2,3,1", "--format", "json"):
+        "6a7d0c6f0ca4b3d1aa1f1a83ca68234598859857430e14871d58e170066373d4",
+    ("grouped", "--kind", "second") + JS_DECIMAL + ("--k", "5", "--n", "4", "--groups", "2,1,2", "--format", "csv"):
+        "31c643fc3f258e4c8036437c233b4e559778094ed38ef017ba5cf3b54105408f",
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import JS, Q_HALF, TAU1_ONE_PRESETS
 from rpq import (
+    CapacityError,
     ValidationError,
     cauchy_lhs,
     compositions,
@@ -16,6 +17,7 @@ from rpq import (
     hsb_lhs,
     verify_identity,
 )
+from rpq import identities
 from rpq.identities import reports_to_csv, reports_to_json_obj
 
 
@@ -139,3 +141,15 @@ def test_report_order_and_serialization():
     obj = reports_to_json_obj(reports)
     assert json.loads(json.dumps(obj)) == obj
     assert all(row["exact"] for row in obj)
+
+
+def test_capacity_guard_refuses_before_any_walk(monkeypatch):
+    # hsb at kmax 21 is refused at k = 9; the boxes of every k are counted
+    # before the first k is walked, so the refusal costs no walk.
+    walks = []
+    original = identities._walk_groupings
+    monkeypatch.setattr(identities, "_walk_groupings",
+                        lambda *args: walks.append(args) or original(*args))
+    with pytest.raises(CapacityError):
+        verify_identity("hsb", Q_HALF, 21)
+    assert walks == []

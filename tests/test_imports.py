@@ -9,7 +9,7 @@ import pytest
 
 import rpq
 
-MODELS_AND_SAMPLER = {"rpq.first_kind", "rpq.second_kind", "rpq.pmf", "rpq.sampler"}
+MODELS_AND_SAMPLER = {"rpq.occupancy", "rpq.first_kind", "rpq.second_kind", "rpq.pmf", "rpq.sampler"}
 
 
 def _loaded(code):
@@ -47,8 +47,15 @@ def test_verify_loads_neither_model_nor_the_sampler(fmt):
 def test_first_kind_table_loads_neither_the_second_kind_identities_nor_sampler():
     loaded = _loaded(_main("tabulate", "--kind", "first", "--preset", "q", "--q", "1/2",
                            "--k", "3", "--n", "2"))
-    assert {"rpq.first_kind", "rpq.pmf"} <= loaded
+    assert {"rpq.occupancy", "rpq.first_kind", "rpq.pmf"} <= loaded
     assert not loaded & {"rpq.second_kind", "rpq.identities", "rpq.sampler"}
+
+
+def test_second_kind_table_loads_no_first_kind():
+    loaded = _loaded(_main("tabulate", "--kind", "second", "--preset", "q", "--q", "1/2",
+                           "--k", "3", "--n", "2"))
+    assert {"rpq.occupancy", "rpq.second_kind", "rpq.pmf"} <= loaded
+    assert not loaded & {"rpq.first_kind", "rpq.identities", "rpq.sampler"}
 
 
 def test_public_names_resolve_to_their_submodule_objects_on_each_read():

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import Q_HALF
-from rpq import FirstKindParams, ValidationError, path_probabilities, sample, sequential_sample
+from rpq import (
+    FirstKindParams,
+    SecondKindParams,
+    ValidationError,
+    path_probabilities,
+    sample,
+    sequential_sample,
+)
 from rpq.first_kind import joint_pmf
 from rpq.sampler import SplitMix64, _integer_thresholds
 
@@ -100,3 +107,15 @@ def test_count_validation():
     table = joint_pmf(FirstKindParams(Q_HALF, 2, 1))
     with pytest.raises(ValidationError):
         sample(table, seed=1, count=0)
+
+
+def test_second_kind_path_probabilities_are_the_second_kind_joint():
+    params = SecondKindParams(Q_HALF, 2, 3)
+    table = joint_pmf(params)
+    assert len(table.support) == 10
+    assert path_probabilities(params) == dict(zip(table.support, table.probabilities))
+
+
+def test_second_kind_sequential_sample_is_refused():
+    with pytest.raises(ValidationError, match="sequential"):
+        sequential_sample(SecondKindParams(Q_HALF, 2, 3), seed=4, count=20)

@@ -16,7 +16,8 @@ import pytest
 from conftest import ALL_PRESETS, JS, Q_HALF
 from rpq import ValidationError, jagannathan_srinivasa
 from rpq import first_kind, second_kind
-from rpq.first_kind import FirstKindParams, GroupingScheme, area
+from rpq.first_kind import FirstKindParams, GroupingScheme
+from rpq.lattice import area
 from rpq.pmf import class_sum, make_table
 from rpq.second_kind import SecondKindParams
 from test_query_equivalence import _compositions
