@@ -114,21 +114,6 @@ class AlgebraSpec:
     def tau_structured(self) -> bool:
         return self.number_rule is None
 
-    def number(self, n: int) -> Scalar:
-        return deformed_number(self, n)
-
-    def factorial(self, n: int) -> Scalar:
-        return deformed_factorial(self, n)
-
-    def binomial(self, m: int, n: int) -> Scalar:
-        return deformed_binomial(self, m, n)
-
-    def falling(self, n: int, i: int) -> Scalar:
-        return deformed_falling_factorial(self, n, i)
-
-    def inverse(self) -> "AlgebraSpec":
-        return inverse_algebra(self)
-
     def close(self, a: Scalar, b: Scalar) -> bool:
         return scalars_close(a, b, self.exact, self.tol)
 
@@ -485,7 +470,7 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
         close = math.isclose(lhs, rhs, rel_tol=alg.tol)
     if close:
         return MonomialFit(exact=True, found=True)
-    if not alg.tau_structured and (alg.tau1 is None or alg.tau2 is None):
+    if alg.tau1 is None or alg.tau2 is None:
         return MonomialFit(exact=False, found=False)
     if lhs == 0:
         return MonomialFit(exact=False, found=False)
@@ -579,7 +564,7 @@ class TriangularRecurrenceReport:
 def check_triangular_recurrence(alg: AlgebraSpec, mmax: int) -> TriangularRecurrenceReport:
     if mmax < 1:
         raise ValidationError(f"mmax: need mmax >= 1, got {mmax}")
-    if not alg.tau_structured and (alg.tau1 is None or alg.tau2 is None):
+    if alg.tau1 is None or alg.tau2 is None:
         raise ValidationError("triangular recurrence needs structure constants")
     t1, t2 = alg.tau1, alg.tau2
     entries = []

@@ -189,9 +189,8 @@ def _query(args, module, params):
     return module.bivariate_moments(params, args.i1, args.i2), {"i1": args.i1, "i2": args.i2}
 
 
-def _cmd_model(args) -> Iterable[str]:
+def _cmd_model(args, alg: AlgebraSpec) -> Iterable[str]:
     """tabulate, marginal, conditional, grouped and moments."""
-    alg = _make_algebra(args)
     module, params = _model(args, alg)
     result, extra = _query(args, module, params)
     config = _config(args, alg, kind=args.kind, k=args.k, n=args.n, **extra)
@@ -201,10 +200,9 @@ def _cmd_model(args) -> Iterable[str]:
     return _emit_table(args, config, result)
 
 
-def _cmd_sample(args) -> Iterable[str]:
+def _cmd_sample(args, alg: AlgebraSpec) -> Iterable[str]:
     from .sampler import sample, sequential_sample
 
-    alg = _make_algebra(args)
     module, params = _model(args, alg)
     table = module.joint_pmf(params)
     if args.sequential:
@@ -217,10 +215,9 @@ def _cmd_sample(args) -> Iterable[str]:
                  lambda: serialize.batch_to_csv(batch, table.coord_labels))
 
 
-def _cmd_verify(args) -> Iterable[str]:
+def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
     if args.nmax is not None and args.nmax < 0:
         raise ValidationError(f"nmax: need nmax >= 0, got {args.nmax}")
-    alg = _make_algebra(args)
     config = _config(args, alg, suite=args.suite, kmax=args.kmax,
                      nmax=args.kmax if args.nmax is None else args.nmax)
     if args.suite == "triangular":
@@ -315,8 +312,10 @@ def _write_output(chunks: Iterable[str], args) -> None:
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
+    alg = None
     try:
-        _write_output(_COMMANDS[args.subcommand](args), args)
+        alg = _make_algebra(args)
+        _write_output(_COMMANDS[args.subcommand](args, alg), args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -326,9 +325,14 @@ def main(argv: Optional[list] = None) -> int:
     except RpqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
+        # In approximate mode a division by zero divides by a float that
+        # underflowed; in exact mode it is a fault of the program.
+        if isinstance(exc, ZeroDivisionError) and (alg is None or alg.exact):
+            raise
+        what = "overflowed" if isinstance(exc, OverflowError) else "underflowed"
         print(
-            f"error: p, q: approximate-mode arithmetic overflowed a float ({exc}); "
+            f"error: p, q: approximate-mode arithmetic {what} a float ({exc}); "
             "rational p and q (e.g. 1/10) run in exact mode",
             file=sys.stderr,
         )

@@ -45,12 +45,11 @@ from .errors import ValidationError
 from .lattice import SupportPoint
 # The model functions, re-exported from the core under their usual names.
 from .occupancy import (ConstructionReport, GroupingScheme, Model, OccupancyParams, _suffix_key,
-                        bivariate_table, block_masses, class_values, conditional_pmf, construction_report,
-                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf, joint_weight,
-                        marginal_pmf, support_constraints)
+                        bivariate_table, block_masses, class_values, coerce_theta, conditional_pmf,
+                        construction_report, grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf,
+                        joint_pmf, joint_weight, marginal_pmf, support_constraints)
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
-from ._coerce import coerce_theta
 
 KIND = "first"
 
@@ -61,6 +60,11 @@ def _area_weight(params: FirstKindParams, e: int) -> Scalar:
     return tau_monomial(alg, c2 + k * n - e, e - c2)
 
 
+def _normalizer(alg: AlgebraSpec, k: int, n: int) -> Scalar:
+    """[k+1 over n]: n balls in k+1 capacity-one urns (0 once n > k+1)."""
+    return binomial_or_zero(alg, k + 1, n)
+
+
 def _marginal_closed_weight(params: FirstKindParams, r: int, key: Tuple[int, int]) -> Scalar:
     """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
     tau1^(C(y,2) + kn - g) tau2^(g - C(y,2)) [k-r+1 over n-y], where
@@ -69,8 +73,7 @@ def _marginal_closed_weight(params: FirstKindParams, r: int, key: Tuple[int, int
     y, e = key
     g = (k - n - r + y) * y + e
     c2 = comb(y, 2)
-    tail = binomial_or_zero(alg, k - r + 1, n - y)
-    return tau_monomial(alg, c2 + k * n - g, g - c2) * tail
+    return tau_monomial(alg, c2 + k * n - g, g - c2) * _normalizer(alg, k - r, n - y)
 
 
 def _conditional_closed_value(
@@ -88,8 +91,8 @@ def _conditional_closed_value(
     t, e = _suffix_key(given, m, key)
     h = (k - m - n + y_m) * t + e
     c2 = comb(t, 2)
-    numerator = binomial_or_zero(alg, k - m + 1, n - y_m)
-    denominator = deformed_binomial(alg, k - r + 1, n - y_r)
+    numerator = _normalizer(alg, k - m, n - y_m)
+    denominator = _normalizer(alg, k - r, n - y_r)
     return tau_monomial(alg, c2 + k * n - h, h - c2) * numerator / denominator
 
 
@@ -107,42 +110,17 @@ def _grouped_closed_weight(params: FirstKindParams, scheme: GroupingScheme, y: S
     return tau_monomial(alg, e1, e2) * value
 
 
-def _grouped_marginal_closed_weight(
-    params: FirstKindParams, scheme: GroupingScheme, prefix: SupportPoint
-) -> Scalar:
-    # tau2 exponent re-derived from the within-group occupancy sums; the
-    # grouped one-step statement of it fails the oracle already at
-    # k=3, n=2, sizes=(1,2). The form below is the one enumeration confirms.
-    alg, k, n = params.alg, params.k, params.n
-    s = scheme.partial_sums
-    nu = len(prefix)
-    z_nu = sum(prefix)
-    e1 = e2 = 0
-    z = 0
-    value = 1 if alg.exact else 1.0
-    for j in range(nu):
-        m_j, y_j = scheme.sizes[j], prefix[j]
-        z += y_j
-        e1 += (n - z - s[j]) * (m_j - y_j)
-        e2 += (k - s[j] - n + z_nu + 1) * y_j + comb(y_j, 2)
-        value *= deformed_binomial(alg, m_j, y_j)
-    e2 -= comb(z_nu, 2)
-    tail = binomial_or_zero(alg, k - s[nu - 1] + 1, n - z_nu)
-    return tau_monomial(alg, e1, e2) * value * tail
-
-
 MODEL = Model(
     name=KIND,
     cap=1,
     sum_min=lambda k, n: max(0, n - 1),
     sum_max=lambda k, n: min(n, k),
     area_weight=_area_weight,
-    normalizer=lambda params: deformed_binomial(params.alg, params.k + 1, params.n),
+    normalizer=_normalizer,
     fit_bound=lambda params: (params.k + 1) * max(params.n, 1),
     marginal_weight=_marginal_closed_weight,
     conditional_value=_conditional_closed_value,
     grouped_weight=_grouped_closed_weight,
-    grouped_marginal_weight=_grouped_marginal_closed_weight,
 )
 
 

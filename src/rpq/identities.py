@@ -17,10 +17,8 @@ than asserting the raw equality.
 The summands of hs1, hs2, hsa and hsb factor over the coordinates once the
 running occupancy sum S_j = r_1 + ... + r_j is known, so these sums come
 from a recursion over (coordinate, running sum) that lists no lattice
-point: one `lattice.layer_step` per coordinate.  `hs1_lhs`, `hs2_lhs`,
-`hsa_lhs` and `hsb_lhs` run it per tuple through
-`lattice.partial_sum_total`; the tests check each of them against the
-listing sum `lattice.weighted_sum` of its per-point weight.
+point: one `lattice.layer_step` per coordinate.  The tests check each sum
+against the listing sum `lattice.weighted_sum` of its per-point weight.
 
 `verify_identity` walks each family once.  The hs1 and hs2 factors do not
 depend on n, so one recursion per k serves every n, each n summing its own
@@ -28,9 +26,9 @@ window at the end.  An hsa or hsb layer depends only on the group sizes so
 far, so one depth-first walk per (k, n) over the tree of group-size
 prefixes steps each prefix once (31 steps for the 16 groupings of k = 5, in
 place of 48).  In exact mode a layer holds integers over one common
-denominator and each lhs is one Fraction; approximate layers multiply and
-add floats in the per-tuple order, so both give the per-tuple sums to the
-last bit.
+denominator and each lhs is one Fraction.  `hs1_lhs`, `hs2_lhs`, `hsa_lhs`
+and `hsb_lhs` run the same walks for one tuple: one n, or the single path
+of one grouping.
 
 Window note: in the capacity-one model the overflow urn also holds at most
 one ball, so admissible occupancy sums are n-1 and n, never less.  The
@@ -44,7 +42,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -64,7 +61,6 @@ from .lattice import (
     final_layer,
     first_layer,
     layer_step,
-    partial_sum_total,
     window_total,
 )
 from .scalars import Scalar, scalar_str
@@ -119,9 +115,8 @@ def hs1_lhs(alg: AlgebraSpec, k: int, n: int, *, literal_window: bool = False) -
     _require_taus(alg)
     if not 1 <= n <= k + 1:
         raise ValidationError(f"n: hs1 needs 1 <= n <= k+1, got k={k}, n={n}")
-    c2 = comb(n, 2)
-    constraints = _constraints("hs1", k, n, None, literal_window)
-    return tau_monomial(alg, c2, -c2) * partial_sum_total(constraints, _position_factor(alg))
+    count_points(_constraints("hs1", k, n, None, literal_window))
+    return _walk_positions("hs1", alg, k, (n,), literal_window)[n, None]
 
 
 def hs2_lhs(alg: AlgebraSpec, k: int, n: int) -> Scalar:
@@ -130,7 +125,8 @@ def hs2_lhs(alg: AlgebraSpec, k: int, n: int) -> Scalar:
     _require_taus(alg)
     if k < 1 or n < 0:
         raise ValidationError(f"hs2 needs k >= 1 and n >= 0, got k={k}, n={n}")
-    return partial_sum_total(_constraints("hs2", k, n, None, False), _position_factor(alg))
+    count_points(_constraints("hs2", k, n, None, False))
+    return _walk_positions("hs2", alg, k, (n,), False)[n, None]
 
 
 def _check_groups(k: int, groups: Sequence[int]) -> Tuple[int, ...]:
@@ -140,14 +136,6 @@ def _check_groups(k: int, groups: Sequence[int]) -> Tuple[int, ...]:
     if sum(groups) != k:
         raise ValidationError(f"groups: sizes must sum to k={k}, got {groups}")
     return groups
-
-
-def _grouped_lhs(identity: str, alg: AlgebraSpec, k: int, n: int, groups: Tuple[int, ...],
-                 literal_window: bool) -> Scalar:
-    term = _GROUP_TERMS[identity]
-    big_m = list(accumulate(groups))
-    constraints = _constraints(identity, k, n, groups, literal_window)
-    return partial_sum_total(constraints, lambda j, r_j, s_j: term(alg, k, n, groups[j], big_m[j], r_j, s_j))
 
 
 def hsa_lhs(
@@ -160,7 +148,8 @@ def hsa_lhs(
     groups = _check_groups(k, groups)
     if not 1 <= n <= k + 1:
         raise ValidationError(f"n: hsa needs 1 <= n <= k+1, got k={k}, n={n}")
-    return _grouped_lhs("hsa", alg, k, n, groups, literal_window)
+    count_points(_constraints("hsa", k, n, groups, literal_window))
+    return _walk_groupings("hsa", alg, k, n, groups, literal_window)[n, groups]
 
 
 def hsb_lhs(alg: AlgebraSpec, k: int, n: int, groups: Sequence[int]) -> Scalar:
@@ -170,7 +159,8 @@ def hsb_lhs(alg: AlgebraSpec, k: int, n: int, groups: Sequence[int]) -> Scalar:
     groups = _check_groups(k, groups)
     if n < 0:
         raise ValidationError(f"n: hsb needs n >= 0, got {n}")
-    return _grouped_lhs("hsb", alg, k, n, groups, False)
+    count_points(_constraints("hsb", k, n, groups, False))
+    return _walk_groupings("hsb", alg, k, n, groups, False)[n, groups]
 
 
 def cauchy_lhs(alg: AlgebraSpec, k: int, n: int, m: int) -> Scalar:
@@ -234,15 +224,15 @@ def _walk_positions(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int],
 
     The recursion runs to the largest sum any n needs.  The value at each
     running sum does not depend on how far the recursion runs, and the keys
-    ascend, so each window adds the same values in the same order as the
-    recursion of that tuple alone.
+    ascend, so each window adds the same values in the same order as a run
+    for that n alone (`hs1_lhs`, `hs2_lhs`).
     """
     factor = _position_factor(alg)
     if identity == "hs2":
         top = max(ns)
-        layer = final_layer((top,) * k, 0, top, factor, alg.exact)
+        layer = final_layer((top,) * k, top, factor, alg.exact)
         return {(n, None): window_total(layer, 0, n) for n in ns}
-    layer = final_layer((1,) * k, 0, k, factor, alg.exact)
+    layer = final_layer((1,) * k, k, factor, alg.exact)
     out = {}
     for n in ns:
         c2 = comb(n, 2)
@@ -251,9 +241,10 @@ def _walk_positions(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int],
     return out
 
 
-def _walk_groupings(identity: str, alg: AlgebraSpec, k: int, n: int, all_groupings: bool,
-                    literal_window: bool) -> dict:
-    """hsa or hsb lhs of (n, groups) for every grouping (or for (k,) alone).
+def _walk_groupings(identity: str, alg: AlgebraSpec, k: int, n: int,
+                    groups: Optional[Tuple[int, ...]], literal_window: bool) -> dict:
+    """hsa or hsb lhs of (n, groups) for every grouping (groups None), or
+    for `groups` alone.
 
     Coordinate j of a grouping has a factor that reads only m_j and
     M_j = m_1 + ... + m_j, and its window reads only M_j, so the layer after
@@ -272,7 +263,7 @@ def _walk_groupings(identity: str, alg: AlgebraSpec, k: int, n: int, all_groupin
         if big_m == k:
             out[n, prefix] = window_total(layer, lo, hi)
             return
-        for m_j in range(1, k - big_m + 1) if all_groupings else (k,):
+        for m_j in range(1, k - big_m + 1) if groups is None else (groups[len(prefix)],):
             big_m_j = big_m + m_j
             upper = m_j if identity == "hsa" else n
             # hsa keeps the prefixes that can still reach lo; hsb has lo = 0.
@@ -299,7 +290,6 @@ def verify_identity(
     nmax: Optional[int] = None,
     *,
     literal_window: bool = False,
-    all_groupings: bool = True,
 ) -> list:
     """One report per parameter tuple, sorted by (k, n, m, groups).
 
@@ -337,7 +327,7 @@ def verify_identity(
         if identity in ("hs1", "hs2"):
             tuples = [(n, None) for n in ns]
         else:
-            tuples = [(n, groups) for groups in (compositions(k) if all_groupings else [(k,)]) for n in ns]
+            tuples = [(n, groups) for groups in compositions(k) for n in ns]
         if not tuples:
             continue
         _require_taus(alg)
@@ -350,7 +340,7 @@ def verify_identity(
         else:
             sums = {}
             for n in ns:
-                sums.update(_walk_groupings(identity, alg, k, n, all_groupings, literal_window))
+                sums.update(_walk_groupings(identity, alg, k, n, None, literal_window))
         for n, groups in tuples:
             rhs = deformed_binomial(alg, k + 1 if capacity_one else k + n, n)
             reports.append(_report(alg, identity, k, n, sums[n, groups], rhs, groups=groups))

@@ -195,16 +195,13 @@ def first_layer(exact: bool) -> Layer:
 
 
 def final_layer(
-    upper: Tuple[int, ...], sum_min: int, sum_max: int,
-    factor: Callable[[int, int, int], Scalar], exact: bool = False,
+    upper: Tuple[int, ...], sum_max: int, factor: Callable[[int, int, int], Scalar], exact: bool
 ) -> Layer:
-    """The layer after every coordinate of the box `upper` under the sum
-    window [sum_min, sum_max].  A prefix that cannot reach sum_min is
-    dropped; that leaves the value at every other running sum as it is."""
-    up_suffix = _suffix_sums(upper)
+    """The layer after every coordinate of the box `upper`, at every
+    running sum up to sum_max."""
     layer = first_layer(exact)
     for j, up in enumerate(upper):
-        layer = layer_step(layer, j, up, sum_min - up_suffix[j + 1], sum_max, factor)
+        layer = layer_step(layer, j, up, 0, sum_max, factor)
     return layer
 
 
@@ -214,21 +211,6 @@ def window_total(layer: Layer, lo: int, hi: int) -> Scalar:
     partial, denominator = layer
     total = sum(value for s, value in partial.items() if lo <= s <= hi)
     return total if denominator is None else Fraction(total, denominator)
-
-
-def partial_sum_total(
-    constraints: ConstraintSet, factor: Callable[[int, int, int], Scalar]
-) -> Scalar:
-    """Sum over the admissible points x of prod_j factor(j, x_j, S_j), where
-    S_j = x_0 + ... + x_j is the running sum, without listing the points.
-
-    The same recursion as `count_points`, with the unit weights replaced by
-    the factors, one `layer_step` per coordinate.  The result equals
-    `weighted_sum` over the product weight, exactly in exact mode.
-    """
-    count_points(constraints)
-    smin, smax = constraints.sum_min, constraints.sum_max
-    return window_total(final_layer(constraints.upper, smin, smax, factor), smin, smax)
 
 
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, ClassVar, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, inverse_algebra
-from .errors import ValidationError, ZeroProbabilityEventError
+from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
 from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
 from .pmf import PmfTable, grouped_sums, make_table
-from .scalars import Scalar
+from .scalars import Scalar, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,13 @@ class Model:
     `cap` bounds each coordinate (None: no bound below n); it also decides
     which `given` prefixes a conditional accepts and whether the sequential
     sampler applies.  The sum window is [sum_min(k, n), sum_max(k, n)].
-    The hooks take the params first: `area_weight(params, e)` is the joint
-    weight of area class e, `normalizer(params)` and `fit_bound(params)` the
-    closed-form normalizer and its discrepancy-fit bound, and the last four
-    give closed weights for the marginal (per (sum, area) class key), the
-    conditional (per m-prefix key), the grouped law and its leading blocks.
+    `normalizer(alg, k, n)` is the closed normalizer of k+1 urns and n
+    balls; the closed forms read it again for the urns and balls a prefix
+    leaves over.  The other hooks take the params first:
+    `area_weight(params, e)` is the joint weight of area class e,
+    `fit_bound(params)` the normalizer's discrepancy-fit bound, and the last
+    three give closed weights for the marginal (per (sum, area) class key),
+    the conditional (per m-prefix key) and the grouped law.
     """
 
     name: str
@@ -55,7 +58,6 @@ class Model:
     marginal_weight: Callable
     conditional_value: Callable
     grouped_weight: Callable
-    grouped_marginal_weight: Callable
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,9 @@ def _table_params(params: OccupancyParams, **extra) -> dict:
 
 def _normalizer(params: OccupancyParams) -> dict:
     """make_table's closed-form normalizer arguments."""
-    return {"z_closed_form": params.model.normalizer(params), "fit_bound": params.model.fit_bound(params)}
+    model = params.model
+    return {"z_closed_form": model.normalizer(params.alg, params.k, params.n),
+            "fit_bound": model.fit_bound(params)}
 
 
 def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
@@ -290,6 +294,18 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     )
 
 
+def _grouped_marginal_weight(
+    params: OccupancyParams, scheme: GroupingScheme, prefix: SupportPoint
+) -> Scalar:
+    """Closed weight of the leading block counts `prefix`: the grouped
+    weight of those blocks times the normalizer of the urns and balls they
+    leave over."""
+    model = params.model
+    rest_k = params.k - scheme.partial_sums[len(prefix) - 1]
+    rest_n = params.n - sum(prefix)
+    return model.grouped_weight(params, scheme, prefix) * model.normalizer(params.alg, rest_k, rest_n)
+
+
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
     """Law of the leading blocks (Y_1..Y_nu), 1 <= nu < r."""
     scheme.validate_for(params.k)
@@ -306,7 +322,7 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
         weights=masses,
         alg=params.alg,
         **_normalizer(params),
-        closed_values=[model.grouped_marginal_weight(params, scheme, p) for p in support],
+        closed_values=[_grouped_marginal_weight(params, scheme, p) for p in support],
     )
 
 
@@ -321,7 +337,7 @@ def grouped_conditional_pmf(
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
     model = params.model
     support, masses, _ = _given_block(*block_masses(params, scheme), given)
-    prefix_weight = model.grouped_marginal_weight(params, scheme, given)
+    prefix_weight = _grouped_marginal_weight(params, scheme, given)
     closed = [model.grouped_weight(params, scheme, given + suffix) / prefix_weight for suffix in support]
     return make_table(
         kind=f"{model.name}-grouped-conditional",
@@ -357,6 +373,23 @@ class ConstructionReport:
     model_probs: Tuple[Scalar, ...]
     match: bool
     note: str = ""
+
+
+def coerce_theta(theta, alg: AlgebraSpec) -> Scalar:
+    """Validate a trial parameter theta in (0, 1) in the algebra's mode."""
+    if isinstance(theta, str):
+        theta = parse_scalar(theta)
+    if isinstance(theta, bool) or not isinstance(theta, (Fraction, float, int)):
+        raise ValidationError(f"theta: not a number: {theta!r}")
+    if alg.exact and isinstance(theta, float):
+        raise ModeMixError("theta: float parameter with an exact algebra; pass a rational")
+    if not alg.exact:
+        theta = float(theta)
+    elif not isinstance(theta, Fraction):
+        theta = Fraction(theta)
+    if not 0 < theta < 1:
+        raise ValidationError(f"theta: need 0 < theta < 1, got {theta}")
+    return theta
 
 
 def construction_report(name: str, params: OccupancyParams, theta: Scalar, mass) -> ConstructionReport:

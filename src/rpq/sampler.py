@@ -78,12 +78,6 @@ class SampleBatch:
         return dict(self.empirical)
 
 
-def _integer_thresholds(table: PmfTable) -> list:
-    """ceil(F_i * 2^53) per cumulative probability F_i; mantissa < threshold
-    is exactly the event u < F_i.  Computed once per table."""
-    return table.cdf_thresholds()
-
-
 def _empirical(draws, count) -> Tuple[Tuple[SupportPoint, Fraction], ...]:
     """(point, c / count) per drawn point in sorted order, where c is how
     often it was drawn: one Fraction per distinct c, shared by its points."""
@@ -101,7 +95,7 @@ def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
     """
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")
-    thresholds = _integer_thresholds(table)
+    thresholds = table.cdf_thresholds()
     support = table.support
     last = len(support) - 1
     draws = tuple(

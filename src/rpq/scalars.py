@@ -22,10 +22,6 @@ DEFAULT_TOL = 1e-10
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def is_exact(value: Scalar) -> bool:
-    return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
-
-
 def parse_scalar(text: str) -> Scalar:
     """Parse "a/b" or integer strings to Fraction; decimal strings to float.
 

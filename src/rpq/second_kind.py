@@ -34,7 +34,6 @@ from typing import Tuple
 from .algebra import (
     AlgebraSpec,
     binomial_or_zero,
-    deformed_binomial,
     deformed_factorial,
     deformed_falling_factorial,
     deformed_number,
@@ -44,12 +43,11 @@ from .errors import ValidationError
 from .lattice import SupportPoint
 # The model functions, re-exported from the core under their usual names.
 from .occupancy import (ConstructionReport, GroupingScheme, Model, OccupancyParams, _suffix_key,
-                        bivariate_table, block_masses, class_values, conditional_pmf, construction_report,
-                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf, joint_weight,
-                        marginal_pmf, support_constraints)
+                        bivariate_table, block_masses, class_values, coerce_theta, conditional_pmf,
+                        construction_report, grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf,
+                        joint_pmf, joint_weight, marginal_pmf, support_constraints)
 from .pmf import compare_moment, oracle_expectation
 from .scalars import Scalar
-from ._coerce import coerce_theta
 
 KIND = "second"
 
@@ -62,6 +60,11 @@ def _area_weight(params: SecondKindParams, e: int) -> Scalar:
     return tau_monomial(params.alg, _phi_constant_exponent(params.k, params.n) - e, e)
 
 
+def _normalizer(alg: AlgebraSpec, k: int, n: int) -> Scalar:
+    """[k+n over n]: n balls in k+1 unlimited-capacity urns (0 once n < 0)."""
+    return binomial_or_zero(alg, k + n, n)
+
+
 def _marginal_closed_weight(params: SecondKindParams, r: int, key: Tuple[int, int]) -> Scalar:
     """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
     tau1^(phi - e) tau2^e [k-r+n-y over n-y], where e = sum_j (k - j) p_j
@@ -69,8 +72,7 @@ def _marginal_closed_weight(params: SecondKindParams, r: int, key: Tuple[int, in
     alg, k, n = params.alg, params.k, params.n
     y, area_p = key
     e = (k - r) * y + area_p
-    tail = binomial_or_zero(alg, k - r + n - y, n - y)
-    return tau_monomial(alg, _phi_constant_exponent(k, n) - e, e) * tail
+    return tau_monomial(alg, _phi_constant_exponent(k, n) - e, e) * _normalizer(alg, k - r, n - y)
 
 
 def _conditional_closed_value(
@@ -86,8 +88,8 @@ def _conditional_closed_value(
     y_m = key[0]
     t, area_s = _suffix_key(given, m, key)
     e = (k - m) * t + area_s
-    numerator = binomial_or_zero(alg, k - m + n - y_m, n - y_m)
-    denominator = deformed_binomial(alg, k - r + n - y_r, n - y_r)
+    numerator = _normalizer(alg, k - m, n - y_m)
+    denominator = _normalizer(alg, k - r, n - y_r)
     return tau_monomial(alg, -e, e) * numerator / denominator
 
 
@@ -105,38 +107,17 @@ def _grouped_closed_weight(params: SecondKindParams, scheme: GroupingScheme, y: 
     return tau_monomial(alg, e1, e2) * value
 
 
-def _grouped_marginal_closed_weight(
-    params: SecondKindParams, scheme: GroupingScheme, prefix: SupportPoint
-) -> Scalar:
-    alg, k, n = params.alg, params.k, params.n
-    s = scheme.partial_sums
-    nu = len(prefix)
-    z_nu = sum(prefix)
-    e1 = e2 = 0
-    z = 0
-    value = 1 if alg.exact else 1.0
-    for j in range(nu):
-        m_j, y_j = scheme.sizes[j], prefix[j]
-        z += y_j
-        e1 += (n - z - s[j]) * (m_j - 1)
-        e2 += (k - s[j] + 1) * y_j
-        value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
-    tail = binomial_or_zero(alg, k - s[nu - 1] + n - z_nu, n - z_nu)
-    return tau_monomial(alg, e1, e2) * value * tail
-
-
 MODEL = Model(
     name=KIND,
     cap=None,
     sum_min=lambda k, n: 0,
     sum_max=lambda k, n: n,
     area_weight=_area_weight,
-    normalizer=lambda params: deformed_binomial(params.alg, params.k + params.n, params.n),
+    normalizer=_normalizer,
     fit_bound=lambda params: _phi_constant_exponent(params.k, params.n) + params.k * params.n,
     marginal_weight=_marginal_closed_weight,
     conditional_value=_conditional_closed_value,
     grouped_weight=_grouped_closed_weight,
-    grouped_marginal_weight=_grouped_marginal_closed_weight,
 )
 
 

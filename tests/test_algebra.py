@@ -258,16 +258,16 @@ def test_make_preset_aliases():
 
 def test_inverse_is_built_once_per_algebra():
     exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
-    assert exact.inverse() is exact.inverse() is inverse_algebra(exact)
-    assert decimal.inverse() is decimal.inverse() is inverse_algebra(decimal)
+    inv_exact, inv_decimal = inverse_algebra(exact), inverse_algebra(decimal)
+    assert inverse_algebra(exact) is inv_exact and inverse_algebra(decimal) is inv_decimal
     # Equal parameter values in two modes: two inverses, each in its mode.
-    assert exact.inverse() is not decimal.inverse()
-    assert exact.inverse().tau2 == Fraction(2) and type(exact.inverse().tau2) is Fraction
-    assert decimal.inverse().tau2 == 2.0 and type(decimal.inverse().tau2) is float
+    assert inv_exact is not inv_decimal
+    assert inv_exact.tau2 == Fraction(2) and type(inv_exact.tau2) is Fraction
+    assert inv_decimal.tau2 == 2.0 and type(inv_decimal.tau2) is float
     # The memo takes no part in equality, and a copy starts without it.
     copy = replace(exact)
     assert copy == exact and copy._inverse is None
-    assert copy.inverse() == exact.inverse() and copy.inverse() is not exact.inverse()
+    assert inverse_algebra(copy) == inv_exact and inverse_algebra(copy) is not inv_exact
 
 
 def test_integer_constants_are_stored_as_fractions_in_exact_mode():

@@ -200,6 +200,36 @@ def test_approximate_overflow_exit_code():
     assert "p, q" in err and "exact mode" in err
 
 
+TINY = ("--preset", "js", "--p", "1e-200", "--q", "1e-300")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tabulate", "--kind", "first", "--k", "4", "--n", "2") + TINY,
+    ("tabulate", "--kind", "second", "--k", "4", "--n", "2") + TINY,
+    ("marginal", "--kind", "first", "--k", "4", "--n", "2", "--r", "1") + TINY,
+    ("sample", "--k", "4", "--n", "2", "--seed", "1", "--count", "3", "--sequential") + TINY,
+    ("verify", "--suite", "hs1", "--kmax", "3") + TINY,
+    ("verify", "--suite", "cauchy", "--kmax", "3") + TINY,
+    ("moments", "--kind", "first", "--preset", "js", "--p", "1e-300", "--q", "1e-310",
+     "--k", "2", "--n", "1"),
+], ids=" ".join)
+def test_approximate_underflow_exit_code(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "p, q" in err and "underflowed" in err and "exact mode" in err
+
+
+def test_exact_mode_division_by_zero_is_not_an_underflow(monkeypatch):
+    from rpq import cli
+
+    def divide(args, alg):
+        return [str(1 / (alg.q - alg.q))]
+
+    monkeypatch.setitem(cli._COMMANDS, "tabulate", divide)
+    with pytest.raises(ZeroDivisionError):
+        run_cli("tabulate", "--preset", "js", "--p", "9/10", "--q", "1/2", "--k", "2", "--n", "1")
+
+
 @pytest.mark.parametrize("suite", ("hs1", "triangular", "all"))
 def test_negative_nmax_exit_code(suite):
     code, out, err = run_cli("verify", "--suite", suite, "--preset", "js", "--p", "9/10",

@@ -43,15 +43,20 @@ def _mostly(valid, invalid):
 
 
 # Valid (p, q) pairs have 0 < q < p < 1, both rational (exact mode) or both
-# decimal (approximate mode).  Now and then p and q are anything at all:
-# zero denominators, 0, 1, negatives, mixed modes or missing.
+# decimal (approximate mode); now and then the decimals are so small that
+# approximate-mode floats underflow.  Now and then p and q are anything at
+# all: zero denominators, 0, 1, negatives, tiny decimals, mixed modes or
+# missing.
 unit_points = st.lists(st.integers(1, 99), min_size=2, max_size=2, unique=True).map(sorted)
-valid_pairs = st.tuples(unit_points, st.booleans()).map(
+TINY = ("1e-200", "1e-300", "1e-310")
+unit_pairs = st.tuples(unit_points, st.booleans()).map(
     lambda drawn: tuple(f"{v}/100" if drawn[1] else repr(v / 100) for v in reversed(drawn[0]))
 )
+tiny_pairs = st.sampled_from((("1e-200", "1e-300"), ("0.5", "1e-300"), ("1e-300", "1e-310")))
+valid_pairs = st.sampled_from((unit_pairs,) * 3 + (tiny_pairs,)).flatmap(lambda strategy: strategy)
 any_scalar = st.none() | st.builds(
     lambda a, b: f"{a}/{b}", st.integers(-1, 12), st.integers(0, 12)
-) | st.floats(-0.5, 1.5, allow_nan=False).map(lambda v: repr(round(v, 3)))
+) | st.floats(-0.5, 1.5, allow_nan=False).map(lambda v: repr(round(v, 3))) | st.sampled_from(TINY)
 pairs = _mostly(valid_pairs, st.tuples(any_scalar, any_scalar))
 # --tol must be finite and >= 0; argparse itself rejects non-numbers.
 BAD_TOLERANCES = ("-1", "-1e-12", "nan", "inf", "-inf", "abc")

@@ -10,6 +10,19 @@ import hashlib
 
 import pytest
 
+from rpq import (
+    FirstKindParams,
+    SecondKindParams,
+    compositions,
+    hs1_lhs,
+    hs2_lhs,
+    hsa_lhs,
+    hsb_lhs,
+    jagannathan_srinivasa,
+    q_deformation,
+)
+from rpq.occupancy import GroupingScheme, grouped_conditional_pmf, grouped_marginal_pmf
+from rpq.serialize import dumps_json, table_to_json_obj
 from test_cli import run_cli
 
 JS = ("--preset", "js", "--p", "9/10", "--q", "1/2")
@@ -97,3 +110,81 @@ def test_golden_stdout(argv):
     code, out, err = run_cli(*argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
+# Library laws no CLI command prints: the grouped marginal and grouped
+# conditional tables of every scheme with at least two blocks, at every nu
+# and every conditioning prefix the marginal supports.  The JSON carries the
+# joint-induced masses and the closed-form cross-check of each table.
+LIBRARY_CASES = {
+    ("first", "js-exact", 5, 3):
+        "f4ddf136f82a9a83f6470fbfd551d6d0410d1f29a1e34a6b3aace79d58f95fd1",
+    ("first", "js-decimal", 5, 3):
+        "5b0759f8c5017e0e0158e5af2dcbc14340de7efb87e665c5ba5c1ae2eef3d117",
+    ("first", "q-exact", 6, 4):
+        "e3bd59e58c642a6c26658d46ede7b802d89a3d647dc94ed9b4cbb74250016f64",
+    ("second", "js-exact", 4, 3):
+        "6625d0c775d3332783db9b064eaae59c22e8ccec04e2459b14135b5298f2ba8a",
+    ("second", "js-decimal", 4, 3):
+        "76faea0fb16d4ce5013dccda9383e173ff0576d105ec399b72900dd3b447b677",
+    ("second", "q-exact", 5, 2):
+        "dba9365ba3b196035a6cd5518ac80889592bc9abadbcbb5aaf3121d245bea514",
+}
+
+# repr of every per-tuple identity sum for k <= 5 (both windows of hs1 and
+# hsa, every grouping of hsa and hsb): the float bits of the decimal twin,
+# and the exact Fractions of the rational algebra.
+IDENTITY_SUM_DIGESTS = {
+    "js-exact": "c3f36963c698e723b57c20f539b4a90fc118bb816a29adaa59f549214abd088c",
+    "js-decimal": "3223410ff5335708ea1bff32531a25f3154a588b0b519c76c21204bb2da3a3c0",
+}
+
+
+LIBRARY_ALGEBRAS = {
+    "js-exact": jagannathan_srinivasa("9/10", "1/2"),
+    "js-decimal": jagannathan_srinivasa(0.9, 0.5),
+    "q-exact": q_deformation("1/2"),
+}
+
+
+def _grouped_laws_text(kind, alg, k, n):
+    params = (FirstKindParams if kind == "first" else SecondKindParams)(alg, k, n)
+    out = []
+    for sizes in compositions(k):
+        scheme = GroupingScheme(sizes)
+        for nu in range(1, len(sizes)):
+            marginal = grouped_marginal_pmf(params, scheme, nu)
+            out.append(dumps_json(table_to_json_obj(marginal)))
+            for given in marginal.support:
+                out.append(dumps_json(table_to_json_obj(grouped_conditional_pmf(params, scheme, given))))
+    return "".join(out)
+
+
+def _identity_sums_text(alg):
+    out = []
+    for k in range(1, 6):
+        for literal in (False, True):
+            for n in range(1, k + 2):
+                out.append(repr(hs1_lhs(alg, k, n, literal_window=literal)))
+                for groups in compositions(k):
+                    out.append(repr(hsa_lhs(alg, k, n, groups, literal_window=literal)))
+        for n in range(0, 6):
+            out.append(repr(hs2_lhs(alg, k, n)))
+            for groups in compositions(k):
+                out.append(repr(hsb_lhs(alg, k, n, groups)))
+    return "\n".join(out)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_CASES), ids=lambda c: "-".join(map(str, c)))
+def test_golden_grouped_marginal_and_conditional_laws(case):
+    kind, algebra, k, n = case
+    assert _digest(_grouped_laws_text(kind, LIBRARY_ALGEBRAS[algebra], k, n)) == LIBRARY_CASES[case]
+
+
+@pytest.mark.parametrize("algebra", list(IDENTITY_SUM_DIGESTS))
+def test_golden_per_tuple_identity_sums(algebra):
+    assert _digest(_identity_sums_text(LIBRARY_ALGEBRAS[algebra])) == IDENTITY_SUM_DIGESTS[algebra]

@@ -162,16 +162,15 @@ def _per_tuple_lhs(alg, rep, literal):
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: f"{alg.name}-{alg.describe()['mode']}")
 def test_walked_sums_equal_per_tuple_sums(alg):
     # verify_identity walks each family once (one recursion per k for hs1
-    # and hs2, one walk per (k, n) over the group-size prefixes for hsa and
-    # hsb, integer layers in exact mode); each lhs must be the per-tuple
-    # sum itself, to the last bit in approximate mode.
-    runs = [(suite, literal, all_groupings, nmax)
-            for suite in ("hs1", "hsa") for literal in (False, True) for all_groupings in (True, False)
-            for nmax in (None, 3)]
-    runs += [("hs2", False, True, nmax) for nmax in (None, 2, 9)]
-    runs += [("hsb", False, all_groupings, nmax) for all_groupings in (True, False) for nmax in (None, 3)]
-    for suite, literal, all_groupings, nmax in runs:
-        reports = verify_identity(suite, alg, 6, nmax, literal_window=literal, all_groupings=all_groupings)
+    # and hs2, one walk per (k, n) over every group-size prefix for hsa and
+    # hsb); each lhs must be the per-tuple sum, a run for one n or down one
+    # grouping's path, to the last bit in approximate mode.
+    runs = [(suite, literal, nmax)
+            for suite in ("hs1", "hsa") for literal in (False, True) for nmax in (None, 3)]
+    runs += [("hs2", False, nmax) for nmax in (None, 2, 9)]
+    runs += [("hsb", False, nmax) for nmax in (None, 3)]
+    for suite, literal, nmax in runs:
+        reports = verify_identity(suite, alg, 6, nmax, literal_window=literal)
         assert reports
         for rep in reports:
             want = _per_tuple_lhs(alg, rep, literal)

@@ -13,7 +13,7 @@ from rpq import (
     sequential_sample,
 )
 from rpq.first_kind import joint_pmf
-from rpq.sampler import SplitMix64, _integer_thresholds
+from rpq.sampler import SplitMix64
 
 
 def test_generator_is_fully_specified():
@@ -38,7 +38,7 @@ def test_point_mass_draws():
 
 def test_threshold_selection_rule():
     table = joint_pmf(FirstKindParams(Q_HALF, 2, 1))
-    thresholds = _integer_thresholds(table)
+    thresholds = table.cdf_thresholds()
     denom = 1 << 53
     # u = 0.6 lies between 4/7 and 6/7, so the second point is selected
     u = int(0.6 * denom)
