@@ -42,6 +42,7 @@ _EXPORTS = {
         "CapacityError",
         "ModeMixError",
         "RpqError",
+        "UnderflowError",
         "ValidationError",
         "ZeroProbabilityEventError",
     ),

@@ -385,6 +385,43 @@ def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
     return value
 
 
+def closed_form(
+    alg: AlgebraSpec,
+    a: int,
+    b: int,
+    factors: Sequence[Scalar],
+    scale: Optional[Scalar] = None,
+    divisor: Optional[Scalar] = None,
+) -> Scalar:
+    """tau1^a tau2^b * prod(factors) [* scale] [/ divisor].
+
+    In exact mode the numerators and denominators are multiplied as
+    integers and one Fraction is built at the end.  In approximate mode the
+    floats are taken in the order (tau1^a tau2^b * ((1.0 * f1) * f2 ...))
+    * scale / divisor, so a value keeps every bit of that chain.
+    """
+    mono = tau_monomial(alg, a, b)
+    if not alg.exact:
+        product = 1.0
+        for factor in factors:
+            product *= factor
+        value = mono * product
+        if scale is not None:
+            value *= scale
+        return value if divisor is None else value / divisor
+    numerator, denominator = mono.numerator, mono.denominator
+    for factor in factors:
+        numerator *= factor.numerator
+        denominator *= factor.denominator
+    if scale is not None:
+        numerator *= scale.numerator
+        denominator *= scale.denominator
+    if divisor is not None:
+        numerator *= divisor.denominator
+        denominator *= divisor.numerator
+    return Fraction(numerator, denominator)
+
+
 def deformed_falling_factorial(alg: AlgebraSpec, n: int, i: int) -> Scalar:
     """[n][n-1]...[n-i+1]; empty product 1 for i = 0, and 0 once i > n."""
     if n < 0 or i < 0:

@@ -24,7 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import serialize
 from .algebra import IDENTITY_IDS, AlgebraSpec, check_triangular_recurrence, load_algebra_config, make_preset
-from .errors import CapacityError, ModeMixError, RpqError, ValidationError, ZeroProbabilityEventError
+from .errors import (CapacityError, ModeMixError, RpqError, UnderflowError, ValidationError,
+                     ZeroProbabilityEventError)
 
 OUTPUT_DIR_ENV = "RPQ_OUTPUT_DIR"
 
@@ -322,10 +323,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ValidationError, ModeMixError, ZeroProbabilityEventError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RpqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, UnderflowError) as exc:
         # In approximate mode a division by zero divides by a float that
         # underflowed; in exact mode it is a fault of the program.
         if isinstance(exc, ZeroDivisionError) and (alg is None or alg.exact):
@@ -336,6 +334,9 @@ def main(argv: Optional[list] = None) -> int:
             "rational p and q (e.g. 1/10) run in exact mode",
             file=sys.stderr,
         )
+        return 2
+    except RpqError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -19,3 +19,8 @@ class CapacityError(RpqError):
 
 class ZeroProbabilityEventError(RpqError):
     """A conditioning event has probability zero."""
+
+
+class UnderflowError(RpqError, ArithmeticError):
+    """An approximate-mode value that is positive in exact arithmetic
+    rounded to 0.0."""

@@ -36,6 +36,7 @@ from typing import Tuple
 from .algebra import (
     AlgebraSpec,
     binomial_or_zero,
+    closed_form,
     deformed_binomial,
     deformed_number,
     inverse_algebra,
@@ -73,7 +74,7 @@ def _marginal_closed_weight(params: FirstKindParams, r: int, key: Tuple[int, int
     y, e = key
     g = (k - n - r + y) * y + e
     c2 = comb(y, 2)
-    return tau_monomial(alg, c2 + k * n - g, g - c2) * _normalizer(alg, k - r, n - y)
+    return closed_form(alg, c2 + k * n - g, g - c2, (_normalizer(alg, k - r, n - y),))
 
 
 def _conditional_closed_value(
@@ -91,23 +92,26 @@ def _conditional_closed_value(
     t, e = _suffix_key(given, m, key)
     h = (k - m - n + y_m) * t + e
     c2 = comb(t, 2)
-    numerator = _normalizer(alg, k - m, n - y_m)
-    denominator = _normalizer(alg, k - r, n - y_r)
-    return tau_monomial(alg, c2 + k * n - h, h - c2) * numerator / denominator
+    return closed_form(alg, c2 + k * n - h, h - c2, (_normalizer(alg, k - m, n - y_m),),
+                       divisor=_normalizer(alg, k - r, n - y_r))
 
 
-def _grouped_closed_weight(params: FirstKindParams, scheme: GroupingScheme, y: SupportPoint) -> Scalar:
+def _grouped_closed_weight(
+    params: FirstKindParams, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
+) -> Scalar:
+    """Closed weight of the block counts `y` (all blocks, or the leading
+    ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     e1 = e2 = 0
     z = 0
-    value = 1 if alg.exact else 1.0
+    binomials = []
     for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
         z += y_j
         e1 += (n - z - s[j]) * (m_j - y_j)
         e2 += (k - s[j] - n + z + 1) * y_j
-        value *= deformed_binomial(alg, m_j, y_j)
-    return tau_monomial(alg, e1, e2) * value
+        binomials.append(deformed_binomial(alg, m_j, y_j))
+    return closed_form(alg, e1, e2, binomials, scale, divisor)
 
 
 MODEL = Model(

@@ -45,7 +45,10 @@ class Model:
     `area_weight(params, e)` is the joint weight of area class e,
     `fit_bound(params)` the normalizer's discrepancy-fit bound, and the last
     three give closed weights for the marginal (per (sum, area) class key),
-    the conditional (per m-prefix key) and the grouped law.
+    the conditional (per m-prefix key) and the grouped law;
+    `grouped_weight(params, scheme, y, scale=None, divisor=None)` also
+    multiplies by `scale` and divides by `divisor` within its one closed
+    form (`algebra.closed_form`).
     """
 
     name: str
@@ -138,7 +141,7 @@ def joint_pmf(params: OccupancyParams) -> PmfTable:
 def _accumulate(
     points: Sequence[SupportPoint], masses: Sequence[Scalar], project, exact: bool
 ) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """Summed mass per projected key (`pmf.class_sum`), in sorted key order."""
+    """Summed mass per projected key (`pmf.grouped_sums`), in sorted key order."""
     acc = grouped_sums(((project(point), mass) for point, mass in zip(points, masses)), exact)
     items = sorted(acc.items())
     return tuple(p for p, _ in items), tuple(m for _, m in items)
@@ -303,7 +306,8 @@ def _grouped_marginal_weight(
     model = params.model
     rest_k = params.k - scheme.partial_sums[len(prefix) - 1]
     rest_n = params.n - sum(prefix)
-    return model.grouped_weight(params, scheme, prefix) * model.normalizer(params.alg, rest_k, rest_n)
+    scale = model.normalizer(params.alg, rest_k, rest_n)
+    return model.grouped_weight(params, scheme, prefix, scale=scale)
 
 
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
@@ -338,7 +342,8 @@ def grouped_conditional_pmf(
     model = params.model
     support, masses, _ = _given_block(*block_masses(params, scheme), given)
     prefix_weight = _grouped_marginal_weight(params, scheme, given)
-    closed = [model.grouped_weight(params, scheme, given + suffix) / prefix_weight for suffix in support]
+    closed = [model.grouped_weight(params, scheme, given + suffix, divisor=prefix_weight)
+              for suffix in support]
     return make_table(
         kind=f"{model.name}-grouped-conditional",
         params=_table_params(params, table="grouped-conditional", scheme=list(scheme.sizes),

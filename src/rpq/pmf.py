@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
-from operator import add, lt
+from operator import add, lt, mul
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
-from .errors import ModeMixError, ValidationError
+from .errors import ModeMixError, UnderflowError, ValidationError
 from .lattice import SupportPoint, area
 from .scalars import Scalar, scalars_close
 
@@ -27,32 +27,54 @@ CDF_BITS = 53
 CDF_SCALE = 1 << CDF_BITS
 
 
-def class_sum(values: Sequence[Scalar], exact: bool) -> Scalar:
-    """Sum of `values` (at least one).
+def _over_lcm(values: Iterable[Scalar]) -> Tuple[List[int], int]:
+    """Each of `values` (ints or Fractions) as a numerator over the lcm of
+    their denominators, and that lcm."""
+    values = list(values)
+    denominators = [v.denominator for v in values]
+    denominator = lcm(*denominators)
+    return [v.numerator * (denominator // d) for v, d in zip(values, denominators)], denominator
 
-    Points of one weight class share one weight object, and so do sums and
-    quotients built from it.  In exact mode the values are grouped by object
-    identity and each class adds multiplicity * value, over a common
-    denominator in integers: one term per class, the same rational as the
-    point-by-point sum.  A lone value is returned as is, and two are simply
-    added.  In approximate mode the values are added left to right, so the
-    float rounds as the point-by-point sum does.
+
+def _normalized(
+    values: Sequence[Scalar], exact: bool, nonpositive: str
+) -> Tuple[Scalar, Dict[int, Scalar], Counter]:
+    """The sum of `values` (at least one), value / sum per distinct value
+    object keyed by its id, and each object's multiplicity, both in
+    first-seen order.
+
+    Points of one class share one value object, so each quotient is
+    computed once per class.  In exact mode the distinct values are brought
+    to the lcm of their denominators as integers; the sum is one Fraction of
+    the multiplicity-weighted numerators, and each quotient the Fraction
+    (scaled numerator, that integer sum): the same rationals as a
+    point-by-point sum and division.  In approximate mode the values are
+    added left to right, as a point-by-point sum rounds.  A sum that is not
+    positive raises ValidationError(f"{nonpositive} {sum}").
     """
-    if not exact or len(values) < 3:
-        return reduce(add, values)
     counts = Counter(map(id, values))
-    value_of = dict(zip(map(id, values), values))
-    classes = [(value_of[i], m) for i, m in counts.items()]
-    denominator = lcm(*[v.denominator for v, _ in classes])
-    numerator = sum(m * v.numerator * (denominator // v.denominator) for v, m in classes)
-    return Fraction(numerator, denominator)
+    objects = dict(zip(map(id, values), values))
+    if exact:
+        scaled, denominator = _over_lcm(objects.values())
+        total = sum(map(mul, counts.values(), scaled))
+        z = Fraction(total, denominator)
+    else:
+        z = reduce(add, values)
+    if z <= 0:
+        raise ValidationError(f"{nonpositive} {z}")
+    if exact:
+        quotient = dict(zip(objects, [Fraction(s, total) for s in scaled]))
+    else:
+        quotient = {i: v / z for i, v in objects.items()}
+    return z, quotient, counts
 
 
 def grouped_sums(
     pairs: Iterable[Tuple[Hashable, Scalar]], exact: bool
 ) -> Dict[Hashable, Scalar]:
-    """`class_sum` of the values of each key over (key, value) pairs, keys in
-    first-seen order.
+    """The sum of the values of each key over (key, value) pairs, keys in
+    first-seen order; in approximate mode each key adds its values left to
+    right.
 
     Many keys hold a few values each, so in exact mode each distinct value
     object is brought once to a denominator common to all the values, and a
@@ -65,25 +87,13 @@ def grouped_sums(
     if not exact:
         return {key: reduce(add, group) for key, group in groups.items()}
     distinct = {id(v): v for group in groups.values() for v in group}
-    denominator = lcm(*[v.denominator for v in distinct.values()])
-    scaled = {i: v.numerator * (denominator // v.denominator) for i, v in distinct.items()}
+    numerators, denominator = _over_lcm(distinct.values())
+    scaled = dict(zip(distinct, numerators))
     return {
         key: group[0] if len(group) == 1
         else Fraction(sum([scaled[id(v)] for v in group]), denominator)
         for key, group in groups.items()
     }
-
-
-def class_quotients(values: Sequence[Scalar], total: Scalar, exact: bool) -> Dict[int, Scalar]:
-    """value / total per distinct value object, keyed by its id: one quotient
-    shared by the points of a class.  In exact mode the quotient is built
-    from integers, Fraction(num(v) den(t), den(v) num(t)), so it is a
-    Fraction even when the values are ints; `total` is nonzero."""
-    distinct = dict(zip(map(id, values), values))
-    if exact:
-        tn, td = total.numerator, total.denominator
-        return {i: Fraction(v.numerator * td, v.denominator * tn) for i, v in distinct.items()}
-    return {i: v / total for i, v in distinct.items()}
 
 
 @dataclass(frozen=True)
@@ -185,11 +195,25 @@ class PmfTable:
 
     def zero_bound(self, prefix: SupportPoint) -> Scalar:
         """Threshold on a 53-bit mantissa below which the point extending
-        `prefix` takes the value 0 next: ceil(m0 / m * 2^53) in exact mode,
-        m0 / m * 2^53 in approximate mode, where m is the prefix mass and m0
-        the mass of prefix + (0,).  Memoised per prefix."""
-        bound = self._zero_bounds.get(prefix)
+        the 0/1 `prefix` takes the value 0 next: ceil(m0 / m * 2^53) in
+        exact mode, m0 / m * 2^53 in approximate mode, where m is the prefix
+        mass and m0 the mass of prefix + (0,).  Memoised per prefix, by its
+        node index (`node_zero_bound`)."""
+        node = 1
+        for bit in prefix:
+            if bit not in (0, 1):
+                raise ValidationError(f"zero_bound: need a 0/1 prefix, got {prefix}")
+            node = 2 * node + bit
+        return self.node_zero_bound(node)
+
+    def node_zero_bound(self, node: int) -> Scalar:
+        """`zero_bound` of the prefix at `node` of the binary tree of 0/1
+        prefixes: the root (the empty prefix) is 1 and the child of a node
+        by the next coordinate b is 2 * node + b (`node_prefix` reads the
+        prefix back).  Memoised per node, filled on first use."""
+        bound = self._zero_bounds.get(node)
         if bound is None:
+            prefix = node_prefix(node)
             zero_mass = self.prefix_mass(prefix + (0,))
             total = self.prefix_mass(prefix)
             if self.exact:
@@ -197,8 +221,14 @@ class PmfTable:
                 bound = -(-frac.numerator // frac.denominator)
             else:
                 bound = (zero_mass / total) * CDF_SCALE
-            self._zero_bounds[prefix] = bound
+            self._zero_bounds[node] = bound
         return bound
+
+
+def node_prefix(node: int) -> SupportPoint:
+    """The 0/1 prefix at `node` of the tree `PmfTable.node_zero_bound`
+    walks: the binary digits of `node` after its leading 1."""
+    return tuple(map(int, bin(node)[3:]))
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -231,17 +261,27 @@ def make_table(
         raise ValidationError(f"{kind} table: {len(support)} points vs {len(weights)} weights")
     if not all(map(lt, support, support[1:])):
         raise ValidationError(f"{kind} table: support is not strictly increasing")
-    z = class_sum(weights, alg.exact)
+    z, quotient, counts = _normalized(weights, alg.exact, f"{kind} table: nonpositive normalizer")
     if alg.exact:
-        z = Fraction(z)
-    if z <= 0:
-        raise ValidationError(f"{kind} table: nonpositive normalizer {z}")
-    quotient = class_quotients(weights, z, alg.exact)
-    for prob in quotient.values():
-        if prob < 0:
-            raise ValidationError(f"{kind} table: negative probability {prob}")
+        for prob in quotient.values():
+            if prob.numerator < 0:
+                raise ValidationError(f"{kind} table: negative probability {prob}")
+        # The probabilities themselves, summed over their own lcm.
+        scaled, denominator = _over_lcm(quotient.values())
+        total = Fraction(sum(map(mul, counts.values(), scaled)), denominator)
+    else:
+        # Every support point of an rpq law has positive exact mass, so a
+        # weight or probability that is 0.0 (its probability then is too)
+        # has underflowed.
+        for i, prob in quotient.items():
+            if prob < 0:
+                raise ValidationError(f"{kind} table: negative probability {prob}")
+            if prob == 0:
+                point = next(x for x, w in zip(support, weights) if id(w) == i)
+                raise UnderflowError(f"{kind} table: the probability of {point} is 0.0")
     probabilities = tuple(map(quotient.__getitem__, map(id, weights)))
-    total = class_sum(probabilities, alg.exact)
+    if not alg.exact:
+        total = reduce(add, probabilities)
     if not scalars_close(total, 1, alg.exact, alg.tol):
         raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
 
@@ -254,12 +294,11 @@ def make_table(
         closed_values = tuple(closed_values)
         if len(closed_values) != len(support):
             raise ValidationError(f"{kind} table: closed-form values mismatch support size")
-        closed_total = class_sum(closed_values, alg.exact)
-        if closed_total <= 0:
-            raise ValidationError(f"{kind} table: closed form sums to {closed_total}")
         # As for the weights: one quotient per distinct closed-value object,
         # and one comparison per distinct (closed, probability) pair.
-        closed_quotient = class_quotients(closed_values, closed_total, alg.exact)
+        _, closed_quotient, _ = _normalized(
+            closed_values, alg.exact, f"{kind} table: closed form sums to"
+        )
         closed_probs = tuple(map(closed_quotient.__getitem__, map(id, closed_values)))
         pairs = dict(zip(
             zip(map(id, closed_probs), map(id, probabilities)), zip(closed_probs, probabilities)

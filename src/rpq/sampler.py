@@ -28,7 +28,7 @@ from typing import Dict, Iterator, Mapping, Tuple
 from .errors import ValidationError
 from .lattice import SupportPoint
 from .occupancy import OccupancyParams, joint_pmf
-from .pmf import CDF_BITS, PmfTable
+from .pmf import CDF_BITS, PmfTable, node_prefix
 from .scalars import Scalar
 
 _MASK64 = (1 << 64) - 1
@@ -134,14 +134,18 @@ def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleB
         raise ValidationError(f"count: need count >= 1, got {count}")
     table = joint_pmf(params)
     k = params.k
+    # Each draw walks the tree of 0/1 prefixes by node index (root 1, child
+    # 2 * node + bit) and reads each node's bound from the table's memo.
+    zero_bound = table.node_zero_bound
     outputs = _outputs(seed)
-    draws = []
+    nodes = []
     for _ in range(count):
-        prefix: SupportPoint = ()
+        node = 1
         for u in islice(outputs, k):
-            prefix = prefix + (0 if u >> _MANTISSA_SHIFT < table.zero_bound(prefix) else 1,)
-        draws.append(prefix)
-    draws = tuple(draws)
+            node = 2 * node + (u >> _MANTISSA_SHIFT >= zero_bound(node))
+        nodes.append(node)
+    points = {node: node_prefix(node) for node in set(nodes)}
+    draws = tuple(map(points.__getitem__, nodes))
     batch_params = dict(table.params)
     batch_params["sampler"] = "sequential"
     return SampleBatch(batch_params, seed, count, draws, _empirical(draws, count))

@@ -34,6 +34,7 @@ from typing import Tuple
 from .algebra import (
     AlgebraSpec,
     binomial_or_zero,
+    closed_form,
     deformed_factorial,
     deformed_falling_factorial,
     deformed_number,
@@ -72,7 +73,7 @@ def _marginal_closed_weight(params: SecondKindParams, r: int, key: Tuple[int, in
     alg, k, n = params.alg, params.k, params.n
     y, area_p = key
     e = (k - r) * y + area_p
-    return tau_monomial(alg, _phi_constant_exponent(k, n) - e, e) * _normalizer(alg, k - r, n - y)
+    return closed_form(alg, _phi_constant_exponent(k, n) - e, e, (_normalizer(alg, k - r, n - y),))
 
 
 def _conditional_closed_value(
@@ -88,23 +89,26 @@ def _conditional_closed_value(
     y_m = key[0]
     t, area_s = _suffix_key(given, m, key)
     e = (k - m) * t + area_s
-    numerator = _normalizer(alg, k - m, n - y_m)
-    denominator = _normalizer(alg, k - r, n - y_r)
-    return tau_monomial(alg, -e, e) * numerator / denominator
+    return closed_form(alg, -e, e, (_normalizer(alg, k - m, n - y_m),),
+                       divisor=_normalizer(alg, k - r, n - y_r))
 
 
-def _grouped_closed_weight(params: SecondKindParams, scheme: GroupingScheme, y: SupportPoint) -> Scalar:
+def _grouped_closed_weight(
+    params: SecondKindParams, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
+) -> Scalar:
+    """Closed weight of the block counts `y` (all blocks, or the leading
+    ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     e1 = e2 = 0
     z = 0
-    value = 1 if alg.exact else 1.0
+    binomials = []
     for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
         z += y_j
         e1 += (n - z - s[j]) * (m_j - 1)
         e2 += (k - s[j] + 1) * y_j
-        value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
-    return tau_monomial(alg, e1, e2) * value
+        binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
+    return closed_form(alg, e1, e2, binomials, scale, divisor)
 
 
 MODEL = Model(

@@ -212,11 +212,21 @@ TINY = ("--preset", "js", "--p", "1e-200", "--q", "1e-300")
     ("verify", "--suite", "cauchy", "--kmax", "3") + TINY,
     ("moments", "--kind", "first", "--preset", "js", "--p", "1e-300", "--q", "1e-310",
      "--k", "2", "--n", "1"),
+    # Positive weights that round to 0.0, with nothing divided by zero.
+    ("tabulate", "--preset", "q", "--q", "1e-310", "--kind", "first", "--k", "4", "--n", "4"),
 ], ids=" ".join)
 def test_approximate_underflow_exit_code(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert "p, q" in err and "underflowed" in err and "exact mode" in err
+
+
+def test_underflowed_table_writes_no_output_file(tmp_path):
+    target = tmp_path / "table.csv"
+    code, out, err = run_cli("tabulate", "--preset", "q", "--q", "1e-310", "--kind", "first",
+                             "--k", "4", "--n", "4", "--output", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert "the probability of (1, 1, 0, 1) is 0.0" in err
 
 
 def test_exact_mode_division_by_zero_is_not_an_underflow(monkeypatch):

@@ -19,7 +19,8 @@ from math import comb
 import pytest
 
 from conftest import ALL_PRESETS, JS
-from rpq import ZeroProbabilityEventError, jagannathan_srinivasa, q_deformation
+from rpq import (ZeroProbabilityEventError, chakrabarty_jagannathan, jagannathan_srinivasa,
+                 q_deformation, quesne, sequential_sample)
 from rpq import first_kind, occupancy, pmf, second_kind
 from rpq.algebra import MonomialFit, binomial_or_zero, deformed_binomial, fit_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme
@@ -263,6 +264,58 @@ def test_grouped_records_equal_per_point(case):
                     _assert_records(table, params, suffixes, masses, closed)
 
 
+DECIMAL_PRESETS = (jagannathan_srinivasa(0.9, 0.5), q_deformation(0.5), quesne(0.9, 0.5),
+                   chakrabarty_jagannathan(0.9, 0.5))
+
+
+def _same(value, reference):
+    assert value == reference
+    assert type(value) is type(reference)
+    assert repr(value) == repr(reference)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(module, alg) for module in (first_kind, second_kind) for alg in ALL_PRESETS + DECIMAL_PRESETS],
+    ids=_kind_id,
+)
+def test_closed_form_hooks_equal_chained_products(case):
+    """Each closed-form hook against the per-point formulas above, which
+    chain plain Fraction (or float) products: tau1^a * tau2^b times the
+    normalizer, times the numerator and over the denominator, or times a
+    running product of binomials.  Value, type and repr, k <= 6."""
+    module, alg = case
+    model = module.MODEL
+    marginal, conditional, grouped, grouped_marginal = CLOSED[module]
+    if module is first_kind:
+        cases = [FirstKindParams(alg, k, n) for k in range(1, 7) for n in range(k + 2)]
+    else:
+        cases = [SecondKindParams(alg, k, n) for k in range(1, 7) for n in range(4)]
+    for params in cases:
+        joint = module.joint_pmf(params)
+        k = params.k
+        for m in range(1, k):
+            for x in joint.cut_masses(m)[0]:
+                key = (sum(x), area(x))
+                _same(model.marginal_weight(params, m, key), marginal(params, x))
+                for r in range(1, m):
+                    _same(model.conditional_value(params, x[:r], m, key),
+                          conditional(params, x[:r], x[r:]))
+        for sizes in _compositions(k):
+            scheme = GroupingScheme(sizes)
+            prefix_weights = {}
+            for y in module.block_masses(params, scheme)[0]:
+                weight = grouped(params, scheme, y)
+                _same(model.grouped_weight(params, scheme, y), weight)
+                for prefix in (y[:nu] for nu in range(1, len(sizes))):
+                    if prefix not in prefix_weights:
+                        prefix_weights[prefix] = grouped_marginal(params, scheme, prefix)
+                        _same(occupancy._grouped_marginal_weight(params, scheme, prefix),
+                              prefix_weights[prefix])
+                    _same(model.grouped_weight(params, scheme, y, divisor=prefix_weights[prefix]),
+                          weight / prefix_weights[prefix])
+
+
 def _clear_caches():
     for module in (first_kind, second_kind):
         module.joint_pmf.cache_clear()
@@ -354,7 +407,13 @@ def test_cold_derived_call_sums_one_cut_or_scheme():
 
 
 def test_replace_starts_with_empty_memos():
-    joint = first_kind.joint_pmf(FirstKindParams(JS, 5, 3))
+    params = FirstKindParams(JS, 5, 3)
+    _clear_caches()
+    joint = first_kind.joint_pmf(params)
+    assert joint._zero_bounds == {}
+    # The sequential walk fills the bound memo on use, from the root (node 1).
+    sequential_sample(params, 1, 20)
+    assert 1 in joint._zero_bounds
     joint.prefix_masses()
     joint.cdf_thresholds()
     joint.zero_bound((0, 1))

@@ -237,6 +237,42 @@ def test_memoised_zero_bounds_equal_uncached(alg):
             assert table.zero_bound(prefix) == expected
 
 
+def _prefix_walk(table, k, seed, count):
+    """Sequential draws that call `table.zero_bound(prefix)` at every
+    coordinate."""
+    gen = _SplitMix64(seed)
+    draws = []
+    for _ in range(count):
+        prefix = ()
+        for _coord in range(k):
+            prefix += (0 if gen.next_mantissa() < table.zero_bound(prefix) else 1,)
+        draws.append(prefix)
+    return tuple(draws)
+
+
+@pytest.mark.parametrize("alg", PRESETS, ids=lambda a: f"{a.name}-{'exact' if a.exact else 'approx'}")
+def test_node_walk_equals_prefix_walk(alg):
+    for params in [FirstKindParams(alg, k, n) for k in (1, 2, 3, 5, 6) for n in range(k + 2)]:
+        first_kind.joint_pmf.cache_clear()
+        # The first seed walks a fresh table, the others a warm one.
+        for seed in (1, 7, 12345, (1 << 64) - 1):
+            batch = sequential_sample(params, seed, 150)
+            # `replace` gives the reference its own, empty memos.
+            reference = replace(first_kind.joint_pmf(params))
+            assert batch.draws == _prefix_walk(reference, params.k, seed, 150)
+            assert batch.empirical == _frequencies(batch.draws)
+        # The walk's memo holds the bounds of support prefixes only, by node.
+        joint = first_kind.joint_pmf(params)
+        nodes = {int("1" + "".join(map(str, p)), 2) for p in joint.prefix_masses() if len(p) < params.k}
+        assert 1 in joint._zero_bounds and set(joint._zero_bounds) <= nodes
+
+
+def test_zero_bound_needs_a_binary_prefix():
+    joint = second_kind.joint_pmf(SecondKindParams(Q_HALF, 2, 2))
+    with pytest.raises(ValidationError, match="0/1 prefix"):
+        joint.zero_bound((2,))
+
+
 def test_approximate_draw_past_last_threshold_takes_last_point():
     joint = first_kind.joint_pmf(FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 2))
     # Half the mass is missing, so about half of the variates fall past the

@@ -8,17 +8,19 @@ with `==`, floats included: the class engine must reproduce the scan bit
 for bit.
 """
 
+import re
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from conftest import ALL_PRESETS, JS, Q_HALF
-from rpq import ValidationError, jagannathan_srinivasa
+from rpq import UnderflowError, ValidationError, jagannathan_srinivasa
 from rpq import first_kind, second_kind
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
-from rpq.pmf import class_sum, make_table
+from rpq.pmf import ClosedFormCheck, make_table
+from rpq.scalars import scalars_close
 from rpq.second_kind import SecondKindParams
 from test_query_equivalence import _compositions
 
@@ -96,6 +98,15 @@ def test_marginals_grouped_and_prefix_masses_equal_scan(case):
         assert joint.prefix_masses() == expected
 
 
+def _normalized(values, exact):
+    """Point-by-point reference: the in-order sum (of Fractions in exact
+    mode) and each value divided by it."""
+    if exact:
+        values = [Fraction(v) for v in values]
+    total = _in_order(values)
+    return total, tuple(v / total for v in values)
+
+
 @pytest.mark.parametrize("alg", [JS, Q_HALF, jagannathan_srinivasa(0.9, 0.5)], ids=lambda a: a.name)
 def test_make_table_with_fresh_and_repeated_weight_objects(alg):
     one = Fraction(1) if alg.exact else 1.0
@@ -103,17 +114,43 @@ def test_make_table_with_fresh_and_repeated_weight_objects(alg):
     # Equal values, distinct objects: nothing is shared.
     fresh = [v * one for v in values]
     assert len({id(v) for v in fresh}) == len(fresh)
-    # One object repeated at every point.
     shared = alg.tau2**2
-    for weights in (fresh, [shared] * 6):
+    cases = [
+        (fresh, None),
+        # One object repeated at every point, and a single point.
+        ([shared] * 6, None),
+        ([shared], None),
+        # One closed-value object at every point, and objects shared by some.
+        (fresh, [shared] * 7),
+        (fresh, [values[0], shared, shared, values[0], fresh[4], shared, values[0]]),
+        ([shared] * 3, [shared, values[3], shared]),
+        ([shared], [values[1]]),
+    ]
+    if alg.exact:
+        # Plain ints, repeated and single.
+        cases += [([3, 1, 1, 2, 3], [1, 2, 2, 1, 2]), ([5], [7]), ([2, 2], None)]
+    scalar = Fraction if alg.exact else float
+    for weights, closed in cases:
         support = tuple((i,) for i in range(len(weights)))
         table = make_table(kind="t", params={}, coord_labels=("x",), support=support,
-                           weights=weights, alg=alg)
-        _assert_table(table, support, tuple(weights))
-        assert class_sum(table.probabilities, alg.exact) == _in_order(table.probabilities)
-    if alg.exact:
-        assert class_sum([shared] * 6, True) == 6 * shared
-        assert class_sum([shared], True) is shared
+                           weights=weights, alg=alg, closed_values=closed)
+        z, probabilities = _normalized(weights, alg.exact)
+        assert table.weights == tuple(weights)
+        assert (table.z_enumerated, table.probabilities) == (z, probabilities)
+        assert repr((table.z_enumerated, table.probabilities)) == repr((z, probabilities))
+        assert all(type(v) is scalar for v in (table.z_enumerated, *table.probabilities))
+        if closed is None:
+            assert table.closed_form_check is None
+            continue
+        closed_probs = _normalized(closed, alg.exact)[1]
+        equal = all(scalars_close(a, b, alg.exact, alg.tol) for a, b in zip(closed_probs, probabilities))
+        assert table.closed_form_check == ClosedFormCheck(closed_probs, equal)
+        assert repr(table.closed_form_check.probabilities) == repr(closed_probs)
+        assert all(type(v) is scalar for v in table.closed_form_check.probabilities)
+    # Shared closed values that equal some of the probabilities only.
+    table = make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,), (2,)),
+                       weights=[shared, shared, shared * 2], alg=alg, closed_values=[shared] * 3)
+    assert table.closed_form_check.pointwise_equal is False
 
 
 def test_make_table_checks_each_distinct_value():
@@ -121,3 +158,17 @@ def test_make_table_checks_each_distinct_value():
     with pytest.raises(ValidationError, match="negative probability -1/2"):
         make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,), (2,)),
                    weights=(Fraction(1), negative, Fraction(2)), alg=Q_HALF)
+
+
+def test_approximate_make_table_refuses_a_zero_weight_or_probability():
+    decimal = jagannathan_srinivasa(0.9, 0.5)
+    support = ((0,), (1,), (2,))
+    # A weight that is 0.0, and a positive weight whose probability is 0.0.
+    for weights, point in (((1.0, 0.0, 2.0), (1,)), ((1e300, 1e300, 1e-300), (2,))):
+        with pytest.raises(UnderflowError, match=re.escape(f"probability of {point} is 0.0")):
+            make_table(kind="t", params={}, coord_labels=("x",), support=support,
+                       weights=weights, alg=decimal)
+    # A closed form may be 0.
+    table = make_table(kind="t", params={}, coord_labels=("x",), support=support,
+                       weights=(1.0, 1.0, 2.0), alg=decimal, closed_values=(0.0, 1.0, 1.0))
+    assert table.closed_form_check.probabilities == (0.0, 0.5, 0.5)
