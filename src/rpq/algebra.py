@@ -131,7 +131,9 @@ class AlgebraSpec:
         return out
 
 
-def _coerce(value: Union[Scalar, str], approximate: bool) -> Scalar:
+def coerce_scalar(value: Union[Scalar, str], approximate: bool) -> Scalar:
+    """A number, or a string `parse_scalar` reads, as a float in approximate
+    mode and as a Fraction otherwise; a float in exact mode is refused."""
     if isinstance(value, str):
         value = parse_scalar(value)
     if isinstance(value, bool) or not isinstance(value, (Fraction, float, int)):
@@ -151,7 +153,7 @@ def _preset_parameters(p, q, tol):
     approximate = any(isinstance(v, float) for v in raw)
     if approximate and not all(isinstance(v, float) for v in raw):
         raise ModeMixError("p and q must both be rational or both be decimal")
-    p, q = (_coerce(v, approximate) for v in raw)
+    p, q = (coerce_scalar(v, approximate) for v in raw)
     if not 0 < q < p <= 1:
         raise ValidationError(f"preset parameters need 0 < q < p <= 1, got p={p}, q={q}")
     return p, q, tol
@@ -191,7 +193,7 @@ def arik_coon(q, tol: float = DEFAULT_TOL) -> AlgebraSpec:
     if isinstance(q, str):
         q = parse_scalar(q)
     approximate = isinstance(q, float)
-    q = _coerce(q, approximate)
+    q = coerce_scalar(q, approximate)
     if q <= 0 or q == 1:
         raise ValidationError(f"arik-coon needs q > 0, q != 1, got q={q}")
     qinv = 1 / q if approximate else Fraction(1) / q

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -60,16 +61,12 @@ def count_points(constraints: ConstraintSet) -> int:
         return 0
     if smax > MAX_SUM:
         raise CapacityError(f"sum window up to {smax} exceeds the guard ({MAX_SUM})")
-    ways = [0] * (smax + 1)
-    ways[0] = 1
+    # ways[s]: points of the coordinates so far with sum s.  A coordinate
+    # of cap `up` adds ways[s - up..s], a difference of running sums.
+    ways = [1] + [0] * smax
     for up in constraints.upper:
-        nxt = [0] * (smax + 1)
-        for s, w in enumerate(ways):
-            if not w:
-                continue
-            for v in range(min(up, smax - s) + 1):
-                nxt[s + v] += w
-        ways = nxt
+        below = [0, *accumulate(ways)]
+        ways = [below[s + 1] - below[max(0, s - up)] for s in range(smax + 1)]
     total = sum(ways[smin : smax + 1])
     if total > MAX_POINTS:
         raise CapacityError(f"{total} lattice points exceed the guard ({MAX_POINTS})")

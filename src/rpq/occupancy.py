@@ -10,7 +10,8 @@ normalized by their enumerated sum.  The first kind (capacity one,
 Fermi-Dirac) and the second kind (unlimited capacity, Bose-Einstein) run
 the same construction: one support, one weight per area class, and derived
 tables (marginals, conditionals, grouped laws) that carry the measure the
-joint induces, with closed forms attached as cross-checks.  A `Model`
+joint induces, with closed forms attached as cross-checks; their masses
+are memoised on the joint (`PmfTable.cut_masses`, `block_masses`).  A `Model`
 record holds what the kinds differ in; each kind's params class carries its
 record as the class attribute `model`, and every function here reads it
 from there.  `rpq.first_kind` and `rpq.second_kind` build the two records
@@ -21,15 +22,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, ClassVar, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraSpec, inverse_algebra
+from .algebra import AlgebraSpec, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
 from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
 from .pmf import PmfTable, grouped_sums, make_table
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,6 @@ def _labels(prefix: str, first: int, last: int) -> Tuple[str, ...]:
     return tuple(f"{prefix}{j}" for j in range(first, last + 1))
 
 
-def _table_params(params: OccupancyParams, **extra) -> dict:
-    out = params.describe()
-    out.update(extra)
-    return out
-
-
 def _normalizer(params: OccupancyParams) -> dict:
     """make_table's closed-form normalizer arguments."""
     model = params.model
@@ -138,13 +133,27 @@ def joint_pmf(params: OccupancyParams) -> PmfTable:
     )
 
 
-def _accumulate(
-    points: Sequence[SupportPoint], masses: Sequence[Scalar], project, exact: bool
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """Summed mass per projected key (`pmf.grouped_sums`), in sorted key order."""
-    acc = grouped_sums(((project(point), mass) for point, mass in zip(points, masses)), exact)
-    items = sorted(acc.items())
-    return tuple(p for p, _ in items), tuple(m for _, m in items)
+def _derived_table(
+    params: OccupancyParams, table: str, coords: Tuple[str, int, int],
+    support: Sequence[SupportPoint], weights: Sequence[Scalar], closed_values: Sequence[Scalar],
+    **extra,
+) -> PmfTable:
+    """A law derived from the joint of `params`: kind "<model>-<table>",
+    params with `table` and `extra`, coordinates labelled `coords` (prefix,
+    first index, last index).  Summed joint masses keep the joint's
+    normalizer, so every table but a conditional carries its closed form."""
+    described = params.describe()
+    described.update(table=table, **extra)
+    return make_table(
+        kind=f"{params.model.name}-{table}",
+        params=described,
+        coord_labels=_labels(*coords),
+        support=support,
+        weights=weights,
+        alg=params.alg,
+        **({} if table.endswith("conditional") else _normalizer(params)),
+        closed_values=closed_values,
+    )
 
 
 def _given_block(
@@ -173,21 +182,11 @@ def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    model = params.model
     joint = joint_pmf(params)
-    support, masses = joint.cut_masses(r)
-    return make_table(
-        kind=f"{model.name}-marginal",
-        params=_table_params(params, table="marginal", r=r),
-        coord_labels=_labels("x", 1, r),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        **_normalizer(params),
-        closed_values=class_values(
-            zip(*joint.cut_classes(r)), lambda key: model.marginal_weight(params, r, key)
-        ),
+    closed = class_values(
+        zip(*joint.cut_classes(r)), lambda key: params.model.marginal_weight(params, r, key)
     )
+    return _derived_table(params, "marginal", ("x", 1, r), *joint.cut_masses(r), closed, r=r)
 
 
 def _suffix_key(given: SupportPoint, m: int, key: Tuple[int, int]) -> Tuple[int, int]:
@@ -219,17 +218,11 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
     joint = joint_pmf(params)
     support, masses, rows = _given_block(*joint.cut_masses(m), given)
     sums, areas = joint.cut_classes(m)
-    return make_table(
-        kind=f"{model.name}-conditional",
-        params=_table_params(params, table="conditional", given=list(given), m=m),
-        coord_labels=_labels("x", r + 1, m),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        closed_values=class_values(
-            zip(sums[rows], areas[rows]), lambda key: model.conditional_value(params, given, m, key)
-        ),
+    closed = class_values(
+        zip(sums[rows], areas[rows]), lambda key: model.conditional_value(params, given, m, key)
     )
+    return _derived_table(params, "conditional", ("x", r + 1, m), support, masses, closed,
+                          given=list(given), m=m)
 
 
 @dataclass(frozen=True)
@@ -249,31 +242,7 @@ class GroupingScheme:
 
     @property
     def partial_sums(self) -> Tuple[int, ...]:
-        out = []
-        s = 0
-        for m in self.sizes:
-            s += m
-            out.append(s)
-        return tuple(out)
-
-    def project(self, x: SupportPoint) -> SupportPoint:
-        out = []
-        start = 0
-        for m in self.sizes:
-            out.append(sum(x[start : start + m]))
-            start += m
-        return tuple(out)
-
-
-# Bounded like `joint_pmf`: a long-lived process keeps at most 32 block-mass
-# tables.
-@lru_cache(maxsize=32)
-def block_masses(
-    params: OccupancyParams, scheme: GroupingScheme
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-    """Block-sum vectors of `scheme` in sorted order, and their joint masses."""
-    joint = joint_pmf(params)
-    return _accumulate(joint.support, joint.weights, scheme.project, joint.exact)
+        return tuple(accumulate(self.sizes))
 
 
 def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
@@ -283,18 +252,10 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     attached as a cross-check.
     """
     scheme.validate_for(params.k)
-    model = params.model
-    support, masses = block_masses(params, scheme)
-    return make_table(
-        kind=f"{model.name}-grouped",
-        params=_table_params(params, table="grouped", scheme=list(scheme.sizes)),
-        coord_labels=_labels("y", 1, len(scheme.sizes)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        **_normalizer(params),
-        closed_values=[model.grouped_weight(params, scheme, y) for y in support],
-    )
+    support, masses = joint_pmf(params).block_masses(scheme.sizes)
+    closed = [params.model.grouped_weight(params, scheme, y) for y in support]
+    return _derived_table(params, "grouped", ("y", 1, len(scheme.sizes)), support, masses, closed,
+                          scheme=list(scheme.sizes))
 
 
 def _grouped_marginal_weight(
@@ -315,19 +276,14 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    model = params.model
-    blocks, masses = block_masses(params, scheme)
-    support, masses = _accumulate(blocks, masses, lambda y: y[:nu], params.alg.exact)
-    return make_table(
-        kind=f"{model.name}-grouped-marginal",
-        params=_table_params(params, table="grouped-marginal", scheme=list(scheme.sizes), nu=nu),
-        coord_labels=_labels("y", 1, nu),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        **_normalizer(params),
-        closed_values=[_grouped_marginal_weight(params, scheme, p) for p in support],
-    )
+    # The block masses summed by their leading blocks, as a scan of the
+    # block law would add them.
+    blocks, masses = joint_pmf(params).block_masses(scheme.sizes)
+    sums = sorted(grouped_sums(zip((y[:nu] for y in blocks), masses), params.alg.exact).items())
+    support, masses = tuple(p for p, _ in sums), tuple(m for _, m in sums)
+    closed = [_grouped_marginal_weight(params, scheme, p) for p in support]
+    return _derived_table(params, "grouped-marginal", ("y", 1, nu), support, masses, closed,
+                          scheme=list(scheme.sizes), nu=nu)
 
 
 def grouped_conditional_pmf(
@@ -339,21 +295,12 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    model = params.model
-    support, masses, _ = _given_block(*block_masses(params, scheme), given)
+    support, masses, _ = _given_block(*joint_pmf(params).block_masses(scheme.sizes), given)
     prefix_weight = _grouped_marginal_weight(params, scheme, given)
-    closed = [model.grouped_weight(params, scheme, given + suffix, divisor=prefix_weight)
+    closed = [params.model.grouped_weight(params, scheme, given + suffix, divisor=prefix_weight)
               for suffix in support]
-    return make_table(
-        kind=f"{model.name}-grouped-conditional",
-        params=_table_params(params, table="grouped-conditional", scheme=list(scheme.sizes),
-                             given=list(given)),
-        coord_labels=_labels("y", nu + 1, len(scheme.sizes)),
-        support=support,
-        weights=masses,
-        alg=params.alg,
-        closed_values=closed,
-    )
+    return _derived_table(params, "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
+                          support, masses, closed, scheme=list(scheme.sizes), given=list(given))
 
 
 def bivariate_table(params: OccupancyParams) -> PmfTable:
@@ -381,17 +328,12 @@ class ConstructionReport:
 
 
 def coerce_theta(theta, alg: AlgebraSpec) -> Scalar:
-    """Validate a trial parameter theta in (0, 1) in the algebra's mode."""
-    if isinstance(theta, str):
-        theta = parse_scalar(theta)
-    if isinstance(theta, bool) or not isinstance(theta, (Fraction, float, int)):
-        raise ValidationError(f"theta: not a number: {theta!r}")
-    if alg.exact and isinstance(theta, float):
-        raise ModeMixError("theta: float parameter with an exact algebra; pass a rational")
-    if not alg.exact:
-        theta = float(theta)
-    elif not isinstance(theta, Fraction):
-        theta = Fraction(theta)
+    """Validate a trial parameter theta in (0, 1) in the algebra's mode
+    (`algebra.coerce_scalar`)."""
+    try:
+        theta = coerce_scalar(theta, not alg.exact)
+    except (ValidationError, ModeMixError) as exc:
+        raise type(exc)(f"theta: {exc}") from None
     if not 0 < theta < 1:
         raise ValidationError(f"theta: need 0 < theta < 1, got {theta}")
     return theta

@@ -8,13 +8,14 @@ cross-check records, never as the source of truth.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import lcm
 from operator import add, lt, mul
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, UnderflowError, ValidationError
@@ -25,6 +26,13 @@ from .scalars import Scalar, scalars_close
 # `sampler`), so CDF thresholds are kept on that integer scale.
 CDF_BITS = 53
 CDF_SCALE = 1 << CDF_BITS
+
+# Pushforward mass entries a table keeps (`PmfTable.cut_masses`,
+# `PmfTable.block_masses`): the most recently used.
+MASS_MEMO_SIZE = 32
+
+# Distinct projected points, sorted, and their summed weights.
+Masses = Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]
 
 
 def _over_lcm(values: Iterable[Scalar]) -> Tuple[List[int], int]:
@@ -108,11 +116,11 @@ class ClosedFormCheck:
 class PmfTable:
     """A normalized law over a strictly increasing (lexicographic) support.
 
-    The CDF thresholds and the prefix masses and classes that repeated
-    queries read are memoised on the table on first use, the masses and
-    classes one cut (prefix length) at a time.  They take no part in
-    equality or repr, so `replace()` starts fresh ones, and they are freed
-    with the table.
+    What repeated queries read is memoised on the table on first use: CDF
+    thresholds, sequential bounds, the prefix classes of each cut (prefix
+    length), and the masses of each cut and block scheme, the
+    MASS_MEMO_SIZE most recently used.  The memos take no part in equality
+    or repr, so `replace()` starts fresh ones; they are freed with the table.
     """
 
     kind: str
@@ -128,7 +136,7 @@ class PmfTable:
     z_discrepancy: Optional[MonomialFit] = None
     closed_form_check: Optional[ClosedFormCheck] = None
     _thresholds: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _cut_masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _masses: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
     _cut_classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _zero_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -157,16 +165,38 @@ class PmfTable:
             self._thresholds.extend(thresholds)
         return self._thresholds
 
-    def cut_masses(self, cut: int) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
-        """The distinct prefixes of length `cut`, in support (so sorted)
-        order, and their summed weights, each sum taken in support order.
-        One pass over the support per cut, memoised."""
-        entry = self._cut_masses.get(cut)
-        if entry is None:
-            pairs = ((point[:cut], weight) for point, weight in zip(self.support, self.weights))
-            sums = grouped_sums(pairs, self.exact)
-            entry = self._cut_masses[cut] = (tuple(sums), tuple(sums.values()))
+    def _pushforward(self, key: Union[int, Tuple[int, ...]]) -> Masses:
+        """The support's distinct projections, sorted, and their weights
+        summed in support order (`grouped_sums`): an int key r projects x
+        to x[:r], a tuple of block sizes to the sums of x's consecutive
+        blocks.  Memoised per key, the MASS_MEMO_SIZE most recently used."""
+        entry = self._masses.get(key)
+        if entry is not None:
+            self._masses.move_to_end(key)
+            return entry
+        if isinstance(key, int):
+            keys = (x[:key] for x in self.support)
+        else:
+            spans = list(zip(accumulate(key, initial=0), accumulate(key)))
+            keys = (tuple([sum(x[a:b]) for a, b in spans]) for x in self.support)
+        sums = sorted(grouped_sums(zip(keys, self.weights), self.exact).items())
+        entry = self._masses[key] = (tuple(k for k, _ in sums), tuple(m for _, m in sums))
+        if len(self._masses) > MASS_MEMO_SIZE:
+            self._masses.popitem(last=False)
         return entry
+
+    def cut_masses(self, cut: int) -> Masses:
+        """The distinct prefixes of length `cut`, in support (so sorted)
+        order, and their summed weights."""
+        return self._pushforward(cut)
+
+    def block_masses(self, sizes: Tuple[int, ...]) -> Masses:
+        """The distinct block-sum vectors of the consecutive blocks of
+        `sizes`, sorted, and their summed weights."""
+        dim = len(self.support[0])
+        if sum(sizes) != dim:
+            raise ValidationError(f"block sizes {sizes} must sum to the dimension {dim}")
+        return self._pushforward(tuple(sizes))
 
     def cut_classes(self, cut: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """The sums and the `lattice.area`s of the prefixes `cut_masses(cut)`
@@ -184,14 +214,6 @@ class PmfTable:
         prefixes, masses = self.cut_masses(len(prefix))
         i = bisect_left(prefixes, prefix)
         return masses[i] if i < len(prefixes) and prefixes[i] == prefix else 0
-
-    def prefix_masses(self) -> Dict[SupportPoint, Scalar]:
-        """Summed weight of every support-point prefix, the empty one
-        included: a new dict over the per-cut memo."""
-        out: Dict[SupportPoint, Scalar] = {}
-        for cut in range(len(self.support[0]) + 1):
-            out.update(zip(*self.cut_masses(cut)))
-        return out
 
     def zero_bound(self, prefix: SupportPoint) -> Scalar:
         """Threshold on a 53-bit mantissa below which the point extending

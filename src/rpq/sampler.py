@@ -109,7 +109,7 @@ def path_probabilities(params: OccupancyParams) -> Dict[SupportPoint, Scalar]:
     """Chain-rule probability of each support point, coordinate by
     coordinate; equals the joint probability exactly."""
     table = joint_pmf(params)
-    masses = table.prefix_masses()
+    masses = {p: m for cut in range(params.k + 1) for p, m in zip(*table.cut_masses(cut))}
     out = {}
     for point in table.support:
         prob: Scalar = 1 if table.exact else 1.0

@@ -44,7 +44,7 @@ from .errors import ValidationError
 from .lattice import SupportPoint
 # The model functions, re-exported from the core under their usual names.
 from .occupancy import (ConstructionReport, GroupingScheme, Model, OccupancyParams, _suffix_key,
-                        bivariate_table, block_masses, class_values, coerce_theta, conditional_pmf,
+                        bivariate_table, class_values, coerce_theta, conditional_pmf,
                         construction_report, grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf,
                         joint_pmf, joint_weight, marginal_pmf, support_constraints)
 from .pmf import compare_moment, oracle_expectation

@@ -19,8 +19,8 @@ from math import comb
 import pytest
 
 from conftest import ALL_PRESETS, JS
-from rpq import (ZeroProbabilityEventError, chakrabarty_jagannathan, jagannathan_srinivasa,
-                 q_deformation, quesne, sequential_sample)
+from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
+                 jagannathan_srinivasa, q_deformation, quesne, sequential_sample)
 from rpq import first_kind, occupancy, pmf, second_kind
 from rpq.algebra import MonomialFit, binomial_or_zero, deformed_binomial, fit_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme
@@ -28,7 +28,7 @@ from rpq.lattice import area
 from rpq.pmf import make_table
 from rpq.scalars import scalars_close
 from rpq.second_kind import SecondKindParams
-from test_query_equivalence import _compositions, _scan
+from test_query_equivalence import _block_sums, _compositions, _scan
 
 PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
 
@@ -243,7 +243,7 @@ def test_grouped_records_equal_per_point(case):
         for sizes in _compositions(params.k):
             scheme = GroupingScheme(sizes)
             blocks, block_masses = _scan(
-                joint.support, joint.weights, lambda x: True, scheme.project
+                joint.support, joint.weights, lambda x: True, _block_sums(sizes)
             )
             closed = [grouped(params, scheme, y) for y in blocks]
             _assert_records(
@@ -304,7 +304,7 @@ def test_closed_form_hooks_equal_chained_products(case):
         for sizes in _compositions(k):
             scheme = GroupingScheme(sizes)
             prefix_weights = {}
-            for y in module.block_masses(params, scheme)[0]:
+            for y in joint.block_masses(sizes)[0]:
                 weight = grouped(params, scheme, y)
                 _same(model.grouped_weight(params, scheme, y), weight)
                 for prefix in (y[:nu] for nu in range(1, len(sizes))):
@@ -319,12 +319,11 @@ def test_closed_form_hooks_equal_chained_products(case):
 def _clear_caches():
     for module in (first_kind, second_kind):
         module.joint_pmf.cache_clear()
-        module.block_masses.cache_clear()
     pmf._normalizer_fit.cache_clear()
 
 
 CORE_NAMES = (
-    "joint_pmf", "joint_weight", "marginal_pmf", "conditional_pmf", "block_masses", "grouped_pmf",
+    "joint_pmf", "joint_weight", "marginal_pmf", "conditional_pmf", "grouped_pmf",
     "grouped_marginal_pmf", "grouped_conditional_pmf", "bivariate_table", "class_values",
     "GroupingScheme", "ConstructionReport",
 )
@@ -394,16 +393,23 @@ def test_cold_derived_call_sums_one_cut_or_scheme():
     _clear_caches()
     joint = first_kind.joint_pmf(params)
     first_kind.marginal_pmf(params, 2)
-    assert list(joint._cut_masses) == [2]
     first_kind.conditional_pmf(params, (0, 1), 5)
     first_kind.conditional_pmf(params, (1, 0, 1), 5)
-    assert list(joint._cut_masses) == [2, 5]
     scheme = GroupingScheme((2, 3, 1))
     first_kind.grouped_pmf(params, scheme)
     first_kind.grouped_marginal_pmf(params, scheme, 2)
     first_kind.grouped_conditional_pmf(params, scheme, (1,))
-    info = first_kind.block_masses.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert list(joint._masses) == [2, 5, (2, 3, 1)]
+
+
+def test_block_masses_need_blocks_covering_the_point():
+    joint = first_kind.joint_pmf(FirstKindParams(JS, 5, 3))
+    for sizes in ((2, 2), (3, 3), (5, 1)):
+        with pytest.raises(ValidationError, match="must sum to the dimension 5"):
+            joint.block_masses(sizes)
+    # One block: the law of the total, by sum.
+    totals = _scan(joint.support, joint.weights, lambda x: True, lambda x: (sum(x),))
+    assert joint.block_masses((5,)) == totals
 
 
 def test_replace_starts_with_empty_memos():
@@ -414,14 +420,16 @@ def test_replace_starts_with_empty_memos():
     # The sequential walk fills the bound memo on use, from the root (node 1).
     sequential_sample(params, 1, 20)
     assert 1 in joint._zero_bounds
-    joint.prefix_masses()
+    joint.block_masses((2, 3))
     joint.cdf_thresholds()
     joint.zero_bound((0, 1))
-    assert joint._cut_masses and joint._thresholds and joint._zero_bounds
+    assert joint._masses and joint._thresholds and joint._zero_bounds
     copy = replace(joint)
     assert copy == joint
-    assert (copy._cut_masses, copy._thresholds, copy._zero_bounds) == ({}, [], {})
-    assert copy.prefix_masses() == joint.prefix_masses()
+    assert (copy._masses, copy._thresholds, copy._zero_bounds) == ({}, [], {})
+    for cut in range(params.k + 1):
+        assert copy.cut_masses(cut) == joint.cut_masses(cut)
+    assert copy.block_masses((2, 3)) == joint.block_masses((2, 3))
     assert copy.zero_bound((0, 1)) == joint.zero_bound((0, 1))
 
 
@@ -434,11 +442,11 @@ def test_exact_and_decimal_algebras_of_equal_values_keep_their_own_tables(module
     assert exact_params != decimal_params
     scheme = GroupingScheme((2, 1))
     _clear_caches()
-    # Both joints, then both block masses in the other order, in one process.
+    # Both joints, then both grouped laws in the other order, in one process.
     exact_joint = module.joint_pmf(exact_params)
     decimal_joint = module.joint_pmf(decimal_params)
-    decimal_masses = module.block_masses(decimal_params, scheme)[1]
-    exact_masses = module.block_masses(exact_params, scheme)[1]
+    decimal_masses = module.grouped_pmf(decimal_params, scheme).weights
+    exact_masses = module.grouped_pmf(exact_params, scheme).weights
     assert decimal_joint is not exact_joint
     assert all(type(v) is Fraction for v in exact_joint.probabilities + exact_masses)
     assert all(type(v) is float for v in decimal_joint.probabilities + decimal_masses)
@@ -451,14 +459,25 @@ def test_exact_and_decimal_algebras_of_equal_values_keep_their_own_tables(module
     [(first_kind, FirstKindParams(JS, 7, 3)), (second_kind, SecondKindParams(JS, 7, 2))],
     ids=("first", "second"),
 )
-def test_block_mass_cache_is_bounded(module, params):
+def test_mass_memo_is_bounded(module, params):
     schemes = [GroupingScheme(sizes) for sizes in _compositions(7)][:40]
     assert len(set(schemes)) == 40
+    _clear_caches()
+    joint = module.joint_pmf(params)
+    first = module.grouped_pmf(params, schemes[0])
     for scheme in schemes:
         module.grouped_pmf(params, scheme)
-    info = module.block_masses.cache_info()
-    assert info.maxsize == 32
-    assert info.currsize <= 32
+        assert len(joint._masses) <= 32
+    # The least recently used entries went first; a recent read keeps one.
+    assert list(joint._masses) == [s.sizes for s in schemes[8:]]
+    module.grouped_pmf(params, schemes[8])
+    module.marginal_pmf(params, 3)
+    assert schemes[8].sizes in joint._masses and schemes[9].sizes not in joint._masses
+    # An evicted scheme sums its masses again, to an equal table.
+    again = module.grouped_pmf(params, schemes[0])
+    assert (again, repr(again)) == (first, repr(first))
+    support, masses = _scan(joint.support, joint.weights, lambda x: True, _block_sums(schemes[0].sizes))
+    assert (again.support, again.weights) == (support, masses)
 
 
 def test_shared_closed_value_is_compared_with_every_probability():

@@ -7,6 +7,7 @@ from conftest import ALL_PRESETS, JS, Q_HALF, TAU1_ONE_PRESETS
 from rpq import (
     FirstKindParams,
     GroupingScheme,
+    ModeMixError,
     ValidationError,
     ZeroProbabilityEventError,
     compositions,
@@ -20,6 +21,7 @@ from rpq import (
 from rpq.first_kind import (
     bernoulli_construction_check,
     bivariate_moments,
+    coerce_theta,
     conditional_pmf,
     covariance_closed_form,
     grouped_conditional_pmf,
@@ -208,6 +210,29 @@ def test_bernoulli_theta_validation():
         bernoulli_construction_check(Q_HALF, 2, 1, Fraction(3, 2))
     with pytest.raises(ValidationError):
         bernoulli_construction_check(Q_HALF, 2, 1, Fraction(0))
+
+
+def test_theta_is_coerced_in_the_algebra_mode():
+    approximate = q_deformation(0.5)
+    assert coerce_theta("1/3", Q_HALF) == Fraction(1, 3)
+    assert type(coerce_theta(Fraction(1, 3), Q_HALF)) is Fraction
+    for theta in ("0.25", Fraction(1, 4), 0.25):
+        assert coerce_theta(theta, approximate) == 0.25
+        assert type(coerce_theta(theta, approximate)) is float
+    cases = [
+        (Q_HALF, 0.25, ModeMixError, "theta: float parameter in exact mode"),
+        (Q_HALF, "0.25", ModeMixError, "theta: float parameter in exact mode"),
+        (Q_HALF, "1/0", ValidationError, "theta: zero denominator in rational '1/0'"),
+        (Q_HALF, "half", ValidationError, "theta: not a rational or decimal number: 'half'"),
+        (approximate, None, ValidationError, "theta: not a number: None"),
+        (Q_HALF, True, ValidationError, "theta: not a number: True"),
+        (Q_HALF, 1, ValidationError, "theta: need 0 < theta < 1, got 1"),
+        (approximate, "0", ValidationError, "theta: need 0 < theta < 1, got 0.0"),
+    ]
+    for alg, theta, error, message in cases:
+        with pytest.raises(error) as raised:
+            coerce_theta(theta, alg)
+        assert str(raised.value).startswith(message)
 
 
 def test_moment_reference_values():

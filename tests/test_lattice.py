@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,13 @@ def test_count_matches_enumeration():
             for smax in range(smin, sum(upper) + 1):
                 c = ConstraintSet(upper, smin, smax)
                 assert count_points(c) == len(enumerate_points(c))
+    # Zero caps, empty and negative windows and the empty box included.
+    rng = random.Random(2305)
+    for _ in range(1500):
+        upper = tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 6)))
+        smin = rng.randint(-3, 20)
+        c = ConstraintSet(upper, smin, rng.randint(smin, 25))
+        assert count_points(c) == sum(1 for _ in iter_points(c))
 
 
 def test_capacity_one_window_cardinality():
@@ -86,6 +94,12 @@ def test_capacity_guards():
         ConstraintSet((1,) * 21, 0, 21)
     with pytest.raises(CapacityError):
         count_points(ConstraintSet((9,) * 14, 0, 126))
+    with pytest.raises(CapacityError, match=r"sum window up to 1000001 exceeds the guard \(1000000\)"):
+        count_points(ConstraintSet((10**6, 1), 0, 10**7))
+    # C(29, 9) = 10,015,005 points: one over the point guard.
+    with pytest.raises(CapacityError, match=r"10015005 lattice points exceed the guard \(10000000\)"):
+        count_points(ConstraintSet((20,) * 10, 20, 20))
+    assert count_points(ConstraintSet((19,) * 10, 19, 19)) == math.comb(28, 9)
 
 
 def test_reproducibility():

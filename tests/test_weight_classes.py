@@ -22,7 +22,7 @@ from rpq.lattice import area
 from rpq.pmf import ClosedFormCheck, make_table
 from rpq.scalars import scalars_close
 from rpq.second_kind import SecondKindParams
-from test_query_equivalence import _compositions
+from test_query_equivalence import _block_sums, _compositions, _prefix_masses
 
 PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
 
@@ -87,15 +87,14 @@ def test_marginals_grouped_and_prefix_masses_equal_scan(case):
             support, masses = _scan(joint.support, joint.weights, lambda x: x[:r])
             _assert_table(module.marginal_pmf(params, r), support, masses)
         for sizes in islice(_compositions(k), 4):
-            scheme = GroupingScheme(sizes)
-            support, masses = _scan(joint.support, joint.weights, scheme.project)
-            _assert_table(module.grouped_pmf(params, scheme), support, masses)
-        expected = {}
-        for point, weight in zip(joint.support, joint.weights):
-            for cut in range(k + 1):
-                key = point[:cut]
-                expected[key] = expected[key] + weight if key in expected else weight
-        assert joint.prefix_masses() == expected
+            support, masses = _scan(joint.support, joint.weights, _block_sums(sizes))
+            assert joint.block_masses(sizes) == (support, masses)
+            _assert_table(module.grouped_pmf(params, GroupingScheme(sizes)), support, masses)
+        expected = _prefix_masses(joint)
+        assert {prefix: joint.prefix_mass(prefix) for prefix in expected} == expected
+        for cut in range(k + 1):
+            prefixes = tuple(p for p in expected if len(p) == cut)
+            assert joint.cut_masses(cut) == (prefixes, tuple(map(expected.get, prefixes)))
 
 
 def _normalized(values, exact):
