@@ -601,10 +601,18 @@ class TriangularRecurrenceReport:
 
 
 def check_triangular_recurrence(alg: AlgebraSpec, mmax: int) -> TriangularRecurrenceReport:
+    """Both recurrences at every 1 <= n <= m <= mmax.  Each m passes the
+    dimension guard (`lattice.check_dimension`), in order, before any
+    binomial is computed."""
+    # Imported here so that loading this module does not load `lattice`.
+    from .lattice import check_dimension
+
     if mmax < 1:
         raise ValidationError(f"mmax: need mmax >= 1, got {mmax}")
     if alg.tau1 is None or alg.tau2 is None:
         raise ValidationError("triangular recurrence needs structure constants")
+    for m in range(1, mmax + 1):
+        check_dimension(m)
     t1, t2 = alg.tau1, alg.tau2
     entries = []
     ok_a = ok_b = True

@@ -19,11 +19,12 @@ conditionals, grouped laws) always carry the measure induced by the joint;
 this keeps every table a genuine probability distribution regardless of how
 the closed-form bookkeeping behaves for tau1 != 1.
 
-This module holds what is particular to the first kind: its `Model` record
-(support, weights, normalizer and closed-form hooks), the single-ball law,
-the Bernoulli construction check and the moment closed forms.  The joint,
-marginal, conditional and grouped laws are the functions of
-`rpq.occupancy`, re-exported here under the same names.
+This module holds what is particular to the first kind: `FirstKindParams`,
+whose class attributes and methods give the cap, the sum window, the
+weights, the normalizer and the closed forms the shared core reads, the
+single-ball law, the Bernoulli construction check and the moment closed
+forms.  The joint, marginal, conditional and grouped laws are the
+functions of `rpq.occupancy`, re-exported here under the same names.
 """
 
 from __future__ import annotations
@@ -44,100 +45,84 @@ from .algebra import (
 )
 from .errors import ValidationError
 from .lattice import SupportPoint
-# The model functions, re-exported from the core under their usual names.
-from .occupancy import (ConstructionReport, GroupingScheme, Model, OccupancyParams, _suffix_key,
-                        bivariate_table, class_values, coerce_theta, conditional_pmf,
-                        construction_report, grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf,
-                        joint_pmf, joint_weight, marginal_pmf, support_constraints)
+# The core's functions, re-exported under their usual names.
+from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table,
+                        class_values, coerce_theta, conditional_pmf, construction_report,
+                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf,
+                        joint_weight, marginal_pmf, support_constraints)
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
 
 KIND = "first"
 
 
-def _area_weight(params: FirstKindParams, e: int) -> Scalar:
-    alg, k, n = params.alg, params.k, params.n
-    c2 = comb(n, 2)
-    return tau_monomial(alg, c2 + k * n - e, e - c2)
-
-
-def _normalizer(alg: AlgebraSpec, k: int, n: int) -> Scalar:
-    """[k+1 over n]: n balls in k+1 capacity-one urns (0 once n > k+1)."""
-    return binomial_or_zero(alg, k + 1, n)
-
-
-def _marginal_closed_weight(params: FirstKindParams, r: int, key: Tuple[int, int]) -> Scalar:
-    """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
-    tau1^(C(y,2) + kn - g) tau2^(g - C(y,2)) [k-r+1 over n-y], where
-    g = sum_j (k - j - n + y) p_j over j = 0..r-1 equals (k - n - r + y) y + E."""
-    alg, k, n = params.alg, params.k, params.n
-    y, e = key
-    g = (k - n - r + y) * y + e
-    c2 = comb(y, 2)
-    return closed_form(alg, c2 + k * n - g, g - c2, (_normalizer(alg, k - r, n - y),))
-
-
-def _conditional_closed_value(
-    params: FirstKindParams, given: SupportPoint, m: int, key: Tuple[int, int]
-) -> Scalar:
-    """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from the
-    m-prefix's key: tau1^(C(t,2) + kn - h) tau2^(h - C(t,2))
-    [k-m+1 over n-y_m] / [k-r+1 over n-y_r], where t = sum s and
-    h = sum_j (k - r - j - n + y_m) s_j over j = 0..m-r-1 equals
-    (k - m - n + y_m) t + E(s)."""
-    alg, k, n = params.alg, params.k, params.n
-    r = len(given)
-    y_r = sum(given)
-    y_m = key[0]
-    t, e = _suffix_key(given, m, key)
-    h = (k - m - n + y_m) * t + e
-    c2 = comb(t, 2)
-    return closed_form(alg, c2 + k * n - h, h - c2, (_normalizer(alg, k - m, n - y_m),),
-                       divisor=_normalizer(alg, k - r, n - y_r))
-
-
-def _grouped_closed_weight(
-    params: FirstKindParams, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
-) -> Scalar:
-    """Closed weight of the block counts `y` (all blocks, or the leading
-    ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
-    alg, k, n = params.alg, params.k, params.n
-    s = scheme.partial_sums
-    e1 = e2 = 0
-    z = 0
-    binomials = []
-    for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
-        z += y_j
-        e1 += (n - z - s[j]) * (m_j - y_j)
-        e2 += (k - s[j] - n + z + 1) * y_j
-        binomials.append(deformed_binomial(alg, m_j, y_j))
-    return closed_form(alg, e1, e2, binomials, scale, divisor)
-
-
-MODEL = Model(
-    name=KIND,
-    cap=1,
-    sum_min=lambda k, n: max(0, n - 1),
-    sum_max=lambda k, n: min(n, k),
-    area_weight=_area_weight,
-    normalizer=_normalizer,
-    fit_bound=lambda params: (params.k + 1) * max(params.n, 1),
-    marginal_weight=_marginal_closed_weight,
-    conditional_value=_conditional_closed_value,
-    grouped_weight=_grouped_closed_weight,
-)
-
-
 @dataclass(frozen=True)
 class FirstKindParams(OccupancyParams):
     """k+1 capacity-one urns, n balls, under a given deformation."""
 
-    model = MODEL
+    kind = KIND
+    cap = 1
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not 0 <= self.n <= self.k + 1:
             raise ValidationError(f"n: first kind needs 0 <= n <= k+1, got n={self.n}, k={self.k}")
+
+    def sum_window(self) -> Tuple[int, int]:
+        return max(0, self.n - 1), min(self.n, self.k)
+
+    def area_weight(self, e: int) -> Scalar:
+        c2 = comb(self.n, 2)
+        return tau_monomial(self.alg, c2 + self.k * self.n - e, e - c2)
+
+    @staticmethod
+    def normalizer(alg: AlgebraSpec, k: int, n: int) -> Scalar:
+        """[k+1 over n]: n balls in k+1 capacity-one urns (0 once n > k+1)."""
+        return binomial_or_zero(alg, k + 1, n)
+
+    def fit_bound(self) -> int:
+        return (self.k + 1) * max(self.n, 1)
+
+    def marginal_weight(self, r: int, key: Tuple[int, int]) -> Scalar:
+        """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
+        tau1^(C(y,2) + kn - g) tau2^(g - C(y,2)) [k-r+1 over n-y], where
+        g = sum_j (k - j - n + y) p_j over j = 0..r-1 equals (k - n - r + y) y + E."""
+        alg, k, n = self.alg, self.k, self.n
+        y, e = key
+        g = (k - n - r + y) * y + e
+        c2 = comb(y, 2)
+        return closed_form(alg, c2 + k * n - g, g - c2, (self.normalizer(alg, k - r, n - y),))
+
+    def conditional_value(self, given: SupportPoint, m: int, key: Tuple[int, int, int]) -> Scalar:
+        """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from
+        the suffix's key (y_m, t, E(s)) = (sum x[:m], sum s, E(s)):
+        tau1^(C(t,2) + kn - h) tau2^(h - C(t,2))
+        [k-m+1 over n-y_m] / [k-r+1 over n-y_r], where y_r = sum(given) and
+        h = sum_j (k - r - j - n + y_m) s_j over j = 0..m-r-1 equals
+        (k - m - n + y_m) t + E(s)."""
+        alg, k, n = self.alg, self.k, self.n
+        y_m, t, e = key
+        h = (k - m - n + y_m) * t + e
+        c2 = comb(t, 2)
+        return closed_form(alg, c2 + k * n - h, h - c2, (self.normalizer(alg, k - m, n - y_m),),
+                           divisor=self.normalizer(alg, k - len(given), n - sum(given)))
+
+    def grouped_weight(
+        self, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
+    ) -> Scalar:
+        """Closed weight of the block counts `y` (all blocks, or the leading
+        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
+        alg, k, n = self.alg, self.k, self.n
+        s = scheme.partial_sums
+        e1 = e2 = 0
+        z = 0
+        binomials = []
+        for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
+            z += y_j
+            e1 += (n - z - s[j]) * (m_j - y_j)
+            e2 += (k - s[j] - n + z + 1) * y_j
+            binomials.append(deformed_binomial(alg, m_j, y_j))
+        return closed_form(alg, e1, e2, binomials, scale, divisor)
 
 
 def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable:

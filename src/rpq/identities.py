@@ -57,6 +57,7 @@ from .algebra import (
 from .errors import ValidationError
 from .lattice import (
     ConstraintSet,
+    check_dimension,
     count_points,
     final_layer,
     first_layer,
@@ -299,7 +300,8 @@ def verify_identity(
     Every tuple's box, for every k, passes the capacity guard
     (`count_points`) before any family is walked: hs1 and hs2 run one
     recursion per k, hsa and hsb one walk per (k, n) over the group-size
-    prefixes.  The sums equal those of `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and
+    prefixes.  Cauchy lists no points, so each of its k passes the
+    dimension guard alone (`lattice.check_dimension`) before any sum.  The sums equal those of `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and
     `hsb_lhs`, to the last bit in approximate mode.
     """
     if identity not in IDENTITY_IDS:
@@ -311,6 +313,9 @@ def verify_identity(
     nmax = kmax if nmax is None else nmax
     reports = []
     if identity == "cauchy":
+        _require_taus(alg)
+        for k in range(1, kmax + 1):
+            check_dimension(k)
         for k in range(1, kmax + 1):
             for n in range(0, nmax + 1):
                 for m in range(0, k + 1):

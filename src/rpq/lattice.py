@@ -45,12 +45,17 @@ class ConstraintSet:
                 raise ValidationError(f"need 0 <= upper per coordinate, got {up}")
         if self.sum_min > self.sum_max:
             raise ValidationError(f"sum window is inverted: [{self.sum_min}, {self.sum_max}]")
-        if self.dim > MAX_DIM:
-            raise CapacityError(f"dimension {self.dim} exceeds the guard ({MAX_DIM})")
+        check_dimension(self.dim)
 
     @property
     def dim(self) -> int:
         return len(self.upper)
+
+
+def check_dimension(dim: int) -> None:
+    """Refuse `dim` coordinates beyond the guard (CapacityError)."""
+    if dim > MAX_DIM:
+        raise CapacityError(f"dimension {dim} exceeds the guard ({MAX_DIM})")
 
 
 def count_points(constraints: ConstraintSet) -> int:

@@ -11,11 +11,14 @@ Fermi-Dirac) and the second kind (unlimited capacity, Bose-Einstein) run
 the same construction: one support, one weight per area class, and derived
 tables (marginals, conditionals, grouped laws) that carry the measure the
 joint induces, with closed forms attached as cross-checks; their masses
-are memoised on the joint (`PmfTable.cut_masses`, `block_masses`).  A `Model`
-record holds what the kinds differ in; each kind's params class carries its
-record as the class attribute `model`, and every function here reads it
-from there.  `rpq.first_kind` and `rpq.second_kind` build the two records
-and re-export these functions under their usual names.
+are memoised on the joint (`PmfTable.cut_masses`, `block_masses`).  What
+the kinds differ in (the cap, the sum window, the weight of an area class
+and the closed forms) lives on their params classes, two subclasses of
+`OccupancyParams`, as class attributes and methods that every function
+here calls on the params it is given.  The suffix-area identity that a
+conditional's closed form needs is applied here (`_suffix_key`), so a kind
+reads class keys only.  `rpq.first_kind` and `rpq.second_kind` define the
+two params classes and re-export these functions under their usual names.
 """
 
 from __future__ import annotations
@@ -34,62 +37,58 @@ from .scalars import Scalar
 
 
 @dataclass(frozen=True)
-class Model:
-    """What one kind of occupancy law adds to the shared construction.
-
-    `cap` bounds each coordinate (None: no bound below n); it also decides
-    which `given` prefixes a conditional accepts and whether the sequential
-    sampler applies.  The sum window is [sum_min(k, n), sum_max(k, n)].
-    `normalizer(alg, k, n)` is the closed normalizer of k+1 urns and n
-    balls; the closed forms read it again for the urns and balls a prefix
-    leaves over.  The other hooks take the params first:
-    `area_weight(params, e)` is the joint weight of area class e,
-    `fit_bound(params)` the normalizer's discrepancy-fit bound, and the last
-    three give closed weights for the marginal (per (sum, area) class key),
-    the conditional (per m-prefix key) and the grouped law;
-    `grouped_weight(params, scheme, y, scale=None, divisor=None)` also
-    multiplies by `scale` and divides by `divisor` within its one closed
-    form (`algebra.closed_form`).
-    """
-
-    name: str
-    cap: Optional[int]
-    sum_min: Callable[[int, int], int]
-    sum_max: Callable[[int, int], int]
-    area_weight: Callable
-    normalizer: Callable
-    fit_bound: Callable
-    marginal_weight: Callable
-    conditional_value: Callable
-    grouped_weight: Callable
-
-
-@dataclass(frozen=True)
 class OccupancyParams:
-    """k+1 urns, n balls, under a given deformation.  Each kind subclasses
-    this with its `model` and its own check on n; equality sees the
-    subclass, so equal fields of two kinds are two cache keys."""
+    """k+1 urns, n balls, under a given deformation.
+
+    Each kind subclasses this with its own check on n and with what it adds
+    to the shared construction:
+
+    - `kind`, its name, and `cap`, the bound of each coordinate (None: no
+      bound below n), which also decides which `given` prefixes a
+      conditional accepts and whether the sequential sampler applies;
+    - `sum_window()`, the least and the greatest occupancy sum;
+    - `area_weight(e)`, the joint weight of area class e;
+    - `normalizer(alg, k, n)` (a staticmethod), the closed normalizer of
+      k+1 urns and n balls, read again by the closed forms for the urns and
+      balls a prefix leaves over, and `fit_bound()`, its discrepancy-fit
+      bound;
+    - closed weights for the marginal, per r-prefix class key (y, E)
+      (`marginal_weight(r, key)`), for the conditional, per class key
+      (y_m, t, E(s)) of the suffix s that follows `given` up to m
+      (`conditional_value(given, m, key)`), and for the grouped law
+      (`grouped_weight(scheme, y, scale=None, divisor=None)`, which also
+      multiplies by `scale` and divides by `divisor` within its one closed
+      form, `algebra.closed_form`).
+
+    Equality sees the subclass, so equal fields of two kinds are two cache
+    keys.
+    """
 
     alg: AlgebraSpec
     k: int
     n: int
 
-    model: ClassVar[Model]
+    kind: ClassVar[str]
+    cap: ClassVar[Optional[int]]
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValidationError(f"k: need k >= 1, got {self.k}")
 
+    @property
+    def occupancy_bound(self) -> int:
+        """The most balls one urn holds: the cap, or n when there is none."""
+        return self.n if self.cap is None else self.cap
+
     def describe(self) -> dict:
-        out = {"kind": self.model.name, "k": self.k, "n": self.n}
+        out = {"kind": self.kind, "k": self.k, "n": self.n}
         out.update(self.alg.describe())
         return out
 
 
 def support_constraints(params: OccupancyParams) -> ConstraintSet:
-    model, k, n = params.model, params.k, params.n
-    cap = n if model.cap is None else model.cap
-    return ConstraintSet(upper=(cap,) * k, sum_min=model.sum_min(k, n), sum_max=model.sum_max(k, n))
+    sum_min, sum_max = params.sum_window()
+    return ConstraintSet(upper=(params.occupancy_bound,) * params.k, sum_min=sum_min, sum_max=sum_max)
 
 
 def class_values(keys: Iterable[Hashable], value: Callable[[Hashable], Scalar]) -> List[Scalar]:
@@ -107,27 +106,25 @@ def _labels(prefix: str, first: int, last: int) -> Tuple[str, ...]:
 
 def _normalizer(params: OccupancyParams) -> dict:
     """make_table's closed-form normalizer arguments."""
-    model = params.model
-    return {"z_closed_form": model.normalizer(params.alg, params.k, params.n),
-            "fit_bound": model.fit_bound(params)}
+    return {"z_closed_form": params.normalizer(params.alg, params.k, params.n),
+            "fit_bound": params.fit_bound()}
 
 
 def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
-    return params.model.area_weight(params, area(x))
+    return params.area_weight(area(x))
 
 
 # Bounded: a long-lived process keeps at most 32 joints, with their memos.
 @lru_cache(maxsize=32)
 def joint_pmf(params: OccupancyParams) -> PmfTable:
     """Joint law of (X_1..X_k), one weight per area class."""
-    model = params.model
     support = enumerate_points(support_constraints(params))
     return make_table(
-        kind=model.name,
+        kind=params.kind,
         params=params.describe(),
         coord_labels=_labels("x", 1, params.k),
         support=support,
-        weights=class_values(map(area, support), lambda e: model.area_weight(params, e)),
+        weights=class_values(map(area, support), params.area_weight),
         alg=params.alg,
         **_normalizer(params),
     )
@@ -138,14 +135,14 @@ def _derived_table(
     support: Sequence[SupportPoint], weights: Sequence[Scalar], closed_values: Sequence[Scalar],
     **extra,
 ) -> PmfTable:
-    """A law derived from the joint of `params`: kind "<model>-<table>",
+    """A law derived from the joint of `params`: kind "<kind>-<table>",
     params with `table` and `extra`, coordinates labelled `coords` (prefix,
     first index, last index).  Summed joint masses keep the joint's
     normalizer, so every table but a conditional carries its closed form."""
     described = params.describe()
     described.update(table=table, **extra)
     return make_table(
-        kind=f"{params.model.name}-{table}",
+        kind=f"{params.kind}-{table}",
         params=described,
         coord_labels=_labels(*coords),
         support=support,
@@ -177,24 +174,24 @@ def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     """Law of the prefix (X_1..X_r), 1 <= r < k, by exact summation.
 
     Weights are the joint masses summed over the dropped coordinates, so the
-    enumerated normalizer coincides with the joint one.  The model's closed
+    enumerated normalizer coincides with the joint one.  The kind's closed
     marginal weights ride along as a cross-check.
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
     joint = joint_pmf(params)
-    closed = class_values(
-        zip(*joint.cut_classes(r)), lambda key: params.model.marginal_weight(params, r, key)
-    )
+    closed = class_values(zip(*joint.cut_classes(r)), lambda key: params.marginal_weight(r, key))
     return _derived_table(params, "marginal", ("x", 1, r), *joint.cut_masses(r), closed, r=r)
 
 
-def _suffix_key(given: SupportPoint, m: int, key: Tuple[int, int]) -> Tuple[int, int]:
-    """(sum s, E(s)) of the suffix s = x[r:m] of an m-prefix x that extends
-    `given` (r = len(given)), from the m-prefix's key (sum, E):
-    E(x[:m]) = E(given) + (m - r) sum(given) + E(s)."""
+def _suffix_key(given: SupportPoint, m: int, key: Tuple[int, int]) -> Tuple[int, int, int]:
+    """(y_m, t, E(s)) of the suffix s = x[r:m] of an m-prefix x that extends
+    `given` (r = len(given)), from the m-prefix's key (y_m, E) = (sum x,
+    E(x)): t = sum s = y_m - sum(given), and
+    E(x) = E(given) + (m - r) sum(given) + E(s)."""
+    y_m, e = key
     y_r = sum(given)
-    return key[0] - y_r, key[1] - area(given) - (m - len(given)) * y_r
+    return y_m, y_m - y_r, e - area(given) - (m - len(given)) * y_r
 
 
 def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> PmfTable:
@@ -206,10 +203,9 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
     """
     given = tuple(given)
     r = len(given)
-    model = params.model
     if not 1 <= r < m <= params.k:
         raise ValidationError(f"conditional needs 1 <= r < m <= k, got r={r}, m={m}, k={params.k}")
-    if model.cap == 1 and any(v not in (0, 1) for v in given):
+    if params.cap == 1 and any(v not in (0, 1) for v in given):
         raise ValidationError(f"given: capacity-one occupancies are 0/1, got {given}")
     if any(v < 0 for v in given):
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
@@ -219,7 +215,8 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
     support, masses, rows = _given_block(*joint.cut_masses(m), given)
     sums, areas = joint.cut_classes(m)
     closed = class_values(
-        zip(sums[rows], areas[rows]), lambda key: model.conditional_value(params, given, m, key)
+        zip(sums[rows], areas[rows]),
+        lambda key: params.conditional_value(given, m, _suffix_key(given, m, key)),
     )
     return _derived_table(params, "conditional", ("x", r + 1, m), support, masses, closed,
                           given=list(given), m=m)
@@ -248,12 +245,12 @@ class GroupingScheme:
 def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     """Law of the block sums (Y_1..Y_r), as the pushforward of the joint.
 
-    The model's closed form (per-block binomials with tau monomials) is
+    The kind's closed form (per-block binomials with tau monomials) is
     attached as a cross-check.
     """
     scheme.validate_for(params.k)
     support, masses = joint_pmf(params).block_masses(scheme.sizes)
-    closed = [params.model.grouped_weight(params, scheme, y) for y in support]
+    closed = [params.grouped_weight(scheme, y) for y in support]
     return _derived_table(params, "grouped", ("y", 1, len(scheme.sizes)), support, masses, closed,
                           scheme=list(scheme.sizes))
 
@@ -264,11 +261,10 @@ def _grouped_marginal_weight(
     """Closed weight of the leading block counts `prefix`: the grouped
     weight of those blocks times the normalizer of the urns and balls they
     leave over."""
-    model = params.model
     rest_k = params.k - scheme.partial_sums[len(prefix) - 1]
     rest_n = params.n - sum(prefix)
-    scale = model.normalizer(params.alg, rest_k, rest_n)
-    return model.grouped_weight(params, scheme, prefix, scale=scale)
+    scale = params.normalizer(params.alg, rest_k, rest_n)
+    return params.grouped_weight(scheme, prefix, scale=scale)
 
 
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
@@ -297,7 +293,7 @@ def grouped_conditional_pmf(
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
     support, masses, _ = _given_block(*joint_pmf(params).block_masses(scheme.sizes), given)
     prefix_weight = _grouped_marginal_weight(params, scheme, given)
-    closed = [params.model.grouped_weight(params, scheme, given + suffix, divisor=prefix_weight)
+    closed = [params.grouped_weight(scheme, given + suffix, divisor=prefix_weight)
               for suffix in support]
     return _derived_table(params, "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
                           support, masses, closed, scheme=list(scheme.sizes), given=list(given))
@@ -344,8 +340,8 @@ def construction_report(name: str, params: OccupancyParams, theta: Scalar, mass)
     n in total, and compare the law of the first k pointwise with the joint
     law of `params` under the inverse-parameter algebra."""
     alg, k, n = params.alg, params.k, params.n
-    cap = n if params.model.cap is None else params.model.cap
-    outcomes = enumerate_points(ConstraintSet(upper=(cap,) * (k + 1), sum_min=n, sum_max=n))
+    upper = (params.occupancy_bound,) * (k + 1)
+    outcomes = enumerate_points(ConstraintSet(upper=upper, sum_min=n, sum_max=n))
     masses = [mass(x) for x in outcomes]
     total = sum(masses)
     support = tuple(x[:k] for x in outcomes)

@@ -35,6 +35,15 @@ MASS_MEMO_SIZE = 32
 Masses = Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]
 
 
+def _on_cdf_scale(x: Scalar, exact: bool) -> Scalar:
+    """A probability x as a sampler threshold: ceil(x * 2^53) in exact mode,
+    x * 2^53 in approximate mode."""
+    if exact:
+        frac = Fraction(x) * CDF_SCALE
+        return -(-frac.numerator // frac.denominator)
+    return x * CDF_SCALE
+
+
 def _over_lcm(values: Iterable[Scalar]) -> Tuple[List[int], int]:
     """Each of `values` (ints or Fractions) as a numerator over the lcm of
     their denominators, and that lcm."""
@@ -150,19 +159,12 @@ class PmfTable:
         return dict(zip(self.support, self.probabilities))
 
     def cdf_thresholds(self) -> list:
-        """ceil(F_i * 2^53) per cumulative probability F_i in exact mode,
-        F_i * 2^53 in approximate mode; non-decreasing."""
+        """Each cumulative probability on the 53-bit scale (`_on_cdf_scale`);
+        non-decreasing."""
         if not self._thresholds:
-            thresholds = []
-            cumulative: Scalar = 0
-            for prob in self.probabilities:
-                cumulative += prob
-                if self.exact:
-                    frac = Fraction(cumulative) * CDF_SCALE
-                    thresholds.append(-(-frac.numerator // frac.denominator))
-                else:
-                    thresholds.append(cumulative * CDF_SCALE)
-            self._thresholds.extend(thresholds)
+            self._thresholds.extend(
+                _on_cdf_scale(f, self.exact) for f in accumulate(self.probabilities)
+            )
         return self._thresholds
 
     def _pushforward(self, key: Union[int, Tuple[int, ...]]) -> Masses:
@@ -215,21 +217,11 @@ class PmfTable:
         i = bisect_left(prefixes, prefix)
         return masses[i] if i < len(prefixes) and prefixes[i] == prefix else 0
 
-    def zero_bound(self, prefix: SupportPoint) -> Scalar:
-        """Threshold on a 53-bit mantissa below which the point extending
-        the 0/1 `prefix` takes the value 0 next: ceil(m0 / m * 2^53) in
-        exact mode, m0 / m * 2^53 in approximate mode, where m is the prefix
-        mass and m0 the mass of prefix + (0,).  Memoised per prefix, by its
-        node index (`node_zero_bound`)."""
-        node = 1
-        for bit in prefix:
-            if bit not in (0, 1):
-                raise ValidationError(f"zero_bound: need a 0/1 prefix, got {prefix}")
-            node = 2 * node + bit
-        return self.node_zero_bound(node)
-
     def node_zero_bound(self, node: int) -> Scalar:
-        """`zero_bound` of the prefix at `node` of the binary tree of 0/1
+        """Threshold on a 53-bit mantissa below which the point extending
+        the 0/1 prefix at `node` takes the value 0 next: m0 / m on the
+        53-bit scale (`_on_cdf_scale`), where m is the prefix mass and m0
+        the mass of prefix + (0,).  Nodes index the binary tree of 0/1
         prefixes: the root (the empty prefix) is 1 and the child of a node
         by the next coordinate b is 2 * node + b (`node_prefix` reads the
         prefix back).  Memoised per node, filled on first use."""
@@ -237,13 +229,9 @@ class PmfTable:
         if bound is None:
             prefix = node_prefix(node)
             zero_mass = self.prefix_mass(prefix + (0,))
-            total = self.prefix_mass(prefix)
-            if self.exact:
-                frac = Fraction(zero_mass) / total * CDF_SCALE
-                bound = -(-frac.numerator // frac.denominator)
-            else:
-                bound = (zero_mass / total) * CDF_SCALE
-            self._zero_bounds[node] = bound
+            bound = self._zero_bounds[node] = _on_cdf_scale(
+                zero_mass / self.prefix_mass(prefix), self.exact
+            )
         return bound
 
 

@@ -125,10 +125,10 @@ def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleB
     Each coordinate consumes one variate and is decided by the conditional
     law given the prefix drawn so far, so the induced distribution is
     exactly the joint law; only the variate stream differs from `sample`.
-    A coordinate is decided between 0 and 1, so only a model of cap 1 (the
+    A coordinate is decided between 0 and 1, so only a kind of cap 1 (the
     first kind) samples sequentially.
     """
-    if params.model.cap != 1:
+    if params.cap != 1:
         raise ValidationError("sequential: only the first kind samples sequentially")
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")

@@ -17,11 +17,12 @@ and would not normalize even there).  As in the capacity-one family, all
 derived tables carry the exact law induced by the joint, with closed forms
 attached as cross-checks.
 
-This module holds what is particular to the second kind: its `Model`
-record (support, weights, normalizer and closed-form hooks), the geometric
-construction check and the moment closed forms.  The joint, marginal,
-conditional and grouped laws are the functions of `rpq.occupancy`,
-re-exported here under the same names.
+This module holds what is particular to the second kind:
+`SecondKindParams`, whose class attributes and methods give the cap, the
+sum window, the weights, the normalizer and the closed forms the shared
+core reads, the geometric construction check and the moment closed forms.
+The joint, marginal, conditional and grouped laws are the functions of
+`rpq.occupancy`, re-exported here under the same names.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from .algebra import (
 )
 from .errors import ValidationError
 from .lattice import SupportPoint
-# The model functions, re-exported from the core under their usual names.
-from .occupancy import (ConstructionReport, GroupingScheme, Model, OccupancyParams, _suffix_key,
-                        bivariate_table, class_values, coerce_theta, conditional_pmf,
-                        construction_report, grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf,
-                        joint_pmf, joint_weight, marginal_pmf, support_constraints)
+# The core's functions, re-exported under their usual names.
+from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table,
+                        class_values, coerce_theta, conditional_pmf, construction_report,
+                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf,
+                        joint_weight, marginal_pmf, support_constraints)
 from .pmf import compare_moment, oracle_expectation
 from .scalars import Scalar
 
@@ -57,84 +58,70 @@ def _phi_constant_exponent(k: int, n: int) -> int:
     return 2 * k * n + comb(k + 1, 2)
 
 
-def _area_weight(params: SecondKindParams, e: int) -> Scalar:
-    return tau_monomial(params.alg, _phi_constant_exponent(params.k, params.n) - e, e)
-
-
-def _normalizer(alg: AlgebraSpec, k: int, n: int) -> Scalar:
-    """[k+n over n]: n balls in k+1 unlimited-capacity urns (0 once n < 0)."""
-    return binomial_or_zero(alg, k + n, n)
-
-
-def _marginal_closed_weight(params: SecondKindParams, r: int, key: Tuple[int, int]) -> Scalar:
-    """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
-    tau1^(phi - e) tau2^e [k-r+n-y over n-y], where e = sum_j (k - j) p_j
-    over j = 0..r-1 equals (k - r) y + E."""
-    alg, k, n = params.alg, params.k, params.n
-    y, area_p = key
-    e = (k - r) * y + area_p
-    return closed_form(alg, _phi_constant_exponent(k, n) - e, e, (_normalizer(alg, k - r, n - y),))
-
-
-def _conditional_closed_value(
-    params: SecondKindParams, given: SupportPoint, m: int, key: Tuple[int, int]
-) -> Scalar:
-    """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from the
-    m-prefix's key: tau1^-e tau2^e [k-m+n-y_m over n-y_m] /
-    [k-r+n-y_r over n-y_r], where e = sum_j (k - r - j) s_j over
-    j = 0..m-r-1 equals (k - m) sum s + E(s)."""
-    alg, k, n = params.alg, params.k, params.n
-    r = len(given)
-    y_r = sum(given)
-    y_m = key[0]
-    t, area_s = _suffix_key(given, m, key)
-    e = (k - m) * t + area_s
-    return closed_form(alg, -e, e, (_normalizer(alg, k - m, n - y_m),),
-                       divisor=_normalizer(alg, k - r, n - y_r))
-
-
-def _grouped_closed_weight(
-    params: SecondKindParams, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
-) -> Scalar:
-    """Closed weight of the block counts `y` (all blocks, or the leading
-    ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
-    alg, k, n = params.alg, params.k, params.n
-    s = scheme.partial_sums
-    e1 = e2 = 0
-    z = 0
-    binomials = []
-    for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
-        z += y_j
-        e1 += (n - z - s[j]) * (m_j - 1)
-        e2 += (k - s[j] + 1) * y_j
-        binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
-    return closed_form(alg, e1, e2, binomials, scale, divisor)
-
-
-MODEL = Model(
-    name=KIND,
-    cap=None,
-    sum_min=lambda k, n: 0,
-    sum_max=lambda k, n: n,
-    area_weight=_area_weight,
-    normalizer=_normalizer,
-    fit_bound=lambda params: _phi_constant_exponent(params.k, params.n) + params.k * params.n,
-    marginal_weight=_marginal_closed_weight,
-    conditional_value=_conditional_closed_value,
-    grouped_weight=_grouped_closed_weight,
-)
-
-
 @dataclass(frozen=True)
 class SecondKindParams(OccupancyParams):
     """k+1 unlimited-capacity urns, n balls, under a given deformation."""
 
-    model = MODEL
+    kind = KIND
+    cap = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.n < 0:
             raise ValidationError(f"n: need n >= 0, got {self.n}")
+
+    def sum_window(self) -> Tuple[int, int]:
+        return 0, self.n
+
+    def area_weight(self, e: int) -> Scalar:
+        return tau_monomial(self.alg, _phi_constant_exponent(self.k, self.n) - e, e)
+
+    @staticmethod
+    def normalizer(alg: AlgebraSpec, k: int, n: int) -> Scalar:
+        """[k+n over n]: n balls in k+1 unlimited-capacity urns (0 once n < 0)."""
+        return binomial_or_zero(alg, k + n, n)
+
+    def fit_bound(self) -> int:
+        return _phi_constant_exponent(self.k, self.n) + self.k * self.n
+
+    def marginal_weight(self, r: int, key: Tuple[int, int]) -> Scalar:
+        """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
+        tau1^(phi - e) tau2^e [k-r+n-y over n-y], where e = sum_j (k - j) p_j
+        over j = 0..r-1 equals (k - r) y + E."""
+        alg, k, n = self.alg, self.k, self.n
+        y, area_p = key
+        e = (k - r) * y + area_p
+        return closed_form(alg, _phi_constant_exponent(k, n) - e, e,
+                           (self.normalizer(alg, k - r, n - y),))
+
+    def conditional_value(self, given: SupportPoint, m: int, key: Tuple[int, int, int]) -> Scalar:
+        """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from
+        the suffix's key (y_m, t, E(s)) = (sum x[:m], sum s, E(s)):
+        tau1^-e tau2^e [k-m+n-y_m over n-y_m] / [k-r+n-y_r over n-y_r],
+        where y_r = sum(given) and e = sum_j (k - r - j) s_j over
+        j = 0..m-r-1 equals (k - m) t + E(s)."""
+        alg, k, n = self.alg, self.k, self.n
+        y_m, t, area_s = key
+        e = (k - m) * t + area_s
+        return closed_form(alg, -e, e, (self.normalizer(alg, k - m, n - y_m),),
+                           divisor=self.normalizer(alg, k - len(given), n - sum(given)))
+
+    def grouped_weight(
+        self, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
+    ) -> Scalar:
+        """Closed weight of the block counts `y` (all blocks, or the leading
+        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
+        alg, k, n = self.alg, self.k, self.n
+        s = scheme.partial_sums
+        e1 = e2 = 0
+        z = 0
+        binomials = []
+        for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
+            z += y_j
+            e1 += (n - z - s[j]) * (m_j - 1)
+            e2 += (k - s[j] + 1) * y_j
+            binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
+        return closed_form(alg, e1, e2, binomials, scale, divisor)
 
 
 def geometric_construction_check(alg: AlgebraSpec, k: int, n: int, theta) -> ConstructionReport:

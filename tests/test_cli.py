@@ -438,3 +438,20 @@ def test_verify_capacity_guard_fires_on_the_same_tuple(suite, message):
     # stop at k = 9, n = 20 (C(29, 9) points), hs1 at k = 21.
     code, out, err = run_cli("verify", "--suite", suite, "--preset", "q", "--q", "1/2", "--kmax", "21")
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite", ("cauchy", "triangular"))
+def test_cauchy_and_triangular_pass_the_dimension_guard(suite):
+    # Each k (each m) passes the guard before any sum.  The runs go to a
+    # subprocess with a timeout, so a guard that stops firing fails here
+    # instead of summing for hours.
+    import rpq
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpq.__file__)))
+    argv = [sys.executable, "-m", "rpq.cli", "verify", "--suite", suite, "--preset", "js",
+            "--p", "9/10", "--q", "1/2", "--kmax"]
+    refused = subprocess.run(argv + ["21"], env=env, capture_output=True, text=True, timeout=30)
+    assert (refused.returncode, refused.stdout, refused.stderr) == (
+        3, "", "error: dimension 21 exceeds the guard (20)\n")
+    passed = subprocess.run(argv + ["20"], env=env, capture_output=True, text=True, timeout=60)
+    assert passed.returncode == 0 and passed.stdout and passed.stderr == ""

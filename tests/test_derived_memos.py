@@ -280,12 +280,11 @@ def _same(value, reference):
     ids=_kind_id,
 )
 def test_closed_form_hooks_equal_chained_products(case):
-    """Each closed-form hook against the per-point formulas above, which
-    chain plain Fraction (or float) products: tau1^a * tau2^b times the
-    normalizer, times the numerator and over the denominator, or times a
-    running product of binomials.  Value, type and repr, k <= 6."""
+    """Each kind's closed-form methods against the per-point formulas
+    above, which chain plain Fraction (or float) products: tau1^a * tau2^b
+    times the normalizer, times the numerator and over the denominator, or
+    times a running product of binomials.  Value, type and repr, k <= 6."""
     module, alg = case
-    model = module.MODEL
     marginal, conditional, grouped, grouped_marginal = CLOSED[module]
     if module is first_kind:
         cases = [FirstKindParams(alg, k, n) for k in range(1, 7) for n in range(k + 2)]
@@ -297,22 +296,23 @@ def test_closed_form_hooks_equal_chained_products(case):
         for m in range(1, k):
             for x in joint.cut_masses(m)[0]:
                 key = (sum(x), area(x))
-                _same(model.marginal_weight(params, m, key), marginal(params, x))
+                _same(params.marginal_weight(m, key), marginal(params, x))
                 for r in range(1, m):
-                    _same(model.conditional_value(params, x[:r], m, key),
+                    suffix_key = (sum(x), sum(x[r:]), area(x[r:]))
+                    _same(params.conditional_value(x[:r], m, suffix_key),
                           conditional(params, x[:r], x[r:]))
         for sizes in _compositions(k):
             scheme = GroupingScheme(sizes)
             prefix_weights = {}
             for y in joint.block_masses(sizes)[0]:
                 weight = grouped(params, scheme, y)
-                _same(model.grouped_weight(params, scheme, y), weight)
+                _same(params.grouped_weight(scheme, y), weight)
                 for prefix in (y[:nu] for nu in range(1, len(sizes))):
                     if prefix not in prefix_weights:
                         prefix_weights[prefix] = grouped_marginal(params, scheme, prefix)
                         _same(occupancy._grouped_marginal_weight(params, scheme, prefix),
                               prefix_weights[prefix])
-                    _same(model.grouped_weight(params, scheme, y, divisor=prefix_weights[prefix]),
+                    _same(params.grouped_weight(scheme, y, divisor=prefix_weights[prefix]),
                           weight / prefix_weights[prefix])
 
 
@@ -422,7 +422,7 @@ def test_replace_starts_with_empty_memos():
     assert 1 in joint._zero_bounds
     joint.block_masses((2, 3))
     joint.cdf_thresholds()
-    joint.zero_bound((0, 1))
+    joint.node_zero_bound(0b101)  # the prefix (0, 1)
     assert joint._masses and joint._thresholds and joint._zero_bounds
     copy = replace(joint)
     assert copy == joint
@@ -430,7 +430,7 @@ def test_replace_starts_with_empty_memos():
     for cut in range(params.k + 1):
         assert copy.cut_masses(cut) == joint.cut_masses(cut)
     assert copy.block_masses((2, 3)) == joint.block_masses((2, 3))
-    assert copy.zero_bound((0, 1)) == joint.zero_bound((0, 1))
+    assert copy.node_zero_bound(0b101) == joint.node_zero_bound(0b101)
 
 
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))

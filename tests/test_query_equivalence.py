@@ -78,6 +78,12 @@ def _prefix_masses(joint):
     return masses
 
 
+def _node(prefix):
+    """The index of a 0/1 prefix in the tree `PmfTable.node_zero_bound`
+    walks: the prefix's digits after a leading 1, read in binary."""
+    return int("1" + "".join(map(str, prefix)), 2)
+
+
 def _compositions(k):
     for cuts in product((0, 1), repeat=k - 1):
         sizes, run = [], 1
@@ -256,19 +262,19 @@ def test_memoised_zero_bounds_equal_uncached(alg):
                 expected = -(-frac.numerator // frac.denominator)
             else:
                 expected = (zero_mass / masses[prefix]) * DENOM
-            assert table.zero_bound(prefix) == expected
-            assert table.zero_bound(prefix) == expected
+            assert table.node_zero_bound(_node(prefix)) == expected
+            assert table.node_zero_bound(_node(prefix)) == expected
 
 
 def _prefix_walk(table, k, seed, count):
-    """Sequential draws that call `table.zero_bound(prefix)` at every
-    coordinate."""
+    """Sequential draws that build each prefix as a tuple and read its
+    bound, `table.node_zero_bound`, at every coordinate."""
     gen = _SplitMix64(seed)
     draws = []
     for _ in range(count):
         prefix = ()
         for _coord in range(k):
-            prefix += (0 if gen.next_mantissa() < table.zero_bound(prefix) else 1,)
+            prefix += (0 if gen.next_mantissa() < table.node_zero_bound(_node(prefix)) else 1,)
         draws.append(prefix)
     return tuple(draws)
 
@@ -286,14 +292,8 @@ def test_node_walk_equals_prefix_walk(alg):
             assert batch.empirical == _frequencies(batch.draws)
         # The walk's memo holds the bounds of support prefixes only, by node.
         joint = first_kind.joint_pmf(params)
-        nodes = {int("1" + "".join(map(str, p)), 2) for p in _prefix_masses(joint) if len(p) < params.k}
+        nodes = {_node(p) for p in _prefix_masses(joint) if len(p) < params.k}
         assert 1 in joint._zero_bounds and set(joint._zero_bounds) <= nodes
-
-
-def test_zero_bound_needs_a_binary_prefix():
-    joint = second_kind.joint_pmf(SecondKindParams(Q_HALF, 2, 2))
-    with pytest.raises(ValidationError, match="0/1 prefix"):
-        joint.zero_bound((2,))
 
 
 def test_approximate_draw_past_last_threshold_takes_last_point():
