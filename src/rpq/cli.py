@@ -79,7 +79,7 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
     elif name == "sample":
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--count", type=int, required=True)
-        p.add_argument("--sequential", action="store_true", help="draw coordinate-by-coordinate (first kind)")
+        p.add_argument("--sequential", action="store_true", help="draw coordinate-by-coordinate")
     elif name == "verify":
         p.add_argument("--suite", required=True, choices=IDENTITY_IDS + ("triangular", "all"))
         p.add_argument("--kmax", type=int, required=True)
@@ -219,9 +219,10 @@ def _cmd_sample(args, alg: AlgebraSpec) -> Iterable[str]:
 def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
     if args.nmax is not None and args.nmax < 0:
         raise ValidationError(f"nmax: need nmax >= 0, got {args.nmax}")
-    config = _config(args, alg, suite=args.suite, kmax=args.kmax,
-                     nmax=args.kmax if args.nmax is None else args.nmax)
     if args.suite == "triangular":
+        if args.nmax is not None:
+            raise ValidationError("nmax: the triangular suite takes no --nmax; it checks every 1 <= n <= m <= kmax")
+        config = _config(args, alg, suite=args.suite, kmax=args.kmax)
         report = check_triangular_recurrence(alg, args.kmax)
         if args.format == "json":
             obj = {
@@ -242,6 +243,8 @@ def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
 
     from .identities import reports_to_csv, reports_to_json_obj, verify_identity
 
+    config = _config(args, alg, suite=args.suite, kmax=args.kmax,
+                     nmax=args.kmax if args.nmax is None else args.nmax)
     suites = IDENTITY_IDS if args.suite == "all" else (args.suite,)
     reports = []
     for suite in suites:

@@ -23,7 +23,6 @@ two params classes and re-export these functions under their usual names.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -32,7 +31,7 @@ from typing import Callable, ClassVar, Hashable, Iterable, List, Optional, Seque
 from .algebra import AlgebraSpec, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
 from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
-from .pmf import PmfTable, grouped_sums, make_table
+from .pmf import PmfTable, extensions, grouped_sums, make_table
 from .scalars import Scalar
 
 
@@ -45,7 +44,7 @@ class OccupancyParams:
 
     - `kind`, its name, and `cap`, the bound of each coordinate (None: no
       bound below n), which also decides which `given` prefixes a
-      conditional accepts and whether the sequential sampler applies;
+      conditional accepts;
     - `sum_window()`, the least and the greatest occupancy sum;
     - `area_weight(e)`, the joint weight of area class e;
     - `normalizer(alg, k, n)` (a staticmethod), the closed normalizer of
@@ -156,18 +155,13 @@ def _derived_table(
 def _given_block(
     points: Sequence[SupportPoint], masses: Tuple[Scalar, ...], given: SupportPoint
 ) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...], slice]:
-    """The points that extend `given`, cut to what follows it, their masses,
-    and the slice of `points` they occupy.
-
-    `points` is strictly increasing, so those points form one contiguous
-    block; two bisections find it without scanning the rest.
-    """
-    lo = bisect_left(points, given)
-    hi = bisect_left(points, given[:-1] + (given[-1] + 1,), lo)
-    if lo == hi:
+    """The points that extend `given` (`pmf.extensions`), cut to what
+    follows it, their masses, and the slice of `points` they occupy."""
+    rows = extensions(points, given)
+    if rows.start == rows.stop:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
     r = len(given)
-    return tuple(x[r:] for x in points[lo:hi]), masses[lo:hi], slice(lo, hi)
+    return tuple(x[r:] for x in points[rows]), masses[rows], rows
 
 
 def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:

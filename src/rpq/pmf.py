@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
-from math import lcm
+from math import inf, lcm
 from operator import add, lt, mul
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -33,15 +33,6 @@ MASS_MEMO_SIZE = 32
 
 # Distinct projected points, sorted, and their summed weights.
 Masses = Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]
-
-
-def _on_cdf_scale(x: Scalar, exact: bool) -> Scalar:
-    """A probability x as a sampler threshold: ceil(x * 2^53) in exact mode,
-    x * 2^53 in approximate mode."""
-    if exact:
-        frac = Fraction(x) * CDF_SCALE
-        return -(-frac.numerator // frac.denominator)
-    return x * CDF_SCALE
 
 
 def _over_lcm(values: Iterable[Scalar]) -> Tuple[List[int], int]:
@@ -125,11 +116,11 @@ class ClosedFormCheck:
 class PmfTable:
     """A normalized law over a strictly increasing (lexicographic) support.
 
-    What repeated queries read is memoised on the table on first use: CDF
-    thresholds, sequential bounds, the prefix classes of each cut (prefix
-    length), and the masses of each cut and block scheme, the
-    MASS_MEMO_SIZE most recently used.  The memos take no part in equality
-    or repr, so `replace()` starts fresh ones; they are freed with the table.
+    What repeated queries read is memoised on the table on first use: the
+    sampler's steps, the prefix classes of each cut (prefix length), and
+    the masses of each cut and block scheme, the MASS_MEMO_SIZE most
+    recently used.  The memos take no part in equality or repr, so
+    `replace()` starts fresh ones; they are freed with the table.
     """
 
     kind: str
@@ -144,10 +135,9 @@ class PmfTable:
     z_closed_form: Optional[Scalar] = None
     z_discrepancy: Optional[MonomialFit] = None
     closed_form_check: Optional[ClosedFormCheck] = None
-    _thresholds: list = field(default_factory=list, init=False, repr=False, compare=False)
     _masses: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
     _cut_classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _zero_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def probability(self, point: SupportPoint) -> Scalar:
         i = bisect_left(self.support, point)
@@ -157,15 +147,6 @@ class PmfTable:
 
     def as_mapping(self) -> dict:
         return dict(zip(self.support, self.probabilities))
-
-    def cdf_thresholds(self) -> list:
-        """Each cumulative probability on the 53-bit scale (`_on_cdf_scale`);
-        non-decreasing."""
-        if not self._thresholds:
-            self._thresholds.extend(
-                _on_cdf_scale(f, self.exact) for f in accumulate(self.probabilities)
-            )
-        return self._thresholds
 
     def _pushforward(self, key: Union[int, Tuple[int, ...]]) -> Masses:
         """The support's distinct projections, sorted, and their weights
@@ -189,7 +170,10 @@ class PmfTable:
 
     def cut_masses(self, cut: int) -> Masses:
         """The distinct prefixes of length `cut`, in support (so sorted)
-        order, and their summed weights."""
+        order, and their summed weights: at the full length, the support and
+        the weights themselves."""
+        if cut == len(self.support[0]):
+            return self.support, self.weights
         return self._pushforward(cut)
 
     def block_masses(self, sizes: Tuple[int, ...]) -> Masses:
@@ -211,34 +195,51 @@ class PmfTable:
             entry = self._cut_classes[cut] = (tuple(map(sum, prefixes)), tuple(map(area, prefixes)))
         return entry
 
-    def prefix_mass(self, prefix: SupportPoint) -> Scalar:
-        """Summed weight of the support points extending `prefix`, 0 if none."""
-        prefixes, masses = self.cut_masses(len(prefix))
-        i = bisect_left(prefixes, prefix)
-        return masses[i] if i < len(prefixes) and prefixes[i] == prefix else 0
-
-    def node_zero_bound(self, node: int) -> Scalar:
-        """Threshold on a 53-bit mantissa below which the point extending
-        the 0/1 prefix at `node` takes the value 0 next: m0 / m on the
-        53-bit scale (`_on_cdf_scale`), where m is the prefix mass and m0
-        the mass of prefix + (0,).  Nodes index the binary tree of 0/1
-        prefixes: the root (the empty prefix) is 1 and the child of a node
-        by the next coordinate b is 2 * node + b (`node_prefix` reads the
-        prefix back).  Memoised per node, filled on first use."""
-        bound = self._zero_bounds.get(node)
-        if bound is None:
-            prefix = node_prefix(node)
-            zero_mass = self.prefix_mass(prefix + (0,))
-            bound = self._zero_bounds[node] = _on_cdf_scale(
-                zero_mass / self.prefix_mass(prefix), self.exact
-            )
-        return bound
+    def steps(self, cut: int, to: int) -> Steps:
+        """The sampler's steps from the prefixes of length `cut` to their
+        extensions of length `to`; memoised per (cut, to)."""
+        entry = self._steps.get((cut, to))
+        if entry is None:
+            entry = self._steps[cut, to] = Steps(self.cut_masses(cut), self.cut_masses(to), self.exact)
+        return entry
 
 
-def node_prefix(node: int) -> SupportPoint:
-    """The 0/1 prefix at `node` of the tree `PmfTable.node_zero_bound`
-    walks: the binary digits of `node` after its leading 1."""
-    return tuple(map(int, bin(node)[3:]))
+def extensions(points: Sequence[SupportPoint], prefix: SupportPoint) -> slice:
+    """The slice of the strictly increasing `points` that extend `prefix`,
+    by two bisections: from `prefix` up to (*prefix, inf)."""
+    lo = bisect_left(points, prefix)
+    return slice(lo, bisect_left(points, (*prefix, inf), lo))
+
+
+class Steps(dict):
+    """The step from each prefix of one cut to its extensions in a longer
+    cut, by the prefix's index, computed on first read: (lo, thresholds),
+    where lo indexes the first extension and thresholds are the cumulative
+    mass / prefix mass of the extensions but the last, times 2^53 (rounded
+    up, an int, in exact mode).  A variate u takes the extension
+    lo + bisect_right(thresholds, u), so one past a float CDF that ends
+    below 1 takes the last."""
+
+    def __init__(self, prefixes: Masses, extended: Masses, exact: bool) -> None:
+        super().__init__()
+        self._prefixes, self._extended, self._exact = prefixes, extended, exact
+
+    def __missing__(self, i: int) -> Tuple[int, List[Scalar]]:
+        (prefixes, masses), (points, extension_masses) = self._prefixes, self._extended
+        block = extensions(points, prefixes[i])
+        if self._exact:
+            # The masses over a common denominator are integers whose total
+            # stands for the prefix mass: each threshold is
+            # ceil(cumulative * 2^53 / total), with no Fraction built.
+            scaled, _ = _over_lcm(extension_masses[block])
+            total = sum(scaled)
+            thresholds = [-(-(c << CDF_BITS) // total) for c in accumulate(scaled[:-1])]
+        else:
+            mass = masses[i]
+            cumulative = accumulate(m / mass for m in extension_masses[block.start:block.stop - 1])
+            thresholds = [f * CDF_SCALE for f in cumulative]
+        step = self[i] = (block.start, thresholds)
+        return step
 
 
 @lru_cache(maxsize=64, typed=True)

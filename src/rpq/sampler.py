@@ -1,4 +1,5 @@
-"""Deterministic inverse-CDF sampling from enumerated tables.
+"""Deterministic sampling from enumerated tables, by inverse CDF or one
+coordinate at a time.
 
 The uniform source is SplitMix64 (Steele, Lea & Flood's constants): state
 advances by the golden-gamma increment 0x9E3779B97F4A7C15 and each output
@@ -7,13 +8,18 @@ mix.  A variate is the top 53 bits of one output, read as the exact
 rational mantissa / 2^53, so draws are reproducible bit-for-bit on any
 platform.
 
-Selection rule: a variate u picks the first support point (in the table's
-lexicographic order) whose cumulative probability exceeds u.  Thresholds
-are exact rationals in exact mode; u < F is decided by integer comparison
+Both samplers run one walk over prefixes.  A draw starts at the empty
+prefix and, at each of a list of prefix lengths, reads one variate u and
+moves to the first extension of its prefix (in the table's lexicographic
+order) whose cumulative conditional probability exceeds u.  `sample` walks
+straight to the full length, an inverse-CDF draw from one variate;
+`sequential_sample` walks the lengths 1..k, one variate per coordinate
+(the conditional-distribution method), for either kind.  Thresholds are
+exact rationals in exact mode; u < F is decided by integer comparison
 against ceil(F * 2^53), which never misassigns a boundary and never lands
-on a zero-probability point.  A table computes its thresholds, prefix
-masses and per-prefix sequential bounds once, and each draw is found by
-binary search over the thresholds.
+on a zero-probability point.  A table computes each step once
+(`PmfTable.steps`), and a step is taken by binary search over its
+thresholds.
 """
 
 from __future__ import annotations
@@ -23,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .errors import ValidationError
 from .lattice import SupportPoint
 from .occupancy import OccupancyParams, joint_pmf
-from .pmf import CDF_BITS, PmfTable, node_prefix
+from .pmf import CDF_BITS, PmfTable
 from .scalars import Scalar
 
 _MASK64 = (1 << 64) - 1
@@ -86,22 +92,33 @@ def _empirical(draws, count) -> Tuple[Tuple[SupportPoint, Fraction], ...]:
     return tuple((point, frequency[c]) for point, c in counts)
 
 
-def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
-    """Draw `count` inverse-CDF samples from a normalized table.
+def _walk(table: PmfTable, cuts: Sequence[int], seed: int, count: int) -> Tuple[SupportPoint, ...]:
+    """`count` points of `table` drawn, each by a walk from the empty prefix
+    through the prefix lengths `cuts`, the last of them the full length.
 
-    Each draw is found by binary search over the thresholds.  An approximate
-    table whose float CDF ends below 1 sends a variate past the last
-    threshold to the last point.
+    Each step reads one variate and takes an extension of the prefix the
+    walk is at (`PmfTable.steps`).  Every walk leaves the empty prefix by
+    the same step, read once here.
     """
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")
-    thresholds = table.cdf_thresholds()
-    support = table.support
-    last = len(support) - 1
-    draws = tuple(
-        support[min(bisect_right(thresholds, u >> _MANTISSA_SHIFT), last)]
-        for u in islice(_outputs(seed), count)
-    )
+    lo, thresholds = table.steps(0, cuts[0])[0]
+    legs = [table.steps(cut, to) for cut, to in zip(cuts, cuts[1:])]
+    outputs = _outputs(seed)
+    ends = []
+    for u in islice(outputs, count):
+        i = lo + bisect_right(thresholds, u >> _MANTISSA_SHIFT)
+        for leg in legs:
+            start, bounds = leg[i]
+            i = start + bisect_right(bounds, next(outputs) >> _MANTISSA_SHIFT)
+        ends.append(i)
+    return tuple(map(table.support.__getitem__, ends))
+
+
+def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
+    """Draw `count` inverse-CDF samples from a normalized table: one step
+    from the empty prefix to the whole point per draw."""
+    draws = _walk(table, (len(table.support[0]),), seed, count)
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(draws, count))
 
 
@@ -120,32 +137,13 @@ def path_probabilities(params: OccupancyParams) -> Dict[SupportPoint, Scalar]:
 
 
 def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleBatch:
-    """Draw occupancy vectors one coordinate at a time.
+    """Draw occupancy vectors one coordinate at a time, of either kind.
 
     Each coordinate consumes one variate and is decided by the conditional
     law given the prefix drawn so far, so the induced distribution is
     exactly the joint law; only the variate stream differs from `sample`.
-    A coordinate is decided between 0 and 1, so only a kind of cap 1 (the
-    first kind) samples sequentially.
     """
-    if params.cap != 1:
-        raise ValidationError("sequential: only the first kind samples sequentially")
-    if count < 1:
-        raise ValidationError(f"count: need count >= 1, got {count}")
     table = joint_pmf(params)
-    k = params.k
-    # Each draw walks the tree of 0/1 prefixes by node index (root 1, child
-    # 2 * node + bit) and reads each node's bound from the table's memo.
-    zero_bound = table.node_zero_bound
-    outputs = _outputs(seed)
-    nodes = []
-    for _ in range(count):
-        node = 1
-        for u in islice(outputs, k):
-            node = 2 * node + (u >> _MANTISSA_SHIFT >= zero_bound(node))
-        nodes.append(node)
-    points = {node: node_prefix(node) for node in set(nodes)}
-    draws = tuple(map(points.__getitem__, nodes))
-    batch_params = dict(table.params)
-    batch_params["sampler"] = "sequential"
-    return SampleBatch(batch_params, seed, count, draws, _empirical(draws, count))
+    draws = _walk(table, range(1, params.k + 1), seed, count)
+    return SampleBatch(dict(table.params, sampler="sequential"), seed, count, draws,
+                       _empirical(draws, count))

@@ -145,9 +145,9 @@ def test_sequential_sample_cli():
     code, out, _ = run_cli("sample", "--preset", "q", "--q", "1/2", "--k", "2", "--n", "1",
                            "--seed", "4", "--count", "50", "--sequential")
     assert code == 0
-    code2, _, err = run_cli("sample", "--kind", "second", "--preset", "q", "--q", "1/2",
-                            "--k", "2", "--n", "1", "--seed", "4", "--count", "5", "--sequential")
-    assert code2 == 2 and "sequential" in err
+    code2, out2, err = run_cli("sample", "--kind", "second", "--preset", "q", "--q", "1/2",
+                               "--k", "2", "--n", "1", "--seed", "4", "--count", "5", "--sequential")
+    assert code2 == 0 and err == "" and "# sequential=True" in out2.splitlines()
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch):
@@ -246,6 +246,17 @@ def test_negative_nmax_exit_code(suite):
                              "--q", "1/2", "--kmax", "3", "--nmax", "-2")
     assert code == 2 and out == ""
     assert "nmax: need nmax >= 0" in err
+
+
+def test_triangular_suite_refuses_nmax():
+    argv = ("verify", "--suite", "triangular", "--preset", "js", "--p", "9/10", "--q", "1/2",
+            "--kmax", "3")
+    code, out, err = run_cli(*argv, "--nmax", "3")
+    assert (code, out) == (2, "") and err.startswith("error: nmax:")
+    # The suite's config names no nmax.
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(*argv, "--format", fmt)
+        assert code == 0 and err == "" and "nmax" not in out
 
 
 def test_invalid_tolerance_exit_code(tmp_path):

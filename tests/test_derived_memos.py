@@ -20,7 +20,7 @@ import pytest
 
 from conftest import ALL_PRESETS, JS
 from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
-                 jagannathan_srinivasa, q_deformation, quesne, sequential_sample)
+                 jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
 from rpq import first_kind, occupancy, pmf, second_kind
 from rpq.algebra import MonomialFit, binomial_or_zero, deformed_binomial, fit_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme
@@ -413,24 +413,25 @@ def test_block_masses_need_blocks_covering_the_point():
 
 
 def test_replace_starts_with_empty_memos():
-    params = FirstKindParams(JS, 5, 3)
+    params = SecondKindParams(JS, 4, 3)
     _clear_caches()
-    joint = first_kind.joint_pmf(params)
-    assert joint._zero_bounds == {}
-    # The sequential walk fills the bound memo on use, from the root (node 1).
+    joint = second_kind.joint_pmf(params)
+    assert joint._steps == {}
+    # The sequential walk fills the step memos on use, from the root.
     sequential_sample(params, 1, 20)
-    assert 1 in joint._zero_bounds
-    joint.block_masses((2, 3))
-    joint.cdf_thresholds()
-    joint.node_zero_bound(0b101)  # the prefix (0, 1)
-    assert joint._masses and joint._thresholds and joint._zero_bounds
+    assert 0 in joint._steps[0, 1]
+    joint.block_masses((2, 2))
+    sample(joint, 1, 20)
+    joint.cut_classes(2)
+    assert joint._masses and joint._cut_classes and (0, 4) in joint._steps
     copy = replace(joint)
     assert copy == joint
-    assert (copy._masses, copy._thresholds, copy._zero_bounds) == ({}, [], {})
+    assert (copy._masses, copy._cut_classes, copy._steps) == ({}, {}, {})
     for cut in range(params.k + 1):
         assert copy.cut_masses(cut) == joint.cut_masses(cut)
-    assert copy.block_masses((2, 3)) == joint.block_masses((2, 3))
-    assert copy.node_zero_bound(0b101) == joint.node_zero_bound(0b101)
+    assert copy.block_masses((2, 2)) == joint.block_masses((2, 2))
+    assert copy.steps(1, 2)[1] == joint.steps(1, 2)[1]
+    assert copy.steps(0, 4)[0] == joint.steps(0, 4)[0]
 
 
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))

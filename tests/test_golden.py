@@ -61,6 +61,8 @@ GOLDEN = {
         "c3e94f08c2f66e220d8368339eefd9f5f33323f2523461df9c26cd79987f76e8",
     ("sample", "--kind", "first", "--sequential") + Q + ("--k", "5", "--n", "2", "--seed", "13", "--count", "200", "--format", "csv"):
         "64a3d2c283dfe866648e2a84d3c23eb21467f55058bad6cdd06b4a95ddfd8eb0",
+    ("sample", "--kind", "second", "--sequential") + JS + ("--k", "4", "--n", "3", "--seed", "14", "--count", "200", "--format", "json"):
+        "f105cff7eaf53158cd6a7dd33c206a62d4c17be0329e69ef545f5edeac71d038",
     ("moments", "--kind", "second") + JS + ("--k", "3", "--n", "3", "--format", "json"):
         "0b69b7b5c143367aa33a5c5293507d1608dd17703636ff6400852aa4958ebe2c",
     ("tabulate", "--kind", "second") + JS + ("--k", "5", "--n", "4", "--format", "json"):

@@ -22,7 +22,7 @@ from rpq import (
     sample,
     sequential_sample,
 )
-from rpq import first_kind, second_kind
+from rpq import first_kind, sampler, second_kind
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.pmf import make_table
 from rpq.second_kind import SecondKindParams
@@ -76,12 +76,6 @@ def _prefix_masses(joint):
             key = point[:cut]
             masses[key] = masses[key] + weight if key in masses else weight
     return masses
-
-
-def _node(prefix):
-    """The index of a 0/1 prefix in the tree `PmfTable.node_zero_bound`
-    walks: the prefix's digits after a leading 1, read in binary."""
-    return int("1" + "".join(map(str, prefix)), 2)
 
 
 def _compositions(k):
@@ -184,16 +178,21 @@ def _frequencies(draws):
     return tuple((point, Fraction(c, len(draws))) for point, c in sorted(Counter(draws).items()))
 
 
+def _on_scale(cumulative, exact):
+    """A cumulative probability as a threshold on the 53-bit scale: rounded
+    up in exact mode."""
+    if exact:
+        frac = Fraction(cumulative) * DENOM
+        return -(-frac.numerator // frac.denominator)
+    return cumulative * DENOM
+
+
 def _scan_sample(table, seed, count):
     thresholds = []
     cumulative = 0
     for prob in table.probabilities:
         cumulative += prob
-        if table.exact:
-            frac = Fraction(cumulative) * DENOM
-            thresholds.append(-(-frac.numerator // frac.denominator))
-        else:
-            thresholds.append(cumulative * DENOM)
+        thresholds.append(_on_scale(cumulative, table.exact))
     gen = _SplitMix64(seed)
     draws = []
     for _ in range(count):
@@ -207,25 +206,33 @@ def _scan_sample(table, seed, count):
     return tuple(draws)
 
 
+def _children(masses):
+    """Each prefix's one-coordinate extensions, sorted."""
+    children = {}
+    for prefix in sorted(masses):
+        if prefix:
+            children.setdefault(prefix[:-1], []).append(prefix)
+    return children
+
+
 def _scan_sequential(table, k, seed, count):
-    masses = {}
-    for point, weight in zip(table.support, table.weights):
-        for cut in range(len(point) + 1):
-            key = point[:cut]
-            masses[key] = masses[key] + weight if key in masses else weight
+    """Draws one coordinate at a time: a variate picks the first extension
+    of the prefix whose cumulative conditional probability, by a linear
+    scan over uncached prefix masses, exceeds it, else the last one."""
+    masses = _prefix_masses(table)
+    children = _children(masses)
     gen = _SplitMix64(seed)
     draws = []
     for _ in range(count):
         prefix = ()
         for _coord in range(k):
-            zero_mass = masses.get(prefix + (0,), 0)
-            total = masses[prefix]
-            if table.exact:
-                frac = Fraction(zero_mass) / total * DENOM
-                bound = -(-frac.numerator // frac.denominator)
-            else:
-                bound = (zero_mass / total) * DENOM
-            prefix = prefix + (0 if gen.next_mantissa() < bound else 1,)
+            u = gen.next_mantissa()
+            cumulative = 0
+            for child in children[prefix]:
+                cumulative += masses[child] / masses[prefix]
+                if u < _on_scale(cumulative, table.exact):
+                    break
+            prefix = child
         draws.append(prefix)
     return tuple(draws)
 
@@ -240,70 +247,78 @@ def test_draws_equal_linear_scan(case):
             expected = _scan_sample(table, seed, 300)
             for _ in range(2):
                 batches.append((sample(table, seed, 300), expected))
-        if module is first_kind:
-            expected = _scan_sequential(table, params.k, 3, 300)
-            for _ in range(2):
-                batches.append((sequential_sample(params, 3, 300), expected))
+        expected = _scan_sequential(table, params.k, 3, 300)
+        for _ in range(2):
+            batches.append((sequential_sample(params, 3, 300), expected))
         for batch, expected in batches:
             assert batch.draws == expected
             assert batch.empirical == _frequencies(expected)
             assert all(type(freq) is Fraction for _, freq in batch.empirical)
 
 
-@pytest.mark.parametrize("alg", PRESETS, ids=lambda a: f"{a.name}-{'exact' if a.exact else 'approx'}")
-def test_memoised_zero_bounds_equal_uncached(alg):
-    for params in _params(first_kind, alg):
-        table = first_kind.joint_pmf(params)
+def _scan_step(masses, prefix, extended, points, exact):
+    """The index in `points` of the first of the extensions `extended` of
+    `prefix`, and the thresholds of all of them but the last."""
+    thresholds, cumulative = [], 0
+    for point in extended[:-1]:
+        cumulative += masses[point] / masses[prefix]
+        thresholds.append(_on_scale(cumulative, exact))
+    return points.index(extended[0]), thresholds
+
+
+@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+def test_memoised_steps_equal_uncached(case):
+    module = case[0]
+    for params in _params(*case):
+        table = module.joint_pmf(params)
         masses = _prefix_masses(table)
-        for prefix in [p for p in masses if len(p) < params.k]:
-            zero_mass = masses.get(prefix + (0,), 0)
-            if table.exact:
-                frac = Fraction(zero_mass) / masses[prefix] * DENOM
-                expected = -(-frac.numerator // frac.denominator)
-            else:
-                expected = (zero_mass / masses[prefix]) * DENOM
-            assert table.node_zero_bound(_node(prefix)) == expected
-            assert table.node_zero_bound(_node(prefix)) == expected
+        children = _children(masses)
+        cuts = [sorted(p for p in masses if len(p) == cut) for cut in range(params.k + 1)]
+        # Each prefix's step into the next cut, cold and then warm.
+        for cut, prefixes in enumerate(cuts[:-1]):
+            for i, prefix in enumerate(prefixes):
+                expected = _scan_step(masses, prefix, children[prefix], cuts[cut + 1], table.exact)
+                assert table.steps(cut, cut + 1)[i] == expected
+                assert table.steps(cut, cut + 1)[i] == expected
+        # The inverse-CDF step, from the empty prefix to the whole point.
+        support = list(table.support)
+        assert table.steps(0, params.k)[0] == _scan_step(masses, (), support, support, table.exact)
 
 
-def _prefix_walk(table, k, seed, count):
-    """Sequential draws that build each prefix as a tuple and read its
-    bound, `table.node_zero_bound`, at every coordinate."""
-    gen = _SplitMix64(seed)
-    draws = []
-    for _ in range(count):
-        prefix = ()
-        for _coord in range(k):
-            prefix += (0 if gen.next_mantissa() < table.node_zero_bound(_node(prefix)) else 1,)
-        draws.append(prefix)
-    return tuple(draws)
-
-
-@pytest.mark.parametrize("alg", PRESETS, ids=lambda a: f"{a.name}-{'exact' if a.exact else 'approx'}")
-def test_node_walk_equals_prefix_walk(alg):
-    for params in [FirstKindParams(alg, k, n) for k in (1, 2, 3, 5, 6) for n in range(k + 2)]:
-        first_kind.joint_pmf.cache_clear()
+@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+def test_cold_warm_and_copied_walks_equal_scan(case):
+    module = case[0]
+    for params in _params(*case):
+        module.joint_pmf.cache_clear()
         # The first seed walks a fresh table, the others a warm one.
         for seed in (1, 7, 12345, (1 << 64) - 1):
+            expected = _scan_sequential(module.joint_pmf(params), params.k, seed, 150)
             batch = sequential_sample(params, seed, 150)
-            # `replace` gives the reference its own, empty memos.
-            reference = replace(first_kind.joint_pmf(params))
-            assert batch.draws == _prefix_walk(reference, params.k, seed, 150)
-            assert batch.empirical == _frequencies(batch.draws)
-        # The walk's memo holds the bounds of support prefixes only, by node.
-        joint = first_kind.joint_pmf(params)
-        nodes = {_node(p) for p in _prefix_masses(joint) if len(p) < params.k}
-        assert 1 in joint._zero_bounds and set(joint._zero_bounds) <= nodes
+            assert batch.draws == expected
+            assert batch.empirical == _frequencies(expected)
+        # The walk memoises the steps of the cuts it crosses, from the root
+        # on; a copy starts without them and walks alike.
+        joint = module.joint_pmf(params)
+        assert set(joint._steps) == {(cut, cut + 1) for cut in range(params.k)}
+        assert list(joint._steps[0, 1]) == [0]
+        copy = replace(joint)
+        assert copy._steps == {}
+        assert sample(copy, 5, 150).draws == sample(joint, 5, 150).draws == _scan_sample(joint, 5, 150)
 
 
-def test_approximate_draw_past_last_threshold_takes_last_point():
-    joint = first_kind.joint_pmf(FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 2))
-    # Half the mass is missing, so about half of the variates fall past the
-    # last threshold; `replace` starts the copy without the joint's memos.
-    short = replace(joint, probabilities=tuple(p / 2 for p in joint.probabilities))
-    draws = sample(short, 4, 400).draws
-    assert draws == _scan_sample(short, 4, 400)
-    assert 100 < draws.count(short.support[-1]) < 400
+def test_approximate_draw_past_last_threshold_takes_last_point(monkeypatch):
+    joint = first_kind.joint_pmf(FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 1))
+    # The float CDF of this law ends at 1 - 2^-53, so the largest variate,
+    # 2^53 - 1, falls past the last threshold, and takes the last point.
+    cumulative = 0
+    for prob in joint.probabilities:
+        cumulative += prob
+    assert cumulative == 0.9999999999999999
+    top = DENOM - 1
+    assert not top < _on_scale(cumulative, False)
+    monkeypatch.setattr(sampler, "_outputs", lambda seed: iter([top << 11] * 3))
+    assert sample(joint, 4, 3).draws == (joint.support[-1],) * 3
+    monkeypatch.undo()
     assert sample(joint, 4, 400).draws == _scan_sample(joint, 4, 400)
 
 

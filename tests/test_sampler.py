@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q_HALF
+from conftest import JS, Q_HALF
 from rpq import (
     FirstKindParams,
     SecondKindParams,
     ValidationError,
+    jagannathan_srinivasa,
     path_probabilities,
     sample,
     sequential_sample,
@@ -38,15 +39,16 @@ def test_point_mass_draws():
 
 def test_threshold_selection_rule():
     table = joint_pmf(FirstKindParams(Q_HALF, 2, 1))
-    thresholds = table.cdf_thresholds()
+    # The inverse-CDF step leaves the empty prefix for the first point with
+    # thresholds 4/7 and 6/7 on the 53-bit scale, rounded up; the last
+    # point takes every variate past them.
+    lo, thresholds = table.steps(0, 2)[0]
     denom = 1 << 53
+    assert lo == 0 and thresholds == [-(-4 * denom // 7), -(-6 * denom // 7)]
     # u = 0.6 lies between 4/7 and 6/7, so the second point is selected
     u = int(0.6 * denom)
     assert thresholds[0] <= u < thresholds[1]
     assert table.support[1] == (0, 1)
-    # u below the first threshold selects the first point; u near 1 the last
-    assert 0 < thresholds[0]
-    assert thresholds[2] == denom
 
 
 def test_draws_reproducible_and_within_binomial_error():
@@ -86,8 +88,12 @@ def test_path_probabilities_match_joint():
     assert path_probabilities(FirstKindParams(Q_HALF, 2, 1))[(0, 1)] == Fraction(2, 7)
 
 
-def test_sequential_sampler_reproducible_and_calibrated():
-    params = FirstKindParams(Q_HALF, 2, 1)
+@pytest.mark.parametrize("params", [
+    FirstKindParams(Q_HALF, 2, 1),
+    SecondKindParams(JS, 3, 3),
+    SecondKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 3),
+], ids=("first", "second-exact", "second-decimal"))
+def test_sequential_sampler_reproducible_and_calibrated(params):
     one = sequential_sample(params, seed=77, count=50_000)
     two = sequential_sample(params, seed=77, count=50_000)
     assert one.draws == two.draws
@@ -114,8 +120,3 @@ def test_second_kind_path_probabilities_are_the_second_kind_joint():
     table = joint_pmf(params)
     assert len(table.support) == 10
     assert path_probabilities(params) == dict(zip(table.support, table.probabilities))
-
-
-def test_second_kind_sequential_sample_is_refused():
-    with pytest.raises(ValidationError, match="sequential"):
-        sequential_sample(SecondKindParams(Q_HALF, 2, 3), seed=4, count=20)

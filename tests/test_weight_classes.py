@@ -91,7 +91,6 @@ def test_marginals_grouped_and_prefix_masses_equal_scan(case):
             assert joint.block_masses(sizes) == (support, masses)
             _assert_table(module.grouped_pmf(params, GroupingScheme(sizes)), support, masses)
         expected = _prefix_masses(joint)
-        assert {prefix: joint.prefix_mass(prefix) for prefix in expected} == expected
         for cut in range(k + 1):
             prefixes = tuple(p for p in expected if len(p) == cut)
             assert joint.cut_masses(cut) == (prefixes, tuple(map(expected.get, prefixes)))
