@@ -163,7 +163,8 @@ def _emit(args, config, json_obj, csv_body) -> Iterable[str]:
 
 
 def _emit_table(args, config, table) -> Iterable[str]:
-    """`_emit` of a table as a lazy stream of chunks of rows."""
+    """`_emit` of a table (or a joint's row stream) as a lazy stream of
+    chunks of rows."""
     if args.format == "json":
         return serialize.table_json_chunks(table, _plain_config(config))
     return chain([serialize.config_header(config)], serialize.table_csv_chunks(table))
@@ -174,7 +175,7 @@ def _query(args, module, params):
     config entries it adds."""
     command = args.subcommand
     if command == "tabulate":
-        return module.joint_pmf(params), {}
+        return module.joint_stream(params), {}
     if command == "marginal":
         return module.marginal_pmf(params, args.r), {"r": args.r}
     if command == "conditional":

@@ -4,6 +4,13 @@ The brute-force ground truth behind every closed form in the package:
 a box `0 <= x[j] <= upper[j]` intersected with a coordinate-sum
 window `sum_min <= sum(x) <= sum_max`, enumerated in lexicographic order
 and summed with exact arithmetic.  Hard guards keep everything desk-scale.
+
+Two listings share that order.  `iter_points` is an odometer that yields
+the points alone.  `walk` extends prefixes one coordinate at a time and
+carries each prefix's area E along (`area`), the one statistic a joint
+weight reads; a prefix is built as `prefix + cell[v]`, so with tuple cells
+it lists points and with text cells the text of table rows.  It yields
+chunks, so a listing of any size holds a few thousand prefixes at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, ValidationError
 from .scalars import Scalar, check_uniform_mode
@@ -138,6 +145,102 @@ def iter_points(constraints: ConstraintSet) -> Iterator[SupportPoint]:
         reset_from(j + 1)
 
 
+# The most points in a chunk of `walk`, for coordinate ranges below it.
+WALK_CHUNK = 512
+
+
+def walk(
+    constraints: ConstraintSet, cells: Optional[Sequence[Sequence]] = None, start=()
+) -> Iterator[Tuple[List, List[int]]]:
+    """The admissible points in lexicographic order, as chunks
+    (prefixes, areas): the prefix `start + cells[0][x_0] + ... +
+    cells[d-1][x_{d-1}]` of each point x and its area E(x) (`area`).
+    Without `cells` a chunk lists the areas alone and its prefixes are [].
+
+    Coordinate j takes the values [lo_j, min(upper[j], sum_max - S_j)], as in
+    `iter_points`, and E is carried along: appending v to a prefix of sum S
+    and area E gives sum S + v and area E + S + v, since E(x) is the sum of
+    the prefix sums of x.  The trailing coordinates whose value tuples
+    number at most WALK_CHUNK (at least the last one) are not walked per
+    prefix: their tails, the text and the area of each admissible x[h:],
+    depend only on the sum s of x[:h] and are built once per s.  A point
+    is then `prefix + tail`, with area E(x[:h]) + (d - h) s + E(x[h:]).
+    The prefixes of x[:h] are extended in slices, so a level holds at most
+    WALK_CHUNK of them (one when a coordinate's range alone is wider), and a
+    chunk holds at most WALK_CHUNK points when a tail list does.
+    """
+    dim, upper = constraints.dim, constraints.upper
+    smin, smax = constraints.sum_min, constraints.sum_max
+    up_suffix = _suffix_sums(upper)
+    if dim == 0:
+        if smin <= 0 <= smax:
+            yield ([start] if cells is not None else []), [0]
+        return
+    if max(0, smin - up_suffix[1]) > min(upper[0], smax):
+        return
+    h, tuples = dim - 1, upper[-1] + 1
+    while h > 0 and tuples * (upper[h - 1] + 1) <= WALK_CHUNK:
+        h -= 1
+        tuples *= upper[h] + 1
+    memo: Dict[Tuple[int, int], Tuple[List, List[int]]] = {}
+
+    def tails(j: int, s: int) -> Tuple[Sequence, Sequence[int]]:
+        # The texts and the areas of the admissible x[j:] after a prefix of sum s.
+        up, rest = upper[j], smin - up_suffix[j + 1]
+        lo = rest - s if rest > s else 0  # the range of `iter_points`, without max and min
+        hi = smax - s if smax - s < up else up
+        if j == dim - 1:
+            return (() if cells is None else cells[j][lo:hi + 1]), range(lo, hi + 1)
+        entry = memo.get((j, s))
+        if entry is None:
+            texts, areas = [], []
+            for v in range(lo, hi + 1):
+                sub_texts, sub_areas = tails(j + 1, s + v)
+                if cells is not None:
+                    texts += map(cells[j][v].__add__, sub_texts)
+                areas += map(((dim - j) * v).__add__, sub_areas)
+            entry = memo[j, s] = texts, areas
+        return entry
+
+    def extend(items: list, j: int) -> Iterator[Tuple[List, List[int]]]:
+        # items: (prefix, sum, area) of the prefixes of length j.
+        if j == h:
+            prefixes, areas = [], []
+            for p, s, a in items:
+                texts, tail_areas = tails(h, s)
+                if areas and len(areas) + len(tail_areas) > WALK_CHUNK:
+                    yield prefixes, areas
+                    prefixes, areas = [], []
+                areas += map((a + (dim - h) * s).__add__, tail_areas)
+                if cells is not None:
+                    prefixes += map(p.__add__, texts)
+            if areas:
+                yield prefixes, areas
+            return
+        cell = None if cells is None else cells[j]
+        up, rest = upper[j], smin - up_suffix[j + 1]
+        nxt = []
+        for p, s, a in items:
+            for v in range(rest - s if rest > s else 0, (smax - s if smax - s < up else up) + 1):
+                t = s + v
+                nxt.append((p if cell is None else p + cell[v], t, a + t))
+        size = max(1, WALK_CHUNK // (upper[j + 1] + 1))
+        for i in range(0, len(nxt), size):
+            yield from extend(nxt[i:i + size], j + 1)
+
+    yield from extend([(start, 0, 0)], 0)
+
+
+def point_cells(constraints: ConstraintSet) -> List[List[Tuple[int]]]:
+    """The cells (v,) of each coordinate's values: `walk` then lists points."""
+    return [[(v,) for v in range(up + 1)] for up in constraints.upper]
+
+
+def _self_checked(listed: int, expected: int) -> None:
+    if listed != expected:
+        raise AssertionError(f"enumeration self-check failed: {listed} points listed, {expected} counted")
+
+
 def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:
     """Complete, duplicate-free, lexicographic enumeration.
 
@@ -146,11 +249,20 @@ def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:
     """
     expected = count_points(constraints)
     points = tuple(iter_points(constraints))
-    if len(points) != expected:
-        raise AssertionError(
-            f"enumeration self-check failed: {len(points)} points listed, {expected} counted"
-        )
+    _self_checked(len(points), expected)
     return points
+
+
+def enumerate_areas(constraints: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
+    """`enumerate_points` and the area of each point, from one `walk`,
+    under the same guard and self-check."""
+    expected = count_points(constraints)
+    points, areas = [], []
+    for chunk_points, chunk_areas in walk(constraints, point_cells(constraints)):
+        points += chunk_points
+        areas += chunk_areas
+    _self_checked(len(points), expected)
+    return tuple(points), tuple(areas)
 
 
 # A layer of the recursion below: (partial, denominator).  partial[s] holds

@@ -11,7 +11,11 @@ Fermi-Dirac) and the second kind (unlimited capacity, Bose-Einstein) run
 the same construction: one support, one weight per area class, and derived
 tables (marginals, conditionals, grouped laws) that carry the measure the
 joint induces, with closed forms attached as cross-checks; their masses
-are memoised on the joint (`PmfTable.cut_masses`, `block_masses`).  What
+are memoised on the joint (`PmfTable.cut_masses`, `block_masses`).  The
+joint comes in two forms: `joint_pmf` lists it as a `PmfTable`, reading
+each point's area from the same walk that lists it, and `joint_stream`
+holds only its area classes (`classes.area_counts`), so that `rpq
+tabulate` writes its rows as `lattice.walk` lists them.  What
 the kinds differ in (the cap, the sum window, the weight of an area class
 and the closed forms) lives on their params classes, two subclasses of
 `OccupancyParams`, as class attributes and methods that every function
@@ -30,8 +34,9 @@ from typing import Callable, ClassVar, Hashable, Iterable, List, Optional, Seque
 
 from .algebra import AlgebraSpec, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
-from .lattice import ConstraintSet, SupportPoint, area, enumerate_points
-from .pmf import PmfTable, extensions, grouped_sums, make_table
+from .classes import area_counts
+from .lattice import ConstraintSet, SupportPoint, area, count_points, enumerate_areas, enumerate_points
+from .pmf import PmfStream, PmfTable, extensions, grouped_sums, make_stream, make_table
 from .scalars import Scalar
 
 
@@ -117,13 +122,31 @@ def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
 @lru_cache(maxsize=32)
 def joint_pmf(params: OccupancyParams) -> PmfTable:
     """Joint law of (X_1..X_k), one weight per area class."""
-    support = enumerate_points(support_constraints(params))
+    support, areas = enumerate_areas(support_constraints(params))
     return make_table(
         kind=params.kind,
         params=params.describe(),
         coord_labels=_labels("x", 1, params.k),
         support=support,
-        weights=class_values(map(area, support), params.area_weight),
+        weights=class_values(areas, params.area_weight),
+        alg=params.alg,
+        **_normalizer(params),
+    )
+
+
+def joint_stream(params: OccupancyParams) -> PmfStream:
+    """The joint law of `joint_pmf`, with its checks, its normalizer and its
+    fit, as a stream: the support is counted (the same guard), not listed."""
+    constraints = support_constraints(params)
+    count_points(constraints)
+    counts = area_counts(constraints)
+    return make_stream(
+        kind=params.kind,
+        params=params.describe(),
+        coord_labels=_labels("x", 1, params.k),
+        constraints=constraints,
+        counts=counts,
+        weights={e: params.area_weight(e) for e in counts},
         alg=params.alg,
         **_normalizer(params),
     )

@@ -2,7 +2,10 @@
 
 A table's probabilities are always weight / (enumerated sum of weights);
 closed-form normalizers and closed-form probability values ride along as
-cross-check records, never as the source of truth.
+cross-check records, never as the source of truth.  A `PmfStream` is the
+same law listed by `lattice.walk` rather than held: one weight and one
+probability per area class, normalized from the class counts in exact
+mode and from passes over the walk in approximate mode.
 """
 
 from __future__ import annotations
@@ -12,14 +15,15 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import inf, lcm
 from operator import add, lt, mul
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, ClassVar, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, UnderflowError, ValidationError
-from .lattice import SupportPoint, area
+from .lattice import ConstraintSet, SupportPoint, area, point_cells, walk
 from .scalars import Scalar, scalars_close
 
 # A sampler variate is a CDF_BITS-bit mantissa over 2^CDF_BITS (see
@@ -44,37 +48,70 @@ def _over_lcm(values: Iterable[Scalar]) -> Tuple[List[int], int]:
     return [v.numerator * (denominator // d) for v, d in zip(values, denominators)], denominator
 
 
-def _normalized(
-    values: Sequence[Scalar], exact: bool, nonpositive: str
-) -> Tuple[Scalar, Dict[int, Scalar], Counter]:
-    """The sum of `values` (at least one), value / sum per distinct value
-    object keyed by its id, and each object's multiplicity, both in
-    first-seen order.
+def _class_quotients(
+    values: Sequence[Scalar], counts: Sequence[int], z: Optional[Scalar], nonpositive: str
+) -> Tuple[Scalar, List[Scalar], Optional[int]]:
+    """The normalizer of classes of value `values[i]` and multiplicity
+    `counts[i]`, value / normalizer per class, and the integer sum S below
+    (None in approximate mode).
 
-    Points of one class share one value object, so each quotient is
-    computed once per class.  In exact mode the distinct values are brought
-    to the lcm of their denominators as integers; the sum is one Fraction of
-    the multiplicity-weighted numerators, and each quotient the Fraction
-    (scaled numerator, that integer sum): the same rationals as a
-    point-by-point sum and division.  In approximate mode the values are
-    added left to right, as a point-by-point sum rounds.  A sum that is not
-    positive raises ValidationError(f"{nonpositive} {sum}").
+    Exact mode (z None): the values are brought to the lcm of their
+    denominators as integers s_i; with S the sum of count times s_i, the
+    normalizer is Fraction(S, lcm) and each quotient Fraction(s_i, S): the
+    same rationals as a point-by-point sum and division.  Approximate mode
+    passes z, the values of every point added left to right in support
+    order, as a point-by-point sum rounds.  A normalizer that is not
+    positive raises ValidationError(f"{nonpositive} {z}").
     """
-    counts = Counter(map(id, values))
-    objects = dict(zip(map(id, values), values))
-    if exact:
-        scaled, denominator = _over_lcm(objects.values())
-        total = sum(map(mul, counts.values(), scaled))
+    total = None
+    if z is None:
+        scaled, denominator = _over_lcm(values)
+        total = sum(map(mul, counts, scaled))
         z = Fraction(total, denominator)
-    else:
-        z = reduce(add, values)
     if z <= 0:
         raise ValidationError(f"{nonpositive} {z}")
-    if exact:
-        quotient = dict(zip(objects, [Fraction(s, total) for s in scaled]))
-    else:
-        quotient = {i: v / z for i, v in objects.items()}
-    return z, quotient, counts
+    if total is not None:
+        return z, [Fraction(s, total) for s in scaled], total
+    return z, [v / z for v in values], None
+
+
+def _normalized(
+    values: Sequence[Scalar], exact: bool, nonpositive: str
+) -> Tuple[Scalar, Dict[int, Scalar], Counter, Optional[int]]:
+    """`_class_quotients` of `values` (at least one), one class per
+    distinct value object: the normalizer, value / normalizer per object
+    keyed by its id, each object's multiplicity, both in first-seen order,
+    and S.  Points of one class share one value object, so each quotient is
+    computed once per class."""
+    counts = Counter(map(id, values))
+    objects = dict(zip(map(id, values), values))
+    z, quotients, total = _class_quotients(
+        list(objects.values()), list(counts.values()), None if exact else reduce(add, values), nonpositive
+    )
+    return z, dict(zip(objects, quotients)), counts, total
+
+
+def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], counts: Iterable[int],
+                               total: int) -> None:
+    """Refuse a negative class probability, or classes whose probabilities
+    (times their counts) do not sum to 1.  Each probability a/b is some
+    s / S in lowest terms, so b divides S and the sum is 1 exactly when the
+    integers count * a * (S // b) add up to S; the Fraction of the sum is
+    built only for the message."""
+    scaled = 0
+    for prob, count in zip(probabilities, counts):
+        if prob.numerator < 0:
+            raise ValidationError(f"{kind} table: negative probability {prob}")
+        scaled += count * prob.numerator * (total // prob.denominator)
+    if scaled != total:
+        raise ValidationError(f"{kind} table: probabilities sum to {Fraction(scaled, total)}, not 1")
+
+
+def _check_approximate_sum(kind: str, total: float, tol: float) -> None:
+    """Refuse float probabilities whose sum in support order is not 1
+    within `tol`."""
+    if not scalars_close(total, 1, False, tol):
+        raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
 
 
 def grouped_sums(
@@ -171,9 +208,13 @@ class PmfTable:
     def cut_masses(self, cut: int) -> Masses:
         """The distinct prefixes of length `cut`, in support (so sorted)
         order, and their summed weights: at the full length, the support and
-        the weights themselves."""
+        the weights themselves, and at length 0 the empty prefix and the
+        normalizer (the same sum: one Fraction, or the floats added in
+        support order)."""
         if cut == len(self.support[0]):
             return self.support, self.weights
+        if cut == 0:
+            return ((),), (self.z_enumerated,)
         return self._pushforward(cut)
 
     def block_masses(self, sizes: Tuple[int, ...]) -> Masses:
@@ -242,6 +283,16 @@ class Steps(dict):
         return step
 
 
+def _refuse_approximate(kind: str, prob: float, point: SupportPoint) -> None:
+    """Refuse a float probability that is not positive, of the first point
+    of its class.  Every support point of an rpq law has positive exact
+    mass, so a weight or probability that is 0.0 (its probability then is
+    too) has underflowed."""
+    if prob < 0:
+        raise ValidationError(f"{kind} table: negative probability {prob}")
+    raise UnderflowError(f"{kind} table: the probability of {point} is 0.0")
+
+
 @lru_cache(maxsize=64, typed=True)
 def _normalizer_fit(alg: AlgebraSpec, z: Scalar, z_closed_form: Scalar, bound: int) -> MonomialFit:
     """`fit_monomial` of a table normalizer, memoised: an exact joint's
@@ -272,33 +323,17 @@ def make_table(
         raise ValidationError(f"{kind} table: {len(support)} points vs {len(weights)} weights")
     if not all(map(lt, support, support[1:])):
         raise ValidationError(f"{kind} table: support is not strictly increasing")
-    z, quotient, counts = _normalized(weights, alg.exact, f"{kind} table: nonpositive normalizer")
+    z, quotient, counts, total = _normalized(weights, alg.exact, f"{kind} table: nonpositive normalizer")
     if alg.exact:
-        for prob in quotient.values():
-            if prob.numerator < 0:
-                raise ValidationError(f"{kind} table: negative probability {prob}")
-        # The probabilities themselves, summed over their own lcm.
-        scaled, denominator = _over_lcm(quotient.values())
-        total = Fraction(sum(map(mul, counts.values(), scaled)), denominator)
+        _check_exact_probabilities(kind, quotient.values(), counts.values(), total)
     else:
-        # Every support point of an rpq law has positive exact mass, so a
-        # weight or probability that is 0.0 (its probability then is too)
-        # has underflowed.
         for i, prob in quotient.items():
-            if prob < 0:
-                raise ValidationError(f"{kind} table: negative probability {prob}")
-            if prob == 0:
-                point = next(x for x, w in zip(support, weights) if id(w) == i)
-                raise UnderflowError(f"{kind} table: the probability of {point} is 0.0")
+            if prob <= 0:
+                _refuse_approximate(kind, prob, next(x for x, w in zip(support, weights) if id(w) == i))
     probabilities = tuple(map(quotient.__getitem__, map(id, weights)))
     if not alg.exact:
-        total = reduce(add, probabilities)
-    if not scalars_close(total, 1, alg.exact, alg.tol):
-        raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
-
-    z_fit = None
-    if z_closed_form is not None:
-        z_fit = _normalizer_fit(alg, z, z_closed_form, fit_bound)
+        _check_approximate_sum(kind, reduce(add, probabilities), alg.tol)
+    z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
 
     check = None
     if closed_values is not None:
@@ -307,7 +342,7 @@ def make_table(
             raise ValidationError(f"{kind} table: closed-form values mismatch support size")
         # As for the weights: one quotient per distinct closed-value object,
         # and one comparison per distinct (closed, probability) pair.
-        _, closed_quotient, _ = _normalized(
+        _, closed_quotient, _, _ = _normalized(
             closed_values, alg.exact, f"{kind} table: closed form sums to"
         )
         closed_probs = tuple(map(closed_quotient.__getitem__, map(id, closed_values)))
@@ -330,6 +365,98 @@ def make_table(
         z_closed_form=z_closed_form,
         z_discrepancy=z_fit,
         closed_form_check=check,
+    )
+
+
+@dataclass(frozen=True)
+class PmfStream:
+    """A normalized law over the points of `constraints`, listed in order by
+    `rows` and never held.  A point's weight and probability are those of
+    its area class: `weights` and `probabilities` map each area to one
+    object, and `counts` to its number of points.  The other fields are
+    those of a `PmfTable` of the same law (`make_stream`)."""
+
+    kind: str
+    params: Mapping[str, object]
+    coord_labels: Tuple[str, ...]
+    constraints: ConstraintSet
+    counts: Mapping[int, int]
+    weights: Mapping[int, Scalar]
+    z_enumerated: Scalar
+    probabilities: Mapping[int, Scalar]
+    z_closed_form: Optional[Scalar] = None
+    z_discrepancy: Optional[MonomialFit] = None
+    # A joint carries no closed-form probabilities.
+    closed_form_check: ClassVar[None] = None
+
+    def rows(self, cells: Sequence[Sequence], start) -> Iterator[Tuple[List, List[int]]]:
+        """The chunks (prefixes, areas) of `lattice.walk`, counting the
+        points of each class; after the last chunk the counts must equal
+        `counts`, or the listing raises AssertionError."""
+        listed: Counter = Counter()
+        for prefixes, areas in walk(self.constraints, cells, start):
+            listed.update(areas)
+            yield prefixes, areas
+        if listed != Counter(self.counts):
+            raise AssertionError(f"{self.kind} stream self-check failed: {sorted(listed.items())} "
+                                 f"points listed per area class, {sorted(self.counts.items())} counted")
+
+
+def make_stream(
+    *,
+    kind: str,
+    params: Mapping[str, object],
+    coord_labels: Sequence[str],
+    constraints: ConstraintSet,
+    counts: Mapping[int, int],
+    weights: Mapping[int, Scalar],
+    alg: AlgebraSpec,
+    z_closed_form: Optional[Scalar] = None,
+    fit_bound: int = 0,
+) -> PmfStream:
+    """Normalize the area-class weights of the points of `constraints`
+    (`counts` of them per class) with the checks of `make_table`, in its
+    order and with its messages, and attach the normalizer's fit.
+
+    Exact mode reads the counts.  Approximate mode keeps the float sums of
+    `make_table`: z and the sum of the probabilities are taken in support
+    order, each by one pass over the areas of `lattice.walk`; a probability
+    that is not positive is refused at the first point of its class.
+    """
+    if not counts:
+        raise ValidationError(f"{kind} table: empty support")
+    classes = list(weights)
+    values, sizes = [weights[e] for e in classes], [counts[e] for e in classes]
+
+    def support_areas() -> Iterator[int]:
+        return chain.from_iterable(areas for _, areas in walk(constraints))
+
+    nonpositive = f"{kind} table: nonpositive normalizer"
+    if alg.exact:
+        z, quotients, total = _class_quotients(values, sizes, None, nonpositive)
+        _check_exact_probabilities(kind, quotients, sizes, total)
+    else:
+        z_sum = reduce(add, map(weights.__getitem__, support_areas()))
+        z, quotients, _ = _class_quotients(values, sizes, z_sum, nonpositive)
+    probabilities = dict(zip(classes, quotients))
+    if not alg.exact:
+        refused = {e for e, prob in probabilities.items() if prob <= 0}
+        if refused:
+            point, e = next((x, e) for points, areas in walk(constraints, point_cells(constraints))
+                            for x, e in zip(points, areas) if e in refused)
+            _refuse_approximate(kind, probabilities[e], point)
+        _check_approximate_sum(kind, reduce(add, map(probabilities.__getitem__, support_areas())), alg.tol)
+    return PmfStream(
+        kind=kind,
+        params=dict(params),
+        coord_labels=tuple(coord_labels),
+        constraints=constraints,
+        counts=dict(counts),
+        weights=dict(weights),
+        z_enumerated=z,
+        probabilities=probabilities,
+        z_closed_form=z_closed_form,
+        z_discrepancy=None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound),
     )
 
 

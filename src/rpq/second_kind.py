@@ -47,7 +47,7 @@ from .lattice import SupportPoint
 from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table,
                         class_values, coerce_theta, conditional_pmf, construction_report,
                         grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf,
-                        joint_weight, marginal_pmf, support_constraints)
+                        joint_stream, joint_weight, marginal_pmf, support_constraints)
 from .pmf import compare_moment, oracle_expectation
 from .scalars import Scalar
 

@@ -11,12 +11,14 @@ import csv
 import io
 import json
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import add
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .scalars import Scalar, scalar_str
 
 if TYPE_CHECKING:  # annotations only: `rpq verify` loads neither module
-    from .pmf import MomentReport, PmfTable
+    from .pmf import MomentReport, PmfStream, PmfTable
     from .sampler import SampleBatch
 
 SCHEMA_VERSION = 1
@@ -47,6 +49,34 @@ def _strings(values: Sequence[Scalar]) -> List[str]:
 CHUNK_ROWS = 512
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The text of a table row: `head`, each coordinate followed by `sep`
+    (the last by `end`), then `suffix(weight text, probability text)`."""
+
+    head: str
+    sep: str
+    end: str
+    suffix: Callable[[str, str], str]
+
+    def point_format(self, dim: int) -> str:
+        """The %-format of a row's point, for a PmfTable's tuples."""
+        return self.head + self.sep.join(["%d"] * dim) + self.end
+
+    def cells(self, upper: Sequence[int]) -> List[List[str]]:
+        """The text of each value of each coordinate, for a PmfStream's walk."""
+        last = len(upper) - 1
+        return [[f"{v}{self.end if j == last else self.sep}" for v in range(up + 1)]
+                for j, up in enumerate(upper)]
+
+
+# The one CSV and the one JSON row layout.  The JSON rows are laid out as
+# the encoder lays them out at their depth (indent 2, sorted keys).
+_CSV = _Layout("", ",", ",", lambda w, p: f"{w},{p}\n")
+_JSON = _Layout('    {\n      "point": [\n        ', ",\n        ", "\n      ],\n",
+                lambda w, p: f'      "probability": {json.dumps(p)},\n      "weight": {json.dumps(w)}\n    }}')
+
+
 def _rows(
     table: PmfTable,
     start: int,
@@ -71,22 +101,48 @@ def _rows(
     return rows
 
 
-def table_to_csv(table: PmfTable, start: int = 0, stop: Optional[int] = None) -> str:
+def _stream_rows(stream: PmfStream, layout: _Layout) -> Iterator[List[str]]:
+    """Text of the rows of a PmfStream, one chunk of `PmfStream.rows` at a
+    time: each row's prefix is its point's text, from `layout.cells`,
+    followed by the suffix of its area class, formatted once per class."""
+    suffixes = {e: layout.suffix(scalar_str(w), scalar_str(stream.probabilities[e]))
+                for e, w in stream.weights.items()}
+    for prefixes, areas in stream.rows(layout.cells(stream.constraints.upper), layout.head):
+        yield list(map(add, prefixes, map(suffixes.__getitem__, areas)))
+
+
+def _is_stream(table) -> bool:
+    return hasattr(table, "constraints")
+
+
+def table_to_csv(table: PmfTable, start: int = 0, stop: Optional[int] = None,
+                 rows: Optional[List[str]] = None) -> str:
     """CSV text of the rows support[start:stop], after the header row when
-    `start` is 0.  Coordinates are ints and scalar strings hold no comma or
-    quote, so the rows need no CSV quoting."""
+    `start` is 0; given `rows`, the row texts of a PmfStream chunk that
+    starts at row `start`, those rows instead.  Coordinates are ints and
+    scalar strings hold no comma or quote, so the rows need no CSV
+    quoting."""
     out = io.StringIO()
     if start == 0:
         _csv_writer(out).writerow(list(table.coord_labels) + ["weight", "probability"])
-    point_format = ",".join(["%d"] * len(table.coord_labels))
-    return out.getvalue() + "".join(_rows(table, start, stop, point_format, lambda w, p: f",{w},{p}\n", {}))
+    if rows is None:
+        rows = _rows(table, start, stop, _CSV.point_format(len(table.coord_labels)), _CSV.suffix, {})
+    return out.getvalue() + "".join(rows)
 
 
-def table_csv_chunks(table: PmfTable) -> Iterator[str]:
+def table_csv_chunks(table: Union[PmfTable, PmfStream]) -> Iterator[str]:
     """`table_to_csv(table)` as a stream: one `table_to_csv` call per
-    CHUNK_ROWS rows, the first with the header row."""
-    for start in range(0, max(len(table.support), 1), CHUNK_ROWS):
-        yield table_to_csv(table, start, start + CHUNK_ROWS)
+    CHUNK_ROWS rows, the first with the header row; for a PmfStream, one
+    call per chunk of its rows.  Every byte passes through `table_to_csv`,
+    so a wrapper of it (the benchmark's tracer) sees the whole document."""
+    if not _is_stream(table):
+        for start in range(0, max(len(table.support), 1), CHUNK_ROWS):
+            yield table_to_csv(table, start, start + CHUNK_ROWS)
+        return
+    start = 0
+    for rows in _stream_rows(table, _CSV):
+        yield table_to_csv(table, start, start + len(rows), rows)
+        start += len(rows)
 
 
 def _table_head(table: PmfTable) -> dict:
@@ -121,15 +177,18 @@ def table_to_json_obj(table: PmfTable) -> dict:
 _ROWS_MARK = "\x00rows\x00"
 
 
-def table_json_chunks(table: PmfTable, config: Optional[Mapping[str, object]] = None) -> Iterator[str]:
+def table_json_chunks(
+    table: Union[PmfTable, PmfStream], config: Optional[Mapping[str, object]] = None
+) -> Iterator[str]:
     """`dumps_json` of `table_to_json_obj(table)`, with `config` under
-    "config" when given, as a stream of chunks with the same bytes.
+    "config" when given, as a stream of chunks with the same bytes; a
+    PmfStream gives the same bytes as a PmfTable of its law.
 
     The object without its rows goes through `dumps_json` with a marker in
     place of the rows and is cut at the marker.  The keys after "rows" hold
     a number or a scalar string, so the last occurrence of the marker is the
-    rows.  The rows are written as the encoder lays them out at that depth
-    (indent 2, sorted keys).
+    rows.  The rows follow the JSON row layout, CHUNK_ROWS of a PmfTable
+    per chunk, or one chunk of a PmfStream's rows.
     """
     obj = _table_head(table)
     if config is not None:
@@ -137,16 +196,14 @@ def table_json_chunks(table: PmfTable, config: Optional[Mapping[str, object]] = 
     obj["rows"] = _ROWS_MARK
     head, _, tail = dumps_json(obj).rpartition(json.dumps(_ROWS_MARK))
     yield head + "[\n"
-    dim = len(table.coord_labels)
-    point_format = '    {\n      "point": [\n        ' + ",\n        ".join(["%d"] * dim) + "\n      ],\n"
-
-    def suffix(w, p):
-        return f'      "probability": {json.dumps(p)},\n      "weight": {json.dumps(w)}\n    }}'
-
-    suffixes: Dict[Tuple[int, int], str] = {}
-    for start in range(0, len(table.support), CHUNK_ROWS):
-        rows = _rows(table, start, start + CHUNK_ROWS, point_format, suffix, suffixes)
-        yield (",\n" if start else "") + ",\n".join(rows)
+    if _is_stream(table):
+        chunks = _stream_rows(table, _JSON)
+    else:
+        point_format, suffixes = _JSON.point_format(len(table.coord_labels)), {}
+        chunks = (_rows(table, start, start + CHUNK_ROWS, point_format, _JSON.suffix, suffixes)
+                  for start in range(0, len(table.support), CHUNK_ROWS))
+    for i, rows in enumerate(chunks):
+        yield (",\n" if i else "") + ",\n".join(rows)
     yield "\n  ]" + tail
 
 

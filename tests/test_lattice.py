@@ -13,7 +13,8 @@ from rpq import (
     enumerate_points,
     weighted_sum,
 )
-from rpq.lattice import iter_points
+from rpq import lattice
+from rpq.lattice import area, iter_points, point_cells, walk
 
 
 def test_enumeration_listings():
@@ -131,3 +132,27 @@ def test_iter_points_matches_recursive_reference(upper):
         for smax in range(smin, total + 3):
             c = ConstraintSet(upper, smin, smax)
             assert list(iter_points(c)) == _recursive_points(c), (upper, smin, smax)
+
+
+@pytest.mark.parametrize("chunk", (1, 3, 8, lattice.WALK_CHUNK))
+@pytest.mark.parametrize("upper", [(), (0,), (3,), (1, 1), (0, 2), (2, 0, 1), (1, 1, 1, 1), (2, 3, 1), (3, 0, 2, 1),
+                                   (1,) * 7, (2, 1, 2, 1, 2)])
+def test_walk_matches_recursive_reference(upper, chunk, monkeypatch):
+    """Points, row texts and areas, at chunk sizes that make the walk take
+    its tails from every level."""
+    monkeypatch.setattr(lattice, "WALK_CHUNK", chunk)
+    total = sum(upper)
+    for smin in range(-1, total + 2):
+        for smax in range(smin, total + 2):
+            c = ConstraintSet(upper, smin, smax)
+            points = _recursive_points(c)
+            chunks = list(walk(c, point_cells(c)))
+            assert [x for listed, _ in chunks for x in listed] == points, (upper, smin, smax)
+            assert [e for _, areas in chunks for e in areas] == list(map(area, points))
+            assert [e for _, areas in walk(c) for e in areas] == list(map(area, points))
+            cells = [[f"{v};" for v in range(up + 1)] for up in upper]
+            texts = [t for listed, _ in walk(c, cells, "<") for t in listed]
+            assert texts == ["<" + "".join(f"{v};" for v in x) for x in points]
+            assert all(areas for _, areas in chunks)
+            if max(upper, default=0) < chunk:
+                assert all(len(areas) <= chunk for _, areas in chunks)

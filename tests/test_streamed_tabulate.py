@@ -1,0 +1,216 @@
+"""`rpq tabulate` streams the joint from its area classes.
+
+The class counts are checked against a Counter of `lattice.area` over the
+enumerated points, and the streamed rows against the `PmfTable` writers of
+`joint_pmf`, byte for byte, on the desk-scale grid: both kinds, the four
+presets, exact and decimal.  Refusals go through `rpq.cli.main` and must
+match what the table route prints.
+"""
+
+import io
+import os
+import subprocess
+import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+import rpq
+from rpq import (ValidationError, chakrabarty_jagannathan, first_kind, jagannathan_srinivasa, occupancy,
+                 q_deformation, quesne, second_kind, serialize)
+from rpq.classes import area_counts
+from rpq.cli import main
+from rpq.first_kind import FirstKindParams
+from rpq.lattice import area, enumerate_points
+from rpq.pmf import _check_exact_probabilities, grouped_sums
+from rpq.second_kind import SecondKindParams
+
+PRESETS = {
+    "js": jagannathan_srinivasa,
+    "q": lambda p, q: q_deformation(q),
+    "quesne": quesne,
+    "cj": chakrabarty_jagannathan,
+}
+
+
+def _alg(preset, exact):
+    """The preset at (p, q) = (9/10, 1/2), or at its decimal twin."""
+    return PRESETS[preset](Fraction(9, 10), Fraction(1, 2)) if exact else PRESETS[preset](0.9, 0.5)
+
+
+def _grid(kind):
+    """(module, params class, k, n) of the desk-scale grid: first kind
+    k <= 8 with every n in 0..k+1, second kind k, n <= 6."""
+    if kind == "first":
+        return [(first_kind, FirstKindParams, k, n) for k in range(1, 9) for n in range(k + 2)]
+    return [(second_kind, SecondKindParams, k, n) for k in range(1, 7) for n in range(7)]
+
+
+@pytest.mark.parametrize("kind", ("first", "second"))
+def test_class_counts_equal_enumerated_areas(kind):
+    alg = _alg("q", True)
+    for _, params_class, k, n in _grid(kind):
+        constraints = occupancy.support_constraints(params_class(alg, k, n))
+        counts = area_counts(constraints)
+        assert counts == Counter(map(area, enumerate_points(constraints))), (k, n)
+        assert list(counts) == sorted(counts)
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "decimal"))
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("kind", ("first", "second"))
+def test_stream_matches_table_writers(kind, preset, exact):
+    alg = _alg(preset, exact)
+    config = {"a": 1}
+    for module, params_class, k, n in _grid(kind):
+        params = params_class(alg, k, n)
+        table, stream = module.joint_pmf(params), module.joint_stream(params)
+        assert stream.z_enumerated == table.z_enumerated and type(stream.z_enumerated) is type(table.z_enumerated)
+        assert stream.z_discrepancy == table.z_discrepancy
+        assert "".join(serialize.table_csv_chunks(stream)) == "".join(serialize.table_csv_chunks(table)), (k, n)
+        assert ("".join(serialize.table_json_chunks(stream, config))
+                == "".join(serialize.table_json_chunks(table, config))), (k, n)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _table_route(monkeypatch):
+    """Make `tabulate` write the joint's PmfTable, as it did before it
+    streamed."""
+    for module in (first_kind, second_kind):
+        monkeypatch.setattr(module, "joint_stream", module.joint_pmf)
+
+
+JS = ("--preset", "js", "--p", "9/10", "--q", "1/2")
+REFUSALS = [
+    # The closed normalizer divides by a float that underflowed, before the
+    # weights are summed.
+    ("--kind", "first", "--k", "4", "--n", "2", "--preset", "js", "--p", "1e-200", "--q", "1e-300"),
+    ("--kind", "second", "--k", "4", "--n", "2", "--preset", "js", "--p", "1e-200", "--q", "1e-300"),
+    # Positive weights whose probabilities round to 0.0: the first point of
+    # the first such class is named.
+    ("--kind", "first", "--k", "4", "--n", "4", "--preset", "q", "--q", "1e-310"),
+    ("--kind", "second", "--k", "3", "--n", "3", "--preset", "q", "--q", "1e-200"),
+    # Float overflow.
+    ("--kind", "second", "--k", "6", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
+    # Probabilities that do not sum to 1 within --tol 0.
+    ("--kind", "second", "--k", "3", "--n", "3", "--preset", "cj", "--p", "0.9", "--q", "0.5", "--tol", "0"),
+    # The 10^7-point guard and the dimension guard.
+    ("--kind", "second", "--k", "20", "--n", "20") + JS,
+    ("--kind", "second", "--k", "21", "--n", "3") + JS,
+    ("--kind", "first", "--k", "21", "--n", "3") + JS,
+    # Invalid k and n.
+    ("--kind", "first", "--k", "3", "--n", "5") + JS,
+    ("--kind", "second", "--k", "0", "--n", "1") + JS,
+]
+
+
+@pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_refusals_match_the_table_route(argv, fmt, monkeypatch, tmp_path):
+    argv = ("tabulate",) + argv + ("--format", fmt)
+    streamed = _run(argv)
+    target = tmp_path / "table.out"
+    assert _run(argv + ("--output", str(target))) == (streamed[0], "", streamed[2])
+    assert not target.exists()
+    _table_route(monkeypatch)
+    assert streamed == _run(argv)
+    assert streamed[0] in (2, 3) and streamed[1] == ""
+
+
+def test_refusal_messages():
+    code, _, err = _run(("tabulate", "--kind", "second", "--k", "20", "--n", "20") + JS)
+    assert code == 3 and "lattice points exceed the guard" in err
+    code, _, err = _run(("tabulate", "--kind", "first", "--k", "21", "--n", "3") + JS)
+    assert code == 3 and "dimension 21 exceeds the guard" in err
+    code, _, err = _run(("tabulate", "--kind", "second", "--k", "3", "--n", "3", "--preset", "q", "--q", "1e-200"))
+    assert code == 2 and "the probability of (0, 0, 2) is 0.0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "first", "--k", "7", "--n", "3") + JS,
+    ("--kind", "second", "--k", "4", "--n", "5", "--preset", "quesne", "--p", "0.9", "--q", "0.5"),
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_tabulate_never_builds_the_joint_table(argv, fmt, monkeypatch):
+    def refuse(params):
+        raise AssertionError("tabulate built a joint PmfTable")
+
+    expected = _run(("tabulate",) + argv + ("--format", fmt))
+    _table_route(monkeypatch)
+    assert _run(("tabulate",) + argv + ("--format", fmt)) == expected
+    monkeypatch.undo()
+    for module in (occupancy, first_kind, second_kind):
+        monkeypatch.setattr(module, "joint_pmf", refuse)
+    assert _run(("tabulate",) + argv + ("--format", fmt)) == expected
+
+
+@pytest.mark.parametrize("decimal", (False, True))
+def test_miscounted_class_fails_and_removes_the_output(decimal, monkeypatch, tmp_path):
+    def miscounted(constraints):
+        counts = dict(area_counts(constraints))
+        counts[next(iter(counts))] += 1
+        return counts
+
+    monkeypatch.setattr(occupancy, "area_counts", miscounted)
+    target = tmp_path / "table.csv"
+    p, q = ("0.9", "0.5") if decimal else ("9/10", "1/2")
+    with pytest.raises(AssertionError, match="self-check"):
+        main(["tabulate", "--kind", "first", "--preset", "js", "--p", p, "--q", q, "--k", "6", "--n", "3",
+              "--output", str(target)])
+    assert not target.exists()
+
+
+def test_exact_sum_check_refuses_a_miscount():
+    probabilities = [Fraction(1, 4), Fraction(1, 2)]
+    _check_exact_probabilities("t", probabilities, [2, 1], 4)
+    with pytest.raises(ValidationError, match="probabilities sum to 5/4, not 1"):
+        _check_exact_probabilities("t", probabilities, [3, 1], 4)
+    with pytest.raises(ValidationError, match="negative probability -1/4"):
+        _check_exact_probabilities("t", [Fraction(-1, 4)], [1], 4)
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "decimal"))
+def test_empty_prefix_mass_is_the_normalizer(exact):
+    alg = _alg("js", exact)
+    for params in (FirstKindParams(alg, 6, 3), SecondKindParams(alg, 4, 3), FirstKindParams(alg, 1, 2)):
+        table = occupancy.joint_pmf(params)
+        expected = grouped_sums((((), w) for w in table.weights), exact)[()]
+        (prefixes, (mass,)) = table.cut_masses(0)
+        assert prefixes == ((),) and mass == expected and type(mass) is type(expected)
+
+
+K18 = ("tabulate", "--kind", "first", "--preset", "js", "--p", "9/10", "--q", "1/2", "--k", "18", "--n", "9")
+# Peak RSS of the whole child interpreter.  Holding the joint table took
+# 37 MB on CPython 3.11 (Linux x86-64); the stream takes about 19 MB.
+K18_RSS_BOUND_MB = 30
+
+# A child's peak RSS counts the memory of the process it was forked from,
+# so a small interpreter forks the command and reports what os.wait4 says.
+_RSS_OF_CHILD = """
+import os, sys
+pid = os.spawnv(os.P_NOWAIT, sys.executable, [sys.executable, "-m", "rpq.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_large_table_is_written_in_bounded_memory(tmp_path):
+    target = tmp_path / "k18.csv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpq.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _RSS_OF_CHILD, *K18, "--output", str(target)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, rss_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert rss_kb / 1024 < K18_RSS_BOUND_MB
+    with open(target, encoding="utf-8") as handle:
+        rows = sum(1 for line in handle if not line.startswith("#")) - 1
+    assert rows == 48_620 + 43_758  # C(18, 9) + C(18, 8)
