@@ -5,12 +5,13 @@ a box `0 <= x[j] <= upper[j]` intersected with a coordinate-sum
 window `sum_min <= sum(x) <= sum_max`, enumerated in lexicographic order
 and summed with exact arithmetic.  Hard guards keep everything desk-scale.
 
-Two listings share that order.  `iter_points` is an odometer that yields
-the points alone.  `walk` extends prefixes one coordinate at a time and
-carries each prefix's area E along (`area`), the one statistic a joint
-weight reads; a prefix is built as `prefix + cell[v]`, so with tuple cells
-it lists points and with text cells the text of table rows.  It yields
-chunks, so a listing of any size holds a few thousand prefixes at a time.
+One listing gives that order: `walk` extends prefixes one coordinate at a
+time and carries each prefix's area E along (`area`), the one statistic a
+joint weight reads; a prefix is built as `prefix + cell[v]`, so with tuple
+cells it lists points and with text cells the text of table rows.  It
+yields chunks, so a listing of any size holds a few thousand prefixes at a
+time.  `enumerate_areas` is the guarded, self-checked listing of the points
+and their areas that `enumerate_points` and `weighted_sum` read.
 """
 
 from __future__ import annotations
@@ -85,66 +86,6 @@ def count_points(constraints: ConstraintSet) -> int:
     return total
 
 
-def _suffix_sums(bounds: Tuple[int, ...]) -> list:
-    """out[i] = bounds[i] + ... + bounds[-1], with out[len(bounds)] = 0."""
-    out = [0] * (len(bounds) + 1)
-    for i in range(len(bounds) - 1, -1, -1):
-        out[i] = out[i + 1] + bounds[i]
-    return out
-
-
-def iter_points(constraints: ConstraintSet) -> Iterator[SupportPoint]:
-    """Lexicographically ordered stream of admissible points.
-
-    An odometer: coordinate j ranges over [lo_j, min(upper[j], sum_max -
-    S_j)], where S_j is the sum of the coordinates before j and lo_j =
-    max(0, sum_min - S_j - upper[j+1] - ... - upper[-1]) is the least value
-    the rest can still lift into the window.  The last coordinate runs
-    through its range; then the rightmost other coordinate below its top
-    steps up by one, and every coordinate after it resets to its least
-    value.  Once the first coordinate's range is non-empty, every range
-    reached this way is non-empty, so each point listed is admissible.
-    """
-    dim, upper = constraints.dim, constraints.upper
-    smin, smax = constraints.sum_min, constraints.sum_max
-    up_suffix = _suffix_sums(upper)
-    if dim == 0:
-        if smin <= 0 <= smax:
-            yield ()
-        return
-    if max(0, smin - up_suffix[1]) > min(upper[0], smax):
-        return
-    point = [0] * dim
-    sums = [0] * (dim + 1)  # sums[j] = S_j
-
-    def reset_from(i: int) -> None:
-        s = sums[i]
-        for j in range(i, dim):
-            v = smin - s - up_suffix[j + 1]
-            if v < 0:
-                v = 0
-            point[j] = v
-            s += v
-            sums[j + 1] = s
-
-    reset_from(0)
-    last = dim - 1
-    while True:
-        head = point[:last]
-        for v in range(point[last], min(upper[last], smax - sums[last]) + 1):
-            yield (*head, v)
-        j = last - 1
-        while j >= 0:
-            if point[j] < upper[j] and sums[j + 1] < smax:
-                break
-            j -= 1
-        else:
-            return
-        point[j] += 1
-        sums[j + 1] += 1
-        reset_from(j + 1)
-
-
 # The most points in a chunk of `walk`, for coordinate ranges below it.
 WALK_CHUNK = 512
 
@@ -157,26 +98,27 @@ def walk(
     cells[d-1][x_{d-1}]` of each point x and its area E(x) (`area`).
     Without `cells` a chunk lists the areas alone and its prefixes are [].
 
-    Coordinate j takes the values [lo_j, min(upper[j], sum_max - S_j)], as in
-    `iter_points`, and E is carried along: appending v to a prefix of sum S
-    and area E gives sum S + v and area E + S + v, since E(x) is the sum of
-    the prefix sums of x.  The trailing coordinates whose value tuples
-    number at most WALK_CHUNK (at least the last one) are not walked per
-    prefix: their tails, the text and the area of each admissible x[h:],
-    depend only on the sum s of x[:h] and are built once per s.  A point
-    is then `prefix + tail`, with area E(x[:h]) + (d - h) s + E(x[h:]).
+    Coordinate j takes the values [lo_j, min(upper[j], sum_max - S_j)], where
+    S_j is the sum of the coordinates before j and lo_j = max(0, sum_min -
+    S_j - upper[j+1] - ... - upper[-1]) is the least value the rest can
+    still lift into the window, so each point listed is admissible.  E is
+    carried along: appending v to a prefix of sum S and area E gives
+    sum S + v and area E + S + v, since E(x) is the sum of the prefix sums
+    of x.  The trailing coordinates whose value tuples number at most
+    WALK_CHUNK (at least the last one) are not walked per prefix: their
+    tails, the text and the area of each admissible x[h:], depend only on
+    the sum s of x[:h] and are built once per s.  A point is then
+    `prefix + tail`, with area E(x[:h]) + (d - h) s + E(x[h:]).
     The prefixes of x[:h] are extended in slices, so a level holds at most
     WALK_CHUNK of them (one when a coordinate's range alone is wider), and a
     chunk holds at most WALK_CHUNK points when a tail list does.
     """
     dim, upper = constraints.dim, constraints.upper
     smin, smax = constraints.sum_min, constraints.sum_max
-    up_suffix = _suffix_sums(upper)
+    up_suffix = list(accumulate(reversed(upper), initial=0))[::-1]  # upper[j] + ... + upper[-1]
     if dim == 0:
         if smin <= 0 <= smax:
             yield ([start] if cells is not None else []), [0]
-        return
-    if max(0, smin - up_suffix[1]) > min(upper[0], smax):
         return
     h, tuples = dim - 1, upper[-1] + 1
     while h > 0 and tuples * (upper[h - 1] + 1) <= WALK_CHUNK:
@@ -187,7 +129,7 @@ def walk(
     def tails(j: int, s: int) -> Tuple[Sequence, Sequence[int]]:
         # The texts and the areas of the admissible x[j:] after a prefix of sum s.
         up, rest = upper[j], smin - up_suffix[j + 1]
-        lo = rest - s if rest > s else 0  # the range of `iter_points`, without max and min
+        lo = rest - s if rest > s else 0  # [lo_j, min(upper[j], sum_max - S_j)], without max and min
         hi = smax - s if smax - s < up else up
         if j == dim - 1:
             return (() if cells is None else cells[j][lo:hi + 1]), range(lo, hi + 1)
@@ -236,33 +178,26 @@ def point_cells(constraints: ConstraintSet) -> List[List[Tuple[int]]]:
     return [[(v,) for v in range(up + 1)] for up in constraints.upper]
 
 
-def _self_checked(listed: int, expected: int) -> None:
-    if listed != expected:
-        raise AssertionError(f"enumeration self-check failed: {listed} points listed, {expected} counted")
-
-
-def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:
-    """Complete, duplicate-free, lexicographic enumeration.
+def enumerate_areas(constraints: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
+    """Complete, duplicate-free, lexicographic enumeration: the points and
+    the area of each, from one `walk`.
 
     Counts first so the capacity guard fires before any large listing, then
     self-checks the listing against the independent count.
     """
     expected = count_points(constraints)
-    points = tuple(iter_points(constraints))
-    _self_checked(len(points), expected)
-    return points
-
-
-def enumerate_areas(constraints: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
-    """`enumerate_points` and the area of each point, from one `walk`,
-    under the same guard and self-check."""
-    expected = count_points(constraints)
     points, areas = [], []
     for chunk_points, chunk_areas in walk(constraints, point_cells(constraints)):
         points += chunk_points
         areas += chunk_areas
-    _self_checked(len(points), expected)
+    if len(points) != expected:
+        raise AssertionError(f"enumeration self-check failed: {len(points)} points listed, {expected} counted")
     return tuple(points), tuple(areas)
+
+
+def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:
+    """The points of `enumerate_areas`."""
+    return enumerate_areas(constraints)[0]
 
 
 # A layer of the recursion below: (partial, denominator).  partial[s] holds
@@ -329,11 +264,8 @@ def window_total(layer: Layer, lo: int, hi: int) -> Scalar:
 
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:
     """Sum of `weight` over the enumeration, refusing mixed-mode terms."""
-    count_points(constraints)
     total: Scalar = 0
-    terms = []
-    for x in iter_points(constraints):
-        terms.append(weight(x))
+    terms = [weight(x) for x in enumerate_areas(constraints)[0]]
     check_uniform_mode(terms, "weighted_sum")
     for t in terms:
         total += t

@@ -12,17 +12,18 @@ the same construction: one support, one weight per area class, and derived
 tables (marginals, conditionals, grouped laws) that carry the measure the
 joint induces, with closed forms attached as cross-checks; their masses
 are memoised on the joint (`PmfTable.cut_masses`, `block_masses`).  The
-joint comes in two forms: `joint_pmf` lists it as a `PmfTable`, reading
-each point's area from the same walk that lists it, and `joint_stream`
-holds only its area classes (`classes.area_counts`), so that `rpq
-tabulate` writes its rows as `lattice.walk` lists them.  What
-the kinds differ in (the cap, the sum window, the weight of an area class
-and the closed forms) lives on their params classes, two subclasses of
-`OccupancyParams`, as class attributes and methods that every function
-here calls on the params it is given.  The suffix-area identity that a
-conditional's closed form needs is applied here (`_suffix_key`), so a kind
-reads class keys only.  `rpq.first_kind` and `rpq.second_kind` define the
-two params classes and re-export these functions under their usual names.
+joint is normalized once, from its area classes (`classes.area_counts`,
+`pmf.make_stream`): `joint_stream` holds only those classes, so that `rpq
+tabulate` writes its rows as `lattice.walk` lists them, and `joint_pmf`
+lists the support as a `PmfTable` whose points share their class's weight
+and probability objects.  What the kinds differ in (the cap, the sum
+window, the weight of an area class and the closed forms) lives on their
+params classes, two subclasses of `OccupancyParams`, as class attributes
+and methods that every function here calls on the params it is given.
+The suffix-area identity that a conditional's closed form needs is applied
+here (`_suffix_key`), so a kind reads class keys only.  `rpq.first_kind`
+and `rpq.second_kind` define the two params classes and re-export these
+functions under their usual names.
 """
 
 from __future__ import annotations
@@ -118,27 +119,12 @@ def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
     return params.area_weight(area(x))
 
 
-# Bounded: a long-lived process keeps at most 32 joints, with their memos.
-@lru_cache(maxsize=32)
-def joint_pmf(params: OccupancyParams) -> PmfTable:
-    """Joint law of (X_1..X_k), one weight per area class."""
-    support, areas = enumerate_areas(support_constraints(params))
-    return make_table(
-        kind=params.kind,
-        params=params.describe(),
-        coord_labels=_labels("x", 1, params.k),
-        support=support,
-        weights=class_values(areas, params.area_weight),
-        alg=params.alg,
-        **_normalizer(params),
-    )
-
-
-def joint_stream(params: OccupancyParams) -> PmfStream:
-    """The joint law of `joint_pmf`, with its checks, its normalizer and its
-    fit, as a stream: the support is counted (the same guard), not listed."""
-    constraints = support_constraints(params)
-    count_points(constraints)
+def _joint_law(
+    params: OccupancyParams, constraints: ConstraintSet, areas: Optional[Sequence[int]] = None
+) -> PmfStream:
+    """The joint law of `params` over its support `constraints`, normalized
+    from the class counts (`make_stream`, which reads `areas`, the listed
+    area of each point, when given)."""
     counts = area_counts(constraints)
     return make_stream(
         kind=params.kind,
@@ -148,8 +134,31 @@ def joint_stream(params: OccupancyParams) -> PmfStream:
         counts=counts,
         weights={e: params.area_weight(e) for e in counts},
         alg=params.alg,
+        areas=areas,
         **_normalizer(params),
     )
+
+
+# Bounded: a long-lived process keeps at most 32 joints, with their memos.
+@lru_cache(maxsize=32)
+def joint_pmf(params: OccupancyParams) -> PmfTable:
+    """Joint law of (X_1..X_k), one weight per area class: the law of
+    `joint_stream`, with each listed point given its class's weight and
+    probability objects."""
+    constraints = support_constraints(params)
+    support, areas = enumerate_areas(constraints)
+    law = _joint_law(params, constraints, areas)
+    weights, probabilities = (tuple(map(by_class.__getitem__, areas)) for by_class in (law.weights, law.probabilities))
+    return PmfTable(law.kind, law.params, law.coord_labels, support, weights, law.z_enumerated, probabilities,
+                    params.alg.exact, params.alg.tol, law.z_closed_form, law.z_discrepancy)
+
+
+def joint_stream(params: OccupancyParams) -> PmfStream:
+    """The joint law of `joint_pmf`, with its checks, its normalizer and its
+    fit, as a stream: the support is counted (the same guard), not listed."""
+    constraints = support_constraints(params)
+    count_points(constraints)
+    return _joint_law(params, constraints)
 
 
 def _derived_table(

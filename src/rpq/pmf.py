@@ -5,7 +5,9 @@ closed-form normalizers and closed-form probability values ride along as
 cross-check records, never as the source of truth.  A `PmfStream` is the
 same law listed by `lattice.walk` rather than held: one weight and one
 probability per area class, normalized from the class counts in exact
-mode and from passes over the walk in approximate mode.
+mode and from passes over the areas in support order in approximate mode.
+It is the one normalization of a joint law: `occupancy.joint_pmf` builds
+its table from the stream's class objects.
 """
 
 from __future__ import annotations
@@ -413,6 +415,7 @@ def make_stream(
     alg: AlgebraSpec,
     z_closed_form: Optional[Scalar] = None,
     fit_bound: int = 0,
+    areas: Optional[Sequence[int]] = None,
 ) -> PmfStream:
     """Normalize the area-class weights of the points of `constraints`
     (`counts` of them per class) with the checks of `make_table`, in its
@@ -420,16 +423,21 @@ def make_stream(
 
     Exact mode reads the counts.  Approximate mode keeps the float sums of
     `make_table`: z and the sum of the probabilities are taken in support
-    order, each by one pass over the areas of `lattice.walk`; a probability
-    that is not positive is refused at the first point of its class.
+    order, each by one pass over `areas`, the area of each point as a
+    caller has listed them, or else over the areas of `lattice.walk`; a
+    probability that is not positive is refused at the first point of its
+    class.  Listed `areas` must fall into the classes as `counts` says, or
+    AssertionError.
     """
     if not counts:
         raise ValidationError(f"{kind} table: empty support")
+    if areas is not None and Counter(areas) != Counter(counts):
+        raise AssertionError(f"{kind} self-check failed: the listed areas are not the counted classes")
     classes = list(weights)
     values, sizes = [weights[e] for e in classes], [counts[e] for e in classes]
 
-    def support_areas() -> Iterator[int]:
-        return chain.from_iterable(areas for _, areas in walk(constraints))
+    def support_areas() -> Iterable[int]:
+        return chain.from_iterable(a for _, a in walk(constraints)) if areas is None else areas
 
     nonpositive = f"{kind} table: nonpositive normalizer"
     if alg.exact:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -34,6 +36,9 @@ def parse_scalar(text: str) -> Scalar:
             return Fraction(text)
         except ZeroDivisionError:
             raise ValidationError(f"zero denominator in rational {text!r}") from None
+        except ValueError:  # past the interpreter's limit on the digits of an int read from text
+            raise ValidationError(f"rational {text[:20]}... is too long: an integer may have at most "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
     try:
         return float(text)
     except ValueError:
@@ -61,7 +66,11 @@ def scalars_close(a: Scalar, b: Scalar, exact: bool, tol: float = DEFAULT_TOL) -
 
 
 def scalar_str(value: Scalar) -> str:
-    """Deterministic string form: "4/7" style for rationals, repr for floats."""
+    """Deterministic string form: "4/7" style for rationals, repr for floats.
+    `Decimal` writes an int's digits past the interpreter's limit on int-to-str
+    conversion, which guards parsing, not output."""
     if isinstance(value, float):
         return repr(value)
-    return str(Fraction(value))
+    value = Fraction(value)
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
+from rpq import jagannathan_srinivasa, second_kind
 from rpq.cli import main
 
 
@@ -66,6 +68,41 @@ def test_malformed_rational_exit_code():
     code, _, err = run_cli("tabulate", "--preset", "q", "--q", "1/0", "--k", "1", "--n", "1")
     assert code == 2
     assert "denominator" in err
+
+
+def test_overlong_rational_exit_code(tmp_path):
+    # Past the interpreter's limit on the digits of an int read from text.
+    nines = "9" * 5000
+    code, out, err = run_cli("tabulate", "--preset", "js", "--p", f"1/{nines}", "--q", f"1/1{nines}",
+                             "--k", "2", "--n", "1")
+    assert (code, out) == (2, "") and "is too long" in err
+    path = tmp_path / "algebra.cfg"
+    path.write_text(f"name=js\np=1/{nines}\nq=1/1{nines}\n")
+    code, out, err = run_cli("tabulate", "--algebra-config", str(path), "--k", "2", "--n", "1")
+    assert (code, out) == (2, "") and "is too long" in err
+
+
+def test_exact_output_past_the_int_digit_limit():
+    """Rationals with more digits than the interpreter converts from an int
+    to text are written in full, in CSV and JSON."""
+    argv = ("tabulate", "--kind", "second", "--preset", "js", "--p", "9/10", "--q", "1/2",
+            "--k", "1", "--n", "2200")
+    (code, csv_out, err), (json_code, json_out, json_err) = run_cli(*argv), run_cli(*argv, "--format", "json")
+    assert (code, err, json_code, json_err) == (0, "", 0, "")
+    rows = [line.split(",") for line in csv_out.splitlines() if not line.startswith("#")][1:]
+    obj = json.loads(json_out)
+    stream = second_kind.joint_stream(
+        second_kind.SecondKindParams(jagannathan_srinivasa(Fraction(9, 10), Fraction(1, 2)), 1, 2200))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [[str(x), str(stream.weights[x]), str(stream.probabilities[x])] for x in range(2201)]
+        assert max(len(weight) for _, weight, _ in expected) > limit
+        assert rows == expected
+        assert [[str(row["point"][0]), row["weight"], row["probability"]] for row in obj["rows"]] == expected
+        assert obj["z_enumerated"] == str(stream.z_enumerated)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_capacity_exit_code():

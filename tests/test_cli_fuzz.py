@@ -45,8 +45,9 @@ def _mostly(valid, invalid):
 # Valid (p, q) pairs have 0 < q < p < 1, both rational (exact mode) or both
 # decimal (approximate mode); now and then the decimals are so small that
 # approximate-mode floats underflow.  Now and then p and q are anything at
-# all: zero denominators, 0, 1, negatives, tiny decimals, mixed modes or
-# missing.
+# all: zero denominators, 0, 1, negatives, tiny decimals, mixed modes,
+# rationals with about as many digits as an int read from text may have
+# (LONG_DIGITS), or missing.
 unit_points = st.lists(st.integers(1, 99), min_size=2, max_size=2, unique=True).map(sorted)
 TINY = ("1e-200", "1e-300", "1e-310")
 unit_pairs = st.tuples(unit_points, st.booleans()).map(
@@ -54,9 +55,12 @@ unit_pairs = st.tuples(unit_points, st.booleans()).map(
 )
 tiny_pairs = st.sampled_from((("1e-200", "1e-300"), ("0.5", "1e-300"), ("1e-300", "1e-310")))
 valid_pairs = st.sampled_from((unit_pairs,) * 3 + (tiny_pairs,)).flatmap(lambda strategy: strategy)
+LONG_DIGITS = 4300
+long_rationals = st.builds(lambda lead, nines: f"1/{lead}{'9' * nines}", st.sampled_from(("", "1")),
+                           st.integers(LONG_DIGITS - 2, LONG_DIGITS + 1))
 any_scalar = st.none() | st.builds(
     lambda a, b: f"{a}/{b}", st.integers(-1, 12), st.integers(0, 12)
-) | st.floats(-0.5, 1.5, allow_nan=False).map(lambda v: repr(round(v, 3))) | st.sampled_from(TINY)
+) | st.floats(-0.5, 1.5, allow_nan=False).map(lambda v: repr(round(v, 3))) | st.sampled_from(TINY) | long_rationals
 pairs = _mostly(valid_pairs, st.tuples(any_scalar, any_scalar))
 # --tol must be finite and >= 0; argparse itself rejects non-numbers.
 BAD_TOLERANCES = ("-1", "-1e-12", "nan", "inf", "-inf", "abc")
@@ -128,6 +132,8 @@ def test_exit_code_contract_and_deterministic_stdout(argv):
     assert code in (0, 2, 3), (argv, err)
     if "--tol" in argv and argv[argv.index("--tol") + 1] in BAD_TOLERANCES:
         assert code == 2, argv
+    if any(len(word) > LONG_DIGITS + 2 for word in argv):
+        assert code == 2 and "is too long" in err, argv
     if code == 0:
         assert err == ""
         assert _run(argv) == (code, out, err)

@@ -12,13 +12,14 @@ not move a single bit.
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import comb
 
 import pytest
 
 from conftest import ALL_PRESETS, JS
+from oracle import KINDS, grid, in_order, kind_id
 from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
                  jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
 from rpq import first_kind, occupancy, pmf, second_kind
@@ -30,28 +31,8 @@ from rpq.scalars import scalars_close
 from rpq.second_kind import SecondKindParams
 from test_query_equivalence import _block_sums, _compositions, _scan
 
-PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
-
-KINDS = [(first_kind, alg) for alg in PRESETS] + [(second_kind, alg) for alg in PRESETS]
-
-
-def _kind_id(case):
-    module, alg = case
-    return f"{module.KIND}-{alg.name}-{'exact' if alg.exact else 'approx'}"
-
-
-def _params(module, alg):
-    """Every n for the first kind at k <= 5, n <= 3 for the second at k <= 4."""
-    if module is first_kind:
-        return [FirstKindParams(alg, k, n) for k in range(1, 6) for n in range(k + 2)]
-    return [SecondKindParams(alg, k, n) for k in range(1, 5) for n in range(4)]
-
-
-def _in_order(values):
-    total = values[0]
-    for value in values[1:]:
-        total = total + value
-    return total
+# Every n for the first kind at k <= 5, n <= 3 for the second at k <= 4.
+_params = partial(grid, first_k=5, second_k=4, second_n=3)
 
 
 def _z_reference(module, params):
@@ -179,10 +160,10 @@ def _assert_records(table, params, support, masses, closed, z_reference=None):
     alg = params.alg
     assert table.support == support
     assert table.weights == masses
-    z = _in_order(masses)
+    z = in_order(masses)
     assert table.z_enumerated == z
     assert table.probabilities == tuple(w / z for w in masses)
-    closed_total = _in_order(closed)
+    closed_total = in_order(closed)
     closed_probs = tuple(v / closed_total for v in closed)
     check = table.closed_form_check
     assert check.probabilities == closed_probs
@@ -205,7 +186,7 @@ def _prefixes(module, params, r):
     return [g for g in product(range(top + 1), repeat=r) if sum(g) <= params.n]
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_marginal_and_conditional_records_equal_per_point(case):
     module = case[0]
     marginal, conditional = CLOSED[module][:2]
@@ -233,7 +214,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
                     )
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_grouped_records_equal_per_point(case):
     module = case[0]
     grouped, grouped_marginal = CLOSED[module][2:]
@@ -277,7 +258,7 @@ def _same(value, reference):
 @pytest.mark.parametrize(
     "case",
     [(module, alg) for module in (first_kind, second_kind) for alg in ALL_PRESETS + DECIMAL_PRESETS],
-    ids=_kind_id,
+    ids=kind_id,
 )
 def test_closed_form_hooks_equal_chained_products(case):
     """Each kind's closed-form methods against the per-point formulas

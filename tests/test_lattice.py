@@ -14,7 +14,7 @@ from rpq import (
     weighted_sum,
 )
 from rpq import lattice
-from rpq.lattice import area, iter_points, point_cells, walk
+from rpq.lattice import area, point_cells, walk
 
 
 def test_enumeration_listings():
@@ -41,7 +41,9 @@ def test_count_matches_enumeration():
         upper = tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 6)))
         smin = rng.randint(-3, 20)
         c = ConstraintSet(upper, smin, rng.randint(smin, 25))
-        assert count_points(c) == sum(1 for _ in iter_points(c))
+        points = enumerate_points(c)
+        assert count_points(c) == len(points)
+        assert list(points) == _recursive_points(c), c
 
 
 def test_capacity_one_window_cardinality():
@@ -125,13 +127,13 @@ def _recursive_points(c):
 
 
 @pytest.mark.parametrize("upper", [(), (0,), (3,), (1, 1), (0, 2), (2, 0, 1), (1, 1, 1, 1), (2, 3, 1), (3, 0, 2, 1)])
-def test_iter_points_matches_recursive_reference(upper):
+def test_enumerate_points_matches_recursive_reference(upper):
     total = sum(upper)
     # Windows below, across and beyond the box, sum_min > 0 and empty ones included.
     for smin in range(-1, total + 3):
         for smax in range(smin, total + 3):
             c = ConstraintSet(upper, smin, smax)
-            assert list(iter_points(c)) == _recursive_points(c), (upper, smin, smax)
+            assert list(enumerate_points(c)) == _recursive_points(c), (upper, smin, smax)
 
 
 @pytest.mark.parametrize("chunk", (1, 3, 8, lattice.WALK_CHUNK))

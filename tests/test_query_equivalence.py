@@ -10,11 +10,13 @@ the scan bit for bit, not just within tolerance.
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
-from conftest import ALL_PRESETS, Q_HALF
+from conftest import Q_HALF
+from oracle import KINDS, grid, kind_id
 from rpq import (
     ValidationError,
     ZeroProbabilityEventError,
@@ -22,27 +24,14 @@ from rpq import (
     sample,
     sequential_sample,
 )
-from rpq import first_kind, sampler, second_kind
+from rpq import first_kind, sampler
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.pmf import make_table
-from rpq.second_kind import SecondKindParams
 
-PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
 DENOM = 1 << 53
 
-KINDS = [(first_kind, alg) for alg in PRESETS] + [(second_kind, alg) for alg in PRESETS]
-
-
-def _kind_id(case):
-    module, alg = case
-    return f"{module.KIND}-{alg.name}-{'exact' if alg.exact else 'approx'}"
-
-
-def _params(module, alg):
-    """Every small (k, n): k <= 4 for the first kind, k, n <= 3 for the second."""
-    if module is first_kind:
-        return [FirstKindParams(alg, k, n) for k in range(1, 5) for n in range(k + 2)]
-    return [SecondKindParams(alg, k, n) for k in range(1, 4) for n in range(4)]
+# Every small (k, n): k <= 4 for the first kind, k, n <= 3 for the second.
+_params = partial(grid, first_k=4, second_k=3, second_n=3)
 
 
 def _scan(points, masses, keep, project):
@@ -106,7 +95,7 @@ def _prefixes(module, params, r):
     return [g for g in product(range(top + 1), repeat=r) if sum(g) <= params.n]
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_conditionals_equal_scan(case):
     for params in _params(*case):
         _check_conditionals(case[0], params)
@@ -130,7 +119,7 @@ def _check_conditionals(module, params):
                 assert (again.support, again.weights) == (table.support, table.weights)
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_grouped_marginals_and_conditionals_equal_scan(case):
     for params in _params(*case):
         _check_grouped(case[0], params)
@@ -237,7 +226,7 @@ def _scan_sequential(table, k, seed, count):
     return tuple(draws)
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_draws_equal_linear_scan(case):
     module = case[0]
     for params in _params(*case):
@@ -266,7 +255,7 @@ def _scan_step(masses, prefix, extended, points, exact):
     return points.index(extended[0]), thresholds
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_memoised_steps_equal_uncached(case):
     module = case[0]
     for params in _params(*case):
@@ -285,7 +274,7 @@ def test_memoised_steps_equal_uncached(case):
         assert table.steps(0, params.k)[0] == _scan_step(masses, (), support, support, table.exact)
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_cold_warm_and_copied_walks_equal_scan(case):
     module = case[0]
     for params in _params(*case):

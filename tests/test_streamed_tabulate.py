@@ -1,10 +1,12 @@
 """`rpq tabulate` streams the joint from its area classes.
 
 The class counts are checked against a Counter of `lattice.area` over the
-enumerated points, and the streamed rows against the `PmfTable` writers of
-`joint_pmf`, byte for byte, on the desk-scale grid: both kinds, the four
-presets, exact and decimal.  Refusals go through `rpq.cli.main` and must
-match what the table route prints.
+enumerated points.  The stream and `joint_pmf`, which share one
+normalization, are each checked against the per-point table of
+`oracle.joint_table` on the desk-scale grid (both kinds, the four presets,
+exact and decimal): z and every probability in value, type and repr, and
+the streamed rows against the table writers, byte for byte.  Refusals go
+through `rpq.cli.main` and must match what the per-point route prints.
 """
 
 import io
@@ -18,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 import rpq
+from oracle import grid, joint_table
 from rpq import (ValidationError, chakrabarty_jagannathan, first_kind, jagannathan_srinivasa, occupancy,
                  q_deformation, quesne, second_kind, serialize)
 from rpq.classes import area_counts
@@ -40,38 +43,49 @@ def _alg(preset, exact):
     return PRESETS[preset](Fraction(9, 10), Fraction(1, 2)) if exact else PRESETS[preset](0.9, 0.5)
 
 
-def _grid(kind):
-    """(module, params class, k, n) of the desk-scale grid: first kind
-    k <= 8 with every n in 0..k+1, second kind k, n <= 6."""
-    if kind == "first":
-        return [(first_kind, FirstKindParams, k, n) for k in range(1, 9) for n in range(k + 2)]
-    return [(second_kind, SecondKindParams, k, n) for k in range(1, 7) for n in range(7)]
+MODULES = {"first": first_kind, "second": second_kind}
+
+
+def _grid(kind, alg):
+    """The desk-scale grid: first kind k <= 8 with every n in 0..k+1,
+    second kind k, n <= 6."""
+    return grid(MODULES[kind], alg, first_k=8, second_k=6, second_n=6)
 
 
 @pytest.mark.parametrize("kind", ("first", "second"))
 def test_class_counts_equal_enumerated_areas(kind):
-    alg = _alg("q", True)
-    for _, params_class, k, n in _grid(kind):
-        constraints = occupancy.support_constraints(params_class(alg, k, n))
+    for params in _grid(kind, _alg("q", True)):
+        constraints = occupancy.support_constraints(params)
         counts = area_counts(constraints)
-        assert counts == Counter(map(area, enumerate_points(constraints))), (k, n)
+        assert counts == Counter(map(area, enumerate_points(constraints))), params
         assert list(counts) == sorted(counts)
+
+
+def _same(values, reference):
+    """Equal in value, type and repr, one by one."""
+    assert [(v, type(v), repr(v)) for v in values] == [(v, type(v), repr(v)) for v in reference]
 
 
 @pytest.mark.parametrize("exact", (True, False), ids=("exact", "decimal"))
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("kind", ("first", "second"))
 def test_stream_matches_table_writers(kind, preset, exact):
-    alg = _alg(preset, exact)
     config = {"a": 1}
-    for module, params_class, k, n in _grid(kind):
-        params = params_class(alg, k, n)
-        table, stream = module.joint_pmf(params), module.joint_stream(params)
-        assert stream.z_enumerated == table.z_enumerated and type(stream.z_enumerated) is type(table.z_enumerated)
-        assert stream.z_discrepancy == table.z_discrepancy
-        assert "".join(serialize.table_csv_chunks(stream)) == "".join(serialize.table_csv_chunks(table)), (k, n)
+    module = MODULES[kind]
+    for params in _grid(kind, _alg(preset, exact)):
+        reference, table, stream = joint_table(params), module.joint_pmf(params), module.joint_stream(params)
+        for law in (table, stream):
+            _same([law.z_enumerated], [reference.z_enumerated])
+            assert law.z_discrepancy == reference.z_discrepancy
+            assert law.params == reference.params and law.coord_labels == reference.coord_labels
+        assert table.support == reference.support
+        _same(table.weights, reference.weights)
+        _same(table.probabilities, reference.probabilities)
+        _same([stream.weights[area(x)] for x in reference.support], reference.weights)
+        _same([stream.probabilities[area(x)] for x in reference.support], reference.probabilities)
+        assert "".join(serialize.table_csv_chunks(stream)) == "".join(serialize.table_csv_chunks(reference)), params
         assert ("".join(serialize.table_json_chunks(stream, config))
-                == "".join(serialize.table_json_chunks(table, config))), (k, n)
+                == "".join(serialize.table_json_chunks(reference, config))), params
 
 
 def _run(argv):
@@ -82,10 +96,9 @@ def _run(argv):
 
 
 def _table_route(monkeypatch):
-    """Make `tabulate` write the joint's PmfTable, as it did before it
-    streamed."""
+    """Make `tabulate` write the joint's per-point table (`joint_table`)."""
     for module in (first_kind, second_kind):
-        monkeypatch.setattr(module, "joint_stream", module.joint_pmf)
+        monkeypatch.setattr(module, "joint_stream", joint_table)
 
 
 JS = ("--preset", "js", "--p", "9/10", "--q", "1/2")

@@ -10,42 +10,22 @@ for bit.
 
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
 
-from conftest import ALL_PRESETS, JS, Q_HALF
+from conftest import JS, Q_HALF
+from oracle import KINDS, grid, in_order, kind_id
 from rpq import UnderflowError, ValidationError, jagannathan_srinivasa
-from rpq import first_kind, second_kind
-from rpq.first_kind import FirstKindParams, GroupingScheme
+from rpq.first_kind import GroupingScheme
 from rpq.lattice import area
 from rpq.pmf import ClosedFormCheck, make_table
 from rpq.scalars import scalars_close
-from rpq.second_kind import SecondKindParams
 from test_query_equivalence import _block_sums, _compositions, _prefix_masses
 
-PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
-
-KINDS = [(first_kind, alg) for alg in PRESETS] + [(second_kind, alg) for alg in PRESETS]
-
-
-def _kind_id(case):
-    module, alg = case
-    return f"{module.KIND}-{alg.name}-{'exact' if alg.exact else 'approx'}"
-
-
-def _params(module, alg):
-    """k <= 6; every n for the first kind, n <= 4 for the second."""
-    if module is first_kind:
-        return [FirstKindParams(alg, k, n) for k in range(1, 7) for n in range(k + 2)]
-    return [SecondKindParams(alg, k, n) for k in range(1, 7) for n in range(5)]
-
-
-def _in_order(values):
-    total = values[0]
-    for value in values[1:]:
-        total = total + value
-    return total
+# k <= 6; every n for the first kind, n <= 4 for the second.
+_params = partial(grid, first_k=6, second_k=6, second_n=4)
 
 
 def _scan(points, masses, project):
@@ -60,12 +40,12 @@ def _scan(points, masses, project):
 def _assert_table(table, support, weights):
     assert table.support == support
     assert table.weights == weights
-    z = _in_order(weights)
+    z = in_order(weights)
     assert table.z_enumerated == z
     assert table.probabilities == tuple(w / z for w in weights)
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_joint_weights_are_per_point_weights(case):
     module = case[0]
     for params in _params(*case):
@@ -77,7 +57,7 @@ def test_joint_weights_are_per_point_weights(case):
         assert len({id(w) for w in joint.weights}) == len(classes)
 
 
-@pytest.mark.parametrize("case", KINDS, ids=_kind_id)
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_marginals_grouped_and_prefix_masses_equal_scan(case):
     module = case[0]
     for params in _params(*case):
@@ -101,7 +81,7 @@ def _normalized(values, exact):
     mode) and each value divided by it."""
     if exact:
         values = [Fraction(v) for v in values]
-    total = _in_order(values)
+    total = in_order(values)
     return total, tuple(v / total for v in values)
 
 
