@@ -1,61 +1,209 @@
-"""Integer class counts: how many points of a box fall in each area class.
+"""Area classes: how many points of a box fall in each area class, and the
+masses of a joint law's prefix classes, read from those counts.
 
 A joint weight reads a point x only through its area E(x) (`lattice.area`),
 so its normalizer needs the number of support points in each area class,
 not the points.  Let N_d(t, e) count the vectors of a d-coordinate box with
 sum t and area e.  Appending a last coordinate v to a vector y of sum t - v
 adds the new sum t to the area (E is the sum of the prefix sums), so
+N_d(t, e) = sum_v N_{d-1}(t - v, e - t); over {0..cap}^d its generating
+polynomial is a Gaussian binomial (Andrews, *The Theory of Partitions*,
+ch. 3), which the recursion needs no closed form of.
 
-    N_d(t, e) = sum_v N_{d-1}(t - v, e - t),
-
-the same as prepending a first coordinate v: N_d(t, e) = sum_v
-N_{d-1}(t - v, e - d v).  Over the box {0..cap}^d the generating polynomial
-of the sum-t vectors by area is a Gaussian binomial in q (Andrews, *The
-Theory of Partitions*, ch. 3); the recursion needs no closed form.
+The class route.  Cut a support point x of k coordinates after r of them
+into a prefix p and a suffix s: E(x) = E(p) + (k - r) sum(p) + E(s), and
+the suffixes of p are the points of the suffix box, k - r coordinates with
+sums in the joint's window shifted down by sum(p), in `lattice.walk` order.
+So the mass of p, the summed weight of its extensions in support order,
+depends only on its class (r, sum p, base = E(p) + (k - r) sum p), and so
+does a step of a sequential draw: the children of (r, s, base) are
+(r + 1, s + v, base + (k - r) v).  A block of coordinates ending at S adds
+E(v) + (k - S) sum(v) for its vectors v, which gives grouped laws their
+masses.  `PrefixClasses` computes all of these without the joint's points.
+Its memos hold one mass and one step per class; besides, a process keeps
+the count tables of 128 boxes (`sum_rows`) and listings of 2^16 points.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate
+import sys
+from collections import Counter, OrderedDict
+from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import accumulate, chain
 from math import comb
-from typing import Dict
+from operator import add, mul
+from typing import Dict, List, Sequence, Tuple
 
-from .lattice import ConstraintSet
+from .lattice import ConstraintSet, SupportPoint, area, enumerate_areas, walk
+from .pmf import PmfStream, _over_lcm, cdf_thresholds
+from .scalars import Scalar
+
+# The array type code of each coefficient width `_decode` reads in one pass.
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-# Bounded: one entry per box and window a process asks about; each holds
-# one count per area class.
-@lru_cache(maxsize=64)
-def area_counts(constraints: ConstraintSet) -> Dict[int, int]:
-    """{e: number of admissible points with area e}, e ascending, classes
-    with no point left out.  Sums the recursion over the running sums in
-    the window, as `lattice.count_points` does.
+def _packed(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], int]:
+    """The polynomials of the vectors of the box `upper` by running sum t
+    <= smax, and the width in bytes of one coefficient.
 
-    Each running sum t keeps its vectors' polynomial in X with exponent
-    e - t (in [0, (d-1) t]) as one int, at X = 2^(8 width): a coefficient
-    is at most the number of vectors with sum <= sum_max, which `width`
-    bytes hold, so ints add and subtract coefficient by coefficient.
-    Appending v takes the vectors of sum s = t - v to exponent e - t + s,
-    a shift by s, and the v in [0, upper] of a coordinate are a difference
-    of running sums.
+    Each sum t keeps its vectors' polynomial in X with exponent e - t (in
+    [0, (d-1) t]) as one int, at X = 2^(8 width): a coefficient is at most
+    the number of vectors with sum <= smax, which `width` bytes hold, so
+    ints add and subtract coefficient by coefficient.  Appending v takes
+    the vectors of sum s = t - v to exponent e - t + s, a shift by s, and
+    the v in [0, upper] of a coordinate are a difference of running sums.
     """
-    smax = min(constraints.sum_max, sum(constraints.upper))
-    smin = max(constraints.sum_min, 0)
-    if smin > smax:
-        return {}
-    width = (comb(smax + constraints.dim, smax).bit_length() + 7) // 8
+    need = (comb(smax + len(upper), smax).bit_length() + 7) // 8
+    width = next((w for w in _CODES if w >= need), need)
     bits = 8 * width
     ways = [1] + [0] * smax
-    for up in constraints.upper:
+    for up in upper:
         below = [0, *accumulate(w << (bits * s) for s, w in enumerate(ways))]
         ways = [below[t + 1] - below[max(0, t - up)] for t in range(smax + 1)]
-    counts: Dict[int, int] = {}
-    for t in range(smin, smax + 1):
-        raw = ways[t].to_bytes(-(-ways[t].bit_length() // bits) * width, "little")
-        for r in range(0, len(raw), width):
-            count = int.from_bytes(raw[r:r + width], "little")
-            if count:
-                e = r // width + t
-                counts[e] = counts.get(e, 0) + count
-    return dict(sorted(counts.items()))
+    return ways, width
+
+
+def _decode(value: int, width: int) -> List[int]:
+    """The coefficients of a packed polynomial, lowest first, up to its
+    last nonzero one, read in one pass."""
+    size = -(-value.bit_length() // (8 * width)) * width
+    if width not in _CODES:
+        raw = value.to_bytes(size, "little")
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, size, width)]
+    coefficients = memoryview(value.to_bytes(size, sys.byteorder)).cast(_CODES[width]).tolist()
+    if sys.byteorder == "big":
+        coefficients.reverse()
+    return coefficients
+
+
+def area_counts(constraints: ConstraintSet) -> Dict[int, int]:
+    """{e: number of admissible points with area e}, e ascending, classes
+    with no point left out.  The polynomials of the sums t in the window,
+    each at its offset t in e, are added pairwise (so no int grows beyond
+    the span of the areas it holds) and decoded in one pass."""
+    smax = min(constraints.sum_max, sum(constraints.upper))
+    ways, width = _packed(constraints.upper, max(smax, 0))
+    terms = [(t, ways[t]) for t in range(max(constraints.sum_min, 0), smax + 1)]
+    while len(terms) > 1:
+        pairs = zip(terms[::2], terms[1::2])
+        terms = [(t, w + (v << 8 * width * (u - t))) for (t, w), (u, v) in pairs] + terms[len(terms) & ~1:]
+    return {t + i: count for t, total in terms for i, count in enumerate(_decode(total, width)) if count}
+
+
+# Bounded: one table per box a process reads class masses of (a joint of k
+# coordinates has k + 1 suffix boxes); each holds one count per (t, e).
+@lru_cache(maxsize=128)
+def sum_rows(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], ...]:
+    """The area counts of the box `upper` by sum: row t lists the number
+    of its vectors with sum t and area t + i at index i, for t <= smax."""
+    ways, width = _packed(upper, smax)
+    return tuple(_decode(w, width) for w in ways)
+
+
+class _Listings(OrderedDict):
+    """The points of a box in lexicographic order, their sums and their
+    areas, by box: the most recently read, while they hold at most `budget`
+    points in all."""
+
+    budget, points = 1 << 16, 0
+
+    def read(self, box: ConstraintSet) -> tuple:
+        if box in self:
+            self.move_to_end(box)
+            return self[box]
+        points, areas = enumerate_areas(box)
+        listing = points, tuple(map(sum, points)), areas
+        if len(points) <= self.budget:
+            self[box], self.points = listing, self.points + len(points)
+            while self.points > self.budget:
+                self.points -= len(self.popitem(last=False)[1][0])
+        return listing
+
+
+_listings = _Listings()
+
+
+class PrefixClasses:
+    """The prefix classes of one joint law, `law`, over a box of k
+    coordinates, each at most `bound`, with sums in [smin, smax]: `mass`
+    and `step` give a class (r, s, base) its mass and its step of a
+    sequential draw, memoised, one entry per class.  A mass is the summed
+    weight of the support points in the class (at r = 0 the normalizer):
+    in exact mode the suffix box's counts by sum (`sum_rows`) dotted with
+    the weights as integers over their lcm, in approximate mode the weights
+    of base + e over the suffix areas e added in `walk` order."""
+
+    def __init__(self, law: PmfStream, exact: bool) -> None:
+        self.law, self.exact = law, exact
+        box = law.constraints
+        self.k, self.bound, self.smin, self.smax = box.dim, box.upper[0], box.sum_min, box.sum_max
+        self.mass, self.step = lru_cache(maxsize=None)(self._mass), lru_cache(maxsize=None)(self._step)
+        if exact:
+            numerators, self._denominator = _over_lcm(law.weights.values())
+            scaled = dict(zip(law.weights, numerators))
+            self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
+
+    def _mass(self, key: Tuple[int, int, int]) -> Scalar:
+        r, s, base = key
+        if r == 0:
+            return self.law.z_enumerated
+        lo, hi = max(0, self.smin - s), self.smax - s
+        if self.exact:
+            rows, numerator = sum_rows((self.bound,) * (self.k - r), self.smax), 0
+            for t in range(lo, hi + 1):
+                numerator += sum(map(mul, rows[t], self._scaled[base + t:base + t + len(rows[t])]))
+            return Fraction(numerator, self._denominator)
+        areas = chain.from_iterable(a for _, a in walk(ConstraintSet((self.bound,) * (self.k - r), lo, hi)))
+        return reduce(add, map(self.law.weights.__getitem__, map(base.__add__, areas)))
+
+    def prefixes(self, given: SupportPoint, m: int) -> Tuple[tuple, List[Scalar]]:
+        """The m-prefixes x of the support that extend `given` (r = len(given)
+        coordinates), in lexicographic order: the parts s = x[r:], their sums
+        and their areas E(s) (as vectors of m - r coordinates), and the mass
+        of each x.  Those s are the points of a box of m - r coordinates
+        whose sums leave the last k - m coordinates room in the window."""
+        r, y = len(given), sum(given)
+        box = ConstraintSet((self.bound,) * (m - r), max(0, self.smin - y - (self.k - m) * self.bound), self.smax - y)
+        listing = _listings.read(box)
+        base, tail, mass = area(given) + (self.k - r) * y, self.k - m, self.mass
+        return listing, [mass((m, y + t, base + e + tail * t)) for t, e in zip(*listing[1:])]
+
+    def _step(self, key: Tuple[int, int, int]) -> Tuple[List[Scalar], int, list]:
+        # The children of class (r, s, base), r < k, take the values v from
+        # `lo` up that leave the rest of the point room in the window; a
+        # variate u takes child bisect_right(thresholds, u).
+        r, s, base = key
+        rest = self.k - r - 1
+        lo = max(0, self.smin - s - rest * self.bound)
+        children = [(r + 1, s + v, base + (rest + 1) * v) for v in range(lo, min(self.bound, self.smax - s) + 1)]
+        return cdf_thresholds(list(map(self.mass, children)), self.mass(key), self.exact), lo, children
+
+    def blocks(self, sizes: Sequence[int]) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+        """The block-sum vectors y of the consecutive blocks of `sizes`
+        (which cover the k coordinates), in lexicographic order, and the
+        summed weight of the points of each.  The points of y are the
+        blocks' vectors nested, first block outermost, as (area, count)
+        pairs, a block ending at S adding E(v) + (k - S) y_j: in exact mode
+        one pair per area (`sum_rows`), merged as blocks are added; in
+        approximate mode one per vector, so they come in support order."""
+        ends, blocks, masses = list(accumulate(sizes)), {}, []
+        support = enumerate_areas(ConstraintSet(tuple(self.bound * m for m in sizes), self.smin, self.smax))[0]
+        for y in support:
+            pairs = [(0, 1)]
+            for j, v in enumerate(y):
+                if (j, v) not in blocks:
+                    shift, box = (self.k - ends[j]) * v, ConstraintSet((self.bound,) * sizes[j], v, v)
+                    blocks[j, v] = ([(shift + v + i, c) for i, c in enumerate(sum_rows(box.upper, self.smax)[v]) if c]
+                                    if self.exact else [(shift + a, 1) for _, areas in walk(box) for a in areas])
+                pairs = [(a + e, c * n) for a, c in pairs for e, n in blocks[j, v]]
+                if self.exact:
+                    merged: Counter = Counter()
+                    for a, c in pairs:
+                        merged[a] += c
+                    pairs = list(merged.items())
+            if self.exact:
+                masses.append(Fraction(sum(c * self._scaled[a] for a, c in pairs), self._denominator))
+            else:
+                masses.append(reduce(add, [self.law.weights[a] for a, _ in pairs]))
+        return support, tuple(masses)

@@ -203,18 +203,21 @@ def _cmd_model(args, alg: AlgebraSpec) -> Iterable[str]:
 
 
 def _cmd_sample(args, alg: AlgebraSpec) -> Iterable[str]:
+    from .occupancy import _joint_law
     from .sampler import sample, sequential_sample
 
     module, params = _model(args, alg)
-    table = module.joint_pmf(params)
     if args.sequential:
+        # The class law the draws read gives a drawn point's probability.
+        law = _joint_law(params).law
         batch = sequential_sample(params, args.seed, args.count)
     else:
-        batch = sample(table, args.seed, args.count)
+        law = module.joint_pmf(params)
+        batch = sample(law, args.seed, args.count)
     config = _config(args, alg, kind=args.kind, k=args.k, n=args.n,
                      seed=args.seed, count=args.count, sequential=args.sequential)
-    return _emit(args, config, lambda: serialize.batch_to_json_obj(batch, table),
-                 lambda: serialize.batch_to_csv(batch, table.coord_labels))
+    return _emit(args, config, lambda: serialize.batch_to_json_obj(batch, law),
+                 lambda: serialize.batch_to_csv(batch, law.coord_labels))
 
 
 def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:

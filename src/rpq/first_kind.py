@@ -107,22 +107,10 @@ class FirstKindParams(OccupancyParams):
         return closed_form(alg, c2 + k * n - h, h - c2, (self.normalizer(alg, k - m, n - y_m),),
                            divisor=self.normalizer(alg, k - len(given), n - sum(given)))
 
-    def grouped_weight(
-        self, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
-    ) -> Scalar:
-        """Closed weight of the block counts `y` (all blocks, or the leading
-        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
-        alg, k, n = self.alg, self.k, self.n
-        s = scheme.partial_sums
-        e1 = e2 = 0
-        z = 0
-        binomials = []
-        for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
-            z += y_j
-            e1 += (n - z - s[j]) * (m_j - y_j)
-            e2 += (k - s[j] - n + z + 1) * y_j
-            binomials.append(deformed_binomial(alg, m_j, y_j))
-        return closed_form(alg, e1, e2, binomials, scale, divisor)
+    def block_factor(self, m_j: int, y_j: int, z: int, s_j: int) -> Tuple[int, int, Scalar]:
+        """(n - z - s_j)(m_j - y_j), (k - s_j - n + z + 1) y_j and [m_j over y_j]."""
+        n = self.n
+        return (n - z - s_j) * (m_j - y_j), (self.k - s_j - n + z + 1) * y_j, deformed_binomial(self.alg, m_j, y_j)
 
 
 def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable:

@@ -3,41 +3,36 @@
 n indistinguishable balls land in k+1 distinguishable urns; the last urn
 absorbs what the first k leave over.  The law of the first k occupancy
 counts (X_1..X_k) has joint weights that depend on x only through its area
-
-    E(x) = sum_j (k - j + 1) x_j,
-
-normalized by their enumerated sum.  The first kind (capacity one,
-Fermi-Dirac) and the second kind (unlimited capacity, Bose-Einstein) run
-the same construction: one support, one weight per area class, and derived
+E(x) = sum_j (k - j + 1) x_j, normalized by their enumerated sum.  The
+first kind (capacity one) and the second kind (unlimited capacity) run the
+same construction: one support, one weight per area class, and derived
 tables (marginals, conditionals, grouped laws) that carry the measure the
-joint induces, with closed forms attached as cross-checks; their masses
-are memoised on the joint (`PmfTable.cut_masses`, `block_masses`).  The
-joint is normalized once, from its area classes (`classes.area_counts`,
-`pmf.make_stream`): `joint_stream` holds only those classes, so that `rpq
-tabulate` writes its rows as `lattice.walk` lists them, and `joint_pmf`
-lists the support as a `PmfTable` whose points share their class's weight
-and probability objects.  What the kinds differ in (the cap, the sum
-window, the weight of an area class and the closed forms) lives on their
-params classes, two subclasses of `OccupancyParams`, as class attributes
-and methods that every function here calls on the params it is given.
-The suffix-area identity that a conditional's closed form needs is applied
-here (`_suffix_key`), so a kind reads class keys only.  `rpq.first_kind`
-and `rpq.second_kind` define the two params classes and re-export these
-functions under their usual names.
+joint induces, with closed forms attached as cross-checks.  The joint is
+normalized once, from its area-class counts (`joint_stream`), which
+`tabulate` writes as `lattice.walk` lists its rows and `joint_pmf` lists
+as a `PmfTable`.  Derived laws read the masses of prefix and block classes
+(`classes.PrefixClasses`) and never the joint table; each first takes the
+joint's 10^7-point guard and checks, from its memoised class law, so it
+refuses what it refused when it summed the joint.  Memos, each bounded: the
+32 most recent class laws (one mass and one step per class), block masses
+of 32 schemes, and 32 joint tables.  What the kinds differ in lives on
+their params classes (`OccupancyParams`), which `rpq.first_kind` and
+`rpq.second_kind` define; they re-export these functions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, ClassVar, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraSpec, coerce_scalar, inverse_algebra
+from .algebra import AlgebraSpec, closed_form, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
-from .classes import area_counts
+from .classes import PrefixClasses, area_counts
 from .lattice import ConstraintSet, SupportPoint, area, count_points, enumerate_areas, enumerate_points
-from .pmf import PmfStream, PmfTable, extensions, grouped_sums, make_stream, make_table
+from .pmf import PmfStream, PmfTable, make_stream, make_table
 from .scalars import Scalar
 
 
@@ -60,10 +55,10 @@ class OccupancyParams:
     - closed weights for the marginal, per r-prefix class key (y, E)
       (`marginal_weight(r, key)`), for the conditional, per class key
       (y_m, t, E(s)) of the suffix s that follows `given` up to m
-      (`conditional_value(given, m, key)`), and for the grouped law
-      (`grouped_weight(scheme, y, scale=None, divisor=None)`, which also
-      multiplies by `scale` and divides by `divisor` within its one closed
-      form, `algebra.closed_form`).
+      (`conditional_value(given, m, key)`), and for the grouped law the
+      factor of block j of m_j urns with count y_j, z the count of blocks
+      1..j and s_j their urns (`block_factor(m_j, y_j, z, s_j)`: exponents
+      of tau1 and tau2, and a binomial), which `grouped_weight` multiplies.
 
     Equality sees the subclass, so equal fields of two kinds are two cache
     keys.
@@ -89,6 +84,16 @@ class OccupancyParams:
         out = {"kind": self.kind, "k": self.k, "n": self.n}
         out.update(self.alg.describe())
         return out
+
+    def grouped_weight(self, scheme: "GroupingScheme", y: SupportPoint, scale=None, divisor=None) -> Scalar:
+        """Closed weight of the block counts `y` (all blocks, or the leading
+        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
+        z, factors = 0, []
+        for m_j, y_j, s_j in zip(scheme.sizes, y, scheme.partial_sums):
+            z += y_j
+            factors.append(self.block_factor(m_j, y_j, z, s_j))
+        e1, e2, binomials = zip(*factors)
+        return closed_form(self.alg, sum(e1), sum(e2), binomials, scale, divisor)
 
 
 def support_constraints(params: OccupancyParams) -> ConstraintSet:
@@ -119,12 +124,13 @@ def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
     return params.area_weight(area(x))
 
 
-def _joint_law(
-    params: OccupancyParams, constraints: ConstraintSet, areas: Optional[Sequence[int]] = None
-) -> PmfStream:
-    """The joint law of `params` over its support `constraints`, normalized
-    from the class counts (`make_stream`, which reads `areas`, the listed
-    area of each point, when given)."""
+def joint_stream(params: OccupancyParams) -> PmfStream:
+    """The joint law of (X_1..X_k), one weight and one probability per area
+    class, normalized from the class counts (`make_stream`) with the joint's
+    checks and fit, as a stream: the support is counted (the points guard),
+    not listed."""
+    constraints = support_constraints(params)
+    count_points(constraints)
     counts = area_counts(constraints)
     return make_stream(
         kind=params.kind,
@@ -134,31 +140,37 @@ def _joint_law(
         counts=counts,
         weights={e: params.area_weight(e) for e in counts},
         alg=params.alg,
-        areas=areas,
         **_normalizer(params),
     )
 
 
-# Bounded: a long-lived process keeps at most 32 joints, with their memos.
+# Bounded: a long-lived process keeps the class laws of at most 32 params,
+# each with at most one mass and one step per prefix class.
 @lru_cache(maxsize=32)
-def joint_pmf(params: OccupancyParams) -> PmfTable:
-    """Joint law of (X_1..X_k), one weight per area class: the law of
-    `joint_stream`, with each listed point given its class's weight and
-    probability objects."""
-    constraints = support_constraints(params)
-    support, areas = enumerate_areas(constraints)
-    law = _joint_law(params, constraints, areas)
+def _joint_law(params: OccupancyParams) -> PrefixClasses:
+    """`joint_stream(params)` and the memos of its prefix classes: what
+    every derived law and the sequential sampler read, after the joint's
+    guard and checks."""
+    return PrefixClasses(joint_stream(params), params.alg.exact)
+
+
+def _listed(params: OccupancyParams) -> PmfTable:
+    """The table of `joint_stream(params)`: each listed point with its class's
+    weight and probability objects, the listing checked against the counts."""
+    law = _joint_law(params).law
+    support, areas = enumerate_areas(law.constraints)
+    if Counter(areas) != Counter(law.counts):
+        raise AssertionError(f"{law.kind} self-check failed: the listed areas are not the counted classes")
     weights, probabilities = (tuple(map(by_class.__getitem__, areas)) for by_class in (law.weights, law.probabilities))
     return PmfTable(law.kind, law.params, law.coord_labels, support, weights, law.z_enumerated, probabilities,
                     params.alg.exact, params.alg.tol, law.z_closed_form, law.z_discrepancy)
 
 
-def joint_stream(params: OccupancyParams) -> PmfStream:
-    """The joint law of `joint_pmf`, with its checks, its normalizer and its
-    fit, as a stream: the support is counted (the same guard), not listed."""
-    constraints = support_constraints(params)
-    count_points(constraints)
-    return _joint_law(params, constraints)
+# Bounded: a long-lived process keeps at most 32 joint tables.
+@lru_cache(maxsize=32)
+def joint_pmf(params: OccupancyParams) -> PmfTable:
+    """The joint law of (X_1..X_k) as a table (`_listed`)."""
+    return _listed(params)
 
 
 def _derived_table(
@@ -184,48 +196,27 @@ def _derived_table(
     )
 
 
-def _given_block(
-    points: Sequence[SupportPoint], masses: Tuple[Scalar, ...], given: SupportPoint
-) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...], slice]:
-    """The points that extend `given` (`pmf.extensions`), cut to what
-    follows it, their masses, and the slice of `points` they occupy."""
-    rows = extensions(points, given)
-    if rows.start == rows.stop:
-        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    r = len(given)
-    return tuple(x[r:] for x in points[rows]), masses[rows], rows
-
-
 def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     """Law of the prefix (X_1..X_r), 1 <= r < k, by exact summation.
 
-    Weights are the joint masses summed over the dropped coordinates, so the
-    enumerated normalizer coincides with the joint one.  The kind's closed
-    marginal weights ride along as a cross-check.
+    Weights are the masses of the prefixes' classes, so the enumerated
+    normalizer coincides with the joint one.  The kind's closed marginal
+    weights ride along as a cross-check.
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    joint = joint_pmf(params)
-    closed = class_values(zip(*joint.cut_classes(r)), lambda key: params.marginal_weight(r, key))
-    return _derived_table(params, "marginal", ("x", 1, r), *joint.cut_masses(r), closed, r=r)
-
-
-def _suffix_key(given: SupportPoint, m: int, key: Tuple[int, int]) -> Tuple[int, int, int]:
-    """(y_m, t, E(s)) of the suffix s = x[r:m] of an m-prefix x that extends
-    `given` (r = len(given)), from the m-prefix's key (y_m, E) = (sum x,
-    E(x)): t = sum s = y_m - sum(given), and
-    E(x) = E(given) + (m - r) sum(given) + E(s)."""
-    y_m, e = key
-    y_r = sum(given)
-    return y_m, y_m - y_r, e - area(given) - (m - len(given)) * y_r
+    (support, sums, areas), masses = _joint_law(params).prefixes((), r)
+    closed = class_values(zip(sums, areas), lambda key: params.marginal_weight(r, key))
+    return _derived_table(params, "marginal", ("x", 1, r), support, masses, closed, r=r)
 
 
 def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> PmfTable:
     """Law of (X_{r+1}..X_m) given (X_1..X_r) = `given`, via the chain rule.
 
-    Weights are restricted joint masses, the normalizer is the mass of the
-    conditioning event; a zero-probability event is an error, not an empty
-    table.
+    Weights are the masses of the m-prefixes that extend `given`, the
+    normalizer is the mass of the conditioning event; a zero-probability
+    event is an error, not an empty table.  A closed value reads the key
+    (y_m, t, E(s)) of each suffix s (y_m the sum of the m-prefix, t of s).
     """
     given = tuple(given)
     r = len(given)
@@ -237,13 +228,11 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    joint = joint_pmf(params)
-    support, masses, rows = _given_block(*joint.cut_masses(m), given)
-    sums, areas = joint.cut_classes(m)
-    closed = class_values(
-        zip(sums[rows], areas[rows]),
-        lambda key: params.conditional_value(given, m, _suffix_key(given, m, key)),
-    )
+    (support, sums, areas), masses = _joint_law(params).prefixes(given, m)
+    if not support:
+        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
+    closed = class_values(zip(map(sum(given).__add__, sums), sums, areas),
+                          lambda key: params.conditional_value(given, m, key))
     return _derived_table(params, "conditional", ("x", r + 1, m), support, masses, closed,
                           given=list(given), m=m)
 
@@ -268,6 +257,12 @@ class GroupingScheme:
         return tuple(accumulate(self.sizes))
 
 
+# Bounded: a long-lived process keeps the block masses of 32 schemes.
+@lru_cache(maxsize=32)
+def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    return _joint_law(params).blocks(sizes)
+
+
 def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     """Law of the block sums (Y_1..Y_r), as the pushforward of the joint.
 
@@ -275,7 +270,7 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     attached as a cross-check.
     """
     scheme.validate_for(params.k)
-    support, masses = joint_pmf(params).block_masses(scheme.sizes)
+    support, masses = _block_law(params, scheme.sizes)
     closed = [params.grouped_weight(scheme, y) for y in support]
     return _derived_table(params, "grouped", ("y", 1, len(scheme.sizes)), support, masses, closed,
                           scheme=list(scheme.sizes))
@@ -299,10 +294,11 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
     # The block masses summed by their leading blocks, as a scan of the
-    # block law would add them.
-    blocks, masses = joint_pmf(params).block_masses(scheme.sizes)
-    sums = sorted(grouped_sums(zip((y[:nu] for y in blocks), masses), params.alg.exact).items())
-    support, masses = tuple(p for p, _ in sums), tuple(m for _, m in sums)
+    # block law adds them; the blocks are sorted, so the sums come sorted.
+    sums = {}
+    for y, mass in zip(*_block_law(params, scheme.sizes)):
+        sums[y[:nu]] = sums[y[:nu]] + mass if y[:nu] in sums else mass
+    support, masses = tuple(sums), tuple(sums.values())
     closed = [_grouped_marginal_weight(params, scheme, p) for p in support]
     return _derived_table(params, "grouped-marginal", ("y", 1, nu), support, masses, closed,
                           scheme=list(scheme.sizes), nu=nu)
@@ -317,7 +313,10 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    support, masses, _ = _given_block(*joint_pmf(params).block_masses(scheme.sizes), given)
+    rows = [(y[nu:], mass) for y, mass in zip(*_block_law(params, scheme.sizes)) if y[:nu] == given]
+    if not rows:
+        raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
+    support, masses = zip(*rows)
     prefix_weight = _grouped_marginal_weight(params, scheme, given)
     closed = [params.grouped_weight(scheme, given + suffix, divisor=prefix_weight)
               for suffix in support]
@@ -326,12 +325,13 @@ def grouped_conditional_pmf(
 
 
 def bivariate_table(params: OccupancyParams) -> PmfTable:
-    """Oracle law of (X_1, X_2): the joint itself at k = 2, else the
-    exact 2-prefix marginal."""
+    """Oracle law of (X_1, X_2): the joint itself at k = 2 (listed from
+    its class law, not read from `joint_pmf`), else the exact 2-prefix
+    marginal."""
     if params.k < 2:
         raise ValidationError(f"k: bivariate table needs k >= 2, got {params.k}")
     if params.k == 2:
-        return joint_pmf(params)
+        return _listed(params)
     return marginal_pmf(params, 2)
 
 

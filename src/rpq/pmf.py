@@ -6,22 +6,22 @@ cross-check records, never as the source of truth.  A `PmfStream` is the
 same law listed by `lattice.walk` rather than held: one weight and one
 probability per area class, normalized from the class counts in exact
 mode and from passes over the areas in support order in approximate mode.
-It is the one normalization of a joint law: `occupancy.joint_pmf` builds
-its table from the stream's class objects.
+It is the one normalization of a joint law, which `occupancy` memoises as
+the class law that derived laws and sequential draws read; `joint_pmf`
+lists it as a table.  A table keeps one memo, its inverse-CDF thresholds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
-from math import inf, lcm
+from math import lcm
 from operator import add, lt, mul
-from typing import (Callable, ClassVar, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, UnderflowError, ValidationError
@@ -32,13 +32,6 @@ from .scalars import Scalar, scalars_close
 # `sampler`), so CDF thresholds are kept on that integer scale.
 CDF_BITS = 53
 CDF_SCALE = 1 << CDF_BITS
-
-# Pushforward mass entries a table keeps (`PmfTable.cut_masses`,
-# `PmfTable.block_masses`): the most recently used.
-MASS_MEMO_SIZE = 32
-
-# Distinct projected points, sorted, and their summed weights.
-Masses = Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]
 
 
 def _over_lcm(values: Iterable[Scalar]) -> Tuple[List[int], int]:
@@ -116,33 +109,6 @@ def _check_approximate_sum(kind: str, total: float, tol: float) -> None:
         raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
 
 
-def grouped_sums(
-    pairs: Iterable[Tuple[Hashable, Scalar]], exact: bool
-) -> Dict[Hashable, Scalar]:
-    """The sum of the values of each key over (key, value) pairs, keys in
-    first-seen order; in approximate mode each key adds its values left to
-    right.
-
-    Many keys hold a few values each, so in exact mode each distinct value
-    object is brought once to a denominator common to all the values, and a
-    key adds integers and builds one Fraction; a key with one value keeps
-    that object.
-    """
-    groups: Dict[Hashable, List[Scalar]] = {}
-    for key, value in pairs:
-        groups.setdefault(key, []).append(value)
-    if not exact:
-        return {key: reduce(add, group) for key, group in groups.items()}
-    distinct = {id(v): v for group in groups.values() for v in group}
-    numerators, denominator = _over_lcm(distinct.values())
-    scaled = dict(zip(distinct, numerators))
-    return {
-        key: group[0] if len(group) == 1
-        else Fraction(sum([scaled[id(v)] for v in group]), denominator)
-        for key, group in groups.items()
-    }
-
-
 @dataclass(frozen=True)
 class ClosedFormCheck:
     """Closed-form distribution (normalized) compared point-by-point."""
@@ -154,13 +120,8 @@ class ClosedFormCheck:
 @dataclass(frozen=True)
 class PmfTable:
     """A normalized law over a strictly increasing (lexicographic) support.
-
-    What repeated queries read is memoised on the table on first use: the
-    sampler's steps, the prefix classes of each cut (prefix length), and
-    the masses of each cut and block scheme, the MASS_MEMO_SIZE most
-    recently used.  The memos take no part in equality or repr, so
-    `replace()` starts fresh ones; they are freed with the table.
-    """
+    Its inverse-CDF thresholds (`cdf`) are kept once read; they are no
+    field, so equality, repr and `replace()` do not see them."""
 
     kind: str
     params: Mapping[str, object]
@@ -174,9 +135,6 @@ class PmfTable:
     z_closed_form: Optional[Scalar] = None
     z_discrepancy: Optional[MonomialFit] = None
     closed_form_check: Optional[ClosedFormCheck] = None
-    _masses: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
-    _cut_classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def probability(self, point: SupportPoint) -> Scalar:
         i = bisect_left(self.support, point)
@@ -187,102 +145,25 @@ class PmfTable:
     def as_mapping(self) -> dict:
         return dict(zip(self.support, self.probabilities))
 
-    def _pushforward(self, key: Union[int, Tuple[int, ...]]) -> Masses:
-        """The support's distinct projections, sorted, and their weights
-        summed in support order (`grouped_sums`): an int key r projects x
-        to x[:r], a tuple of block sizes to the sums of x's consecutive
-        blocks.  Memoised per key, the MASS_MEMO_SIZE most recently used."""
-        entry = self._masses.get(key)
-        if entry is not None:
-            self._masses.move_to_end(key)
-            return entry
-        if isinstance(key, int):
-            keys = (x[:key] for x in self.support)
-        else:
-            spans = list(zip(accumulate(key, initial=0), accumulate(key)))
-            keys = (tuple([sum(x[a:b]) for a, b in spans]) for x in self.support)
-        sums = sorted(grouped_sums(zip(keys, self.weights), self.exact).items())
-        entry = self._masses[key] = (tuple(k for k, _ in sums), tuple(m for _, m in sums))
-        if len(self._masses) > MASS_MEMO_SIZE:
-            self._masses.popitem(last=False)
-        return entry
-
-    def cut_masses(self, cut: int) -> Masses:
-        """The distinct prefixes of length `cut`, in support (so sorted)
-        order, and their summed weights: at the full length, the support and
-        the weights themselves, and at length 0 the empty prefix and the
-        normalizer (the same sum: one Fraction, or the floats added in
-        support order)."""
-        if cut == len(self.support[0]):
-            return self.support, self.weights
-        if cut == 0:
-            return ((),), (self.z_enumerated,)
-        return self._pushforward(cut)
-
-    def block_masses(self, sizes: Tuple[int, ...]) -> Masses:
-        """The distinct block-sum vectors of the consecutive blocks of
-        `sizes`, sorted, and their summed weights."""
-        dim = len(self.support[0])
-        if sum(sizes) != dim:
-            raise ValidationError(f"block sizes {sizes} must sum to the dimension {dim}")
-        return self._pushforward(tuple(sizes))
-
-    def cut_classes(self, cut: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """The sums and the `lattice.area`s of the prefixes `cut_masses(cut)`
-        lists, in its order: the class key (sum, area) a closed-form
-        marginal or conditional value reads.  Two tuples of small ints, not
-        one of pairs, to keep the memo small.  Memoised per cut."""
-        entry = self._cut_classes.get(cut)
-        if entry is None:
-            prefixes = self.cut_masses(cut)[0]
-            entry = self._cut_classes[cut] = (tuple(map(sum, prefixes)), tuple(map(area, prefixes)))
-        return entry
-
-    def steps(self, cut: int, to: int) -> Steps:
-        """The sampler's steps from the prefixes of length `cut` to their
-        extensions of length `to`; memoised per (cut, to)."""
-        entry = self._steps.get((cut, to))
-        if entry is None:
-            entry = self._steps[cut, to] = Steps(self.cut_masses(cut), self.cut_masses(to), self.exact)
-        return entry
+    @cached_property
+    def cdf(self) -> List[Scalar]:
+        """The inverse-CDF thresholds of the support: `cdf_thresholds` of
+        the weights over the normalizer."""
+        return cdf_thresholds(self.weights, self.z_enumerated, self.exact)
 
 
-def extensions(points: Sequence[SupportPoint], prefix: SupportPoint) -> slice:
-    """The slice of the strictly increasing `points` that extend `prefix`,
-    by two bisections: from `prefix` up to (*prefix, inf)."""
-    lo = bisect_left(points, prefix)
-    return slice(lo, bisect_left(points, (*prefix, inf), lo))
-
-
-class Steps(dict):
-    """The step from each prefix of one cut to its extensions in a longer
-    cut, by the prefix's index, computed on first read: (lo, thresholds),
-    where lo indexes the first extension and thresholds are the cumulative
-    mass / prefix mass of the extensions but the last, times 2^53 (rounded
-    up, an int, in exact mode).  A variate u takes the extension
-    lo + bisect_right(thresholds, u), so one past a float CDF that ends
-    below 1 takes the last."""
-
-    def __init__(self, prefixes: Masses, extended: Masses, exact: bool) -> None:
-        super().__init__()
-        self._prefixes, self._extended, self._exact = prefixes, extended, exact
-
-    def __missing__(self, i: int) -> Tuple[int, List[Scalar]]:
-        (prefixes, masses), (points, extension_masses) = self._prefixes, self._extended
-        block = extensions(points, prefixes[i])
-        if self._exact:
-            # The masses over a common denominator are integers whose total
-            # stands for the prefix mass: each threshold is
-            # ceil(cumulative * 2^53 / total), with no Fraction built.
-            scaled, _ = _over_lcm(extension_masses[block])
-            total = sum(scaled)
-            thresholds = [-(-(c << CDF_BITS) // total) for c in accumulate(scaled[:-1])]
-        else:
-            mass = masses[i]
-            cumulative = accumulate(m / mass for m in extension_masses[block.start:block.stop - 1])
-            thresholds = [f * CDF_SCALE for f in cumulative]
-        step = self[i] = (block.start, thresholds)
-        return step
+def cdf_thresholds(masses: Sequence[Scalar], mass: Optional[Scalar], exact: bool) -> List[Scalar]:
+    """The cumulative masses / `mass` (their total) of `masses` but the
+    last, times 2^53: a variate u takes the index bisect_right(thresholds,
+    u), so one past a float CDF that ends below 1 takes the last.  Exact
+    mode brings the masses to integers over a common denominator and rounds
+    each threshold up to an int; approximate mode adds the quotients
+    m / mass left to right."""
+    if exact:
+        scaled, _ = _over_lcm(masses)
+        total = sum(scaled)
+        return [-(-(c << CDF_BITS) // total) for c in accumulate(scaled[:-1])]
+    return [f * CDF_SCALE for f in accumulate(m / mass for m in masses[:-1])]
 
 
 def _refuse_approximate(kind: str, prob: float, point: SupportPoint) -> None:
@@ -391,6 +272,14 @@ class PmfStream:
     # A joint carries no closed-form probabilities.
     closed_form_check: ClassVar[None] = None
 
+    def probability(self, point: SupportPoint) -> Scalar:
+        """The probability of `point`, 0 off the support."""
+        box = self.constraints
+        if len(point) == box.dim and box.sum_min <= sum(point) <= box.sum_max and all(
+                0 <= v <= up for v, up in zip(point, box.upper)):
+            return self.probabilities[area(point)]
+        return 0 * self.z_enumerated
+
     def rows(self, cells: Sequence[Sequence], start) -> Iterator[Tuple[List, List[int]]]:
         """The chunks (prefixes, areas) of `lattice.walk`, counting the
         points of each class; after the last chunk the counts must equal
@@ -415,7 +304,6 @@ def make_stream(
     alg: AlgebraSpec,
     z_closed_form: Optional[Scalar] = None,
     fit_bound: int = 0,
-    areas: Optional[Sequence[int]] = None,
 ) -> PmfStream:
     """Normalize the area-class weights of the points of `constraints`
     (`counts` of them per class) with the checks of `make_table`, in its
@@ -423,28 +311,20 @@ def make_stream(
 
     Exact mode reads the counts.  Approximate mode keeps the float sums of
     `make_table`: z and the sum of the probabilities are taken in support
-    order, each by one pass over `areas`, the area of each point as a
-    caller has listed them, or else over the areas of `lattice.walk`; a
-    probability that is not positive is refused at the first point of its
-    class.  Listed `areas` must fall into the classes as `counts` says, or
-    AssertionError.
+    order, each by one pass over the areas of `lattice.walk`; a probability
+    that is not positive is refused at the first point of its class.
     """
     if not counts:
         raise ValidationError(f"{kind} table: empty support")
-    if areas is not None and Counter(areas) != Counter(counts):
-        raise AssertionError(f"{kind} self-check failed: the listed areas are not the counted classes")
     classes = list(weights)
     values, sizes = [weights[e] for e in classes], [counts[e] for e in classes]
-
-    def support_areas() -> Iterable[int]:
-        return chain.from_iterable(a for _, a in walk(constraints)) if areas is None else areas
 
     nonpositive = f"{kind} table: nonpositive normalizer"
     if alg.exact:
         z, quotients, total = _class_quotients(values, sizes, None, nonpositive)
         _check_exact_probabilities(kind, quotients, sizes, total)
     else:
-        z_sum = reduce(add, map(weights.__getitem__, support_areas()))
+        z_sum = reduce(add, map(weights.__getitem__, chain.from_iterable(a for _, a in walk(constraints))))
         z, quotients, _ = _class_quotients(values, sizes, z_sum, nonpositive)
     probabilities = dict(zip(classes, quotients))
     if not alg.exact:
@@ -453,7 +333,8 @@ def make_stream(
             point, e = next((x, e) for points, areas in walk(constraints, point_cells(constraints))
                             for x, e in zip(points, areas) if e in refused)
             _refuse_approximate(kind, probabilities[e], point)
-        _check_approximate_sum(kind, reduce(add, map(probabilities.__getitem__, support_areas())), alg.tol)
+        areas = chain.from_iterable(a for _, a in walk(constraints))
+        _check_approximate_sum(kind, reduce(add, map(probabilities.__getitem__, areas)), alg.tol)
     return PmfStream(
         kind=kind,
         params=dict(params),

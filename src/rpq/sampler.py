@@ -1,25 +1,19 @@
-"""Deterministic sampling from enumerated tables, by inverse CDF or one
-coordinate at a time.
+"""Deterministic sampling, by inverse CDF or one coordinate at a time.
 
 The uniform source is SplitMix64 (Steele, Lea & Flood's constants): state
 advances by the golden-gamma increment 0x9E3779B97F4A7C15 and each output
 is finalized with the 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB xor-multiply
 mix.  A variate is the top 53 bits of one output, read as the exact
 rational mantissa / 2^53, so draws are reproducible bit-for-bit on any
-platform.
+platform.  A variate takes the first outcome whose cumulative probability
+exceeds it (`pmf.cdf_thresholds`); exact thresholds are ceil(F * 2^53), so
+no boundary is misassigned and no zero-probability point is drawn.
 
-Both samplers run one walk over prefixes.  A draw starts at the empty
-prefix and, at each of a list of prefix lengths, reads one variate u and
-moves to the first extension of its prefix (in the table's lexicographic
-order) whose cumulative conditional probability exceeds u.  `sample` walks
-straight to the full length, an inverse-CDF draw from one variate;
-`sequential_sample` walks the lengths 1..k, one variate per coordinate
-(the conditional-distribution method), for either kind.  Thresholds are
-exact rationals in exact mode; u < F is decided by integer comparison
-against ceil(F * 2^53), which never misassigns a boundary and never lands
-on a zero-probability point.  A table computes each step once
-(`PmfTable.steps`), and a step is taken by binary search over its
-thresholds.
+`sample` draws a table's points, one variate each, against the thresholds
+the table keeps (`PmfTable.cdf`).  `sequential_sample` draws the joint law
+one coordinate at a time (the conditional-distribution method), for either
+kind, by the steps of its prefix classes (`classes.PrefixClasses`), and
+lists no table.
 """
 
 from __future__ import annotations
@@ -29,11 +23,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from .errors import ValidationError
-from .lattice import SupportPoint
-from .occupancy import OccupancyParams, joint_pmf
+from .lattice import SupportPoint, point_cells, walk
+from .occupancy import OccupancyParams, _joint_law, joint_pmf  # noqa: F401 (perfbench wraps joint_pmf here)
 from .pmf import CDF_BITS, PmfTable
 from .scalars import Scalar
 
@@ -67,10 +61,6 @@ class SplitMix64:
     def next_uint64(self) -> int:
         return next(self._outputs)
 
-    def next_mantissa(self) -> int:
-        """Top 53 bits of one output: the variate is mantissa / 2^53."""
-        return next(self._outputs) >> _MANTISSA_SHIFT
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -92,47 +82,37 @@ def _empirical(draws, count) -> Tuple[Tuple[SupportPoint, Fraction], ...]:
     return tuple((point, frequency[c]) for point, c in counts)
 
 
-def _walk(table: PmfTable, cuts: Sequence[int], seed: int, count: int) -> Tuple[SupportPoint, ...]:
-    """`count` points of `table` drawn, each by a walk from the empty prefix
-    through the prefix lengths `cuts`, the last of them the full length.
-
-    Each step reads one variate and takes an extension of the prefix the
-    walk is at (`PmfTable.steps`).  Every walk leaves the empty prefix by
-    the same step, read once here.
-    """
+def _check_count(count: int) -> None:
     if count < 1:
         raise ValidationError(f"count: need count >= 1, got {count}")
-    lo, thresholds = table.steps(0, cuts[0])[0]
-    legs = [table.steps(cut, to) for cut, to in zip(cuts, cuts[1:])]
-    outputs = _outputs(seed)
-    ends = []
-    for u in islice(outputs, count):
-        i = lo + bisect_right(thresholds, u >> _MANTISSA_SHIFT)
-        for leg in legs:
-            start, bounds = leg[i]
-            i = start + bisect_right(bounds, next(outputs) >> _MANTISSA_SHIFT)
-        ends.append(i)
-    return tuple(map(table.support.__getitem__, ends))
 
 
 def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
-    """Draw `count` inverse-CDF samples from a normalized table: one step
-    from the empty prefix to the whole point per draw."""
-    draws = _walk(table, (len(table.support[0]),), seed, count)
+    """Draw `count` inverse-CDF samples from a normalized table: one variate
+    per draw, against the table's thresholds (`PmfTable.cdf`)."""
+    _check_count(count)
+    thresholds, support = table.cdf, table.support
+    draws = tuple([support[bisect_right(thresholds, u >> _MANTISSA_SHIFT)] for u in islice(_outputs(seed), count)])
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(draws, count))
 
 
 def path_probabilities(params: OccupancyParams) -> Dict[SupportPoint, Scalar]:
     """Chain-rule probability of each support point, coordinate by
-    coordinate; equals the joint probability exactly."""
-    table = joint_pmf(params)
-    masses = {p: m for cut in range(params.k + 1) for p, m in zip(*table.cut_masses(cut))}
+    coordinate, from the masses of its prefixes' classes; equals the joint
+    probability exactly."""
+    classes = _joint_law(params)
+    mass, box = classes.mass, classes.law.constraints
+    k, one = params.k, 1 if params.alg.exact else 1.0
     out = {}
-    for point in table.support:
-        prob: Scalar = 1 if table.exact else 1.0
-        for cut in range(1, len(point) + 1):
-            prob *= masses[point[:cut]] / masses[point[: cut - 1]]
-        out[point] = prob
+    for points, _ in walk(box, point_cells(box)):
+        for point in points:
+            prob, s, base, parent = one, 0, 0, mass((0, 0, 0))
+            for r, v in enumerate(point):
+                s, base = s + v, base + (k - r) * v
+                child = mass((r + 1, s, base))
+                prob *= child / parent
+                parent = child
+            out[point] = prob
     return out
 
 
@@ -140,10 +120,20 @@ def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleB
     """Draw occupancy vectors one coordinate at a time, of either kind.
 
     Each coordinate consumes one variate and is decided by the conditional
-    law given the prefix drawn so far, so the induced distribution is
-    exactly the joint law; only the variate stream differs from `sample`.
+    law given the prefix drawn so far, one step per prefix class
+    (`PrefixClasses.step`), so the induced distribution is exactly the
+    joint law; only the variate stream differs from `sample`.
     """
-    table = joint_pmf(params)
-    draws = _walk(table, range(1, params.k + 1), seed, count)
-    return SampleBatch(dict(table.params, sampler="sequential"), seed, count, draws,
+    classes = _joint_law(params)
+    _check_count(count)
+    step, outputs, coordinates, draws = classes.step, _outputs(seed), range(params.k), []
+    for _ in range(count):
+        key, point = (0, 0, 0), []
+        for _ in coordinates:
+            thresholds, lo, children = step(key)
+            i = bisect_right(thresholds, next(outputs) >> _MANTISSA_SHIFT)
+            point.append(lo + i)
+            key = children[i]
+        draws.append(tuple(point))
+    return SampleBatch(dict(classes.law.params, sampler="sequential"), seed, count, tuple(draws),
                        _empirical(draws, count))

@@ -106,22 +106,10 @@ class SecondKindParams(OccupancyParams):
         return closed_form(alg, -e, e, (self.normalizer(alg, k - m, n - y_m),),
                            divisor=self.normalizer(alg, k - len(given), n - sum(given)))
 
-    def grouped_weight(
-        self, scheme: GroupingScheme, y: SupportPoint, scale=None, divisor=None
-    ) -> Scalar:
-        """Closed weight of the block counts `y` (all blocks, or the leading
-        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
-        alg, k, n = self.alg, self.k, self.n
-        s = scheme.partial_sums
-        e1 = e2 = 0
-        z = 0
-        binomials = []
-        for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
-            z += y_j
-            e1 += (n - z - s[j]) * (m_j - 1)
-            e2 += (k - s[j] + 1) * y_j
-            binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
-        return closed_form(alg, e1, e2, binomials, scale, divisor)
+    def block_factor(self, m_j: int, y_j: int, z: int, s_j: int) -> Tuple[int, int, Scalar]:
+        """(n - z - s_j)(m_j - 1), (k - s_j + 1) y_j and [m_j + y_j - 1 over y_j]."""
+        return ((self.n - z - s_j) * (m_j - 1), (self.k - s_j + 1) * y_j,
+                binomial_or_zero(self.alg, m_j + y_j - 1, y_j))
 
 
 def geometric_construction_check(alg: AlgebraSpec, k: int, n: int, theta) -> ConstructionReport:

@@ -247,8 +247,9 @@ def batch_to_csv(batch: SampleBatch, coord_labels: Sequence[str]) -> str:
     return out.getvalue()
 
 
-def batch_to_json_obj(batch: SampleBatch, table: PmfTable) -> dict:
-    expected = {point: prob for point, prob in zip(table.support, table.probabilities)}
+def batch_to_json_obj(batch: SampleBatch, law: Union[PmfTable, PmfStream]) -> dict:
+    """The batch with the empirical and the expected frequency, the law's
+    probability, of each drawn point."""
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": batch.seed,
@@ -258,7 +259,7 @@ def batch_to_json_obj(batch: SampleBatch, table: PmfTable) -> dict:
             {
                 "point": list(point),
                 "empirical": scalar_str(freq),
-                "expected": scalar_str(expected.get(point, 0)),
+                "expected": scalar_str(law.probability(point)),
             }
             for point, freq in batch.empirical
         ],

@@ -7,7 +7,18 @@ desk-scale grid they compare them on.
 joint once, from its area-class counts (`occupancy.joint_stream`, which
 `joint_pmf` also reads), so this table shares no step of that
 normalization.
+
+The other references scan such a table point by point in support order:
+`scan` sums the weights of a projection (prefixes, block sums, suffixes
+given a prefix), `prefix_masses` the weight of every prefix, and the
+samplers are replayed over a variate stream (`mantissas`, the SplitMix64
+stream written out here) with a linear threshold scan and uncached prefix
+masses.  Floats are summed left to right, as a scan adds them, so tests
+compare with `==`: the library must reproduce them bit for bit.
 """
+
+from fractions import Fraction
+from itertools import product
 
 from conftest import ALL_PRESETS
 from rpq import first_kind, jagannathan_srinivasa, occupancy, second_kind
@@ -19,6 +30,8 @@ from rpq.second_kind import SecondKindParams
 PRESETS = ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),)
 
 KINDS = [(first_kind, alg) for alg in PRESETS] + [(second_kind, alg) for alg in PRESETS]
+
+DENOM = 1 << 53
 
 
 def kind_id(case):
@@ -58,3 +71,166 @@ def joint_table(params):
         z_closed_form=params.normalizer(params.alg, params.k, params.n),
         fit_bound=params.fit_bound(),
     )
+
+
+def refuse_joint_tables(monkeypatch):
+    """Make `joint_pmf` raise, in every module that holds it."""
+    def refuse(params):
+        raise AssertionError("the joint table was built")
+
+    for module in (occupancy, first_kind, second_kind):
+        monkeypatch.setattr(module, "joint_pmf", refuse)
+
+
+def scan(points, masses, keep, project):
+    """The sorted distinct projections of the kept points and their masses,
+    each summed in the points' order."""
+    acc = {}
+    for point, mass in zip(points, masses):
+        if keep(point):
+            key = project(point)
+            acc[key] = acc[key] + mass if key in acc else mass
+    support = tuple(sorted(acc))
+    return support, tuple(acc[p] for p in support)
+
+
+def block_sums(sizes):
+    """The projection of a point to the sums of its consecutive blocks of
+    `sizes`."""
+    def project(x):
+        out, start = [], 0
+        for size in sizes:
+            out.append(sum(x[start:start + size]))
+            start += size
+        return tuple(out)
+    return project
+
+
+def compositions(k):
+    """Every scheme of at least two consecutive blocks covering k urns."""
+    for cuts in product((0, 1), repeat=k - 1):
+        sizes, run = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(run)
+                run = 1
+            else:
+                run += 1
+        sizes.append(run)
+        if len(sizes) > 1:
+            yield tuple(sizes)
+
+
+def prefix_masses(joint):
+    """Summed weight of every support-point prefix, the empty one included,
+    by a scan in support order."""
+    masses = {}
+    for point, weight in zip(joint.support, joint.weights):
+        for cut in range(len(point) + 1):
+            key = point[:cut]
+            masses[key] = masses[key] + weight if key in masses else weight
+    return masses
+
+
+def children(masses):
+    """Each prefix's one-coordinate extensions, sorted."""
+    out = {}
+    for prefix in sorted(masses):
+        if prefix:
+            out.setdefault(prefix[:-1], []).append(prefix)
+    return out
+
+
+def path_probabilities(joint):
+    """Each support point's product of chain-rule conditionals, prefix mass
+    over parent prefix mass, from the empty prefix on."""
+    masses = prefix_masses(joint)
+    out = {}
+    for point in joint.support:
+        prob = 1 if joint.exact else 1.0
+        for cut in range(1, len(point) + 1):
+            prob *= masses[point[:cut]] / masses[point[:cut - 1]]
+        out[point] = prob
+    return out
+
+
+def mantissas(seed):
+    """The sampler's variates, written out: SplitMix64 outputs from `seed`,
+    top 53 bits each."""
+    mask = (1 << 64) - 1
+    state = seed % (1 << 64)
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield (z ^ (z >> 31)) >> 11
+
+
+def frequencies(draws):
+    """(point, c / count) per drawn point in sorted order, c its count."""
+    counts = {}
+    for point in draws:
+        counts[point] = counts.get(point, 0) + 1
+    return tuple((point, Fraction(c, len(draws))) for point, c in sorted(counts.items()))
+
+
+def on_scale(cumulative, exact):
+    """A cumulative probability as a threshold on the 53-bit scale: rounded
+    up in exact mode."""
+    if exact:
+        frac = Fraction(cumulative) * DENOM
+        return -(-frac.numerator // frac.denominator)
+    return cumulative * DENOM
+
+
+def scan_step(masses, prefix, extended, exact):
+    """The thresholds of the extensions `extended` of `prefix` but the
+    last: their cumulative mass / prefix mass, added left to right."""
+    thresholds, cumulative = [], 0
+    for point in extended[:-1]:
+        cumulative += masses[point] / masses[prefix]
+        thresholds.append(on_scale(cumulative, exact))
+    return thresholds
+
+
+def scan_sample(table, variates, count):
+    """Inverse-CDF draws: each variate takes the first point whose
+    cumulative probability, on the 53-bit scale, exceeds it, else the
+    last point."""
+    thresholds = []
+    cumulative = 0
+    for prob in table.probabilities:
+        cumulative += prob
+        thresholds.append(on_scale(cumulative, table.exact))
+    draws = []
+    for _ in range(count):
+        u = next(variates)
+        for i, bound in enumerate(thresholds):
+            if u < bound:
+                draws.append(table.support[i])
+                break
+        else:
+            draws.append(table.support[-1])
+    return tuple(draws)
+
+
+def scan_sequential(joint, variates, count):
+    """Draws one coordinate at a time: a variate picks the first extension
+    of the prefix whose cumulative conditional probability, by a linear
+    scan over uncached prefix masses, exceeds it, else the last one."""
+    masses = prefix_masses(joint)
+    kids = children(masses)
+    draws = []
+    for _ in range(count):
+        prefix = ()
+        for _coord in range(len(joint.support[0])):
+            u = next(variates)
+            cumulative = 0
+            for child in kids[prefix]:
+                cumulative += masses[child] / masses[prefix]
+                if u < on_scale(cumulative, joint.exact):
+                    break
+            prefix = child
+        draws.append(prefix)
+    return tuple(draws)

@@ -1,7 +1,8 @@
-"""Derived tables read sums memoised on the joint and closed values shared
-per class; these tests rebuild them point by point and cold.
+"""Derived tables read masses memoised per prefix class and closed values
+shared per class; these tests rebuild them point by point and cold.
 
-Masses are summed here by a scan over the joint, and every closed-form
+Masses are summed here by a scan over the per-point joint
+(`oracle.joint_table`), and every closed-form
 record (`closed_form_check.probabilities`, `pointwise_equal`,
 `z_discrepancy`) is recomputed with one closed value, one division and one
 comparison per point.  The closed values come from the formulas below,
@@ -19,17 +20,17 @@ from math import comb
 import pytest
 
 from conftest import ALL_PRESETS, JS
-from oracle import KINDS, grid, in_order, kind_id
+from oracle import (KINDS, block_sums, compositions, grid, in_order, joint_table, kind_id, mantissas,
+                    refuse_joint_tables, scan, scan_sample, scan_sequential)
 from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
                  jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
-from rpq import first_kind, occupancy, pmf, second_kind
+from rpq import classes, first_kind, occupancy, pmf, second_kind
 from rpq.algebra import MonomialFit, binomial_or_zero, deformed_binomial, fit_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
 from rpq.pmf import make_table
 from rpq.scalars import scalars_close
 from rpq.second_kind import SecondKindParams
-from test_query_equivalence import _block_sums, _compositions, _scan
 
 # Every n for the first kind at k <= 5, n <= 3 for the second at k <= 4.
 _params = partial(grid, first_k=5, second_k=4, second_n=3)
@@ -191,10 +192,10 @@ def test_marginal_and_conditional_records_equal_per_point(case):
     module = case[0]
     marginal, conditional = CLOSED[module][:2]
     for params in _params(*case):
-        joint = module.joint_pmf(params)
+        joint = joint_table(params)
         k = params.k
         for r in range(1, k):
-            support, masses = _scan(joint.support, joint.weights, lambda x: True, lambda x: x[:r])
+            support, masses = scan(joint.support, joint.weights, lambda x: True, lambda x: x[:r])
             closed = [marginal(params, p) for p in support]
             table = module.marginal_pmf(params, r)
             _assert_records(table, params, support, masses, closed, _z_reference(module, params))
@@ -203,7 +204,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
             assert len({id(v) for v in table.closed_form_check.probabilities}) == len(classes)
             for given in _prefixes(module, params, r):
                 for m in range(r + 1, k + 1):
-                    support, masses = _scan(
+                    support, masses = scan(
                         joint.support, joint.weights, lambda x: x[:r] == given, lambda x: x[r:m]
                     )
                     if not support:
@@ -219,24 +220,24 @@ def test_grouped_records_equal_per_point(case):
     module = case[0]
     grouped, grouped_marginal = CLOSED[module][2:]
     for params in _params(*case):
-        joint = module.joint_pmf(params)
+        joint = joint_table(params)
         z_reference = _z_reference(module, params)
-        for sizes in _compositions(params.k):
+        for sizes in compositions(params.k):
             scheme = GroupingScheme(sizes)
-            blocks, block_masses = _scan(
-                joint.support, joint.weights, lambda x: True, _block_sums(sizes)
+            blocks, block_masses = scan(
+                joint.support, joint.weights, lambda x: True, block_sums(sizes)
             )
             closed = [grouped(params, scheme, y) for y in blocks]
             _assert_records(
                 module.grouped_pmf(params, scheme), params, blocks, block_masses, closed, z_reference
             )
             for nu in range(1, len(sizes)):
-                support, masses = _scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
+                support, masses = scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
                 closed = [grouped_marginal(params, scheme, p) for p in support]
                 table = module.grouped_marginal_pmf(params, scheme, nu)
                 _assert_records(table, params, support, masses, closed, z_reference)
                 for given in support:
-                    suffixes, masses = _scan(
+                    suffixes, masses = scan(
                         blocks, block_masses, lambda y: y[:nu] == given, lambda y: y[nu:]
                     )
                     prefix_weight = grouped_marginal(params, scheme, given)
@@ -272,20 +273,20 @@ def test_closed_form_hooks_equal_chained_products(case):
     else:
         cases = [SecondKindParams(alg, k, n) for k in range(1, 7) for n in range(4)]
     for params in cases:
-        joint = module.joint_pmf(params)
+        joint = joint_table(params)
         k = params.k
         for m in range(1, k):
-            for x in joint.cut_masses(m)[0]:
+            for x in scan(joint.support, joint.weights, lambda x: True, lambda x: x[:m])[0]:
                 key = (sum(x), area(x))
                 _same(params.marginal_weight(m, key), marginal(params, x))
                 for r in range(1, m):
                     suffix_key = (sum(x), sum(x[r:]), area(x[r:]))
                     _same(params.conditional_value(x[:r], m, suffix_key),
                           conditional(params, x[:r], x[r:]))
-        for sizes in _compositions(k):
+        for sizes in compositions(k):
             scheme = GroupingScheme(sizes)
             prefix_weights = {}
-            for y in joint.block_masses(sizes)[0]:
+            for y in scan(joint.support, joint.weights, lambda x: True, block_sums(sizes))[0]:
                 weight = grouped(params, scheme, y)
                 _same(params.grouped_weight(scheme, y), weight)
                 for prefix in (y[:nu] for nu in range(1, len(sizes))):
@@ -298,9 +299,9 @@ def test_closed_form_hooks_equal_chained_products(case):
 
 
 def _clear_caches():
-    for module in (first_kind, second_kind):
-        module.joint_pmf.cache_clear()
-    pmf._normalizer_fit.cache_clear()
+    for memo in (occupancy.joint_pmf, occupancy._joint_law, occupancy._block_law, classes.sum_rows,
+                 pmf._normalizer_fit):
+        memo.cache_clear()
 
 
 CORE_NAMES = (
@@ -331,7 +332,7 @@ def _derived_calls(module, params):
             calls.extend(
                 lambda g=given, m=m: module.conditional_pmf(params, g, m) for m in range(r + 1, k + 1)
             )
-    for sizes in _compositions(k):
+    for sizes in compositions(k):
         scheme = GroupingScheme(sizes)
         calls.append(lambda s=scheme: module.grouped_pmf(params, s))
         for nu in range(1, len(sizes)):
@@ -369,50 +370,49 @@ def test_warm_calls_equal_cold_calls(params):
     assert [_outcome(call) for call in calls] == cold
 
 
-def test_cold_derived_call_sums_one_cut_or_scheme():
+def test_cold_derived_calls_read_one_class_law_and_one_scheme(monkeypatch):
     params = FirstKindParams(JS, 6, 3)
     _clear_caches()
-    joint = first_kind.joint_pmf(params)
+    refuse_joint_tables(monkeypatch)
+    joint = joint_table(params)
     first_kind.marginal_pmf(params, 2)
     first_kind.conditional_pmf(params, (0, 1), 5)
     first_kind.conditional_pmf(params, (1, 0, 1), 5)
     scheme = GroupingScheme((2, 3, 1))
     first_kind.grouped_pmf(params, scheme)
     first_kind.grouped_marginal_pmf(params, scheme, 2)
-    first_kind.grouped_conditional_pmf(params, scheme, (1,))
-    assert list(joint._masses) == [2, 5, (2, 3, 1)]
+    table = first_kind.grouped_conditional_pmf(params, scheme, (1,))
+    assert occupancy._joint_law.cache_info().currsize == 1
+    assert occupancy._block_law.cache_info().currsize == 1
+    blocks, masses = scan(joint.support, joint.weights, lambda x: True, block_sums((2, 3, 1)))
+    assert table.weights == scan(blocks, masses, lambda y: y[:1] == (1,), lambda y: y[1:])[1]
 
 
-def test_block_masses_need_blocks_covering_the_point():
-    joint = first_kind.joint_pmf(FirstKindParams(JS, 5, 3))
+def test_grouped_law_needs_blocks_covering_the_point():
+    params = FirstKindParams(JS, 5, 3)
     for sizes in ((2, 2), (3, 3), (5, 1)):
-        with pytest.raises(ValidationError, match="must sum to the dimension 5"):
-            joint.block_masses(sizes)
+        with pytest.raises(ValidationError, match="must sum to k=5"):
+            first_kind.grouped_pmf(params, GroupingScheme(sizes))
     # One block: the law of the total, by sum.
-    totals = _scan(joint.support, joint.weights, lambda x: True, lambda x: (sum(x),))
-    assert joint.block_masses((5,)) == totals
+    joint = joint_table(params)
+    table = first_kind.grouped_pmf(params, GroupingScheme((5,)))
+    assert (table.support, table.weights) == scan(joint.support, joint.weights, lambda x: True, lambda x: (sum(x),))
 
 
-def test_replace_starts_with_empty_memos():
+def test_replace_copies_a_table_that_samples_alike():
     params = SecondKindParams(JS, 4, 3)
     _clear_caches()
-    joint = second_kind.joint_pmf(params)
-    assert joint._steps == {}
-    # The sequential walk fills the step memos on use, from the root.
-    sequential_sample(params, 1, 20)
-    assert 0 in joint._steps[0, 1]
-    joint.block_masses((2, 2))
-    sample(joint, 1, 20)
-    joint.cut_classes(2)
-    assert joint._masses and joint._cut_classes and (0, 4) in joint._steps
+    joint, reference = second_kind.joint_pmf(params), joint_table(params)
+    expected = scan_sample(reference, mantissas(1), 20)
     copy = replace(joint)
-    assert copy == joint
-    assert (copy._masses, copy._cut_classes, copy._steps) == ({}, {}, {})
-    for cut in range(params.k + 1):
-        assert copy.cut_masses(cut) == joint.cut_masses(cut)
-    assert copy.block_masses((2, 2)) == joint.block_masses((2, 2))
-    assert copy.steps(1, 2)[1] == joint.steps(1, 2)[1]
-    assert copy.steps(0, 4)[0] == joint.steps(0, 4)[0]
+    assert sample(copy, 1, 20).draws == expected
+    assert sequential_sample(params, 1, 20).draws == scan_sequential(reference, mantissas(1), 20)
+    assert sample(joint, 1, 20).draws == expected
+    # A copy of a table that has sampled: equal, with the same repr, and
+    # drawing alike.
+    copy = replace(joint)
+    assert copy == joint and repr(copy) == repr(joint)
+    assert sample(copy, 1, 20).draws == expected
 
 
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
@@ -441,24 +441,32 @@ def test_exact_and_decimal_algebras_of_equal_values_keep_their_own_tables(module
     [(first_kind, FirstKindParams(JS, 7, 3)), (second_kind, SecondKindParams(JS, 7, 2))],
     ids=("first", "second"),
 )
-def test_mass_memo_is_bounded(module, params):
-    schemes = [GroupingScheme(sizes) for sizes in _compositions(7)][:40]
+def test_class_memos_stay_bounded(module, params):
+    """A long-lived process keeps at most 32 class laws, the block masses of
+    32 schemes, 128 count tables and listings of 2^16 points, and
+    recomputes what it evicted to equal tables."""
+    schemes = [GroupingScheme(sizes) for sizes in compositions(7)][:40]
     assert len(set(schemes)) == 40
     _clear_caches()
-    joint = module.joint_pmf(params)
     first = module.grouped_pmf(params, schemes[0])
     for scheme in schemes:
         module.grouped_pmf(params, scheme)
-        assert len(joint._masses) <= 32
-    # The least recently used entries went first; a recent read keeps one.
-    assert list(joint._masses) == [s.sizes for s in schemes[8:]]
-    module.grouped_pmf(params, schemes[8])
-    module.marginal_pmf(params, 3)
-    assert schemes[8].sizes in joint._masses and schemes[9].sizes not in joint._masses
-    # An evicted scheme sums its masses again, to an equal table.
+        assert occupancy._block_law.cache_info().currsize <= 32
+    make = type(params)
+    for j in range(40):
+        other = make(jagannathan_srinivasa(Fraction(j + 2, j + 3), Fraction(1, 3)), 3 + j % 4, 2)
+        module.marginal_pmf(other, 2)
+        sequential_sample(other, j, 5)
+        assert occupancy._joint_law.cache_info().currsize <= 32
+    assert classes.sum_rows.cache_info().currsize <= 128
+    listings = classes._listings
+    assert listings.points == sum(len(points) for points, _, _ in listings.values()) <= listings.budget
+    assert occupancy._joint_law.cache_info().currsize == 32
+    # An evicted law and scheme are summed again, to an equal table.
     again = module.grouped_pmf(params, schemes[0])
     assert (again, repr(again)) == (first, repr(first))
-    support, masses = _scan(joint.support, joint.weights, lambda x: True, _block_sums(schemes[0].sizes))
+    joint = joint_table(params)
+    support, masses = scan(joint.support, joint.weights, lambda x: True, block_sums(schemes[0].sizes))
     assert (again.support, again.weights) == (support, masses)
 
 
@@ -485,7 +493,7 @@ def test_exact_derived_tables_reuse_the_joint_fit(module, alg):
         module.joint_pmf(params)
         z_closed, bound = _z_reference(module, params)
         tables = [module.marginal_pmf(params, r) for r in range(1, params.k)]
-        for sizes in _compositions(params.k):
+        for sizes in compositions(params.k):
             scheme = GroupingScheme(sizes)
             tables.append(module.grouped_pmf(params, scheme))
             tables.extend(module.grouped_marginal_pmf(params, scheme, nu) for nu in range(1, len(sizes)))

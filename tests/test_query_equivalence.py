@@ -1,22 +1,26 @@
 """Derived laws and draws against scan-and-sum references over the joint.
 
-Conditionals, grouped marginals and grouped conditionals are summed here
-from the joint in support order, the way the straightforward scan does it,
-and the samplers are replayed with a linear threshold scan and uncached
-prefix masses.  Floats are compared with `==`: the library must reproduce
-the scan bit for bit, not just within tolerance.
+Conditionals, grouped marginals and grouped conditionals are summed from
+the per-point joint (`oracle.joint_table`) in support order, the way the
+straightforward scan does it, and the samplers are replayed with a linear
+threshold scan and uncached prefix masses (`oracle`).  Floats are compared
+with `==`: the library must reproduce the scan bit for bit, not just within
+tolerance.
 """
 
-from collections import Counter
+import json
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import ceil
 
 import pytest
 
 from conftest import Q_HALF
-from oracle import KINDS, grid, kind_id
+from oracle import (DENOM, KINDS, block_sums, children, compositions, frequencies, grid, in_order, joint_table, kind_id,
+                    mantissas, on_scale, path_probabilities, prefix_masses, refuse_joint_tables, scan, scan_sample,
+                    scan_sequential, scan_step)
 from rpq import (
     ValidationError,
     ZeroProbabilityEventError,
@@ -24,61 +28,15 @@ from rpq import (
     sample,
     sequential_sample,
 )
-from rpq import first_kind, sampler
+from rpq import first_kind, occupancy, sampler, second_kind
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.pmf import make_table
-
-DENOM = 1 << 53
+from rpq.scalars import scalar_str
+from rpq.second_kind import SecondKindParams
+from test_cli import run_cli
 
 # Every small (k, n): k <= 4 for the first kind, k, n <= 3 for the second.
 _params = partial(grid, first_k=4, second_k=3, second_n=3)
-
-
-def _scan(points, masses, keep, project):
-    acc = {}
-    for point, mass in zip(points, masses):
-        if keep(point):
-            key = project(point)
-            acc[key] = acc[key] + mass if key in acc else mass
-    support = tuple(sorted(acc))
-    return support, tuple(acc[p] for p in support)
-
-
-def _block_sums(sizes):
-    """The projection of a point to the sums of its consecutive blocks of
-    `sizes`."""
-    def project(x):
-        out, start = [], 0
-        for size in sizes:
-            out.append(sum(x[start:start + size]))
-            start += size
-        return tuple(out)
-    return project
-
-
-def _prefix_masses(joint):
-    """Summed weight of every support-point prefix, the empty one included,
-    by a scan in support order."""
-    masses = {}
-    for point, weight in zip(joint.support, joint.weights):
-        for cut in range(len(point) + 1):
-            key = point[:cut]
-            masses[key] = masses[key] + weight if key in masses else weight
-    return masses
-
-
-def _compositions(k):
-    for cuts in product((0, 1), repeat=k - 1):
-        sizes, run = [], 1
-        for cut in cuts:
-            if cut:
-                sizes.append(run)
-                run = 1
-            else:
-                run += 1
-        sizes.append(run)
-        if len(sizes) > 1:
-            yield tuple(sizes)
 
 
 def _assert_same(table, support, masses):
@@ -102,11 +60,11 @@ def test_conditionals_equal_scan(case):
 
 
 def _check_conditionals(module, params):
-    joint = module.joint_pmf(params)
+    joint = joint_table(params)
     for r in range(1, params.k):
         for given in _prefixes(module, params, r):
             for m in range(r + 1, params.k + 1):
-                support, masses = _scan(
+                support, masses = scan(
                     joint.support, joint.weights, lambda x: x[:r] == given, lambda x: x[r:m]
                 )
                 if not support:
@@ -126,17 +84,17 @@ def test_grouped_marginals_and_conditionals_equal_scan(case):
 
 
 def _check_grouped(module, params):
-    joint = module.joint_pmf(params)
-    for sizes in _compositions(params.k):
+    joint = joint_table(params)
+    for sizes in compositions(params.k):
         scheme = GroupingScheme(sizes)
-        blocks, block_masses = _scan(
-            joint.support, joint.weights, lambda x: True, _block_sums(sizes)
+        blocks, block_masses = scan(
+            joint.support, joint.weights, lambda x: True, block_sums(sizes)
         )
         for nu in range(1, len(sizes)):
-            support, masses = _scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
+            support, masses = scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
             _assert_same(module.grouped_marginal_pmf(params, scheme, nu), support, masses)
             for given in set(y[:nu] for y in blocks) | {tuple(params.n + 1 for _ in range(nu))}:
-                support, masses = _scan(
+                support, masses = scan(
                     blocks, block_masses, lambda y: y[:nu] == given, lambda y: y[nu:]
                 )
                 if not support:
@@ -146,157 +104,104 @@ def _check_grouped(module, params):
                 _assert_same(module.grouped_conditional_pmf(params, scheme, given), support, masses)
 
 
-class _SplitMix64:
-    """The sampler's variate stream, written out here: SplitMix64 outputs,
-    top 53 bits each."""
-
-    def __init__(self, seed):
-        self.state = seed % (1 << 64)
-
-    def next_mantissa(self):
-        mask = (1 << 64) - 1
-        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return (z ^ (z >> 31)) >> 11
-
-
-def _frequencies(draws):
-    """(point, c / count) per drawn point in sorted order, c its count."""
-    return tuple((point, Fraction(c, len(draws))) for point, c in sorted(Counter(draws).items()))
-
-
-def _on_scale(cumulative, exact):
-    """A cumulative probability as a threshold on the 53-bit scale: rounded
-    up in exact mode."""
-    if exact:
-        frac = Fraction(cumulative) * DENOM
-        return -(-frac.numerator // frac.denominator)
-    return cumulative * DENOM
-
-
-def _scan_sample(table, seed, count):
-    thresholds = []
-    cumulative = 0
-    for prob in table.probabilities:
-        cumulative += prob
-        thresholds.append(_on_scale(cumulative, table.exact))
-    gen = _SplitMix64(seed)
-    draws = []
-    for _ in range(count):
-        u = gen.next_mantissa()
-        for i, bound in enumerate(thresholds):
-            if u < bound:
-                draws.append(table.support[i])
-                break
-        else:
-            draws.append(table.support[-1])
-    return tuple(draws)
-
-
-def _children(masses):
-    """Each prefix's one-coordinate extensions, sorted."""
-    children = {}
-    for prefix in sorted(masses):
-        if prefix:
-            children.setdefault(prefix[:-1], []).append(prefix)
-    return children
-
-
-def _scan_sequential(table, k, seed, count):
-    """Draws one coordinate at a time: a variate picks the first extension
-    of the prefix whose cumulative conditional probability, by a linear
-    scan over uncached prefix masses, exceeds it, else the last one."""
-    masses = _prefix_masses(table)
-    children = _children(masses)
-    gen = _SplitMix64(seed)
-    draws = []
-    for _ in range(count):
-        prefix = ()
-        for _coord in range(k):
-            u = gen.next_mantissa()
-            cumulative = 0
-            for child in children[prefix]:
-                cumulative += masses[child] / masses[prefix]
-                if u < _on_scale(cumulative, table.exact):
-                    break
-            prefix = child
-        draws.append(prefix)
-    return tuple(draws)
-
-
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_draws_equal_linear_scan(case):
     module = case[0]
     for params in _params(*case):
-        table = module.joint_pmf(params)
+        table, reference = module.joint_pmf(params), joint_table(params)
         batches = []
         for seed in (1, 2):
-            expected = _scan_sample(table, seed, 300)
+            expected = scan_sample(reference, mantissas(seed), 300)
             for _ in range(2):
                 batches.append((sample(table, seed, 300), expected))
-        expected = _scan_sequential(table, params.k, 3, 300)
+        expected = scan_sequential(reference, mantissas(3), 300)
         for _ in range(2):
             batches.append((sequential_sample(params, 3, 300), expected))
         for batch, expected in batches:
             assert batch.draws == expected
-            assert batch.empirical == _frequencies(expected)
+            assert batch.empirical == frequencies(expected)
             assert all(type(freq) is Fraction for _, freq in batch.empirical)
+        paths = sampler.path_probabilities(params)
+        expected = path_probabilities(reference)
+        assert list(paths) == list(expected)
+        assert [(v, type(v), repr(v)) for v in paths.values()] == [(v, type(v), repr(v)) for v in expected.values()]
 
 
-def _scan_step(masses, prefix, extended, points, exact):
-    """The index in `points` of the first of the extensions `extended` of
-    `prefix`, and the thresholds of all of them but the last."""
-    thresholds, cumulative = [], 0
-    for point in extended[:-1]:
-        cumulative += masses[point] / masses[prefix]
-        thresholds.append(_on_scale(cumulative, exact))
-    return points.index(extended[0]), thresholds
+def _either_side(bound):
+    """The variates just below and at a threshold, on the 53-bit scale."""
+    top = ceil(bound)
+    return [u for u in (top - 1, top) if 0 <= u < DENOM]
+
+
+def _fed(monkeypatch, variates):
+    """Make the sampler read `variates` as its mantissas, whatever the seed."""
+    monkeypatch.setattr(sampler, "_outputs", lambda seed: iter([u << 11 for u in variates]))
 
 
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
-def test_memoised_steps_equal_uncached(case):
+def test_steps_equal_uncached_on_either_side_of_every_threshold(case, monkeypatch):
+    """Each step's thresholds, pinned by draws: for every prefix, variates
+    that walk to it and then fall just below and at each threshold of its
+    extensions (the inverse-CDF step too), against the linear scan fed the
+    same variates."""
     module = case[0]
     for params in _params(*case):
+        reference, k = joint_table(params), params.k
+        masses = prefix_masses(reference)
+        kids = children(masses)
+
+        def lead(prefix):
+            # Variates that take the walk from the empty prefix to `prefix`.
+            out = []
+            for cut in range(len(prefix)):
+                siblings = kids[prefix[:cut]]
+                i = siblings.index(prefix[:cut + 1])
+                out.append(0 if i == 0 else ceil(scan_step(masses, prefix[:cut], siblings, reference.exact)[i - 1]))
+            return out
+
+        walks = [lead(prefix) + [u] + [0] * (k - len(prefix) - 1)
+                 for prefix, extended in kids.items()
+                 for bound in scan_step(masses, prefix, extended, reference.exact)
+                 for u in _either_side(bound)]
+        variates = [u for walk in walks for u in walk] + [0, DENOM - 1] * k
+        count = len(variates) // k
+        _fed(monkeypatch, variates)
+        assert sequential_sample(params, 0, count).draws == scan_sequential(reference, iter(variates), count)
+        support = list(reference.support)
+        variates = [0, DENOM - 1] + [u for bound in scan_step(masses, (), support, reference.exact)
+                                     for u in _either_side(bound)]
+        _fed(monkeypatch, variates)
         table = module.joint_pmf(params)
-        masses = _prefix_masses(table)
-        children = _children(masses)
-        cuts = [sorted(p for p in masses if len(p) == cut) for cut in range(params.k + 1)]
-        # Each prefix's step into the next cut, cold and then warm.
-        for cut, prefixes in enumerate(cuts[:-1]):
-            for i, prefix in enumerate(prefixes):
-                expected = _scan_step(masses, prefix, children[prefix], cuts[cut + 1], table.exact)
-                assert table.steps(cut, cut + 1)[i] == expected
-                assert table.steps(cut, cut + 1)[i] == expected
-        # The inverse-CDF step, from the empty prefix to the whole point.
-        support = list(table.support)
-        assert table.steps(0, params.k)[0] == _scan_step(masses, (), support, support, table.exact)
+        assert sample(table, 0, len(variates)).draws == scan_sample(reference, iter(variates), len(variates))
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_cold_warm_and_copied_walks_equal_scan(case):
     module = case[0]
     for params in _params(*case):
+        reference = joint_table(params)
         module.joint_pmf.cache_clear()
-        # The first seed walks a fresh table, the others a warm one.
+        occupancy._joint_law.cache_clear()
+        # The first seed walks fresh class memos, the others warm ones.
         for seed in (1, 7, 12345, (1 << 64) - 1):
-            expected = _scan_sequential(module.joint_pmf(params), params.k, seed, 150)
+            expected = scan_sequential(reference, mantissas(seed), 150)
             batch = sequential_sample(params, seed, 150)
             assert batch.draws == expected
-            assert batch.empirical == _frequencies(expected)
-        # The walk memoises the steps of the cuts it crosses, from the root
-        # on; a copy starts without them and walks alike.
+            assert batch.empirical == frequencies(expected)
+        # A copy of a table samples alike, before and after the original
+        # has sampled.
         joint = module.joint_pmf(params)
-        assert set(joint._steps) == {(cut, cut + 1) for cut in range(params.k)}
-        assert list(joint._steps[0, 1]) == [0]
         copy = replace(joint)
-        assert copy._steps == {}
-        assert sample(copy, 5, 150).draws == sample(joint, 5, 150).draws == _scan_sample(joint, 5, 150)
+        assert copy == joint and repr(copy) == repr(joint)
+        expected = scan_sample(reference, mantissas(5), 150)
+        assert sample(copy, 5, 150).draws == sample(joint, 5, 150).draws == expected
+        assert sample(replace(joint), 5, 150).draws == expected
 
 
 def test_approximate_draw_past_last_threshold_takes_last_point(monkeypatch):
-    joint = first_kind.joint_pmf(FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 1))
+    params = FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 1)
+    joint = first_kind.joint_pmf(params)
     # The float CDF of this law ends at 1 - 2^-53, so the largest variate,
     # 2^53 - 1, falls past the last threshold, and takes the last point.
     cumulative = 0
@@ -304,20 +209,108 @@ def test_approximate_draw_past_last_threshold_takes_last_point(monkeypatch):
         cumulative += prob
     assert cumulative == 0.9999999999999999
     top = DENOM - 1
-    assert not top < _on_scale(cumulative, False)
-    monkeypatch.setattr(sampler, "_outputs", lambda seed: iter([top << 11] * 3))
+    assert not top < on_scale(cumulative, False)
+    _fed(monkeypatch, [top] * 3)
     assert sample(joint, 4, 3).draws == (joint.support[-1],) * 3
     monkeypatch.undo()
-    assert sample(joint, 4, 400).draws == _scan_sample(joint, 4, 400)
+    assert sample(joint, 4, 400).draws == scan_sample(joint_table(params), mantissas(4), 400)
 
 
 def test_table_lookup_and_support_order():
     joint = first_kind.joint_pmf(FirstKindParams(Q_HALF, 3, 2))
+    stream = first_kind.joint_stream(FirstKindParams(Q_HALF, 3, 2))
     for point, prob in zip(joint.support, joint.probabilities):
         assert joint.probability(point) == prob
-    for absent in ((), (0, 0, 0), (0, 1, 0, 0), (1, 1, 1), (2,)):
-        assert joint.probability(absent) == 0
+        assert (stream.probability(point), type(stream.probability(point))) == (prob, Fraction)
+    for absent in ((), (0, 0, 0), (0, 1, 0, 0), (1, 1, 1), (2,), (2, 0, 0), (-1, 1, 1)):
+        assert joint.probability(absent) == stream.probability(absent) == 0
+        assert type(stream.probability(absent)) is Fraction
+    assert second_kind.joint_stream(second_kind.SecondKindParams(jagannathan_srinivasa(0.9, 0.5), 2, 2)
+                                    ).probability((3, 0)) == 0.0
     for support in (((1,), (0,)), ((0,), (0,))):
         with pytest.raises(ValidationError, match="strictly increasing"):
             make_table(kind="t", params={}, coord_labels=("x",), support=support,
                        weights=(Fraction(1), Fraction(1)), alg=Q_HALF)
+
+
+def _same(values, reference):
+    assert [(v, type(v), repr(v)) for v in values] == [(v, type(v), repr(v)) for v in reference]
+
+
+def _reports(reports):
+    return [(r.quantity, r.oracle_value, type(r.oracle_value), repr(r.oracle_value), r.closed_form, r.match, r.note)
+            for r in reports]
+
+
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
+def test_derived_work_never_builds_the_joint_table(case, monkeypatch):
+    """With `joint_pmf` refused: every derived law, the moments at k >= 3,
+    the sequential draws and the chain-rule products against the scans of
+    the per-point joint, in value, type and repr."""
+    module = case[0]
+    for params in grid(*case, first_k=5, second_k=4, second_n=3):
+        reference, k = joint_table(params), params.k
+        bivariate = None
+        if k >= 3:
+            support, masses = scan(reference.support, reference.weights, lambda x: True, lambda x: x[:2])
+            bivariate = make_table(kind="t", params={}, coord_labels=("x1", "x2"), support=support,
+                                   weights=masses, alg=params.alg)
+            monkeypatch.setattr(module, "bivariate_table", lambda params: bivariate)
+            expected_moments = _reports(module.bivariate_moments(params, 1, 2))
+            monkeypatch.undo()
+        refuse_joint_tables(monkeypatch)
+        joint = (reference.support, reference.weights)
+        # (table, the points and masses it is summed from, kept, projected)
+        laws = [(module.marginal_pmf(params, r), joint, lambda x: True, lambda x, r=r: x[:r]) for r in range(1, k)]
+        for r in range(1, k):
+            for given in sorted({x[:r] for x in reference.support}):
+                laws += [(module.conditional_pmf(params, given, m), joint, lambda x, g=given: x[:len(g)] == g,
+                          lambda x, r=r, m=m: x[r:m]) for m in range(r + 1, k + 1)]
+        for sizes in compositions(k):
+            scheme = GroupingScheme(sizes)
+            blocks = scan(*joint, lambda x: True, block_sums(sizes))
+            laws.append((module.grouped_pmf(params, scheme), joint, lambda x: True, block_sums(sizes)))
+            for nu in range(1, len(sizes)):
+                laws.append((module.grouped_marginal_pmf(params, scheme, nu), blocks, lambda y: True,
+                             lambda y, nu=nu: y[:nu]))
+                laws += [(module.grouped_conditional_pmf(params, scheme, given), blocks,
+                          lambda y, g=given: y[:len(g)] == g, lambda y, nu=nu: y[nu:])
+                         for given in sorted({y[:nu] for y in blocks[0]})]
+        for table, (points, weights), keep, project in laws:
+            support, masses = scan(points, weights, keep, project)
+            assert table.support == support
+            _same(table.weights, masses)
+            _same([table.z_enumerated], [in_order(masses)])
+            _same(table.probabilities, [w / table.z_enumerated for w in masses])
+        if bivariate is not None:
+            assert _reports(module.bivariate_moments(params, 1, 2)) == expected_moments
+        assert sequential_sample(params, 11, 300).draws == scan_sequential(reference, mantissas(11), 300)
+        paths = sampler.path_probabilities(params)
+        expected = path_probabilities(reference)
+        assert list(paths) == list(expected)
+        _same(paths.values(), expected.values())
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("params", [
+    FirstKindParams(jagannathan_srinivasa(Fraction(9, 10), Fraction(1, 2)), 7, 3),
+    SecondKindParams(jagannathan_srinivasa(0.9, 0.5), 4, 5),
+], ids=("first-exact", "second-decimal"))
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_cli_sequential_sample_never_builds_the_joint_table(params, fmt, monkeypatch):
+    """`rpq sample --sequential` lists no joint table; the expected value of
+    each drawn point is its probability in the joint table, as before."""
+    alg = params.alg
+    argv = ("sample", "--sequential", "--kind", params.kind, "--preset", "js", "--p", str(alg.p), "--q", str(alg.q),
+            "--k", str(params.k), "--n", str(params.n), "--seed", "5", "--count", "300", "--format", fmt)
+    expected = run_cli(*argv)
+    refuse_joint_tables(monkeypatch)
+    assert run_cli(*argv) == expected
+    monkeypatch.undo()
+    code, out, err = expected
+    assert code == 0 and err == ""
+    if fmt == "json":
+        reference = joint_table(params)
+        frequencies = json.loads(out)["frequencies"]
+        assert frequencies and all(f["expected"] == scalar_str(reference.probability(tuple(f["point"])))
+                                   for f in frequencies)

@@ -13,6 +13,7 @@ from rpq import (
     sample,
     sequential_sample,
 )
+from rpq import sampler
 from rpq.first_kind import joint_pmf
 from rpq.sampler import SplitMix64
 
@@ -37,17 +38,18 @@ def test_point_mass_draws():
     assert batch.empirical == (((0, 0), Fraction(1)),)
 
 
-def test_threshold_selection_rule():
+def test_threshold_selection_rule(monkeypatch):
     table = joint_pmf(FirstKindParams(Q_HALF, 2, 1))
-    # The inverse-CDF step leaves the empty prefix for the first point with
-    # thresholds 4/7 and 6/7 on the 53-bit scale, rounded up; the last
+    # The inverse-CDF draw leaves the empty prefix for the first point below
+    # the thresholds 4/7 and 6/7 on the 53-bit scale, rounded up; the last
     # point takes every variate past them.
-    lo, thresholds = table.steps(0, 2)[0]
     denom = 1 << 53
-    assert lo == 0 and thresholds == [-(-4 * denom // 7), -(-6 * denom // 7)]
-    # u = 0.6 lies between 4/7 and 6/7, so the second point is selected
-    u = int(0.6 * denom)
-    assert thresholds[0] <= u < thresholds[1]
+    low, high = -(-4 * denom // 7), -(-6 * denom // 7)
+    variates = [0, low - 1, low, int(0.6 * denom), high - 1, high, denom - 1]
+    monkeypatch.setattr(sampler, "_outputs", lambda seed: iter([u << 11 for u in variates]))
+    # u = 0.6 lies between 4/7 and 6/7, so the second point is selected.
+    assert sample(table, 1, len(variates)).draws == tuple(
+        table.support[i] for i in (0, 0, 1, 1, 1, 2, 2))
     assert table.support[1] == (0, 1)
 
 

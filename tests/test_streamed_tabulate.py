@@ -20,14 +20,14 @@ from fractions import Fraction
 import pytest
 
 import rpq
-from oracle import grid, joint_table
+from oracle import grid, joint_table, mantissas, path_probabilities, prefix_masses, scan_sequential
 from rpq import (ValidationError, chakrabarty_jagannathan, first_kind, jagannathan_srinivasa, occupancy,
-                 q_deformation, quesne, second_kind, serialize)
-from rpq.classes import area_counts
+                 q_deformation, quesne, sampler, second_kind, serialize)
+from rpq.classes import area_counts, sum_rows
 from rpq.cli import main
 from rpq.first_kind import FirstKindParams
-from rpq.lattice import area, enumerate_points
-from rpq.pmf import _check_exact_probabilities, grouped_sums
+from rpq.lattice import ConstraintSet, area, enumerate_points
+from rpq.pmf import _check_exact_probabilities
 from rpq.second_kind import SecondKindParams
 
 PRESETS = {
@@ -59,6 +59,28 @@ def test_class_counts_equal_enumerated_areas(kind):
         counts = area_counts(constraints)
         assert counts == Counter(map(area, enumerate_points(constraints))), params
         assert list(counts) == sorted(counts)
+
+
+@pytest.mark.parametrize("constraints", [
+    ConstraintSet((600, 600), 0, 600),
+    ConstraintSet((400, 400), 150, 380),
+    ConstraintSet((200000,), 0, 200000),
+    ConstraintSet((3, 70, 5), 20, 60),
+    ConstraintSet((1,) * 20, 9, 11),
+    ConstraintSet((9,) * 6, 0, 9),
+], ids=str)
+def test_class_counts_on_wide_boxes(constraints):
+    """One decode of the window's summed polynomials: wide coordinates,
+    counts of several bytes and one-coordinate boxes, against a Counter of
+    the enumerated areas; and the per-sum rows add up to it."""
+    counts = area_counts(constraints)
+    assert counts == Counter(map(area, enumerate_points(constraints)))
+    assert list(counts) == sorted(counts)
+    by_sum = Counter()
+    for t, row in enumerate(sum_rows(constraints.upper, constraints.sum_max)):
+        if t >= constraints.sum_min:
+            by_sum.update({t + i: c for i, c in enumerate(row) if c})
+    assert by_sum == counts
 
 
 def _same(values, reference):
@@ -192,12 +214,18 @@ def test_exact_sum_check_refuses_a_miscount():
 
 @pytest.mark.parametrize("exact", (True, False), ids=("exact", "decimal"))
 def test_empty_prefix_mass_is_the_normalizer(exact):
+    """The normalizer is the empty prefix's mass that the chain-rule
+    products and the first step of a sequential draw read."""
     alg = _alg("js", exact)
     for params in (FirstKindParams(alg, 6, 3), SecondKindParams(alg, 4, 3), FirstKindParams(alg, 1, 2)):
-        table = occupancy.joint_pmf(params)
-        expected = grouped_sums((((), w) for w in table.weights), exact)[()]
-        (prefixes, (mass,)) = table.cut_masses(0)
-        assert prefixes == ((),) and mass == expected and type(mass) is type(expected)
+        reference = joint_table(params)
+        mass = prefix_masses(reference)[()]
+        _same([occupancy.joint_pmf(params).z_enumerated, occupancy.joint_stream(params).z_enumerated], [mass] * 2)
+        expected = path_probabilities(reference)
+        paths = sampler.path_probabilities(params)
+        assert list(paths) == list(expected)
+        _same(paths.values(), expected.values())
+        assert sampler.sequential_sample(params, 9, 200).draws == scan_sequential(reference, mantissas(9), 200)
 
 
 K18 = ("tabulate", "--kind", "first", "--preset", "js", "--p", "9/10", "--q", "1/2", "--k", "18", "--n", "9")

@@ -16,25 +16,19 @@ from itertools import islice
 import pytest
 
 from conftest import JS, Q_HALF
-from oracle import KINDS, grid, in_order, kind_id
-from rpq import UnderflowError, ValidationError, jagannathan_srinivasa
+from oracle import KINDS, block_sums, compositions, grid, in_order, joint_table, kind_id, path_probabilities, scan
+from rpq import UnderflowError, ValidationError, jagannathan_srinivasa, sampler
 from rpq.first_kind import GroupingScheme
 from rpq.lattice import area
 from rpq.pmf import ClosedFormCheck, make_table
 from rpq.scalars import scalars_close
-from test_query_equivalence import _block_sums, _compositions, _prefix_masses
 
 # k <= 6; every n for the first kind, n <= 4 for the second.
 _params = partial(grid, first_k=6, second_k=6, second_n=4)
 
 
 def _scan(points, masses, project):
-    acc = {}
-    for point, mass in zip(points, masses):
-        key = project(point)
-        acc[key] = acc[key] + mass if key in acc else mass
-    support = tuple(sorted(acc))
-    return support, tuple(acc[p] for p in support)
+    return scan(points, masses, lambda x: True, project)
 
 
 def _assert_table(table, support, weights):
@@ -61,19 +55,20 @@ def test_joint_weights_are_per_point_weights(case):
 def test_marginals_grouped_and_prefix_masses_equal_scan(case):
     module = case[0]
     for params in _params(*case):
-        joint = module.joint_pmf(params)
+        joint = joint_table(params)
         k = params.k
         for r in range(1, k):
             support, masses = _scan(joint.support, joint.weights, lambda x: x[:r])
             _assert_table(module.marginal_pmf(params, r), support, masses)
-        for sizes in islice(_compositions(k), 4):
-            support, masses = _scan(joint.support, joint.weights, _block_sums(sizes))
-            assert joint.block_masses(sizes) == (support, masses)
+        for sizes in islice(compositions(k), 4):
+            support, masses = _scan(joint.support, joint.weights, block_sums(sizes))
             _assert_table(module.grouped_pmf(params, GroupingScheme(sizes)), support, masses)
-        expected = _prefix_masses(joint)
-        for cut in range(k + 1):
-            prefixes = tuple(p for p in expected if len(p) == cut)
-            assert joint.cut_masses(cut) == (prefixes, tuple(map(expected.get, prefixes)))
+        # The masses of every prefix, the empty one and the whole points
+        # included, as the chain-rule products read them.
+        paths = sampler.path_probabilities(params)
+        expected = path_probabilities(joint)
+        assert [(x, p, type(p), repr(p)) for x, p in paths.items()] == [
+            (x, p, type(p), repr(p)) for x, p in expected.items()]
 
 
 def _normalized(values, exact):
