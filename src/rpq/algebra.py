@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError, ModeMixError
-from .scalars import DEFAULT_TOL, Scalar, check_uniform_mode, parse_scalar, scalars_close
+from .scalars import DEFAULT_TOL, Scalar, check_uniform_mode, parse_scalar, scalar_str, scalars_close
 
 JAGANNATHAN_SRINIVASA = "jagannathan-srinivasa"
 Q_DEFORMATION = "q-deformation"
@@ -71,10 +71,10 @@ class AlgebraSpec:
     In exact mode an int parameter is stored as a Fraction, so every value
     derived from it (a deformed number, a weight) is a Fraction too.
 
-    Deformed numbers, factorials, binomials, monomials tau1^a tau2^b and the
-    inverse algebra are memoised on the instance.  They take no part in
-    equality, hashing or repr, so `replace()` starts fresh ones, and they
-    are freed with the algebra.
+    Deformed numbers, factorials, binomials, monomials tau1^a tau2^b, the
+    inverse algebra and `describe()` are memoised on the instance.  They
+    take no part in equality, hashing or repr, so `replace()` starts fresh
+    ones, and they are freed with the algebra.
     """
 
     name: str
@@ -90,6 +90,7 @@ class AlgebraSpec:
     _binomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _inverse: Optional["AlgebraSpec"] = field(default=None, init=False, repr=False, compare=False)
+    _described: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         present = [v for v in (self.p, self.q, self.tau1, self.tau2) if v is not None]
@@ -118,17 +119,17 @@ class AlgebraSpec:
         return scalars_close(a, b, self.exact, self.tol)
 
     def describe(self) -> dict:
-        """Resolved-parameter mapping used in CLI echoes and JSON output."""
-        from .scalars import scalar_str
-
-        out = {"algebra": self.name, "mode": "exact" if self.exact else "approximate"}
-        for key in ("p", "q", "tau1", "tau2"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = scalar_str(v)
-        if not self.exact:
-            out["tol"] = repr(self.tol)
-        return out
+        """Resolved-parameter mapping used in CLI echoes and JSON output,
+        formatted once and copied per call."""
+        out = self._described
+        if not out:
+            out["algebra"], out["mode"] = self.name, "exact" if self.exact else "approximate"
+            for key in ("p", "q", "tau1", "tau2"):
+                if getattr(self, key) is not None:
+                    out[key] = scalar_str(getattr(self, key))
+            if not self.exact:
+                out["tol"] = repr(self.tol)
+        return dict(out)
 
 
 def coerce_scalar(value: Union[Scalar, str], approximate: bool) -> Scalar:

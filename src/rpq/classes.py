@@ -21,7 +21,8 @@ does a step of a sequential draw: the children of (r, s, base) are
 E(v) + (k - S) sum(v) for its vectors v, which gives grouped laws their
 masses.  `PrefixClasses` computes all of these without the joint's points.
 Its memos hold one mass and one step per class; besides, a process keeps
-the count tables of 128 boxes (`sum_rows`) and listings of 2^16 points.
+the count tables of 128 boxes (`sum_rows`) and listings of 2^16 points
+with their class partitions, which derived tables normalize once per class.
 """
 
 from __future__ import annotations
@@ -102,18 +103,20 @@ def sum_rows(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], ...]:
 
 
 class _Listings(OrderedDict):
-    """The points of a box in lexicographic order, their sums and their
-    areas, by box: the most recently read, while they hold at most `budget`
-    points in all."""
+    """The points of a box in lexicographic order and their class partition
+    (the distinct keys (sum, area) in first-seen order, each point's key
+    index), by box: the most recently read, while they hold at most
+    `budget` points in all."""
 
     budget, points = 1 << 16, 0
 
-    def read(self, box: ConstraintSet) -> tuple:
+    def read(self, box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[int, int], ...], List[int]]:
         if box in self:
             self.move_to_end(box)
             return self[box]
-        points, areas = enumerate_areas(box)
-        listing = points, tuple(map(sum, points)), areas
+        (points, areas), keys = enumerate_areas(box), {}
+        index = [keys.setdefault(key, len(keys)) for key in zip(map(sum, points), areas)]
+        listing = points, tuple(keys), index
         if len(points) <= self.budget:
             self[box], self.points = listing, self.points + len(points)
             while self.points > self.budget:
@@ -157,17 +160,17 @@ class PrefixClasses:
         areas = chain.from_iterable(a for _, a in walk(ConstraintSet((self.bound,) * (self.k - r), lo, hi)))
         return reduce(add, map(self.law.weights.__getitem__, map(base.__add__, areas)))
 
-    def prefixes(self, given: SupportPoint, m: int) -> Tuple[tuple, List[Scalar]]:
+    def prefixes(self, given: SupportPoint, m: int) -> Tuple[tuple, tuple, List[int], List[Scalar]]:
         """The m-prefixes x of the support that extend `given` (r = len(given)
-        coordinates), in lexicographic order: the parts s = x[r:], their sums
-        and their areas E(s) (as vectors of m - r coordinates), and the mass
-        of each x.  Those s are the points of a box of m - r coordinates
-        whose sums leave the last k - m coordinates room in the window."""
+        coordinates), in lexicographic order: their parts s = x[r:], the
+        points of a box of m - r coordinates whose sums leave the last k - m
+        room in the window, the keys (sum s, E(s)) and index of that box's
+        class partition, and the mass of each class."""
         r, y = len(given), sum(given)
         box = ConstraintSet((self.bound,) * (m - r), max(0, self.smin - y - (self.k - m) * self.bound), self.smax - y)
-        listing = _listings.read(box)
+        points, keys, index = _listings.read(box)
         base, tail, mass = area(given) + (self.k - r) * y, self.k - m, self.mass
-        return listing, [mass((m, y + t, base + e + tail * t)) for t, e in zip(*listing[1:])]
+        return points, keys, index, [mass((m, y + t, base + e + tail * t)) for t, e in keys]
 
     def _step(self, key: Tuple[int, int, int]) -> Tuple[List[Scalar], int, list]:
         # The children of class (r, s, base), r < k, take the values v from

@@ -46,10 +46,9 @@ from .algebra import (
 from .errors import ValidationError
 from .lattice import SupportPoint
 # The core's functions, re-exported under their usual names.
-from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table,
-                        class_values, coerce_theta, conditional_pmf, construction_report,
-                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf,
-                        joint_stream, joint_weight, marginal_pmf, support_constraints)
+from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table, coerce_theta,
+                        conditional_pmf, construction_report, grouped_conditional_pmf, grouped_marginal_pmf,
+                        grouped_pmf, joint_pmf, joint_stream, joint_weight, marginal_pmf, support_constraints)
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
 
@@ -132,6 +131,7 @@ def single_ball_pmf(alg: AlgebraSpec, r: int, reverse: bool = False) -> PmfTable
         coord_labels=("j",),
         support=tuple((j,) for j in range(1, r + 1)),
         weights=weights,
+        index=range(r),
         alg=alg,
         z_closed_form=deformed_number(alg, r),
         fit_bound=r,

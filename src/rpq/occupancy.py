@@ -11,13 +11,14 @@ joint induces, with closed forms attached as cross-checks.  The joint is
 normalized once, from its area-class counts (`joint_stream`), which
 `tabulate` writes as `lattice.walk` lists its rows and `joint_pmf` lists
 as a `PmfTable`.  Derived laws read the masses of prefix and block classes
-(`classes.PrefixClasses`) and never the joint table; each first takes the
-joint's 10^7-point guard and checks, from its memoised class law, so it
-refuses what it refused when it summed the joint.  Memos, each bounded: the
-32 most recent class laws (one mass and one step per class), block masses
-of 32 schemes, and 32 joint tables.  What the kinds differ in lives on
-their params classes (`OccupancyParams`), which `rpq.first_kind` and
-`rpq.second_kind` define; they re-export these functions.
+(`classes.PrefixClasses`), never the joint table, and `make_table`
+normalizes them once per class.  Each first takes the joint's 10^7-point
+guard and checks, from its memoised class law, so it refuses what it
+refused when it summed the joint.  Memos, each bounded: the 32 most recent
+class laws (one mass and one step per class), block masses of 32 schemes,
+and 32 joint tables.  What the kinds differ in lives on their params
+classes (`OccupancyParams`), which `rpq.first_kind` and `rpq.second_kind`
+define; they re-export these functions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, ClassVar, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, closed_form, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
@@ -101,15 +102,6 @@ def support_constraints(params: OccupancyParams) -> ConstraintSet:
     return ConstraintSet(upper=(params.occupancy_bound,) * params.k, sum_min=sum_min, sum_max=sum_max)
 
 
-def class_values(keys: Iterable[Hashable], value: Callable[[Hashable], Scalar]) -> List[Scalar]:
-    """value(key) of each point's class key, computed once per distinct key
-    (in first-seen order) and shared by the points of that class: one
-    object per class."""
-    keys = list(keys)
-    memo = {key: value(key) for key in dict.fromkeys(keys)}
-    return list(map(memo.__getitem__, keys))
-
-
 def _labels(prefix: str, first: int, last: int) -> Tuple[str, ...]:
     return tuple(f"{prefix}{j}" for j in range(first, last + 1))
 
@@ -174,13 +166,13 @@ def joint_pmf(params: OccupancyParams) -> PmfTable:
 
 
 def _derived_table(
-    params: OccupancyParams, table: str, coords: Tuple[str, int, int],
-    support: Sequence[SupportPoint], weights: Sequence[Scalar], closed_values: Sequence[Scalar],
-    **extra,
+    params: OccupancyParams, table: str, coords: Tuple[str, int, int], support: Sequence[SupportPoint],
+    weights: Sequence[Scalar], index: Iterable[int], closed_values: Sequence[Scalar], **extra,
 ) -> PmfTable:
     """A law derived from the joint of `params`: kind "<kind>-<table>",
     params with `table` and `extra`, coordinates labelled `coords` (prefix,
-    first index, last index).  Summed joint masses keep the joint's
+    first index, last index), a mass and a closed value per class, `index`
+    the class of each point.  Summed joint masses keep the joint's
     normalizer, so every table but a conditional carries its closed form."""
     described = params.describe()
     described.update(table=table, **extra)
@@ -190,6 +182,7 @@ def _derived_table(
         coord_labels=_labels(*coords),
         support=support,
         weights=weights,
+        index=index,
         alg=params.alg,
         **({} if table.endswith("conditional") else _normalizer(params)),
         closed_values=closed_values,
@@ -199,15 +192,15 @@ def _derived_table(
 def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     """Law of the prefix (X_1..X_r), 1 <= r < k, by exact summation.
 
-    Weights are the masses of the prefixes' classes, so the enumerated
-    normalizer coincides with the joint one.  The kind's closed marginal
-    weights ride along as a cross-check.
+    Weights are the masses of the prefixes' classes (sum, E), so the
+    enumerated normalizer coincides with the joint one.  The kind's closed
+    marginal weights, one per class, ride along as a cross-check.
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    (support, sums, areas), masses = _joint_law(params).prefixes((), r)
-    closed = class_values(zip(sums, areas), lambda key: params.marginal_weight(r, key))
-    return _derived_table(params, "marginal", ("x", 1, r), support, masses, closed, r=r)
+    support, keys, index, masses = _joint_law(params).prefixes((), r)
+    closed = [params.marginal_weight(r, key) for key in keys]
+    return _derived_table(params, "marginal", ("x", 1, r), support, masses, index, closed, r=r)
 
 
 def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> PmfTable:
@@ -216,7 +209,8 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
     Weights are the masses of the m-prefixes that extend `given`, the
     normalizer is the mass of the conditioning event; a zero-probability
     event is an error, not an empty table.  A closed value reads the key
-    (y_m, t, E(s)) of each suffix s (y_m the sum of the m-prefix, t of s).
+    (y_m, t, E(s)) of each class of suffixes s (y_m the sum of the
+    m-prefix, t of s).
     """
     given = tuple(given)
     r = len(given)
@@ -228,12 +222,12 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    (support, sums, areas), masses = _joint_law(params).prefixes(given, m)
+    support, keys, index, masses = _joint_law(params).prefixes(given, m)
     if not support:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    closed = class_values(zip(map(sum(given).__add__, sums), sums, areas),
-                          lambda key: params.conditional_value(given, m, key))
-    return _derived_table(params, "conditional", ("x", r + 1, m), support, masses, closed,
+    y = sum(given)
+    closed = [params.conditional_value(given, m, (y + t, t, e)) for t, e in keys]
+    return _derived_table(params, "conditional", ("x", r + 1, m), support, masses, index, closed,
                           given=list(given), m=m)
 
 
@@ -272,8 +266,8 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     scheme.validate_for(params.k)
     support, masses = _block_law(params, scheme.sizes)
     closed = [params.grouped_weight(scheme, y) for y in support]
-    return _derived_table(params, "grouped", ("y", 1, len(scheme.sizes)), support, masses, closed,
-                          scheme=list(scheme.sizes))
+    return _derived_table(params, "grouped", ("y", 1, len(scheme.sizes)), support, masses, range(len(support)),
+                          closed, scheme=list(scheme.sizes))
 
 
 def _grouped_marginal_weight(
@@ -300,7 +294,7 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
         sums[y[:nu]] = sums[y[:nu]] + mass if y[:nu] in sums else mass
     support, masses = tuple(sums), tuple(sums.values())
     closed = [_grouped_marginal_weight(params, scheme, p) for p in support]
-    return _derived_table(params, "grouped-marginal", ("y", 1, nu), support, masses, closed,
+    return _derived_table(params, "grouped-marginal", ("y", 1, nu), support, masses, range(len(support)), closed,
                           scheme=list(scheme.sizes), nu=nu)
 
 
@@ -320,8 +314,8 @@ def grouped_conditional_pmf(
     prefix_weight = _grouped_marginal_weight(params, scheme, given)
     closed = [params.grouped_weight(scheme, given + suffix, divisor=prefix_weight)
               for suffix in support]
-    return _derived_table(params, "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
-                          support, masses, closed, scheme=list(scheme.sizes), given=list(given))
+    return _derived_table(params, "grouped-conditional", ("y", nu + 1, len(scheme.sizes)), support, masses,
+                          range(len(support)), closed, scheme=list(scheme.sizes), given=list(given))
 
 
 def bivariate_table(params: OccupancyParams) -> PmfTable:

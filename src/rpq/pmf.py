@@ -2,13 +2,14 @@
 
 A table's probabilities are always weight / (enumerated sum of weights);
 closed-form normalizers and closed-form probability values ride along as
-cross-check records, never as the source of truth.  A `PmfStream` is the
-same law listed by `lattice.walk` rather than held: one weight and one
-probability per area class, normalized from the class counts in exact
-mode and from passes over the areas in support order in approximate mode.
-It is the one normalization of a joint law, which `occupancy` memoises as
-the class law that derived laws and sequential draws read; `joint_pmf`
-lists it as a table.  A table keeps one memo, its inverse-CDF thresholds.
+cross-check records, never as the source of truth; `make_table` normalizes
+them once per class of points.  A `PmfStream` is the same law listed by
+`lattice.walk` rather than held: one weight and one probability per area
+class, normalized from the class counts in exact mode and from passes
+over the areas in support order in approximate mode.  It is the one
+normalization of a joint law, which `occupancy` memoises as the class law
+that derived laws and sequential draws read; `joint_pmf` lists it as a
+table.  A table keeps one memo, its inverse-CDF thresholds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
 from math import lcm
 from operator import add, lt, mul
-from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, UnderflowError, ValidationError
@@ -70,22 +71,6 @@ def _class_quotients(
     return z, [v / z for v in values], None
 
 
-def _normalized(
-    values: Sequence[Scalar], exact: bool, nonpositive: str
-) -> Tuple[Scalar, Dict[int, Scalar], Counter, Optional[int]]:
-    """`_class_quotients` of `values` (at least one), one class per
-    distinct value object: the normalizer, value / normalizer per object
-    keyed by its id, each object's multiplicity, both in first-seen order,
-    and S.  Points of one class share one value object, so each quotient is
-    computed once per class."""
-    counts = Counter(map(id, values))
-    objects = dict(zip(map(id, values), values))
-    z, quotients, total = _class_quotients(
-        list(objects.values()), list(counts.values()), None if exact else reduce(add, values), nonpositive
-    )
-    return z, dict(zip(objects, quotients)), counts, total
-
-
 def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], counts: Iterable[int],
                                total: int) -> None:
     """Refuse a negative class probability, or classes whose probabilities
@@ -102,11 +87,32 @@ def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], cou
         raise ValidationError(f"{kind} table: probabilities sum to {Fraction(scaled, total)}, not 1")
 
 
-def _check_approximate_sum(kind: str, total: float, tol: float) -> None:
-    """Refuse float probabilities whose sum in support order is not 1
-    within `tol`."""
-    if not scalars_close(total, 1, False, tol):
+def _normalize_classes(kind: str, keys: Sequence, weights, sizes: Sequence[int], classes: Callable[[], Iterable],
+                       points: Callable[[], Iterable[SupportPoint]], alg: AlgebraSpec) -> Tuple[Scalar, dict]:
+    """The normalizer and the probability of each class (`_class_quotients`),
+    by key, of the classes `keys` of weight `weights[key]` and `sizes` points,
+    with a table's checks.  `classes()` and `points()` list each point's class
+    and the points in support order: approximate mode adds z and the sum of
+    the probabilities over them left to right, and refuses a probability
+    that is not positive at the first point of its class (every support
+    point has positive exact mass, so a 0.0 has underflowed)."""
+    z_sum = None if alg.exact else reduce(add, map(weights.__getitem__, classes()))
+    z, quotients, total = _class_quotients([weights[c] for c in keys], sizes, z_sum,
+                                           f"{kind} table: nonpositive normalizer")
+    probabilities = dict(zip(keys, quotients))
+    if alg.exact:
+        _check_exact_probabilities(kind, quotients, sizes, total)
+        return z, probabilities
+    refused = {c for c, prob in probabilities.items() if prob <= 0}
+    if refused:
+        point, c = next((x, c) for x, c in zip(points(), classes()) if c in refused)
+        if probabilities[c] < 0:
+            raise ValidationError(f"{kind} table: negative probability {probabilities[c]}")
+        raise UnderflowError(f"{kind} table: the probability of {point} is 0.0")
+    total = reduce(add, map(probabilities.__getitem__, classes()))
+    if not scalars_close(total, 1, False, alg.tol):
         raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
+    return z, probabilities
 
 
 @dataclass(frozen=True)
@@ -166,16 +172,6 @@ def cdf_thresholds(masses: Sequence[Scalar], mass: Optional[Scalar], exact: bool
     return [f * CDF_SCALE for f in accumulate(m / mass for m in masses[:-1])]
 
 
-def _refuse_approximate(kind: str, prob: float, point: SupportPoint) -> None:
-    """Refuse a float probability that is not positive, of the first point
-    of its class.  Every support point of an rpq law has positive exact
-    mass, so a weight or probability that is 0.0 (its probability then is
-    too) has underflowed."""
-    if prob < 0:
-        raise ValidationError(f"{kind} table: negative probability {prob}")
-    raise UnderflowError(f"{kind} table: the probability of {point} is 0.0")
-
-
 @lru_cache(maxsize=64, typed=True)
 def _normalizer_fit(alg: AlgebraSpec, z: Scalar, z_closed_form: Scalar, bound: int) -> MonomialFit:
     """`fit_monomial` of a table normalizer, memoised: an exact joint's
@@ -192,55 +188,46 @@ def make_table(
     coord_labels: Sequence[str],
     support: Sequence[SupportPoint],
     weights: Sequence[Scalar],
+    index: Iterable[int],
     alg: AlgebraSpec,
     z_closed_form: Optional[Scalar] = None,
     fit_bound: int = 0,
     closed_values: Optional[Sequence[Scalar]] = None,
 ) -> PmfTable:
-    """Normalize weights into a table and attach the cross-check records."""
-    support = tuple(support)
-    weights = tuple(weights)
+    """Normalize weights into a table and attach the cross-check records.
+    `weights` and `closed_values` hold one value per class of points, and
+    `index` each point's class (range(len(support)): a class per point).
+    Each class is normalized, checked and compared once; approximate mode
+    sums z and the probabilities point by point in support order."""
+    support, weights, index = tuple(support), list(weights), list(index)
     if not support:
         raise ValidationError(f"{kind} table: empty support")
-    if len(support) != len(weights):
-        raise ValidationError(f"{kind} table: {len(support)} points vs {len(weights)} weights")
+    if len(support) != len(index):
+        raise ValidationError(f"{kind} table: {len(support)} points vs {len(index)} class indices")
     if not all(map(lt, support, support[1:])):
         raise ValidationError(f"{kind} table: support is not strictly increasing")
-    z, quotient, counts, total = _normalized(weights, alg.exact, f"{kind} table: nonpositive normalizer")
-    if alg.exact:
-        _check_exact_probabilities(kind, quotient.values(), counts.values(), total)
-    else:
-        for i, prob in quotient.items():
-            if prob <= 0:
-                _refuse_approximate(kind, prob, next(x for x, w in zip(support, weights) if id(w) == i))
-    probabilities = tuple(map(quotient.__getitem__, map(id, weights)))
-    if not alg.exact:
-        _check_approximate_sum(kind, reduce(add, probabilities), alg.tol)
+    sizes = list(map(Counter(index).__getitem__, range(len(weights))))
+    z, quotients = _normalize_classes(kind, range(len(weights)), weights, sizes, lambda: index, lambda: support, alg)
+    point_weights, probabilities = tuple(map(weights.__getitem__, index)), tuple(map(quotients.__getitem__, index))
     z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
 
     check = None
     if closed_values is not None:
-        closed_values = tuple(closed_values)
-        if len(closed_values) != len(support):
-            raise ValidationError(f"{kind} table: closed-form values mismatch support size")
-        # As for the weights: one quotient per distinct closed-value object,
-        # and one comparison per distinct (closed, probability) pair.
-        _, closed_quotient, _, _ = _normalized(
-            closed_values, alg.exact, f"{kind} table: closed form sums to"
-        )
-        closed_probs = tuple(map(closed_quotient.__getitem__, map(id, closed_values)))
-        pairs = dict(zip(
-            zip(map(id, closed_probs), map(id, probabilities)), zip(closed_probs, probabilities)
-        ))
-        equal = all(scalars_close(a, b, alg.exact, alg.tol) for a, b in pairs.values())
-        check = ClosedFormCheck(closed_probs, equal)
+        closed_values = list(closed_values)
+        if len(closed_values) != len(weights):
+            raise ValidationError(f"{kind} table: {len(weights)} weight classes vs {len(closed_values)} closed values")
+        _, closed_quotients, _ = _class_quotients(
+            closed_values, sizes, None if alg.exact else reduce(add, map(closed_values.__getitem__, index)),
+            f"{kind} table: closed form sums to")
+        equal = all(scalars_close(a, b, alg.exact, alg.tol) for a, b in zip(closed_quotients, quotients.values()))
+        check = ClosedFormCheck(tuple(map(closed_quotients.__getitem__, index)), equal)
 
     return PmfTable(
         kind=kind,
         params=dict(params),
         coord_labels=tuple(coord_labels),
         support=support,
-        weights=weights,
+        weights=point_weights,
         z_enumerated=z,
         probabilities=probabilities,
         exact=alg.exact,
@@ -306,35 +293,17 @@ def make_stream(
     fit_bound: int = 0,
 ) -> PmfStream:
     """Normalize the area-class weights of the points of `constraints`
-    (`counts` of them per class) with the checks of `make_table`, in its
-    order and with its messages, and attach the normalizer's fit.
-
-    Exact mode reads the counts.  Approximate mode keeps the float sums of
-    `make_table`: z and the sum of the probabilities are taken in support
-    order, each by one pass over the areas of `lattice.walk`; a probability
-    that is not positive is refused at the first point of its class.
-    """
+    (`counts` of them per class) as `make_table` does (`_normalize_classes`),
+    and attach the normalizer's fit.  Exact mode reads the counts;
+    approximate mode passes over the areas of `lattice.walk`, in support
+    order, once for z and once for the sum of the probabilities."""
     if not counts:
         raise ValidationError(f"{kind} table: empty support")
     classes = list(weights)
-    values, sizes = [weights[e] for e in classes], [counts[e] for e in classes]
-
-    nonpositive = f"{kind} table: nonpositive normalizer"
-    if alg.exact:
-        z, quotients, total = _class_quotients(values, sizes, None, nonpositive)
-        _check_exact_probabilities(kind, quotients, sizes, total)
-    else:
-        z_sum = reduce(add, map(weights.__getitem__, chain.from_iterable(a for _, a in walk(constraints))))
-        z, quotients, _ = _class_quotients(values, sizes, z_sum, nonpositive)
-    probabilities = dict(zip(classes, quotients))
-    if not alg.exact:
-        refused = {e for e, prob in probabilities.items() if prob <= 0}
-        if refused:
-            point, e = next((x, e) for points, areas in walk(constraints, point_cells(constraints))
-                            for x, e in zip(points, areas) if e in refused)
-            _refuse_approximate(kind, probabilities[e], point)
-        areas = chain.from_iterable(a for _, a in walk(constraints))
-        _check_approximate_sum(kind, reduce(add, map(probabilities.__getitem__, areas)), alg.tol)
+    z, probabilities = _normalize_classes(
+        kind, classes, weights, [counts[e] for e in classes],
+        lambda: chain.from_iterable(a for _, a in walk(constraints)),
+        lambda: chain.from_iterable(p for p, _ in walk(constraints, point_cells(constraints))), alg)
     return PmfStream(
         kind=kind,
         params=dict(params),
@@ -350,16 +319,23 @@ def make_stream(
 
 
 def oracle_expectation(table: PmfTable, functional: Callable[[SupportPoint], Scalar]) -> Scalar:
-    """Exact expectation of an arbitrary functional over a table."""
-    total: Scalar = 0
-    for point, prob in zip(table.support, table.probabilities):
+    """Exact expectation of an arbitrary functional over a table: in exact
+    mode the products of value and probability numerators over the lcm of
+    their denominators, one Fraction in all; in approximate mode value *
+    probability added left to right."""
+    values, probabilities = [], table.probabilities
+    for point in table.support:
         value = functional(point)
         if table.exact and isinstance(value, float):
             raise ModeMixError("float functional value on an exact table")
         if not table.exact and isinstance(value, Fraction):
             raise ModeMixError("Fraction functional value on an approximate table")
-        total += value * prob
-    return total
+        values.append(value)
+    if not table.exact:
+        return reduce(add, map(mul, values, probabilities), 0)
+    ds = [v.denominator * p.denominator for v, p in zip(values, probabilities)]
+    d = lcm(*ds)
+    return Fraction(sum(v.numerator * p.numerator * (d // e) for v, p, e in zip(values, probabilities, ds)), d)
 
 
 @dataclass(frozen=True)

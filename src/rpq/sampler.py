@@ -22,9 +22,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Dict, Iterator, Mapping, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Mapping, Tuple
 
+from .classes import _decode
 from .errors import ValidationError
 from .lattice import SupportPoint, point_cells, walk
 from .occupancy import OccupancyParams, _joint_law, joint_pmf  # noqa: F401 (perfbench wraps joint_pmf here)
@@ -41,25 +42,43 @@ _MIX2 = 0x94D049BB133111EB
 _MANTISSA_SHIFT = 64 - CDF_BITS
 
 
-def _outputs(seed: int) -> Iterator[int]:
-    """The SplitMix64 output stream from `seed`, without end.  The draw
-    loops read it directly, one generator step per variate."""
-    state = seed & _MASK64
-    while True:
-        state = (state + _GOLDEN_GAMMA) & _MASK64
-        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        yield z ^ (z >> 31)
+def _outputs(seed: int, count: int) -> List[int]:
+    """The first `count` SplitMix64 outputs from `seed`, computed side by
+    side: output i is bits [128 i, 128 i + 64) of one int, the rest of its
+    lane room for a product, so each step of the mix is one int operation."""
+    steps, ones, width = 1, 1, 1  # lane i holds i + 1, and 1
+    while width < count:
+        steps |= (steps + width * ones) << (128 * width)
+        ones |= ones << (128 * width)
+        width *= 2
+    top = 1 << (128 * count)
+    steps, ones = steps & (top - 1), ones & (top - 1)
+    mask = ones * _MASK64
+    z = (steps * _GOLDEN_GAMMA + ones * (seed & _MASK64)) & mask
+    z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+    z ^= (z >> 31) & mask
+    # The 1 past the last lane keeps a last output of 0 among the words.
+    return _decode(z | top, 8)[0:2 * count:2]
+
+
+def _stream(seed: int, count: int) -> Iterator[int]:
+    """The first `count` outputs from `seed` in lists of at most 2^12, which
+    bounds what a large count holds: after i outputs the state is seed + i
+    gamma."""
+    return chain.from_iterable(_outputs(seed + i * _GOLDEN_GAMMA, min(1 << 12, count - i))
+                               for i in range(0, count, 1 << 12))
 
 
 class SplitMix64:
     """Counter-based 64-bit generator with a fully specified stream."""
 
     def __init__(self, seed: int) -> None:
-        self._outputs = _outputs(seed)
+        self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
-        return next(self._outputs)
+        self._state = (self._state + _GOLDEN_GAMMA) & _MASK64
+        return _outputs(self._state - _GOLDEN_GAMMA, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -92,7 +111,7 @@ def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
     per draw, against the table's thresholds (`PmfTable.cdf`)."""
     _check_count(count)
     thresholds, support = table.cdf, table.support
-    draws = tuple([support[bisect_right(thresholds, u >> _MANTISSA_SHIFT)] for u in islice(_outputs(seed), count)])
+    draws = tuple([support[bisect_right(thresholds, u >> _MANTISSA_SHIFT)] for u in _stream(seed, count)])
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(draws, count))
 
 
@@ -126,7 +145,7 @@ def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleB
     """
     classes = _joint_law(params)
     _check_count(count)
-    step, outputs, coordinates, draws = classes.step, _outputs(seed), range(params.k), []
+    step, outputs, coordinates, draws = classes.step, _stream(seed, count * params.k), range(params.k), []
     for _ in range(count):
         key, point = (0, 0, 0), []
         for _ in coordinates:

@@ -44,10 +44,9 @@ from .algebra import (
 from .errors import ValidationError
 from .lattice import SupportPoint
 # The core's functions, re-exported under their usual names.
-from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table,
-                        class_values, coerce_theta, conditional_pmf, construction_report,
-                        grouped_conditional_pmf, grouped_marginal_pmf, grouped_pmf, joint_pmf,
-                        joint_stream, joint_weight, marginal_pmf, support_constraints)
+from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table, coerce_theta,
+                        conditional_pmf, construction_report, grouped_conditional_pmf, grouped_marginal_pmf,
+                        grouped_pmf, joint_pmf, joint_stream, joint_weight, marginal_pmf, support_constraints)
 from .pmf import compare_moment, oracle_expectation
 from .scalars import Scalar
 

@@ -3,10 +3,10 @@ desk-scale grid they compare them on.
 
 `joint_table` is the joint law by the per-point route: the points of
 `enumerate_points`, each weighed by `joint_weight`, normalized by
-`make_table` from those weights.  The package normalizes a
-joint once, from its area-class counts (`occupancy.joint_stream`, which
-`joint_pmf` also reads), so this table shares no step of that
-normalization.
+`make_table` from those weights, one class per point.  The package
+normalizes a joint once, from its area-class counts
+(`occupancy.joint_stream`, which `joint_pmf` also reads), so this table
+shares no step of that normalization.
 
 The other references scan such a table point by point in support order:
 `scan` sums the weights of a projection (prefixes, block sums, suffixes
@@ -67,10 +67,18 @@ def joint_table(params):
         coord_labels=[f"x{j}" for j in range(1, params.k + 1)],
         support=support,
         weights=weights,
+        index=range(len(support)),
         alg=params.alg,
         z_closed_form=params.normalizer(params.alg, params.k, params.n),
         fit_bound=params.fit_bound(),
     )
+
+
+def prefixes(module, params, r):
+    """Every r-vector a conditional of `params` may be given: coordinates
+    0/1 for the first kind, at most n for the second, summing to at most n."""
+    top = 1 if module is first_kind else params.n
+    return [g for g in product(range(top + 1), repeat=r) if sum(g) <= params.n]
 
 
 def refuse_joint_tables(monkeypatch):

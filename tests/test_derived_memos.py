@@ -20,7 +20,7 @@ from math import comb
 import pytest
 
 from conftest import ALL_PRESETS, JS
-from oracle import (KINDS, block_sums, compositions, grid, in_order, joint_table, kind_id, mantissas,
+from oracle import (KINDS, block_sums, compositions, grid, in_order, joint_table, kind_id, mantissas, prefixes,
                     refuse_joint_tables, scan, scan_sample, scan_sequential)
 from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
                  jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
@@ -182,11 +182,6 @@ def _assert_records(table, params, support, masses, closed, z_reference=None):
         assert table.z_discrepancy == _fit(alg, z, z_closed, bound)
 
 
-def _prefixes(module, params, r):
-    top = 1 if module is first_kind else params.n
-    return [g for g in product(range(top + 1), repeat=r) if sum(g) <= params.n]
-
-
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_marginal_and_conditional_records_equal_per_point(case):
     module = case[0]
@@ -202,7 +197,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
             # One closed value per (sum, area) class, shared by its points.
             classes = {(sum(p), area(p)) for p in support}
             assert len({id(v) for v in table.closed_form_check.probabilities}) == len(classes)
-            for given in _prefixes(module, params, r):
+            for given in prefixes(module, params, r):
                 for m in range(r + 1, k + 1):
                     support, masses = scan(
                         joint.support, joint.weights, lambda x: x[:r] == given, lambda x: x[r:m]
@@ -306,8 +301,8 @@ def _clear_caches():
 
 CORE_NAMES = (
     "joint_pmf", "joint_weight", "marginal_pmf", "conditional_pmf", "grouped_pmf",
-    "grouped_marginal_pmf", "grouped_conditional_pmf", "bivariate_table", "class_values",
-    "GroupingScheme", "ConstructionReport",
+    "grouped_marginal_pmf", "grouped_conditional_pmf", "bivariate_table", "GroupingScheme",
+    "ConstructionReport",
 )
 
 
@@ -328,7 +323,7 @@ def _derived_calls(module, params):
     k = params.k
     calls = [lambda r=r: module.marginal_pmf(params, r) for r in range(1, k)]
     for r in range(1, k):
-        for given in _prefixes(module, params, r):
+        for given in prefixes(module, params, r):
             calls.extend(
                 lambda g=given, m=m: module.conditional_pmf(params, g, m) for m in range(r + 1, k + 1)
             )
@@ -459,8 +454,13 @@ def test_class_memos_stay_bounded(module, params):
         sequential_sample(other, j, 5)
         assert occupancy._joint_law.cache_info().currsize <= 32
     assert classes.sum_rows.cache_info().currsize <= 128
+    # Each listing keeps its class partition: the distinct (sum, area) keys
+    # in first-seen order and each point's key, one index per point.
     listings = classes._listings
-    assert listings.points == sum(len(points) for points, _, _ in listings.values()) <= listings.budget
+    assert listings.points == sum(len(index) for _, _, index in listings.values()) <= listings.budget
+    for points, keys, index in listings.values():
+        assert keys == tuple(dict.fromkeys((sum(x), area(x)) for x in points))
+        assert [keys[c] for c in index] == [(sum(x), area(x)) for x in points]
     assert occupancy._joint_law.cache_info().currsize == 32
     # An evicted law and scheme are summed again, to an equal table.
     again = module.grouped_pmf(params, schemes[0])
@@ -477,7 +477,7 @@ def test_shared_closed_value_is_compared_with_every_probability():
     table = make_table(kind="t", params={}, coord_labels=("x",),
                        support=((0,), (1,), (2,), (3,)),
                        weights=(Fraction(3), Fraction(2), Fraction(1), Fraction(2)),
-                       alg=JS, closed_values=[shared] * 4)
+                       index=range(4), alg=JS, closed_values=[shared] * 4)
     assert table.closed_form_check.probabilities == (Fraction(1, 4),) * 4
     assert table.probabilities[-1] == Fraction(1, 4)
     assert table.closed_form_check.pointwise_equal is False

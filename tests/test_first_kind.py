@@ -301,7 +301,7 @@ def test_exact_tables_from_integer_weights_hold_fractions():
     assert all(type(v) is Fraction for v in marginal.closed_form_check.probabilities)
     # Plain int weights and closed values handed to make_table directly.
     table = make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,)),
-                       weights=(1, 2), alg=JS, closed_values=(2, 1))
+                       weights=(1, 2), index=range(2), alg=JS, closed_values=(2, 1))
     assert table.z_enumerated == 3 and type(table.z_enumerated) is Fraction
     assert table.probabilities == (Fraction(1, 3), Fraction(2, 3))
     assert table.closed_form_check.probabilities == (Fraction(2, 3), Fraction(1, 3))

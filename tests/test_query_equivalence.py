@@ -12,15 +12,14 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import ceil
 
 import pytest
 
 from conftest import Q_HALF
 from oracle import (DENOM, KINDS, block_sums, children, compositions, frequencies, grid, in_order, joint_table, kind_id,
-                    mantissas, on_scale, path_probabilities, prefix_masses, refuse_joint_tables, scan, scan_sample,
-                    scan_sequential, scan_step)
+                    mantissas, on_scale, path_probabilities, prefix_masses, prefixes, refuse_joint_tables, scan,
+                    scan_sample, scan_sequential, scan_step)
 from rpq import (
     ValidationError,
     ZeroProbabilityEventError,
@@ -48,11 +47,6 @@ def _assert_same(table, support, masses):
     assert table.probabilities == tuple(w / total for w in masses)
 
 
-def _prefixes(module, params, r):
-    top = 1 if module is first_kind else params.n
-    return [g for g in product(range(top + 1), repeat=r) if sum(g) <= params.n]
-
-
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_conditionals_equal_scan(case):
     for params in _params(*case):
@@ -62,7 +56,7 @@ def test_conditionals_equal_scan(case):
 def _check_conditionals(module, params):
     joint = joint_table(params)
     for r in range(1, params.k):
-        for given in _prefixes(module, params, r):
+        for given in prefixes(module, params, r):
             for m in range(r + 1, params.k + 1):
                 support, masses = scan(
                     joint.support, joint.weights, lambda x: x[:r] == given, lambda x: x[r:m]
@@ -134,8 +128,12 @@ def _either_side(bound):
 
 
 def _fed(monkeypatch, variates):
-    """Make the sampler read `variates` as its mantissas, whatever the seed."""
-    monkeypatch.setattr(sampler, "_outputs", lambda seed: iter([u << 11 for u in variates]))
+    """Make the sampler read `variates` as its mantissas, whatever the seed:
+    the draws ask for all of them in one list."""
+    def outputs(seed, count):
+        assert count == len(variates)
+        return [u << 11 for u in variates]
+    monkeypatch.setattr(sampler, "_outputs", outputs)
 
 
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
@@ -230,7 +228,7 @@ def test_table_lookup_and_support_order():
     for support in (((1,), (0,)), ((0,), (0,))):
         with pytest.raises(ValidationError, match="strictly increasing"):
             make_table(kind="t", params={}, coord_labels=("x",), support=support,
-                       weights=(Fraction(1), Fraction(1)), alg=Q_HALF)
+                       weights=(Fraction(1), Fraction(1)), index=range(2), alg=Q_HALF)
 
 
 def _same(values, reference):
@@ -254,7 +252,7 @@ def test_derived_work_never_builds_the_joint_table(case, monkeypatch):
         if k >= 3:
             support, masses = scan(reference.support, reference.weights, lambda x: True, lambda x: x[:2])
             bivariate = make_table(kind="t", params={}, coord_labels=("x1", "x2"), support=support,
-                                   weights=masses, alg=params.alg)
+                                   weights=masses, index=range(len(support)), alg=params.alg)
             monkeypatch.setattr(module, "bivariate_table", lambda params: bivariate)
             expected_moments = _reports(module.bivariate_moments(params, 1, 2))
             monkeypatch.undo()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import JS, Q_HALF
+from oracle import mantissas, scan_sample
 from rpq import (
     FirstKindParams,
     SecondKindParams,
@@ -31,6 +32,14 @@ def test_generator_is_fully_specified():
     assert [again.next_uint64() for _ in range(3)] == first
 
 
+def test_draws_continue_one_stream_across_output_lists():
+    # The outputs come in lists of at most 2^12: a count past two lists
+    # draws what one stream gives.
+    table = joint_pmf(FirstKindParams(Q_HALF, 2, 1))
+    count = (2 << 12) + 50
+    assert sample(table, 9, count).draws == scan_sample(table, mantissas(9), count)
+
+
 def test_point_mass_draws():
     table = joint_pmf(FirstKindParams(Q_HALF, 2, 0))
     batch = sample(table, seed=9, count=25)
@@ -46,7 +55,7 @@ def test_threshold_selection_rule(monkeypatch):
     denom = 1 << 53
     low, high = -(-4 * denom // 7), -(-6 * denom // 7)
     variates = [0, low - 1, low, int(0.6 * denom), high - 1, high, denom - 1]
-    monkeypatch.setattr(sampler, "_outputs", lambda seed: iter([u << 11 for u in variates]))
+    monkeypatch.setattr(sampler, "_outputs", lambda seed, count: [u << 11 for u in variates[:count]])
     # u = 0.6 lies between 4/7 and 6/7, so the second point is selected.
     assert sample(table, 1, len(variates)).draws == tuple(
         table.support[i] for i in (0, 0, 1, 1, 1, 2, 2))

@@ -17,10 +17,11 @@ import pytest
 
 from conftest import JS, Q_HALF
 from oracle import KINDS, block_sums, compositions, grid, in_order, joint_table, kind_id, path_probabilities, scan
-from rpq import UnderflowError, ValidationError, jagannathan_srinivasa, sampler
-from rpq.first_kind import GroupingScheme
+from rpq import UnderflowError, ValidationError, first_kind, jagannathan_srinivasa, occupancy, sampler, second_kind
+from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
 from rpq.pmf import ClosedFormCheck, make_table
+from rpq.second_kind import SecondKindParams
 from rpq.scalars import scalars_close
 
 # k <= 6; every n for the first kind, n <= 4 for the second.
@@ -81,48 +82,53 @@ def _normalized(values, exact):
 
 
 @pytest.mark.parametrize("alg", [JS, Q_HALF, jagannathan_srinivasa(0.9, 0.5)], ids=lambda a: a.name)
-def test_make_table_with_fresh_and_repeated_weight_objects(alg):
+def test_make_table_normalizes_classes_of_one_and_of_many_points(alg):
     one = Fraction(1) if alg.exact else 1.0
-    values = [alg.tau2**e for e in (0, 1, 1, 2, 0, 1, 3)]
-    # Equal values, distinct objects: nothing is shared.
-    fresh = [v * one for v in values]
-    assert len({id(v) for v in fresh}) == len(fresh)
-    shared = alg.tau2**2
+    values = [alg.tau2**e * one for e in (0, 1, 2, 3)]
+    # (class weights, each point's class, class closed values)
     cases = [
-        (fresh, None),
-        # One object repeated at every point, and a single point.
-        ([shared] * 6, None),
-        ([shared], None),
-        # One closed-value object at every point, and objects shared by some.
-        (fresh, [shared] * 7),
-        (fresh, [values[0], shared, shared, values[0], fresh[4], shared, values[0]]),
-        ([shared] * 3, [shared, values[3], shared]),
-        ([shared], [values[1]]),
+        # One class per point; classes of several points, listed in
+        # first-seen order or not.
+        (values, range(4), None),
+        (values, [0, 1, 1, 2, 0, 1, 3], None),
+        (values, [2, 0, 3, 3, 1, 0], None),
+        # One class for every point, and a single point.
+        (values[2:3], [0] * 6, None),
+        (values[2:3], [0], None),
+        # Closed values per class: equal for some classes, one for all.
+        (values, [0, 1, 1, 2, 0, 1, 3], [values[0], values[2], values[2], values[1]]),
+        (values, range(4), [values[2]] * 4),
+        (values[:2], [0, 1, 0], [values[2], values[3]]),
+        (values[1:2], [0], [values[1]]),
     ]
     if alg.exact:
         # Plain ints, repeated and single.
-        cases += [([3, 1, 1, 2, 3], [1, 2, 2, 1, 2]), ([5], [7]), ([2, 2], None)]
+        cases += [([3, 1, 2], [0, 1, 1, 2, 0], [1, 2, 1]), ([5], [0], [7]), ([2], [0, 0], None)]
     scalar = Fraction if alg.exact else float
-    for weights, closed in cases:
-        support = tuple((i,) for i in range(len(weights)))
+    for weights, index, closed in cases:
+        point_weights = [weights[c] for c in index]
+        support = tuple((i,) for i in range(len(point_weights)))
         table = make_table(kind="t", params={}, coord_labels=("x",), support=support,
-                           weights=weights, alg=alg, closed_values=closed)
-        z, probabilities = _normalized(weights, alg.exact)
-        assert table.weights == tuple(weights)
+                           weights=weights, index=index, alg=alg, closed_values=closed)
+        z, probabilities = _normalized(point_weights, alg.exact)
+        assert table.weights == tuple(point_weights)
         assert (table.z_enumerated, table.probabilities) == (z, probabilities)
         assert repr((table.z_enumerated, table.probabilities)) == repr((z, probabilities))
         assert all(type(v) is scalar for v in (table.z_enumerated, *table.probabilities))
         if closed is None:
             assert table.closed_form_check is None
             continue
-        closed_probs = _normalized(closed, alg.exact)[1]
+        closed_probs = _normalized([closed[c] for c in index], alg.exact)[1]
         equal = all(scalars_close(a, b, alg.exact, alg.tol) for a, b in zip(closed_probs, probabilities))
         assert table.closed_form_check == ClosedFormCheck(closed_probs, equal)
         assert repr(table.closed_form_check.probabilities) == repr(closed_probs)
         assert all(type(v) is scalar for v in table.closed_form_check.probabilities)
-    # Shared closed values that equal some of the probabilities only.
+    # Closed values that equal some of the probabilities only.
+    shared = alg.tau2**2
     table = make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,), (2,)),
-                       weights=[shared, shared, shared * 2], alg=alg, closed_values=[shared] * 3)
+                       weights=[shared * 2, shared, shared], index=range(3), alg=alg,
+                       closed_values=[shared, shared, shared * 2])
+    assert table.closed_form_check.probabilities[1] == table.probabilities[1]
     assert table.closed_form_check.pointwise_equal is False
 
 
@@ -130,18 +136,42 @@ def test_make_table_checks_each_distinct_value():
     negative = Fraction(-1)
     with pytest.raises(ValidationError, match="negative probability -1/2"):
         make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,), (2,)),
-                   weights=(Fraction(1), negative, Fraction(2)), alg=Q_HALF)
+                   weights=(Fraction(1), negative, Fraction(2)), index=range(3), alg=Q_HALF)
 
 
 def test_approximate_make_table_refuses_a_zero_weight_or_probability():
     decimal = jagannathan_srinivasa(0.9, 0.5)
-    support = ((0,), (1,), (2,))
-    # A weight that is 0.0, and a positive weight whose probability is 0.0.
-    for weights, point in (((1.0, 0.0, 2.0), (1,)), ((1e300, 1e300, 1e-300), (2,))):
+    support = ((0,), (1,), (2,), (3,))
+    # A weight that is 0.0, a positive weight whose probability is 0.0, and
+    # two such classes: the first point of either in support order is named.
+    for weights, index, point in (((1.0, 0.0, 2.0), [0, 1, 2, 1], (1,)),
+                                  ((1e300, 1e300, 1e-300), [0, 1, 2, 2], (2,)),
+                                  ((1e-300, 1e300, 1e-300), [1, 2, 0, 2], (1,))):
         with pytest.raises(UnderflowError, match=re.escape(f"probability of {point} is 0.0")):
             make_table(kind="t", params={}, coord_labels=("x",), support=support,
-                       weights=weights, alg=decimal)
+                       weights=weights, index=index, alg=decimal)
     # A closed form may be 0.
-    table = make_table(kind="t", params={}, coord_labels=("x",), support=support,
-                       weights=(1.0, 1.0, 2.0), alg=decimal, closed_values=(0.0, 1.0, 1.0))
+    table = make_table(kind="t", params={}, coord_labels=("x",), support=support[:3],
+                       weights=(1.0, 1.0, 2.0), index=range(3), alg=decimal, closed_values=(0.0, 1.0, 1.0))
     assert table.closed_form_check.probabilities == (0.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
+def test_decimal_derived_law_refuses_an_underflowed_class_at_its_first_point(module, monkeypatch):
+    """One class of a decimal conditional made to weigh 0.0: the refusal
+    names the first point of that class in support order, found by the
+    points' (sum, area) keys, not the last point it was picked by."""
+    decimal = jagannathan_srinivasa(0.9, 0.5)
+    params = (FirstKindParams(decimal, 7, 3) if module is first_kind else SecondKindParams(decimal, 4, 4))
+    given, m = (0,), params.k
+    table = module.conditional_pmf(params, given, m)
+    keys = [(sum(s), area(s)) for s in table.support]
+    # The last point of a class of several points that is not the first class.
+    last = max(j for j, key in enumerate(keys) if keys.count(key) > 1 and key != keys[0])
+    first = table.support[keys.index(keys[last])]
+    assert first < table.support[last]
+    law, target = occupancy._joint_law(params), table.weights[last]
+    mass = law.mass
+    monkeypatch.setattr(law, "mass", lambda key: 0.0 if mass(key) is target else mass(key))
+    with pytest.raises(UnderflowError, match=re.escape(f"probability of {first} is 0.0")):
+        module.conditional_pmf(params, given, m)
