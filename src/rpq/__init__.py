@@ -65,7 +65,7 @@ _EXPORTS = {
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-_SUBMODULES = frozenset(_EXPORTS) | {"classes", "cli", "scalars", "serialize"}
+_SUBMODULES = frozenset(_EXPORTS) | {"classes", "cli", "records", "scalars", "serialize"}
 
 __all__ = sorted(_HOME)
 

@@ -30,11 +30,11 @@ to approximate mode, where comparisons use a relative tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError, ModeMixError
+from .records import Record
 from .scalars import DEFAULT_TOL, Scalar, check_uniform_mode, parse_scalar, scalar_str, scalars_close
 
 JAGANNATHAN_SRINIVASA = "jagannathan-srinivasa"
@@ -58,8 +58,7 @@ IDENTITY_IDS = ("hs1", "hs2", "hsa", "hsb", "cauchy")
 NumberRule = Callable[[int], Scalar]
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """A deformation: base parameters, structure constants, number rule.
 
     `number_rule` is None for tau-structured algebras; otherwise it maps
@@ -77,39 +76,47 @@ class AlgebraSpec:
     ones, and they are freed with the algebra.
     """
 
-    name: str
-    p: Optional[Scalar]
-    q: Optional[Scalar]
-    tau1: Optional[Scalar]
-    tau2: Optional[Scalar]
-    number_rule: Optional[NumberRule] = None
-    tol: float = DEFAULT_TOL
-    exact: bool = field(init=False, repr=False)
-    _numbers: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _factorials: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _binomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _inverse: Optional["AlgebraSpec"] = field(default=None, init=False, repr=False, compare=False)
-    _described: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("name", "p", "q", "tau1", "tau2", "number_rule", "tol")
+    _compared = _fields + ("exact",)
 
-    def __post_init__(self) -> None:
-        present = [v for v in (self.p, self.q, self.tau1, self.tau2) if v is not None]
-        if not present and self.number_rule is None:
+    def __init__(
+        self,
+        name: str,
+        p: Optional[Scalar],
+        q: Optional[Scalar],
+        tau1: Optional[Scalar],
+        tau2: Optional[Scalar],
+        number_rule: Optional[NumberRule] = None,
+        tol: float = DEFAULT_TOL,
+    ) -> None:
+        present = [v for v in (p, q, tau1, tau2) if v is not None]
+        if not present and number_rule is None:
             raise ValidationError("algebra needs structure constants or a number rule")
-        check_uniform_mode(present, f"algebra {self.name!r}")
+        check_uniform_mode(present, f"algebra {name!r}")
         for v in present:
             if v <= 0:
-                raise ValidationError(f"algebra {self.name!r}: parameters must be positive")
-        if self.number_rule is None and (self.tau1 is None or self.tau2 is None):
-            raise ValidationError(f"algebra {self.name!r}: tau-structured form needs tau1 and tau2")
-        if not (isinstance(self.tol, (int, float, Fraction)) and math.isfinite(self.tol) and self.tol >= 0):
-            raise ValidationError(f"tol: need a finite tolerance >= 0, got {self.tol!r}")
+                raise ValidationError(f"algebra {name!r}: parameters must be positive")
+        if number_rule is None and (tau1 is None or tau2 is None):
+            raise ValidationError(f"algebra {name!r}: tau-structured form needs tau1 and tau2")
+        if not (isinstance(tol, (int, float, Fraction)) and math.isfinite(tol) and tol >= 0):
+            raise ValidationError(f"tol: need a finite tolerance >= 0, got {tol!r}")
         exact = not any(isinstance(v, float) for v in present)
         if exact:
-            for key in ("p", "q", "tau1", "tau2"):
-                if type(getattr(self, key)) is int:
-                    object.__setattr__(self, key, Fraction(getattr(self, key)))
+            p, q, tau1, tau2 = (Fraction(v) if type(v) is int else v for v in (p, q, tau1, tau2))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "tau1", tau1)
+        object.__setattr__(self, "tau2", tau2)
+        object.__setattr__(self, "number_rule", number_rule)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_numbers", [])
+        object.__setattr__(self, "_factorials", [])
+        object.__setattr__(self, "_binomials", {})
+        object.__setattr__(self, "_monomials", {})
+        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_described", {})
 
     @property
     def tau_structured(self) -> bool:
@@ -452,19 +459,21 @@ def inverse_algebra(alg: AlgebraSpec) -> AlgebraSpec:
                 return None
             return 1 / v if isinstance(v, float) else Fraction(1) / v
 
-        inv = replace(alg, p=flip(alg.p), q=flip(alg.q), tau1=flip(alg.tau1), tau2=flip(alg.tau2))
+        inv = alg.replace(p=flip(alg.p), q=flip(alg.q), tau1=flip(alg.tau1), tau2=flip(alg.tau2))
         object.__setattr__(alg, "_inverse", inv)
     return alg._inverse
 
 
-@dataclass(frozen=True)
-class MonomialFit:
+class MonomialFit(Record):
     """Relation lhs * tau1^a * tau2^b == rhs, when such exponents exist."""
 
-    exact: bool
-    found: bool
-    a: int = 0
-    b: int = 0
+    _fields = ("exact", "found", "a", "b")
+
+    def __init__(self, exact: bool, found: bool, a: int = 0, b: int = 0) -> None:
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def describe(self) -> dict:
         return {"exact": self.exact, "found": self.found, "a": self.a, "b": self.b}
@@ -577,16 +586,17 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
     return MonomialFit(exact=False, found=False)
 
 
-@dataclass(frozen=True)
-class RecurrenceEntry:
-    m: int
-    n: int
-    variant_a: bool
-    variant_b: bool
+class RecurrenceEntry(Record):
+    _fields = ("m", "n", "variant_a", "variant_b")
+
+    def __init__(self, m: int, n: int, variant_a: bool, variant_b: bool) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "variant_a", variant_a)
+        object.__setattr__(self, "variant_b", variant_b)
 
 
-@dataclass(frozen=True)
-class TriangularRecurrenceReport:
+class TriangularRecurrenceReport(Record):
     """Pass/fail map of the two one-step binomial recurrences.
 
     Variant A: [m over n] = tau1^n [m-1 over n] + tau2^(m-n) [m-1 over n-1].
@@ -594,11 +604,15 @@ class TriangularRecurrenceReport:
     algebras; custom rules may satisfy neither.
     """
 
-    algebra: str
-    mmax: int
-    entries: tuple
-    variant_a_holds: bool
-    variant_b_holds: bool
+    _fields = ("algebra", "mmax", "entries", "variant_a_holds", "variant_b_holds")
+
+    def __init__(self, algebra: str, mmax: int, entries: tuple, variant_a_holds: bool,
+                 variant_b_holds: bool) -> None:
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "mmax", mmax)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "variant_a_holds", variant_a_holds)
+        object.__setattr__(self, "variant_b_holds", variant_b_holds)
 
 
 def check_triangular_recurrence(alg: AlgebraSpec, mmax: int) -> TriangularRecurrenceReport:

@@ -245,11 +245,13 @@ def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
             lines.append(f"{e.m},{e.n},{str(e.variant_a).lower()},{str(e.variant_b).lower()}\n")
         return lines
 
-    from .identities import reports_to_csv, reports_to_json_obj, verify_identity
+    from .identities import check_report_count, reports_to_csv, reports_to_json_obj, verify_identity
 
     config = _config(args, alg, suite=args.suite, kmax=args.kmax,
                      nmax=args.kmax if args.nmax is None else args.nmax)
     suites = IDENTITY_IDS if args.suite == "all" else (args.suite,)
+    # The suites' reports together pass the guard before any suite runs.
+    check_report_count(suites, args.kmax, args.nmax)
     reports = []
     for suite in suites:
         reports.extend(

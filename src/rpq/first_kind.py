@@ -29,7 +29,6 @@ functions of `rpq.occupancy`, re-exported here under the same names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Tuple
@@ -55,17 +54,16 @@ from .scalars import Scalar
 KIND = "first"
 
 
-@dataclass(frozen=True)
 class FirstKindParams(OccupancyParams):
     """k+1 capacity-one urns, n balls, under a given deformation."""
 
     kind = KIND
     cap = 1
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0 <= self.n <= self.k + 1:
-            raise ValidationError(f"n: first kind needs 0 <= n <= k+1, got n={self.n}, k={self.k}")
+    @staticmethod
+    def check_n(k: int, n: int) -> None:
+        if not 0 <= n <= k + 1:
+            raise ValidationError(f"n: first kind needs 0 <= n <= k+1, got n={n}, k={k}")
 
     def sum_window(self) -> Tuple[int, int]:
         return max(0, self.n - 1), min(self.n, self.k)

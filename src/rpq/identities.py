@@ -39,9 +39,7 @@ diagnostics.
 
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -54,7 +52,7 @@ from .algebra import (
     fit_monomial,
     tau_monomial,
 )
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import (
     ConstraintSet,
     check_dimension,
@@ -64,6 +62,7 @@ from .lattice import (
     layer_step,
     window_total,
 )
+from .records import Record
 from .scalars import Scalar, scalar_str
 
 
@@ -181,22 +180,28 @@ def cauchy_lhs(alg: AlgebraSpec, k: int, n: int, m: int) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Enumerated lhs vs closed-form rhs for one parameter tuple."""
+class IdentityReport(Record):
+    """Enumerated lhs vs closed-form rhs for one parameter tuple.  `note` is
+    always empty; it is kept so the report schema does not change."""
 
-    identity: str
-    k: int
-    n: int
-    m: Optional[int]
-    groups: Optional[Tuple[int, ...]]
-    lhs: Scalar
-    rhs: Scalar
-    exact_match: bool
-    monomial_found: bool
-    a: Optional[int]
-    b: Optional[int]
-    note: str = ""  # always empty; kept so the report schema does not change
+    _fields = ("identity", "k", "n", "m", "groups", "lhs", "rhs", "exact_match", "monomial_found", "a", "b",
+               "note")
+
+    def __init__(self, identity: str, k: int, n: int, m: Optional[int], groups: Optional[Tuple[int, ...]],
+                 lhs: Scalar, rhs: Scalar, exact_match: bool, monomial_found: bool, a: Optional[int],
+                 b: Optional[int], note: str = "") -> None:
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "exact_match", exact_match)
+        object.__setattr__(self, "monomial_found", monomial_found)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "note", note)
 
 
 def _report(alg: AlgebraSpec, identity: str, k: int, n: int, lhs: Scalar, rhs: Scalar,
@@ -284,6 +289,39 @@ def _walk_groupings(identity: str, alg: AlgebraSpec, k: int, n: int,
     return out
 
 
+# The most reports one `verify` run may ask for.  At the bound the reports
+# take about 25 MB, and their JSON output peaks near 250 MB of RSS.
+MAX_REPORTS = 100_000
+
+
+def report_count(identity: str, kmax: int, nmax: Optional[int] = None) -> int:
+    """The number of reports `verify_identity(identity, alg, kmax, nmax)`
+    returns, from the sizes of its parameter grid: per k, the n of each
+    tuple (1..min(k+1, nmax) for hs1 and hsa, 0..nmax otherwise), times
+    the 2^(k-1) groupings for hsa and hsb, or the k+1 values of m for
+    cauchy."""
+    nmax = kmax if nmax is None else nmax
+    total = 0
+    for k in range(1, kmax + 1):
+        ns = min(k + 1, nmax) if identity in ("hs1", "hsa") else nmax + 1
+        if identity in ("hsa", "hsb"):
+            ns <<= k - 1
+        elif identity == "cauchy":
+            ns *= k + 1
+        total += ns
+    return total
+
+
+def check_report_count(suites: Sequence[str], kmax: int, nmax: Optional[int] = None) -> None:
+    """Refuse (CapacityError) a kmax beyond the dimension guard
+    (`lattice.check_dimension`), then more than MAX_REPORTS reports of
+    `suites` together, before any is planned."""
+    check_dimension(kmax)
+    count = sum(report_count(suite, kmax, nmax) for suite in suites)
+    if count > MAX_REPORTS:
+        raise CapacityError(f"{count} identity reports exceed the guard ({MAX_REPORTS})")
+
+
 def verify_identity(
     identity: str,
     alg: AlgebraSpec,
@@ -297,12 +335,14 @@ def verify_identity(
     Failures are data: a report with exact_match False and the fitted
     discrepancy monomial when one exists within |a|, |b| <= (k+1)*n.
 
-    Every tuple's box, for every k, passes the capacity guard
-    (`count_points`) before any family is walked: hs1 and hs2 run one
-    recursion per k, hsa and hsb one walk per (k, n) over the group-size
-    prefixes.  Cauchy lists no points, so each of its k passes the
-    dimension guard alone (`lattice.check_dimension`) before any sum.  The sums equal those of `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and
-    `hsb_lhs`, to the last bit in approximate mode.
+    The run first passes the report guard (`check_report_count`), which
+    checks kmax against the dimension guard, so nothing is listed for a
+    run it refuses.  Every tuple's box, for every k, then passes the
+    capacity guard (`count_points`) before any family is walked: hs1 and
+    hs2 run one recursion per k, hsa and hsb one walk per (k, n) over the
+    group-size prefixes.  Cauchy lists no points.  The sums equal those of
+    `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and `hsb_lhs`, to the last bit in
+    approximate mode.
     """
     if identity not in IDENTITY_IDS:
         raise ValidationError(f"identity: unknown suite {identity!r}")
@@ -310,12 +350,11 @@ def verify_identity(
         raise ValidationError(f"kmax: need kmax >= 1, got {kmax}")
     if nmax is not None and nmax < 0:
         raise ValidationError(f"nmax: need nmax >= 0, got {nmax}")
+    check_report_count((identity,), kmax, nmax)
     nmax = kmax if nmax is None else nmax
     reports = []
     if identity == "cauchy":
         _require_taus(alg)
-        for k in range(1, kmax + 1):
-            check_dimension(k)
         for k in range(1, kmax + 1):
             for n in range(0, nmax + 1):
                 for m in range(0, k + 1):
@@ -354,6 +393,8 @@ def verify_identity(
 
 def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
     """One CSV record per tuple: identity, k, n, m, groups, exact, a, b."""
+    import csv  # CSV output alone loads `csv`
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["identity", "k", "n", "m", "groups", "exact", "a", "b"])

@@ -16,7 +16,6 @@ and their areas that `enumerate_points` and `weighted_sum` read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -24,6 +23,7 @@ from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, ValidationError
+from .records import Record
 from .scalars import Scalar, check_uniform_mode
 
 SupportPoint = Tuple[int, ...]
@@ -39,21 +39,21 @@ def area(x: SupportPoint) -> int:
     return sum(map(mul, range(len(x), 0, -1), x))
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Record):
     """Integer box 0 <= x[j] <= upper[j] with a coordinate-sum window."""
 
-    upper: Tuple[int, ...]
-    sum_min: int
-    sum_max: int
+    _fields = ("upper", "sum_min", "sum_max")
 
-    def __post_init__(self) -> None:
-        for up in self.upper:
+    def __init__(self, upper: Tuple[int, ...], sum_min: int, sum_max: int) -> None:
+        for up in upper:
             if up < 0:
                 raise ValidationError(f"need 0 <= upper per coordinate, got {up}")
-        if self.sum_min > self.sum_max:
-            raise ValidationError(f"sum window is inverted: [{self.sum_min}, {self.sum_max}]")
-        check_dimension(self.dim)
+        if sum_min > sum_max:
+            raise ValidationError(f"sum window is inverted: [{sum_min}, {sum_max}]")
+        check_dimension(len(upper))
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "sum_min", sum_min)
+        object.__setattr__(self, "sum_max", sum_max)
 
     @property
     def dim(self) -> int:

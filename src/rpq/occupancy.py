@@ -24,7 +24,6 @@ define; they re-export these functions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar, Iterable, Optional, Sequence, Tuple
@@ -32,18 +31,19 @@ from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 from .algebra import AlgebraSpec, closed_form, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
 from .classes import PrefixClasses, area_counts
-from .lattice import ConstraintSet, SupportPoint, area, count_points, enumerate_areas, enumerate_points
+from .lattice import (ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_areas,
+                      enumerate_points)
 from .pmf import PmfStream, PmfTable, make_stream, make_table
+from .records import Record
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class OccupancyParams:
+class OccupancyParams(Record):
     """k+1 urns, n balls, under a given deformation.
 
-    Each kind subclasses this with its own check on n and with what it adds
-    to the shared construction:
+    Each kind subclasses this with what it adds to the shared construction:
 
+    - `check_n(k, n)` (a staticmethod), its check on n;
     - `kind`, its name, and `cap`, the bound of each coordinate (None: no
       bound below n), which also decides which `given` prefixes a
       conditional accepts;
@@ -62,19 +62,22 @@ class OccupancyParams:
       of tau1 and tau2, and a binomial), which `grouped_weight` multiplies.
 
     Equality sees the subclass, so equal fields of two kinds are two cache
-    keys.
+    keys.  A k beyond the dimension guard (`lattice.check_dimension`) is
+    refused here, after the checks on k and n, before any support is built.
     """
 
-    alg: AlgebraSpec
-    k: int
-    n: int
-
+    _fields = ("alg", "k", "n")
     kind: ClassVar[str]
     cap: ClassVar[Optional[int]]
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValidationError(f"k: need k >= 1, got {self.k}")
+    def __init__(self, alg: AlgebraSpec, k: int, n: int) -> None:
+        if k < 1:
+            raise ValidationError(f"k: need k >= 1, got {k}")
+        self.check_n(k, n)
+        check_dimension(k)
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @property
     def occupancy_bound(self) -> int:
@@ -231,16 +234,15 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
                           given=list(given), m=m)
 
 
-@dataclass(frozen=True)
-class GroupingScheme:
+class GroupingScheme(Record):
     """Consecutive urn blocks of sizes m_1..m_r covering all k leading urns."""
 
-    sizes: Tuple[int, ...]
+    _fields = ("sizes",)
 
-    def __post_init__(self) -> None:
-        if not self.sizes or any(m < 1 for m in self.sizes):
-            raise ValidationError(f"scheme: group sizes must be positive, got {self.sizes}")
-        object.__setattr__(self, "sizes", tuple(self.sizes))
+    def __init__(self, sizes: Tuple[int, ...]) -> None:
+        if not sizes or any(m < 1 for m in sizes):
+            raise ValidationError(f"scheme: group sizes must be positive, got {sizes}")
+        object.__setattr__(self, "sizes", tuple(sizes))
 
     def validate_for(self, k: int) -> None:
         if sum(self.sizes) != k:
@@ -329,18 +331,22 @@ def bivariate_table(params: OccupancyParams) -> PmfTable:
     return marginal_pmf(params, 2)
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(Record):
     """Pointwise comparison of a conditional trials construction with the
     urn-model law of the inverse-parameter algebra."""
 
-    construction: str
-    theta: Scalar
-    support: Tuple[SupportPoint, ...]
-    construction_probs: Tuple[Scalar, ...]
-    model_probs: Tuple[Scalar, ...]
-    match: bool
-    note: str = ""
+    _fields = ("construction", "theta", "support", "construction_probs", "model_probs", "match", "note")
+
+    def __init__(self, construction: str, theta: Scalar, support: Tuple[SupportPoint, ...],
+                 construction_probs: Tuple[Scalar, ...], model_probs: Tuple[Scalar, ...], match: bool,
+                 note: str = "") -> None:
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "construction_probs", construction_probs)
+        object.__setattr__(self, "model_probs", model_probs)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "note", note)
 
 
 def coerce_theta(theta, alg: AlgebraSpec) -> Scalar:
@@ -366,7 +372,7 @@ def construction_report(name: str, params: OccupancyParams, theta: Scalar, mass)
     total = sum(masses)
     support = tuple(x[:k] for x in outcomes)
     construction = tuple(m / total for m in masses)
-    model = joint_pmf(replace(params, alg=inverse_algebra(alg)))
+    model = joint_pmf(params.replace(alg=inverse_algebra(alg)))
     if model.support != support:
         return ConstructionReport(
             name, theta, support, construction, model.probabilities, False, note="support mismatch",

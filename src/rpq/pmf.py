@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
@@ -27,6 +26,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, List, Mapping, Option
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, UnderflowError, ValidationError
 from .lattice import ConstraintSet, SupportPoint, area, point_cells, walk
+from .records import Record
 from .scalars import Scalar, scalars_close
 
 # A sampler variate is a CDF_BITS-bit mantissa over 2^CDF_BITS (see
@@ -115,32 +115,51 @@ def _normalize_classes(kind: str, keys: Sequence, weights, sizes: Sequence[int],
     return z, probabilities
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
+class ClosedFormCheck(Record):
     """Closed-form distribution (normalized) compared point-by-point."""
 
-    probabilities: Tuple[Scalar, ...]
-    pointwise_equal: bool
+    _fields = ("probabilities", "pointwise_equal")
+
+    def __init__(self, probabilities: Tuple[Scalar, ...], pointwise_equal: bool) -> None:
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "pointwise_equal", pointwise_equal)
 
 
-@dataclass(frozen=True)
-class PmfTable:
+class PmfTable(Record):
     """A normalized law over a strictly increasing (lexicographic) support.
     Its inverse-CDF thresholds (`cdf`) are kept once read; they are no
     field, so equality, repr and `replace()` do not see them."""
 
-    kind: str
-    params: Mapping[str, object]
-    coord_labels: Tuple[str, ...]
-    support: Tuple[SupportPoint, ...]
-    weights: Tuple[Scalar, ...]
-    z_enumerated: Scalar
-    probabilities: Tuple[Scalar, ...]
-    exact: bool
-    tol: float
-    z_closed_form: Optional[Scalar] = None
-    z_discrepancy: Optional[MonomialFit] = None
-    closed_form_check: Optional[ClosedFormCheck] = None
+    _fields = ("kind", "params", "coord_labels", "support", "weights", "z_enumerated", "probabilities", "exact",
+               "tol", "z_closed_form", "z_discrepancy", "closed_form_check")
+
+    def __init__(
+        self,
+        kind: str,
+        params: Mapping[str, object],
+        coord_labels: Tuple[str, ...],
+        support: Tuple[SupportPoint, ...],
+        weights: Tuple[Scalar, ...],
+        z_enumerated: Scalar,
+        probabilities: Tuple[Scalar, ...],
+        exact: bool,
+        tol: float,
+        z_closed_form: Optional[Scalar] = None,
+        z_discrepancy: Optional[MonomialFit] = None,
+        closed_form_check: Optional[ClosedFormCheck] = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coord_labels", coord_labels)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "z_enumerated", z_enumerated)
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "z_closed_form", z_closed_form)
+        object.__setattr__(self, "z_discrepancy", z_discrepancy)
+        object.__setattr__(self, "closed_form_check", closed_form_check)
 
     def probability(self, point: SupportPoint) -> Scalar:
         i = bisect_left(self.support, point)
@@ -238,26 +257,41 @@ def make_table(
     )
 
 
-@dataclass(frozen=True)
-class PmfStream:
+class PmfStream(Record):
     """A normalized law over the points of `constraints`, listed in order by
     `rows` and never held.  A point's weight and probability are those of
     its area class: `weights` and `probabilities` map each area to one
     object, and `counts` to its number of points.  The other fields are
     those of a `PmfTable` of the same law (`make_stream`)."""
 
-    kind: str
-    params: Mapping[str, object]
-    coord_labels: Tuple[str, ...]
-    constraints: ConstraintSet
-    counts: Mapping[int, int]
-    weights: Mapping[int, Scalar]
-    z_enumerated: Scalar
-    probabilities: Mapping[int, Scalar]
-    z_closed_form: Optional[Scalar] = None
-    z_discrepancy: Optional[MonomialFit] = None
+    _fields = ("kind", "params", "coord_labels", "constraints", "counts", "weights", "z_enumerated",
+               "probabilities", "z_closed_form", "z_discrepancy")
     # A joint carries no closed-form probabilities.
     closed_form_check: ClassVar[None] = None
+
+    def __init__(
+        self,
+        kind: str,
+        params: Mapping[str, object],
+        coord_labels: Tuple[str, ...],
+        constraints: ConstraintSet,
+        counts: Mapping[int, int],
+        weights: Mapping[int, Scalar],
+        z_enumerated: Scalar,
+        probabilities: Mapping[int, Scalar],
+        z_closed_form: Optional[Scalar] = None,
+        z_discrepancy: Optional[MonomialFit] = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coord_labels", coord_labels)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "z_enumerated", z_enumerated)
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "z_closed_form", z_closed_form)
+        object.__setattr__(self, "z_discrepancy", z_discrepancy)
 
     def probability(self, point: SupportPoint) -> Scalar:
         """The probability of `point`, 0 off the support."""
@@ -338,15 +372,18 @@ def oracle_expectation(table: PmfTable, functional: Callable[[SupportPoint], Sca
     return Fraction(sum(v.numerator * p.numerator * (d // e) for v, p, e in zip(values, probabilities, ds)), d)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     """One closed-form-vs-oracle comparison for a named moment."""
 
-    quantity: str
-    oracle_value: Scalar
-    closed_form: Optional[Scalar]
-    match: Optional[bool]
-    note: str = ""
+    _fields = ("quantity", "oracle_value", "closed_form", "match", "note")
+
+    def __init__(self, quantity: str, oracle_value: Scalar, closed_form: Optional[Scalar], match: Optional[bool],
+                 note: str = "") -> None:
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "oracle_value", oracle_value)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "note", note)
 
 
 def compare_moment(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterator, List, Mapping, Tuple
@@ -30,6 +29,7 @@ from .errors import ValidationError
 from .lattice import SupportPoint, point_cells, walk
 from .occupancy import OccupancyParams, _joint_law, joint_pmf  # noqa: F401 (perfbench wraps joint_pmf here)
 from .pmf import CDF_BITS, PmfTable
+from .records import Record
 from .scalars import Scalar
 
 _MASK64 = (1 << 64) - 1
@@ -81,13 +81,16 @@ class SplitMix64:
         return _outputs(self._state - _GOLDEN_GAMMA, 1)[0]
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    params: Mapping[str, object]
-    seed: int
-    count: int
-    draws: Tuple[SupportPoint, ...]
-    empirical: Tuple[Tuple[SupportPoint, Fraction], ...]
+class SampleBatch(Record):
+    _fields = ("params", "seed", "count", "draws", "empirical")
+
+    def __init__(self, params: Mapping[str, object], seed: int, count: int, draws: Tuple[SupportPoint, ...],
+                 empirical: Tuple[Tuple[SupportPoint, Fraction], ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "empirical", empirical)
 
     def empirical_map(self) -> Dict[SupportPoint, Fraction]:
         return dict(self.empirical)

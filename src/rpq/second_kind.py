@@ -27,7 +27,6 @@ The joint, marginal, conditional and grouped laws are the functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Tuple
@@ -57,17 +56,16 @@ def _phi_constant_exponent(k: int, n: int) -> int:
     return 2 * k * n + comb(k + 1, 2)
 
 
-@dataclass(frozen=True)
 class SecondKindParams(OccupancyParams):
     """k+1 unlimited-capacity urns, n balls, under a given deformation."""
 
     kind = KIND
     cap = None
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.n < 0:
-            raise ValidationError(f"n: need n >= 0, got {self.n}")
+    @staticmethod
+    def check_n(k: int, n: int) -> None:
+        if n < 0:
+            raise ValidationError(f"n: need n >= 0, got {n}")
 
     def sum_window(self) -> Tuple[int, int]:
         return 0, self.n

@@ -7,14 +7,12 @@ version so round-tripping is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-from dataclasses import dataclass
 from operator import add
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .records import Record
 from .scalars import Scalar, scalar_str
 
 if TYPE_CHECKING:  # annotations only: `rpq verify` loads neither module
@@ -25,6 +23,8 @@ SCHEMA_VERSION = 1
 
 
 def _csv_writer(out: io.StringIO) -> "csv.writer":
+    import csv  # CSV output alone loads `csv`
+
     return csv.writer(out, lineterminator="\n")
 
 
@@ -49,15 +49,17 @@ def _strings(values: Sequence[Scalar]) -> List[str]:
 CHUNK_ROWS = 512
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record):
     """The text of a table row: `head`, each coordinate followed by `sep`
     (the last by `end`), then `suffix(weight text, probability text)`."""
 
-    head: str
-    sep: str
-    end: str
-    suffix: Callable[[str, str], str]
+    _fields = ("head", "sep", "end", "suffix")
+
+    def __init__(self, head: str, sep: str, end: str, suffix: Callable[[str, str], str]) -> None:
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "sep", sep)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "suffix", suffix)
 
     def point_format(self, dim: int) -> str:
         """The %-format of a row's point, for a PmfTable's tuples."""
@@ -71,10 +73,12 @@ class _Layout:
 
 
 # The one CSV and the one JSON row layout.  The JSON rows are laid out as
-# the encoder lays them out at their depth (indent 2, sorted keys).
+# the encoder lays them out at their depth (indent 2, sorted keys).  A
+# scalar string holds no quote, backslash or non-ASCII character, so its
+# JSON string is its text in quotes.
 _CSV = _Layout("", ",", ",", lambda w, p: f"{w},{p}\n")
 _JSON = _Layout('    {\n      "point": [\n        ', ",\n        ", "\n      ],\n",
-                lambda w, p: f'      "probability": {json.dumps(p)},\n      "weight": {json.dumps(w)}\n    }}')
+                lambda w, p: f'      "probability": "{p}",\n      "weight": "{w}"\n    }}')
 
 
 def _rows(
@@ -194,7 +198,7 @@ def table_json_chunks(
     if config is not None:
         obj["config"] = config
     obj["rows"] = _ROWS_MARK
-    head, _, tail = dumps_json(obj).rpartition(json.dumps(_ROWS_MARK))
+    head, _, tail = dumps_json(obj).rpartition(dumps_json(_ROWS_MARK)[:-1])
     yield head + "[\n"
     if _is_stream(table):
         chunks = _stream_rows(table, _JSON)
@@ -274,9 +278,9 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# JSON text of each atom type, as `json` writes it.
+# JSON text of each atom type but str, as `json` writes it: `dumps_json`
+# adds json's own str encoder, so only JSON output loads `json`.
 _ATOM_TEXT = {
-    str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
     float: _float_text,
     bool: lambda value: "true" if value else "false",
@@ -284,42 +288,45 @@ _ATOM_TEXT = {
 }
 
 
-def _key_text(key) -> str:
+def _key_text(key, atoms: dict) -> str:
     """A key as `json` writes it: a number, bool or None as its text, quoted."""
     if not isinstance(key, str):
         if not (key is None or isinstance(key, (int, float))):
             raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _text(key, "")
-    return _ATOM_TEXT[str](key)
+        key = _text(key, "", atoms)
+    return atoms[str](key)
 
 
-def _text(obj, pad: str) -> str:
+def _text(obj, pad: str, atoms: dict) -> str:
     """The text of `obj` nested at indent `pad`, laid out as
-    json.dumps(obj, sort_keys=True, indent=2) lays it out."""
-    atom = _ATOM_TEXT.get(type(obj))
+    json.dumps(obj, sort_keys=True, indent=2) lays it out, with the text of
+    each atom type from `atoms`."""
+    atom = atoms.get(type(obj))
     if atom is not None:
         return atom(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        body = [_key_text(key) + ": " + _text(obj[key], inner) for key in sorted(obj)]
+        body = [_key_text(key, atoms) + ": " + _text(obj[key], inner, atoms) for key in sorted(obj)]
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = [_text(value, inner) for value in obj]
+        body = [_text(value, inner, atoms) for value in obj]
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
     for base in (str, int, float):  # subclasses, read as `json` reads them
         if isinstance(obj, base):
-            return _ATOM_TEXT[base](obj)
+            return atoms[base](obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) plus a newline, laid out
     here: the json module runs its pure-Python encoder whenever it indents."""
-    return _text(obj, "") + "\n"
+    from json.encoder import encode_basestring_ascii
+
+    return _text(obj, "", {**_ATOM_TEXT, str: encode_basestring_ascii}) + "\n"
 
 
 def _plain(value):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -205,14 +204,14 @@ def test_algebras_of_equal_values_in_two_modes_differ():
     assert exact.exact and not decimal.exact
     assert exact != decimal and len({exact, decimal}) == 2
     assert make_preset("q", q="1/2") == exact and hash(make_preset("q", q="1/2")) == hash(exact)
-    assert not replace(decimal, tol=1e-6).exact
+    assert not decimal.replace(tol=1e-6).exact
     with pytest.raises(TypeError):
         AlgebraSpec("t", None, None, Fraction(1), Fraction(2), exact=False)
 
 
 def test_tau_monomials_equal_the_power_product_and_are_memoised():
     for preset in ALL_PRESETS + (jagannathan_srinivasa(0.9, 0.5),):
-        alg = replace(preset)
+        alg = preset.replace()
         assert alg._monomials == {}
         for a in range(-4, 5):
             for b in range(-4, 5):
@@ -265,7 +264,7 @@ def test_inverse_is_built_once_per_algebra():
     assert inv_exact.tau2 == Fraction(2) and type(inv_exact.tau2) is Fraction
     assert inv_decimal.tau2 == 2.0 and type(inv_decimal.tau2) is float
     # The memo takes no part in equality, and a copy starts without it.
-    copy = replace(exact)
+    copy = exact.replace()
     assert copy == exact and copy._inverse is None
     assert inverse_algebra(copy) == inv_exact and inverse_algebra(copy) is not inv_exact
 

@@ -483,9 +483,54 @@ def test_parser_texts(argv, code, out, err, monkeypatch):
 ])
 def test_verify_capacity_guard_fires_on_the_same_tuple(suite, message):
     # Each tuple's box is counted before its family is walked: hs2 and hsb
-    # stop at k = 9, n = 20 (C(29, 9) points), hs1 at k = 21.
-    code, out, err = run_cli("verify", "--suite", suite, "--preset", "q", "--q", "1/2", "--kmax", "21")
+    # stop at k = 9, n = 20 (C(29, 9) points).  A kmax past the dimension
+    # guard is refused before any tuple is planned.
+    sizes = ("--kmax", "21") if suite == "hs1" else ("--kmax", "9", "--nmax", "20")
+    code, out, err = run_cli("verify", "--suite", suite, "--preset", "q", "--q", "1/2", *sizes)
     assert (code, out, err) == (3, "", f"error: {message}\n")
+    code, out, err = run_cli("verify", "--suite", suite, "--preset", "q", "--q", "1/2", "--kmax", "21")
+    assert (code, out, err) == (3, "", "error: dimension 21 exceeds the guard (20)\n")
+
+
+def _capped(argv, timeout=20):
+    """`python -m rpq.cli argv` in a child limited to 1 GB of address space
+    and `timeout` seconds, so a guard that stops firing fails the test
+    instead of exhausting the machine."""
+    import resource
+
+    import rpq
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpq.__file__)))
+    return subprocess.run([sys.executable, "-m", "rpq.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--suite", "hs2", "--kmax", "1", "--nmax", "99999999"), "100000000 identity reports exceed the guard (100000)"),
+    (("--suite", "cauchy", "--kmax", "3", "--nmax", "99999999"),
+     "900000000 identity reports exceed the guard (100000)"),
+    (("--suite", "hsa", "--kmax", "25"), "dimension 25 exceeds the guard (20)"),
+    (("--suite", "all", "--kmax", "20", "--nmax", "1"), "3146245 identity reports exceed the guard (100000)"),
+])
+def test_verify_refuses_a_run_past_the_report_or_dimension_guard_before_planning(argv, message):
+    proc = _capped(["verify", "--preset", "q", "--q", "1/2", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", (
+    ("tabulate",), ("marginal", "--r", "1"), ("conditional", "--given", "1"), ("grouped", "--groups", "1"),
+    ("moments",), ("sample", "--seed", "1", "--count", "1"), ("sample", "--sequential", "--seed", "1", "--count", "1"),
+))
+@pytest.mark.parametrize("kind", ("first", "second"))
+def test_a_model_command_refuses_a_dimension_past_the_guard(command, kind):
+    # The params refuse k before any support of k coordinates is built.
+    proc = _capped([command[0], "--kind", kind, "--preset", "js", "--p", "9/10", "--q", "1/2",
+                    "--k", "99999999999", "--n", "1", *command[1:]])
+    message = "error: dimension 99999999999 exceeds the guard (20)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
 
 @pytest.mark.parametrize("suite", ("cauchy", "triangular"))

@@ -11,7 +11,6 @@ library's per-class functions.  Floats are compared with `==`: sharing must
 not move a single bit.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -399,13 +398,13 @@ def test_replace_copies_a_table_that_samples_alike():
     _clear_caches()
     joint, reference = second_kind.joint_pmf(params), joint_table(params)
     expected = scan_sample(reference, mantissas(1), 20)
-    copy = replace(joint)
+    copy = joint.replace()
     assert sample(copy, 1, 20).draws == expected
     assert sequential_sample(params, 1, 20).draws == scan_sequential(reference, mantissas(1), 20)
     assert sample(joint, 1, 20).draws == expected
     # A copy of a table that has sampled: equal, with the same repr, and
     # drawing alike.
-    copy = replace(joint)
+    copy = joint.replace()
     assert copy == joint and repr(copy) == repr(joint)
     assert sample(copy, 1, 20).draws == expected
 
@@ -510,7 +509,7 @@ def test_fit_memo_keys_on_the_bound_the_algebra_and_the_scalar_types():
     cube = JS.tau1**3
     assert fit(JS, Fraction(1), cube, 3) == MonomialFit(exact=False, found=True, a=3, b=0)
     assert not fit(JS, Fraction(1), cube, 2).found
-    assert not fit(replace(JS, tau1=Fraction(2, 3)), Fraction(1), cube, 3).found
+    assert not fit(JS.replace(tau1=Fraction(2, 3)), Fraction(1), cube, 3).found
     # Algebras with equal values in the other mode, and equal scalars of
     # another type: a separate entry.
     exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)

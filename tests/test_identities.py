@@ -144,12 +144,26 @@ def test_report_order_and_serialization():
 
 
 def test_capacity_guard_refuses_before_any_walk(monkeypatch):
-    # hsb at kmax 21 is refused at k = 9; the boxes of every k are counted
-    # before the first k is walked, so the refusal costs no walk.
+    # hsb at kmax 9, nmax 20 is refused at k = 9, n = 20; the boxes of every
+    # k are counted before the first k is walked, so the refusal costs no
+    # walk.  A kmax past the dimension guard, or a grid of more reports than
+    # the report guard, is refused before any box is counted.
     walks = []
     original = identities._walk_groupings
     monkeypatch.setattr(identities, "_walk_groupings",
                         lambda *args: walks.append(args) or original(*args))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="10015005 lattice points"):
+        verify_identity("hsb", Q_HALF, 9, 20)
+    with pytest.raises(CapacityError, match="dimension 21"):
         verify_identity("hsb", Q_HALF, 21)
+    with pytest.raises(CapacityError, match=r"2097150 identity reports exceed the guard \(100000\)"):
+        verify_identity("hsb", Q_HALF, 20, 1)
     assert walks == []
+
+
+@pytest.mark.parametrize("identity", identities.IDENTITY_IDS)
+def test_report_count_is_the_number_of_reports(identity):
+    for kmax in range(1, 6):
+        for nmax in (None, 0, 1, 2, 4, 7):
+            expected = len(verify_identity(identity, Q_HALF, kmax, nmax))
+            assert identities.report_count(identity, kmax, nmax) == expected, (kmax, nmax)

@@ -12,17 +12,19 @@ import rpq
 MODELS_AND_SAMPLER = {"rpq.occupancy", "rpq.first_kind", "rpq.second_kind", "rpq.pmf", "rpq.sampler"}
 
 
-def _loaded(code):
-    """The rpq modules in sys.modules after `code` runs in a fresh interpreter."""
-    script = code + (
-        "\nimport sys"
-        "\nprint(' '.join(m for m in sys.modules if m == 'rpq' or m.startswith('rpq.')), file=sys.stderr)"
-    )
+def _modules(code):
+    """Every module in sys.modules after `code` runs in a fresh interpreter."""
+    script = code + "\nimport sys\nprint(' '.join(sys.modules), file=sys.stderr)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpq.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
+
+
+def _loaded(code):
+    """The rpq modules in sys.modules after `code` runs in a fresh interpreter."""
+    return {m for m in _modules(code) if m == "rpq" or m.startswith("rpq.")}
 
 
 def _main(*argv):
@@ -31,7 +33,7 @@ def _main(*argv):
 
 def test_bare_import_loads_no_submodule():
     assert _loaded("import rpq") == {"rpq"}
-    base = {"rpq", "rpq.cli", "rpq.algebra", "rpq.errors", "rpq.scalars", "rpq.serialize"}
+    base = {"rpq", "rpq.cli", "rpq.algebra", "rpq.errors", "rpq.records", "rpq.scalars", "rpq.serialize"}
     assert _loaded("import rpq.cli") == base
     assert _loaded("import rpq.cli\nrpq.cli.verify_identity") == base | {"rpq.identities", "rpq.lattice"}
 
@@ -56,6 +58,28 @@ def test_second_kind_table_loads_no_first_kind():
                            "--k", "3", "--n", "2"))
     assert {"rpq.occupancy", "rpq.second_kind", "rpq.pmf"} <= loaded
     assert not loaded & {"rpq.first_kind", "rpq.identities", "rpq.sampler"}
+
+
+JS = ("--preset", "js", "--p", "9/10", "--q", "1/2")
+COMMANDS = {
+    "verify": ("verify", "--suite", "all", *JS, "--kmax", "3"),
+    "first": ("tabulate", "--kind", "first", *JS, "--k", "4", "--n", "2"),
+    "second": ("tabulate", "--kind", "second", *JS, "--k", "3", "--n", "2"),
+    "grouped": ("grouped", "--kind", "first", *JS, "--k", "4", "--n", "2", "--groups", "2,2"),
+    "sample": ("sample", "--kind", "second", *JS, "--k", "3", "--n", "2", "--seed", "7", "--count", "20"),
+}
+
+
+def test_the_cli_loads_no_dataclasses_nor_inspect():
+    assert not _modules("import rpq.cli") & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_a_command_loads_neither_dataclasses_inspect_nor_the_other_format(command, fmt):
+    loaded = _modules(_main(*COMMANDS[command], "--format", fmt))
+    assert not loaded & {"dataclasses", "inspect"}
+    assert fmt in loaded and ({"csv", "json"} - {fmt}).isdisjoint(loaded)
 
 
 def test_public_names_resolve_to_their_submodule_objects_on_each_read():

@@ -9,7 +9,6 @@ tolerance.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from math import ceil
@@ -190,11 +189,11 @@ def test_cold_warm_and_copied_walks_equal_scan(case):
         # A copy of a table samples alike, before and after the original
         # has sampled.
         joint = module.joint_pmf(params)
-        copy = replace(joint)
+        copy = joint.replace()
         assert copy == joint and repr(copy) == repr(joint)
         expected = scan_sample(reference, mantissas(5), 150)
         assert sample(copy, 5, 150).draws == sample(joint, 5, 150).draws == expected
-        assert sample(replace(joint), 5, 150).draws == expected
+        assert sample(joint.replace(), 5, 150).draws == expected
 
 
 def test_approximate_draw_past_last_threshold_takes_last_point(monkeypatch):
