@@ -377,14 +377,18 @@ def deformed_binomial(alg: AlgebraSpec, m: int, n: int) -> Scalar:
     return value
 
 
+# The 1 and 0 of each mode, shared by the empty and the vanishing products.
+_UNITS = {True: (Fraction(1), Fraction(0)), False: (1.0, 0.0)}
+
+
 def binomial_or_zero(alg: AlgebraSpec, m: int, n: int) -> Scalar:
     """Binomial with the summation-friendly convention: 1 when n = 0 (any m),
     0 when n < 0 or 0 <= m < n."""
     if 0 < n <= m:
         value = alg._binomials.get((m, n))
         return deformed_binomial(alg, m, n) if value is None else value
-    one = Fraction(1) if alg.exact else 1.0
-    return one if n == 0 else one * 0
+    one, zero = _UNITS[alg.exact]
+    return one if n == 0 else zero
 
 
 def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
@@ -406,19 +410,32 @@ def closed_form(
     """tau1^a tau2^b * prod(factors) [* scale] [/ divisor].
 
     In exact mode the numerators and denominators are multiplied as
-    integers and one Fraction is built at the end.  In approximate mode the
-    floats are taken in the order (tau1^a tau2^b * ((1.0 * f1) * f2 ...))
-    * scale / divisor, so a value keeps every bit of that chain.
+    integers and one Fraction is built at the end (`_closed_pair`).  In
+    approximate mode the floats are taken in the order
+    (tau1^a tau2^b * ((1.0 * f1) * f2 ...)) * scale / divisor, so a value
+    keeps every bit of that chain.
     """
+    if alg.exact:
+        numerator, denominator = _closed_pair(alg, a, b, factors, scale)
+        if divisor is not None:
+            numerator *= divisor.denominator
+            denominator *= divisor.numerator
+        return Fraction(numerator, denominator)
+    product = 1.0
+    for factor in factors:
+        product *= factor
+    value = tau_monomial(alg, a, b) * product
+    if scale is not None:
+        value *= scale
+    return value if divisor is None else value / divisor
+
+
+def _closed_pair(alg: AlgebraSpec, a: int, b: int, factors: Sequence[Fraction],
+                 scale: Optional[Fraction] = None) -> Tuple[int, int]:
+    """The exact tau1^a tau2^b * prod(factors) [* scale] as an unreduced
+    (numerator, denominator) pair of ints, which a table brings to one
+    denominator with its other closed values (`pmf.make_table`)."""
     mono = tau_monomial(alg, a, b)
-    if not alg.exact:
-        product = 1.0
-        for factor in factors:
-            product *= factor
-        value = mono * product
-        if scale is not None:
-            value *= scale
-        return value if divisor is None else value / divisor
     numerator, denominator = mono.numerator, mono.denominator
     for factor in factors:
         numerator *= factor.numerator
@@ -426,21 +443,18 @@ def closed_form(
     if scale is not None:
         numerator *= scale.numerator
         denominator *= scale.denominator
-    if divisor is not None:
-        numerator *= divisor.denominator
-        denominator *= divisor.numerator
-    return Fraction(numerator, denominator)
+    return numerator, denominator
 
 
 def deformed_falling_factorial(alg: AlgebraSpec, n: int, i: int) -> Scalar:
     """[n][n-1]...[n-i+1]; empty product 1 for i = 0, and 0 once i > n."""
     if n < 0 or i < 0:
         raise ValidationError(f"falling factorial needs n, i >= 0, got n={n}, i={i}")
-    one = Fraction(1) if alg.exact else 1.0
+    one, zero = _UNITS[alg.exact]
     if i == 0:
         return one
     if i > n:
-        return one * 0
+        return zero
     out = one
     for j in range(i):
         out *= deformed_number(alg, n - j)

@@ -20,21 +20,24 @@ does a step of a sequential draw: the children of (r, s, base) are
 (r + 1, s + v, base + (k - r) v).  A block of coordinates ending at S adds
 E(v) + (k - S) sum(v) for its vectors v, which gives grouped laws their
 masses.  `PrefixClasses` computes all of these without the joint's points.
-Its memos hold one mass and one step per class; besides, a process keeps
-the count tables of 128 boxes (`sum_rows`) and listings of 2^16 points
+Its memos hold one mass and one step per class: an exact mass is summed
+as an integer over the joint's one denominator and reduced once, into the
+object a table holds, which `make_table` reads back over that denominator
+with no lcm.  Besides, a process keeps the count tables of 128 boxes
+(`sum_rows`) and the most recent listings of 2^16 points in all (`Recent`)
 with their class partitions, which derived tables normalize once per class.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
 from math import comb
 from operator import add, mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .lattice import ConstraintSet, SupportPoint, area, enumerate_areas, walk
 from .pmf import PmfStream, _over_lcm, cdf_thresholds
@@ -102,29 +105,51 @@ def sum_rows(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], ...]:
     return tuple(_decode(w, width) for w in ways)
 
 
-class _Listings(OrderedDict):
-    """The points of a box in lexicographic order and their class partition
-    (the distinct keys (sum, area) in first-seen order, each point's key
-    index), by box: the most recently read, while they hold at most
-    `budget` points in all."""
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-    budget, points = 1 << 16, 0
 
-    def read(self, box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[int, int], ...], List[int]]:
-        if box in self:
-            self.move_to_end(box)
-            return self[box]
-        (points, areas), keys = enumerate_areas(box), {}
-        index = [keys.setdefault(key, len(keys)) for key in zip(map(sum, points), areas)]
-        listing = points, tuple(keys), index
-        if len(points) <= self.budget:
-            self[box], self.points = listing, self.points + len(points)
+class Recent(OrderedDict):
+    """`make(key)` by key: the most recently read values, while they hold
+    at most `budget` points in all, `size(value)` each (a larger value is
+    not kept).  `cache_info()` and `cache_clear()` work as `lru_cache`'s;
+    its currsize counts values, and it has no maxsize of values."""
+
+    def __init__(self, make: Callable, size: Callable[[object], int], budget: int) -> None:
+        super().__init__()
+        self.make, self.size, self.budget = make, size, budget
+        self.points = self.hits = self.misses = 0
+
+    def __call__(self, key):
+        if key in self:
+            self.hits += 1
+            self.move_to_end(key)
+            return self[key]
+        self.misses += 1
+        value = self.make(key)
+        if self.size(value) <= self.budget:
+            self[key], self.points = value, self.points + self.size(value)
             while self.points > self.budget:
-                self.points -= len(self.popitem(last=False)[1][0])
-        return listing
+                self.points -= self.size(self.popitem(last=False)[1])
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, None, len(self))
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.points = self.hits = self.misses = 0
 
 
-_listings = _Listings()
+def _listing(box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[int, int], ...], List[int]]:
+    """The points of a box in lexicographic order and their class partition:
+    the distinct keys (sum, area) in first-seen order, each point's key
+    index."""
+    (points, areas), keys = enumerate_areas(box), {}
+    index = [keys.setdefault(key, len(keys)) for key in zip(map(sum, points), areas)]
+    return points, tuple(keys), index
+
+
+_listings = Recent(_listing, lambda listing: len(listing[0]), 1 << 16)
 
 
 class PrefixClasses:
@@ -134,16 +159,18 @@ class PrefixClasses:
     sequential draw, memoised, one entry per class.  A mass is the summed
     weight of the support points in the class (at r = 0 the normalizer):
     in exact mode the suffix box's counts by sum (`sum_rows`) dotted with
-    the weights as integers over their lcm, in approximate mode the weights
-    of base + e over the suffix areas e added in `walk` order."""
+    the weights as integers over their lcm, `denominator`, in approximate
+    mode the weights of base + e over the suffix areas e added in `walk`
+    order."""
 
     def __init__(self, law: PmfStream, exact: bool) -> None:
         self.law, self.exact = law, exact
         box = law.constraints
         self.k, self.bound, self.smin, self.smax = box.dim, box.upper[0], box.sum_min, box.sum_max
         self.mass, self.step = lru_cache(maxsize=None)(self._mass), lru_cache(maxsize=None)(self._step)
+        self.denominator = None
         if exact:
-            numerators, self._denominator = _over_lcm(law.weights.values())
+            numerators, self.denominator = _over_lcm(law.weights.values())
             scaled = dict(zip(law.weights, numerators))
             self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
 
@@ -156,7 +183,7 @@ class PrefixClasses:
             rows, numerator = sum_rows((self.bound,) * (self.k - r), self.smax), 0
             for t in range(lo, hi + 1):
                 numerator += sum(map(mul, rows[t], self._scaled[base + t:base + t + len(rows[t])]))
-            return Fraction(numerator, self._denominator)
+            return Fraction(numerator, self.denominator)
         areas = chain.from_iterable(a for _, a in walk(ConstraintSet((self.bound,) * (self.k - r), lo, hi)))
         return reduce(add, map(self.law.weights.__getitem__, map(base.__add__, areas)))
 
@@ -168,7 +195,7 @@ class PrefixClasses:
         class partition, and the mass of each class."""
         r, y = len(given), sum(given)
         box = ConstraintSet((self.bound,) * (m - r), max(0, self.smin - y - (self.k - m) * self.bound), self.smax - y)
-        points, keys, index = _listings.read(box)
+        points, keys, index = _listings(box)
         base, tail, mass = area(given) + (self.k - r) * y, self.k - m, self.mass
         return points, keys, index, [mass((m, y + t, base + e + tail * t)) for t, e in keys]
 
@@ -180,7 +207,10 @@ class PrefixClasses:
         rest = self.k - r - 1
         lo = max(0, self.smin - s - rest * self.bound)
         children = [(r + 1, s + v, base + (rest + 1) * v) for v in range(lo, min(self.bound, self.smax - s) + 1)]
-        return cdf_thresholds(list(map(self.mass, children)), self.mass(key), self.exact), lo, children
+        masses = list(map(self.mass, children))
+        if self.exact:
+            masses = _over_lcm(masses, self.denominator)[0]
+        return cdf_thresholds(masses, self.mass(key), self.exact), lo, children
 
     def blocks(self, sizes: Sequence[int]) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
         """The block-sum vectors y of the consecutive blocks of `sizes`
@@ -206,7 +236,7 @@ class PrefixClasses:
                         merged[a] += c
                     pairs = list(merged.items())
             if self.exact:
-                masses.append(Fraction(sum(c * self._scaled[a] for a, c in pairs), self._denominator))
+                masses.append(Fraction(sum(c * self._scaled[a] for a, c in pairs), self.denominator))
             else:
                 masses.append(reduce(add, [self.law.weights[a] for a, _ in pairs]))
         return support, tuple(masses)

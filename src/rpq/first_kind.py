@@ -36,14 +36,12 @@ from typing import Tuple
 from .algebra import (
     AlgebraSpec,
     binomial_or_zero,
-    closed_form,
     deformed_binomial,
     deformed_number,
     inverse_algebra,
     tau_monomial,
 )
 from .errors import ValidationError
-from .lattice import SupportPoint
 # The core's functions, re-exported under their usual names.
 from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table, coerce_theta,
                         conditional_pmf, construction_report, grouped_conditional_pmf, grouped_marginal_pmf,
@@ -80,29 +78,27 @@ class FirstKindParams(OccupancyParams):
     def fit_bound(self) -> int:
         return (self.k + 1) * max(self.n, 1)
 
-    def marginal_weight(self, r: int, key: Tuple[int, int]) -> Scalar:
-        """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
+    def marginal_terms(self, r: int, key: Tuple[int, int]) -> Tuple[int, int, Tuple[Scalar]]:
+        """The closed weight of an r-prefix p from its key (y, E) = (sum p, E(p)):
         tau1^(C(y,2) + kn - g) tau2^(g - C(y,2)) [k-r+1 over n-y], where
         g = sum_j (k - j - n + y) p_j over j = 0..r-1 equals (k - n - r + y) y + E."""
-        alg, k, n = self.alg, self.k, self.n
+        k, n = self.k, self.n
         y, e = key
         g = (k - n - r + y) * y + e
         c2 = comb(y, 2)
-        return closed_form(alg, c2 + k * n - g, g - c2, (self.normalizer(alg, k - r, n - y),))
+        return c2 + k * n - g, g - c2, (self.normalizer(self.alg, k - r, n - y),)
 
-    def conditional_value(self, given: SupportPoint, m: int, key: Tuple[int, int, int]) -> Scalar:
-        """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from
+    def conditional_terms(self, m: int, key: Tuple[int, int, int]) -> Tuple[int, int, Tuple[Scalar]]:
+        """The closed value of a suffix s = x[r:m] before its divisor, from
         the suffix's key (y_m, t, E(s)) = (sum x[:m], sum s, E(s)):
-        tau1^(C(t,2) + kn - h) tau2^(h - C(t,2))
-        [k-m+1 over n-y_m] / [k-r+1 over n-y_r], where y_r = sum(given) and
+        tau1^(C(t,2) + kn - h) tau2^(h - C(t,2)) [k-m+1 over n-y_m], where
         h = sum_j (k - r - j - n + y_m) s_j over j = 0..m-r-1 equals
         (k - m - n + y_m) t + E(s)."""
-        alg, k, n = self.alg, self.k, self.n
+        k, n = self.k, self.n
         y_m, t, e = key
         h = (k - m - n + y_m) * t + e
         c2 = comb(t, 2)
-        return closed_form(alg, c2 + k * n - h, h - c2, (self.normalizer(alg, k - m, n - y_m),),
-                           divisor=self.normalizer(alg, k - len(given), n - sum(given)))
+        return c2 + k * n - h, h - c2, (self.normalizer(self.alg, k - m, n - y_m),)
 
     def block_factor(self, m_j: int, y_j: int, z: int, s_j: int) -> Tuple[int, int, Scalar]:
         """(n - z - s_j)(m_j - y_j), (k - s_j - n + z + 1) y_j and [m_j over y_j]."""

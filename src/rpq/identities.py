@@ -40,6 +40,7 @@ diagnostics.
 from __future__ import annotations
 
 import io
+from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -56,10 +57,13 @@ from .errors import CapacityError, ValidationError
 from .lattice import (
     ConstraintSet,
     check_dimension,
+    check_points,
     count_points,
     final_layer,
     first_layer,
     layer_step,
+    prefix_totals,
+    sum_counts,
     window_total,
 )
 from .records import Record
@@ -231,13 +235,16 @@ def _walk_positions(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int],
     The recursion runs to the largest sum any n needs.  The value at each
     running sum does not depend on how far the recursion runs, and the keys
     ascend, so each window adds the same values in the same order as a run
-    for that n alone (`hs1_lhs`, `hs2_lhs`).
+    for that n alone (`hs1_lhs`, `hs2_lhs`).  The hs2 windows [0, n] are
+    the running sums of the layer, which is keyed by every sum 0..max(ns):
+    one pass for every n, with the bits of each window's own sum
+    (`lattice.prefix_totals`).
     """
     factor = _position_factor(alg)
     if identity == "hs2":
         top = max(ns)
-        layer = final_layer((top,) * k, top, factor, alg.exact)
-        return {(n, None): window_total(layer, 0, n) for n in ns}
+        totals = prefix_totals(final_layer((top,) * k, top, factor, alg.exact))
+        return {(n, None): totals[n] for n in ns}
     layer = final_layer((1,) * k, k, factor, alg.exact)
     out = {}
     for n in ns:
@@ -375,8 +382,16 @@ def verify_identity(
         if not tuples:
             continue
         _require_taus(alg)
-        for n, groups in tuples:
-            count_points(_constraints(identity, k, n, groups, literal_window))
+        if identity == "hs2":
+            # The box of n, (n,)^k with sums <= n, holds the points of sum
+            # <= n of the box (nmax,)^k: one count per k serves every n.
+            # The report guard keeps nmax below the sum guard.
+            totals = list(accumulate(sum_counts((nmax,) * k, nmax)))
+            for n in ns:
+                check_points(totals[n])
+        else:
+            for n, groups in tuples:
+                count_points(_constraints(identity, k, n, groups, literal_window))
         plan.append((k, ns, tuples))
     for k, ns, tuples in plan:
         if identity in ("hs1", "hs2"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import isfinite, lcm
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -66,24 +66,34 @@ def check_dimension(dim: int) -> None:
         raise CapacityError(f"dimension {dim} exceeds the guard ({MAX_DIM})")
 
 
-def count_points(constraints: ConstraintSet) -> int:
-    """Number of admissible points, by a sum-indexed recursion (no listing)."""
-    smax = min(constraints.sum_max, sum(constraints.upper))
-    smin = max(constraints.sum_min, 0)
-    if smin > smax:
-        return 0
+def sum_counts(upper: Tuple[int, ...], smax: int) -> List[int]:
+    """The number of points of the box `upper` with sum s, for s <= smax,
+    by a sum-indexed recursion (no listing), after the sum guard."""
     if smax > MAX_SUM:
         raise CapacityError(f"sum window up to {smax} exceeds the guard ({MAX_SUM})")
     # ways[s]: points of the coordinates so far with sum s.  A coordinate
     # of cap `up` adds ways[s - up..s], a difference of running sums.
     ways = [1] + [0] * smax
-    for up in constraints.upper:
+    for up in upper:
         below = [0, *accumulate(ways)]
         ways = [below[s + 1] - below[max(0, s - up)] for s in range(smax + 1)]
-    total = sum(ways[smin : smax + 1])
+    return ways
+
+
+def check_points(total: int) -> int:
+    """Refuse more than MAX_POINTS points (CapacityError); else `total`."""
     if total > MAX_POINTS:
         raise CapacityError(f"{total} lattice points exceed the guard ({MAX_POINTS})")
     return total
+
+
+def count_points(constraints: ConstraintSet) -> int:
+    """Number of admissible points (`sum_counts`), after the guards."""
+    smax = min(constraints.sum_max, sum(constraints.upper))
+    smin = max(constraints.sum_min, 0)
+    if smin > smax:
+        return 0
+    return check_points(sum(sum_counts(constraints.upper, smax)[smin : smax + 1]))
 
 
 # The most points in a chunk of `walk`, for coordinate ranges below it.
@@ -260,6 +270,29 @@ def window_total(layer: Layer, lo: int, hi: int) -> Scalar:
     partial, denominator = layer
     total = sum(value for s, value in partial.items() if lo <= s <= hi)
     return total if denominator is None else Fraction(total, denominator)
+
+
+# Since Python 3.12, sum() adds floats with Neumaier's running compensation.
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+
+
+def prefix_totals(layer: Layer) -> List[Scalar]:
+    """window_total(layer, 0, s) for each key s of a layer keyed 0, 1, 2,
+    ..., in one pass and bit for bit: an exact layer adds its integers, a
+    float layer repeats the additions of sum(), with sum()'s compensation
+    where it compensates."""
+    partial, denominator = layer
+    if denominator is not None:
+        return [Fraction(total, denominator) for total in accumulate(partial.values())]
+    if not _COMPENSATED_SUM:
+        return list(accumulate(partial.values(), initial=0))[1:]
+    out, total, low = [], 0, 0.0
+    for value in partial.values():
+        high = total + value
+        low += (total - high) + value if abs(total) >= abs(value) else (value - high) + total
+        total = high
+        out.append(total + low if low and isfinite(low) else total)
+    return out
 
 
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:

@@ -12,11 +12,14 @@ normalized once, from its area-class counts (`joint_stream`), which
 `tabulate` writes as `lattice.walk` lists its rows and `joint_pmf` lists
 as a `PmfTable`.  Derived laws read the masses of prefix and block classes
 (`classes.PrefixClasses`), never the joint table, and `make_table`
-normalizes them once per class.  Each first takes the joint's 10^7-point
-guard and checks, from its memoised class law, so it refuses what it
-refused when it summed the joint.  Memos, each bounded: the 32 most recent
-class laws (one mass and one step per class), block masses of 32 schemes,
-and 32 joint tables.  What the kinds differ in lives on their params
+normalizes them once per class, in exact mode over the joint's one
+denominator, with their closed values as unreduced integer pairs and a
+conditional's divisor applied once.  Each first takes the joint's
+10^7-point guard and checks, from its memoised class law, so it refuses
+what it refused when it summed the joint.  Memos, each bounded: the 32
+most recent class laws (one mass and one step per class), block masses of
+32 schemes, and the most recent joint tables of 2^19 points in all.  What
+the kinds differ in lives on their params
 classes (`OccupancyParams`), which `rpq.first_kind` and `rpq.second_kind`
 define; they re-export these functions.
 """
@@ -24,16 +27,17 @@ define; they re-export these functions.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 
-from .algebra import AlgebraSpec, closed_form, coerce_scalar, inverse_algebra
+from .algebra import AlgebraSpec, _closed_pair, closed_form, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
-from .classes import PrefixClasses, area_counts
+from .classes import PrefixClasses, Recent, area_counts
 from .lattice import (ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_areas,
                       enumerate_points)
-from .pmf import PmfStream, PmfTable, make_stream, make_table
+from .pmf import PmfStream, PmfTable, _over_lcm, make_stream, make_table
 from .records import Record
 from .scalars import Scalar
 
@@ -53,13 +57,17 @@ class OccupancyParams(Record):
       k+1 urns and n balls, read again by the closed forms for the urns and
       balls a prefix leaves over, and `fit_bound()`, its discrepancy-fit
       bound;
-    - closed weights for the marginal, per r-prefix class key (y, E)
-      (`marginal_weight(r, key)`), for the conditional, per class key
-      (y_m, t, E(s)) of the suffix s that follows `given` up to m
-      (`conditional_value(given, m, key)`), and for the grouped law the
+    - closed weights, each as the exponents of tau1 and tau2 and the
+      factors `algebra.closed_form` multiplies: for the marginal, per
+      r-prefix class key (y, E) (`marginal_terms(r, key)`, which
+      `marginal_weight` multiplies), for the conditional, per class key
+      (y_m, t, E(s)) of the suffix s that follows a prefix up to m, before
+      the divisor (`conditional_terms(m, key)`, which `conditional_value`
+      divides by `prefix_normalizer(given)`), and for the grouped law the
       factor of block j of m_j urns with count y_j, z the count of blocks
       1..j and s_j their urns (`block_factor(m_j, y_j, z, s_j)`: exponents
-      of tau1 and tau2, and a binomial), which `grouped_weight` multiplies.
+      of tau1 and tau2, and a binomial), which `grouped_terms` collects and
+      `grouped_weight` multiplies.
 
     Equality sees the subclass, so equal fields of two kinds are two cache
     keys.  A k beyond the dimension guard (`lattice.check_dimension`) is
@@ -89,15 +97,33 @@ class OccupancyParams(Record):
         out.update(self.alg.describe())
         return out
 
-    def grouped_weight(self, scheme: "GroupingScheme", y: SupportPoint, scale=None, divisor=None) -> Scalar:
-        """Closed weight of the block counts `y` (all blocks, or the leading
-        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
+    def prefix_normalizer(self, given: SupportPoint) -> Scalar:
+        """The closed normalizer of the urns and balls the prefix `given`
+        leaves over: the divisor of a conditional's closed values."""
+        return self.normalizer(self.alg, self.k - len(given), self.n - sum(given))
+
+    def marginal_weight(self, r: int, key: Tuple[int, int]) -> Scalar:
+        """Closed weight of the r-prefix class `key`."""
+        return closed_form(self.alg, *self.marginal_terms(r, key))
+
+    def conditional_value(self, given: SupportPoint, m: int, key: Tuple[int, int, int]) -> Scalar:
+        """Closed value of the suffix class `key` that follows `given` up to m."""
+        return closed_form(self.alg, *self.conditional_terms(m, key), divisor=self.prefix_normalizer(given))
+
+    def grouped_terms(self, scheme: "GroupingScheme", y: SupportPoint) -> Tuple[int, int, Tuple[Scalar, ...]]:
+        """The exponents of tau1 and tau2 and the binomials of the closed
+        weight of the block counts `y` (all blocks, or the leading ones)."""
         z, factors = 0, []
         for m_j, y_j, s_j in zip(scheme.sizes, y, scheme.partial_sums):
             z += y_j
             factors.append(self.block_factor(m_j, y_j, z, s_j))
         e1, e2, binomials = zip(*factors)
-        return closed_form(self.alg, sum(e1), sum(e2), binomials, scale, divisor)
+        return sum(e1), sum(e2), binomials
+
+    def grouped_weight(self, scheme: "GroupingScheme", y: SupportPoint, scale=None, divisor=None) -> Scalar:
+        """Closed weight of the block counts `y` (all blocks, or the leading
+        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
+        return closed_form(self.alg, *self.grouped_terms(scheme, y), scale, divisor)
 
 
 def support_constraints(params: OccupancyParams) -> ConstraintSet:
@@ -161,22 +187,35 @@ def _listed(params: OccupancyParams) -> PmfTable:
                     params.alg.exact, params.alg.tol, law.z_closed_form, law.z_discrepancy)
 
 
-# Bounded: a long-lived process keeps at most 32 joint tables.
-@lru_cache(maxsize=32)
+# Bounded: a long-lived process keeps the most recently read joint tables
+# while they hold at most 2^19 points in all (a first-kind k20 n10 joint,
+# 352,716 points, holds about 80 MB).
+_joint_tables = Recent(_listed, lambda table: len(table.support), 1 << 19)
+
+
 def joint_pmf(params: OccupancyParams) -> PmfTable:
-    """The joint law of (X_1..X_k) as a table (`_listed`)."""
-    return _listed(params)
+    """The joint law of (X_1..X_k) as a table (`_listed`), memoised."""
+    return _joint_tables(params)
+
+
+joint_pmf.cache_info, joint_pmf.cache_clear = _joint_tables.cache_info, _joint_tables.cache_clear
 
 
 def _derived_table(
-    params: OccupancyParams, table: str, coords: Tuple[str, int, int], support: Sequence[SupportPoint],
-    weights: Sequence[Scalar], index: Iterable[int], closed_values: Sequence[Scalar], **extra,
+    params: OccupancyParams, law: PrefixClasses, table: str, coords: Tuple[str, int, int],
+    support: Sequence[SupportPoint], weights: Sequence[Scalar], index: Iterable[int], closed_terms: Iterable[tuple],
+    closed_divisor: Optional[Scalar] = None, **extra,
 ) -> PmfTable:
     """A law derived from the joint of `params`: kind "<kind>-<table>",
     params with `table` and `extra`, coordinates labelled `coords` (prefix,
-    first index, last index), a mass and a closed value per class, `index`
-    the class of each point.  Summed joint masses keep the joint's
-    normalizer, so every table but a conditional carries its closed form."""
+    first index, last index), a mass and the `algebra.closed_form`
+    arguments of a closed value per class (over `closed_divisor`), `index`
+    the class of each point.  Exact masses are read over the one
+    denominator of the joint's class law `law`, and exact closed values
+    are unreduced pairs (`algebra._closed_pair`).  Summed joint masses keep
+    the joint's normalizer, so every table but a conditional carries its
+    closed form."""
+    closed = _closed_pair if params.alg.exact else closed_form
     described = params.describe()
     described.update(table=table, **extra)
     return make_table(
@@ -188,7 +227,9 @@ def _derived_table(
         index=index,
         alg=params.alg,
         **({} if table.endswith("conditional") else _normalizer(params)),
-        closed_values=closed_values,
+        closed_values=[closed(params.alg, *terms) for terms in closed_terms],
+        denominator=law.denominator,
+        closed_divisor=closed_divisor,
     )
 
 
@@ -201,9 +242,10 @@ def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
-    support, keys, index, masses = _joint_law(params).prefixes((), r)
-    closed = [params.marginal_weight(r, key) for key in keys]
-    return _derived_table(params, "marginal", ("x", 1, r), support, masses, index, closed, r=r)
+    law = _joint_law(params)
+    support, keys, index, masses = law.prefixes((), r)
+    closed = [params.marginal_terms(r, key) for key in keys]
+    return _derived_table(params, law, "marginal", ("x", 1, r), support, masses, index, closed, r=r)
 
 
 def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> PmfTable:
@@ -213,7 +255,8 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
     normalizer is the mass of the conditioning event; a zero-probability
     event is an error, not an empty table.  A closed value reads the key
     (y_m, t, E(s)) of each class of suffixes s (y_m the sum of the
-    m-prefix, t of s).
+    m-prefix, t of s), and `make_table` divides them by their common
+    divisor (`prefix_normalizer`).
     """
     given = tuple(given)
     r = len(given)
@@ -225,13 +268,14 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
-    support, keys, index, masses = _joint_law(params).prefixes(given, m)
+    law = _joint_law(params)
+    support, keys, index, masses = law.prefixes(given, m)
     if not support:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    y = sum(given)
-    closed = [params.conditional_value(given, m, (y + t, t, e)) for t, e in keys]
-    return _derived_table(params, "conditional", ("x", r + 1, m), support, masses, index, closed,
-                          given=list(given), m=m)
+    terms, y = params.conditional_terms, sum(given)
+    closed = [terms(m, (y + t, t, e)) for t, e in keys]
+    return _derived_table(params, law, "conditional", ("x", r + 1, m), support, masses, index, closed,
+                          params.prefix_normalizer(given), given=list(given), m=m)
 
 
 class GroupingScheme(Record):
@@ -267,21 +311,25 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     """
     scheme.validate_for(params.k)
     support, masses = _block_law(params, scheme.sizes)
-    closed = [params.grouped_weight(scheme, y) for y in support]
-    return _derived_table(params, "grouped", ("y", 1, len(scheme.sizes)), support, masses, range(len(support)),
-                          closed, scheme=list(scheme.sizes))
+    closed = [params.grouped_terms(scheme, y) for y in support]
+    return _derived_table(params, _joint_law(params), "grouped", ("y", 1, len(scheme.sizes)), support, masses,
+                          range(len(support)), closed, scheme=list(scheme.sizes))
+
+
+def _grouped_marginal_terms(params: OccupancyParams, scheme: GroupingScheme, prefix: SupportPoint) -> tuple:
+    """The `algebra.closed_form` arguments of the closed weight of the
+    leading block counts `prefix`: the grouped weight of those blocks
+    scaled by the normalizer of the urns and balls they leave over."""
+    rest_k = params.k - scheme.partial_sums[len(prefix) - 1]
+    rest_n = params.n - sum(prefix)
+    return (*params.grouped_terms(scheme, prefix), params.normalizer(params.alg, rest_k, rest_n))
 
 
 def _grouped_marginal_weight(
     params: OccupancyParams, scheme: GroupingScheme, prefix: SupportPoint
 ) -> Scalar:
-    """Closed weight of the leading block counts `prefix`: the grouped
-    weight of those blocks times the normalizer of the urns and balls they
-    leave over."""
-    rest_k = params.k - scheme.partial_sums[len(prefix) - 1]
-    rest_n = params.n - sum(prefix)
-    scale = params.normalizer(params.alg, rest_k, rest_n)
-    return params.grouped_weight(scheme, prefix, scale=scale)
+    """Closed weight of the leading block counts `prefix`."""
+    return closed_form(params.alg, *_grouped_marginal_terms(params, scheme, prefix))
 
 
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
@@ -290,14 +338,17 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
     # The block masses summed by their leading blocks, as a scan of the
-    # block law adds them; the blocks are sorted, so the sums come sorted.
-    sums = {}
-    for y, mass in zip(*_block_law(params, scheme.sizes)):
+    # block law adds them (exact ones as integers over the joint's one
+    # denominator); the blocks are sorted, so the sums come sorted.
+    (blocks, masses), law, sums = _block_law(params, scheme.sizes), _joint_law(params), {}
+    for y, mass in zip(blocks, masses if law.denominator is None else _over_lcm(masses, law.denominator)[0]):
         sums[y[:nu]] = sums[y[:nu]] + mass if y[:nu] in sums else mass
     support, masses = tuple(sums), tuple(sums.values())
-    closed = [_grouped_marginal_weight(params, scheme, p) for p in support]
-    return _derived_table(params, "grouped-marginal", ("y", 1, nu), support, masses, range(len(support)), closed,
-                          scheme=list(scheme.sizes), nu=nu)
+    if law.denominator is not None:
+        masses = [Fraction(mass, law.denominator) for mass in masses]
+    closed = [_grouped_marginal_terms(params, scheme, p) for p in support]
+    return _derived_table(params, law, "grouped-marginal", ("y", 1, nu), support, masses, range(len(support)),
+                          closed, scheme=list(scheme.sizes), nu=nu)
 
 
 def grouped_conditional_pmf(
@@ -314,10 +365,10 @@ def grouped_conditional_pmf(
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
     support, masses = zip(*rows)
     prefix_weight = _grouped_marginal_weight(params, scheme, given)
-    closed = [params.grouped_weight(scheme, given + suffix, divisor=prefix_weight)
-              for suffix in support]
-    return _derived_table(params, "grouped-conditional", ("y", nu + 1, len(scheme.sizes)), support, masses,
-                          range(len(support)), closed, scheme=list(scheme.sizes), given=list(given))
+    closed = [params.grouped_terms(scheme, given + suffix) for suffix in support]
+    return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
+                          support, masses, range(len(support)), closed, prefix_weight, scheme=list(scheme.sizes),
+                          given=list(given))
 
 
 def bivariate_table(params: OccupancyParams) -> PmfTable:

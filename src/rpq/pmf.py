@@ -3,7 +3,9 @@
 A table's probabilities are always weight / (enumerated sum of weights);
 closed-form normalizers and closed-form probability values ride along as
 cross-check records, never as the source of truth; `make_table` normalizes
-them once per class of points.  A `PmfStream` is the same law listed by
+them once per class of points, in exact mode as integers over one
+denominator (the joint's, for a derived law), reducing one Fraction per
+class for each column it holds.  A `PmfStream` is the same law listed by
 `lattice.walk` rather than held: one weight and one probability per area
 class, normalized from the class counts in exact mode and from passes
 over the areas in support order in approximate mode.  It is the one
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
 from math import lcm
-from operator import add, lt, mul
+from operator import add, is_, lt, mul
 from typing import Callable, ClassVar, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
@@ -35,40 +37,54 @@ CDF_BITS = 53
 CDF_SCALE = 1 << CDF_BITS
 
 
-def _over_lcm(values: Iterable[Scalar]) -> Tuple[List[int], int]:
-    """Each of `values` (ints or Fractions) as a numerator over the lcm of
-    their denominators, and that lcm."""
-    values = list(values)
-    denominators = [v.denominator for v in values]
-    denominator = lcm(*denominators)
-    return [v.numerator * (denominator // d) for v, d in zip(values, denominators)], denominator
+def _over_lcm(values: Iterable, denominator: Optional[int] = None) -> Tuple[List[int], int]:
+    """Each of `values`, rationals or unreduced (numerator, denominator)
+    pairs of ints (`algebra._closed_pair`), as an integer numerator over
+    `denominator` (by default the lcm of their denominators; one given must
+    be a multiple of each, or ValidationError), and that denominator."""
+    pairs = [v if type(v) is tuple else (v.numerator, v.denominator) for v in values]
+    if denominator is None:
+        denominator = lcm(*{d for _, d in pairs})
+    elif any(denominator % d for _, d in pairs):
+        raise ValidationError(f"denominator {denominator} is no multiple of every value's denominator")
+    return [n * (denominator // d) for n, d in pairs], denominator
 
 
 def _class_quotients(
-    values: Sequence[Scalar], counts: Sequence[int], z: Optional[Scalar], nonpositive: str
-) -> Tuple[Scalar, List[Scalar], Optional[int]]:
+    values: Sequence, counts: Sequence[int], z: Optional[Scalar], nonpositive: str,
+    denominator: Optional[int] = None, like: Optional[tuple] = None, divisor: Optional[Scalar] = None,
+) -> Tuple[Scalar, List[Scalar], Optional[Tuple[List[int], int]]]:
     """The normalizer of classes of value `values[i]` and multiplicity
-    `counts[i]`, value / normalizer per class, and the integer sum S below
-    (None in approximate mode).
+    `counts[i]`, value / normalizer per class, and the integers (s_i, S)
+    below (None in approximate mode).
 
-    Exact mode (z None): the values are brought to the lcm of their
-    denominators as integers s_i; with S the sum of count times s_i, the
-    normalizer is Fraction(S, lcm) and each quotient Fraction(s_i, S): the
-    same rationals as a point-by-point sum and division.  Approximate mode
+    Exact mode (z None): the values are integers s_i over one denominator
+    (`_over_lcm`, over `denominator` when given); with S the sum of count
+    times s_i, the normalizer is Fraction(S, denominator) (over `divisor`,
+    a factor common to every value, when given) and each quotient
+    Fraction(s_i, S), the one reduction of each class: the same rationals
+    as a point-by-point sum and division.  `like`, the integers (t_i, T)
+    and the quotients of another normalization of the same classes, lends
+    its quotient object to each class whose quotient equals it
+    (s_i T == t_i S), which then builds no Fraction.  Approximate mode
     passes z, the values of every point added left to right in support
     order, as a point-by-point sum rounds.  A normalizer that is not
     positive raises ValidationError(f"{nonpositive} {z}").
     """
-    total = None
-    if z is None:
-        scaled, denominator = _over_lcm(values)
-        total = sum(map(mul, counts, scaled))
-        z = Fraction(total, denominator)
+    if z is not None:
+        if z <= 0:
+            raise ValidationError(f"{nonpositive} {z}")
+        return z, [v / z for v in values], None
+    scaled, denominator = _over_lcm(values, denominator)
+    total = sum(map(mul, counts, scaled))
+    z = Fraction(total, denominator) if divisor is None else Fraction(total, denominator) / divisor
     if z <= 0:
         raise ValidationError(f"{nonpositive} {z}")
-    if total is not None:
-        return z, [Fraction(s, total) for s in scaled], total
-    return z, [v / z for v in values], None
+    if like is None:
+        return z, [Fraction(s, total) for s in scaled], (scaled, total)
+    (others, other_total), quotients = like
+    return z, [q if s * other_total == t * total else Fraction(s, total)
+               for s, t, q in zip(scaled, others, quotients)], (scaled, total)
 
 
 def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], counts: Iterable[int],
@@ -80,29 +96,33 @@ def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], cou
     built only for the message."""
     scaled = 0
     for prob, count in zip(probabilities, counts):
-        if prob.numerator < 0:
+        numerator = prob.numerator
+        if numerator < 0:
             raise ValidationError(f"{kind} table: negative probability {prob}")
-        scaled += count * prob.numerator * (total // prob.denominator)
+        scaled += count * numerator * (total // prob.denominator)
     if scaled != total:
         raise ValidationError(f"{kind} table: probabilities sum to {Fraction(scaled, total)}, not 1")
 
 
 def _normalize_classes(kind: str, keys: Sequence, weights, sizes: Sequence[int], classes: Callable[[], Iterable],
-                       points: Callable[[], Iterable[SupportPoint]], alg: AlgebraSpec) -> Tuple[Scalar, dict]:
-    """The normalizer and the probability of each class (`_class_quotients`),
-    by key, of the classes `keys` of weight `weights[key]` and `sizes` points,
-    with a table's checks.  `classes()` and `points()` list each point's class
+                       points: Callable[[], Iterable[SupportPoint]], alg: AlgebraSpec,
+                       denominator: Optional[int] = None) -> Tuple[Scalar, dict, Optional[tuple]]:
+    """The normalizer and the probability of each class (`_class_quotients`,
+    exact weights over `denominator`), by key, and the integers of an
+    exact normalization, of the classes `keys` of weight `weights[key]`
+    and `sizes` points, with a table's checks.
+    `classes()` and `points()` list each point's class
     and the points in support order: approximate mode adds z and the sum of
     the probabilities over them left to right, and refuses a probability
     that is not positive at the first point of its class (every support
     point has positive exact mass, so a 0.0 has underflowed)."""
     z_sum = None if alg.exact else reduce(add, map(weights.__getitem__, classes()))
-    z, quotients, total = _class_quotients([weights[c] for c in keys], sizes, z_sum,
-                                           f"{kind} table: nonpositive normalizer")
+    z, quotients, ints = _class_quotients([weights[c] for c in keys], sizes, z_sum,
+                                          f"{kind} table: nonpositive normalizer", denominator)
     probabilities = dict(zip(keys, quotients))
     if alg.exact:
-        _check_exact_probabilities(kind, quotients, sizes, total)
-        return z, probabilities
+        _check_exact_probabilities(kind, quotients, sizes, ints[1])
+        return z, probabilities, ints
     refused = {c for c, prob in probabilities.items() if prob <= 0}
     if refused:
         point, c = next((x, c) for x, c in zip(points(), classes()) if c in refused)
@@ -112,7 +132,7 @@ def _normalize_classes(kind: str, keys: Sequence, weights, sizes: Sequence[int],
     total = reduce(add, map(probabilities.__getitem__, classes()))
     if not scalars_close(total, 1, False, alg.tol):
         raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
-    return z, probabilities
+    return z, probabilities, None
 
 
 class ClosedFormCheck(Record):
@@ -173,21 +193,22 @@ class PmfTable(Record):
     @cached_property
     def cdf(self) -> List[Scalar]:
         """The inverse-CDF thresholds of the support: `cdf_thresholds` of
-        the weights over the normalizer."""
-        return cdf_thresholds(self.weights, self.z_enumerated, self.exact)
+        the weights (in exact mode over the lcm of their denominators) over
+        the normalizer."""
+        return cdf_thresholds(_over_lcm(self.weights)[0] if self.exact else self.weights, self.z_enumerated,
+                              self.exact)
 
 
 def cdf_thresholds(masses: Sequence[Scalar], mass: Optional[Scalar], exact: bool) -> List[Scalar]:
     """The cumulative masses / `mass` (their total) of `masses` but the
     last, times 2^53: a variate u takes the index bisect_right(thresholds,
     u), so one past a float CDF that ends below 1 takes the last.  Exact
-    mode brings the masses to integers over a common denominator and rounds
-    each threshold up to an int; approximate mode adds the quotients
+    mode takes the masses as integer numerators over one denominator and
+    rounds each threshold up to an int; approximate mode adds the quotients
     m / mass left to right."""
     if exact:
-        scaled, _ = _over_lcm(masses)
-        total = sum(scaled)
-        return [-(-(c << CDF_BITS) // total) for c in accumulate(scaled[:-1])]
+        total = sum(masses)
+        return [-(-(c << CDF_BITS) // total) for c in accumulate(masses[:-1])]
     return [f * CDF_SCALE for f in accumulate(m / mass for m in masses[:-1])]
 
 
@@ -211,13 +232,24 @@ def make_table(
     alg: AlgebraSpec,
     z_closed_form: Optional[Scalar] = None,
     fit_bound: int = 0,
-    closed_values: Optional[Sequence[Scalar]] = None,
+    closed_values: Optional[Sequence] = None,
+    denominator: Optional[int] = None,
+    closed_divisor: Optional[Scalar] = None,
 ) -> PmfTable:
     """Normalize weights into a table and attach the cross-check records.
     `weights` and `closed_values` hold one value per class of points, and
     `index` each point's class (range(len(support)): a class per point).
     Each class is normalized, checked and compared once; approximate mode
-    sums z and the probabilities point by point in support order."""
+    sums z and the probabilities point by point in support order.  Exact
+    mode takes the weights as integers over `denominator`, a common
+    multiple of their denominators (by default their lcm), and the closed
+    values, rationals or unreduced (numerator, denominator) pairs, over
+    the lcm of theirs (`_over_lcm`); each class then reduces its
+    probability and its closed probability once.  `closed_divisor`, a
+    factor common to every closed value, divides their total once in
+    exact mode (the quotients do not see it; a zero divisor raises that
+    division's ZeroDivisionError) and each value in approximate mode,
+    where a value keeps the bits of its own division."""
     support, weights, index = tuple(support), list(weights), list(index)
     if not support:
         raise ValidationError(f"{kind} table: empty support")
@@ -226,7 +258,8 @@ def make_table(
     if not all(map(lt, support, support[1:])):
         raise ValidationError(f"{kind} table: support is not strictly increasing")
     sizes = list(map(Counter(index).__getitem__, range(len(weights))))
-    z, quotients = _normalize_classes(kind, range(len(weights)), weights, sizes, lambda: index, lambda: support, alg)
+    z, quotients, ints = _normalize_classes(kind, range(len(weights)), weights, sizes, lambda: index,
+                                            lambda: support, alg, denominator)
     point_weights, probabilities = tuple(map(weights.__getitem__, index)), tuple(map(quotients.__getitem__, index))
     z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
 
@@ -235,10 +268,16 @@ def make_table(
         closed_values = list(closed_values)
         if len(closed_values) != len(weights):
             raise ValidationError(f"{kind} table: {len(weights)} weight classes vs {len(closed_values)} closed values")
+        if closed_divisor is not None and not alg.exact:
+            closed_values = [v / closed_divisor for v in closed_values]
+        # An exact closed probability equal to the class's probability is
+        # that object, so the classes agree exactly when every one is shared.
+        class_probabilities = list(quotients.values())
         _, closed_quotients, _ = _class_quotients(
             closed_values, sizes, None if alg.exact else reduce(add, map(closed_values.__getitem__, index)),
-            f"{kind} table: closed form sums to")
-        equal = all(scalars_close(a, b, alg.exact, alg.tol) for a, b in zip(closed_quotients, quotients.values()))
+            f"{kind} table: closed form sums to", like=(ints, class_probabilities), divisor=closed_divisor)
+        equal = (all(map(is_, closed_quotients, class_probabilities)) if alg.exact else
+                 all(scalars_close(a, b, False, alg.tol) for a, b in zip(closed_quotients, class_probabilities)))
         check = ClosedFormCheck(tuple(map(closed_quotients.__getitem__, index)), equal)
 
     return PmfTable(
@@ -334,7 +373,7 @@ def make_stream(
     if not counts:
         raise ValidationError(f"{kind} table: empty support")
     classes = list(weights)
-    z, probabilities = _normalize_classes(
+    z, probabilities, _ = _normalize_classes(
         kind, classes, weights, [counts[e] for e in classes],
         lambda: chain.from_iterable(a for _, a in walk(constraints)),
         lambda: chain.from_iterable(p for p, _ in walk(constraints, point_cells(constraints))), alg)

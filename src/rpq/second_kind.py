@@ -34,14 +34,12 @@ from typing import Tuple
 from .algebra import (
     AlgebraSpec,
     binomial_or_zero,
-    closed_form,
     deformed_factorial,
     deformed_falling_factorial,
     deformed_number,
     tau_monomial,
 )
 from .errors import ValidationError
-from .lattice import SupportPoint
 # The core's functions, re-exported under their usual names.
 from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table, coerce_theta,
                         conditional_pmf, construction_report, grouped_conditional_pmf, grouped_marginal_pmf,
@@ -81,27 +79,24 @@ class SecondKindParams(OccupancyParams):
     def fit_bound(self) -> int:
         return _phi_constant_exponent(self.k, self.n) + self.k * self.n
 
-    def marginal_weight(self, r: int, key: Tuple[int, int]) -> Scalar:
-        """Closed weight of an r-prefix p with key (y, E) = (sum p, E(p)):
+    def marginal_terms(self, r: int, key: Tuple[int, int]) -> Tuple[int, int, Tuple[Scalar]]:
+        """The closed weight of an r-prefix p from its key (y, E) = (sum p, E(p)):
         tau1^(phi - e) tau2^e [k-r+n-y over n-y], where e = sum_j (k - j) p_j
         over j = 0..r-1 equals (k - r) y + E."""
-        alg, k, n = self.alg, self.k, self.n
+        k, n = self.k, self.n
         y, area_p = key
         e = (k - r) * y + area_p
-        return closed_form(alg, _phi_constant_exponent(k, n) - e, e,
-                           (self.normalizer(alg, k - r, n - y),))
+        return _phi_constant_exponent(k, n) - e, e, (self.normalizer(self.alg, k - r, n - y),)
 
-    def conditional_value(self, given: SupportPoint, m: int, key: Tuple[int, int, int]) -> Scalar:
-        """Closed value of the suffix s = x[r:m] given x[:r] = `given`, from
+    def conditional_terms(self, m: int, key: Tuple[int, int, int]) -> Tuple[int, int, Tuple[Scalar]]:
+        """The closed value of a suffix s = x[r:m] before its divisor, from
         the suffix's key (y_m, t, E(s)) = (sum x[:m], sum s, E(s)):
-        tau1^-e tau2^e [k-m+n-y_m over n-y_m] / [k-r+n-y_r over n-y_r],
-        where y_r = sum(given) and e = sum_j (k - r - j) s_j over
-        j = 0..m-r-1 equals (k - m) t + E(s)."""
-        alg, k, n = self.alg, self.k, self.n
+        tau1^-e tau2^e [k-m+n-y_m over n-y_m], where e = sum_j (k - r - j) s_j
+        over j = 0..m-r-1 equals (k - m) t + E(s)."""
+        k, n = self.k, self.n
         y_m, t, area_s = key
         e = (k - m) * t + area_s
-        return closed_form(alg, -e, e, (self.normalizer(alg, k - m, n - y_m),),
-                           divisor=self.normalizer(alg, k - len(given), n - sum(given)))
+        return -e, e, (self.normalizer(self.alg, k - m, n - y_m),)
 
     def block_factor(self, m_j: int, y_j: int, z: int, s_j: int) -> Tuple[int, int, Scalar]:
         """(n - z - s_j)(m_j - 1), (k - s_j + 1) y_j and [m_j + y_j - 1 over y_j]."""

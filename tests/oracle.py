@@ -74,6 +74,20 @@ def joint_table(params):
     )
 
 
+def fraction_route(masses, closed):
+    """The records of a derived table by the per-class Fraction route: each
+    class's mass and closed value a reduced Fraction (a closed value with
+    its divisor or scale), their sums over the points as the normalizer and
+    the closed total, and Fraction quotients.  `masses` and `closed` hold
+    each point's values (a class's, repeated over its points); returns the
+    normalizer, the probabilities, the closed probabilities and whether
+    these two agree point by point."""
+    z, closed_total = in_order(masses), in_order(closed)
+    probabilities = tuple(mass / z for mass in masses)
+    closed_probabilities = tuple(value / closed_total for value in closed)
+    return z, probabilities, closed_probabilities, probabilities == closed_probabilities
+
+
 def prefixes(module, params, r):
     """Every r-vector a conditional of `params` may be given: coordinates
     0/1 for the first kind, at most n for the second, summing to at most n."""

@@ -469,6 +469,45 @@ def test_class_memos_stay_bounded(module, params):
     assert (again.support, again.weights) == (support, masses)
 
 
+def test_joint_tables_stay_within_their_point_budget(monkeypatch):
+    """`joint_pmf` keeps the most recently read tables while they hold at
+    most `budget` points: a repeated call within it returns the same
+    object, an evicted table is listed again to an equal one, and a table
+    larger than the budget is returned but not kept."""
+    tables = occupancy._joint_tables
+    tables.cache_clear()
+    monkeypatch.setattr(tables, "budget", 60)
+    params = [FirstKindParams(JS, k, 3) for k in (3, 4, 5, 6)]  # 7, 14, 25 and 41 points
+    first = occupancy.joint_pmf(params[0])
+    assert occupancy.joint_pmf(params[0]) is first
+    for p in params[1:]:
+        table = occupancy.joint_pmf(p)
+        assert occupancy.joint_pmf(p) is table
+        assert tables.points == sum(len(t.support) for t in tables.values()) <= tables.budget
+    assert list(tables) == params[2:] and params[0] not in tables
+    again = occupancy.joint_pmf(params[0])
+    assert again is not first and (again, repr(again)) == (first, repr(first))
+    large = FirstKindParams(JS, 8, 4)  # 126 points
+    assert len(occupancy.joint_pmf(large).support) == 126 and large not in tables
+    assert tables.points <= tables.budget
+    tables.cache_clear()
+
+
+def test_joint_pmf_reports_and_clears_its_memo_as_an_lru_cache_does():
+    """Each kind's `joint_pmf` has `cache_info()` (hits, misses, maxsize
+    None, currsize the tables held) and `cache_clear()`, which profiling
+    and reference scripts call."""
+    first_kind.joint_pmf.cache_clear()
+    assert tuple(first_kind.joint_pmf.cache_info()) == (0, 0, None, 0)
+    params = FirstKindParams(JS, 3, 3)
+    table = first_kind.joint_pmf(params)
+    assert first_kind.joint_pmf(params) is table
+    info = second_kind.joint_pmf.cache_info()
+    assert tuple(info) == (1, 1, None, 1)
+    second_kind.joint_pmf.cache_clear()
+    assert tuple(first_kind.joint_pmf.cache_info()) == (0, 0, None, 0)
+
+
 def test_shared_closed_value_is_compared_with_every_probability():
     # One closed-value object at every point, and the last point's
     # probability equals its closed probability: only the other pairs differ.

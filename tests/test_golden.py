@@ -104,6 +104,15 @@ GOLDEN = {
         "6a7d0c6f0ca4b3d1aa1f1a83ca68234598859857430e14871d58e170066373d4",
     ("grouped", "--kind", "second") + JS_DECIMAL + ("--k", "5", "--n", "4", "--groups", "2,1,2", "--format", "csv"):
         "31c643fc3f258e4c8036437c233b4e559778094ed38ef017ba5cf3b54105408f",
+    # Long rationals: masses, probabilities and closed-form cross-checks with
+    # numerators of hundreds of digits, and sequential draws over their steps.
+    ("marginal", "--kind", "second") + JS + ("--k", "2", "--n", "400", "--r", "1", "--format", "csv"):
+        "fa52190f3878f5aa51fc333d3b71c4e4747fe1bc21f6d69c8a0b7a22803fc930",
+    ("conditional", "--kind", "second") + JS + ("--k", "3", "--n", "120", "--given", "7", "--format", "json"):
+        "5fdf845086701a702b49c862fc3b9d8f0df094d13017b4201308da460aa54a15",
+    ("sample", "--kind", "second", "--sequential") + JS + ("--k", "3", "--n", "180", "--seed", "21", "--count", "1000",
+                                                           "--format", "csv"):
+        "6b01f631561d7bedf7c926e215cc0ec43ca51e132f2656336a4e4d3da577f97e",
 }
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpq import (
     CapacityError,
@@ -158,3 +160,25 @@ def test_walk_matches_recursive_reference(upper, chunk, monkeypatch):
             assert all(areas for _, areas in chunks)
             if max(upper, default=0) < chunk:
                 assert all(len(areas) <= chunk for _, areas in chunks)
+
+
+# Floats of every size and sign, so that sum()'s compensation (Python 3.12
+# on) changes the bits of a window's total.
+_layer_values = st.lists(st.floats(-1e200, 1e200, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, 1e-300]),
+                         min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layer_values)
+def test_prefix_totals_are_the_window_totals_bit_for_bit(values):
+    layer = dict(enumerate(values)), None
+    totals = lattice.prefix_totals(layer)
+    expected = [lattice.window_total(layer, 0, s) for s in range(len(values))]
+    assert list(map(repr, totals)) == list(map(repr, expected))
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=20), st.integers(1, 10**12))
+def test_exact_prefix_totals_are_the_window_totals(numerators, denominator):
+    layer = dict(enumerate(numerators)), denominator
+    expected = [lattice.window_total(layer, 0, s) for s in range(len(numerators))]
+    assert lattice.prefix_totals(layer) == expected
