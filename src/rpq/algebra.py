@@ -430,19 +430,21 @@ def closed_form(
     return value if divisor is None else value / divisor
 
 
-def _closed_pair(alg: AlgebraSpec, a: int, b: int, factors: Sequence[Fraction],
-                 scale: Optional[Fraction] = None) -> Tuple[int, int]:
+def _closed_pair(alg: AlgebraSpec, a: int, b: int, factors: Sequence[Scalar],
+                 scale: Optional[Scalar] = None) -> Tuple[int, int]:
     """The exact tau1^a tau2^b * prod(factors) [* scale] as an unreduced
     (numerator, denominator) pair of ints, which a table brings to one
-    denominator with its other closed values (`pmf.make_table`)."""
-    mono = tau_monomial(alg, a, b)
-    numerator, denominator = mono.numerator, mono.denominator
-    for factor in factors:
-        numerator *= factor.numerator
-        denominator *= factor.denominator
-    if scale is not None:
-        numerator *= scale.numerator
-        denominator *= scale.denominator
+    denominator with its other closed values (`pmf.make_table`).  Floats
+    are read as the dyadic rationals they are (`float.as_integer_ratio`);
+    one with no ratio (inf or nan) raises OverflowError."""
+    try:
+        numerator, denominator = tau_monomial(alg, a, b).as_integer_ratio()
+        for factor in factors if scale is None else (*factors, scale):
+            top, bottom = factor.as_integer_ratio()
+            numerator *= top
+            denominator *= bottom
+    except ValueError as exc:  # nan; inf raises OverflowError itself
+        raise OverflowError(str(exc)) from None
     return numerator, denominator
 
 

@@ -13,19 +13,21 @@ ch. 3), which the recursion needs no closed form of.
 The class route.  Cut a support point x of k coordinates after r of them
 into a prefix p and a suffix s: E(x) = E(p) + (k - r) sum(p) + E(s), and
 the suffixes of p are the points of the suffix box, k - r coordinates with
-sums in the joint's window shifted down by sum(p), in `lattice.walk` order.
-So the mass of p, the summed weight of its extensions in support order,
-depends only on its class (r, sum p, base = E(p) + (k - r) sum p), and so
-does a step of a sequential draw: the children of (r, s, base) are
-(r + 1, s + v, base + (k - r) v).  A block of coordinates ending at S adds
+sums in the joint's window shifted down by sum(p).  So the mass of p, the
+summed weight of its extensions, depends only on its class (r, sum p,
+base = E(p) + (k - r) sum p), and so does a step of a sequential draw: the
+children of (r, s, base) are (r + 1, s + v, base + (k - r) v).  A block of coordinates ending at S adds
 E(v) + (k - S) sum(v) for its vectors v, which gives grouped laws their
-masses.  `PrefixClasses` computes all of these without the joint's points.
-Its memos hold one mass and one step per class: an exact mass is summed
-as an integer over the joint's one denominator and reduced once, into the
-object a table holds, which `make_table` reads back over that denominator
-with no lcm.  Besides, a process keeps the count tables of 128 boxes
-(`sum_rows`) and the most recent listings of 2^16 points in all (`Recent`)
-with their class partitions, which derived tables normalize once per class.
+masses.  `PrefixClasses` computes all of these without the joint's points,
+in both modes from the same integers: its memos hold one mass and one step
+per class, a mass summed as an integer over the joint's one denominator
+(the exact sum of float weights, in approximate mode), and one value per
+mass, the object a table holds: a Fraction reduced once, or a float
+rounded once.  `make_table` takes the integers along, so no decimal sum
+depends on an order of points.  Besides, a process keeps the count tables
+of 128 boxes (`sum_rows`) and the most recent listings of 2^16 points in
+all (`Recent`) with their class partitions, which derived tables normalize
+once per class.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ from __future__ import annotations
 import sys
 from collections import Counter, OrderedDict, namedtuple
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import accumulate, chain
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .lattice import ConstraintSet, SupportPoint, area, enumerate_areas, walk
-from .pmf import PmfStream, _over_lcm, cdf_thresholds
+from .lattice import ConstraintSet, SupportPoint, area, enumerate_areas
+from .pmf import PmfStream, cdf_thresholds
 from .scalars import Scalar
 
 # The array type code of each coefficient width `_decode` reads in one pass.
@@ -157,37 +159,35 @@ class PrefixClasses:
     coordinates, each at most `bound`, with sums in [smin, smax]: `mass`
     and `step` give a class (r, s, base) its mass and its step of a
     sequential draw, memoised, one entry per class.  A mass is the summed
-    weight of the support points in the class (at r = 0 the normalizer):
-    in exact mode the suffix box's counts by sum (`sum_rows`) dotted with
-    the weights as integers over their lcm, `denominator`, in approximate
-    mode the weights of base + e over the suffix areas e added in `walk`
-    order."""
+    weight of the support points in the class (at r = 0 the normalizer's),
+    an integer over the joint's one denominator `denominator`: in both
+    modes the suffix box's counts by sum (`sum_rows`) dotted with the class
+    weights of `law` as `numerators` over `denominator`, the exact sum of
+    the weights.  `value(mass)`, memoised, is the one object a table holds
+    for a mass, a Fraction or a float rounded once."""
 
-    def __init__(self, law: PmfStream, exact: bool) -> None:
-        self.law, self.exact = law, exact
+    def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, exact: bool) -> None:
+        self.law, self.exact, self.denominator = law, exact, denominator
         box = law.constraints
         self.k, self.bound, self.smin, self.smax = box.dim, box.upper[0], box.sum_min, box.sum_max
-        self.mass, self.step = lru_cache(maxsize=None)(self._mass), lru_cache(maxsize=None)(self._step)
-        self.denominator = None
-        if exact:
-            numerators, self.denominator = _over_lcm(law.weights.values())
-            scaled = dict(zip(law.weights, numerators))
-            self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
+        self.mass, self.step, self.value = (lru_cache(maxsize=None)(f) for f in (self._mass, self._step, self._value))
+        scaled = dict(zip(law.weights, numerators))
+        self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
+        self.total = sum(law.counts[e] * n for e, n in scaled.items())
 
-    def _mass(self, key: Tuple[int, int, int]) -> Scalar:
+    def _value(self, mass: int) -> Scalar:
+        return Fraction(mass, self.denominator) if self.exact else mass / self.denominator
+
+    def _mass(self, key: Tuple[int, int, int]) -> int:
         r, s, base = key
         if r == 0:
-            return self.law.z_enumerated
-        lo, hi = max(0, self.smin - s), self.smax - s
-        if self.exact:
-            rows, numerator = sum_rows((self.bound,) * (self.k - r), self.smax), 0
-            for t in range(lo, hi + 1):
-                numerator += sum(map(mul, rows[t], self._scaled[base + t:base + t + len(rows[t])]))
-            return Fraction(numerator, self.denominator)
-        areas = chain.from_iterable(a for _, a in walk(ConstraintSet((self.bound,) * (self.k - r), lo, hi)))
-        return reduce(add, map(self.law.weights.__getitem__, map(base.__add__, areas)))
+            return self.total
+        rows, numerator = sum_rows((self.bound,) * (self.k - r), self.smax), 0
+        for t in range(max(0, self.smin - s), self.smax - s + 1):
+            numerator += sum(map(mul, rows[t], self._scaled[base + t:base + t + len(rows[t])]))
+        return numerator
 
-    def prefixes(self, given: SupportPoint, m: int) -> Tuple[tuple, tuple, List[int], List[Scalar]]:
+    def prefixes(self, given: SupportPoint, m: int) -> Tuple[tuple, tuple, List[int], List[int]]:
         """The m-prefixes x of the support that extend `given` (r = len(given)
         coordinates), in lexicographic order: their parts s = x[r:], the
         points of a box of m - r coordinates whose sums leave the last k - m
@@ -199,7 +199,7 @@ class PrefixClasses:
         base, tail, mass = area(given) + (self.k - r) * y, self.k - m, self.mass
         return points, keys, index, [mass((m, y + t, base + e + tail * t)) for t, e in keys]
 
-    def _step(self, key: Tuple[int, int, int]) -> Tuple[List[Scalar], int, list]:
+    def _step(self, key: Tuple[int, int, int]) -> Tuple[List[int], int, list]:
         # The children of class (r, s, base), r < k, take the values v from
         # `lo` up that leave the rest of the point room in the window; a
         # variate u takes child bisect_right(thresholds, u).
@@ -207,36 +207,27 @@ class PrefixClasses:
         rest = self.k - r - 1
         lo = max(0, self.smin - s - rest * self.bound)
         children = [(r + 1, s + v, base + (rest + 1) * v) for v in range(lo, min(self.bound, self.smax - s) + 1)]
-        masses = list(map(self.mass, children))
-        if self.exact:
-            masses = _over_lcm(masses, self.denominator)[0]
-        return cdf_thresholds(masses, self.mass(key), self.exact), lo, children
+        return cdf_thresholds(list(map(self.mass, children)), None, True), lo, children
 
-    def blocks(self, sizes: Sequence[int]) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+    def blocks(self, sizes: Sequence[int]) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
         """The block-sum vectors y of the consecutive blocks of `sizes`
         (which cover the k coordinates), in lexicographic order, and the
-        summed weight of the points of each.  The points of y are the
-        blocks' vectors nested, first block outermost, as (area, count)
-        pairs, a block ending at S adding E(v) + (k - S) y_j: in exact mode
-        one pair per area (`sum_rows`), merged as blocks are added; in
-        approximate mode one per vector, so they come in support order."""
+        mass of the points of each.  The points of y are the blocks'
+        vectors nested, first block outermost, as (area, count) pairs, one
+        per area (`sum_rows`), merged as blocks are added; a block ending
+        at S adds E(v) + (k - S) y_j."""
         ends, blocks, masses = list(accumulate(sizes)), {}, []
         support = enumerate_areas(ConstraintSet(tuple(self.bound * m for m in sizes), self.smin, self.smax))[0]
         for y in support:
             pairs = [(0, 1)]
             for j, v in enumerate(y):
                 if (j, v) not in blocks:
-                    shift, box = (self.k - ends[j]) * v, ConstraintSet((self.bound,) * sizes[j], v, v)
-                    blocks[j, v] = ([(shift + v + i, c) for i, c in enumerate(sum_rows(box.upper, self.smax)[v]) if c]
-                                    if self.exact else [(shift + a, 1) for _, areas in walk(box) for a in areas])
-                pairs = [(a + e, c * n) for a, c in pairs for e, n in blocks[j, v]]
-                if self.exact:
-                    merged: Counter = Counter()
-                    for a, c in pairs:
-                        merged[a] += c
-                    pairs = list(merged.items())
-            if self.exact:
-                masses.append(Fraction(sum(c * self._scaled[a] for a, c in pairs), self.denominator))
-            else:
-                masses.append(reduce(add, [self.law.weights[a] for a, _ in pairs]))
+                    shift, row = (self.k - ends[j]) * v, sum_rows((self.bound,) * sizes[j], self.smax)[v]
+                    blocks[j, v] = [(shift + v + i, c) for i, c in enumerate(row) if c]
+                merged: Counter = Counter()
+                for a, c in pairs:
+                    for e, n in blocks[j, v]:
+                        merged[a + e] += c * n
+                pairs = merged.items()
+            masses.append(sum(c * self._scaled[a] for a, c in pairs))
         return support, tuple(masses)

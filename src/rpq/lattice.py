@@ -100,13 +100,10 @@ def count_points(constraints: ConstraintSet) -> int:
 WALK_CHUNK = 512
 
 
-def walk(
-    constraints: ConstraintSet, cells: Optional[Sequence[Sequence]] = None, start=()
-) -> Iterator[Tuple[List, List[int]]]:
+def walk(constraints: ConstraintSet, cells: Sequence[Sequence], start=()) -> Iterator[Tuple[List, List[int]]]:
     """The admissible points in lexicographic order, as chunks
     (prefixes, areas): the prefix `start + cells[0][x_0] + ... +
     cells[d-1][x_{d-1}]` of each point x and its area E(x) (`area`).
-    Without `cells` a chunk lists the areas alone and its prefixes are [].
 
     Coordinate j takes the values [lo_j, min(upper[j], sum_max - S_j)], where
     S_j is the sum of the coordinates before j and lo_j = max(0, sum_min -
@@ -128,7 +125,7 @@ def walk(
     up_suffix = list(accumulate(reversed(upper), initial=0))[::-1]  # upper[j] + ... + upper[-1]
     if dim == 0:
         if smin <= 0 <= smax:
-            yield ([start] if cells is not None else []), [0]
+            yield [start], [0]
         return
     h, tuples = dim - 1, upper[-1] + 1
     while h > 0 and tuples * (upper[h - 1] + 1) <= WALK_CHUNK:
@@ -142,14 +139,13 @@ def walk(
         lo = rest - s if rest > s else 0  # [lo_j, min(upper[j], sum_max - S_j)], without max and min
         hi = smax - s if smax - s < up else up
         if j == dim - 1:
-            return (() if cells is None else cells[j][lo:hi + 1]), range(lo, hi + 1)
+            return cells[j][lo:hi + 1], range(lo, hi + 1)
         entry = memo.get((j, s))
         if entry is None:
             texts, areas = [], []
             for v in range(lo, hi + 1):
                 sub_texts, sub_areas = tails(j + 1, s + v)
-                if cells is not None:
-                    texts += map(cells[j][v].__add__, sub_texts)
+                texts += map(cells[j][v].__add__, sub_texts)
                 areas += map(((dim - j) * v).__add__, sub_areas)
             entry = memo[j, s] = texts, areas
         return entry
@@ -164,18 +160,17 @@ def walk(
                     yield prefixes, areas
                     prefixes, areas = [], []
                 areas += map((a + (dim - h) * s).__add__, tail_areas)
-                if cells is not None:
-                    prefixes += map(p.__add__, texts)
+                prefixes += map(p.__add__, texts)
             if areas:
                 yield prefixes, areas
             return
-        cell = None if cells is None else cells[j]
+        cell = cells[j]
         up, rest = upper[j], smin - up_suffix[j + 1]
         nxt = []
         for p, s, a in items:
             for v in range(rest - s if rest > s else 0, (smax - s if smax - s < up else up) + 1):
                 t = s + v
-                nxt.append((p if cell is None else p + cell[v], t, a + t))
+                nxt.append((p + cell[v], t, a + t))
         size = max(1, WALK_CHUNK // (upper[j + 1] + 1))
         for i in range(0, len(nxt), size):
             yield from extend(nxt[i:i + size], j + 1)

@@ -12,22 +12,22 @@ normalized once, from its area-class counts (`joint_stream`), which
 `tabulate` writes as `lattice.walk` lists its rows and `joint_pmf` lists
 as a `PmfTable`.  Derived laws read the masses of prefix and block classes
 (`classes.PrefixClasses`), never the joint table, and `make_table`
-normalizes them once per class, in exact mode over the joint's one
-denominator, with their closed values as unreduced integer pairs and a
-conditional's divisor applied once.  Each first takes the joint's
-10^7-point guard and checks, from its memoised class law, so it refuses
-what it refused when it summed the joint.  Memos, each bounded: the 32
-most recent class laws (one mass and one step per class), block masses of
-32 schemes, and the most recent joint tables of 2^19 points in all.  What
-the kinds differ in lives on their params
+normalizes them once per class, in both modes as integers over the joint's
+one denominator, with their closed values as unreduced integer pairs (a
+float factor read as the rational it is) and a conditional's divisor
+applied once; a decimal value is rounded once, at the end.  Each first
+takes the joint's 10^7-point guard and checks, from its memoised class
+law, so it refuses what it refused when it summed the joint.  Memos, each
+bounded: the 32 most recent class laws with their streams (one mass, one
+value and one step per class), block masses of 32 schemes, and the most
+recent joint tables of 2^19 points in all.  What the kinds differ in lives
+on their params
 classes (`OccupancyParams`), which `rpq.first_kind` and `rpq.second_kind`
 define; they re-export these functions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar, Iterable, Optional, Sequence, Tuple
@@ -35,8 +35,7 @@ from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 from .algebra import AlgebraSpec, _closed_pair, closed_form, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
 from .classes import PrefixClasses, Recent, area_counts
-from .lattice import (ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_areas,
-                      enumerate_points)
+from .lattice import ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_points, point_cells
 from .pmf import PmfStream, PmfTable, _over_lcm, make_stream, make_table
 from .records import Record
 from .scalars import Scalar
@@ -149,41 +148,49 @@ def joint_stream(params: OccupancyParams) -> PmfStream:
     """The joint law of (X_1..X_k), one weight and one probability per area
     class, normalized from the class counts (`make_stream`) with the joint's
     checks and fit, as a stream: the support is counted (the points guard),
-    not listed."""
+    not listed.  It is memoised with its class law (`_joint_law`)."""
+    return _joint_law(params).law
+
+
+# Bounded: a long-lived process keeps the class laws of at most 32 params,
+# each with at most one mass, one value and one step per prefix class.
+@lru_cache(maxsize=32)
+def _joint_law(params: OccupancyParams) -> PrefixClasses:
+    """The joint law of `params` as a stream and the memos of its prefix
+    classes, both read from its class weights as integers over their lcm:
+    what every derived law and the sequential sampler read, after the
+    joint's guard and checks."""
     constraints = support_constraints(params)
     count_points(constraints)
     counts = area_counts(constraints)
-    return make_stream(
+    weights = {e: params.area_weight(e) for e in counts}
+    numerators, denominator = _over_lcm(weights.values())
+    stream = make_stream(
         kind=params.kind,
         params=params.describe(),
         coord_labels=_labels("x", 1, params.k),
         constraints=constraints,
         counts=counts,
-        weights={e: params.area_weight(e) for e in counts},
+        weights=weights,
         alg=params.alg,
+        numerators=numerators,
+        denominator=denominator,
         **_normalizer(params),
     )
-
-
-# Bounded: a long-lived process keeps the class laws of at most 32 params,
-# each with at most one mass and one step per prefix class.
-@lru_cache(maxsize=32)
-def _joint_law(params: OccupancyParams) -> PrefixClasses:
-    """`joint_stream(params)` and the memos of its prefix classes: what
-    every derived law and the sequential sampler read, after the joint's
-    guard and checks."""
-    return PrefixClasses(joint_stream(params), params.alg.exact)
+    return PrefixClasses(stream, numerators, denominator, params.alg.exact)
 
 
 def _listed(params: OccupancyParams) -> PmfTable:
-    """The table of `joint_stream(params)`: each listed point with its class's
-    weight and probability objects, the listing checked against the counts."""
+    """The table of `joint_stream(params)`: each point its `rows` list, which
+    checks the listing against the counts, with its class's weight and
+    probability objects."""
     law = _joint_law(params).law
-    support, areas = enumerate_areas(law.constraints)
-    if Counter(areas) != Counter(law.counts):
-        raise AssertionError(f"{law.kind} self-check failed: the listed areas are not the counted classes")
+    support, areas = [], []
+    for points, chunk in law.rows(point_cells(law.constraints), ()):
+        support += points
+        areas += chunk
     weights, probabilities = (tuple(map(by_class.__getitem__, areas)) for by_class in (law.weights, law.probabilities))
-    return PmfTable(law.kind, law.params, law.coord_labels, support, weights, law.z_enumerated, probabilities,
+    return PmfTable(law.kind, law.params, law.coord_labels, tuple(support), weights, law.z_enumerated, probabilities,
                     params.alg.exact, params.alg.tol, law.z_closed_form, law.z_discrepancy)
 
 
@@ -203,19 +210,17 @@ joint_pmf.cache_info, joint_pmf.cache_clear = _joint_tables.cache_info, _joint_t
 
 def _derived_table(
     params: OccupancyParams, law: PrefixClasses, table: str, coords: Tuple[str, int, int],
-    support: Sequence[SupportPoint], weights: Sequence[Scalar], index: Iterable[int], closed_terms: Iterable[tuple],
+    support: Sequence[SupportPoint], masses: Sequence[int], index: Iterable[int], closed_terms: Iterable[tuple],
     closed_divisor: Optional[Scalar] = None, **extra,
 ) -> PmfTable:
     """A law derived from the joint of `params`: kind "<kind>-<table>",
     params with `table` and `extra`, coordinates labelled `coords` (prefix,
-    first index, last index), a mass and the `algebra.closed_form`
-    arguments of a closed value per class (over `closed_divisor`), `index`
-    the class of each point.  Exact masses are read over the one
-    denominator of the joint's class law `law`, and exact closed values
-    are unreduced pairs (`algebra._closed_pair`).  Summed joint masses keep
-    the joint's normalizer, so every table but a conditional carries its
-    closed form."""
-    closed = _closed_pair if params.alg.exact else closed_form
+    first index, last index), a mass over the one denominator of the
+    joint's class law `law` and the `algebra.closed_form` arguments of a
+    closed value per class (over `closed_divisor`), `index` the class of
+    each point.  Closed values are unreduced pairs (`algebra._closed_pair`).
+    Summed joint masses keep the joint's normalizer, so every table but a
+    conditional carries its closed form."""
     described = params.describe()
     described.update(table=table, **extra)
     return make_table(
@@ -223,11 +228,12 @@ def _derived_table(
         params=described,
         coord_labels=_labels(*coords),
         support=support,
-        weights=weights,
+        weights=list(map(law.value, masses)),
         index=index,
         alg=params.alg,
         **({} if table.endswith("conditional") else _normalizer(params)),
-        closed_values=[closed(params.alg, *terms) for terms in closed_terms],
+        closed_values=[_closed_pair(params.alg, *terms) for terms in closed_terms],
+        numerators=masses,
         denominator=law.denominator,
         closed_divisor=closed_divisor,
     )
@@ -299,7 +305,7 @@ class GroupingScheme(Record):
 
 # Bounded: a long-lived process keeps the block masses of 32 schemes.
 @lru_cache(maxsize=32)
-def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[Tuple[SupportPoint, ...], Tuple[Scalar, ...]]:
+def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
     return _joint_law(params).blocks(sizes)
 
 
@@ -337,18 +343,15 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    # The block masses summed by their leading blocks, as a scan of the
-    # block law adds them (exact ones as integers over the joint's one
-    # denominator); the blocks are sorted, so the sums come sorted.
-    (blocks, masses), law, sums = _block_law(params, scheme.sizes), _joint_law(params), {}
-    for y, mass in zip(blocks, masses if law.denominator is None else _over_lcm(masses, law.denominator)[0]):
-        sums[y[:nu]] = sums[y[:nu]] + mass if y[:nu] in sums else mass
-    support, masses = tuple(sums), tuple(sums.values())
-    if law.denominator is not None:
-        masses = [Fraction(mass, law.denominator) for mass in masses]
+    # The block masses summed by their leading blocks; the blocks are
+    # sorted, so the sums come sorted.
+    sums = {}
+    for y, mass in zip(*_block_law(params, scheme.sizes)):
+        sums[y[:nu]] = sums.get(y[:nu], 0) + mass
+    support, masses = tuple(sums), list(sums.values())
     closed = [_grouped_marginal_terms(params, scheme, p) for p in support]
-    return _derived_table(params, law, "grouped-marginal", ("y", 1, nu), support, masses, range(len(support)),
-                          closed, scheme=list(scheme.sizes), nu=nu)
+    return _derived_table(params, _joint_law(params), "grouped-marginal", ("y", 1, nu), support, masses,
+                          range(len(support)), closed, scheme=list(scheme.sizes), nu=nu)
 
 
 def grouped_conditional_pmf(

@@ -2,16 +2,20 @@
 
 A table's probabilities are always weight / (enumerated sum of weights);
 closed-form normalizers and closed-form probability values ride along as
-cross-check records, never as the source of truth; `make_table` normalizes
-them once per class of points, in exact mode as integers over one
-denominator (the joint's, for a derived law), reducing one Fraction per
-class for each column it holds.  A `PmfStream` is the same law listed by
-`lattice.walk` rather than held: one weight and one probability per area
-class, normalized from the class counts in exact mode and from passes
-over the areas in support order in approximate mode.  It is the one
-normalization of a joint law, which `occupancy` memoises as the class law
-that derived laws and sequential draws read; `joint_pmf` lists it as a
-table.  A table keeps one memo, its inverse-CDF thresholds.
+cross-check records, never as the source of truth.  `make_table`
+normalizes them once per class of points, in both modes from integers over
+one denominator (the joint's, for a derived law; a float is the dyadic
+rational it is): the sums are exact, and the mode decides only how a
+public value is built, a Fraction reduced once per class for each column
+it holds, or a float rounded once (a decimal normalizer is the correctly
+rounded exact sum of its float terms, a decimal probability the correctly
+rounded quotient of its class weight by that sum, whatever their order).
+A `PmfStream` is the same law listed by `lattice.walk` rather than held:
+one weight and one probability per area class, normalized from the class
+counts.  It is the one normalization of a joint law, which `occupancy`
+memoises as the class law that derived laws and sequential draws read;
+`joint_pmf` lists it as a table.  A table keeps one memo, its inverse-CDF
+thresholds.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import lcm
 from operator import add, is_, lt, mul
 from typing import Callable, ClassVar, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -38,11 +42,16 @@ CDF_SCALE = 1 << CDF_BITS
 
 
 def _over_lcm(values: Iterable, denominator: Optional[int] = None) -> Tuple[List[int], int]:
-    """Each of `values`, rationals or unreduced (numerator, denominator)
-    pairs of ints (`algebra._closed_pair`), as an integer numerator over
+    """Each of `values`, rationals, floats (each an exact dyadic rational,
+    `float.as_integer_ratio`) or unreduced (numerator, denominator) pairs
+    of ints (`algebra._closed_pair`), as an integer numerator over
     `denominator` (by default the lcm of their denominators; one given must
-    be a multiple of each, or ValidationError), and that denominator."""
-    pairs = [v if type(v) is tuple else (v.numerator, v.denominator) for v in values]
+    be a multiple of each, or ValidationError), and that denominator.  A
+    float with no ratio (inf or nan) raises OverflowError."""
+    try:
+        pairs = [v if type(v) is tuple else v.as_integer_ratio() for v in values]
+    except ValueError as exc:  # nan; inf raises OverflowError itself
+        raise OverflowError(str(exc)) from None
     if denominator is None:
         denominator = lcm(*{d for _, d in pairs})
     elif any(denominator % d for _, d in pairs):
@@ -51,40 +60,34 @@ def _over_lcm(values: Iterable, denominator: Optional[int] = None) -> Tuple[List
 
 
 def _class_quotients(
-    values: Sequence, counts: Sequence[int], z: Optional[Scalar], nonpositive: str,
-    denominator: Optional[int] = None, like: Optional[tuple] = None, divisor: Optional[Scalar] = None,
-) -> Tuple[Scalar, List[Scalar], Optional[Tuple[List[int], int]]]:
-    """The normalizer of classes of value `values[i]` and multiplicity
-    `counts[i]`, value / normalizer per class, and the integers (s_i, S)
-    below (None in approximate mode).
-
-    Exact mode (z None): the values are integers s_i over one denominator
-    (`_over_lcm`, over `denominator` when given); with S the sum of count
-    times s_i, the normalizer is Fraction(S, denominator) (over `divisor`,
-    a factor common to every value, when given) and each quotient
-    Fraction(s_i, S), the one reduction of each class: the same rationals
-    as a point-by-point sum and division.  `like`, the integers (t_i, T)
-    and the quotients of another normalization of the same classes, lends
-    its quotient object to each class whose quotient equals it
-    (s_i T == t_i S), which then builds no Fraction.  Approximate mode
-    passes z, the values of every point added left to right in support
-    order, as a point-by-point sum rounds.  A normalizer that is not
-    positive raises ValidationError(f"{nonpositive} {z}").
-    """
-    if z is not None:
-        if z <= 0:
-            raise ValidationError(f"{nonpositive} {z}")
-        return z, [v / z for v in values], None
-    scaled, denominator = _over_lcm(values, denominator)
-    total = sum(map(mul, counts, scaled))
-    z = Fraction(total, denominator) if divisor is None else Fraction(total, denominator) / divisor
+    scaled: Sequence[int], denominator: int, counts: Sequence[int], exact: bool, nonpositive: str,
+    like: Optional[tuple] = None, divisor: Optional[Scalar] = None,
+) -> Tuple[Scalar, List[Scalar], int]:
+    """The normalizer of classes of value `scaled[i]` / `denominator` and
+    multiplicity `counts[i]`, value / normalizer per class, and S, the sum
+    of count times scaled[i]: S / denominator (over `divisor`, a factor
+    common to every value, when given) and s_i / S, exact whatever the
+    order of the values.  Exact mode builds Fractions, one reduction per
+    class; approximate mode divides the ints, which rounds each result once
+    (correctly, half to even).  `like`, the integers (t_i, T) and the
+    quotients of another exact normalization of the same classes, lends its
+    quotient object to each class whose quotient equals it (s_i T == t_i S),
+    which then builds no Fraction.  A normalizer that is not positive
+    raises ValidationError(f"{nonpositive} {z}")."""
+    total = numerator = sum(map(mul, counts, scaled))
+    if divisor is not None:
+        (over,), under = _over_lcm([divisor])
+        numerator, denominator = total * under, denominator * over
+    z = Fraction(numerator, denominator) if exact else numerator / denominator
     if z <= 0:
         raise ValidationError(f"{nonpositive} {z}")
+    if not exact:
+        return z, [s / total for s in scaled], total
     if like is None:
-        return z, [Fraction(s, total) for s in scaled], (scaled, total)
-    (others, other_total), quotients = like
+        return z, [Fraction(s, total) for s in scaled], total
+    others, other_total, quotients = like
     return z, [q if s * other_total == t * total else Fraction(s, total)
-               for s, t, q in zip(scaled, others, quotients)], (scaled, total)
+               for s, t, q in zip(scaled, others, quotients)], total
 
 
 def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], counts: Iterable[int],
@@ -104,35 +107,30 @@ def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], cou
         raise ValidationError(f"{kind} table: probabilities sum to {Fraction(scaled, total)}, not 1")
 
 
-def _normalize_classes(kind: str, keys: Sequence, weights, sizes: Sequence[int], classes: Callable[[], Iterable],
-                       points: Callable[[], Iterable[SupportPoint]], alg: AlgebraSpec,
-                       denominator: Optional[int] = None) -> Tuple[Scalar, dict, Optional[tuple]]:
-    """The normalizer and the probability of each class (`_class_quotients`,
-    exact weights over `denominator`), by key, and the integers of an
-    exact normalization, of the classes `keys` of weight `weights[key]`
-    and `sizes` points, with a table's checks.
-    `classes()` and `points()` list each point's class
-    and the points in support order: approximate mode adds z and the sum of
-    the probabilities over them left to right, and refuses a probability
-    that is not positive at the first point of its class (every support
-    point has positive exact mass, so a 0.0 has underflowed)."""
-    z_sum = None if alg.exact else reduce(add, map(weights.__getitem__, classes()))
-    z, quotients, ints = _class_quotients([weights[c] for c in keys], sizes, z_sum,
-                                          f"{kind} table: nonpositive normalizer", denominator)
-    probabilities = dict(zip(keys, quotients))
+def _normalize_classes(kind: str, scaled: Sequence[int], denominator: int, sizes: Sequence[int], alg: AlgebraSpec,
+                       first_point: Callable[[set], Tuple[SupportPoint, int]]) -> Tuple[Scalar, List[Scalar], int]:
+    """`_class_quotients` of classes of weight `scaled[i]` / `denominator`
+    and `sizes[i]` points, with a table's checks.  Approximate mode refuses
+    a probability that is not positive at the first point of its class,
+    (point, class) = `first_point(refused classes)` (every support point
+    has positive exact mass, so a 0.0 has underflowed), and probabilities
+    whose exact sum is not 1 within the tolerance."""
+    z, quotients, total = _class_quotients(scaled, denominator, sizes, alg.exact,
+                                           f"{kind} table: nonpositive normalizer")
     if alg.exact:
-        _check_exact_probabilities(kind, quotients, sizes, ints[1])
-        return z, probabilities, ints
-    refused = {c for c, prob in probabilities.items() if prob <= 0}
+        _check_exact_probabilities(kind, quotients, sizes, total)
+        return z, quotients, total
+    refused = {c for c, prob in enumerate(quotients) if prob <= 0}
     if refused:
-        point, c = next((x, c) for x, c in zip(points(), classes()) if c in refused)
-        if probabilities[c] < 0:
-            raise ValidationError(f"{kind} table: negative probability {probabilities[c]}")
+        point, c = first_point(refused)
+        if quotients[c] < 0:
+            raise ValidationError(f"{kind} table: negative probability {quotients[c]}")
         raise UnderflowError(f"{kind} table: the probability of {point} is 0.0")
-    total = reduce(add, map(probabilities.__getitem__, classes()))
-    if not scalars_close(total, 1, False, alg.tol):
-        raise ValidationError(f"{kind} table: probabilities sum to {total}, not 1")
-    return z, probabilities, None
+    numerators, common = _over_lcm(quotients)
+    probability = sum(map(mul, sizes, numerators)) / common
+    if not scalars_close(probability, 1, False, alg.tol):
+        raise ValidationError(f"{kind} table: probabilities sum to {probability}, not 1")
+    return z, quotients, total
 
 
 class ClosedFormCheck(Record):
@@ -233,23 +231,23 @@ def make_table(
     z_closed_form: Optional[Scalar] = None,
     fit_bound: int = 0,
     closed_values: Optional[Sequence] = None,
+    numerators: Optional[Sequence[int]] = None,
     denominator: Optional[int] = None,
     closed_divisor: Optional[Scalar] = None,
 ) -> PmfTable:
     """Normalize weights into a table and attach the cross-check records.
     `weights` and `closed_values` hold one value per class of points, and
     `index` each point's class (range(len(support)): a class per point).
-    Each class is normalized, checked and compared once; approximate mode
-    sums z and the probabilities point by point in support order.  Exact
-    mode takes the weights as integers over `denominator`, a common
-    multiple of their denominators (by default their lcm), and the closed
-    values, rationals or unreduced (numerator, denominator) pairs, over
-    the lcm of theirs (`_over_lcm`); each class then reduces its
-    probability and its closed probability once.  `closed_divisor`, a
-    factor common to every closed value, divides their total once in
-    exact mode (the quotients do not see it; a zero divisor raises that
-    division's ZeroDivisionError) and each value in approximate mode,
-    where a value keeps the bits of its own division."""
+    Each class is normalized, checked and compared once, in both modes from
+    integers over one denominator (`_class_quotients`): the weights as
+    `numerators` over `denominator` when given (a rounded float weight
+    cannot give back the exact sum it was rounded from), else read over
+    `denominator`, a common multiple of their denominators (by default
+    their lcm), and the closed values, rationals, floats or unreduced
+    (numerator, denominator) pairs, over the lcm of theirs (`_over_lcm`).
+    `closed_divisor`, a factor common to every closed value, divides their
+    total once (the quotients do not see it; a zero divisor raises that
+    division's ZeroDivisionError)."""
     support, weights, index = tuple(support), list(weights), list(index)
     if not support:
         raise ValidationError(f"{kind} table: empty support")
@@ -258,8 +256,11 @@ def make_table(
     if not all(map(lt, support, support[1:])):
         raise ValidationError(f"{kind} table: support is not strictly increasing")
     sizes = list(map(Counter(index).__getitem__, range(len(weights))))
-    z, quotients, ints = _normalize_classes(kind, range(len(weights)), weights, sizes, lambda: index,
-                                            lambda: support, alg, denominator)
+    if numerators is None:
+        numerators, denominator = _over_lcm(weights, denominator)
+    z, quotients, total = _normalize_classes(kind, numerators, denominator, sizes, alg,
+                                             lambda refused: next((x, c) for x, c in zip(support, index)
+                                                                  if c in refused))
     point_weights, probabilities = tuple(map(weights.__getitem__, index)), tuple(map(quotients.__getitem__, index))
     z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
 
@@ -268,16 +269,13 @@ def make_table(
         closed_values = list(closed_values)
         if len(closed_values) != len(weights):
             raise ValidationError(f"{kind} table: {len(weights)} weight classes vs {len(closed_values)} closed values")
-        if closed_divisor is not None and not alg.exact:
-            closed_values = [v / closed_divisor for v in closed_values]
         # An exact closed probability equal to the class's probability is
         # that object, so the classes agree exactly when every one is shared.
-        class_probabilities = list(quotients.values())
         _, closed_quotients, _ = _class_quotients(
-            closed_values, sizes, None if alg.exact else reduce(add, map(closed_values.__getitem__, index)),
-            f"{kind} table: closed form sums to", like=(ints, class_probabilities), divisor=closed_divisor)
-        equal = (all(map(is_, closed_quotients, class_probabilities)) if alg.exact else
-                 all(scalars_close(a, b, False, alg.tol) for a, b in zip(closed_quotients, class_probabilities)))
+            *_over_lcm(closed_values), sizes, alg.exact, f"{kind} table: closed form sums to",
+            like=(numerators, total, quotients), divisor=closed_divisor)
+        equal = (all(map(is_, closed_quotients, quotients)) if alg.exact else
+                 all(scalars_close(a, b, False, alg.tol) for a, b in zip(closed_quotients, quotients)))
         check = ClosedFormCheck(tuple(map(closed_quotients.__getitem__, index)), equal)
 
     return PmfTable(
@@ -362,21 +360,28 @@ def make_stream(
     counts: Mapping[int, int],
     weights: Mapping[int, Scalar],
     alg: AlgebraSpec,
+    numerators: Sequence[int],
+    denominator: int,
     z_closed_form: Optional[Scalar] = None,
     fit_bound: int = 0,
 ) -> PmfStream:
     """Normalize the area-class weights of the points of `constraints`
-    (`counts` of them per class) as `make_table` does (`_normalize_classes`),
-    and attach the normalizer's fit.  Exact mode reads the counts;
-    approximate mode passes over the areas of `lattice.walk`, in support
-    order, once for z and once for the sum of the probabilities."""
+    (`counts` of them per class) as `make_table` does, from the counts and
+    the weights as `numerators` over `denominator` (`_over_lcm`), and
+    attach the normalizer's fit.  No point is listed, but to name the
+    first point of a refused class."""
     if not counts:
         raise ValidationError(f"{kind} table: empty support")
     classes = list(weights)
-    z, probabilities, _ = _normalize_classes(
-        kind, classes, weights, [counts[e] for e in classes],
-        lambda: chain.from_iterable(a for _, a in walk(constraints)),
-        lambda: chain.from_iterable(p for p, _ in walk(constraints, point_cells(constraints))), alg)
+
+    def first_point(refused: set) -> Tuple[SupportPoint, int]:
+        by_area = {classes[c]: c for c in refused}
+        return next((x, by_area[e]) for points, areas in walk(constraints, point_cells(constraints))
+                    for x, e in zip(points, areas) if e in by_area)
+
+    z, quotients, _ = _normalize_classes(kind, numerators, denominator, [counts[e] for e in classes], alg,
+                                         first_point)
+    probabilities = dict(zip(classes, quotients))
     return PmfStream(
         kind=kind,
         params=dict(params),

@@ -13,7 +13,8 @@ no boundary is misassigned and no zero-probability point is drawn.
 the table keeps (`PmfTable.cdf`).  `sequential_sample` draws the joint law
 one coordinate at a time (the conditional-distribution method), for either
 kind, by the steps of its prefix classes (`classes.PrefixClasses`), and
-lists no table.
+lists no table; its thresholds are exact in both modes, from the classes'
+integer masses.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from operator import truediv
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .classes import _decode
@@ -124,7 +126,7 @@ def path_probabilities(params: OccupancyParams) -> Dict[SupportPoint, Scalar]:
     probability exactly."""
     classes = _joint_law(params)
     mass, box = classes.mass, classes.law.constraints
-    k, one = params.k, 1 if params.alg.exact else 1.0
+    k, (one, ratio) = params.k, ((1, Fraction) if params.alg.exact else (1.0, truediv))
     out = {}
     for points, _ in walk(box, point_cells(box)):
         for point in points:
@@ -132,7 +134,7 @@ def path_probabilities(params: OccupancyParams) -> Dict[SupportPoint, Scalar]:
             for r, v in enumerate(point):
                 s, base = s + v, base + (k - r) * v
                 child = mass((r + 1, s, base))
-                prob *= child / parent
+                prob *= ratio(child, parent)
                 parent = child
             out[point] = prob
     return out

@@ -13,8 +13,19 @@ The other references scan such a table point by point in support order:
 given a prefix), `prefix_masses` the weight of every prefix, and the
 samplers are replayed over a variate stream (`mantissas`, the SplitMix64
 stream written out here) with a linear threshold scan and uncached prefix
-masses.  Floats are summed left to right, as a scan adds them, so tests
-compare with `==`: the library must reproduce them bit for bit.
+masses.
+
+Every sum is exact: a float is the dyadic rational it is (`exact`), so
+the sums of a decimal law are Fractions of its float weights, whatever
+their order.  The decimal contract is one rounding at the end: a decimal
+normalizer is the correctly rounded exact sum of its float terms, a
+decimal weight the correctly rounded exact mass of its class, and a
+decimal probability (or chain-rule factor) the correctly rounded quotient
+of that exact mass by the exact sum (`normalized`; `float` of a Fraction
+rounds correctly, half to even).  A decimal closed value is the exact
+product of its float factors, and a sequential step compares a variate
+with exact thresholds in both modes.  So tests compare with `==`: the
+library must reproduce these bit for bit.
 """
 
 from fractions import Fraction
@@ -47,12 +58,21 @@ def grid(module, alg, first_k, second_k, second_n):
     return [SecondKindParams(alg, k, n) for k in range(1, second_k + 1) for n in range(second_n + 1)]
 
 
-def in_order(values):
-    """The values added left to right."""
-    total = values[0]
-    for value in values[1:]:
-        total = total + value
-    return total
+def exact(value):
+    """A float as the rational it is; other values as they are."""
+    return Fraction(value) if isinstance(value, float) else value
+
+
+def normalized(masses, exact_mode):
+    """The weights, the normalizer and the probabilities of a table of the
+    exact masses `masses`, one per point: in exact mode the masses, their
+    sum and each mass over the sum; in approximate mode the same values,
+    each rounded once to a float."""
+    total = sum(masses)
+    probabilities = tuple(mass / total for mass in masses)
+    if exact_mode:
+        return tuple(masses), total, probabilities
+    return tuple(map(float, masses)), float(total), tuple(map(float, probabilities))
 
 
 def joint_table(params):
@@ -82,7 +102,7 @@ def fraction_route(masses, closed):
     each point's values (a class's, repeated over its points); returns the
     normalizer, the probabilities, the closed probabilities and whether
     these two agree point by point."""
-    z, closed_total = in_order(masses), in_order(closed)
+    z, closed_total = sum(masses), sum(closed)
     probabilities = tuple(mass / z for mass in masses)
     closed_probabilities = tuple(value / closed_total for value in closed)
     return z, probabilities, closed_probabilities, probabilities == closed_probabilities
@@ -106,12 +126,12 @@ def refuse_joint_tables(monkeypatch):
 
 def scan(points, masses, keep, project):
     """The sorted distinct projections of the kept points and their masses,
-    each summed in the points' order."""
+    each summed exactly."""
     acc = {}
     for point, mass in zip(points, masses):
         if keep(point):
             key = project(point)
-            acc[key] = acc[key] + mass if key in acc else mass
+            acc[key] = acc.get(key, 0) + exact(mass)
     support = tuple(sorted(acc))
     return support, tuple(acc[p] for p in support)
 
@@ -145,12 +165,12 @@ def compositions(k):
 
 def prefix_masses(joint):
     """Summed weight of every support-point prefix, the empty one included,
-    by a scan in support order."""
+    by an exact scan."""
     masses = {}
     for point, weight in zip(joint.support, joint.weights):
         for cut in range(len(point) + 1):
             key = point[:cut]
-            masses[key] = masses[key] + weight if key in masses else weight
+            masses[key] = masses.get(key, 0) + exact(weight)
     return masses
 
 
@@ -165,13 +185,15 @@ def children(masses):
 
 def path_probabilities(joint):
     """Each support point's product of chain-rule conditionals, prefix mass
-    over parent prefix mass, from the empty prefix on."""
+    over parent prefix mass (each rounded once in approximate mode), from
+    the empty prefix on."""
     masses = prefix_masses(joint)
     out = {}
     for point in joint.support:
         prob = 1 if joint.exact else 1.0
         for cut in range(1, len(point) + 1):
-            prob *= masses[point[:cut]] / masses[point[:cut - 1]]
+            ratio = masses[point[:cut]] / masses[point[:cut - 1]]
+            prob *= ratio if joint.exact else float(ratio)
         out[point] = prob
     return out
 
@@ -197,34 +219,35 @@ def frequencies(draws):
     return tuple((point, Fraction(c, len(draws))) for point, c in sorted(counts.items()))
 
 
-def on_scale(cumulative, exact):
-    """A cumulative probability as a threshold on the 53-bit scale: rounded
-    up in exact mode."""
-    if exact:
-        frac = Fraction(cumulative) * DENOM
+def on_scale(cumulative):
+    """A cumulative probability as a threshold on the 53-bit scale: a
+    rational rounded up, a float scaled."""
+    if isinstance(cumulative, Fraction):
+        frac = cumulative * DENOM
         return -(-frac.numerator // frac.denominator)
     return cumulative * DENOM
 
 
-def scan_step(masses, prefix, extended, exact):
+def scan_step(masses, prefix, extended):
     """The thresholds of the extensions `extended` of `prefix` but the
-    last: their cumulative mass / prefix mass, added left to right."""
+    last: their exact cumulative mass / prefix mass."""
     thresholds, cumulative = [], 0
     for point in extended[:-1]:
         cumulative += masses[point] / masses[prefix]
-        thresholds.append(on_scale(cumulative, exact))
+        thresholds.append(on_scale(cumulative))
     return thresholds
 
 
 def scan_sample(table, variates, count):
     """Inverse-CDF draws: each variate takes the first point whose
-    cumulative probability, on the 53-bit scale, exceeds it, else the
-    last point."""
+    cumulative weight over the normalizer (its cumulative probability in
+    exact mode; floats added left to right in approximate mode), on the
+    53-bit scale, exceeds it, else the last point."""
     thresholds = []
     cumulative = 0
-    for prob in table.probabilities:
-        cumulative += prob
-        thresholds.append(on_scale(cumulative, table.exact))
+    for weight in table.weights:
+        cumulative += weight / table.z_enumerated
+        thresholds.append(on_scale(cumulative))
     draws = []
     for _ in range(count):
         u = next(variates)
@@ -239,8 +262,9 @@ def scan_sample(table, variates, count):
 
 def scan_sequential(joint, variates, count):
     """Draws one coordinate at a time: a variate picks the first extension
-    of the prefix whose cumulative conditional probability, by a linear
-    scan over uncached prefix masses, exceeds it, else the last one."""
+    of the prefix whose exact cumulative conditional probability, by a
+    linear scan over uncached prefix masses, exceeds it, else the last
+    one."""
     masses = prefix_masses(joint)
     kids = children(masses)
     draws = []
@@ -251,7 +275,7 @@ def scan_sequential(joint, variates, count):
             cumulative = 0
             for child in kids[prefix]:
                 cumulative += masses[child] / masses[prefix]
-                if u < on_scale(cumulative, joint.exact):
+                if u < on_scale(cumulative):
                     break
             prefix = child
         draws.append(prefix)

@@ -305,7 +305,8 @@ def test_invalid_tolerance_exit_code(tmp_path):
     path.write_text("name=js\np=9/10\nq=1/2\nmode=approximate\ntol=abc\n")
     code, out, err = run_cli("tabulate", "--algebra-config", str(path), "--k", "2", "--n", "1")
     assert code == 2 and out == "" and "tol" in err
-    code, out, _ = run_cli(*base, "--tol", "0")
+    # One point, whose probability is exactly 1.
+    code, out, _ = run_cli(*base[:-1], "0", "--tol", "0")
     assert code == 0 and "# tol=0.0" in out
 
 

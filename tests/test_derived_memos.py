@@ -1,14 +1,17 @@
 """Derived tables read masses memoised per prefix class and closed values
 shared per class; these tests rebuild them point by point and cold.
 
-Masses are summed here by a scan over the per-point joint
+Masses are summed here by an exact scan over the per-point joint
 (`oracle.joint_table`), and every closed-form
 record (`closed_form_check.probabilities`, `pointwise_equal`,
 `z_discrepancy`) is recomputed with one closed value, one division and one
 comparison per point.  The closed values come from the formulas below,
 written out per point with their tau1^a * tau2^b powers, not from the
-library's per-class functions.  Floats are compared with `==`: sharing must
-not move a single bit.
+library's per-class functions: a chain of products in the order of
+`algebra.closed_form`, whose bits the public hooks keep, or the exact
+product of the same factors, which a decimal table rounds once
+(`oracle.normalized`).  Floats are compared with `==`: sharing must not
+move a single bit.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from math import comb
 import pytest
 
 from conftest import ALL_PRESETS, JS
-from oracle import (KINDS, block_sums, compositions, grid, in_order, joint_table, kind_id, mantissas, prefixes,
+from oracle import (KINDS, block_sums, compositions, exact, grid, joint_table, kind_id, mantissas, normalized, prefixes,
                     refuse_joint_tables, scan, scan_sample, scan_sequential)
 from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
                  jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
@@ -43,16 +46,36 @@ def _z_reference(module, params):
     return deformed_binomial(alg, k + n, n), second_kind._phi_constant_exponent(k, n) + k * n
 
 
-def _first_marginal(params, prefix):
+def _closed(alg, e1, e2, factors, scale=None, divisor=None, exact_product=False):
+    """tau1^e1 tau2^e2 * prod(factors) [* scale] [/ divisor]: products in
+    the order `algebra.closed_form` takes them, tau1^e1 tau2^e2 * ((1 * f1)
+    * f2 ...), or, with `exact_product`, the exact product of the same
+    values."""
+    values = [alg.tau1**e1 * alg.tau2**e2, *factors] + ([] if scale is None else [scale])
+    if exact_product:
+        value = 1
+        for factor in values:
+            value *= exact(factor)
+        return value if divisor is None else value / exact(divisor)
+    product = 1 if alg.exact else 1.0
+    for factor in factors:
+        product *= factor
+    value = values[0] * product
+    if scale is not None:
+        value *= scale
+    return value if divisor is None else value / divisor
+
+
+def _first_marginal(params, prefix, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     r, y = len(prefix), sum(prefix)
     g = sum((k - j - n + y) * prefix[j] for j in range(r))
     c2 = comb(y, 2)
     tail = binomial_or_zero(alg, k - r + 1, n - y)
-    return alg.tau1 ** (c2 + k * n - g) * alg.tau2 ** (g - c2) * tail
+    return _closed(alg, c2 + k * n - g, g - c2, [tail], exact_product=exact_product)
 
 
-def _first_conditional(params, given, suffix):
+def _first_conditional(params, given, suffix, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     r, m = len(given), len(given) + len(suffix)
     y_r = sum(given)
@@ -61,48 +84,48 @@ def _first_conditional(params, given, suffix):
     c2 = comb(y_m - y_r, 2)
     numerator = binomial_or_zero(alg, k - m + 1, n - y_m)
     denominator = deformed_binomial(alg, k - r + 1, n - y_r)
-    return alg.tau1 ** (c2 + k * n - h) * alg.tau2 ** (h - c2) * numerator / denominator
+    return _closed(alg, c2 + k * n - h, h - c2, [numerator], divisor=denominator, exact_product=exact_product)
 
 
-def _first_grouped(params, scheme, y):
+def _first_grouped(params, scheme, y, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     e1 = e2 = z = 0
-    value = 1 if alg.exact else 1.0
+    binomials = []
     for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
         z += y_j
         e1 += (n - z - s[j]) * (m_j - y_j)
         e2 += (k - s[j] - n + z + 1) * y_j
-        value *= deformed_binomial(alg, m_j, y_j)
-    return alg.tau1**e1 * alg.tau2**e2 * value
+        binomials.append(deformed_binomial(alg, m_j, y_j))
+    return _closed(alg, e1, e2, binomials, exact_product=exact_product)
 
 
-def _first_grouped_marginal(params, scheme, prefix):
+def _first_grouped_marginal(params, scheme, prefix, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     nu, z_nu = len(prefix), sum(prefix)
     e1 = e2 = z = 0
-    value = 1 if alg.exact else 1.0
+    binomials = []
     for j in range(nu):
         m_j, y_j = scheme.sizes[j], prefix[j]
         z += y_j
         e1 += (n - z - s[j]) * (m_j - y_j)
         e2 += (k - s[j] - n + z_nu + 1) * y_j + comb(y_j, 2)
-        value *= deformed_binomial(alg, m_j, y_j)
+        binomials.append(deformed_binomial(alg, m_j, y_j))
     e2 -= comb(z_nu, 2)
     tail = binomial_or_zero(alg, k - s[nu - 1] + 1, n - z_nu)
-    return alg.tau1**e1 * alg.tau2**e2 * value * tail
+    return _closed(alg, e1, e2, binomials, tail, exact_product=exact_product)
 
 
-def _second_marginal(params, prefix):
+def _second_marginal(params, prefix, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     r, y = len(prefix), sum(prefix)
     e = sum((k - j) * prefix[j] for j in range(r))
     tail = binomial_or_zero(alg, k - r + n - y, n - y)
-    return alg.tau1 ** (second_kind._phi_constant_exponent(k, n) - e) * alg.tau2**e * tail
+    return _closed(alg, second_kind._phi_constant_exponent(k, n) - e, e, [tail], exact_product=exact_product)
 
 
-def _second_conditional(params, given, suffix):
+def _second_conditional(params, given, suffix, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     r, m = len(given), len(given) + len(suffix)
     y_r = sum(given)
@@ -110,36 +133,36 @@ def _second_conditional(params, given, suffix):
     e = sum((k - (r + j)) * suffix[j] for j in range(len(suffix)))
     numerator = binomial_or_zero(alg, k - m + n - y_m, n - y_m)
     denominator = deformed_binomial(alg, k - r + n - y_r, n - y_r)
-    return alg.tau1 ** (-e) * alg.tau2**e * numerator / denominator
+    return _closed(alg, -e, e, [numerator], divisor=denominator, exact_product=exact_product)
 
 
-def _second_grouped(params, scheme, y):
+def _second_grouped(params, scheme, y, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     e1 = e2 = z = 0
-    value = 1 if alg.exact else 1.0
+    binomials = []
     for j, (m_j, y_j) in enumerate(zip(scheme.sizes, y)):
         z += y_j
         e1 += (n - z - s[j]) * (m_j - 1)
         e2 += (k - s[j] + 1) * y_j
-        value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
-    return alg.tau1**e1 * alg.tau2**e2 * value
+        binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
+    return _closed(alg, e1, e2, binomials, exact_product=exact_product)
 
 
-def _second_grouped_marginal(params, scheme, prefix):
+def _second_grouped_marginal(params, scheme, prefix, exact_product=False):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     nu, z_nu = len(prefix), sum(prefix)
     e1 = e2 = z = 0
-    value = 1 if alg.exact else 1.0
+    binomials = []
     for j in range(nu):
         m_j, y_j = scheme.sizes[j], prefix[j]
         z += y_j
         e1 += (n - z - s[j]) * (m_j - 1)
         e2 += (k - s[j] + 1) * y_j
-        value *= binomial_or_zero(alg, m_j + y_j - 1, y_j)
+        binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
     tail = binomial_or_zero(alg, k - s[nu - 1] + n - z_nu, n - z_nu)
-    return alg.tau1**e1 * alg.tau2**e2 * value * tail
+    return _closed(alg, e1, e2, binomials, tail, exact_product=exact_product)
 
 
 # Per kind: closed values of a marginal, a conditional, a grouped and a
@@ -155,16 +178,13 @@ _fit = lru_cache(maxsize=None)(fit_monomial)
 
 
 def _assert_records(table, params, support, masses, closed, z_reference=None):
-    """`table` against masses scanned from the joint and per-point closed
-    values: probabilities, closed-form check and normalizer fit."""
+    """`table` against masses scanned from the joint and per-point exact
+    closed values: probabilities, closed-form check and normalizer fit."""
     alg = params.alg
     assert table.support == support
-    assert table.weights == masses
-    z = in_order(masses)
-    assert table.z_enumerated == z
-    assert table.probabilities == tuple(w / z for w in masses)
-    closed_total = in_order(closed)
-    closed_probs = tuple(v / closed_total for v in closed)
+    weights, z, probabilities = normalized(masses, alg.exact)
+    assert (table.weights, table.z_enumerated, table.probabilities) == (weights, z, probabilities)
+    closed_probs = normalized(closed, alg.exact)[2]
     check = table.closed_form_check
     assert check.probabilities == closed_probs
     # `==` takes 1/2 for 0.5: the mode's type is checked apart.
@@ -190,7 +210,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
         k = params.k
         for r in range(1, k):
             support, masses = scan(joint.support, joint.weights, lambda x: True, lambda x: x[:r])
-            closed = [marginal(params, p) for p in support]
+            closed = [marginal(params, p, True) for p in support]
             table = module.marginal_pmf(params, r)
             _assert_records(table, params, support, masses, closed, _z_reference(module, params))
             # One closed value per (sum, area) class, shared by its points.
@@ -203,7 +223,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
                     )
                     if not support:
                         continue
-                    closed = [conditional(params, given, s) for s in support]
+                    closed = [conditional(params, given, s, True) for s in support]
                     _assert_records(
                         module.conditional_pmf(params, given, m), params, support, masses, closed
                     )
@@ -221,21 +241,21 @@ def test_grouped_records_equal_per_point(case):
             blocks, block_masses = scan(
                 joint.support, joint.weights, lambda x: True, block_sums(sizes)
             )
-            closed = [grouped(params, scheme, y) for y in blocks]
+            closed = [grouped(params, scheme, y, True) for y in blocks]
             _assert_records(
                 module.grouped_pmf(params, scheme), params, blocks, block_masses, closed, z_reference
             )
             for nu in range(1, len(sizes)):
                 support, masses = scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
-                closed = [grouped_marginal(params, scheme, p) for p in support]
+                closed = [grouped_marginal(params, scheme, p, True) for p in support]
                 table = module.grouped_marginal_pmf(params, scheme, nu)
                 _assert_records(table, params, support, masses, closed, z_reference)
                 for given in support:
                     suffixes, masses = scan(
                         blocks, block_masses, lambda y: y[:nu] == given, lambda y: y[nu:]
                     )
-                    prefix_weight = grouped_marginal(params, scheme, given)
-                    closed = [grouped(params, scheme, given + s) / prefix_weight for s in suffixes]
+                    prefix_weight = grouped_marginal(params, scheme, given, True)
+                    closed = [grouped(params, scheme, given + s, True) / prefix_weight for s in suffixes]
                     table = module.grouped_conditional_pmf(params, scheme, given)
                     _assert_records(table, params, suffixes, masses, closed)
 

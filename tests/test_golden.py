@@ -82,28 +82,30 @@ GOLDEN = {
     ("tabulate", "--kind", "first") + JS + ("--k", "14", "--n", "7", "--format", "json"):
         "12ffd943a4cdda08b5bf1cd99e6d76129cfffad3b03699bf96e0df5484049577",
     ("tabulate", "--kind", "second") + JS_DECIMAL + ("--k", "6", "--n", "5", "--format", "csv"):
-        "eaf878205cfadbeb524afe81af756e6fe47038566c7aa3c9e1af98a280501f7b",
+        "46984a9f9d7cb868d1f661a487ab3fb835d45b4ea3ac0ab1b4f4e0eeb613fdac",
     ("tabulate", "--kind", "second") + JS_DECIMAL + ("--k", "6", "--n", "5", "--format", "json"):
-        "effb4eaf053b03c348ac220dc05df38caa7ee3651329121604c90e330d3de693",
+        "baa400c20557af6d57b5e4ae0a2d37051b0d9538b9823d8078cc735afb90b231",
     # Decimal identity suites pin the float bits of every lhs and rhs.
     VERIFY + JS_DECIMAL + ("--format", "json"): "1c5d88ef9e2755c0fcd7513ecb1e5d343067cbba3ec5c9e75a4180054981816f",
     VERIFY + JS_DECIMAL + ("--format", "csv"): "91f51a93fea0c0b6a02256416ae6cc05463023840ebd68f7fe4003c620481523",
     ("moments", "--kind", "first") + JS + ("--k", "4", "--n", "2", "--format", "csv"):
         "3f79df03a4956fff8f2eac72eae278ab6c981a5f6779801f3c9e027363a5c4fc",
     # Decimal derived tables pin the float bits of the joint-induced masses
-    # and (in JSON) of the closed-form cross-checks of both kinds.
+    # and (in JSON) of the closed-form cross-checks of both kinds: each the
+    # exact value (a sum of float weights, a product of float factors)
+    # rounded once.
     ("marginal", "--kind", "first") + JS_DECIMAL + ("--k", "5", "--n", "3", "--r", "2", "--format", "csv"):
-        "73fa0bd63d6c440a6269b13315a9e6b87c5d88d6a5c0af9b26c8ccb8d77a9b00",
+        "3a99cc4d3bf5804f6d88d5a6bcf134e405b610ff9764377447945ad25e80ee6d",
     ("marginal", "--kind", "second") + JS_DECIMAL + ("--k", "4", "--n", "3", "--r", "2", "--format", "json"):
-        "55c1348c4fefb11a113a296f5bdbdf7c9e6e08140b4b5d5d39a241e3670ada51",
+        "d424147314554a09a08582e29e290db18c48a40f2df3cc68a858bb58d914fd41",
     ("conditional", "--kind", "first") + JS_DECIMAL + ("--k", "6", "--n", "3", "--given", "0,1", "--format", "json"):
-        "85723759c86fd62d8b162035a0cfc2d408c1fb67070d8ecf649f727fd9055a98",
+        "4d70b6d36843c4fd3fd41d1a37ec9149cbaca0c5e23360fefda5acc884195548",
     ("conditional", "--kind", "second") + JS_DECIMAL + ("--k", "4", "--n", "4", "--given", "1,0", "--m", "3", "--format", "csv"):
-        "2e008b5b6c82109d32d3d694b35891cf63e62b26a08fb47c7a8468706c616741",
+        "5ca8cbd1000b5ef45dfabe45d4da816c46e9c7c5e98981f950f65e39ecdcdad9",
     ("grouped", "--kind", "first") + JS_DECIMAL + ("--k", "6", "--n", "3", "--groups", "2,3,1", "--format", "json"):
-        "6a7d0c6f0ca4b3d1aa1f1a83ca68234598859857430e14871d58e170066373d4",
+        "1c0e52bae1b876848563a290a1454695e54aced28e59af9ea18c0d429d1ce464",
     ("grouped", "--kind", "second") + JS_DECIMAL + ("--k", "5", "--n", "4", "--groups", "2,1,2", "--format", "csv"):
-        "31c643fc3f258e4c8036437c233b4e559778094ed38ef017ba5cf3b54105408f",
+        "c9bb9b3bcc37321aafaf3d1fd74839ac7cab0631fae877eebd57a7418929f7ad",
     # Long rationals: masses, probabilities and closed-form cross-checks with
     # numerators of hundreds of digits, and sequential draws over their steps.
     ("marginal", "--kind", "second") + JS + ("--k", "2", "--n", "400", "--r", "1", "--format", "csv"):
@@ -131,13 +133,13 @@ LIBRARY_CASES = {
     ("first", "js-exact", 5, 3):
         "f4ddf136f82a9a83f6470fbfd551d6d0410d1f29a1e34a6b3aace79d58f95fd1",
     ("first", "js-decimal", 5, 3):
-        "5b0759f8c5017e0e0158e5af2dcbc14340de7efb87e665c5ba5c1ae2eef3d117",
+        "013f6490367b27840db6897c0267c304d0d6bf410127ad2b99b3ba8a7465a8ce",
     ("first", "q-exact", 6, 4):
         "e3bd59e58c642a6c26658d46ede7b802d89a3d647dc94ed9b4cbb74250016f64",
     ("second", "js-exact", 4, 3):
         "6625d0c775d3332783db9b064eaae59c22e8ccec04e2459b14135b5298f2ba8a",
     ("second", "js-decimal", 4, 3):
-        "76faea0fb16d4ce5013dccda9383e173ff0576d105ec399b72900dd3b447b677",
+        "bd5e57be0a936ffbb893dd39b571277b84f372d3ff0fb1479944d5acf2782704",
     ("second", "q-exact", 5, 2):
         "dba9365ba3b196035a6cd5518ac80889592bc9abadbcbb5aaf3121d245bea514",
 }

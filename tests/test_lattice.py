@@ -153,10 +153,11 @@ def test_walk_matches_recursive_reference(upper, chunk, monkeypatch):
             chunks = list(walk(c, point_cells(c)))
             assert [x for listed, _ in chunks for x in listed] == points, (upper, smin, smax)
             assert [e for _, areas in chunks for e in areas] == list(map(area, points))
-            assert [e for _, areas in walk(c) for e in areas] == list(map(area, points))
             cells = [[f"{v};" for v in range(up + 1)] for up in upper]
-            texts = [t for listed, _ in walk(c, cells, "<") for t in listed]
+            text_chunks = list(walk(c, cells, "<"))
+            texts = [t for listed, _ in text_chunks for t in listed]
             assert texts == ["<" + "".join(f"{v};" for v in x) for x in points]
+            assert [e for _, areas in text_chunks for e in areas] == list(map(area, points))
             assert all(areas for _, areas in chunks)
             if max(upper, default=0) < chunk:
                 assert all(len(areas) <= chunk for _, areas in chunks)

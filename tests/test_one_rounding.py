@@ -1,0 +1,143 @@
+"""Decimal laws take the exact class route and round once.
+
+A decimal float is an exact dyadic rational, so a decimal law is summed as
+integers over one denominator, as an exact law is, and each public value
+is rounded once at the end (`oracle.normalized` states the contract).  Two
+consequences are checked here:
+
+- no decimal class computation lists more points than the law it builds:
+  `lattice.walk` is counted while the joint stream, the derived laws and
+  the sequential draws are computed from cold memos;
+- every decimal probability of the joint, marginal, conditional and
+  grouped laws over the desk-scale grid lies within ULP_BOUND units in the
+  last place of the exact-rational law at the float parameters
+  (`Fraction(0.9)`, `Fraction(0.5)`): what is left is the rounding of the
+  float weights themselves, not of their sums.
+"""
+
+import sys
+from fractions import Fraction
+from math import ulp
+
+import pytest
+
+from oracle import compositions
+from test_cli import run_cli
+from rpq import classes, first_kind, jagannathan_srinivasa, lattice, occupancy, second_kind, sequential_sample
+from rpq.first_kind import FirstKindParams, GroupingScheme
+from rpq.second_kind import SecondKindParams
+
+DECIMAL = jagannathan_srinivasa(0.9, 0.5)
+# The same law in exact arithmetic, at the rationals the floats are.
+AT_THE_FLOATS = jagannathan_srinivasa(Fraction(0.9), Fraction(0.5))
+
+# The worst distance over the grid below is 1.36 ulp: the float weights'
+# own rounding, carried through sums that add none.
+ULP_BOUND = 2
+
+
+def _counted_walks(monkeypatch):
+    """Make every module that holds `lattice.walk` count the points it
+    lists; returns the running count."""
+    listed = [0]
+    walk = lattice.walk
+
+    def counting(*args, **kwargs):
+        for prefixes, areas in walk(*args, **kwargs):
+            listed[0] += len(areas)
+            yield prefixes, areas
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rpq") and getattr(module, "walk", None) is walk:
+            monkeypatch.setattr(module, "walk", counting)
+    return listed
+
+
+def _cold():
+    for memo in (occupancy._joint_law, occupancy._block_law, occupancy.joint_pmf, classes.sum_rows,
+                 classes._listings):
+        memo.cache_clear()
+
+
+def _listed_by(listed, call):
+    """The value of `call()` from cold memos, and the points it listed."""
+    _cold()
+    before = listed[0]
+    value = call()
+    return value, listed[0] - before
+
+
+@pytest.mark.parametrize("params", [FirstKindParams(DECIMAL, 9, 4), SecondKindParams(DECIMAL, 5, 5)],
+                         ids=("first", "second"))
+def test_decimal_class_work_lists_no_more_than_its_law(params, monkeypatch):
+    module = first_kind if params.kind == "first" else second_kind
+    listed = _counted_walks(monkeypatch)
+    k = params.k
+    _, count = _listed_by(listed, lambda: module.joint_stream(params))
+    assert count == 0
+    _, count = _listed_by(listed, lambda: sequential_sample(params, 3, 200))
+    assert count == 0
+    for r in range(1, k):
+        table, count = _listed_by(listed, lambda: module.marginal_pmf(params, r))
+        assert count <= len(table.support)
+    for given in ((0,), (1, 0), (0, 1, 1)):
+        table, count = _listed_by(listed, lambda: module.conditional_pmf(params, given, k))
+        assert count <= len(table.support)
+    for sizes in ((2, k - 2), (1, 2, k - 3), (2, 1, 1, k - 4)):
+        scheme = GroupingScheme(sizes)
+        blocks, count = _listed_by(listed, lambda: module.grouped_pmf(params, scheme))
+        assert count <= len(blocks.support)
+        _, count = _listed_by(listed, lambda: module.grouped_marginal_pmf(params, scheme, 1))
+        assert count <= len(blocks.support)
+        _, count = _listed_by(listed, lambda: module.grouped_conditional_pmf(params, scheme, (1,)))
+        assert count <= len(blocks.support)
+    _cold()
+
+
+def _laws(module, params):
+    """The joint, every marginal, every conditional given a prefix up to
+    the last coordinate, and the grouped laws of at most three blocks."""
+    k = params.k
+    yield module.joint_pmf(params)
+    for r in range(1, k):
+        yield module.marginal_pmf(params, r)
+    for r in range(1, k):
+        for given in sorted({x[:r] for x in module.joint_pmf(params).support}):
+            yield module.conditional_pmf(params, given, k)
+    for sizes in compositions(k):
+        if len(sizes) <= 3:
+            yield module.grouped_pmf(params, GroupingScheme(sizes))
+
+
+@pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
+def test_decimal_probabilities_are_within_the_ulp_bound_of_the_law_at_the_floats(module):
+    if module is first_kind:
+        grid = [FirstKindParams(alg, k, n) for alg in (DECIMAL, AT_THE_FLOATS) for k in range(1, 9)
+                for n in range(k + 2)]
+    else:
+        grid = [SecondKindParams(alg, k, n) for alg in (DECIMAL, AT_THE_FLOATS) for k in range(1, 7)
+                for n in range(7)]
+    half = len(grid) // 2
+    worst = 0
+    for decimal, exact in zip(grid[:half], grid[half:]):
+        for table, reference in zip(_laws(module, decimal), _laws(module, exact)):
+            assert table.support == reference.support
+            for p, q in zip(table.probabilities, reference.probabilities):
+                worst = max(worst, float(abs(Fraction(p) - q) / Fraction(ulp(float(q)))))
+    assert worst <= ULP_BOUND
+
+
+@pytest.mark.parametrize("model", [
+    # Weights that are nan.
+    ("--kind", "first", "--k", "3", "--n", "2", "--preset", "quesne", "--p", "1e-300", "--q", "1e-310"),
+    # Finite weights, and closed values that overflow to inf or nan.
+    ("--kind", "second", "--k", "3", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
+], ids=("nan-weights", "overflowed-closed-values"))
+@pytest.mark.parametrize("command", [("marginal", "--r", "1"), ("conditional", "--given", "1"),
+                                     ("grouped", "--groups", "1,2")], ids=lambda c: c[0])
+def test_a_float_with_no_exact_ratio_is_an_overflow(model, command):
+    """A decimal sum reads each float as the rational it is; inf and nan
+    have none, so the command exits 2 as a float overflow, never 1."""
+    code, out, err = run_cli(*command, *model)
+    assert (code, out) == (2, "")
+    assert "approximate-mode arithmetic overflowed a float" in err and "integer ratio" in err

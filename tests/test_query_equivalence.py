@@ -1,11 +1,11 @@
 """Derived laws and draws against scan-and-sum references over the joint.
 
 Conditionals, grouped marginals and grouped conditionals are summed from
-the per-point joint (`oracle.joint_table`) in support order, the way the
+the per-point joint (`oracle.joint_table`) exactly, the way the
 straightforward scan does it, and the samplers are replayed with a linear
 threshold scan and uncached prefix masses (`oracle`).  Floats are compared
-with `==`: the library must reproduce the scan bit for bit, not just within
-tolerance.
+with `==`: the library must round the scan's exact values once, bit for
+bit, not just within tolerance.
 """
 
 import json
@@ -16,9 +16,9 @@ from math import ceil
 import pytest
 
 from conftest import Q_HALF
-from oracle import (DENOM, KINDS, block_sums, children, compositions, frequencies, grid, in_order, joint_table, kind_id,
-                    mantissas, on_scale, path_probabilities, prefix_masses, prefixes, refuse_joint_tables, scan,
-                    scan_sample, scan_sequential, scan_step)
+from oracle import (DENOM, KINDS, block_sums, children, compositions, frequencies, grid, joint_table, kind_id,
+                    mantissas, normalized, on_scale, path_probabilities, prefix_masses, prefixes, refuse_joint_tables,
+                    scan, scan_sample, scan_sequential, scan_step)
 from rpq import (
     ValidationError,
     ZeroProbabilityEventError,
@@ -28,7 +28,7 @@ from rpq import (
 )
 from rpq import first_kind, occupancy, sampler, second_kind
 from rpq.first_kind import FirstKindParams, GroupingScheme
-from rpq.pmf import make_table
+from rpq.pmf import PmfTable, make_table
 from rpq.scalars import scalar_str
 from rpq.second_kind import SecondKindParams
 from test_cli import run_cli
@@ -39,11 +39,7 @@ _params = partial(grid, first_k=4, second_k=3, second_n=3)
 
 def _assert_same(table, support, masses):
     assert table.support == support
-    assert table.weights == masses
-    total = masses[0]
-    for w in masses[1:]:
-        total = total + w
-    assert table.probabilities == tuple(w / total for w in masses)
+    assert (table.weights, table.z_enumerated, table.probabilities) == normalized(masses, table.exact)
 
 
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
@@ -153,19 +149,19 @@ def test_steps_equal_uncached_on_either_side_of_every_threshold(case, monkeypatc
             for cut in range(len(prefix)):
                 siblings = kids[prefix[:cut]]
                 i = siblings.index(prefix[:cut + 1])
-                out.append(0 if i == 0 else ceil(scan_step(masses, prefix[:cut], siblings, reference.exact)[i - 1]))
+                out.append(0 if i == 0 else ceil(scan_step(masses, prefix[:cut], siblings)[i - 1]))
             return out
 
         walks = [lead(prefix) + [u] + [0] * (k - len(prefix) - 1)
                  for prefix, extended in kids.items()
-                 for bound in scan_step(masses, prefix, extended, reference.exact)
+                 for bound in scan_step(masses, prefix, extended)
                  for u in _either_side(bound)]
         variates = [u for walk in walks for u in walk] + [0, DENOM - 1] * k
         count = len(variates) // k
         _fed(monkeypatch, variates)
         assert sequential_sample(params, 0, count).draws == scan_sequential(reference, iter(variates), count)
         support = list(reference.support)
-        variates = [0, DENOM - 1] + [u for bound in scan_step(masses, (), support, reference.exact)
+        variates = [0, DENOM - 1] + [u for bound in scan_step(masses, (), support)
                                      for u in _either_side(bound)]
         _fed(monkeypatch, variates)
         table = module.joint_pmf(params)
@@ -199,14 +195,15 @@ def test_cold_warm_and_copied_walks_equal_scan(case):
 def test_approximate_draw_past_last_threshold_takes_last_point(monkeypatch):
     params = FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 1)
     joint = first_kind.joint_pmf(params)
-    # The float CDF of this law ends at 1 - 2^-53, so the largest variate,
-    # 2^53 - 1, falls past the last threshold, and takes the last point.
+    # The float CDF of this law, its weights over the normalizer added left
+    # to right, ends at 1 - 2^-53, so the largest variate, 2^53 - 1, falls
+    # past the last threshold, and takes the last point.
     cumulative = 0
-    for prob in joint.probabilities:
-        cumulative += prob
+    for weight in joint.weights:
+        cumulative += weight / joint.z_enumerated
     assert cumulative == 0.9999999999999999
     top = DENOM - 1
-    assert not top < on_scale(cumulative, False)
+    assert not top < on_scale(cumulative)
     _fed(monkeypatch, [top] * 3)
     assert sample(joint, 4, 3).draws == (joint.support[-1],) * 3
     monkeypatch.undo()
@@ -250,8 +247,8 @@ def test_derived_work_never_builds_the_joint_table(case, monkeypatch):
         bivariate = None
         if k >= 3:
             support, masses = scan(reference.support, reference.weights, lambda x: True, lambda x: x[:2])
-            bivariate = make_table(kind="t", params={}, coord_labels=("x1", "x2"), support=support,
-                                   weights=masses, index=range(len(support)), alg=params.alg)
+            bivariate = PmfTable("t", {}, ("x1", "x2"), support, *normalized(masses, params.alg.exact),
+                                 params.alg.exact, params.alg.tol)
             monkeypatch.setattr(module, "bivariate_table", lambda params: bivariate)
             expected_moments = _reports(module.bivariate_moments(params, 1, 2))
             monkeypatch.undo()
@@ -276,9 +273,10 @@ def test_derived_work_never_builds_the_joint_table(case, monkeypatch):
         for table, (points, weights), keep, project in laws:
             support, masses = scan(points, weights, keep, project)
             assert table.support == support
-            _same(table.weights, masses)
-            _same([table.z_enumerated], [in_order(masses)])
-            _same(table.probabilities, [w / table.z_enumerated for w in masses])
+            weights, z, probabilities = normalized(masses, params.alg.exact)
+            _same(table.weights, weights)
+            _same([table.z_enumerated], [z])
+            _same(table.probabilities, probabilities)
         if bivariate is not None:
             assert _reports(module.bivariate_moments(params, 1, 2)) == expected_moments
         assert sequential_sample(params, 11, 300).draws == scan_sequential(reference, mantissas(11), 300)

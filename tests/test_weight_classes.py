@@ -1,22 +1,24 @@
 """Weight-class tables against per-point references.
 
 A joint weight depends on a point only through E(x), so the library builds
-one weight object per value of E, sums a class of m points as m * weight in
-exact mode, and divides and formats once per class.  These tests rebuild
-every quantity point by point, the way a plain scan does it, and compare
-with `==`, floats included: the class engine must reproduce the scan bit
-for bit.
+one weight object per value of E, sums a class of m points as m * weight,
+and divides and formats once per class.  These tests rebuild every
+quantity point by point, the way a plain scan does it, with exact sums
+that a decimal value rounds once (`oracle.normalized`), and compare with
+`==`, floats included: the class engine must reproduce them bit for bit.
 """
 
 import re
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from math import fsum
 
 import pytest
 
 from conftest import JS, Q_HALF
-from oracle import KINDS, block_sums, compositions, grid, in_order, joint_table, kind_id, path_probabilities, scan
+from oracle import (KINDS, block_sums, compositions, exact, grid, joint_table, kind_id, normalized, path_probabilities,
+                    scan)
 from rpq import UnderflowError, ValidationError, first_kind, jagannathan_srinivasa, occupancy, sampler, second_kind
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
@@ -32,12 +34,10 @@ def _scan(points, masses, project):
     return scan(points, masses, lambda x: True, project)
 
 
-def _assert_table(table, support, weights):
+def _assert_table(table, support, masses):
     assert table.support == support
-    assert table.weights == weights
-    z = in_order(weights)
-    assert table.z_enumerated == z
-    assert table.probabilities == tuple(w / z for w in weights)
+    assert (table.weights, table.z_enumerated, table.probabilities) == normalized([exact(m) for m in masses],
+                                                                                  table.exact)
 
 
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
@@ -47,6 +47,8 @@ def test_joint_weights_are_per_point_weights(case):
         joint = module.joint_pmf(params)
         weights = tuple(module.joint_weight(params, x) for x in joint.support)
         _assert_table(joint, joint.support, weights)
+        if not joint.exact:
+            assert joint.z_enumerated == fsum(weights)
         # One weight object per weight class.
         classes = {area(x) for x in joint.support}
         assert len({id(w) for w in joint.weights}) == len(classes)
@@ -72,13 +74,10 @@ def test_marginals_grouped_and_prefix_masses_equal_scan(case):
             (x, p, type(p), repr(p)) for x, p in expected.items()]
 
 
-def _normalized(values, exact):
-    """Point-by-point reference: the in-order sum (of Fractions in exact
-    mode) and each value divided by it."""
-    if exact:
-        values = [Fraction(v) for v in values]
-    total = in_order(values)
-    return total, tuple(v / total for v in values)
+def _normalized(values, exact_mode):
+    """Point-by-point reference: the exact sum and each value divided by
+    it, each rounded once in approximate mode."""
+    return normalized([Fraction(v) for v in values], exact_mode)[1:]
 
 
 @pytest.mark.parametrize("alg", [JS, Q_HALF, jagannathan_srinivasa(0.9, 0.5)], ids=lambda a: a.name)
@@ -158,7 +157,7 @@ def test_approximate_make_table_refuses_a_zero_weight_or_probability():
 
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
 def test_decimal_derived_law_refuses_an_underflowed_class_at_its_first_point(module, monkeypatch):
-    """One class of a decimal conditional made to weigh 0.0: the refusal
+    """One class of a decimal conditional made to have mass 0: the refusal
     names the first point of that class in support order, found by the
     points' (sum, area) keys, not the last point it was picked by."""
     decimal = jagannathan_srinivasa(0.9, 0.5)
@@ -170,8 +169,9 @@ def test_decimal_derived_law_refuses_an_underflowed_class_at_its_first_point(mod
     last = max(j for j, key in enumerate(keys) if keys.count(key) > 1 and key != keys[0])
     first = table.support[keys.index(keys[last])]
     assert first < table.support[last]
-    law, target = occupancy._joint_law(params), table.weights[last]
+    # With given (0,) and m = k, a point's class is (k, sum, area) of its suffix.
+    law, target = occupancy._joint_law(params), (m, *keys[last])
     mass = law.mass
-    monkeypatch.setattr(law, "mass", lambda key: 0.0 if mass(key) is target else mass(key))
+    monkeypatch.setattr(law, "mass", lambda key: 0 if key == target else mass(key))
     with pytest.raises(UnderflowError, match=re.escape(f"probability of {first} is 0.0")):
         module.conditional_pmf(params, given, m)
