@@ -103,13 +103,7 @@ class AlgebraSpec(Record):
         exact = not any(isinstance(v, float) for v in present)
         if exact:
             p, q, tau1, tau2 = (Fraction(v) if type(v) is int else v for v in (p, q, tau1, tau2))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "tau1", tau1)
-        object.__setattr__(self, "tau2", tau2)
-        object.__setattr__(self, "number_rule", number_rule)
-        object.__setattr__(self, "tol", tol)
+        super().__init__(name, p, q, tau1, tau2, number_rule, tol)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_numbers", [])
         object.__setattr__(self, "_factorials", [])
@@ -399,47 +393,16 @@ def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
     return value
 
 
-def closed_form(
-    alg: AlgebraSpec,
-    a: int,
-    b: int,
-    factors: Sequence[Scalar],
-    scale: Optional[Scalar] = None,
-    divisor: Optional[Scalar] = None,
-) -> Scalar:
-    """tau1^a tau2^b * prod(factors) [* scale] [/ divisor].
-
-    In exact mode the numerators and denominators are multiplied as
-    integers and one Fraction is built at the end (`_closed_pair`).  In
-    approximate mode the floats are taken in the order
-    (tau1^a tau2^b * ((1.0 * f1) * f2 ...)) * scale / divisor, so a value
-    keeps every bit of that chain.
-    """
-    if alg.exact:
-        numerator, denominator = _closed_pair(alg, a, b, factors, scale)
-        if divisor is not None:
-            numerator *= divisor.denominator
-            denominator *= divisor.numerator
-        return Fraction(numerator, denominator)
-    product = 1.0
-    for factor in factors:
-        product *= factor
-    value = tau_monomial(alg, a, b) * product
-    if scale is not None:
-        value *= scale
-    return value if divisor is None else value / divisor
-
-
-def _closed_pair(alg: AlgebraSpec, a: int, b: int, factors: Sequence[Scalar],
-                 scale: Optional[Scalar] = None) -> Tuple[int, int]:
-    """The exact tau1^a tau2^b * prod(factors) [* scale] as an unreduced
-    (numerator, denominator) pair of ints, which a table brings to one
-    denominator with its other closed values (`pmf.make_table`).  Floats
-    are read as the dyadic rationals they are (`float.as_integer_ratio`);
-    one with no ratio (inf or nan) raises OverflowError."""
+def _closed_pair(alg: AlgebraSpec, a: int, b: int, factors: Sequence[Scalar]) -> Tuple[int, int]:
+    """The closed value tau1^a tau2^b * prod(factors), exact, as an
+    unreduced (numerator, denominator) pair of ints, which a table brings
+    to one denominator with its other closed values (`pmf.make_table`).
+    Floats are read as the dyadic rationals they are
+    (`float.as_integer_ratio`), so the product of decimal factors is exact
+    too; a float with no ratio (inf or nan) raises OverflowError."""
     try:
         numerator, denominator = tau_monomial(alg, a, b).as_integer_ratio()
-        for factor in factors if scale is None else (*factors, scale):
+        for factor in factors:
             top, bottom = factor.as_integer_ratio()
             numerator *= top
             denominator *= bottom
@@ -484,12 +447,7 @@ class MonomialFit(Record):
     """Relation lhs * tau1^a * tau2^b == rhs, when such exponents exist."""
 
     _fields = ("exact", "found", "a", "b")
-
-    def __init__(self, exact: bool, found: bool, a: int = 0, b: int = 0) -> None:
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    _defaults = {"a": 0, "b": 0}
 
     def describe(self) -> dict:
         return {"exact": self.exact, "found": self.found, "a": self.a, "b": self.b}
@@ -534,11 +492,11 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
     else:
         close = math.isclose(lhs, rhs, rel_tol=alg.tol)
     if close:
-        return MonomialFit(exact=True, found=True)
+        return MonomialFit(True, True, 0, 0)
     if alg.tau1 is None or alg.tau2 is None:
-        return MonomialFit(exact=False, found=False)
+        return MonomialFit(False, False, 0, 0)
     if lhs == 0:
-        return MonomialFit(exact=False, found=False)
+        return MonomialFit(False, False, 0, 0)
     bound = max(0, bound)
     t1, t2 = alg.tau1, alg.tau2
     ratio = rhs / lhs
@@ -550,7 +508,7 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
         base = math.prod(t.numerator * t.denominator for t in (Fraction(t1), Fraction(t2)))
         ratio = Fraction(ratio)
         if ratio <= 0 or any(_has_foreign_prime(v, base) for v in (ratio.numerator, ratio.denominator)):
-            return MonomialFit(exact=False, found=False)
+            return MonomialFit(False, False, 0, 0)
         width = 0.0
     elif 0 < ratio < math.inf and alg.tol < 0.9:
         width = -math.log1p(-alg.tol)
@@ -580,7 +538,7 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
         for a, bs in screened:
             for b in bs:
                 if t1**a * t2**b == ratio:
-                    return MonomialFit(exact=False, found=True, a=a, b=b)
+                    return MonomialFit(False, True, a, b)
     else:
         # Relative comparison lets at most one b match each a unless tau2 = 1;
         # it sits next to b0 = log(need) / log(tau2).  The candidates b0 - 1,
@@ -598,18 +556,12 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
                 continue
             for b in candidates:
                 if abs(b) <= bound and math.isclose(t2**b, need, rel_tol=alg.tol):
-                    return MonomialFit(exact=False, found=True, a=a, b=b)
-    return MonomialFit(exact=False, found=False)
+                    return MonomialFit(False, True, a, b)
+    return MonomialFit(False, False, 0, 0)
 
 
 class RecurrenceEntry(Record):
     _fields = ("m", "n", "variant_a", "variant_b")
-
-    def __init__(self, m: int, n: int, variant_a: bool, variant_b: bool) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "variant_a", variant_a)
-        object.__setattr__(self, "variant_b", variant_b)
 
 
 class TriangularRecurrenceReport(Record):
@@ -621,14 +573,6 @@ class TriangularRecurrenceReport(Record):
     """
 
     _fields = ("algebra", "mmax", "entries", "variant_a_holds", "variant_b_holds")
-
-    def __init__(self, algebra: str, mmax: int, entries: tuple, variant_a_holds: bool,
-                 variant_b_holds: bool) -> None:
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "mmax", mmax)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "variant_a_holds", variant_a_holds)
-        object.__setattr__(self, "variant_b_holds", variant_b_holds)
 
 
 def check_triangular_recurrence(alg: AlgebraSpec, mmax: int) -> TriangularRecurrenceReport:

@@ -207,7 +207,7 @@ class PrefixClasses:
         rest = self.k - r - 1
         lo = max(0, self.smin - s - rest * self.bound)
         children = [(r + 1, s + v, base + (rest + 1) * v) for v in range(lo, min(self.bound, self.smax - s) + 1)]
-        return cdf_thresholds(list(map(self.mass, children)), None, True), lo, children
+        return cdf_thresholds(list(map(self.mass, children))), lo, children
 
     def blocks(self, sizes: Sequence[int]) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
         """The block-sum vectors y of the consecutive blocks of `sizes`

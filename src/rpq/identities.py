@@ -190,40 +190,15 @@ class IdentityReport(Record):
 
     _fields = ("identity", "k", "n", "m", "groups", "lhs", "rhs", "exact_match", "monomial_found", "a", "b",
                "note")
-
-    def __init__(self, identity: str, k: int, n: int, m: Optional[int], groups: Optional[Tuple[int, ...]],
-                 lhs: Scalar, rhs: Scalar, exact_match: bool, monomial_found: bool, a: Optional[int],
-                 b: Optional[int], note: str = "") -> None:
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "exact_match", exact_match)
-        object.__setattr__(self, "monomial_found", monomial_found)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "note", note)
+    _defaults = {"note": ""}
 
 
 def _report(alg: AlgebraSpec, identity: str, k: int, n: int, lhs: Scalar, rhs: Scalar,
             m: Optional[int] = None, groups: Optional[Tuple[int, ...]] = None) -> IdentityReport:
     fit = fit_monomial(alg, lhs, rhs, (k + 1) * n)
-    return IdentityReport(
-        identity=identity,
-        k=k,
-        n=n,
-        m=m,
-        groups=groups,
-        lhs=lhs,
-        rhs=rhs,
-        exact_match=fit.exact,
-        monomial_found=fit.found,
-        a=fit.a if fit.found else None,
-        b=fit.b if fit.found else None,
-    )
+    found = fit.found
+    return IdentityReport(identity, k, n, m, groups, lhs, rhs, fit.exact, found, fit.a if found else None,
+                          fit.b if found else None, "")
 
 
 def _walk_positions(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int],

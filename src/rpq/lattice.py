@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import isfinite, lcm
+from math import lcm
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,9 +51,7 @@ class ConstraintSet(Record):
         if sum_min > sum_max:
             raise ValidationError(f"sum window is inverted: [{sum_min}, {sum_max}]")
         check_dimension(len(upper))
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "sum_min", sum_min)
-        object.__setattr__(self, "sum_max", sum_max)
+        super().__init__(upper, sum_min, sum_max)
 
     @property
     def dim(self) -> int:
@@ -260,34 +258,23 @@ def final_layer(
 
 
 def window_total(layer: Layer, lo: int, hi: int) -> Scalar:
-    """Sum of the layer's values at running sums lo..hi, in key order; one
-    Fraction in exact mode."""
+    """Sum of the layer's values at running sums lo..hi, added left to
+    right in key order (floats so on every Python version, as `sum()`
+    compensates since 3.12); one Fraction in exact mode."""
     partial, denominator = layer
-    total = sum(value for s, value in partial.items() if lo <= s <= hi)
+    total = 0
+    for s, value in partial.items():
+        if lo <= s <= hi:
+            total += value
     return total if denominator is None else Fraction(total, denominator)
-
-
-# Since Python 3.12, sum() adds floats with Neumaier's running compensation.
-_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
 
 
 def prefix_totals(layer: Layer) -> List[Scalar]:
     """window_total(layer, 0, s) for each key s of a layer keyed 0, 1, 2,
-    ..., in one pass and bit for bit: an exact layer adds its integers, a
-    float layer repeats the additions of sum(), with sum()'s compensation
-    where it compensates."""
+    ..., in one pass and bit for bit: running sums, left to right."""
     partial, denominator = layer
-    if denominator is not None:
-        return [Fraction(total, denominator) for total in accumulate(partial.values())]
-    if not _COMPENSATED_SUM:
-        return list(accumulate(partial.values(), initial=0))[1:]
-    out, total, low = [], 0, 0.0
-    for value in partial.values():
-        high = total + value
-        low += (total - high) + value if abs(total) >= abs(value) else (value - high) + total
-        total = high
-        out.append(total + low if low and isfinite(low) else total)
-    return out
+    totals = list(accumulate(partial.values(), initial=0))[1:]
+    return totals if denominator is None else [Fraction(total, denominator) for total in totals]
 
 
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:

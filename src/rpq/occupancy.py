@@ -28,11 +28,12 @@ define; they re-export these functions.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import add
 from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 
-from .algebra import AlgebraSpec, _closed_pair, closed_form, coerce_scalar, inverse_algebra
+from .algebra import AlgebraSpec, _closed_pair, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
 from .classes import PrefixClasses, Recent, area_counts
 from .lattice import ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_points, point_cells
@@ -56,17 +57,16 @@ class OccupancyParams(Record):
       k+1 urns and n balls, read again by the closed forms for the urns and
       balls a prefix leaves over, and `fit_bound()`, its discrepancy-fit
       bound;
-    - closed weights, each as the exponents of tau1 and tau2 and the
-      factors `algebra.closed_form` multiplies: for the marginal, per
-      r-prefix class key (y, E) (`marginal_terms(r, key)`, which
-      `marginal_weight` multiplies), for the conditional, per class key
-      (y_m, t, E(s)) of the suffix s that follows a prefix up to m, before
-      the divisor (`conditional_terms(m, key)`, which `conditional_value`
-      divides by `prefix_normalizer(given)`), and for the grouped law the
-      factor of block j of m_j urns with count y_j, z the count of blocks
-      1..j and s_j their urns (`block_factor(m_j, y_j, z, s_j)`: exponents
-      of tau1 and tau2, and a binomial), which `grouped_terms` collects and
-      `grouped_weight` multiplies.
+    - closed weights, each as its terms: the exponents of tau1 and tau2
+      and the factors `algebra._closed_pair` multiplies, exactly.  For the
+      marginal, per r-prefix class key (y, E) (`marginal_terms(r, key)`);
+      for the conditional, per class key (y_m, t, E(s)) of the suffix s
+      that follows a prefix up to m, before the divisor
+      `prefix_normalizer(given)` (`conditional_terms(m, key)`); and for the
+      grouped law the factor of block j of m_j urns with count y_j, z the
+      count of blocks 1..j and s_j their urns (`block_factor(m_j, y_j, z,
+      s_j)`: exponents of tau1 and tau2, and a binomial), which
+      `grouped_terms` collects.
 
     Equality sees the subclass, so equal fields of two kinds are two cache
     keys.  A k beyond the dimension guard (`lattice.check_dimension`) is
@@ -82,9 +82,7 @@ class OccupancyParams(Record):
             raise ValidationError(f"k: need k >= 1, got {k}")
         self.check_n(k, n)
         check_dimension(k)
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        super().__init__(alg, k, n)
 
     @property
     def occupancy_bound(self) -> int:
@@ -101,14 +99,6 @@ class OccupancyParams(Record):
         leaves over: the divisor of a conditional's closed values."""
         return self.normalizer(self.alg, self.k - len(given), self.n - sum(given))
 
-    def marginal_weight(self, r: int, key: Tuple[int, int]) -> Scalar:
-        """Closed weight of the r-prefix class `key`."""
-        return closed_form(self.alg, *self.marginal_terms(r, key))
-
-    def conditional_value(self, given: SupportPoint, m: int, key: Tuple[int, int, int]) -> Scalar:
-        """Closed value of the suffix class `key` that follows `given` up to m."""
-        return closed_form(self.alg, *self.conditional_terms(m, key), divisor=self.prefix_normalizer(given))
-
     def grouped_terms(self, scheme: "GroupingScheme", y: SupportPoint) -> Tuple[int, int, Tuple[Scalar, ...]]:
         """The exponents of tau1 and tau2 and the binomials of the closed
         weight of the block counts `y` (all blocks, or the leading ones)."""
@@ -118,11 +108,6 @@ class OccupancyParams(Record):
             factors.append(self.block_factor(m_j, y_j, z, s_j))
         e1, e2, binomials = zip(*factors)
         return sum(e1), sum(e2), binomials
-
-    def grouped_weight(self, scheme: "GroupingScheme", y: SupportPoint, scale=None, divisor=None) -> Scalar:
-        """Closed weight of the block counts `y` (all blocks, or the leading
-        ones), times `scale` and over `divisor` when given (`algebra.closed_form`)."""
-        return closed_form(self.alg, *self.grouped_terms(scheme, y), scale, divisor)
 
 
 def support_constraints(params: OccupancyParams) -> ConstraintSet:
@@ -135,9 +120,13 @@ def _labels(prefix: str, first: int, last: int) -> Tuple[str, ...]:
 
 
 def _normalizer(params: OccupancyParams) -> dict:
-    """make_table's closed-form normalizer arguments."""
-    return {"z_closed_form": params.normalizer(params.alg, params.k, params.n),
-            "fit_bound": params.fit_bound()}
+    """make_table's closed-form normalizer arguments.  A decimal normalizer
+    that overflowed to inf or nan has no exact ratio, so it raises
+    OverflowError (`pmf._over_lcm`), as a derived law's closed values do."""
+    z = params.normalizer(params.alg, params.k, params.n)
+    if not params.alg.exact:
+        _over_lcm([z])
+    return {"z_closed_form": z, "fit_bound": params.fit_bound()}
 
 
 def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
@@ -191,7 +180,7 @@ def _listed(params: OccupancyParams) -> PmfTable:
         areas += chunk
     weights, probabilities = (tuple(map(by_class.__getitem__, areas)) for by_class in (law.weights, law.probabilities))
     return PmfTable(law.kind, law.params, law.coord_labels, tuple(support), weights, law.z_enumerated, probabilities,
-                    params.alg.exact, params.alg.tol, law.z_closed_form, law.z_discrepancy)
+                    params.alg.exact, params.alg.tol, law.z_closed_form, law.z_discrepancy, None)
 
 
 # Bounded: a long-lived process keeps the most recently read joint tables
@@ -216,9 +205,9 @@ def _derived_table(
     """A law derived from the joint of `params`: kind "<kind>-<table>",
     params with `table` and `extra`, coordinates labelled `coords` (prefix,
     first index, last index), a mass over the one denominator of the
-    joint's class law `law` and the `algebra.closed_form` arguments of a
-    closed value per class (over `closed_divisor`), `index` the class of
-    each point.  Closed values are unreduced pairs (`algebra._closed_pair`).
+    joint's class law `law` and the terms of a closed value per class (over
+    `closed_divisor`), `index` the class of each point.  Closed values are
+    unreduced pairs (`algebra._closed_pair`).
     Summed joint masses keep the joint's normalizer, so every table but a
     conditional carries its closed form."""
     described = params.describe()
@@ -292,7 +281,7 @@ class GroupingScheme(Record):
     def __init__(self, sizes: Tuple[int, ...]) -> None:
         if not sizes or any(m < 1 for m in sizes):
             raise ValidationError(f"scheme: group sizes must be positive, got {sizes}")
-        object.__setattr__(self, "sizes", tuple(sizes))
+        super().__init__(tuple(sizes))
 
     def validate_for(self, k: int) -> None:
         if sum(self.sizes) != k:
@@ -323,19 +312,12 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
 
 
 def _grouped_marginal_terms(params: OccupancyParams, scheme: GroupingScheme, prefix: SupportPoint) -> tuple:
-    """The `algebra.closed_form` arguments of the closed weight of the
-    leading block counts `prefix`: the grouped weight of those blocks
-    scaled by the normalizer of the urns and balls they leave over."""
+    """The terms of the closed weight of the leading block counts `prefix`:
+    those of the grouped weight of these blocks, with the normalizer of
+    the urns and balls they leave over as one more factor."""
     rest_k = params.k - scheme.partial_sums[len(prefix) - 1]
-    rest_n = params.n - sum(prefix)
-    return (*params.grouped_terms(scheme, prefix), params.normalizer(params.alg, rest_k, rest_n))
-
-
-def _grouped_marginal_weight(
-    params: OccupancyParams, scheme: GroupingScheme, prefix: SupportPoint
-) -> Scalar:
-    """Closed weight of the leading block counts `prefix`."""
-    return closed_form(params.alg, *_grouped_marginal_terms(params, scheme, prefix))
+    e1, e2, binomials = params.grouped_terms(scheme, prefix)
+    return e1, e2, (*binomials, params.normalizer(params.alg, rest_k, params.n - sum(prefix)))
 
 
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
@@ -367,7 +349,7 @@ def grouped_conditional_pmf(
     if not rows:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
     support, masses = zip(*rows)
-    prefix_weight = _grouped_marginal_weight(params, scheme, given)
+    prefix_weight = _closed_pair(params.alg, *_grouped_marginal_terms(params, scheme, given))
     closed = [params.grouped_terms(scheme, given + suffix) for suffix in support]
     return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
                           support, masses, range(len(support)), closed, prefix_weight, scheme=list(scheme.sizes),
@@ -390,17 +372,7 @@ class ConstructionReport(Record):
     urn-model law of the inverse-parameter algebra."""
 
     _fields = ("construction", "theta", "support", "construction_probs", "model_probs", "match", "note")
-
-    def __init__(self, construction: str, theta: Scalar, support: Tuple[SupportPoint, ...],
-                 construction_probs: Tuple[Scalar, ...], model_probs: Tuple[Scalar, ...], match: bool,
-                 note: str = "") -> None:
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "construction_probs", construction_probs)
-        object.__setattr__(self, "model_probs", model_probs)
-        object.__setattr__(self, "match", match)
-        object.__setattr__(self, "note", note)
+    _defaults = {"note": ""}
 
 
 def coerce_theta(theta, alg: AlgebraSpec) -> Scalar:
@@ -423,7 +395,7 @@ def construction_report(name: str, params: OccupancyParams, theta: Scalar, mass)
     upper = (params.occupancy_bound,) * (k + 1)
     outcomes = enumerate_points(ConstraintSet(upper=upper, sum_min=n, sum_max=n))
     masses = [mass(x) for x in outcomes]
-    total = sum(masses)
+    total = reduce(add, masses)  # left to right: sum() compensates floats since Python 3.12
     support = tuple(x[:k] for x in outcomes)
     construction = tuple(m / total for m in masses)
     model = joint_pmf(params.replace(alg=inverse_algebra(alg)))

@@ -38,24 +38,19 @@ from .scalars import Scalar, scalars_close
 # A sampler variate is a CDF_BITS-bit mantissa over 2^CDF_BITS (see
 # `sampler`), so CDF thresholds are kept on that integer scale.
 CDF_BITS = 53
-CDF_SCALE = 1 << CDF_BITS
 
 
-def _over_lcm(values: Iterable, denominator: Optional[int] = None) -> Tuple[List[int], int]:
+def _over_lcm(values: Iterable) -> Tuple[List[int], int]:
     """Each of `values`, rationals, floats (each an exact dyadic rational,
     `float.as_integer_ratio`) or unreduced (numerator, denominator) pairs
-    of ints (`algebra._closed_pair`), as an integer numerator over
-    `denominator` (by default the lcm of their denominators; one given must
-    be a multiple of each, or ValidationError), and that denominator.  A
-    float with no ratio (inf or nan) raises OverflowError."""
+    of ints (`algebra._closed_pair`), as an integer numerator over the lcm
+    of their denominators, and that lcm.  A float with no ratio (inf or
+    nan) raises OverflowError."""
     try:
         pairs = [v if type(v) is tuple else v.as_integer_ratio() for v in values]
     except ValueError as exc:  # nan; inf raises OverflowError itself
         raise OverflowError(str(exc)) from None
-    if denominator is None:
-        denominator = lcm(*{d for _, d in pairs})
-    elif any(denominator % d for _, d in pairs):
-        raise ValidationError(f"denominator {denominator} is no multiple of every value's denominator")
+    denominator = lcm(*{d for _, d in pairs})
     return [n * (denominator // d) for n, d in pairs], denominator
 
 
@@ -138,10 +133,6 @@ class ClosedFormCheck(Record):
 
     _fields = ("probabilities", "pointwise_equal")
 
-    def __init__(self, probabilities: Tuple[Scalar, ...], pointwise_equal: bool) -> None:
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "pointwise_equal", pointwise_equal)
-
 
 class PmfTable(Record):
     """A normalized law over a strictly increasing (lexicographic) support.
@@ -150,34 +141,7 @@ class PmfTable(Record):
 
     _fields = ("kind", "params", "coord_labels", "support", "weights", "z_enumerated", "probabilities", "exact",
                "tol", "z_closed_form", "z_discrepancy", "closed_form_check")
-
-    def __init__(
-        self,
-        kind: str,
-        params: Mapping[str, object],
-        coord_labels: Tuple[str, ...],
-        support: Tuple[SupportPoint, ...],
-        weights: Tuple[Scalar, ...],
-        z_enumerated: Scalar,
-        probabilities: Tuple[Scalar, ...],
-        exact: bool,
-        tol: float,
-        z_closed_form: Optional[Scalar] = None,
-        z_discrepancy: Optional[MonomialFit] = None,
-        closed_form_check: Optional[ClosedFormCheck] = None,
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coord_labels", coord_labels)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "z_enumerated", z_enumerated)
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "z_closed_form", z_closed_form)
-        object.__setattr__(self, "z_discrepancy", z_discrepancy)
-        object.__setattr__(self, "closed_form_check", closed_form_check)
+    _defaults = {"z_closed_form": None, "z_discrepancy": None, "closed_form_check": None}
 
     def probability(self, point: SupportPoint) -> Scalar:
         i = bisect_left(self.support, point)
@@ -189,25 +153,23 @@ class PmfTable(Record):
         return dict(zip(self.support, self.probabilities))
 
     @cached_property
-    def cdf(self) -> List[Scalar]:
+    def cdf(self) -> List[int]:
         """The inverse-CDF thresholds of the support: `cdf_thresholds` of
-        the weights (in exact mode over the lcm of their denominators) over
-        the normalizer."""
-        return cdf_thresholds(_over_lcm(self.weights)[0] if self.exact else self.weights, self.z_enumerated,
-                              self.exact)
+        the weights over the lcm of their denominators, in both modes (a
+        float weight is the dyadic rational it is), read once per weight
+        object: the points of a class share theirs."""
+        distinct = list({id(w): w for w in self.weights}.values())
+        scaled = dict(zip(map(id, distinct), _over_lcm(distinct)[0]))
+        return cdf_thresholds([scaled[id(w)] for w in self.weights])
 
 
-def cdf_thresholds(masses: Sequence[Scalar], mass: Optional[Scalar], exact: bool) -> List[Scalar]:
-    """The cumulative masses / `mass` (their total) of `masses` but the
-    last, times 2^53: a variate u takes the index bisect_right(thresholds,
-    u), so one past a float CDF that ends below 1 takes the last.  Exact
-    mode takes the masses as integer numerators over one denominator and
-    rounds each threshold up to an int; approximate mode adds the quotients
-    m / mass left to right."""
-    if exact:
-        total = sum(masses)
-        return [-(-(c << CDF_BITS) // total) for c in accumulate(masses[:-1])]
-    return [f * CDF_SCALE for f in accumulate(m / mass for m in masses[:-1])]
+def cdf_thresholds(masses: Sequence[int]) -> List[int]:
+    """The cumulative masses of `masses` (integer numerators over one
+    denominator) but the last, over their total, times 2^53 and rounded up
+    to an int: a variate u takes the index bisect_right(thresholds, u), so
+    no boundary is misassigned and no zero mass is drawn."""
+    total = sum(masses)
+    return [-(-(c << CDF_BITS) // total) for c in accumulate(masses[:-1])]
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -240,14 +202,13 @@ def make_table(
     `index` each point's class (range(len(support)): a class per point).
     Each class is normalized, checked and compared once, in both modes from
     integers over one denominator (`_class_quotients`): the weights as
-    `numerators` over `denominator` when given (a rounded float weight
-    cannot give back the exact sum it was rounded from), else read over
-    `denominator`, a common multiple of their denominators (by default
-    their lcm), and the closed values, rationals, floats or unreduced
-    (numerator, denominator) pairs, over the lcm of theirs (`_over_lcm`).
-    `closed_divisor`, a factor common to every closed value, divides their
-    total once (the quotients do not see it; a zero divisor raises that
-    division's ZeroDivisionError)."""
+    `numerators` over `denominator`, given together (a rounded float weight
+    cannot give back the exact sum it was rounded from), or else read over
+    the lcm of their denominators, and the closed values, rationals, floats
+    or unreduced (numerator, denominator) pairs, over the lcm of theirs
+    (`_over_lcm`).  `closed_divisor`, a scalar or such a pair common to
+    every closed value, divides their total once (the quotients do not see
+    it; a zero divisor raises that division's ZeroDivisionError)."""
     support, weights, index = tuple(support), list(weights), list(index)
     if not support:
         raise ValidationError(f"{kind} table: empty support")
@@ -257,7 +218,7 @@ def make_table(
         raise ValidationError(f"{kind} table: support is not strictly increasing")
     sizes = list(map(Counter(index).__getitem__, range(len(weights))))
     if numerators is None:
-        numerators, denominator = _over_lcm(weights, denominator)
+        numerators, denominator = _over_lcm(weights)
     z, quotients, total = _normalize_classes(kind, numerators, denominator, sizes, alg,
                                              lambda refused: next((x, c) for x, c in zip(support, index)
                                                                   if c in refused))
@@ -278,20 +239,8 @@ def make_table(
                  all(scalars_close(a, b, False, alg.tol) for a, b in zip(closed_quotients, quotients)))
         check = ClosedFormCheck(tuple(map(closed_quotients.__getitem__, index)), equal)
 
-    return PmfTable(
-        kind=kind,
-        params=dict(params),
-        coord_labels=tuple(coord_labels),
-        support=support,
-        weights=point_weights,
-        z_enumerated=z,
-        probabilities=probabilities,
-        exact=alg.exact,
-        tol=alg.tol,
-        z_closed_form=z_closed_form,
-        z_discrepancy=z_fit,
-        closed_form_check=check,
-    )
+    return PmfTable(kind, dict(params), tuple(coord_labels), support, point_weights, z, probabilities, alg.exact,
+                    alg.tol, z_closed_form, z_fit, check)
 
 
 class PmfStream(Record):
@@ -303,32 +252,9 @@ class PmfStream(Record):
 
     _fields = ("kind", "params", "coord_labels", "constraints", "counts", "weights", "z_enumerated",
                "probabilities", "z_closed_form", "z_discrepancy")
+    _defaults = {"z_closed_form": None, "z_discrepancy": None}
     # A joint carries no closed-form probabilities.
     closed_form_check: ClassVar[None] = None
-
-    def __init__(
-        self,
-        kind: str,
-        params: Mapping[str, object],
-        coord_labels: Tuple[str, ...],
-        constraints: ConstraintSet,
-        counts: Mapping[int, int],
-        weights: Mapping[int, Scalar],
-        z_enumerated: Scalar,
-        probabilities: Mapping[int, Scalar],
-        z_closed_form: Optional[Scalar] = None,
-        z_discrepancy: Optional[MonomialFit] = None,
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coord_labels", coord_labels)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "z_enumerated", z_enumerated)
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "z_closed_form", z_closed_form)
-        object.__setattr__(self, "z_discrepancy", z_discrepancy)
 
     def probability(self, point: SupportPoint) -> Scalar:
         """The probability of `point`, 0 off the support."""
@@ -381,19 +307,9 @@ def make_stream(
 
     z, quotients, _ = _normalize_classes(kind, numerators, denominator, [counts[e] for e in classes], alg,
                                          first_point)
-    probabilities = dict(zip(classes, quotients))
-    return PmfStream(
-        kind=kind,
-        params=dict(params),
-        coord_labels=tuple(coord_labels),
-        constraints=constraints,
-        counts=dict(counts),
-        weights=dict(weights),
-        z_enumerated=z,
-        probabilities=probabilities,
-        z_closed_form=z_closed_form,
-        z_discrepancy=None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound),
-    )
+    z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
+    return PmfStream(kind, dict(params), tuple(coord_labels), constraints, dict(counts), dict(weights), z,
+                     dict(zip(classes, quotients)), z_closed_form, z_fit)
 
 
 def oracle_expectation(table: PmfTable, functional: Callable[[SupportPoint], Scalar]) -> Scalar:
@@ -420,14 +336,7 @@ class MomentReport(Record):
     """One closed-form-vs-oracle comparison for a named moment."""
 
     _fields = ("quantity", "oracle_value", "closed_form", "match", "note")
-
-    def __init__(self, quantity: str, oracle_value: Scalar, closed_form: Optional[Scalar], match: Optional[bool],
-                 note: str = "") -> None:
-        object.__setattr__(self, "quantity", quantity)
-        object.__setattr__(self, "oracle_value", oracle_value)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "match", match)
-        object.__setattr__(self, "note", note)
+    _defaults = {"note": ""}
 
 
 def compare_moment(

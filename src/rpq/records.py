@@ -1,10 +1,16 @@
 """Frozen records: the one base class of the package's value objects.
 
-A record class names its fields in `_fields`, in the order of its
-`__init__` parameters, and its `__init__` stores each with
-`object.__setattr__`, since assignment raises AttributeError.  (Writing
-through `vars(self)` would build the instance's dict, and every later
-attribute read would be slower.)  From `_fields` the base class gives:
+A record class names its fields in `_fields`, and `_defaults` maps the
+trailing fields that may be omitted to their values.  The one constructor,
+`Record.__init__`, takes the fields as a call would: positionally in field
+order, or by name.  It stores each with `object.__setattr__`, in field
+order, since assignment raises AttributeError.  (Writing through
+`vars(self)` would build the instance's dict, and every later attribute
+read would be slower.)  A call with every field positional stores them at
+once, with no binding; a hot caller passes them so.  Too many, unknown,
+repeated or missing arguments raise TypeError.  A class that checks its
+input defines its own `__init__`, which stores its fields through this
+one.  From `_fields` the base class also gives:
 
 - equality between records of the same class whose fields are equal (a
   record never equals an object of another class, a subclass included);
@@ -24,7 +30,9 @@ compiles no code when its module loads.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, ClassVar, Tuple
+from typing import Callable, ClassVar, Dict, Tuple
+
+_set = object.__setattr__
 
 
 class Record:
@@ -33,6 +41,7 @@ class Record:
     __slots__ = ()
 
     _fields: ClassVar[Tuple[str, ...]] = ()
+    _defaults: ClassVar[Dict[str, object]] = {}
     _compared: ClassVar[Tuple[str, ...]]
     _key: ClassVar[Callable[["Record"], object]]  # the `_compared` values of a record
 
@@ -40,6 +49,28 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*getattr(cls, "_compared", cls._fields))
         cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):
+            for name, value in zip(fields, args):
+                _set(self, name, value)
+            return
+        where = f"{self.__class__.__qualname__}()"
+        if len(args) > len(fields):
+            raise TypeError(f"{where} takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in fields if name not in values and name not in self._defaults]
+        if missing:
+            raise TypeError(f"{where} missing required arguments: {', '.join(map(repr, missing))}")
+        for name in fields:
+            _set(self, name, values[name] if name in values else self._defaults[name])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -6,8 +6,9 @@ is finalized with the 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB xor-multiply
 mix.  A variate is the top 53 bits of one output, read as the exact
 rational mantissa / 2^53, so draws are reproducible bit-for-bit on any
 platform.  A variate takes the first outcome whose cumulative probability
-exceeds it (`pmf.cdf_thresholds`); exact thresholds are ceil(F * 2^53), so
-no boundary is misassigned and no zero-probability point is drawn.
+exceeds it (`pmf.cdf_thresholds`); thresholds are ceil(F * 2^53), with F
+exact in both modes (a float weight read as the rational it is), so no
+boundary is misassigned and no zero-probability point is drawn.
 
 `sample` draws a table's points, one variate each, against the thresholds
 the table keeps (`PmfTable.cdf`).  `sequential_sample` draws the joint law
@@ -24,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from operator import truediv
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .classes import _decode
 from .errors import ValidationError
@@ -85,14 +86,6 @@ class SplitMix64:
 
 class SampleBatch(Record):
     _fields = ("params", "seed", "count", "draws", "empirical")
-
-    def __init__(self, params: Mapping[str, object], seed: int, count: int, draws: Tuple[SupportPoint, ...],
-                 empirical: Tuple[Tuple[SupportPoint, Fraction], ...]) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "empirical", empirical)
 
     def empirical_map(self) -> Dict[SupportPoint, Fraction]:
         return dict(self.empirical)

@@ -55,12 +55,6 @@ class _Layout(Record):
 
     _fields = ("head", "sep", "end", "suffix")
 
-    def __init__(self, head: str, sep: str, end: str, suffix: Callable[[str, str], str]) -> None:
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "sep", sep)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "suffix", suffix)
-
     def point_format(self, dim: int) -> str:
         """The %-format of a row's point, for a PmfTable's tuples."""
         return self.head + self.sep.join(["%d"] * dim) + self.end

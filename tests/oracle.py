@@ -81,6 +81,13 @@ def joint_table(params):
     order of the package's joint: guards, weights, closed normalizer."""
     support = enumerate_points(occupancy.support_constraints(params))
     weights = [occupancy.joint_weight(params, x) for x in support]
+    try:
+        # Each float weight, then the closed normalizer, as the rational it
+        # is: inf and nan have none, an overflow.
+        for value in (*weights, params.normalizer(params.alg, params.k, params.n)):
+            exact(value)
+    except (ValueError, OverflowError) as exc:
+        raise OverflowError(str(exc)) from None
     return make_table(
         kind=params.kind,
         params=params.describe(),
@@ -220,12 +227,10 @@ def frequencies(draws):
 
 
 def on_scale(cumulative):
-    """A cumulative probability as a threshold on the 53-bit scale: a
-    rational rounded up, a float scaled."""
-    if isinstance(cumulative, Fraction):
-        frac = cumulative * DENOM
-        return -(-frac.numerator // frac.denominator)
-    return cumulative * DENOM
+    """A cumulative probability, a rational, as a threshold on the 53-bit
+    scale, rounded up."""
+    frac = Fraction(cumulative) * DENOM
+    return -(-frac.numerator // frac.denominator)
 
 
 def scan_step(masses, prefix, extended):
@@ -240,14 +245,16 @@ def scan_step(masses, prefix, extended):
 
 def scan_sample(table, variates, count):
     """Inverse-CDF draws: each variate takes the first point whose
-    cumulative weight over the normalizer (its cumulative probability in
-    exact mode; floats added left to right in approximate mode), on the
-    53-bit scale, exceeds it, else the last point."""
+    cumulative weight over the total weight, exact in both modes (a float
+    weight read as the rational it is), on the 53-bit scale, exceeds it,
+    else the last point."""
+    weights = [exact(weight) for weight in table.weights]
+    total = Fraction(sum(weights))
     thresholds = []
     cumulative = 0
-    for weight in table.weights:
-        cumulative += weight / table.z_enumerated
-        thresholds.append(on_scale(cumulative))
+    for weight in weights:
+        cumulative += weight
+        thresholds.append(on_scale(cumulative / total))
     draws = []
     for _ in range(count):
         u = next(variates)

@@ -7,9 +7,8 @@ record (`closed_form_check.probabilities`, `pointwise_equal`,
 `z_discrepancy`) is recomputed with one closed value, one division and one
 comparison per point.  The closed values come from the formulas below,
 written out per point with their tau1^a * tau2^b powers, not from the
-library's per-class functions: a chain of products in the order of
-`algebra.closed_form`, whose bits the public hooks keep, or the exact
-product of the same factors, which a decimal table rounds once
+library's per-class terms: the exact product of the factors, a float
+read as the rational it is, which a decimal table rounds once
 (`oracle.normalized`).  Floats are compared with `==`: sharing must not
 move a single bit.
 """
@@ -27,7 +26,7 @@ from oracle import (KINDS, block_sums, compositions, exact, grid, joint_table, k
 from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
                  jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
 from rpq import classes, first_kind, occupancy, pmf, second_kind
-from rpq.algebra import MonomialFit, binomial_or_zero, deformed_binomial, fit_monomial
+from rpq.algebra import MonomialFit, _closed_pair, binomial_or_zero, deformed_binomial, fit_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
 from rpq.pmf import make_table
@@ -46,36 +45,25 @@ def _z_reference(module, params):
     return deformed_binomial(alg, k + n, n), second_kind._phi_constant_exponent(k, n) + k * n
 
 
-def _closed(alg, e1, e2, factors, scale=None, divisor=None, exact_product=False):
-    """tau1^e1 tau2^e2 * prod(factors) [* scale] [/ divisor]: products in
-    the order `algebra.closed_form` takes them, tau1^e1 tau2^e2 * ((1 * f1)
-    * f2 ...), or, with `exact_product`, the exact product of the same
-    values."""
-    values = [alg.tau1**e1 * alg.tau2**e2, *factors] + ([] if scale is None else [scale])
-    if exact_product:
-        value = 1
-        for factor in values:
-            value *= exact(factor)
-        return value if divisor is None else value / exact(divisor)
-    product = 1 if alg.exact else 1.0
-    for factor in factors:
-        product *= factor
-    value = values[0] * product
-    if scale is not None:
-        value *= scale
-    return value if divisor is None else value / divisor
+def _closed(alg, e1, e2, factors, scale=None, divisor=None):
+    """tau1^e1 tau2^e2 * prod(factors) [* scale] [/ divisor], the exact
+    product of these values (a float read as the rational it is)."""
+    value = 1
+    for factor in [alg.tau1**e1 * alg.tau2**e2, *factors] + ([] if scale is None else [scale]):
+        value *= exact(factor)
+    return value if divisor is None else value / exact(divisor)
 
 
-def _first_marginal(params, prefix, exact_product=False):
+def _first_marginal(params, prefix):
     alg, k, n = params.alg, params.k, params.n
     r, y = len(prefix), sum(prefix)
     g = sum((k - j - n + y) * prefix[j] for j in range(r))
     c2 = comb(y, 2)
     tail = binomial_or_zero(alg, k - r + 1, n - y)
-    return _closed(alg, c2 + k * n - g, g - c2, [tail], exact_product=exact_product)
+    return _closed(alg, c2 + k * n - g, g - c2, [tail])
 
 
-def _first_conditional(params, given, suffix, exact_product=False):
+def _first_conditional(params, given, suffix):
     alg, k, n = params.alg, params.k, params.n
     r, m = len(given), len(given) + len(suffix)
     y_r = sum(given)
@@ -84,10 +72,10 @@ def _first_conditional(params, given, suffix, exact_product=False):
     c2 = comb(y_m - y_r, 2)
     numerator = binomial_or_zero(alg, k - m + 1, n - y_m)
     denominator = deformed_binomial(alg, k - r + 1, n - y_r)
-    return _closed(alg, c2 + k * n - h, h - c2, [numerator], divisor=denominator, exact_product=exact_product)
+    return _closed(alg, c2 + k * n - h, h - c2, [numerator], divisor=denominator)
 
 
-def _first_grouped(params, scheme, y, exact_product=False):
+def _first_grouped(params, scheme, y):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     e1 = e2 = z = 0
@@ -97,10 +85,10 @@ def _first_grouped(params, scheme, y, exact_product=False):
         e1 += (n - z - s[j]) * (m_j - y_j)
         e2 += (k - s[j] - n + z + 1) * y_j
         binomials.append(deformed_binomial(alg, m_j, y_j))
-    return _closed(alg, e1, e2, binomials, exact_product=exact_product)
+    return _closed(alg, e1, e2, binomials)
 
 
-def _first_grouped_marginal(params, scheme, prefix, exact_product=False):
+def _first_grouped_marginal(params, scheme, prefix):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     nu, z_nu = len(prefix), sum(prefix)
@@ -114,18 +102,18 @@ def _first_grouped_marginal(params, scheme, prefix, exact_product=False):
         binomials.append(deformed_binomial(alg, m_j, y_j))
     e2 -= comb(z_nu, 2)
     tail = binomial_or_zero(alg, k - s[nu - 1] + 1, n - z_nu)
-    return _closed(alg, e1, e2, binomials, tail, exact_product=exact_product)
+    return _closed(alg, e1, e2, binomials, tail)
 
 
-def _second_marginal(params, prefix, exact_product=False):
+def _second_marginal(params, prefix):
     alg, k, n = params.alg, params.k, params.n
     r, y = len(prefix), sum(prefix)
     e = sum((k - j) * prefix[j] for j in range(r))
     tail = binomial_or_zero(alg, k - r + n - y, n - y)
-    return _closed(alg, second_kind._phi_constant_exponent(k, n) - e, e, [tail], exact_product=exact_product)
+    return _closed(alg, second_kind._phi_constant_exponent(k, n) - e, e, [tail])
 
 
-def _second_conditional(params, given, suffix, exact_product=False):
+def _second_conditional(params, given, suffix):
     alg, k, n = params.alg, params.k, params.n
     r, m = len(given), len(given) + len(suffix)
     y_r = sum(given)
@@ -133,10 +121,10 @@ def _second_conditional(params, given, suffix, exact_product=False):
     e = sum((k - (r + j)) * suffix[j] for j in range(len(suffix)))
     numerator = binomial_or_zero(alg, k - m + n - y_m, n - y_m)
     denominator = deformed_binomial(alg, k - r + n - y_r, n - y_r)
-    return _closed(alg, -e, e, [numerator], divisor=denominator, exact_product=exact_product)
+    return _closed(alg, -e, e, [numerator], divisor=denominator)
 
 
-def _second_grouped(params, scheme, y, exact_product=False):
+def _second_grouped(params, scheme, y):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     e1 = e2 = z = 0
@@ -146,10 +134,10 @@ def _second_grouped(params, scheme, y, exact_product=False):
         e1 += (n - z - s[j]) * (m_j - 1)
         e2 += (k - s[j] + 1) * y_j
         binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
-    return _closed(alg, e1, e2, binomials, exact_product=exact_product)
+    return _closed(alg, e1, e2, binomials)
 
 
-def _second_grouped_marginal(params, scheme, prefix, exact_product=False):
+def _second_grouped_marginal(params, scheme, prefix):
     alg, k, n = params.alg, params.k, params.n
     s = scheme.partial_sums
     nu, z_nu = len(prefix), sum(prefix)
@@ -162,7 +150,7 @@ def _second_grouped_marginal(params, scheme, prefix, exact_product=False):
         e2 += (k - s[j] + 1) * y_j
         binomials.append(binomial_or_zero(alg, m_j + y_j - 1, y_j))
     tail = binomial_or_zero(alg, k - s[nu - 1] + n - z_nu, n - z_nu)
-    return _closed(alg, e1, e2, binomials, tail, exact_product=exact_product)
+    return _closed(alg, e1, e2, binomials, tail)
 
 
 # Per kind: closed values of a marginal, a conditional, a grouped and a
@@ -210,7 +198,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
         k = params.k
         for r in range(1, k):
             support, masses = scan(joint.support, joint.weights, lambda x: True, lambda x: x[:r])
-            closed = [marginal(params, p, True) for p in support]
+            closed = [marginal(params, p) for p in support]
             table = module.marginal_pmf(params, r)
             _assert_records(table, params, support, masses, closed, _z_reference(module, params))
             # One closed value per (sum, area) class, shared by its points.
@@ -223,7 +211,7 @@ def test_marginal_and_conditional_records_equal_per_point(case):
                     )
                     if not support:
                         continue
-                    closed = [conditional(params, given, s, True) for s in support]
+                    closed = [conditional(params, given, s) for s in support]
                     _assert_records(
                         module.conditional_pmf(params, given, m), params, support, masses, closed
                     )
@@ -241,21 +229,21 @@ def test_grouped_records_equal_per_point(case):
             blocks, block_masses = scan(
                 joint.support, joint.weights, lambda x: True, block_sums(sizes)
             )
-            closed = [grouped(params, scheme, y, True) for y in blocks]
+            closed = [grouped(params, scheme, y) for y in blocks]
             _assert_records(
                 module.grouped_pmf(params, scheme), params, blocks, block_masses, closed, z_reference
             )
             for nu in range(1, len(sizes)):
                 support, masses = scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
-                closed = [grouped_marginal(params, scheme, p, True) for p in support]
+                closed = [grouped_marginal(params, scheme, p) for p in support]
                 table = module.grouped_marginal_pmf(params, scheme, nu)
                 _assert_records(table, params, support, masses, closed, z_reference)
                 for given in support:
                     suffixes, masses = scan(
                         blocks, block_masses, lambda y: y[:nu] == given, lambda y: y[nu:]
                     )
-                    prefix_weight = grouped_marginal(params, scheme, given, True)
-                    closed = [grouped(params, scheme, given + s, True) / prefix_weight for s in suffixes]
+                    prefix_weight = grouped_marginal(params, scheme, given)
+                    closed = [grouped(params, scheme, given + s) / prefix_weight for s in suffixes]
                     table = module.grouped_conditional_pmf(params, scheme, given)
                     _assert_records(table, params, suffixes, masses, closed)
 
@@ -275,41 +263,39 @@ def _same(value, reference):
     [(module, alg) for module in (first_kind, second_kind) for alg in ALL_PRESETS + DECIMAL_PRESETS],
     ids=kind_id,
 )
-def test_closed_form_hooks_equal_chained_products(case):
-    """Each kind's closed-form methods against the per-point formulas
-    above, which chain plain Fraction (or float) products: tau1^a * tau2^b
-    times the normalizer, times the numerator and over the denominator, or
-    times a running product of binomials.  Value, type and repr, k <= 6."""
+def test_closed_terms_equal_per_point_products(case):
+    """Each kind's closed-value terms, multiplied by `algebra._closed_pair`,
+    against the per-point formulas above, exact products in both modes:
+    tau1^a * tau2^b times the normalizer, times the numerator and over the
+    denominator (`prefix_normalizer`, as `make_table` divides by it), or
+    times the binomials of each block.  Value, type and repr, k <= 6."""
     module, alg = case
     marginal, conditional, grouped, grouped_marginal = CLOSED[module]
     if module is first_kind:
         cases = [FirstKindParams(alg, k, n) for k in range(1, 7) for n in range(k + 2)]
     else:
         cases = [SecondKindParams(alg, k, n) for k in range(1, 7) for n in range(4)]
+
+    def closed(terms):
+        return Fraction(*_closed_pair(alg, *terms))
+
     for params in cases:
         joint = joint_table(params)
         k = params.k
         for m in range(1, k):
             for x in scan(joint.support, joint.weights, lambda x: True, lambda x: x[:m])[0]:
-                key = (sum(x), area(x))
-                _same(params.marginal_weight(m, key), marginal(params, x))
+                _same(closed(params.marginal_terms(m, (sum(x), area(x)))), marginal(params, x))
                 for r in range(1, m):
                     suffix_key = (sum(x), sum(x[r:]), area(x[r:]))
-                    _same(params.conditional_value(x[:r], m, suffix_key),
+                    _same(closed(params.conditional_terms(m, suffix_key)) / exact(params.prefix_normalizer(x[:r])),
                           conditional(params, x[:r], x[r:]))
         for sizes in compositions(k):
             scheme = GroupingScheme(sizes)
-            prefix_weights = {}
             for y in scan(joint.support, joint.weights, lambda x: True, block_sums(sizes))[0]:
-                weight = grouped(params, scheme, y)
-                _same(params.grouped_weight(scheme, y), weight)
+                _same(closed(params.grouped_terms(scheme, y)), grouped(params, scheme, y))
                 for prefix in (y[:nu] for nu in range(1, len(sizes))):
-                    if prefix not in prefix_weights:
-                        prefix_weights[prefix] = grouped_marginal(params, scheme, prefix)
-                        _same(occupancy._grouped_marginal_weight(params, scheme, prefix),
-                              prefix_weights[prefix])
-                    _same(params.grouped_weight(scheme, y, divisor=prefix_weights[prefix]),
-                          weight / prefix_weights[prefix])
+                    _same(closed(occupancy._grouped_marginal_terms(params, scheme, prefix)),
+                          grouped_marginal(params, scheme, prefix))
 
 
 def _clear_caches():

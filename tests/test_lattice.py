@@ -163,8 +163,8 @@ def test_walk_matches_recursive_reference(upper, chunk, monkeypatch):
                 assert all(len(areas) <= chunk for _, areas in chunks)
 
 
-# Floats of every size and sign, so that sum()'s compensation (Python 3.12
-# on) changes the bits of a window's total.
+# Floats of every size and sign, so that a compensated sum (sum() from
+# Python 3.12 on) would change the bits of a window's total.
 _layer_values = st.lists(st.floats(-1e200, 1e200, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, 1e-300]),
                          min_size=1, max_size=40)
 
@@ -176,6 +176,12 @@ def test_prefix_totals_are_the_window_totals_bit_for_bit(values):
     totals = lattice.prefix_totals(layer)
     expected = [lattice.window_total(layer, 0, s) for s in range(len(values))]
     assert list(map(repr, totals)) == list(map(repr, expected))
+    # Added left to right, on every Python version.
+    running, left_to_right = 0, []
+    for value in values:
+        running += value
+        left_to_right.append(running)
+    assert list(map(repr, totals)) == list(map(repr, left_to_right))
 
 
 @given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=20), st.integers(1, 10**12))

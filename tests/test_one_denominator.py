@@ -6,7 +6,7 @@ one denominator and its closed values as unreduced integer pairs over
 their lcm, with a conditional's common divisor applied once to the closed
 total; it reduces a Fraction only for what it holds.  These tests compare
 every exact table with the route that reduces each closed value (divisor
-or scale included) and divides Fractions (`oracle.fraction_route`), feed
+included) and divides Fractions (`oracle.fraction_route`), feed
 `make_table` the same values both ways, and check that a custom number
 rule's divisor that is not positive still fails: a negative one with the
 same error and message, a zero one with a ZeroDivisionError.
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracle import KINDS, block_sums, compositions, fraction_route, grid, joint_table, kind_id, prefixes, scan
 from rpq import ValidationError, first_kind, jagannathan_srinivasa, occupancy, second_kind
-from rpq.algebra import custom_algebra
+from rpq.algebra import _closed_pair, custom_algebra
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
 from rpq.pmf import make_table
@@ -30,16 +30,22 @@ from rpq.second_kind import SecondKindParams
 EXACT_KINDS = [case for case in KINDS if case[1].exact]
 
 
+def _closed(params, terms, divisor=1):
+    """The closed value of `terms` (`algebra._closed_pair`), reduced, over
+    `divisor`."""
+    return Fraction(*_closed_pair(params.alg, *terms)) / divisor
+
+
 def _derived(module, params, joint):
     """(table, class key of each point, masses, closed values) of every
     marginal, conditional, grouped, grouped-marginal and grouped-conditional
     table of `params`: masses scanned from the per-point joint, closed values
-    from the kind's hooks, each reduced with its divisor or scale."""
+    from the kind's terms, each reduced with its divisor."""
     k = params.k
     for m in range(1, k + 1):
         if m < k:
             support, masses = scan(joint.support, joint.weights, lambda x: True, lambda x: x[:m])
-            closed = [params.marginal_weight(m, (sum(p), area(p))) for p in support]
+            closed = [_closed(params, params.marginal_terms(m, (sum(p), area(p)))) for p in support]
             yield module.marginal_pmf(params, m), [(sum(p), area(p)) for p in support], masses, closed
         for r in range(1, m):
             for given_ in prefixes(module, params, r):
@@ -47,7 +53,8 @@ def _derived(module, params, joint):
                 if not support:
                     continue
                 y = sum(given_)
-                closed = [params.conditional_value(given_, m, (y + sum(s), sum(s), area(s)))
+                divisor = params.prefix_normalizer(given_)
+                closed = [_closed(params, params.conditional_terms(m, (y + sum(s), sum(s), area(s))), divisor)
                           for s in support]
                 yield (module.conditional_pmf(params, given_, m), [(sum(s), area(s)) for s in support], masses,
                        closed)
@@ -55,15 +62,15 @@ def _derived(module, params, joint):
         scheme = GroupingScheme(sizes)
         blocks, block_masses = scan(joint.support, joint.weights, lambda x: True, block_sums(sizes))
         yield (module.grouped_pmf(params, scheme), blocks, block_masses,
-               [params.grouped_weight(scheme, y) for y in blocks])
+               [_closed(params, params.grouped_terms(scheme, y)) for y in blocks])
         for nu in range(1, len(sizes)):
             support, masses = scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
-            closed = [occupancy._grouped_marginal_weight(params, scheme, p) for p in support]
+            closed = [_closed(params, occupancy._grouped_marginal_terms(params, scheme, p)) for p in support]
             yield module.grouped_marginal_pmf(params, scheme, nu), support, masses, closed
             for prefix in support:
                 suffixes, masses = scan(blocks, block_masses, lambda y: y[:nu] == prefix, lambda y: y[nu:])
-                divisor = occupancy._grouped_marginal_weight(params, scheme, prefix)
-                closed = [params.grouped_weight(scheme, prefix + s, divisor=divisor) for s in suffixes]
+                divisor = _closed(params, occupancy._grouped_marginal_terms(params, scheme, prefix))
+                closed = [_closed(params, params.grouped_terms(scheme, prefix + s), divisor) for s in suffixes]
                 yield module.grouped_conditional_pmf(params, scheme, prefix), suffixes, masses, closed
 
 
@@ -96,10 +103,10 @@ _positive = st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**9))
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_positive, _rationals), min_size=1, max_size=8), st.data())
 def test_make_table_takes_fractions_and_integers_over_one_denominator_alike(classes, data):
-    """Weights and closed values as Fractions, against the same values as
-    Fractions over a common multiple of their denominators and as unreduced
-    integer pairs, and against closed values times a divisor that
-    `make_table` divides out once."""
+    """Weights and closed values as Fractions, against the same weights as
+    integer numerators over a common multiple of their denominators and
+    closed values as unreduced integer pairs, and against closed values
+    times a divisor that `make_table` divides out once."""
     alg = jagannathan_srinivasa(Fraction(9, 10), Fraction(1, 2))
     weights, closed = map(list, zip(*classes))
     index = data.draw(st.permutations(list(range(len(weights))) + data.draw(
@@ -119,22 +126,15 @@ def test_make_table_takes_fractions_and_integers_over_one_denominator_alike(clas
     divisor = data.draw(_positive)
     pairs = [(v.numerator * scale, v.denominator * scale) for v in closed]
     divided = [(n * divisor.numerator, d * divisor.denominator) for n, d in pairs]
-    for table in (make_table(weights=weights, closed_values=pairs, denominator=denominator, **common),
-                  make_table(weights=weights, closed_values=divided, denominator=denominator,
-                             closed_divisor=divisor, **common)):
+    over = dict(numerators=[int(w * denominator) for w in weights], denominator=denominator)
+    for table in (make_table(weights=weights, closed_values=pairs, **over, **common),
+                  make_table(weights=weights, closed_values=divided, closed_divisor=divisor, **over, **common)):
         assert (table, repr(table)) == (reference, repr(reference))
         for column in (table.weights, table.probabilities, table.closed_form_check.probabilities):
             assert len({id(v) for v in column}) <= len(weights)
 
 
-def test_make_table_refuses_a_denominator_that_is_no_common_multiple():
-    alg = jagannathan_srinivasa(Fraction(9, 10), Fraction(1, 2))
-    with pytest.raises(ValidationError, match="denominator 4 is no multiple"):
-        make_table(kind="t", params={}, coord_labels=("x",), support=((0,), (1,)),
-                   weights=[Fraction(1, 2), Fraction(1, 3)], index=range(2), alg=alg, denominator=4)
-
-
-def test_decimal_closed_divisor_divides_each_value_as_the_hook_did():
+def test_decimal_closed_divisor_gives_the_table_of_the_divided_values():
     alg = jagannathan_srinivasa(0.9, 0.5)
     closed, divisor = [0.3, 0.7, 1.1], 2.9
     common = dict(kind="t", params={}, coord_labels=("x",), support=((0,), (1,), (2,)), weights=[1.0, 2.0, 3.0],
@@ -168,7 +168,8 @@ def test_custom_rule_conditional_divisor_keeps_its_error(alg, error, message):
     assert str(caught.value) == message if error is ValidationError else re.fullmatch(message, str(caught.value))
     if error is ValidationError:
         # The sum of the closed values of the suffixes (0,) and (1,).
-        values = [params.conditional_value((0,), 2, (v, v, v)) for v in (0, 1)]
+        values = [_closed(params, params.conditional_terms(2, (v, v, v)), params.prefix_normalizer((0,)))
+                  for v in (0, 1)]
         assert message.endswith(f" {sum(values)}")
 
 

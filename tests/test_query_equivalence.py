@@ -195,15 +195,13 @@ def test_cold_warm_and_copied_walks_equal_scan(case):
 def test_approximate_draw_past_last_threshold_takes_last_point(monkeypatch):
     params = FirstKindParams(jagannathan_srinivasa(0.9, 0.5), 3, 1)
     joint = first_kind.joint_pmf(params)
-    # The float CDF of this law, its weights over the normalizer added left
-    # to right, ends at 1 - 2^-53, so the largest variate, 2^53 - 1, falls
-    # past the last threshold, and takes the last point.
-    cumulative = 0
-    for weight in joint.weights:
-        cumulative += weight / joint.z_enumerated
-    assert cumulative == 0.9999999999999999
+    # The thresholds are exact, each cumulative float weight over the total
+    # rounded up, so the last lies below 2^53: the largest variate,
+    # 2^53 - 1, falls past it and takes the last point.
     top = DENOM - 1
-    assert not top < on_scale(cumulative)
+    weights = list(map(Fraction, joint.weights))
+    assert joint.cdf == [on_scale(sum(weights[:i]) / sum(weights)) for i in range(1, len(weights))]
+    assert joint.cdf[-1] <= top
     _fed(monkeypatch, [top] * 3)
     assert sample(joint, 4, 3).draws == (joint.support[-1],) * 3
     monkeypatch.undo()

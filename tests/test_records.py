@@ -112,6 +112,34 @@ def test_equal_fields_of_one_class_are_equal_with_equal_hashes(name):
 
 
 @pytest.mark.parametrize("name", sorted(REPRS))
+def test_the_constructor_binds_its_arguments_as_a_call_does(name):
+    """Positional and keyword construction give equal records, with the
+    fields stored in field order; `_defaults` fill the trailing fields
+    left out; too many, unknown, repeated and missing arguments raise
+    TypeError."""
+    record = _records()[name]
+    cls, fields = type(record), record._fields
+    values = [getattr(record, field) for field in fields]
+    by_name = dict(zip(fields, values))
+    for built in (cls(*values), cls(**by_name), cls(*values[:2], **dict(list(by_name.items())[2:]))):
+        assert built == record and repr(built) == repr(record)
+        assert list(vars(built))[:len(fields)] == list(fields)
+    defaults = cls._defaults
+    assert tuple(defaults) == fields[len(fields) - len(defaults):]
+    required = len(fields) - len(defaults)
+    with_defaults = record.replace(**defaults)
+    assert cls(*values[:required]) == cls(**dict(list(by_name.items())[:required])) == with_defaults
+    for args, kwargs, message in (
+        ((*values, None), {}, r"arguments but \d+ were given"),
+        ((), {**by_name, "no_such_field": 1}, "unexpected keyword argument 'no_such_field'"),
+        ((values[0],), by_name, f"multiple values for argument '{fields[0]}'"),
+        ((), dict(list(by_name.items())[1:]), f"missing .*'{fields[0]}'"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
 def test_a_record_is_frozen(name):
     record = _records()[name]
     field = record._fields[0]

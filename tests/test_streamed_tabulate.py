@@ -136,6 +136,9 @@ REFUSALS = [
     # Float overflow, and a weight that is nan (inf times 0), which has no
     # exact ratio either.
     ("--kind", "second", "--k", "6", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
+    # Finite weights and a closed normalizer that overflowed to nan, which
+    # every derived law of this model refuses too.
+    ("--kind", "second", "--k", "3", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
     ("--kind", "first", "--k", "3", "--n", "2", "--preset", "quesne", "--p", "1e-300", "--q", "1e-310"),
     # Probabilities whose exact sum is not 1 within --tol 0.
     ("--kind", "first", "--k", "2", "--n", "1", "--preset", "js", "--p", "0.9", "--q", "0.5", "--tol", "0"),
