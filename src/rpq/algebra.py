@@ -71,9 +71,9 @@ class AlgebraSpec(Record):
     derived from it (a deformed number, a weight) is a Fraction too.
 
     Deformed numbers, factorials, binomials, monomials tau1^a tau2^b, the
-    inverse algebra and `describe()` are memoised on the instance.  They
-    take no part in equality, hashing or repr, so `replace()` starts fresh
-    ones, and they are freed with the algebra.
+    inverse algebra, `describe()` and the hash (at the first hash) are
+    memoised on the instance.  They take no part in equality, hashing or
+    repr, so `replace()` starts fresh ones, and they are freed with it.
     """
 
     _fields = ("name", "p", "q", "tau1", "tau2", "number_rule", "tol")
@@ -111,6 +111,12 @@ class AlgebraSpec(Record):
         object.__setattr__(self, "_monomials", {})
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_described", {})
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+        return self._hash
 
     @property
     def tau_structured(self) -> bool:

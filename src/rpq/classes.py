@@ -19,14 +19,15 @@ base = E(p) + (k - r) sum p), and so does a step of a sequential draw: the
 children of (r, s, base) are (r + 1, s + v, base + (k - r) v).  A block of coordinates ending at S adds
 E(v) + (k - S) sum(v) for its vectors v, which gives grouped laws their
 masses.  `PrefixClasses` computes all of these without the joint's points,
-in both modes from the same integers: its memos hold one mass and one step
-per class, a mass summed as an integer over the joint's one denominator
-(the exact sum of float weights, in approximate mode), and one value per
-mass, the object a table holds: a Fraction reduced once, or a float
-rounded once.  `make_table` takes the integers along, so no decimal sum
-depends on an order of points.  Besides, a process keeps the count tables
-of 128 boxes (`sum_rows`) and the most recent listings of 2^16 points in
-all (`Recent`) with their class partitions, which derived tables normalize
+in both modes from the same integers: its memos hold one mass, one step
+and one closed value per class, a mass summed as an integer over the
+joint's one denominator (the exact sum of float weights, in approximate
+mode), and one value and one probability per mass, the objects a table
+holds: Fractions reduced once, or floats rounded once.  `make_table`
+takes the integers along, so no decimal sum depends on an order of
+points.  Besides, a process keeps the count tables of 128 boxes
+(`sum_rows`) and the most recent listings of 2^16 points in all
+(`Recent`) with their class partitions, which derived tables normalize
 once per class.
 """
 
@@ -142,6 +143,18 @@ class Recent(OrderedDict):
         self.points = self.hits = self.misses = 0
 
 
+class Memo(dict):
+    """`memo[key]` is `make(key)`, made at its first read and kept."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _listing(box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[int, int], ...], List[int]]:
     """The points of a box in lexicographic order and their class partition:
     the distinct keys (sum, area) in first-seen order, each point's key
@@ -163,20 +176,28 @@ class PrefixClasses:
     an integer over the joint's one denominator `denominator`: in both
     modes the suffix box's counts by sum (`sum_rows`) dotted with the class
     weights of `law` as `numerators` over `denominator`, the exact sum of
-    the weights.  `value(mass)`, memoised, is the one object a table holds
-    for a mass, a Fraction or a float rounded once."""
+    the weights.  `value(mass)` and `probability(mass)`, memoised, are the
+    objects a table holds for a mass and for its share of `total`, the
+    normalizer's mass: Fractions, or floats rounded once.  `closed[key]`,
+    made once, is `closed_pair(key)`, the closed value of a class."""
 
-    def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, exact: bool) -> None:
+    def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, exact: bool,
+                 closed_pair: Callable[[tuple], Tuple[int, int]]) -> None:
         self.law, self.exact, self.denominator = law, exact, denominator
         box = law.constraints
         self.k, self.bound, self.smin, self.smax = box.dim, box.upper[0], box.sum_min, box.sum_max
-        self.mass, self.step, self.value = (lru_cache(maxsize=None)(f) for f in (self._mass, self._step, self._value))
+        self.mass, self.step, self.value, self.probability = (
+            lru_cache(maxsize=None)(f) for f in (self._mass, self._step, self._value, self._probability))
+        self.closed = Memo(closed_pair)
         scaled = dict(zip(law.weights, numerators))
         self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
         self.total = sum(law.counts[e] * n for e, n in scaled.items())
 
     def _value(self, mass: int) -> Scalar:
         return Fraction(mass, self.denominator) if self.exact else mass / self.denominator
+
+    def _probability(self, mass: int) -> Scalar:
+        return Fraction(mass, self.total) if self.exact else mass / self.total
 
     def _mass(self, key: Tuple[int, int, int]) -> int:
         r, s, base = key

@@ -19,23 +19,23 @@ applied once; a decimal value is rounded once, at the end.  Each first
 takes the joint's 10^7-point guard and checks, from its memoised class
 law, so it refuses what it refused when it summed the joint.  Memos, each
 bounded: the 32 most recent class laws with their streams (one mass, one
-value and one step per class), block masses of 32 schemes, and the most
+step and one closed pair per class, one value and one probability per
+mass), the block masses and closed pairs of 32 schemes, and the most
 recent joint tables of 2^19 points in all.  What the kinds differ in lives
-on their params
-classes (`OccupancyParams`), which `rpq.first_kind` and `rpq.second_kind`
-define; they re-export these functions.
+on their params classes (`OccupancyParams`), which `rpq.first_kind` and
+`rpq.second_kind` define; they re-export these functions.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from operator import add
 from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, _closed_pair, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
-from .classes import PrefixClasses, Recent, area_counts
+from .classes import Memo, PrefixClasses, Recent, area_counts
 from .lattice import ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_points, point_cells
 from .pmf import PmfStream, PmfTable, _over_lcm, make_stream, make_table
 from .records import Record
@@ -166,7 +166,13 @@ def _joint_law(params: OccupancyParams) -> PrefixClasses:
         denominator=denominator,
         **_normalizer(params),
     )
-    return PrefixClasses(stream, numerators, denominator, params.alg.exact)
+    return PrefixClasses(stream, numerators, denominator, params.alg.exact, partial(_class_closed, params))
+
+
+def _class_closed(params: OccupancyParams, key: tuple) -> Tuple[int, int]:
+    """The closed pair of a marginal class (r, y, E) or a conditional one (m, y_m, t, E(s))."""
+    terms = params.marginal_terms if len(key) == 3 else params.conditional_terms
+    return _closed_pair(params.alg, *terms(key[0], key[1:]))
 
 
 def _listed(params: OccupancyParams) -> PmfTable:
@@ -199,17 +205,18 @@ joint_pmf.cache_info, joint_pmf.cache_clear = _joint_tables.cache_info, _joint_t
 
 def _derived_table(
     params: OccupancyParams, law: PrefixClasses, table: str, coords: Tuple[str, int, int],
-    support: Sequence[SupportPoint], masses: Sequence[int], index: Iterable[int], closed_terms: Iterable[tuple],
+    support: Sequence[SupportPoint], masses: Sequence[int], index: Iterable[int], closed: Iterable[tuple],
     closed_divisor: Optional[Scalar] = None, **extra,
 ) -> PmfTable:
     """A law derived from the joint of `params`: kind "<kind>-<table>",
     params with `table` and `extra`, coordinates labelled `coords` (prefix,
     first index, last index), a mass over the one denominator of the
-    joint's class law `law` and the terms of a closed value per class (over
+    joint's class law `law` and a closed value per class (over
     `closed_divisor`), `index` the class of each point.  Closed values are
-    unreduced pairs (`algebra._closed_pair`).
-    Summed joint masses keep the joint's normalizer, so every table but a
-    conditional carries its closed form."""
+    unreduced pairs (`algebra._closed_pair`).  Summed joint masses keep the
+    joint's normalizer, so every table but a conditional carries its closed
+    form and takes the class law's probability objects."""
+    conditional = table.endswith("conditional")
     described = params.describe()
     described.update(table=table, **extra)
     return make_table(
@@ -220,11 +227,12 @@ def _derived_table(
         weights=list(map(law.value, masses)),
         index=index,
         alg=params.alg,
-        **({} if table.endswith("conditional") else _normalizer(params)),
-        closed_values=[_closed_pair(params.alg, *terms) for terms in closed_terms],
+        **({} if conditional else _normalizer(params)),
+        closed_values=closed,
         numerators=masses,
         denominator=law.denominator,
         closed_divisor=closed_divisor,
+        like=None if conditional else (masses, law.total, list(map(law.probability, masses))),
     )
 
 
@@ -239,7 +247,7 @@ def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
     law = _joint_law(params)
     support, keys, index, masses = law.prefixes((), r)
-    closed = [params.marginal_terms(r, key) for key in keys]
+    closed = [law.closed[(r, *key)] for key in keys]
     return _derived_table(params, law, "marginal", ("x", 1, r), support, masses, index, closed, r=r)
 
 
@@ -267,8 +275,8 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
     support, keys, index, masses = law.prefixes(given, m)
     if not support:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    terms, y = params.conditional_terms, sum(given)
-    closed = [terms(m, (y + t, t, e)) for t, e in keys]
+    y = sum(given)
+    closed = [law.closed[(m, y + t, t, e)] for t, e in keys]
     return _derived_table(params, law, "conditional", ("x", r + 1, m), support, masses, index, closed,
                           params.prefix_normalizer(given), given=list(given), m=m)
 
@@ -292,10 +300,22 @@ class GroupingScheme(Record):
         return tuple(accumulate(self.sizes))
 
 
-# Bounded: a long-lived process keeps the block masses of 32 schemes.
+# Bounded: a long-lived process keeps the block masses of 32 schemes, each
+# with at most one closed pair per block-sum vector and per leading prefix.
 @lru_cache(maxsize=32)
-def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
-    return _joint_law(params).blocks(sizes)
+def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[tuple, Tuple[int, ...], Memo]:
+    """The block-sum vectors y of the scheme `sizes`, the mass of each, and
+    `closed[y]`, the closed pair of y or of its leading blocks, made once."""
+    support, masses = _joint_law(params).blocks(sizes)
+    return support, masses, Memo(partial(_block_closed, params, GroupingScheme(sizes)))
+
+
+def _block_closed(params: OccupancyParams, scheme: GroupingScheme, y: SupportPoint) -> Tuple[int, int]:
+    """The closed pair of the block counts `y`: the grouped weight of all
+    the blocks, or of the leading ones (`_grouped_marginal_terms`)."""
+    full = len(y) == len(scheme.sizes)
+    terms = params.grouped_terms(scheme, y) if full else _grouped_marginal_terms(params, scheme, y)
+    return _closed_pair(params.alg, *terms)
 
 
 def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
@@ -305,10 +325,9 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     attached as a cross-check.
     """
     scheme.validate_for(params.k)
-    support, masses = _block_law(params, scheme.sizes)
-    closed = [params.grouped_terms(scheme, y) for y in support]
+    support, masses, closed = _block_law(params, scheme.sizes)
     return _derived_table(params, _joint_law(params), "grouped", ("y", 1, len(scheme.sizes)), support, masses,
-                          range(len(support)), closed, scheme=list(scheme.sizes))
+                          range(len(support)), map(closed.__getitem__, support), scheme=list(scheme.sizes))
 
 
 def _grouped_marginal_terms(params: OccupancyParams, scheme: GroupingScheme, prefix: SupportPoint) -> tuple:
@@ -327,33 +346,33 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
     # The block masses summed by their leading blocks; the blocks are
     # sorted, so the sums come sorted.
+    blocks, block_masses, closed = _block_law(params, scheme.sizes)
     sums = {}
-    for y, mass in zip(*_block_law(params, scheme.sizes)):
+    for y, mass in zip(blocks, block_masses):
         sums[y[:nu]] = sums.get(y[:nu], 0) + mass
     support, masses = tuple(sums), list(sums.values())
-    closed = [_grouped_marginal_terms(params, scheme, p) for p in support]
     return _derived_table(params, _joint_law(params), "grouped-marginal", ("y", 1, nu), support, masses,
-                          range(len(support)), closed, scheme=list(scheme.sizes), nu=nu)
+                          range(len(support)), map(closed.__getitem__, support), scheme=list(scheme.sizes), nu=nu)
 
 
 def grouped_conditional_pmf(
     params: OccupancyParams, scheme: GroupingScheme, given: Sequence[int]
 ) -> PmfTable:
-    """Law of the trailing blocks given the leading block counts."""
+    """Law of the trailing blocks given the leading block counts: the
+    closed values of the whole block counts, over that of `given`."""
     scheme.validate_for(params.k)
     given = tuple(given)
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    rows = [(y[nu:], mass) for y, mass in zip(*_block_law(params, scheme.sizes)) if y[:nu] == given]
+    blocks, block_masses, closed = _block_law(params, scheme.sizes)
+    rows = [(y, mass) for y, mass in zip(blocks, block_masses) if y[:nu] == given]
     if not rows:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    support, masses = zip(*rows)
-    prefix_weight = _closed_pair(params.alg, *_grouped_marginal_terms(params, scheme, given))
-    closed = [params.grouped_terms(scheme, given + suffix) for suffix in support]
+    ys, masses = zip(*rows)
     return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
-                          support, masses, range(len(support)), closed, prefix_weight, scheme=list(scheme.sizes),
-                          given=list(given))
+                          [y[nu:] for y in ys], masses, range(len(ys)), map(closed.__getitem__, ys), closed[given],
+                          scheme=list(scheme.sizes), given=list(given))
 
 
 def bivariate_table(params: OccupancyParams) -> PmfTable:

@@ -10,6 +10,8 @@ public value is built, a Fraction reduced once per class for each column
 it holds, or a float rounded once (a decimal normalizer is the correctly
 rounded exact sum of its float terms, a decimal probability the correctly
 rounded quotient of its class weight by that sum, whatever their order).
+A table may borrow equal quotient objects (`like`): a derived law over the
+joint's total takes those its class law keeps, and still checks them.
 A `PmfStream` is the same law listed by `lattice.walk` rather than held:
 one weight and one probability per area class, normalized from the class
 counts.  It is the one normalization of a joint law, which `occupancy`
@@ -25,8 +27,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
-from math import lcm
-from operator import add, is_, lt, mul
+from math import lcm, ulp
+from operator import add, is_, lt, mul, truediv
 from typing import Callable, ClassVar, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
@@ -65,10 +67,10 @@ def _class_quotients(
     order of the values.  Exact mode builds Fractions, one reduction per
     class; approximate mode divides the ints, which rounds each result once
     (correctly, half to even).  `like`, the integers (t_i, T) and the
-    quotients of another exact normalization of the same classes, lends its
-    quotient object to each class whose quotient equals it (s_i T == t_i S),
-    which then builds no Fraction.  A normalizer that is not positive
-    raises ValidationError(f"{nonpositive} {z}")."""
+    quotients of another normalization of the same classes in the same
+    mode, lends its quotient object to each class whose quotient equals it
+    (s_i T == t_i S), which then builds none.  A normalizer that is not
+    positive raises ValidationError(f"{nonpositive} {z}")."""
     total = numerator = sum(map(mul, counts, scaled))
     if divisor is not None:
         (over,), under = _over_lcm([divisor])
@@ -76,12 +78,11 @@ def _class_quotients(
     z = Fraction(numerator, denominator) if exact else numerator / denominator
     if z <= 0:
         raise ValidationError(f"{nonpositive} {z}")
-    if not exact:
-        return z, [s / total for s in scaled], total
+    quotient = Fraction if exact else truediv
     if like is None:
-        return z, [Fraction(s, total) for s in scaled], total
+        return z, [quotient(s, total) for s in scaled], total
     others, other_total, quotients = like
-    return z, [q if s * other_total == t * total else Fraction(s, total)
+    return z, [q if s * other_total == t * total else quotient(s, total)
                for s, t, q in zip(scaled, others, quotients)], total
 
 
@@ -102,16 +103,29 @@ def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], cou
         raise ValidationError(f"{kind} table: probabilities sum to {Fraction(scaled, total)}, not 1")
 
 
+def _check_decimal_probabilities(kind: str, probabilities: Sequence[float], counts: Sequence[int], tol) -> None:
+    """Refuse classes whose probabilities (times their counts) do not sum
+    to 1 within the rounding they were promised and `tol` besides: each is
+    its class's exact quotient rounded once, within half its ulp.  The sum
+    and the bound are exact."""
+    numerators, common = _over_lcm(probabilities)
+    scaled = sum(map(mul, counts, numerators))
+    halves, unit = _over_lcm(map(ulp, probabilities))
+    if Fraction(abs(scaled - common), common) > Fraction(sum(map(mul, counts, halves)), 2 * unit) + Fraction(tol):
+        raise ValidationError(f"{kind} table: probabilities sum to {scaled / common}, not 1")
+
+
 def _normalize_classes(kind: str, scaled: Sequence[int], denominator: int, sizes: Sequence[int], alg: AlgebraSpec,
-                       first_point: Callable[[set], Tuple[SupportPoint, int]]) -> Tuple[Scalar, List[Scalar], int]:
+                       first_point: Callable[[set], Tuple[SupportPoint, int]],
+                       like: Optional[tuple] = None) -> Tuple[Scalar, List[Scalar], int]:
     """`_class_quotients` of classes of weight `scaled[i]` / `denominator`
-    and `sizes[i]` points, with a table's checks.  Approximate mode refuses
-    a probability that is not positive at the first point of its class,
-    (point, class) = `first_point(refused classes)` (every support point
-    has positive exact mass, so a 0.0 has underflowed), and probabilities
-    whose exact sum is not 1 within the tolerance."""
+    and `sizes[i]` points (lent `like`'s), with a table's checks.  Approximate
+    mode refuses a probability that is not positive at the first point of
+    its class, (point, class) = `first_point(refused classes)` (every
+    support point has positive exact mass, so a 0.0 has underflowed), and
+    probabilities whose exact sum is not 1 within their rounding and `tol`."""
     z, quotients, total = _class_quotients(scaled, denominator, sizes, alg.exact,
-                                           f"{kind} table: nonpositive normalizer")
+                                           f"{kind} table: nonpositive normalizer", like)
     if alg.exact:
         _check_exact_probabilities(kind, quotients, sizes, total)
         return z, quotients, total
@@ -121,10 +135,7 @@ def _normalize_classes(kind: str, scaled: Sequence[int], denominator: int, sizes
         if quotients[c] < 0:
             raise ValidationError(f"{kind} table: negative probability {quotients[c]}")
         raise UnderflowError(f"{kind} table: the probability of {point} is 0.0")
-    numerators, common = _over_lcm(quotients)
-    probability = sum(map(mul, sizes, numerators)) / common
-    if not scalars_close(probability, 1, False, alg.tol):
-        raise ValidationError(f"{kind} table: probabilities sum to {probability}, not 1")
+    _check_decimal_probabilities(kind, quotients, sizes, alg.tol)
     return z, quotients, total
 
 
@@ -196,6 +207,7 @@ def make_table(
     numerators: Optional[Sequence[int]] = None,
     denominator: Optional[int] = None,
     closed_divisor: Optional[Scalar] = None,
+    like: Optional[tuple] = None,
 ) -> PmfTable:
     """Normalize weights into a table and attach the cross-check records.
     `weights` and `closed_values` hold one value per class of points, and
@@ -208,7 +220,8 @@ def make_table(
     or unreduced (numerator, denominator) pairs, over the lcm of theirs
     (`_over_lcm`).  `closed_divisor`, a scalar or such a pair common to
     every closed value, divides their total once (the quotients do not see
-    it; a zero divisor raises that division's ZeroDivisionError)."""
+    it; a zero divisor raises that division's ZeroDivisionError).  `like`
+    lends the classes equal probability objects (`_class_quotients`)."""
     support, weights, index = tuple(support), list(weights), list(index)
     if not support:
         raise ValidationError(f"{kind} table: empty support")
@@ -221,7 +234,7 @@ def make_table(
         numerators, denominator = _over_lcm(weights)
     z, quotients, total = _normalize_classes(kind, numerators, denominator, sizes, alg,
                                              lambda refused: next((x, c) for x, c in zip(support, index)
-                                                                  if c in refused))
+                                                                  if c in refused), like)
     point_weights, probabilities = tuple(map(weights.__getitem__, index)), tuple(map(quotients.__getitem__, index))
     z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
 

@@ -13,10 +13,13 @@ read as the rational it is, which a decimal table rounds once
 move a single bit.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import comb
+from operator import is_
 
 import pytest
 
@@ -449,6 +452,12 @@ def test_class_memos_stay_bounded(module, params):
     assert len(set(schemes)) == 40
     _clear_caches()
     first = module.grouped_pmf(params, schemes[0])
+    module.marginal_pmf(params, 2)
+    module.conditional_pmf(params, (0, 1), 4)
+    # The closed pairs live and go with their class law and their scheme.
+    memos = [occupancy._joint_law(params).closed, occupancy._block_law(params, schemes[0].sizes)[2]]
+    assert all(map(len, memos))
+    memos = [weakref.ref(memo) for memo in memos]
     for scheme in schemes:
         module.grouped_pmf(params, scheme)
         assert occupancy._block_law.cache_info().currsize <= 32
@@ -467,12 +476,59 @@ def test_class_memos_stay_bounded(module, params):
         assert keys == tuple(dict.fromkeys((sum(x), area(x)) for x in points))
         assert [keys[c] for c in index] == [(sum(x), area(x)) for x in points]
     assert occupancy._joint_law.cache_info().currsize == 32
+    gc.collect()
+    assert [memo() for memo in memos] == [None, None]
     # An evicted law and scheme are summed again, to an equal table.
     again = module.grouped_pmf(params, schemes[0])
     assert (again, repr(again)) == (first, repr(first))
     joint = joint_table(params)
     support, masses = scan(joint.support, joint.weights, lambda x: True, block_sums(schemes[0].sizes))
     assert (again.support, again.weights) == (support, masses)
+
+
+def _one_of_each(module, params):
+    """Calls of each of the five derived laws at `params`, k >= 2, by name."""
+    k, n = params.k, params.n
+    calls = [("marginal", lambda r=r: module.marginal_pmf(params, r)) for r in range(1, k)]
+    calls += [("conditional", lambda g=given: module.conditional_pmf(params, g, k))
+              for given in prefixes(module, params, 1)]
+    for sizes in [sizes for sizes in compositions(k) if len(sizes) > 1][:3]:
+        scheme = GroupingScheme(sizes)
+        calls += [("grouped", lambda s=scheme: module.grouped_pmf(params, s)),
+                  ("grouped_marginal", lambda s=scheme: module.grouped_marginal_pmf(params, s, 1))]
+        calls += [("grouped_conditional", lambda s=scheme, g=g: module.grouped_conditional_pmf(params, s, (g,)))
+                  for g in range(n + 1)]
+    return calls
+
+
+@pytest.mark.parametrize("alg", (JS, jagannathan_srinivasa(0.9, 0.5)), ids=("exact", "decimal"))
+@pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
+def test_warm_derived_laws_reuse_their_closed_pairs_and_probabilities(module, alg, monkeypatch):
+    """A repeated call builds no closed pair (they are memoised with the
+    class law and the scheme) and gives an equal table, which a marginal or
+    grouped law builds from the first call's probability objects; after
+    the memos are cleared the call gives an equal table again."""
+    built = [0]
+
+    def counting(*args):
+        built[0] += 1
+        return _closed_pair(*args)
+
+    monkeypatch.setattr(occupancy, "_closed_pair", counting)
+    for params in grid(module, alg, first_k=7, second_k=5, second_n=5):
+        if params.k < 2:
+            continue
+        for name, call in _one_of_each(module, params):
+            _clear_caches()
+            first = _outcome(call)
+            before = built[0]
+            second = _outcome(call)
+            assert built[0] == before, (params, name)
+            _clear_caches()
+            assert first == second == _outcome(call), (params, name)
+            if type(first) is tuple and name in ("marginal", "grouped", "grouped_marginal"):
+                assert all(map(is_, second[0].probabilities, first[0].probabilities)), (params, name)
+    assert built[0]
 
 
 def test_joint_tables_stay_within_their_point_budget(monkeypatch):

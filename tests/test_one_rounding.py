@@ -12,7 +12,9 @@ consequences are checked here:
   grouped laws over the desk-scale grid lies within ULP_BOUND units in the
   last place of the exact-rational law at the float parameters
   (`Fraction(0.9)`, `Fraction(0.5)`): what is left is the rounding of the
-  float weights themselves, not of their sums.
+  float weights themselves, not of their sums;
+- a decimal table's probabilities must sum to 1 exactly within half an
+  ulp per class, their promised rounding, and the tolerance besides.
 """
 
 import sys
@@ -23,8 +25,10 @@ import pytest
 
 from oracle import compositions
 from test_cli import run_cli
-from rpq import classes, first_kind, jagannathan_srinivasa, lattice, occupancy, second_kind, sequential_sample
+from rpq import ValidationError, classes, first_kind, jagannathan_srinivasa, lattice, occupancy, second_kind, \
+    sequential_sample
 from rpq.first_kind import FirstKindParams, GroupingScheme
+from rpq.pmf import _check_decimal_probabilities
 from rpq.second_kind import SecondKindParams
 
 DECIMAL = jagannathan_srinivasa(0.9, 0.5)
@@ -125,6 +129,25 @@ def test_decimal_probabilities_are_within_the_ulp_bound_of_the_law_at_the_floats
             for p, q in zip(table.probabilities, reference.probabilities):
                 worst = max(worst, float(abs(Fraction(p) - q) / Fraction(ulp(float(q)))))
     assert worst <= ULP_BOUND
+
+
+def test_decimal_sums_may_miss_one_by_their_rounding_and_no_more():
+    # Three thirds rounded once sum to 1 - 2^-54: within half an ulp each.
+    _check_decimal_probabilities("t", [1 / 3], [3], 0)
+    half = ulp(0.5)
+    # 1 + 2^-53: half an ulp of each class, exactly.
+    _check_decimal_probabilities("t", [0.5, 0.5 + half], [1, 1], 0)
+    # A probability two ulps off: beyond its rounding, and taken only
+    # within a tolerance that covers the rest.
+    off = [0.5, 0.5 + 2 * half]
+    for tol in (0, half / 2):
+        with pytest.raises(ValidationError, match=r"t table: probabilities sum to 1\.0000000000000002, not 1"):
+            _check_decimal_probabilities("t", off, [1, 1], tol)
+    _check_decimal_probabilities("t", off, [1, 1], half)
+    # Counts weigh each class's rounding as they weigh its probability.
+    with pytest.raises(ValidationError):
+        _check_decimal_probabilities("t", [0.25 + ulp(0.25)], [4], 0)
+    _check_decimal_probabilities("t", [0.25 + ulp(0.25)], [4], 2 * ulp(0.25))
 
 
 @pytest.mark.parametrize("model", [

@@ -195,6 +195,30 @@ def test_replace_drops_the_memos_and_runs_the_checks_again():
         occupancy.GroupingScheme((2, 1)).replace(sizes=(2, 0))
 
 
+def test_an_algebra_memoises_its_hash_from_the_first_hash():
+    alg, twin = algebra.jagannathan_srinivasa("9/10", "1/2"), algebra.jagannathan_srinivasa("9/10", "1/2")
+    assert alg._hash is None
+    assert hash(alg) == hash(twin) == hash(alg._key(alg)) and alg == twin
+    assert alg._hash == hash(alg) and alg.replace()._hash is None
+    assert hash(alg.replace()) == hash(alg)
+    exact, decimal = algebra.q_deformation(Fraction(1, 2)), algebra.q_deformation(0.5)
+    hash(exact), hash(decimal)
+    assert exact != decimal and len({exact, decimal, algebra.q_deformation(Fraction(1, 2))}) == 2
+
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, n):
+            return Fraction(n)
+
+    # Built without a hash; every hash raises, as the record's own would.
+    custom = algebra.AlgebraSpec("custom", None, None, None, None, number_rule=Unhashable())
+    for _ in range(2):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(custom)
+    assert custom._hash is None
+
+
 def test_params_refuse_a_dimension_past_the_guard_before_building_a_support():
     for cls in (first_kind.FirstKindParams, second_kind.SecondKindParams):
         with pytest.raises(CapacityError, match=r"dimension 99999999999 exceeds the guard \(20\)"):

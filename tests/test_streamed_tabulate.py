@@ -140,8 +140,6 @@ REFUSALS = [
     # every derived law of this model refuses too.
     ("--kind", "second", "--k", "3", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
     ("--kind", "first", "--k", "3", "--n", "2", "--preset", "quesne", "--p", "1e-300", "--q", "1e-310"),
-    # Probabilities whose exact sum is not 1 within --tol 0.
-    ("--kind", "first", "--k", "2", "--n", "1", "--preset", "js", "--p", "0.9", "--q", "0.5", "--tol", "0"),
     # The 10^7-point guard and the dimension guard.
     ("--kind", "second", "--k", "20", "--n", "20") + JS,
     ("--kind", "second", "--k", "21", "--n", "3") + JS,
@@ -163,6 +161,19 @@ def test_refusals_match_the_table_route(argv, fmt, monkeypatch, tmp_path):
     _table_route(monkeypatch)
     assert streamed == _run(argv)
     assert streamed[0] in (2, 3) and streamed[1] == ""
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_tol_zero_takes_correctly_rounded_probabilities(fmt, monkeypatch):
+    """Decimal probabilities, each rounded once, whose exact sum misses 1
+    by less than half an ulp per class (0.9999999999999999 here) make a
+    table at --tol 0, on both routes; `test_one_rounding` refuses more."""
+    argv = ("tabulate", "--kind", "first", "--k", "2", "--n", "1", "--preset", "js", "--p", "0.9", "--q", "0.5",
+            "--tol", "0", "--format", fmt)
+    streamed = _run(argv)
+    assert streamed[0] == 0 and streamed[2] == ""
+    _table_route(monkeypatch)
+    assert _run(argv) == streamed
 
 
 def test_refusal_messages():
