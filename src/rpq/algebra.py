@@ -7,7 +7,8 @@ number" [n].  Every algebra here is either tau-structured,
     [n] = n * tau1^(n-1)                        if tau1 == tau2,
 
 or carries a custom number rule.  From [n] we build factorials
-[n]! = [1][2]...[n], binomial coefficients [m]!/([n]![m-n]!) and falling
+[n]! = [1][2]...[n], binomial coefficients [m]!/([n]![m-n]!) (computed as
+the shorter quotient of a falling factorial by a factorial) and falling
 factorials [n][n-1]...[n-i+1].
 
 The presets differ only in how the structure constants (tau1, tau2) derive
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError, ModeMixError
 from .records import Record
-from .scalars import DEFAULT_TOL, Scalar, check_uniform_mode, parse_scalar, scalar_str, scalars_close
+from .scalars import DEFAULT_TOL, Scalar, check_uniform_mode, integer_ratios, parse_scalar, scalar_str, scalars_close
 
 JAGANNATHAN_SRINIVASA = "jagannathan-srinivasa"
 Q_DEFORMATION = "q-deformation"
@@ -361,19 +362,16 @@ def deformed_factorial(alg: AlgebraSpec, n: int) -> Scalar:
 
 
 def deformed_binomial(alg: AlgebraSpec, m: int, n: int) -> Scalar:
-    """[m]! / ([n]! [m-n]!) for m >= n >= 0."""
+    """[m]! / ([n]! [m-n]!) for m >= n >= 0, in both modes as the shorter
+    product [m][m-1]...[m-j+1] / [j]!, j = min(n, m-n): a large m builds
+    no [m]!, whose exact value has O(m^2) bits and whose float overflows
+    long before the binomial does."""
     value = alg._binomials.get((m, n))
     if value is None:
         if not 0 <= n <= m:
             raise ValidationError(f"binomial needs m >= n >= 0, got m={m}, n={n}")
-        if alg.exact:
-            # The same rational from the shorter product, so a large m does
-            # not build [m]!, whose exact value has O(m^2) bits.
-            j = min(n, m - n)
-            value = deformed_falling_factorial(alg, m, j) / deformed_factorial(alg, j)
-        else:
-            value = deformed_factorial(alg, m) / (deformed_factorial(alg, n) * deformed_factorial(alg, m - n))
-        alg._binomials[(m, n)] = value
+        j = min(n, m - n)
+        value = alg._binomials[(m, n)] = deformed_falling_factorial(alg, m, j) / deformed_factorial(alg, j)
     return value
 
 
@@ -402,18 +400,15 @@ def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
 def _closed_pair(alg: AlgebraSpec, a: int, b: int, factors: Sequence[Scalar]) -> Tuple[int, int]:
     """The closed value tau1^a tau2^b * prod(factors), exact, as an
     unreduced (numerator, denominator) pair of ints, which a table brings
-    to one denominator with its other closed values (`pmf.make_table`).
-    Floats are read as the dyadic rationals they are
-    (`float.as_integer_ratio`), so the product of decimal factors is exact
-    too; a float with no ratio (inf or nan) raises OverflowError."""
-    try:
-        numerator, denominator = tau_monomial(alg, a, b).as_integer_ratio()
-        for factor in factors:
-            top, bottom = factor.as_integer_ratio()
-            numerator *= top
-            denominator *= bottom
-    except ValueError as exc:  # nan; inf raises OverflowError itself
-        raise OverflowError(str(exc)) from None
+    to one denominator with its other closed values (`pmf.make_table`), as
+    an identity sum does its terms.  Floats are read as the dyadic
+    rationals they are (`scalars.integer_ratios`), so the product of
+    decimal factors is exact too; a float with no ratio (inf or nan) raises
+    OverflowError."""
+    numerator = denominator = 1
+    for top, bottom in integer_ratios((tau_monomial(alg, a, b), *factors)):
+        numerator *= top
+        denominator *= bottom
     return numerator, denominator
 
 

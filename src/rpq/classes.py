@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, OrderedDict, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -44,7 +43,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .lattice import ConstraintSet, SupportPoint, area, enumerate_areas
 from .pmf import PmfStream, cdf_thresholds
-from .scalars import Scalar
+from .scalars import Scalar, ratio
 
 # The array type code of each coefficient width `_decode` reads in one pass.
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -194,10 +193,10 @@ class PrefixClasses:
         self.total = sum(law.counts[e] * n for e, n in scaled.items())
 
     def _value(self, mass: int) -> Scalar:
-        return Fraction(mass, self.denominator) if self.exact else mass / self.denominator
+        return ratio(mass, self.denominator, self.exact)
 
     def _probability(self, mass: int) -> Scalar:
-        return Fraction(mass, self.total) if self.exact else mass / self.total
+        return ratio(mass, self.total, self.exact)
 
     def _mass(self, key: Tuple[int, int, int]) -> int:
         r, s, base = key

@@ -25,8 +25,12 @@ depend on n, so one recursion per k serves every n, each n summing its own
 window at the end.  An hsa or hsb layer depends only on the group sizes so
 far, so one depth-first walk per (k, n) over the tree of group-size
 prefixes steps each prefix once (31 steps for the 16 groupings of k = 5, in
-place of 48).  In exact mode a layer holds integers over one common
-denominator and each lhs is one Fraction.  `hs1_lhs`, `hs2_lhs`, `hsa_lhs`
+place of 48).  Every factor is an unreduced (numerator, denominator) pair
+of ints (`algebra._closed_pair`; a float factor is the dyadic rational it
+is), a layer holds integers over one common denominator in both modes, and
+each lhs is built once from its exact sum: one Fraction, or one float
+rounded once, the correctly rounded sum of the exact products of its
+float factors.  `hs1_lhs`, `hs2_lhs`, `hsa_lhs`
 and `hsb_lhs` run the same walks for one tuple: one n, or the single path
 of one grouping.
 
@@ -47,27 +51,26 @@ from typing import Optional, Sequence, Tuple
 from .algebra import (
     IDENTITY_IDS,
     AlgebraSpec,
+    _closed_pair,
     binomial_or_zero,
     compositions,
     deformed_binomial,
     fit_monomial,
-    tau_monomial,
 )
 from .errors import CapacityError, ValidationError
 from .lattice import (
+    FIRST_LAYER,
     ConstraintSet,
     check_dimension,
     check_points,
     count_points,
     final_layer,
-    first_layer,
     layer_step,
-    prefix_totals,
     sum_counts,
     window_total,
 )
 from .records import Record
-from .scalars import Scalar, scalar_str
+from .scalars import Scalar, over_lcm, ratio, scalar_str
 
 
 def _require_taus(alg: AlgebraSpec) -> None:
@@ -80,19 +83,19 @@ def _position_factor(alg: AlgebraSpec):
     weight tau1^(-s) tau2^s, s = sum((j+1) r_j), shared by hs1 and hs2."""
 
     def factor(j, r_j, s_j):
-        return tau_monomial(alg, -(j + 1) * r_j, (j + 1) * r_j)
+        return _closed_pair(alg, -(j + 1) * r_j, (j + 1) * r_j, ())
 
     return factor
 
 
-def _hsa_term(alg: AlgebraSpec, k: int, n: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Scalar:
-    return (tau_monomial(alg, (n - s_j) * (m_j - r_j), (k + 1 - big_m_j - n + s_j) * r_j)
-            * deformed_binomial(alg, m_j, r_j))
+def _hsa_term(alg: AlgebraSpec, k: int, n: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Tuple[int, int]:
+    return _closed_pair(alg, (n - s_j) * (m_j - r_j), (k + 1 - big_m_j - n + s_j) * r_j,
+                        (deformed_binomial(alg, m_j, r_j),))
 
 
-def _hsb_term(alg: AlgebraSpec, k: int, n: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Scalar:
-    return (tau_monomial(alg, (n - s_j) * (m_j - 1), (k + 1 - big_m_j) * r_j)
-            * binomial_or_zero(alg, m_j + r_j - 1, r_j))
+def _hsb_term(alg: AlgebraSpec, k: int, n: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Tuple[int, int]:
+    return _closed_pair(alg, (n - s_j) * (m_j - 1), (k + 1 - big_m_j) * r_j,
+                        (binomial_or_zero(alg, m_j + r_j - 1, r_j),))
 
 
 _GROUP_TERMS = {"hsa": _hsa_term, "hsb": _hsb_term}
@@ -175,13 +178,11 @@ def cauchy_lhs(alg: AlgebraSpec, k: int, n: int, m: int) -> Scalar:
         raise ValidationError(f"m: cauchy needs 0 <= m <= k, got m={m}, k={k}")
     if n < 0:
         raise ValidationError(f"n: cauchy needs n >= 0, got {n}")
-    total: Scalar = 0
-    for r in range(n + 1):
-        term = tau_monomial(alg, (m - k) * r, (k - m) * r)
-        term *= binomial_or_zero(alg, m + r, r)
-        term *= binomial_or_zero(alg, k - m + n - r - 1, n - r)
-        total += term
-    return total
+    numerators, denominator = over_lcm(
+        _closed_pair(alg, (m - k) * r, (k - m) * r,
+                     (binomial_or_zero(alg, m + r, r), binomial_or_zero(alg, k - m + n - r - 1, n - r)))
+        for r in range(n + 1))
+    return ratio(sum(numerators), denominator, alg.exact)
 
 
 class IdentityReport(Record):
@@ -208,24 +209,25 @@ def _walk_positions(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int],
     end.
 
     The recursion runs to the largest sum any n needs.  The value at each
-    running sum does not depend on how far the recursion runs, and the keys
-    ascend, so each window adds the same values in the same order as a run
-    for that n alone (`hs1_lhs`, `hs2_lhs`).  The hs2 windows [0, n] are
-    the running sums of the layer, which is keyed by every sum 0..max(ns):
-    one pass for every n, with the bits of each window's own sum
-    (`lattice.prefix_totals`).
+    running sum does not depend on how far the recursion runs, and its sums
+    are exact, so each window's lhs is that of a run for that n alone
+    (`hs1_lhs`, `hs2_lhs`).  The hs2 windows [0, n] are the running sums of
+    the layer, which is keyed by every sum 0..max(ns): one pass for every
+    n.  An hs1 window takes the scale tau1^C(n,2) tau2^-C(n,2) as a pair.
     """
     factor = _position_factor(alg)
     if identity == "hs2":
         top = max(ns)
-        totals = prefix_totals(final_layer((top,) * k, top, factor, alg.exact))
-        return {(n, None): totals[n] for n in ns}
-    layer = final_layer((1,) * k, k, factor, alg.exact)
+        partial, denominator = final_layer((top,) * k, top, factor)
+        totals = list(accumulate(partial.values()))
+        return {(n, None): ratio(totals[n], denominator, alg.exact) for n in ns}
+    layer = final_layer((1,) * k, k, factor)
     out = {}
     for n in ns:
         c2 = comb(n, 2)
-        total = window_total(layer, _window_lo(n, literal_window), min(n, k))
-        out[n, None] = tau_monomial(alg, c2, -c2) * total
+        total, denominator = window_total(layer, _window_lo(n, literal_window), min(n, k))
+        top, bottom = _closed_pair(alg, c2, -c2, ())
+        out[n, None] = ratio(total * top, denominator * bottom, alg.exact)
     return out
 
 
@@ -249,7 +251,7 @@ def _walk_groupings(identity: str, alg: AlgebraSpec, k: int, n: int,
 
     def visit(prefix: Tuple[int, ...], big_m: int, layer) -> None:
         if big_m == k:
-            out[n, prefix] = window_total(layer, lo, hi)
+            out[n, prefix] = ratio(*window_total(layer, lo, hi), alg.exact)
             return
         for m_j in range(1, k - big_m + 1) if groups is None else (groups[len(prefix)],):
             big_m_j = big_m + m_j
@@ -267,7 +269,7 @@ def _walk_groupings(identity: str, alg: AlgebraSpec, k: int, n: int,
 
             visit(prefix + (m_j,), big_m_j, layer_step(layer, len(prefix), upper, t_lo, hi, factor))
 
-    visit((), 0, first_layer(alg.exact))
+    visit((), 0, FIRST_LAYER)
     return out
 
 
@@ -324,7 +326,7 @@ def verify_identity(
     hs2 run one recursion per k, hsa and hsb one walk per (k, n) over the
     group-size prefixes.  Cauchy lists no points.  The sums equal those of
     `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and `hsb_lhs`, to the last bit in
-    approximate mode.
+    approximate mode, as each is exact until it is rounded once.
     """
     if identity not in IDENTITY_IDS:
         raise ValidationError(f"identity: unknown suite {identity!r}")

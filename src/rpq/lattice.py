@@ -16,11 +16,10 @@ and their areas that `enumerate_points` and `weighted_sum` read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import CapacityError, ValidationError
 from .records import Record
@@ -204,77 +203,51 @@ def enumerate_points(constraints: ConstraintSet) -> Tuple[SupportPoint, ...]:
 
 
 # A layer of the recursion below: (partial, denominator).  partial[s] holds
-# the summed products over every admissible prefix whose running sum is s.
-# With denominator None the values are scalars; in exact mode they are
-# integer numerators over the one common denominator.
-Layer = Tuple[Dict[int, Scalar], Optional[int]]
+# the summed products over every admissible prefix whose running sum is s,
+# as an integer numerator over the one common denominator, in both modes.
+Layer = Tuple[Dict[int, int], int]
+
+# The layer of the empty prefix: product 1 at running sum 0.
+FIRST_LAYER: Layer = ({0: 1}, 1)
 
 
 def layer_step(
     layer: Layer, j: int, upper_j: int, t_lo: int, t_hi: int,
-    factor: Callable[[int, int, int], Scalar],
+    factor: Callable[[int, int, int], Tuple[int, int]],
 ) -> Layer:
     """Extend every prefix of `layer` by coordinate j: a value v in
     [0, upper_j] whose new running sum t = s + v lies in [t_lo, t_hi],
-    weighted by factor(j, v, t).
-
-    Scalar layers multiply and add in the order of the keys, which ascend.
-    An exact layer brings the factors of the step to their least common
-    denominator and adds integers, so no step reduces a fraction.
-    """
+    weighted by factor(j, v, t), a (numerator, denominator) pair of ints
+    (`algebra._closed_pair`).  The factors of the step are brought to their
+    least common denominator and integers are added, so no step reduces a
+    fraction or rounds a float."""
     partial, denominator = layer
-    nxt = {}
-    if denominator is None:
-        for s, value in partial.items():
-            for t in range(max(s, t_lo), min(s + upper_j, t_hi) + 1):
-                term = value * factor(j, t - s, t)
-                nxt[t] = nxt[t] + term if t in nxt else term
-        return nxt, None
     terms = [
         (value, t, factor(j, t - s, t))
         for s, value in partial.items()
         for t in range(max(s, t_lo), min(s + upper_j, t_hi) + 1)
     ]
-    scale = lcm(*{f.denominator for _, _, f in terms})
-    for value, t, f in terms:
-        nxt[t] = nxt.get(t, 0) + value * f.numerator * (scale // f.denominator)
+    scale = lcm(*{bottom for _, _, (_, bottom) in terms})
+    nxt = {}
+    for value, t, (top, bottom) in terms:
+        nxt[t] = nxt.get(t, 0) + value * top * (scale // bottom)
     return nxt, denominator * scale
 
 
-def first_layer(exact: bool) -> Layer:
-    """The layer of the empty prefix: product 1 at running sum 0."""
-    return {0: 1}, 1 if exact else None
-
-
-def final_layer(
-    upper: Tuple[int, ...], sum_max: int, factor: Callable[[int, int, int], Scalar], exact: bool
-) -> Layer:
+def final_layer(upper: Tuple[int, ...], sum_max: int, factor: Callable[[int, int, int], Tuple[int, int]]) -> Layer:
     """The layer after every coordinate of the box `upper`, at every
     running sum up to sum_max."""
-    layer = first_layer(exact)
+    layer = FIRST_LAYER
     for j, up in enumerate(upper):
         layer = layer_step(layer, j, up, 0, sum_max, factor)
     return layer
 
 
-def window_total(layer: Layer, lo: int, hi: int) -> Scalar:
-    """Sum of the layer's values at running sums lo..hi, added left to
-    right in key order (floats so on every Python version, as `sum()`
-    compensates since 3.12); one Fraction in exact mode."""
+def window_total(layer: Layer, lo: int, hi: int) -> Tuple[int, int]:
+    """The sum of the layer's values at running sums lo..hi, as an integer
+    numerator over the layer's denominator: exact, in any order."""
     partial, denominator = layer
-    total = 0
-    for s, value in partial.items():
-        if lo <= s <= hi:
-            total += value
-    return total if denominator is None else Fraction(total, denominator)
-
-
-def prefix_totals(layer: Layer) -> List[Scalar]:
-    """window_total(layer, 0, s) for each key s of a layer keyed 0, 1, 2,
-    ..., in one pass and bit for bit: running sums, left to right."""
-    partial, denominator = layer
-    totals = list(accumulate(partial.values(), initial=0))[1:]
-    return totals if denominator is None else [Fraction(total, denominator) for total in totals]
+    return sum(value for s, value in partial.items() if lo <= s <= hi), denominator
 
 
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:

@@ -28,18 +28,17 @@ on their params classes (`OccupancyParams`), which `rpq.first_kind` and
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import accumulate
-from operator import add
 from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, _closed_pair, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
 from .classes import Memo, PrefixClasses, Recent, area_counts
 from .lattice import ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_points, point_cells
-from .pmf import PmfStream, PmfTable, _over_lcm, make_stream, make_table
+from .pmf import PmfStream, PmfTable, make_stream, make_table
 from .records import Record
-from .scalars import Scalar
+from .scalars import Scalar, integer_ratios, over_lcm, ratio
 
 
 class OccupancyParams(Record):
@@ -122,10 +121,11 @@ def _labels(prefix: str, first: int, last: int) -> Tuple[str, ...]:
 def _normalizer(params: OccupancyParams) -> dict:
     """make_table's closed-form normalizer arguments.  A decimal normalizer
     that overflowed to inf or nan has no exact ratio, so it raises
-    OverflowError (`pmf._over_lcm`), as a derived law's closed values do."""
+    OverflowError (`scalars.integer_ratios`), as a derived law's closed
+    values do."""
     z = params.normalizer(params.alg, params.k, params.n)
     if not params.alg.exact:
-        _over_lcm([z])
+        integer_ratios([z])
     return {"z_closed_form": z, "fit_bound": params.fit_bound()}
 
 
@@ -153,7 +153,7 @@ def _joint_law(params: OccupancyParams) -> PrefixClasses:
     count_points(constraints)
     counts = area_counts(constraints)
     weights = {e: params.area_weight(e) for e in counts}
-    numerators, denominator = _over_lcm(weights.values())
+    numerators, denominator = over_lcm(weights.values())
     stream = make_stream(
         kind=params.kind,
         params=params.describe(),
@@ -413,10 +413,10 @@ def construction_report(name: str, params: OccupancyParams, theta: Scalar, mass)
     alg, k, n = params.alg, params.k, params.n
     upper = (params.occupancy_bound,) * (k + 1)
     outcomes = enumerate_points(ConstraintSet(upper=upper, sum_min=n, sum_max=n))
-    masses = [mass(x) for x in outcomes]
-    total = reduce(add, masses)  # left to right: sum() compensates floats since Python 3.12
+    masses, _ = over_lcm(mass(x) for x in outcomes)
+    total = sum(masses)
     support = tuple(x[:k] for x in outcomes)
-    construction = tuple(m / total for m in masses)
+    construction = tuple(ratio(m, total, alg.exact) for m in masses)
     model = joint_pmf(params.replace(alg=inverse_algebra(alg)))
     if model.support != support:
         return ConstructionReport(

@@ -25,35 +25,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import lcm, ulp
-from operator import add, is_, lt, mul, truediv
+from math import ulp
+from operator import is_, lt, mul, truediv
 from typing import Callable, ClassVar, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, MonomialFit, fit_monomial
 from .errors import ModeMixError, UnderflowError, ValidationError
 from .lattice import ConstraintSet, SupportPoint, area, point_cells, walk
 from .records import Record
-from .scalars import Scalar, scalars_close
+from .scalars import Scalar, integer_ratios, over_lcm, ratio, scalars_close
 
 # A sampler variate is a CDF_BITS-bit mantissa over 2^CDF_BITS (see
 # `sampler`), so CDF thresholds are kept on that integer scale.
 CDF_BITS = 53
-
-
-def _over_lcm(values: Iterable) -> Tuple[List[int], int]:
-    """Each of `values`, rationals, floats (each an exact dyadic rational,
-    `float.as_integer_ratio`) or unreduced (numerator, denominator) pairs
-    of ints (`algebra._closed_pair`), as an integer numerator over the lcm
-    of their denominators, and that lcm.  A float with no ratio (inf or
-    nan) raises OverflowError."""
-    try:
-        pairs = [v if type(v) is tuple else v.as_integer_ratio() for v in values]
-    except ValueError as exc:  # nan; inf raises OverflowError itself
-        raise OverflowError(str(exc)) from None
-    denominator = lcm(*{d for _, d in pairs})
-    return [n * (denominator // d) for n, d in pairs], denominator
 
 
 def _class_quotients(
@@ -70,14 +56,16 @@ def _class_quotients(
     quotients of another normalization of the same classes in the same
     mode, lends its quotient object to each class whose quotient equals it
     (s_i T == t_i S), which then builds none.  A normalizer that is not
-    positive raises ValidationError(f"{nonpositive} {z}")."""
+    positive raises ValidationError(f"{nonpositive} {z}"), or UnderflowError
+    for a decimal 0.0 of a sum that is not negative: the weights of a
+    support are positive, so theirs underflowed."""
     total = numerator = sum(map(mul, counts, scaled))
     if divisor is not None:
-        (over,), under = _over_lcm([divisor])
+        (over,), under = over_lcm([divisor])
         numerator, denominator = total * under, denominator * over
-    z = Fraction(numerator, denominator) if exact else numerator / denominator
+    z = ratio(numerator, denominator, exact)
     if z <= 0:
-        raise ValidationError(f"{nonpositive} {z}")
+        raise (UnderflowError if not exact and numerator >= 0 else ValidationError)(f"{nonpositive} {z}")
     quotient = Fraction if exact else truediv
     if like is None:
         return z, [quotient(s, total) for s in scaled], total
@@ -108,9 +96,9 @@ def _check_decimal_probabilities(kind: str, probabilities: Sequence[float], coun
     to 1 within the rounding they were promised and `tol` besides: each is
     its class's exact quotient rounded once, within half its ulp.  The sum
     and the bound are exact."""
-    numerators, common = _over_lcm(probabilities)
+    numerators, common = over_lcm(probabilities)
     scaled = sum(map(mul, counts, numerators))
-    halves, unit = _over_lcm(map(ulp, probabilities))
+    halves, unit = over_lcm(map(ulp, probabilities))
     if Fraction(abs(scaled - common), common) > Fraction(sum(map(mul, counts, halves)), 2 * unit) + Fraction(tol):
         raise ValidationError(f"{kind} table: probabilities sum to {scaled / common}, not 1")
 
@@ -170,7 +158,7 @@ class PmfTable(Record):
         float weight is the dyadic rational it is), read once per weight
         object: the points of a class share theirs."""
         distinct = list({id(w): w for w in self.weights}.values())
-        scaled = dict(zip(map(id, distinct), _over_lcm(distinct)[0]))
+        scaled = dict(zip(map(id, distinct), over_lcm(distinct)[0]))
         return cdf_thresholds([scaled[id(w)] for w in self.weights])
 
 
@@ -218,7 +206,7 @@ def make_table(
     cannot give back the exact sum it was rounded from), or else read over
     the lcm of their denominators, and the closed values, rationals, floats
     or unreduced (numerator, denominator) pairs, over the lcm of theirs
-    (`_over_lcm`).  `closed_divisor`, a scalar or such a pair common to
+    (`scalars.over_lcm`).  `closed_divisor`, a scalar or such a pair common to
     every closed value, divides their total once (the quotients do not see
     it; a zero divisor raises that division's ZeroDivisionError).  `like`
     lends the classes equal probability objects (`_class_quotients`)."""
@@ -231,7 +219,7 @@ def make_table(
         raise ValidationError(f"{kind} table: support is not strictly increasing")
     sizes = list(map(Counter(index).__getitem__, range(len(weights))))
     if numerators is None:
-        numerators, denominator = _over_lcm(weights)
+        numerators, denominator = over_lcm(weights)
     z, quotients, total = _normalize_classes(kind, numerators, denominator, sizes, alg,
                                              lambda refused: next((x, c) for x, c in zip(support, index)
                                                                   if c in refused), like)
@@ -246,7 +234,7 @@ def make_table(
         # An exact closed probability equal to the class's probability is
         # that object, so the classes agree exactly when every one is shared.
         _, closed_quotients, _ = _class_quotients(
-            *_over_lcm(closed_values), sizes, alg.exact, f"{kind} table: closed form sums to",
+            *over_lcm(closed_values), sizes, alg.exact, f"{kind} table: closed form sums to",
             like=(numerators, total, quotients), divisor=closed_divisor)
         equal = (all(map(is_, closed_quotients, quotients)) if alg.exact else
                  all(scalars_close(a, b, False, alg.tol) for a, b in zip(closed_quotients, quotients)))
@@ -306,7 +294,7 @@ def make_stream(
 ) -> PmfStream:
     """Normalize the area-class weights of the points of `constraints`
     (`counts` of them per class) as `make_table` does, from the counts and
-    the weights as `numerators` over `denominator` (`_over_lcm`), and
+    the weights as `numerators` over `denominator` (`scalars.over_lcm`), and
     attach the normalizer's fit.  No point is listed, but to name the
     first point of a refused class."""
     if not counts:
@@ -326,11 +314,11 @@ def make_stream(
 
 
 def oracle_expectation(table: PmfTable, functional: Callable[[SupportPoint], Scalar]) -> Scalar:
-    """Exact expectation of an arbitrary functional over a table: in exact
-    mode the products of value and probability numerators over the lcm of
-    their denominators, one Fraction in all; in approximate mode value *
-    probability added left to right."""
-    values, probabilities = [], table.probabilities
+    """Exact expectation of an arbitrary functional over a table: the
+    products of value and probability numerators over the lcm of their
+    denominators, in both modes (a float is the dyadic rational it is),
+    built once as one Fraction or as one float rounded once."""
+    values = []
     for point in table.support:
         value = functional(point)
         if table.exact and isinstance(value, float):
@@ -338,11 +326,9 @@ def oracle_expectation(table: PmfTable, functional: Callable[[SupportPoint], Sca
         if not table.exact and isinstance(value, Fraction):
             raise ModeMixError("Fraction functional value on an approximate table")
         values.append(value)
-    if not table.exact:
-        return reduce(add, map(mul, values, probabilities), 0)
-    ds = [v.denominator * p.denominator for v, p in zip(values, probabilities)]
-    d = lcm(*ds)
-    return Fraction(sum(v.numerator * p.numerator * (d // e) for v, p, e in zip(values, probabilities, ds)), d)
+    numerators, denominator = over_lcm((v * p, w * q) for (v, w), (p, q) in
+                                       zip(integer_ratios(values), integer_ratios(table.probabilities)))
+    return ratio(sum(numerators), denominator, table.exact)
 
 
 class MomentReport(Record):

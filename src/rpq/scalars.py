@@ -4,6 +4,11 @@ Exact values are `fractions.Fraction`; approximate values are `float`.
 Plain ints are neutral constants that combine with either mode.  Nothing in
 this package silently mixes the two: callers use :func:`check_uniform_mode`
 at boundaries where user-supplied values enter a computation.
+
+Sums are exact in both modes: a float is the dyadic rational it is
+(`integer_ratios`), values are brought to integers over one denominator
+(`over_lcm`), and the mode decides only how the result is built
+(`ratio`): one Fraction, or one float rounded once.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, List, Tuple, Union
 
 from .errors import ModeMixError, ValidationError
 
@@ -57,6 +62,31 @@ def check_uniform_mode(values: Iterable[Scalar], where: str) -> None:
             saw_exact = True
     if saw_exact and saw_float:
         raise ModeMixError(f"{where}: exact and approximate values mixed")
+
+
+def integer_ratios(values: Iterable) -> List[Tuple[int, int]]:
+    """Each of `values`, a rational, an int or a float (each an exact dyadic
+    rational, `float.as_integer_ratio`), as a (numerator, denominator) pair
+    of ints; a pair passes as it is.  A float with no ratio (inf or nan)
+    raises OverflowError."""
+    try:
+        return [v if type(v) is tuple else v.as_integer_ratio() for v in values]
+    except ValueError as exc:  # nan; inf raises OverflowError itself
+        raise OverflowError(str(exc)) from None
+
+
+def over_lcm(values: Iterable) -> Tuple[List[int], int]:
+    """Each of `values` (`integer_ratios`) as an integer numerator over the
+    lcm of their denominators, and that lcm."""
+    pairs = integer_ratios(values)
+    denominator = math.lcm(*{d for _, d in pairs})
+    return [n * (denominator // d) for n, d in pairs], denominator
+
+
+def ratio(numerator: int, denominator: int, exact: bool) -> Scalar:
+    """numerator / denominator as one Fraction, or as the float it rounds to
+    (once, correctly, half to even; OverflowError beyond the float range)."""
+    return Fraction(numerator, denominator) if exact else numerator / denominator
 
 
 def scalars_close(a: Scalar, b: Scalar, exact: bool, tol: float = DEFAULT_TOL) -> bool:

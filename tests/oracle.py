@@ -24,7 +24,9 @@ decimal probability (or chain-rule factor) the correctly rounded quotient
 of that exact mass by the exact sum (`normalized`; `float` of a Fraction
 rounds correctly, half to even).  A decimal closed value is the exact
 product of its float factors, and a sequential step compares a variate
-with exact thresholds in both modes.  So tests compare with `==`: the
+with exact thresholds in both modes.  An identity lhs (`identity_lhs`) is
+the exact sum, over the points of its box, of the exact product of each
+point's float factors, rounded once.  So tests compare with `==`: the
 library must reproduce these bit for bit.
 """
 
@@ -33,8 +35,9 @@ from itertools import product
 
 from conftest import ALL_PRESETS
 from rpq import first_kind, jagannathan_srinivasa, occupancy, second_kind
+from rpq.algebra import binomial_or_zero, deformed_binomial, tau_monomial
 from rpq.first_kind import FirstKindParams
-from rpq.lattice import enumerate_points
+from rpq.lattice import ConstraintSet, enumerate_points
 from rpq.pmf import make_table
 from rpq.second_kind import SecondKindParams
 
@@ -287,3 +290,51 @@ def scan_sequential(joint, variates, count):
             prefix = child
         draws.append(prefix)
     return tuple(draws)
+
+
+def _point_factors(alg, identity, k, n, groups, point):
+    """The factors of one point's summand: tau monomials and binomials as
+    the library returns them (floats in approximate mode)."""
+    if identity in ("hs1", "hs2"):
+        factors = [tau_monomial(alg, -(j + 1) * r, (j + 1) * r) for j, r in enumerate(point)]
+        if identity == "hs1":
+            c2 = n * (n - 1) // 2
+            factors.append(tau_monomial(alg, c2, -c2))
+        return factors
+    factors, big_m, s = [], 0, 0
+    for m_j, r_j in zip(groups, point):
+        big_m += m_j
+        s += r_j
+        if identity == "hsa":
+            factors += [tau_monomial(alg, (n - s) * (m_j - r_j), (k + 1 - big_m - n + s) * r_j),
+                        deformed_binomial(alg, m_j, r_j)]
+        else:
+            factors += [tau_monomial(alg, (n - s) * (m_j - 1), (k + 1 - big_m) * r_j),
+                        binomial_or_zero(alg, m_j + r_j - 1, r_j)]
+    return factors
+
+
+def identity_lhs(alg, report, literal_window=False):
+    """The lhs of an identity report by enumeration: the exact sum, over
+    the points of the tuple's box (over r = 0..n for cauchy), of the exact
+    product of each point's factors (`exact`), as a Fraction in exact mode
+    and rounded once to a float in approximate mode."""
+    identity, k, n, m = report.identity, report.k, report.n, report.m
+    if identity == "cauchy":
+        terms = [[tau_monomial(alg, (m - k) * r, (k - m) * r), binomial_or_zero(alg, m + r, r),
+                  binomial_or_zero(alg, k - m + n - r - 1, n - r)] for r in range(n + 1)]
+    else:
+        groups = report.groups
+        if identity in ("hs1", "hsa"):
+            box = ConstraintSet((1,) * k if groups is None else groups, 0 if literal_window else max(0, n - 1),
+                                min(n, k))
+        else:
+            box = ConstraintSet((n,) * (k if groups is None else len(groups)), 0, n)
+        terms = [_point_factors(alg, identity, k, n, groups, x) for x in enumerate_points(box)]
+    total = Fraction(0)
+    for factors in terms:
+        value = Fraction(1)
+        for factor in factors:
+            value *= exact(factor)
+        total += value
+    return total if alg.exact else float(total)

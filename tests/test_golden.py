@@ -85,8 +85,9 @@ GOLDEN = {
         "46984a9f9d7cb868d1f661a487ab3fb835d45b4ea3ac0ab1b4f4e0eeb613fdac",
     ("tabulate", "--kind", "second") + JS_DECIMAL + ("--k", "6", "--n", "5", "--format", "json"):
         "baa400c20557af6d57b5e4ae0a2d37051b0d9538b9823d8078cc735afb90b231",
-    # Decimal identity suites pin the float bits of every lhs and rhs.
-    VERIFY + JS_DECIMAL + ("--format", "json"): "1c5d88ef9e2755c0fcd7513ecb1e5d343067cbba3ec5c9e75a4180054981816f",
+    # Decimal identity suites pin the float bits of every lhs and rhs: each
+    # lhs the exact sum of its float terms rounded once.
+    VERIFY + JS_DECIMAL + ("--format", "json"): "b4a6d56a77cd8820649e5d947060e36a84e411959bf73fbf3c9209f50c6aa976",
     VERIFY + JS_DECIMAL + ("--format", "csv"): "91f51a93fea0c0b6a02256416ae6cc05463023840ebd68f7fe4003c620481523",
     ("moments", "--kind", "first") + JS + ("--k", "4", "--n", "2", "--format", "csv"):
         "3f79df03a4956fff8f2eac72eae278ab6c981a5f6779801f3c9e027363a5c4fc",
@@ -97,13 +98,13 @@ GOLDEN = {
     ("marginal", "--kind", "first") + JS_DECIMAL + ("--k", "5", "--n", "3", "--r", "2", "--format", "csv"):
         "3a99cc4d3bf5804f6d88d5a6bcf134e405b610ff9764377447945ad25e80ee6d",
     ("marginal", "--kind", "second") + JS_DECIMAL + ("--k", "4", "--n", "3", "--r", "2", "--format", "json"):
-        "d424147314554a09a08582e29e290db18c48a40f2df3cc68a858bb58d914fd41",
+        "5b352d854b492951e036163a490bf45a3060ff52893b50ddd59de636a4513ecb",
     ("conditional", "--kind", "first") + JS_DECIMAL + ("--k", "6", "--n", "3", "--given", "0,1", "--format", "json"):
         "4d70b6d36843c4fd3fd41d1a37ec9149cbaca0c5e23360fefda5acc884195548",
     ("conditional", "--kind", "second") + JS_DECIMAL + ("--k", "4", "--n", "4", "--given", "1,0", "--m", "3", "--format", "csv"):
         "5ca8cbd1000b5ef45dfabe45d4da816c46e9c7c5e98981f950f65e39ecdcdad9",
     ("grouped", "--kind", "first") + JS_DECIMAL + ("--k", "6", "--n", "3", "--groups", "2,3,1", "--format", "json"):
-        "1c0e52bae1b876848563a290a1454695e54aced28e59af9ea18c0d429d1ce464",
+        "204cb705645b781507b78ff19318dba01f8a3298ea65660384ef8ec7740d7600",
     ("grouped", "--kind", "second") + JS_DECIMAL + ("--k", "5", "--n", "4", "--groups", "2,1,2", "--format", "csv"):
         "c9bb9b3bcc37321aafaf3d1fd74839ac7cab0631fae877eebd57a7418929f7ad",
     # Long rationals: masses, probabilities and closed-form cross-checks with
@@ -133,13 +134,13 @@ LIBRARY_CASES = {
     ("first", "js-exact", 5, 3):
         "f4ddf136f82a9a83f6470fbfd551d6d0410d1f29a1e34a6b3aace79d58f95fd1",
     ("first", "js-decimal", 5, 3):
-        "013f6490367b27840db6897c0267c304d0d6bf410127ad2b99b3ba8a7465a8ce",
+        "dbad7f17e3786a26a67ea25004e5941c907430d5c58bfe9131b54453afada0e3",
     ("first", "q-exact", 6, 4):
         "e3bd59e58c642a6c26658d46ede7b802d89a3d647dc94ed9b4cbb74250016f64",
     ("second", "js-exact", 4, 3):
         "6625d0c775d3332783db9b064eaae59c22e8ccec04e2459b14135b5298f2ba8a",
     ("second", "js-decimal", 4, 3):
-        "bd5e57be0a936ffbb893dd39b571277b84f372d3ff0fb1479944d5acf2782704",
+        "09f578e07d7b71e2da3942740dd0b0d00668a78310071975c550facbb3ce51e6",
     ("second", "q-exact", 5, 2):
         "dba9365ba3b196035a6cd5518ac80889592bc9abadbcbb5aaf3121d245bea514",
 }
@@ -149,7 +150,7 @@ LIBRARY_CASES = {
 # and the exact Fractions of the rational algebra.
 IDENTITY_SUM_DIGESTS = {
     "js-exact": "c3f36963c698e723b57c20f539b4a90fc118bb816a29adaa59f549214abd088c",
-    "js-decimal": "3223410ff5335708ea1bff32531a25f3154a588b0b519c76c21204bb2da3a3c0",
+    "js-decimal": "3f56311a7fcb5bdc086dfc12a4704b93eceb02b5e8533c5ba40223d95972ae65",
 }
 
 

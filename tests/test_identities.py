@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,10 +18,12 @@ from rpq import (
     hs2_lhs,
     hsa_lhs,
     hsb_lhs,
+    q_deformation,
     verify_identity,
 )
 from rpq import identities
 from rpq.identities import reports_to_csv, reports_to_json_obj
+from test_cli import run_cli
 
 
 def test_hs1_values():
@@ -75,6 +80,17 @@ def test_grouped_sums_exact_for_tau1_one():
         assert rep.exact_match, (rep.k, rep.n, rep.groups)
     for rep in verify_identity("hsb", Q_HALF, 4, 4):
         assert rep.exact_match, (rep.k, rep.n, rep.groups)
+
+
+def test_decimal_binomials_do_not_build_a_float_factorial():
+    # At q = 0.5, [1026]! overflows a float, while [m over n] stays below 2
+    # for every m: each decimal hs2 report up to n = 1100 holds (tau1 = 1).
+    assert math.isfinite(deformed_binomial(q_deformation(0.5), 1100, 1099))
+    code, out, err = run_cli("verify", "--suite", "hs2", "--preset", "q", "--q", "0.5", "--kmax", "1",
+                             "--nmax", "1100")
+    rows = list(csv.DictReader(line for line in io.StringIO(out) if not line.startswith("#")))
+    assert code == 0 and len(rows) == 1101
+    assert [row["n"] for row in rows if row["exact"] != "true"] == []
 
 
 def test_js_discrepancy_monomials():

@@ -163,29 +163,31 @@ def test_walk_matches_recursive_reference(upper, chunk, monkeypatch):
                 assert all(len(areas) <= chunk for _, areas in chunks)
 
 
-# Floats of every size and sign, so that a compensated sum (sum() from
-# Python 3.12 on) would change the bits of a window's total.
-_layer_values = st.lists(st.floats(-1e200, 1e200, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, 1e-300]),
-                         min_size=1, max_size=40)
+# Factors as unreduced (numerator, denominator) pairs, negative and zero
+# numerators included, keyed by (coordinate, value, running sum).
+_pair_factors = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9)),
+                                st.tuples(st.integers(-10**20, 10**20), st.integers(1, 10**6)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_layer_values)
-def test_prefix_totals_are_the_window_totals_bit_for_bit(values):
-    layer = dict(enumerate(values)), None
-    totals = lattice.prefix_totals(layer)
-    expected = [lattice.window_total(layer, 0, s) for s in range(len(values))]
-    assert list(map(repr, totals)) == list(map(repr, expected))
-    # Added left to right, on every Python version.
-    running, left_to_right = 0, []
-    for value in values:
-        running += value
-        left_to_right.append(running)
-    assert list(map(repr, totals)) == list(map(repr, left_to_right))
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=0, max_size=4), st.integers(0, 9), st.integers(0, 9), _pair_factors)
+def test_layer_windows_are_the_exact_sums_of_their_points(upper, lo, hi, pairs):
+    """A layer's window is the exact sum, over the window's points, of the
+    product of each point's factors (a pair read as its Fraction)."""
+    upper = tuple(upper)
 
+    def factor(j, v, t):
+        return pairs.get((j, v, t), (j + v + 1, t + 2))
 
-@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=20), st.integers(1, 10**12))
-def test_exact_prefix_totals_are_the_window_totals(numerators, denominator):
-    layer = dict(enumerate(numerators)), denominator
-    expected = [lattice.window_total(layer, 0, s) for s in range(len(numerators))]
-    assert lattice.prefix_totals(layer) == expected
+    def weight(x):
+        value, s = Fraction(1), 0
+        for j, v in enumerate(x):
+            s += v
+            top, bottom = factor(j, v, s)
+            value *= Fraction(top, bottom)
+        return value
+
+    top = max(lo, hi)
+    total, denominator = lattice.window_total(lattice.final_layer(upper, top, factor), lo, hi)
+    want = weighted_sum(ConstraintSet(upper, lo, max(lo, hi)), weight) if lo <= hi else 0
+    assert Fraction(total, denominator) == want

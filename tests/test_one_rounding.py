@@ -14,7 +14,11 @@ consequences are checked here:
   (`Fraction(0.9)`, `Fraction(0.5)`): what is left is the rounding of the
   float weights themselves, not of their sums;
 - a decimal table's probabilities must sum to 1 exactly within half an
-  ulp per class, their promised rounding, and the tolerance besides.
+  ulp per class, their promised rounding, and the tolerance besides;
+- every decimal identity lhs is the correctly rounded exact sum of the
+  exact products of its points' float factors (`oracle.identity_lhs`), and
+  every decimal expectation the correctly rounded exact sum of value times
+  probability.
 """
 
 import sys
@@ -23,10 +27,10 @@ from math import ulp
 
 import pytest
 
-from oracle import compositions
+from oracle import compositions, identity_lhs
 from test_cli import run_cli
-from rpq import ValidationError, classes, first_kind, jagannathan_srinivasa, lattice, occupancy, second_kind, \
-    sequential_sample
+from rpq import ValidationError, classes, deformed_number, first_kind, jagannathan_srinivasa, lattice, occupancy, \
+    oracle_expectation, second_kind, sequential_sample, verify_identity
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.pmf import _check_decimal_probabilities
 from rpq.second_kind import SecondKindParams
@@ -150,11 +154,33 @@ def test_decimal_sums_may_miss_one_by_their_rounding_and_no_more():
     _check_decimal_probabilities("t", [0.25 + ulp(0.25)], [4], 2 * ulp(0.25))
 
 
+@pytest.mark.parametrize("p, q", [(0.9, 0.5), (0.7, 0.4)])
+def test_decimal_identity_sums_are_their_exact_sums_rounded_once(p, q):
+    alg = jagannathan_srinivasa(p, q)
+    runs = [(suite, False) for suite in ("hs1", "hs2", "hsa", "hsb", "cauchy")] + [("hs1", True), ("hsa", True)]
+    for suite, literal in runs:
+        for rep in verify_identity(suite, alg, 6, literal_window=literal):
+            want = identity_lhs(alg, rep, literal)
+            assert repr(rep.lhs) == repr(want), (suite, literal, rep.k, rep.n, rep.m, rep.groups)
+
+
+@pytest.mark.parametrize("params", [FirstKindParams(DECIMAL, 5, 3), SecondKindParams(DECIMAL, 3, 4)],
+                         ids=("first", "second"))
+def test_decimal_expectations_are_their_exact_sums_rounded_once(params):
+    module = first_kind if params.kind == "first" else second_kind
+    table = module.joint_pmf(params)
+    alg = params.alg
+    for functional in (lambda x: float(x[0]), lambda x: deformed_number(alg, x[0]) ** 2,
+                       lambda x: alg.tau2 ** -x[-1] * deformed_number(alg, x[1])):
+        want = sum(Fraction(functional(x)) * Fraction(p) for x, p in zip(table.support, table.probabilities))
+        assert repr(oracle_expectation(table, functional)) == repr(float(want))
+
+
 @pytest.mark.parametrize("model", [
     # Weights that are nan.
     ("--kind", "first", "--k", "3", "--n", "2", "--preset", "quesne", "--p", "1e-300", "--q", "1e-310"),
-    # Finite weights, and closed values that overflow to inf or nan.
-    ("--kind", "second", "--k", "3", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
+    # Finite weights, and closed values that overflow to inf.
+    ("--kind", "second", "--k", "3", "--n", "10", "--preset", "quesne", "--p", "0.9", "--q", "1e-10"),
 ], ids=("nan-weights", "overflowed-closed-values"))
 @pytest.mark.parametrize("command", [("marginal", "--r", "1"), ("conditional", "--given", "1"),
                                      ("grouped", "--groups", "1,2")], ids=lambda c: c[0])

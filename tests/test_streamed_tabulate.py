@@ -136,9 +136,9 @@ REFUSALS = [
     # Float overflow, and a weight that is nan (inf times 0), which has no
     # exact ratio either.
     ("--kind", "second", "--k", "6", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
-    # Finite weights and a closed normalizer that overflowed to nan, which
+    # Finite weights and a closed normalizer that overflowed to inf, which
     # every derived law of this model refuses too.
-    ("--kind", "second", "--k", "3", "--n", "30", "--preset", "cj", "--p", "0.1", "--q", "0.05"),
+    ("--kind", "second", "--k", "3", "--n", "10", "--preset", "quesne", "--p", "0.9", "--q", "1e-10"),
     ("--kind", "first", "--k", "3", "--n", "2", "--preset", "quesne", "--p", "1e-300", "--q", "1e-310"),
     # The 10^7-point guard and the dimension guard.
     ("--kind", "second", "--k", "20", "--n", "20") + JS,
