@@ -20,19 +20,19 @@ from a recursion over (coordinate, running sum) that lists no lattice
 point: one `lattice.layer_step` per coordinate.  The tests check each sum
 against the listing sum `lattice.weighted_sum` of its per-point weight.
 
-`verify_identity` walks each family once.  The hs1 and hs2 factors do not
-depend on n, so one recursion per k serves every n, each n summing its own
-window at the end.  An hsa or hsb layer depends only on the group sizes so
-far, so one depth-first walk per (k, n) over the tree of group-size
-prefixes steps each prefix once (31 steps for the 16 groupings of k = 5, in
-place of 48).  Every factor is an unreduced (numerator, denominator) pair
-of ints (`algebra._closed_pair`; a float factor is the dyadic rational it
-is), a layer holds integers over one common denominator in both modes, and
-each lhs is built once from its exact sum: one Fraction, or one float
-rounded once, the correctly rounded sum of the exact products of its
-float factors.  `hs1_lhs`, `hs2_lhs`, `hsa_lhs`
-and `hsb_lhs` run the same walks for one tuple: one n, or the single path
-of one grouping.
+Each summand is a product of group factors that hold no n (`_term`) and
+one n part taken out at the end (`_n_part`): hs1 and hs2 run on the single
+path of unit groups, hsa and hsb on a grouping's group sizes m_j.  So one
+depth-first walk per k over the tree of group-size prefixes (`_walk`)
+serves every n of every family, stepping each prefix once (31 steps for
+the 16 groupings of k = 5), and each leaf finishes every n.  Every factor
+is an unreduced (numerator, denominator) pair of ints
+(`algebra._closed_pair`; a float factor is the dyadic rational it is), a
+layer holds integers over one common denominator in both modes, and each
+lhs is built once from its exact sum: one Fraction, or one float rounded
+once, the correctly rounded sum of the exact products of its float
+factors.  `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and `hsb_lhs` run the same walk
+for one n down one path.
 
 Window note: in the capacity-one model the overflow urn also holds at most
 one ball, so admissible occupancy sums are n-1 and n, never less.  The
@@ -46,7 +46,7 @@ from __future__ import annotations
 import io
 from itertools import accumulate
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     IDENTITY_IDS,
@@ -64,10 +64,8 @@ from .lattice import (
     check_dimension,
     check_points,
     count_points,
-    final_layer,
     layer_step,
     sum_counts,
-    window_total,
 )
 from .records import Record
 from .scalars import Scalar, over_lcm, ratio, scalar_str
@@ -78,27 +76,26 @@ def _require_taus(alg: AlgebraSpec) -> None:
         raise ValidationError(f"algebra {alg.name!r}: identity sums need structure constants")
 
 
-def _position_factor(alg: AlgebraSpec):
-    """Per-coordinate factor tau1^(-(j+1) r_j) tau2^((j+1) r_j) of the
-    weight tau1^(-s) tau2^s, s = sum((j+1) r_j), shared by hs1 and hs2."""
-
-    def factor(j, r_j, s_j):
-        return _closed_pair(alg, -(j + 1) * r_j, (j + 1) * r_j, ())
-
-    return factor
-
-
-def _hsa_term(alg: AlgebraSpec, k: int, n: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Tuple[int, int]:
-    return _closed_pair(alg, (n - s_j) * (m_j - r_j), (k + 1 - big_m_j - n + s_j) * r_j,
-                        (deformed_binomial(alg, m_j, r_j),))
+def _term(identity: str, alg: AlgebraSpec, k: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Tuple[int, int]:
+    """The factor of group j of a term with its n part taken out, for a
+    group of size m_j ending at M_j = m_1 + ... + m_j, r_j balls and running
+    sum S_j; hs1 and hs2 run on unit groups (m_j = 1, M_j = j + 1)."""
+    if identity == "hsa":
+        return _closed_pair(alg, -s_j * (m_j - r_j), (k + 1 - big_m_j + s_j) * r_j,
+                            (deformed_binomial(alg, m_j, r_j),))
+    if identity == "hsb":
+        return _closed_pair(alg, -s_j * (m_j - 1), (k + 1 - big_m_j) * r_j,
+                            (binomial_or_zero(alg, m_j + r_j - 1, r_j),))
+    return _closed_pair(alg, -big_m_j * r_j, big_m_j * r_j, ())
 
 
-def _hsb_term(alg: AlgebraSpec, k: int, n: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Tuple[int, int]:
-    return _closed_pair(alg, (n - s_j) * (m_j - 1), (k + 1 - big_m_j) * r_j,
-                        (binomial_or_zero(alg, m_j + r_j - 1, r_j),))
-
-
-_GROUP_TERMS = {"hsa": _hsa_term, "hsb": _hsb_term}
+def _n_part(identity: str, alg: AlgebraSpec, k: int, g: int, n: int, s: int) -> Tuple[int, int]:
+    """The rest of a term of g groups and final sum S = s, the one part that
+    reads n: tau1^C(n,2) tau2^-C(n,2) for hs1, tau1^(n(k-S)) tau2^(-nS) for
+    hsa, tau1^(n(k-g)) for hsb and 1 for hs2."""
+    c2 = comb(n, 2)
+    a, b = {"hs1": (c2, -c2), "hs2": (0, 0), "hsa": (n * (k - s), -n * s), "hsb": (n * (k - g), 0)}[identity]
+    return _closed_pair(alg, a, b, ())
 
 
 def _window_lo(n: int, literal_window: bool) -> int:
@@ -106,14 +103,28 @@ def _window_lo(n: int, literal_window: bool) -> int:
     return 0 if literal_window else max(0, n - 1)
 
 
-def _constraints(identity: str, k: int, n: int, groups: Optional[Tuple[int, ...]],
-                 literal_window: bool) -> ConstraintSet:
-    """The box and sum window of one hs1, hs2, hsa or hsb tuple."""
+def _box_sizes(identity: str, path: Tuple[int, ...], ns: Sequence[int], literal_window: bool) -> List[int]:
+    """The number of points of the box of each (n, path), n in `ns`, for
+    hs1, hs2, hsa or hsb, by counts alone: one `sum_counts` of the
+    capacity-one box `path` serves the window of every n, and an unbounded
+    box (n,)^g with sums <= n, g = len(path), holds C(n + g, g) points."""
     if identity in ("hs1", "hsa"):
-        upper = (1,) * k if groups is None else groups
-        return ConstraintSet(upper=upper, sum_min=_window_lo(n, literal_window), sum_max=min(n, k))
-    width = k if groups is None else len(groups)
-    return ConstraintSet(upper=(n,) * width, sum_min=0, sum_max=n)
+        k = sum(path)
+        counts = sum_counts(path, k)
+        return [sum(counts[_window_lo(n, literal_window):min(n, k) + 1]) for n in ns]
+    return [comb(n + len(path), len(path)) for n in ns]
+
+
+def _tuple_lhs(identity: str, alg: AlgebraSpec, k: int, n: int, path: Tuple[int, ...],
+               literal_window: bool) -> Scalar:
+    """The lhs of one tuple, down the one path of group sizes `path`, after
+    its box passes the capacity guard (`count_points`)."""
+    if identity in ("hs1", "hsa"):
+        box = ConstraintSet(upper=path, sum_min=_window_lo(n, literal_window), sum_max=min(n, k))
+    else:
+        box = ConstraintSet(upper=(n,) * len(path), sum_min=0, sum_max=n)
+    count_points(box)
+    return _walk(identity, alg, k, (n,), path, literal_window)[n, path]
 
 
 def hs1_lhs(alg: AlgebraSpec, k: int, n: int, *, literal_window: bool = False) -> Scalar:
@@ -122,8 +133,7 @@ def hs1_lhs(alg: AlgebraSpec, k: int, n: int, *, literal_window: bool = False) -
     _require_taus(alg)
     if not 1 <= n <= k + 1:
         raise ValidationError(f"n: hs1 needs 1 <= n <= k+1, got k={k}, n={n}")
-    count_points(_constraints("hs1", k, n, None, literal_window))
-    return _walk_positions("hs1", alg, k, (n,), literal_window)[n, None]
+    return _tuple_lhs("hs1", alg, k, n, (1,) * k, literal_window)
 
 
 def hs2_lhs(alg: AlgebraSpec, k: int, n: int) -> Scalar:
@@ -132,8 +142,7 @@ def hs2_lhs(alg: AlgebraSpec, k: int, n: int) -> Scalar:
     _require_taus(alg)
     if k < 1 or n < 0:
         raise ValidationError(f"hs2 needs k >= 1 and n >= 0, got k={k}, n={n}")
-    count_points(_constraints("hs2", k, n, None, False))
-    return _walk_positions("hs2", alg, k, (n,), False)[n, None]
+    return _tuple_lhs("hs2", alg, k, n, (1,) * k, False)
 
 
 def _check_groups(k: int, groups: Sequence[int]) -> Tuple[int, ...]:
@@ -155,8 +164,7 @@ def hsa_lhs(
     groups = _check_groups(k, groups)
     if not 1 <= n <= k + 1:
         raise ValidationError(f"n: hsa needs 1 <= n <= k+1, got k={k}, n={n}")
-    count_points(_constraints("hsa", k, n, groups, literal_window))
-    return _walk_groupings("hsa", alg, k, n, groups, literal_window)[n, groups]
+    return _tuple_lhs("hsa", alg, k, n, groups, literal_window)
 
 
 def hsb_lhs(alg: AlgebraSpec, k: int, n: int, groups: Sequence[int]) -> Scalar:
@@ -166,8 +174,7 @@ def hsb_lhs(alg: AlgebraSpec, k: int, n: int, groups: Sequence[int]) -> Scalar:
     groups = _check_groups(k, groups)
     if n < 0:
         raise ValidationError(f"n: hsb needs n >= 0, got {n}")
-    count_points(_constraints("hsb", k, n, groups, False))
-    return _walk_groupings("hsb", alg, k, n, groups, False)[n, groups]
+    return _tuple_lhs("hsb", alg, k, n, groups, False)
 
 
 def cauchy_lhs(alg: AlgebraSpec, k: int, n: int, m: int) -> Scalar:
@@ -202,72 +209,60 @@ def _report(alg: AlgebraSpec, identity: str, k: int, n: int, lhs: Scalar, rhs: S
                           fit.b if found else None, "")
 
 
-def _walk_positions(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int],
-                    literal_window: bool) -> dict:
-    """hs1 or hs2 lhs of each (n, None): one recursion over k coordinates
-    whose factor does not depend on n, summed over each n's window at the
-    end.
+def _walk(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int], groups: Optional[Tuple[int, ...]],
+          literal_window: bool) -> dict:
+    """The hs1, hs2, hsa or hsb lhs of (n, path) for each n of `ns` and each
+    path of group sizes summing to k: `groups` alone (the unit path (1,)*k
+    for hs1 and hs2), or every composition of k (groups None).
 
-    The recursion runs to the largest sum any n needs.  The value at each
-    running sum does not depend on how far the recursion runs, and its sums
-    are exact, so each window's lhs is that of a run for that n alone
-    (`hs1_lhs`, `hs2_lhs`).  The hs2 windows [0, n] are the running sums of
-    the layer, which is keyed by every sum 0..max(ns): one pass for every
-    n.  An hs1 window takes the scale tau1^C(n,2) tau2^-C(n,2) as a pair.
+    A term is the product of its n-free group factors (`_term`) and its n
+    part (`_n_part`).  Group j's factor reads only m_j and M_j, so the layer
+    after j depends on the first j + 1 group sizes alone, for every n: a
+    depth-first walk over the tree of group-size prefixes steps each prefix
+    once, with cap m_j (capacity one) or the largest n (unbounded), up to
+    the largest sum any n needs.  The value at each running sum does not
+    depend on how far the walk runs, so each leaf finishes every n.  A
+    capacity-one window, at most k + 1 sums wide, takes the n part of each
+    final sum S; an unbounded window [0, n] is a running sum of the leaf's
+    layer, as its n part does not read S, so hs2 stays linear in nmax.
     """
-    factor = _position_factor(alg)
-    if identity == "hs2":
-        top = max(ns)
-        partial, denominator = final_layer((top,) * k, top, factor)
-        totals = list(accumulate(partial.values()))
-        return {(n, None): ratio(totals[n], denominator, alg.exact) for n in ns}
-    layer = final_layer((1,) * k, k, factor)
+    capacity_one = identity in ("hs1", "hsa")
+    top = min(max(ns), k) if capacity_one else max(ns)
     out = {}
-    for n in ns:
-        c2 = comb(n, 2)
-        total, denominator = window_total(layer, _window_lo(n, literal_window), min(n, k))
-        top, bottom = _closed_pair(alg, c2, -c2, ())
-        out[n, None] = ratio(total * top, denominator * bottom, alg.exact)
-    return out
+    # (m_j, M_j) -> {(r_j, S_j): factor}, shared by the prefixes of the
+    # tree; a single path meets each (m_j, M_j) once, so it keeps none.
+    factors = {}
 
-
-def _walk_groupings(identity: str, alg: AlgebraSpec, k: int, n: int,
-                    groups: Optional[Tuple[int, ...]], literal_window: bool) -> dict:
-    """hsa or hsb lhs of (n, groups) for every grouping (groups None), or
-    for `groups` alone.
-
-    Coordinate j of a grouping has a factor that reads only m_j and
-    M_j = m_1 + ... + m_j, and its window reads only M_j, so the layer after
-    j depends on the first j + 1 group sizes alone.  A depth-first walk over
-    the tree of group-size prefixes steps each prefix once.
-    """
-    term = _GROUP_TERMS[identity]
-    if identity == "hsa":
-        lo, hi = _window_lo(n, literal_window), min(n, k)
-    else:
-        lo, hi = 0, n
-    out = {}
-    factors = {}  # (m_j, M_j) -> {(r_j, S_j): factor}, shared by the prefixes
+    def finish(path: Tuple[int, ...], layer) -> None:
+        partial, denominator = layer
+        if capacity_one:
+            for n in ns:
+                window = range(_window_lo(n, literal_window), min(n, k) + 1)
+                tops, scale = over_lcm(_n_part(identity, alg, k, len(path), n, s) for s in window)
+                total = sum(partial.get(s, 0) * top_s for s, top_s in zip(window, tops))
+                out[n, path] = ratio(total, denominator * scale, alg.exact)
+            return
+        totals = list(accumulate(partial.get(s, 0) for s in range(top + 1)))
+        for n in ns:
+            top_n, bottom = _n_part(identity, alg, k, len(path), n, n)
+            out[n, path] = ratio(totals[n] * top_n, denominator * bottom, alg.exact)
 
     def visit(prefix: Tuple[int, ...], big_m: int, layer) -> None:
         if big_m == k:
-            out[n, prefix] = ratio(*window_total(layer, lo, hi), alg.exact)
+            finish(prefix, layer)
             return
         for m_j in range(1, k - big_m + 1) if groups is None else (groups[len(prefix)],):
             big_m_j = big_m + m_j
-            upper = m_j if identity == "hsa" else n
-            # hsa keeps the prefixes that can still reach lo; hsb has lo = 0.
-            t_lo = lo - (k - big_m_j) if identity == "hsa" else 0
-
-            memo = factors.setdefault((m_j, big_m_j), {})
+            memo = factors.setdefault((m_j, big_m_j), {}) if groups is None else {}
 
             def factor(j, r_j, s_j, m_j=m_j, big_m_j=big_m_j, memo=memo):
                 value = memo.get((r_j, s_j))
                 if value is None:
-                    value = memo[r_j, s_j] = term(alg, k, n, m_j, big_m_j, r_j, s_j)
+                    value = memo[r_j, s_j] = _term(identity, alg, k, m_j, big_m_j, r_j, s_j)
                 return value
 
-            visit(prefix + (m_j,), big_m_j, layer_step(layer, len(prefix), upper, t_lo, hi, factor))
+            cap = m_j if capacity_one else top
+            visit(prefix + (m_j,), big_m_j, layer_step(layer, len(prefix), cap, 0, top, factor))
 
     visit((), 0, FIRST_LAYER)
     return out
@@ -314,7 +309,8 @@ def verify_identity(
     *,
     literal_window: bool = False,
 ) -> list:
-    """One report per parameter tuple, sorted by (k, n, m, groups).
+    """One report per parameter tuple, by k, then for hsa and hsb by
+    grouping (in `compositions` order) and n, for cauchy by n and m.
 
     Failures are data: a report with exact_match False and the fitted
     discrepancy monomial when one exists within |a|, |b| <= (k+1)*n.
@@ -322,11 +318,12 @@ def verify_identity(
     The run first passes the report guard (`check_report_count`), which
     checks kmax against the dimension guard, so nothing is listed for a
     run it refuses.  Every tuple's box, for every k, then passes the
-    capacity guard (`count_points`) before any family is walked: hs1 and
-    hs2 run one recursion per k, hsa and hsb one walk per (k, n) over the
-    group-size prefixes.  Cauchy lists no points.  The sums equal those of
-    `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and `hsb_lhs`, to the last bit in
-    approximate mode, as each is exact until it is rounded once.
+    capacity guard (`check_points`, each size taken once from
+    `_box_sizes`) before any family is walked: one walk per k over the
+    group-size prefixes serves every n (`_walk`).  Cauchy lists no points.
+    The sums equal those of `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and `hsb_lhs`,
+    to the last bit in approximate mode, as each is exact until it is
+    rounded once.
     """
     if identity not in IDENTITY_IDS:
         raise ValidationError(f"identity: unknown suite {identity!r}")
@@ -346,40 +343,31 @@ def verify_identity(
                     rhs = deformed_binomial(alg, k + n, n)
                     reports.append(_report(alg, "cauchy", k, n, lhs, rhs, m=m))
         return reports
-    capacity_one = identity in ("hs1", "hsa")
-    # Every tuple's box passes the guard, in report order, before any walk:
-    # a run the guard refuses does no smaller work first.
+    capacity_one, unit = identity in ("hs1", "hsa"), identity in ("hs1", "hs2")
     plan = []
     for k in range(1, kmax + 1):
         ns = range(1, min(k + 1, nmax) + 1) if capacity_one else range(0, nmax + 1)
-        if identity in ("hs1", "hs2"):
-            tuples = [(n, None) for n in ns]
-        else:
-            tuples = [(n, groups) for groups in compositions(k) for n in ns]
-        if not tuples:
-            continue
+        if ns:
+            plan.append((k, ns, [(1,) * k] if unit else list(compositions(k))))
+    if plan:
         _require_taus(alg)
-        if identity == "hs2":
-            # The box of n, (n,)^k with sums <= n, holds the points of sum
-            # <= n of the box (nmax,)^k: one count per k serves every n.
-            # The report guard keeps nmax below the sum guard.
-            totals = list(accumulate(sum_counts((nmax,) * k, nmax)))
+    # Every tuple's box passes the guard, in report order, before any walk:
+    # a run the guard refuses does no smaller work first.  The boxes of an
+    # unbounded path read only its number of groups, so each is sized once.
+    sized = set()
+    for k, ns, paths in plan:
+        for path in paths:
+            key = path if capacity_one else len(path)
+            if key not in sized:
+                sized.add(key)
+                for size in _box_sizes(identity, path, ns, literal_window):
+                    check_points(size)
+    for k, ns, paths in plan:
+        sums = _walk(identity, alg, k, ns, paths[0] if unit else None, literal_window)
+        for path in paths:
             for n in ns:
-                check_points(totals[n])
-        else:
-            for n, groups in tuples:
-                count_points(_constraints(identity, k, n, groups, literal_window))
-        plan.append((k, ns, tuples))
-    for k, ns, tuples in plan:
-        if identity in ("hs1", "hs2"):
-            sums = _walk_positions(identity, alg, k, ns, literal_window)
-        else:
-            sums = {}
-            for n in ns:
-                sums.update(_walk_groupings(identity, alg, k, n, None, literal_window))
-        for n, groups in tuples:
-            rhs = deformed_binomial(alg, k + 1 if capacity_one else k + n, n)
-            reports.append(_report(alg, identity, k, n, sums[n, groups], rhs, groups=groups))
+                rhs = deformed_binomial(alg, k + 1 if capacity_one else k + n, n)
+                reports.append(_report(alg, identity, k, n, sums[n, path], rhs, groups=None if unit else path))
     return reports
 
 

@@ -234,22 +234,6 @@ def layer_step(
     return nxt, denominator * scale
 
 
-def final_layer(upper: Tuple[int, ...], sum_max: int, factor: Callable[[int, int, int], Tuple[int, int]]) -> Layer:
-    """The layer after every coordinate of the box `upper`, at every
-    running sum up to sum_max."""
-    layer = FIRST_LAYER
-    for j, up in enumerate(upper):
-        layer = layer_step(layer, j, up, 0, sum_max, factor)
-    return layer
-
-
-def window_total(layer: Layer, lo: int, hi: int) -> Tuple[int, int]:
-    """The sum of the layer's values at running sums lo..hi, as an integer
-    numerator over the layer's denominator: exact, in any order."""
-    partial, denominator = layer
-    return sum(value for s, value in partial.items() if lo <= s <= hi), denominator
-
-
 def weighted_sum(constraints: ConstraintSet, weight: Callable[[SupportPoint], Scalar]) -> Scalar:
     """Sum of `weight` over the enumeration, refusing mixed-mode terms."""
     total: Scalar = 0

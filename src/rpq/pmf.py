@@ -45,33 +45,35 @@ CDF_BITS = 53
 def _class_quotients(
     scaled: Sequence[int], denominator: int, counts: Sequence[int], exact: bool, nonpositive: str,
     like: Optional[tuple] = None, divisor: Optional[Scalar] = None,
-) -> Tuple[Scalar, List[Scalar], int]:
+) -> Tuple[Tuple[int, int], List[Scalar], int]:
     """The normalizer of classes of value `scaled[i]` / `denominator` and
-    multiplicity `counts[i]`, value / normalizer per class, and S, the sum
-    of count times scaled[i]: S / denominator (over `divisor`, a factor
-    common to every value, when given) and s_i / S, exact whatever the
-    order of the values.  Exact mode builds Fractions, one reduction per
-    class; approximate mode divides the ints, which rounds each result once
-    (correctly, half to even).  `like`, the integers (t_i, T) and the
-    quotients of another normalization of the same classes in the same
-    mode, lends its quotient object to each class whose quotient equals it
-    (s_i T == t_i S), which then builds none.  A normalizer that is not
-    positive raises ValidationError(f"{nonpositive} {z}"), or UnderflowError
-    for a decimal 0.0 of a sum that is not negative: the weights of a
-    support are positive, so theirs underflowed."""
+    multiplicity `counts[i]`, as a (numerator, denominator) pair of ints,
+    value / normalizer per class, and S, the sum of count times scaled[i]:
+    S / denominator (over `divisor`, a factor common to every value, when
+    given) and s_i / S, exact whatever the order of the values.  Exact mode
+    builds Fractions, one reduction per class; approximate mode divides the
+    ints, which rounds each result once (correctly, half to even).  `like`,
+    the integers (t_i, T) and the quotients of another normalization of the
+    same classes in the same mode, lends its quotient object to each class
+    whose quotient equals it (s_i T == t_i S), which then builds none.  A
+    normalizer that is not positive, its sign read from the integers,
+    raises ValidationError(f"{nonpositive} {z}"), or UnderflowError for a
+    decimal sum that is not negative: the weights of a support are
+    positive, so theirs underflowed.  The normalizer is built as a scalar
+    only by a caller that reads it (`_normalize_classes`)."""
     total = numerator = sum(map(mul, counts, scaled))
     if divisor is not None:
         (over,), under = over_lcm([divisor])
         numerator, denominator = total * under, denominator * over
-    z = ratio(numerator, denominator, exact)
-    if z <= 0:
-        raise (UnderflowError if not exact and numerator >= 0 else ValidationError)(f"{nonpositive} {z}")
+    if numerator * denominator <= 0:
+        raise (UnderflowError if not exact and numerator >= 0 else ValidationError)(
+            f"{nonpositive} {ratio(numerator, denominator, exact)}")
     quotient = Fraction if exact else truediv
     if like is None:
-        return z, [quotient(s, total) for s in scaled], total
+        return (numerator, denominator), [quotient(s, total) for s in scaled], total
     others, other_total, quotients = like
-    return z, [q if s * other_total == t * total else quotient(s, total)
-               for s, t, q in zip(scaled, others, quotients)], total
+    return (numerator, denominator), [q if s * other_total == t * total else quotient(s, total)
+                                      for s, t, q in zip(scaled, others, quotients)], total
 
 
 def _check_exact_probabilities(kind: str, probabilities: Iterable[Fraction], counts: Iterable[int],
@@ -107,13 +109,18 @@ def _normalize_classes(kind: str, scaled: Sequence[int], denominator: int, sizes
                        first_point: Callable[[set], Tuple[SupportPoint, int]],
                        like: Optional[tuple] = None) -> Tuple[Scalar, List[Scalar], int]:
     """`_class_quotients` of classes of weight `scaled[i]` / `denominator`
-    and `sizes[i]` points (lent `like`'s), with a table's checks.  Approximate
-    mode refuses a probability that is not positive at the first point of
-    its class, (point, class) = `first_point(refused classes)` (every
-    support point has positive exact mass, so a 0.0 has underflowed), and
-    probabilities whose exact sum is not 1 within their rounding and `tol`."""
-    z, quotients, total = _class_quotients(scaled, denominator, sizes, alg.exact,
-                                           f"{kind} table: nonpositive normalizer", like)
+    and `sizes[i]` points (lent `like`'s), with a table's checks and its
+    normalizer z built once: a decimal z of 0.0 raises UnderflowError.
+    Approximate mode refuses a probability that is not positive at the
+    first point of its class, (point, class) = `first_point(refused
+    classes)` (every support point has positive exact mass, so a 0.0 has
+    underflowed), and probabilities whose exact sum is not 1 within their
+    rounding and `tol`."""
+    nonpositive = f"{kind} table: nonpositive normalizer"
+    normalizer, quotients, total = _class_quotients(scaled, denominator, sizes, alg.exact, nonpositive, like)
+    z = ratio(*normalizer, alg.exact)
+    if z == 0:  # a decimal 0.0 of a positive sum
+        raise UnderflowError(f"{nonpositive} {z}")
     if alg.exact:
         _check_exact_probabilities(kind, quotients, sizes, total)
         return z, quotients, total

@@ -26,8 +26,10 @@ rounds correctly, half to even).  A decimal closed value is the exact
 product of its float factors, and a sequential step compares a variate
 with exact thresholds in both modes.  An identity lhs (`identity_lhs`) is
 the exact sum, over the points of its box, of the exact product of each
-point's float factors, rounded once.  So tests compare with `==`: the
-library must reproduce these bit for bit.
+point's float factors, rounded once; the factors are split as the library
+splits them, a tau monomial with no n in it per group and one monomial for
+the summand's n part.  So tests compare with `==`: the library must
+reproduce these bit for bit.
 """
 
 from fractions import Fraction
@@ -293,25 +295,34 @@ def scan_sequential(joint, variates, count):
 
 
 def _point_factors(alg, identity, k, n, groups, point):
-    """The factors of one point's summand: tau monomials and binomials as
-    the library returns them (floats in approximate mode)."""
-    if identity in ("hs1", "hs2"):
-        factors = [tau_monomial(alg, -(j + 1) * r, (j + 1) * r) for j, r in enumerate(point)]
-        if identity == "hs1":
-            c2 = n * (n - 1) // 2
-            factors.append(tau_monomial(alg, c2, -c2))
-        return factors
+    """The factors of one point's summand, as the library splits them: per
+    group (unit groups for hs1 and hs2) its tau monomial with no n in it and
+    its binomial, then one tau monomial that holds the summand's n part;
+    each as the library returns it (a float in approximate mode)."""
+    groups = (1,) * k if groups is None else groups
     factors, big_m, s = [], 0, 0
     for m_j, r_j in zip(groups, point):
         big_m += m_j
         s += r_j
         if identity == "hsa":
-            factors += [tau_monomial(alg, (n - s) * (m_j - r_j), (k + 1 - big_m - n + s) * r_j),
+            factors += [tau_monomial(alg, -s * (m_j - r_j), (k + 1 - big_m + s) * r_j),
                         deformed_binomial(alg, m_j, r_j)]
-        else:
-            factors += [tau_monomial(alg, (n - s) * (m_j - 1), (k + 1 - big_m) * r_j),
+        elif identity == "hsb":
+            factors += [tau_monomial(alg, -s * (m_j - 1), (k + 1 - big_m) * r_j),
                         binomial_or_zero(alg, m_j + r_j - 1, r_j)]
-    return factors
+        else:
+            factors.append(tau_monomial(alg, -big_m * r_j, big_m * r_j))
+    c2 = n * (n - 1) // 2
+    n_part = {"hs1": (c2, -c2), "hs2": (0, 0), "hsa": (n * (k - s), -n * s), "hsb": (n * (k - len(groups)), 0)}
+    return factors + [tau_monomial(alg, *n_part[identity])]
+
+
+def identity_box(identity, k, n, groups, literal_window=False):
+    """The box of an hs1, hs2, hsa or hsb tuple, with its sum window."""
+    if identity in ("hs1", "hsa"):
+        return ConstraintSet((1,) * k if groups is None else groups, 0 if literal_window else max(0, n - 1),
+                             min(n, k))
+    return ConstraintSet((n,) * (k if groups is None else len(groups)), 0, n)
 
 
 def identity_lhs(alg, report, literal_window=False):
@@ -324,13 +335,8 @@ def identity_lhs(alg, report, literal_window=False):
         terms = [[tau_monomial(alg, (m - k) * r, (k - m) * r), binomial_or_zero(alg, m + r, r),
                   binomial_or_zero(alg, k - m + n - r - 1, n - r)] for r in range(n + 1)]
     else:
-        groups = report.groups
-        if identity in ("hs1", "hsa"):
-            box = ConstraintSet((1,) * k if groups is None else groups, 0 if literal_window else max(0, n - 1),
-                                min(n, k))
-        else:
-            box = ConstraintSet((n,) * (k if groups is None else len(groups)), 0, n)
-        terms = [_point_factors(alg, identity, k, n, groups, x) for x in enumerate_points(box)]
+        box = identity_box(identity, k, n, report.groups, literal_window)
+        terms = [_point_factors(alg, identity, k, n, report.groups, x) for x in enumerate_points(box)]
     total = Fraction(0)
     for factors in terms:
         value = Fraction(1)

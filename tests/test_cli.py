@@ -549,3 +549,15 @@ def test_cauchy_and_triangular_pass_the_dimension_guard(suite):
         3, "", "error: dimension 21 exceeds the guard (20)\n")
     passed = subprocess.run(argv + ["20"], env=env, capture_output=True, text=True, timeout=60)
     assert passed.returncode == 0 and passed.stdout and passed.stderr == ""
+
+
+def test_decimal_derived_laws_take_a_model_whose_closed_total_leaves_the_float_range():
+    # The closed values of this model are finite floats whose exact sum is
+    # past the float range.  A derived law reads that total for its sign
+    # only, from the integers, so it takes the model, as tabulate does.
+    model = ("--kind", "second", "--preset", "cj", "--p", "0.1", "--q", "0.05", "--k", "3", "--n", "40")
+    for command in (("tabulate",), ("marginal", "--r", "1"), ("marginal", "--r", "2"), ("grouped", "--groups", "1,2"),
+                    ("conditional", "--given", "1")):
+        code, out, err = run_cli(*command, *model, "--format", "json")
+        assert (code, err) == (0, ""), command
+        assert json.loads(out)["kind"].startswith("second"), command

@@ -13,6 +13,7 @@ import pytest
 from rpq import (
     FirstKindParams,
     SecondKindParams,
+    chakrabarty_jagannathan,
     compositions,
     hs1_lhs,
     hs2_lhs,
@@ -87,7 +88,7 @@ GOLDEN = {
         "baa400c20557af6d57b5e4ae0a2d37051b0d9538b9823d8078cc735afb90b231",
     # Decimal identity suites pin the float bits of every lhs and rhs: each
     # lhs the exact sum of its float terms rounded once.
-    VERIFY + JS_DECIMAL + ("--format", "json"): "b4a6d56a77cd8820649e5d947060e36a84e411959bf73fbf3c9209f50c6aa976",
+    VERIFY + JS_DECIMAL + ("--format", "json"): "524089f8ff9a8874cda5bd2280c7e84a9a5356481d9cf0dbb41f3f8a2ffe881f",
     VERIFY + JS_DECIMAL + ("--format", "csv"): "91f51a93fea0c0b6a02256416ae6cc05463023840ebd68f7fe4003c620481523",
     ("moments", "--kind", "first") + JS + ("--k", "4", "--n", "2", "--format", "csv"):
         "3f79df03a4956fff8f2eac72eae278ab6c981a5f6779801f3c9e027363a5c4fc",
@@ -147,10 +148,12 @@ LIBRARY_CASES = {
 
 # repr of every per-tuple identity sum for k <= 5 (both windows of hs1 and
 # hsa, every grouping of hsa and hsb): the float bits of the decimal twin,
-# and the exact Fractions of the rational algebra.
+# and the exact Fractions of the rational algebras.
 IDENTITY_SUM_DIGESTS = {
     "js-exact": "c3f36963c698e723b57c20f539b4a90fc118bb816a29adaa59f549214abd088c",
-    "js-decimal": "3f56311a7fcb5bdc086dfc12a4704b93eceb02b5e8533c5ba40223d95972ae65",
+    "js-decimal": "6fa3b07e3c1d5e15c84d51ab233f412d4f4b6f4f387de253a06a67f9b915a1ba",
+    "q-exact": "7cf54825c62103895c369ddccf32caec4ef62edf46342367cf8582d751c2a93f",
+    "cj-exact": "4388668e9127e5f97a48f6e16b3478671c3197508b12254e91239795df18bc51",
 }
 
 
@@ -158,6 +161,7 @@ LIBRARY_ALGEBRAS = {
     "js-exact": jagannathan_srinivasa("9/10", "1/2"),
     "js-decimal": jagannathan_srinivasa(0.9, 0.5),
     "q-exact": q_deformation("1/2"),
+    "cj-exact": chakrabarty_jagannathan("9/10", "1/2"),
 }
 
 

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import JS, Q_HALF, TAU1_ONE_PRESETS
+from oracle import identity_box
 from rpq import (
     CapacityError,
     ValidationError,
     cauchy_lhs,
     compositions,
+    count_points,
     deformed_binomial,
     fit_monomial,
     hs1_lhs,
@@ -165,8 +167,8 @@ def test_capacity_guard_refuses_before_any_walk(monkeypatch):
     # walk.  A kmax past the dimension guard, or a grid of more reports than
     # the report guard, is refused before any box is counted.
     walks = []
-    original = identities._walk_groupings
-    monkeypatch.setattr(identities, "_walk_groupings",
+    original = identities._walk
+    monkeypatch.setattr(identities, "_walk",
                         lambda *args: walks.append(args) or original(*args))
     with pytest.raises(CapacityError, match="10015005 lattice points"):
         verify_identity("hsb", Q_HALF, 9, 20)
@@ -175,6 +177,34 @@ def test_capacity_guard_refuses_before_any_walk(monkeypatch):
     with pytest.raises(CapacityError, match=r"2097150 identity reports exceed the guard \(100000\)"):
         verify_identity("hsb", Q_HALF, 20, 1)
     assert walks == []
+
+
+@pytest.mark.parametrize("identity, steps", [("hs1", 15), ("hs2", 15), ("hsa", 57), ("hsb", 57)])
+def test_one_layer_step_per_group_size_prefix_per_k(identity, steps, monkeypatch):
+    # One walk per k serves every n: k steps down the unit path of hs1 and
+    # hs2, and 2^k - 1 over the group-size prefixes of hsa and hsb, so
+    # kmax 5 takes 15 and 57 steps whatever nmax is.
+    calls = []
+    original = identities.layer_step
+    monkeypatch.setattr(identities, "layer_step", lambda *args: calls.append(args) or original(*args))
+    for nmax in (0, 1, 5, 7) if identity in ("hs2", "hsb") else (1, 5, 7):
+        calls.clear()
+        verify_identity(identity, JS, 5, nmax)
+        assert len(calls) == steps, nmax
+
+
+def test_box_sizes_are_the_counted_points():
+    # The guard sizes each box by counts alone: one count per capacity-one
+    # grouping for every n, and C(n + g, g) points in an unbounded box
+    # (n,)^g with sums <= n.
+    for identity in ("hs1", "hs2", "hsa", "hsb"):
+        for k in range(1, 7):
+            ns = range(1, k + 2) if identity in ("hs1", "hsa") else range(0, 8)
+            for groups in (None,) if identity in ("hs1", "hs2") else compositions(k):
+                path = (1,) * k if groups is None else groups
+                for literal in (False, True):
+                    want = [count_points(identity_box(identity, k, n, groups, literal)) for n in ns]
+                    assert identities._box_sizes(identity, path, ns, literal) == want, (identity, groups, literal)
 
 
 @pytest.mark.parametrize("identity", identities.IDENTITY_IDS)

@@ -188,6 +188,10 @@ def test_layer_windows_are_the_exact_sums_of_their_points(upper, lo, hi, pairs):
         return value
 
     top = max(lo, hi)
-    total, denominator = lattice.window_total(lattice.final_layer(upper, top, factor), lo, hi)
+    layer = lattice.FIRST_LAYER
+    for j, up in enumerate(upper):
+        layer = lattice.layer_step(layer, j, up, 0, top, factor)
+    partial, denominator = layer
+    total = sum(value for s, value in partial.items() if lo <= s <= hi)
     want = weighted_sum(ConstraintSet(upper, lo, max(lo, hi)), weight) if lo <= hi else 0
     assert Fraction(total, denominator) == want
