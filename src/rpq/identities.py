@@ -21,12 +21,18 @@ point: one `lattice.layer_step` per coordinate.  The tests check each sum
 against the listing sum `lattice.weighted_sum` of its per-point weight.
 
 Each summand is a product of group factors that hold no n (`_term`) and
-one n part taken out at the end (`_n_part`): hs1 and hs2 run on the single
-path of unit groups, hsa and hsb on a grouping's group sizes m_j.  So one
-depth-first walk per k over the tree of group-size prefixes (`_walk`)
-serves every n of every family, stepping each prefix once (31 steps for
-the 16 groupings of k = 5), and each leaf finishes every n.  Every factor
-is an unreduced (numerator, denominator) pair of ints
+one n part taken out at the end: hs1 and hs2 run on the single path of
+unit groups, hsa and hsb on a grouping's group sizes m_j.  A group factor
+reads the balls after its group in place of n - S_j, so the walk adds
+groups from the last, and one depth-first walk per k over the tree of
+group-size suffixes (`_walk`) serves every n of every family, stepping
+each suffix once (31 steps for the 16 groupings of k = 5); each leaf
+finishes every n.  Each exponent of a group factor lies between 0 and
+the summand's own per-group exponent, hsa's tau2 exponent aside, which
+exceeds it by (n - S) r_j (at most m_j in the standard window); so the
+factors stay in the float range where the summand's own do, up to that
+tau2^((n-S) r_j).
+Every factor is an unreduced (numerator, denominator) pair of ints
 (`algebra._closed_pair`; a float factor is the dyadic rational it is), a
 layer holds integers over one common denominator in both modes, and each
 lhs is built once from its exact sum: one Fraction, or one float rounded
@@ -44,7 +50,6 @@ diagnostics.
 from __future__ import annotations
 
 import io
-from itertools import accumulate
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -76,26 +81,27 @@ def _require_taus(alg: AlgebraSpec) -> None:
         raise ValidationError(f"algebra {alg.name!r}: identity sums need structure constants")
 
 
-def _term(identity: str, alg: AlgebraSpec, k: int, m_j: int, big_m_j: int, r_j: int, s_j: int) -> Tuple[int, int]:
+def _term(identity: str, alg: AlgebraSpec, k: int, m_j: int, big_m_j: int, r_j: int, rest: int) -> Tuple[int, int]:
     """The factor of group j of a term with its n part taken out, for a
-    group of size m_j ending at M_j = m_1 + ... + m_j, r_j balls and running
-    sum S_j; hs1 and hs2 run on unit groups (m_j = 1, M_j = j + 1)."""
+    group of size m_j ending at M_j = m_1 + ... + m_j, with r_j balls and
+    `rest` = r_{j+1} + ... + r_g balls after it; hs1 and hs2 run on unit
+    groups (m_j = 1, M_j = j + 1)."""
     if identity == "hsa":
-        return _closed_pair(alg, -s_j * (m_j - r_j), (k + 1 - big_m_j + s_j) * r_j,
+        return _closed_pair(alg, rest * (m_j - r_j), (k + 1 - big_m_j - rest) * r_j,
                             (deformed_binomial(alg, m_j, r_j),))
     if identity == "hsb":
-        return _closed_pair(alg, -s_j * (m_j - 1), (k + 1 - big_m_j) * r_j,
+        return _closed_pair(alg, rest * (m_j - 1), (k + 1 - big_m_j) * r_j,
                             (binomial_or_zero(alg, m_j + r_j - 1, r_j),))
     return _closed_pair(alg, -big_m_j * r_j, big_m_j * r_j, ())
 
 
-def _n_part(identity: str, alg: AlgebraSpec, k: int, g: int, n: int, s: int) -> Tuple[int, int]:
-    """The rest of a term of g groups and final sum S = s, the one part that
-    reads n: tau1^C(n,2) tau2^-C(n,2) for hs1, tau1^(n(k-S)) tau2^(-nS) for
-    hsa, tau1^(n(k-g)) for hsb and 1 for hs2."""
+def _n_part(identity: str, alg: AlgebraSpec, k: int, n: int, s: int) -> Tuple[int, int]:
+    """The rest of an hs1 or hsa term of final sum S = s, the one part that
+    reads n: tau1^C(n,2) tau2^-C(n,2) for hs1, tau1^((n-S)(k-S))
+    tau2^(-(n-S)S) for hsa.  (The n part of an hs2 or hsb term of g groups
+    is x^(n-S), x = tau1^(k-g), which `_walk` builds by a recurrence.)"""
     c2 = comb(n, 2)
-    a, b = {"hs1": (c2, -c2), "hs2": (0, 0), "hsa": (n * (k - s), -n * s), "hsb": (n * (k - g), 0)}[identity]
-    return _closed_pair(alg, a, b, ())
+    return _closed_pair(alg, *((c2, -c2) if identity == "hs1" else ((n - s) * (k - s), -(n - s) * s)), ())
 
 
 def _window_lo(n: int, literal_window: bool) -> int:
@@ -216,21 +222,28 @@ def _walk(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int], groups: Op
     for hs1 and hs2), or every composition of k (groups None).
 
     A term is the product of its n-free group factors (`_term`) and its n
-    part (`_n_part`).  Group j's factor reads only m_j and M_j, so the layer
-    after j depends on the first j + 1 group sizes alone, for every n: a
-    depth-first walk over the tree of group-size prefixes steps each prefix
-    once, with cap m_j (capacity one) or the largest n (unbounded), up to
-    the largest sum any n needs.  The value at each running sum does not
-    depend on how far the walk runs, so each leaf finishes every n.  A
-    capacity-one window, at most k + 1 sums wide, takes the n part of each
-    final sum S; an unbounded window [0, n] is a running sum of the leaf's
-    layer, as its n part does not read S, so hs2 stays linear in nmax.
+    part.  Group j's factor reads m_j, M_j, r_j and the balls after it, so
+    the walk adds groups from the last: the layer after group j, over the
+    running sum of r_j..r_g, depends on the last group sizes alone, for
+    every n, and a depth-first walk over the tree of group-size suffixes
+    steps each suffix once, with cap m_j (capacity one) or the largest n
+    (unbounded), up to the largest sum any n needs.  The value at each
+    running sum does not depend on how far the walk runs, so each leaf
+    finishes every n.  A capacity-one window, at most k + 1 sums wide,
+    takes the n part of each final sum S (`_n_part`); an unbounded lhs
+    A(n) = sum over S <= n of L[S] x^(n-S), L the leaf's layer and
+    x = tau1^(k-g), is A(n) = x A(n-1) + L[n], so hs2 and hsb stay linear
+    in nmax (x = 1 for hs2).
+
+    As n - S_j is the balls after group j plus n - S, the exponents of a
+    group factor stay between 0 and the summand's own (see the module
+    docstring), and x^(n-S) is taken exactly.
     """
     capacity_one = identity in ("hs1", "hsa")
     top = min(max(ns), k) if capacity_one else max(ns)
     out = {}
-    # (m_j, M_j) -> {(r_j, S_j): factor}, shared by the prefixes of the
-    # tree; a single path meets each (m_j, M_j) once, so it keeps none.
+    # (m_j, M_j) -> {(r_j, r_j + ... + r_g): factor}, shared by the suffixes
+    # of the tree; a single path meets each (m_j, M_j) once, so it keeps none.
     factors = {}
 
     def finish(path: Tuple[int, ...], layer) -> None:
@@ -238,31 +251,34 @@ def _walk(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int], groups: Op
         if capacity_one:
             for n in ns:
                 window = range(_window_lo(n, literal_window), min(n, k) + 1)
-                tops, scale = over_lcm(_n_part(identity, alg, k, len(path), n, s) for s in window)
+                tops, scale = over_lcm(_n_part(identity, alg, k, n, s) for s in window)
                 total = sum(partial.get(s, 0) * top_s for s, top_s in zip(window, tops))
                 out[n, path] = ratio(total, denominator * scale, alg.exact)
             return
-        totals = list(accumulate(partial.get(s, 0) for s in range(top + 1)))
-        for n in ns:
-            top_n, bottom = _n_part(identity, alg, k, len(path), n, n)
-            out[n, path] = ratio(totals[n] * top_n, denominator * bottom, alg.exact)
+        top_x, bottom_x = _closed_pair(alg, k - len(path), 0, ())
+        total, scale = 0, 1
+        for n in range(top + 1):
+            total = total * top_x + partial.get(n, 0) * scale
+            if n in ns:
+                out[n, path] = ratio(total, denominator * scale, alg.exact)
+            scale *= bottom_x
 
-    def visit(prefix: Tuple[int, ...], big_m: int, layer) -> None:
-        if big_m == k:
-            finish(prefix, layer)
+    def visit(suffix: Tuple[int, ...], after: int, layer) -> None:
+        if after == k:
+            finish(suffix, layer)
             return
-        for m_j in range(1, k - big_m + 1) if groups is None else (groups[len(prefix)],):
-            big_m_j = big_m + m_j
+        big_m_j = k - after
+        for m_j in range(1, big_m_j + 1) if groups is None else (groups[-1 - len(suffix)],):
             memo = factors.setdefault((m_j, big_m_j), {}) if groups is None else {}
 
-            def factor(j, r_j, s_j, m_j=m_j, big_m_j=big_m_j, memo=memo):
-                value = memo.get((r_j, s_j))
+            def factor(j, r_j, t_j, m_j=m_j, memo=memo):
+                value = memo.get((r_j, t_j))
                 if value is None:
-                    value = memo[r_j, s_j] = _term(identity, alg, k, m_j, big_m_j, r_j, s_j)
+                    value = memo[r_j, t_j] = _term(identity, alg, k, m_j, big_m_j, r_j, t_j - r_j)
                 return value
 
             cap = m_j if capacity_one else top
-            visit(prefix + (m_j,), big_m_j, layer_step(layer, len(prefix), cap, 0, top, factor))
+            visit((m_j,) + suffix, after + m_j, layer_step(layer, len(suffix), cap, 0, top, factor))
 
     visit((), 0, FIRST_LAYER)
     return out

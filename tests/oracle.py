@@ -296,25 +296,31 @@ def scan_sequential(joint, variates, count):
 
 def _point_factors(alg, identity, k, n, groups, point):
     """The factors of one point's summand, as the library splits them: per
-    group (unit groups for hs1 and hs2) its tau monomial with no n in it and
-    its binomial, then one tau monomial that holds the summand's n part;
-    each as the library returns it (a float in approximate mode)."""
+    group (unit groups for hs1 and hs2) its tau monomial with no n in it,
+    which reads the balls after the group, and its binomial, then the n
+    part: one tau monomial for hs1 and hsa, n - S copies of tau1^(k-g) for
+    hs2 and hsb (g = k for hs2); each as the library returns it (a float in
+    approximate mode)."""
     groups = (1,) * k if groups is None else groups
+    total = sum(point)
     factors, big_m, s = [], 0, 0
     for m_j, r_j in zip(groups, point):
         big_m += m_j
         s += r_j
+        rest = total - s
         if identity == "hsa":
-            factors += [tau_monomial(alg, -s * (m_j - r_j), (k + 1 - big_m + s) * r_j),
+            factors += [tau_monomial(alg, rest * (m_j - r_j), (k + 1 - big_m - rest) * r_j),
                         deformed_binomial(alg, m_j, r_j)]
         elif identity == "hsb":
-            factors += [tau_monomial(alg, -s * (m_j - 1), (k + 1 - big_m) * r_j),
+            factors += [tau_monomial(alg, rest * (m_j - 1), (k + 1 - big_m) * r_j),
                         binomial_or_zero(alg, m_j + r_j - 1, r_j)]
         else:
             factors.append(tau_monomial(alg, -big_m * r_j, big_m * r_j))
     c2 = n * (n - 1) // 2
-    n_part = {"hs1": (c2, -c2), "hs2": (0, 0), "hsa": (n * (k - s), -n * s), "hsb": (n * (k - len(groups)), 0)}
-    return factors + [tau_monomial(alg, *n_part[identity])]
+    if identity in ("hs1", "hsa"):
+        n_part = (c2, -c2) if identity == "hs1" else ((n - total) * (k - total), -(n - total) * total)
+        return factors + [tau_monomial(alg, *n_part)]
+    return factors + [tau_monomial(alg, k - len(groups), 0)] * (n - total)
 
 
 def identity_box(identity, k, n, groups, literal_window=False):

@@ -561,3 +561,14 @@ def test_decimal_derived_laws_take_a_model_whose_closed_total_leaves_the_float_r
         code, out, err = run_cli(*command, *model, "--format", "json")
         assert (code, err) == (0, ""), command
         assert json.loads(out)["kind"].startswith("second"), command
+
+
+def test_decimal_hsa_factors_stay_in_the_float_range_of_the_summands():
+    # At tau1 = 1e-5 a group factor with tau1^(-S_j (m_j - r_j)) in it
+    # passes the float range by k = 8, where every factor of the summands
+    # themselves is finite; the n-free factors read the balls after their
+    # group instead, so each stays between 1 and the summand's own.
+    code, out, err = run_cli("verify", "--suite", "hsa", "--preset", "js", "--p", "1e-5", "--q", "1e-6",
+                             "--kmax", "8", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "# exact_count=1920/1920" in out.splitlines()

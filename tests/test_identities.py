@@ -180,9 +180,9 @@ def test_capacity_guard_refuses_before_any_walk(monkeypatch):
 
 
 @pytest.mark.parametrize("identity, steps", [("hs1", 15), ("hs2", 15), ("hsa", 57), ("hsb", 57)])
-def test_one_layer_step_per_group_size_prefix_per_k(identity, steps, monkeypatch):
+def test_one_layer_step_per_group_size_suffix_per_k(identity, steps, monkeypatch):
     # One walk per k serves every n: k steps down the unit path of hs1 and
-    # hs2, and 2^k - 1 over the group-size prefixes of hsa and hsb, so
+    # hs2, and 2^k - 1 over the group-size suffixes of hsa and hsb, so
     # kmax 5 takes 15 and 57 steps whatever nmax is.
     calls = []
     original = identities.layer_step

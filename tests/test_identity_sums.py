@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from conftest import ALL_PRESETS
+from oracle import identity_lhs
 from rpq import (
     ConstraintSet,
     arik_coon,
@@ -123,6 +124,16 @@ def test_sums_match_enumeration(alg):
                 assert _same(alg, got, want), ("hsb", k, n, groups, got, want)
 
 
+def test_decimal_hsb_factors_stay_in_the_float_range_of_the_summands():
+    # One group of 9 at tau1 = 0.99: a factor tau1^(-S (m - 1)) would pass
+    # the float range at S = 8,825, though the summands' own factors
+    # tau1^((n - S)(m - 1)) are at most 1.  The sum, about 1.7e-303, is a
+    # normal float, and the walk must give it as the definition does.
+    alg = jagannathan_srinivasa(0.99, 0.98)
+    got, want = hsb_lhs(alg, 9, 9000, (9,)), hsb_reference(alg, 9, 9000, (9,))
+    assert want > 1e-305 and math.isclose(got, want, rel_tol=1e-9)
+
+
 @pytest.mark.parametrize("alg", ALL_PRESETS, ids=lambda alg: alg.name)
 def test_mirrored_hsb_sign_never_fits(alg):
     # The mirrored tau2 sign convention (tau2^-e2 in place of tau2^e2) fits
@@ -161,10 +172,10 @@ def _per_tuple_lhs(alg, rep, literal):
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: f"{alg.name}-{alg.describe()['mode']}")
 def test_walked_sums_equal_per_tuple_sums(alg):
-    # verify_identity walks each family once (one recursion per k for hs1
-    # and hs2, one walk per (k, n) over every group-size prefix for hsa and
-    # hsb); each lhs must be the per-tuple sum, a run for one n or down one
-    # grouping's path, to the last bit in approximate mode.
+    # verify_identity walks each family once per k (over the unit path for
+    # hs1 and hs2, over every group-size suffix for hsa and hsb); each lhs
+    # must be the per-tuple sum, a run for one n down one path, to the last
+    # bit in approximate mode.
     runs = [(suite, literal, nmax)
             for suite in ("hs1", "hsa") for literal in (False, True) for nmax in (None, 3)]
     runs += [("hs2", False, nmax) for nmax in (None, 2, 9)]
@@ -176,6 +187,29 @@ def test_walked_sums_equal_per_tuple_sums(alg):
             want = _per_tuple_lhs(alg, rep, literal)
             key = (suite, rep.k, rep.n, rep.groups, literal)
             assert rep.lhs == want and type(rep.lhs) is type(want), key
+
+
+def _reference(alg, rep, literal):
+    if rep.identity == "hs1":
+        return hs1_reference(alg, rep.k, rep.n, literal)
+    if rep.identity == "hs2":
+        return hs2_reference(alg, rep.k, rep.n)
+    if rep.identity == "hsa":
+        return hsa_reference(alg, rep.k, rep.n, rep.groups, literal)
+    return hsb_reference(alg, rep.k, rep.n, rep.groups)
+
+
+@pytest.mark.parametrize("alg", ALL_PRESETS, ids=lambda alg: alg.name)
+def test_split_reference_sums_to_the_definitions(alg):
+    # `oracle.identity_lhs`, the decimal reference, sums each point's
+    # factors as the library splits them (n-free factors and an n part).
+    # In exact mode its sum over every box at kmax 6 is the definition's,
+    # so that reference cannot drift from the identities.
+    runs = [("hs1", False), ("hs1", True), ("hs2", False), ("hsa", False), ("hsa", True), ("hsb", False)]
+    for suite, literal in runs:
+        for rep in verify_identity(suite, alg, 6, literal_window=literal):
+            assert identity_lhs(alg, rep, literal) == _reference(alg, rep, literal), \
+                (suite, literal, rep.k, rep.n, rep.groups)
 
 
 def fit_reference(alg, lhs, rhs, bound):

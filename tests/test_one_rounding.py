@@ -18,25 +18,22 @@ consequences are checked here:
 - every decimal identity lhs is the correctly rounded exact sum of the
   exact products of its points' float factors (`oracle.identity_lhs`), and
   every decimal expectation the correctly rounded exact sum of value times
-  probability.  The reference splits each summand as the library does, so
-  in exact mode the split is checked against the definitions, point by
-  point.
+  probability.  The reference splits each summand as the library does;
+  `test_identity_sums` checks in exact mode that its sums are the
+  definitions'.
 """
 
 import sys
 from fractions import Fraction
-from math import prod, ulp
+from math import ulp
 
 import pytest
 
-from conftest import ALL_PRESETS
-from oracle import _point_factors, compositions, identity_box, identity_lhs
+from oracle import compositions, identity_lhs
 from test_cli import run_cli
 from rpq import ValidationError, classes, deformed_number, first_kind, jagannathan_srinivasa, lattice, occupancy, \
     oracle_expectation, second_kind, sequential_sample, verify_identity
-from rpq.algebra import binomial_or_zero, deformed_binomial, tau_monomial
 from rpq.first_kind import FirstKindParams, GroupingScheme
-from rpq.lattice import enumerate_points
 from rpq.pmf import _check_decimal_probabilities
 from rpq.second_kind import SecondKindParams
 
@@ -167,42 +164,6 @@ def test_decimal_identity_sums_are_their_exact_sums_rounded_once(p, q):
         for rep in verify_identity(suite, alg, 6, literal_window=literal):
             want = identity_lhs(alg, rep, literal)
             assert repr(rep.lhs) == repr(want), (suite, literal, rep.k, rep.n, rep.m, rep.groups)
-
-
-def _definition_factors(alg, identity, k, n, groups, point):
-    """The factors of one point's summand as the identities define it
-    (`test_identity_sums`): per group one tau monomial, with n in it."""
-    if identity in ("hs1", "hs2"):
-        factors = [tau_monomial(alg, -(j + 1) * r, (j + 1) * r) for j, r in enumerate(point)]
-        c2 = n * (n - 1) // 2
-        return factors + [tau_monomial(alg, c2, -c2)] if identity == "hs1" else factors
-    factors, big_m, s = [], 0, 0
-    for m_j, r_j in zip(groups, point):
-        big_m += m_j
-        s += r_j
-        if identity == "hsa":
-            factors += [tau_monomial(alg, (n - s) * (m_j - r_j), (k + 1 - big_m - n + s) * r_j),
-                        deformed_binomial(alg, m_j, r_j)]
-        else:
-            factors += [tau_monomial(alg, (n - s) * (m_j - 1), (k + 1 - big_m) * r_j),
-                        binomial_or_zero(alg, m_j + r_j - 1, r_j)]
-    return factors
-
-
-@pytest.mark.parametrize("alg", ALL_PRESETS, ids=lambda alg: alg.name)
-def test_split_identity_factors_multiply_to_their_definitions(alg):
-    """The reference's n-free factors and n part multiply, at every point
-    of every box at kmax 6 (the literal windows, which hold the others), to
-    the summand as defined: so `identity_lhs` cannot drift from it."""
-    for identity in ("hs1", "hs2", "hsa", "hsb"):
-        for k in range(1, 7):
-            ns = range(1, k + 2) if identity in ("hs1", "hsa") else range(0, 7)
-            for groups in (None,) if identity in ("hs1", "hs2") else compositions(k):
-                for n in ns:
-                    for x in enumerate_points(identity_box(identity, k, n, groups, literal_window=True)):
-                        split = prod(_point_factors(alg, identity, k, n, groups, x))
-                        assert split == prod(_definition_factors(alg, identity, k, n, groups, x)), \
-                            (identity, k, n, groups, x)
 
 
 @pytest.mark.parametrize("params", [FirstKindParams(DECIMAL, 5, 3), SecondKindParams(DECIMAL, 3, 4)],
