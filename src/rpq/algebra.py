@@ -511,7 +511,9 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
         if ratio <= 0 or any(_has_foreign_prime(v, base) for v in (ratio.numerator, ratio.denominator)):
             return MonomialFit(False, False, 0, 0)
         width = 0.0
-    elif 0 < ratio < math.inf and alg.tol < 0.9:
+    elif not 0 < ratio < math.inf:  # signs differ, or 0.0, inf or nan: no monomial matches
+        return MonomialFit(False, False, 0, 0)
+    elif alg.tol < 0.9:
         width = -math.log1p(-alg.tol)
     else:
         width = math.inf  # no screen
@@ -546,19 +548,35 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
         # b0, b0 + 1 are tried in order of (|b|, b < 0).
         log_t2 = None if t2 == 1 else math.log(t2)
         for a, _ in screened:
-            need = ratio / t1**a
+            try:
+                need = ratio / t1**a
+            except (OverflowError, ZeroDivisionError):
+                need = 0.0
+            # Past the float range, logs place b and `_decimal_match` decides.
+            need = need if 0 < need < math.inf else None
+            log_need = math.log(ratio) - a * math.log(t1) if need is None else math.log(need)
             if log_t2 is None:
                 candidates = (0,)
-            elif 0 < need < math.inf:
-                b0 = round(math.log(need) / log_t2)
+            else:
+                b0 = round(log_need / log_t2)
                 step = 1 if b0 >= 0 else -1
                 candidates = (0, 1, -1) if b0 == 0 else (b0 - step, b0, b0 + step)
-            else:
-                continue
             for b in candidates:
-                if abs(b) <= bound and math.isclose(t2**b, need, rel_tol=alg.tol):
+                if abs(b) <= bound and _decimal_match(alg, ratio, need, a, b):
                     return MonomialFit(False, True, a, b)
     return MonomialFit(False, False, 0, 0)
+
+
+def _decimal_match(alg: AlgebraSpec, ratio: float, need: Optional[float], a: int, b: int) -> bool:
+    """Whether tau2^b is within the tolerance of need = ratio / tau1^a, in
+    floats, or else exactly, the floats read as the rationals they are."""
+    if need is not None:
+        try:
+            return math.isclose(alg.tau2**b, need, rel_tol=alg.tol)
+        except OverflowError:
+            pass
+    x, y = Fraction(alg.tau1) ** a * Fraction(alg.tau2) ** b, Fraction(ratio)
+    return abs(x - y) <= Fraction(alg.tol) * max(x, y)
 
 
 class RecurrenceEntry(Record):

@@ -17,7 +17,8 @@ one denominator, with their closed values as unreduced integer pairs (a
 float factor read as the rational it is) and a conditional's divisor
 applied once; a decimal value is rounded once, at the end.  Each first
 takes the joint's 10^7-point guard and checks, from its memoised class
-law, so it refuses what it refused when it summed the joint.  Memos, each
+law, so it refuses what it refused when it summed the joint; so does
+`rpq sample`, whose draws descend the same classes and list no joint.  Memos, each
 bounded: the 32 most recent class laws with their streams (one mass, one
 step and one closed pair per class, one value and one probability per
 mass), the block masses and closed pairs of 32 schemes, and the most

@@ -11,16 +11,16 @@ exact in both modes (a float weight read as the rational it is), so no
 boundary is misassigned and no zero-probability point is drawn.
 
 `sample` draws a table's points, one variate each, against the thresholds
-the table keeps (`PmfTable.cdf`).  `sequential_sample` draws the joint law
-one coordinate at a time (the conditional-distribution method), for either
-kind, by the steps of its prefix classes (`classes.PrefixClasses`), and
-lists no table; its thresholds are exact in both modes, from the classes'
-integer masses.
+the table keeps (`PmfTable.cdf`); the CLI draws the joint's the same way by
+a descent of its prefix classes (`classes.PrefixClasses`), listing no table.
+`sequential_sample` draws the joint law one coordinate at a time (the
+conditional-distribution method), by the steps of the same classes; its
+thresholds are exact in both modes, from the classes' integer masses.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -113,6 +113,38 @@ def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(draws, count))
 
 
+def _descent(params: OccupancyParams, seed: int, count: int) -> SampleBatch:
+    """`sample` of the joint table of `params`, listing no table: the sorted
+    variates descend the prefix classes, a class after points of mass
+    `offset` giving child j those below ceil((offset + C_j) 2^53 / total),
+    C_j the cumulative mass of its children up to j.  Each class is visited
+    at most once, and the points drawn form a table with those thresholds."""
+    classes = _joint_law(params)
+    _check_count(count)
+    variates = [u >> _MANTISSA_SHIFT for u in _stream(seed, count)]
+    # Floats hold each variate exactly, and sort faster than ints of two digits.
+    ordered, step, total, k = sorted(map(float, variates)), classes.step, classes.total, params.k
+    bounds, points = [], []
+
+    def descend(key, point, offset, start, stop):
+        _, lo, children, cumulative = step(key)
+        for v, (child, before, c) in enumerate(zip(children, [0, *cumulative], cumulative), lo):
+            bound = -(-((offset + c) << CDF_BITS) // total)
+            end = bisect_left(ordered, bound, start, stop)
+            if end > start and child[0] < k:
+                descend(child, (*point, v), offset + before, start, end)
+            elif end > start:
+                bounds.append(bound)
+                points.append((*point, v))
+            if end == stop:
+                return
+            start = end
+
+    descend((0, 0, 0), (), 0, 0, count)
+    draws = tuple([points[bisect_right(bounds, u)] for u in variates])
+    return SampleBatch(dict(classes.law.params), seed, count, draws, _empirical(draws, count))
+
+
 def path_probabilities(params: OccupancyParams) -> Dict[SupportPoint, Scalar]:
     """Chain-rule probability of each support point, coordinate by
     coordinate, from the masses of its prefixes' classes; equals the joint
@@ -147,7 +179,7 @@ def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleB
     for _ in range(count):
         key, point = (0, 0, 0), []
         for _ in coordinates:
-            thresholds, lo, children = step(key)
+            thresholds, lo, children, _ = step(key)
             i = bisect_right(thresholds, next(outputs) >> _MANTISSA_SHIFT)
             point.append(lo + i)
             key = children[i]

@@ -199,6 +199,16 @@ def test_approximate_fit_tries_b_by_size_then_sign():
             assert (fit.found, fit.a, fit.b) == (True, 0, min(within, key=lambda b: (abs(b), b < 0)))
 
 
+def test_approximate_fit_decides_exponents_past_the_float_range():
+    # Past |a| = 1024, 0.5^a and 0.25^b leave the float range; each such
+    # candidate is decided on the exact dyadic product, and none matches.
+    alg = make_preset("js", p=0.5, q=0.25)
+    for bound in (1000, 1030):
+        assert not fit_monomial(alg, 1.0, 2.0 * (1 + 1e-7), bound).found
+    fit = fit_monomial(alg, 1.0, 2.0**-1000, 1030)
+    assert (fit.found, fit.a, fit.b) == (True, 0, 500)
+
+
 def test_algebras_of_equal_values_in_two_modes_differ():
     exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
     assert exact.exact and not decimal.exact

@@ -187,6 +187,18 @@ def test_sequential_sample_cli():
     assert code2 == 0 and err == "" and "# sequential=True" in out2.splitlines()
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (("--k", "3", "--n", "2", "--seed", "1", "--count", "0"), 2, "error: count: need count >= 1, got 0\n"),
+    (("--k", "3", "--n", "5", "--seed", "1", "--count", "10"), 2,
+     "error: n: first kind needs 0 <= n <= k+1, got n=5, k=3\n"),
+    (("--kind", "second", "--k", "16", "--n", "16", "--seed", "1", "--count", "10"), 3,
+     "error: 601080390 lattice points exceed the guard (10000000)\n"),
+], ids=("count-0", "n-out-of-range", "second-k16-n16"))
+@pytest.mark.parametrize("sequential", ((), ("--sequential",)), ids=("inverse-cdf", "sequential"))
+def test_sample_refusals(argv, code, err, sequential):
+    assert run_cli("sample", *sequential, "--preset", "js", "--p", "9/10", "--q", "1/2", *argv) == (code, "", err)
+
+
 def test_output_file_and_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("RPQ_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run_cli("tabulate", "--preset", "q", "--q", "1/2", "--k", "1", "--n", "1",
@@ -245,8 +257,6 @@ TINY = ("--preset", "js", "--p", "1e-200", "--q", "1e-300")
     ("tabulate", "--kind", "second", "--k", "4", "--n", "2") + TINY,
     ("marginal", "--kind", "first", "--k", "4", "--n", "2", "--r", "1") + TINY,
     ("sample", "--k", "4", "--n", "2", "--seed", "1", "--count", "3", "--sequential") + TINY,
-    ("verify", "--suite", "hs1", "--kmax", "3") + TINY,
-    ("verify", "--suite", "cauchy", "--kmax", "3") + TINY,
     ("moments", "--kind", "first", "--preset", "js", "--p", "1e-300", "--q", "1e-310",
      "--k", "2", "--n", "1"),
     # Positive weights that round to 0.0, with nothing divided by zero.
@@ -256,6 +266,23 @@ def test_approximate_underflow_exit_code(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert "p, q" in err and "underflowed" in err and "exact mode" in err
+
+
+def test_decimal_fit_past_the_float_range_reports_every_n():
+    code, out, err = run_cli("verify", "--suite", "hsb", "--preset", "js", "--p", "0.5", "--q", "0.25",
+                             "--kmax", "1", "--nmax", "1080")
+    assert code == 0 and err == ""
+    assert "# exact_count=1/1081" in out.splitlines()
+    assert sum(line.startswith("hsb,") for line in out.splitlines()) == 1081
+
+
+@pytest.mark.parametrize("suite", ("hs1", "cauchy"))
+def test_decimal_verify_past_the_float_range_exit_code(suite):
+    # A k = 1 rhs underflows to 0.0, which no monomial fits; a k = 2 factor
+    # leaves the float range.
+    code, out, err = run_cli("verify", "--suite", suite, "--kmax", "3", *TINY)
+    assert code == 2 and out == ""
+    assert "p, q" in err and "exact mode" in err
 
 
 def test_underflowed_table_writes_no_output_file(tmp_path):

@@ -108,6 +108,13 @@ GOLDEN = {
         "204cb705645b781507b78ff19318dba01f8a3298ea65660384ef8ec7740d7600",
     ("grouped", "--kind", "second") + JS_DECIMAL + ("--k", "5", "--n", "4", "--groups", "2,1,2", "--format", "csv"):
         "c9bb9b3bcc37321aafaf3d1fd74839ac7cab0631fae877eebd57a7418929f7ad",
+    # Decimal inverse-CDF draws: thresholds from the exact sums of float
+    # weights, and the float probabilities of the drawn points.
+    ("sample", "--kind", "first") + JS_DECIMAL + ("--k", "5", "--n", "3", "--seed", "11", "--count", "200", "--format", "json"):
+        "2c782d5e8f822830d766550f575c487babca877642ef9da21cd6193da919cc98",
+    ("sample", "--kind", "second", "--preset", "cj", "--p", "0.9", "--q", "0.5", "--k", "3", "--n", "4", "--seed", "12",
+     "--count", "200", "--format", "csv"):
+        "f9ea33b1e74a140484c162a1ad6e7e03c6bab751d35840a3b60e841436e6aaa9",
     # Long rationals: masses, probabilities and closed-form cross-checks with
     # numerators of hundreds of digits, and sequential draws over their steps.
     ("marginal", "--kind", "second") + JS + ("--k", "2", "--n", "400", "--r", "1", "--format", "csv"):

@@ -164,8 +164,8 @@ def test_steps_equal_uncached_on_either_side_of_every_threshold(case, monkeypatc
         variates = [0, DENOM - 1] + [u for bound in scan_step(masses, (), support)
                                      for u in _either_side(bound)]
         _fed(monkeypatch, variates)
-        table = module.joint_pmf(params)
-        assert sample(table, 0, len(variates)).draws == scan_sample(reference, iter(variates), len(variates))
+        table, expected = module.joint_pmf(params), scan_sample(reference, iter(variates), len(variates))
+        assert sample(table, 0, len(variates)).draws == sampler._descent(params, 0, len(variates)).draws == expected
         monkeypatch.undo()
 
 
@@ -175,13 +175,14 @@ def test_cold_warm_and_copied_walks_equal_scan(case):
     for params in _params(*case):
         reference = joint_table(params)
         module.joint_pmf.cache_clear()
-        occupancy._joint_law.cache_clear()
-        # The first seed walks fresh class memos, the others warm ones.
-        for seed in (1, 7, 12345, (1 << 64) - 1):
-            expected = scan_sequential(reference, mantissas(seed), 150)
-            batch = sequential_sample(params, seed, 150)
-            assert batch.draws == expected
-            assert batch.empirical == frequencies(expected)
+        for draw, scan_draw in ((sequential_sample, scan_sequential), (sampler._descent, scan_sample)):
+            occupancy._joint_law.cache_clear()
+            # The first seed walks fresh class memos, the others warm ones.
+            for seed in (1, 7, 12345, (1 << 64) - 1):
+                expected = scan_draw(reference, mantissas(seed), 150)
+                batch = draw(params, seed, 150)
+                assert batch.draws == expected
+                assert batch.empirical == frequencies(expected)
         # A copy of a table samples alike, before and after the original
         # has sampled.
         joint = module.joint_pmf(params)
@@ -291,19 +292,23 @@ def test_derived_work_never_builds_the_joint_table(case, monkeypatch):
 ], ids=("first-exact", "second-decimal"))
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_cli_sequential_sample_never_builds_the_joint_table(params, fmt, monkeypatch):
-    """`rpq sample --sequential` lists no joint table; the expected value of
-    each drawn point is its probability in the joint table, as before."""
-    alg = params.alg
-    argv = ("sample", "--sequential", "--kind", params.kind, "--preset", "js", "--p", str(alg.p), "--q", str(alg.q),
-            "--k", str(params.k), "--n", str(params.n), "--seed", "5", "--count", "300", "--format", fmt)
-    expected = run_cli(*argv)
-    refuse_joint_tables(monkeypatch)
-    assert run_cli(*argv) == expected
-    monkeypatch.undo()
-    code, out, err = expected
-    assert code == 0 and err == ""
-    if fmt == "json":
-        reference = joint_table(params)
-        frequencies = json.loads(out)["frequencies"]
-        assert frequencies and all(f["expected"] == scalar_str(reference.probability(tuple(f["point"])))
-                                   for f in frequencies)
+    """`rpq sample`, with `--sequential` or by inverse CDF, lists no joint
+    table; its draws are the scans', and the expected value of each drawn
+    point is its probability in the joint table, as before."""
+    alg, reference = params.alg, joint_table(params)
+    for flags, scan_draw in ((("--sequential",), scan_sequential), ((), scan_sample)):
+        argv = ("sample", *flags, "--kind", params.kind, "--preset", "js", "--p", str(alg.p), "--q", str(alg.q),
+                "--k", str(params.k), "--n", str(params.n), "--seed", "5", "--count", "300", "--format", fmt)
+        refuse_joint_tables(monkeypatch)
+        code, out, err = run_cli(*argv)
+        monkeypatch.undo()
+        assert code == 0 and err == ""
+        expected = scan_draw(reference, mantissas(5), 300)
+        if fmt == "csv":
+            rows = [line for line in out.splitlines() if not line.startswith("#")]
+            assert rows[1:] == [",".join(map(str, x)) for x in expected]
+        else:
+            drawn = json.loads(out)["frequencies"]
+            assert [(tuple(f["point"]), f["empirical"]) for f in drawn] == [
+                (x, scalar_str(freq)) for x, freq in frequencies(expected)]
+            assert all(f["expected"] == scalar_str(reference.probability(tuple(f["point"]))) for f in drawn)
