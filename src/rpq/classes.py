@@ -15,7 +15,7 @@ into a prefix p and a suffix s: E(x) = E(p) + (k - r) sum(p) + E(s), and
 the suffixes of p are the points of the suffix box, k - r coordinates with
 sums in the joint's window shifted down by sum(p).  So the mass of p, the
 summed weight of its extensions, depends only on its class (r, sum p,
-base = E(p) + (k - r) sum p), and so does a step of a draw: the
+base = E(p) + (k - r) sum p), and so does a step of a sequential draw: the
 children of (r, s, base) are (r + 1, s + v, base + (k - r) v).  A block of coordinates ending at S adds
 E(v) + (k - S) sum(v) for its vectors v, which gives grouped laws their
 masses.  `PrefixClasses` computes all of these without the joint's points,
@@ -170,7 +170,7 @@ class PrefixClasses:
     """The prefix classes of one joint law, `law`, over a box of k
     coordinates, each at most `bound`, with sums in [smin, smax]: `mass`
     and `step` give a class (r, s, base) its mass and its step of a
-    draw, memoised, one entry per class.  A mass is the summed
+    sequential draw, memoised, one entry per class.  A mass is the summed
     weight of the support points in the class (at r = 0 the normalizer's),
     an integer over the joint's one denominator `denominator`: in both
     modes the suffix box's counts by sum (`sum_rows`) dotted with the class
@@ -219,17 +219,15 @@ class PrefixClasses:
         base, tail, mass = area(given) + (self.k - r) * y, self.k - m, self.mass
         return points, keys, index, [mass((m, y + t, base + e + tail * t)) for t, e in keys]
 
-    def _step(self, key: Tuple[int, int, int]) -> Tuple[List[int], int, list, List[int]]:
+    def _step(self, key: Tuple[int, int, int]) -> Tuple[List[int], int, list]:
         # The children of class (r, s, base), r < k, take the values v from
         # `lo` up that leave the rest of the point room in the window; a
-        # variate u takes child bisect_right(thresholds, u).  `cumulative`
-        # holds the masses of the children up to each, the last included.
+        # variate u takes child bisect_right(thresholds, u).
         r, s, base = key
         rest = self.k - r - 1
         lo = max(0, self.smin - s - rest * self.bound)
         children = [(r + 1, s + v, base + (rest + 1) * v) for v in range(lo, min(self.bound, self.smax - s) + 1)]
-        masses = list(map(self.mass, children))
-        return cdf_thresholds(masses), lo, children, list(accumulate(masses))
+        return cdf_thresholds(list(map(self.mass, children))), lo, children
 
     def blocks(self, sizes: Sequence[int]) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
         """The block-sum vectors y of the consecutive blocks of `sizes`

@@ -136,6 +136,18 @@ def _config(args, alg: AlgebraSpec, **extra) -> dict:
     return config
 
 
+def _model(args, alg: AlgebraSpec):
+    """The module of args.kind, imported here, and the command's params
+    (whose class checks k and n)."""
+    if args.kind == "first":
+        from . import first_kind
+
+        return first_kind, first_kind.FirstKindParams(alg, args.k, args.n)
+    from . import second_kind
+
+    return second_kind, second_kind.SecondKindParams(alg, args.k, args.n)
+
+
 def _plain_config(config) -> dict:
     return {k: serialize._plain(v) for k, v in config.items()}
 
@@ -176,35 +188,32 @@ def _query(args, module, params):
 
         scheme = GroupingScheme(_parse_int_list(args.groups, "groups"))
         return module.grouped_pmf(params, scheme), {"groups": ",".join(map(str, scheme.sizes))}
-    if command == "sample":
-        from .sampler import _descent, sequential_sample
-
-        batch = (sequential_sample if args.sequential else _descent)(params, args.seed, args.count)
-        return batch, {"seed": args.seed, "count": args.count, "sequential": args.sequential}
     return module.bivariate_moments(params, args.i1, args.i2), {"i1": args.i1, "i2": args.i2}
 
 
 def _cmd_model(args, alg: AlgebraSpec) -> Iterable[str]:
-    """tabulate, marginal, conditional, grouped, moments and sample, on the
-    module of args.kind, imported here, and its params (whose class checks
-    k and n)."""
-    if args.kind == "first":
-        from . import first_kind as module
-        params = module.FirstKindParams(alg, args.k, args.n)
-    else:
-        from . import second_kind as module
-        params = module.SecondKindParams(alg, args.k, args.n)
+    """tabulate, marginal, conditional, grouped and moments."""
+    module, params = _model(args, alg)
     result, extra = _query(args, module, params)
     config = _config(args, alg, kind=args.kind, k=args.k, n=args.n, **extra)
     if args.subcommand == "moments":
         return _emit(args, config, lambda: serialize.moments_to_json_obj(result),
                      lambda: serialize.moments_to_csv(result))
-    if args.subcommand == "sample":
-        # The class law the draws read gives a drawn point's probability.
-        law = module.joint_stream(params)
-        return _emit(args, config, lambda: serialize.batch_to_json_obj(result, law),
-                     lambda: serialize.batch_to_csv(result, law.coord_labels))
     return _emit_table(args, config, result)
+
+
+def _cmd_sample(args, alg: AlgebraSpec) -> Iterable[str]:
+    from .occupancy import _joint_law
+    from .sampler import _descent, sequential_sample
+
+    _, params = _model(args, alg)
+    # The class law the draws read gives a drawn point's probability.
+    law = _joint_law(params).law
+    batch = (sequential_sample if args.sequential else _descent)(params, args.seed, args.count)
+    config = _config(args, alg, kind=args.kind, k=args.k, n=args.n,
+                     seed=args.seed, count=args.count, sequential=args.sequential)
+    return _emit(args, config, lambda: serialize.batch_to_json_obj(batch, law),
+                 lambda: serialize.batch_to_csv(batch, law.coord_labels))
 
 
 def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
@@ -215,14 +224,22 @@ def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
             raise ValidationError("nmax: the triangular suite takes no --nmax; it checks every 1 <= n <= m <= kmax")
         config = _config(args, alg, suite=args.suite, kmax=args.kmax)
         report = check_triangular_recurrence(alg, args.kmax)
-        return _emit(args, config, lambda: {
-            "schema_version": serialize.SCHEMA_VERSION,
-            "variant_a_holds": report.variant_a_holds,
-            "variant_b_holds": report.variant_b_holds,
-            "entries": [{"m": e.m, "n": e.n, "variant_a": e.variant_a, "variant_b": e.variant_b}
-                        for e in report.entries],
-        }, lambda: "m,n,variant_a,variant_b\n" + "".join(
-            f"{e.m},{e.n},{str(e.variant_a).lower()},{str(e.variant_b).lower()}\n" for e in report.entries))
+        if args.format == "json":
+            obj = {
+                "schema_version": serialize.SCHEMA_VERSION,
+                "config": _plain_config(config),
+                "variant_a_holds": report.variant_a_holds,
+                "variant_b_holds": report.variant_b_holds,
+                "entries": [
+                    {"m": e.m, "n": e.n, "variant_a": e.variant_a, "variant_b": e.variant_b}
+                    for e in report.entries
+                ],
+            }
+            return [serialize.dumps_json(obj)]
+        lines = [serialize.config_header(config), "m,n,variant_a,variant_b\n"]
+        for e in report.entries:
+            lines.append(f"{e.m},{e.n},{str(e.variant_a).lower()},{str(e.variant_b).lower()}\n")
+        return lines
 
     from .identities import check_report_count, reports_to_csv, reports_to_json_obj, verify_identity
 
@@ -240,9 +257,14 @@ def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
     fitted = sum(1 for r in reports if r.monomial_found)
     config["exact_count"] = f"{exact}/{len(reports)}"
     config["fitted_count"] = f"{fitted}/{len(reports)}"
-    return _emit(args, config, lambda: {"schema_version": serialize.SCHEMA_VERSION,
-                                        "reports": reports_to_json_obj(reports)},
-                 lambda: reports_to_csv(reports))
+    if args.format == "json":
+        obj = {
+            "schema_version": serialize.SCHEMA_VERSION,
+            "config": _plain_config(config),
+            "reports": reports_to_json_obj(reports),
+        }
+        return [serialize.dumps_json(obj)]
+    return [serialize.config_header(config), reports_to_csv(reports)]
 
 
 _COMMANDS = {
@@ -251,7 +273,7 @@ _COMMANDS = {
     "conditional": _cmd_model,
     "grouped": _cmd_model,
     "moments": _cmd_model,
-    "sample": _cmd_model,
+    "sample": _cmd_sample,
     "verify": _cmd_verify,
 }
 

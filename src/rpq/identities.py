@@ -62,7 +62,7 @@ from .algebra import (
     deformed_binomial,
     fit_monomial,
 )
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, UnderflowError, ValidationError
 from .lattice import (
     FIRST_LAYER,
     ConstraintSet,
@@ -209,6 +209,8 @@ class IdentityReport(Record):
 
 def _report(alg: AlgebraSpec, identity: str, k: int, n: int, lhs: Scalar, rhs: Scalar,
             m: Optional[int] = None, groups: Optional[Tuple[int, ...]] = None) -> IdentityReport:
+    if not (alg.exact or lhs and rhs):  # both sides are positive sums: a decimal 0.0 underflowed
+        raise UnderflowError(f"{identity} k={k} n={n}: the {'rhs' if lhs else 'lhs'} is 0.0")
     fit = fit_monomial(alg, lhs, rhs, (k + 1) * n)
     found = fit.found
     return IdentityReport(identity, k, n, m, groups, lhs, rhs, fit.exact, found, fit.a if found else None,
@@ -339,7 +341,8 @@ def verify_identity(
     group-size prefixes serves every n (`_walk`).  Cauchy lists no points.
     The sums equal those of `hs1_lhs`, `hs2_lhs`, `hsa_lhs` and `hsb_lhs`,
     to the last bit in approximate mode, as each is exact until it is
-    rounded once.
+    rounded once; a decimal side that rounds to 0.0 has underflowed, and
+    raises UnderflowError.
     """
     if identity not in IDENTITY_IDS:
         raise ValidationError(f"identity: unknown suite {identity!r}")

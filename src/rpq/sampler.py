@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, islice
 from operator import truediv
 from typing import Dict, Iterator, List, Tuple
 
@@ -114,34 +114,39 @@ def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
 
 
 def _descent(params: OccupancyParams, seed: int, count: int) -> SampleBatch:
-    """`sample` of the joint table of `params`, listing no table: the sorted
-    variates descend the prefix classes, a class after points of mass
-    `offset` giving child j those below ceil((offset + C_j) 2^53 / total),
-    C_j the cumulative mass of its children up to j.  Each class is visited
-    at most once, and the points drawn form a table with those thresholds."""
+    """`sample` of the joint table of `params`, listing no table: each run of
+    2^16 sorted variates descends the prefix classes, visiting each at most
+    once, a class after mass `offset` giving child j those below
+    ceil((offset + C_j) 2^53 / total), C_j its children's masses up to j.
+    The points drawn, one tuple each, and their thresholds form a table."""
     classes = _joint_law(params)
     _check_count(count)
-    variates = [u >> _MANTISSA_SHIFT for u in _stream(seed, count)]
-    # Floats hold each variate exactly, and sort faster than ints of two digits.
-    ordered, step, total, k = sorted(map(float, variates)), classes.step, classes.total, params.k
-    bounds, points = [], []
+    step, mass, total, k = classes.step, classes.mass, classes.total, params.k
+    outputs, shared, draws = _stream(seed, count), {}, []
 
     def descend(key, point, offset, start, stop):
-        _, lo, children, cumulative = step(key)
+        _, lo, children = step(key)
+        cumulative = list(accumulate(map(mass, children)))
         for v, (child, before, c) in enumerate(zip(children, [0, *cumulative], cumulative), lo):
-            bound = -(-((offset + c) << CDF_BITS) // total)
+            bound = float(-(-((offset + c) << CDF_BITS) // total))
             end = bisect_left(ordered, bound, start, stop)
             if end > start and child[0] < k:
                 descend(child, (*point, v), offset + before, start, end)
             elif end > start:
                 bounds.append(bound)
-                points.append((*point, v))
+                points.append(shared.setdefault((*point, v), (*point, v)))
             if end == stop:
                 return
             start = end
 
-    descend((0, 0, 0), (), 0, 0, count)
-    draws = tuple([points[bisect_right(bounds, u)] for u in variates])
+    for _ in range(0, count, 1 << 16):
+        # Floats hold each variate and threshold (at most 2^53) exactly, and
+        # sort and compare faster than ints of two digits.
+        variates = [float(u >> _MANTISSA_SHIFT) for u in islice(outputs, 1 << 16)]
+        ordered, bounds, points = sorted(variates), [], []
+        descend((0, 0, 0), (), 0, 0, len(ordered))
+        draws.extend([points[bisect_right(bounds, u)] for u in variates])
+    draws = tuple(draws)
     return SampleBatch(dict(classes.law.params), seed, count, draws, _empirical(draws, count))
 
 
@@ -179,7 +184,7 @@ def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleB
     for _ in range(count):
         key, point = (0, 0, 0), []
         for _ in coordinates:
-            thresholds, lo, children, _ = step(key)
+            thresholds, lo, children = step(key)
             i = bisect_right(thresholds, next(outputs) >> _MANTISSA_SHIFT)
             point.append(lo + i)
             key = children[i]

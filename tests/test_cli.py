@@ -257,6 +257,10 @@ TINY = ("--preset", "js", "--p", "1e-200", "--q", "1e-300")
     ("tabulate", "--kind", "second", "--k", "4", "--n", "2") + TINY,
     ("marginal", "--kind", "first", "--k", "4", "--n", "2", "--r", "1") + TINY,
     ("sample", "--k", "4", "--n", "2", "--seed", "1", "--count", "3", "--sequential") + TINY,
+    ("verify", "--suite", "hs1", "--kmax", "3") + TINY,
+    ("verify", "--suite", "cauchy", "--kmax", "3") + TINY,
+    # The rhs [1075 over 1074] rounds to 0.0; no fit reads it.
+    ("verify", "--suite", "hsb", "--preset", "js", "--p", "0.5", "--q", "0.25", "--kmax", "1", "--nmax", "1080"),
     ("moments", "--kind", "first", "--preset", "js", "--p", "1e-300", "--q", "1e-310",
      "--k", "2", "--n", "1"),
     # Positive weights that round to 0.0, with nothing divided by zero.
@@ -268,21 +272,14 @@ def test_approximate_underflow_exit_code(argv):
     assert "p, q" in err and "underflowed" in err and "exact mode" in err
 
 
-def test_decimal_fit_past_the_float_range_reports_every_n():
+def test_decimal_verify_reports_every_n_whose_rhs_is_in_range():
+    # Up to n = 1073 the rhs is a positive float (2e-323 at n = 1073, a
+    # subnormal), so no report is refused; n = 1074 is (see above).
     code, out, err = run_cli("verify", "--suite", "hsb", "--preset", "js", "--p", "0.5", "--q", "0.25",
-                             "--kmax", "1", "--nmax", "1080")
+                             "--kmax", "1", "--nmax", "1073")
     assert code == 0 and err == ""
-    assert "# exact_count=1/1081" in out.splitlines()
-    assert sum(line.startswith("hsb,") for line in out.splitlines()) == 1081
-
-
-@pytest.mark.parametrize("suite", ("hs1", "cauchy"))
-def test_decimal_verify_past_the_float_range_exit_code(suite):
-    # A k = 1 rhs underflows to 0.0, which no monomial fits; a k = 2 factor
-    # leaves the float range.
-    code, out, err = run_cli("verify", "--suite", suite, "--kmax", "3", *TINY)
-    assert code == 2 and out == ""
-    assert "p, q" in err and "exact mode" in err
+    assert "# exact_count=1/1074" in out.splitlines()
+    assert sum(line.startswith("hsb,") for line in out.splitlines()) == 1074
 
 
 def test_underflowed_table_writes_no_output_file(tmp_path):

@@ -35,9 +35,16 @@ def test_generator_is_fully_specified():
 def test_draws_continue_one_stream_across_output_lists():
     # The outputs come in lists of at most 2^12: a count past two lists
     # draws what one stream gives.
-    table = joint_pmf(FirstKindParams(Q_HALF, 2, 1))
+    params = FirstKindParams(Q_HALF, 2, 1)
+    table = joint_pmf(params)
     count = (2 << 12) + 50
     assert sample(table, 9, count).draws == scan_sample(table, mantissas(9), count)
+    # The descent sorts runs of 2^16 variates: past two runs it draws what
+    # `sample` does, and a point drawn in several runs is one tuple.
+    count = (2 << 16) + 50
+    draws = sampler._descent(params, 9, count).draws
+    assert draws == sample(table, 9, count).draws
+    assert len(set(map(id, draws))) == len(set(draws)) == len(table.support)
 
 
 def test_point_mass_draws():
