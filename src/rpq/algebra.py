@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .errors import ValidationError, ModeMixError
+from .errors import ModeMixError, UnderflowError, ValidationError
 from .records import Record
 from .scalars import DEFAULT_TOL, Scalar, check_uniform_mode, integer_ratios, parse_scalar, scalar_str, scalars_close
 
@@ -389,11 +389,34 @@ def binomial_or_zero(alg: AlgebraSpec, m: int, n: int) -> Scalar:
     return one if n == 0 else zero
 
 
+_TINY = 2.0**-1022  # the least positive normal float
+
+
 def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
-    """tau1^a * tau2^b, memoised per (a, b)."""
+    """tau1^a * tau2^b, memoised per (a, b).  A float power or product out
+    of the normal range (overflowed, 0.0 or subnormal) gives way to the
+    exact product of the dyadic taus, rounded once: 0.0 or OverflowError if
+    its logs put it far out of range, OverflowError for an inf or nan tau."""
     value = alg._monomials.get((a, b))
     if value is None:
-        value = alg._monomials[(a, b)] = alg.tau1**a * alg.tau2**b
+        t1, t2 = alg.tau1, alg.tau2
+        try:
+            x, y = t1**a, t2**b
+        except OverflowError:
+            x = y = 0.0
+        value = x * y
+        if isinstance(value, float) and not (min(x, y) >= _TINY and _TINY <= value < math.inf):
+            ratios = integer_ratios((t1, t2))
+            log2 = a * math.log2(t1) + b * math.log2(t2)
+            if log2 > 1100:
+                raise OverflowError(f"tau1^{a} tau2^{b} is past the float range")
+            value = 0.0
+            if log2 > -1100:
+                top = bottom = 1
+                for (n, d), e in zip(ratios, (a, b)):
+                    top, bottom = (top * n**e, bottom * d**e) if e >= 0 else (top * d**-e, bottom * n**-e)
+                value = top / bottom
+        alg._monomials[(a, b)] = value
     return value
 
 
@@ -455,12 +478,10 @@ class MonomialFit(Record):
 
 
 def _has_foreign_prime(value: int, base: int) -> bool:
-    """True when `value` has a prime factor that does not divide `base`."""
-    common = math.gcd(value, base)
-    while common > 1:
-        value //= common
-        common = math.gcd(value, common)
-    return value != 1
+    """True when `value` >= 1 has a prime factor that does not divide `base`:
+    else no prime's exponent in `value` reaches its bit length L, and
+    `value` divides base^L."""
+    return pow(base, value.bit_length(), value) != 0
 
 
 def _log_and_size(x: Scalar) -> Tuple[float, float]:
@@ -615,6 +636,9 @@ def check_triangular_recurrence(alg: AlgebraSpec, mmax: int) -> TriangularRecurr
             lhs = deformed_binomial(alg, m, n)
             rhs_a = t1**n * binomial_or_zero(alg, m - 1, n) + t2 ** (m - n) * binomial_or_zero(alg, m - 1, n - 1)
             rhs_b = t2**n * binomial_or_zero(alg, m - 1, n) + t1 ** (m - n) * binomial_or_zero(alg, m - 1, n - 1)
+            if not (alg.exact or lhs and rhs_a and rhs_b):  # each side is positive: a decimal 0.0 underflowed
+                side = "lhs" if not lhs else "variant a rhs" if not rhs_a else "variant b rhs"
+                raise UnderflowError(f"triangular m={m} n={n}: the {side} is 0.0")
             a_ok = alg.close(lhs, rhs_a)
             b_ok = alg.close(lhs, rhs_b)
             ok_a &= a_ok

@@ -7,6 +7,9 @@ resolved configuration (CSV: leading `#` comment lines; JSON: a config
 object).  Rational parameters are "a/b" or integer strings; decimal input
 switches the run to approximate mode and says so in the banner.
 
+Every command writes through `_emit` (`_emit_table` streams a table):
+its document, laid out by `serialize`, with its config added.
+
 Each command imports the modules it uses when it runs: `verify` loads
 neither model nor the sampler, and a table of one kind loads neither the
 other kind, the identities nor the sampler.
@@ -148,16 +151,12 @@ def _model(args, alg: AlgebraSpec):
     return second_kind, second_kind.SecondKindParams(alg, args.k, args.n)
 
 
-def _plain_config(config) -> dict:
-    return {k: serialize._plain(v) for k, v in config.items()}
-
-
 def _emit(args, config, json_obj, csv_body) -> Iterable[str]:
     """The output chunks.  JSON: json_obj() with the config object; CSV: the
     config header, then csv_body()."""
     if args.format == "json":
         obj = json_obj()
-        obj["config"] = _plain_config(config)
+        obj["config"] = serialize._plain(config)
         return [serialize.dumps_json(obj)]
     return [serialize.config_header(config), csv_body()]
 
@@ -166,7 +165,7 @@ def _emit_table(args, config, table) -> Iterable[str]:
     """`_emit` of a table (or a joint's row stream) as a lazy stream of
     chunks of rows."""
     if args.format == "json":
-        return serialize.table_json_chunks(table, _plain_config(config))
+        return serialize.table_json_chunks(table, serialize._plain(config))
     return chain([serialize.config_header(config)], serialize.table_csv_chunks(table))
 
 
@@ -224,22 +223,8 @@ def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
             raise ValidationError("nmax: the triangular suite takes no --nmax; it checks every 1 <= n <= m <= kmax")
         config = _config(args, alg, suite=args.suite, kmax=args.kmax)
         report = check_triangular_recurrence(alg, args.kmax)
-        if args.format == "json":
-            obj = {
-                "schema_version": serialize.SCHEMA_VERSION,
-                "config": _plain_config(config),
-                "variant_a_holds": report.variant_a_holds,
-                "variant_b_holds": report.variant_b_holds,
-                "entries": [
-                    {"m": e.m, "n": e.n, "variant_a": e.variant_a, "variant_b": e.variant_b}
-                    for e in report.entries
-                ],
-            }
-            return [serialize.dumps_json(obj)]
-        lines = [serialize.config_header(config), "m,n,variant_a,variant_b\n"]
-        for e in report.entries:
-            lines.append(f"{e.m},{e.n},{str(e.variant_a).lower()},{str(e.variant_b).lower()}\n")
-        return lines
+        return _emit(args, config, lambda: serialize.triangular_to_json_obj(report),
+                     lambda: serialize.triangular_to_csv(report))
 
     from .identities import check_report_count, reports_to_csv, reports_to_json_obj, verify_identity
 
@@ -248,23 +233,13 @@ def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
     suites = IDENTITY_IDS if args.suite == "all" else (args.suite,)
     # The suites' reports together pass the guard before any suite runs.
     check_report_count(suites, args.kmax, args.nmax)
-    reports = []
-    for suite in suites:
-        reports.extend(
-            verify_identity(suite, alg, args.kmax, args.nmax, literal_window=args.literal_window)
-        )
-    exact = sum(1 for r in reports if r.exact_match)
-    fitted = sum(1 for r in reports if r.monomial_found)
-    config["exact_count"] = f"{exact}/{len(reports)}"
-    config["fitted_count"] = f"{fitted}/{len(reports)}"
-    if args.format == "json":
-        obj = {
-            "schema_version": serialize.SCHEMA_VERSION,
-            "config": _plain_config(config),
-            "reports": reports_to_json_obj(reports),
-        }
-        return [serialize.dumps_json(obj)]
-    return [serialize.config_header(config), reports_to_csv(reports)]
+    reports = [report for suite in suites
+               for report in verify_identity(suite, alg, args.kmax, args.nmax, literal_window=args.literal_window)]
+    config["exact_count"] = f"{sum(r.exact_match for r in reports)}/{len(reports)}"
+    config["fitted_count"] = f"{sum(r.monomial_found for r in reports)}/{len(reports)}"
+    return _emit(args, config, lambda: {"schema_version": serialize.SCHEMA_VERSION,
+                                        "reports": reports_to_json_obj(reports)},
+                 lambda: reports_to_csv(reports))
 
 
 _COMMANDS = {

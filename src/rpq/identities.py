@@ -49,7 +49,6 @@ diagnostics.
 
 from __future__ import annotations
 
-import io
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -74,6 +73,7 @@ from .lattice import (
 )
 from .records import Record
 from .scalars import Scalar, over_lcm, ratio, scalar_str
+from .serialize import csv_text
 
 
 def _require_taus(alg: AlgebraSpec) -> None:
@@ -392,23 +392,11 @@ def verify_identity(
 
 def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
     """One CSV record per tuple: identity, k, n, m, groups, exact, a, b."""
-    import csv  # CSV output alone loads `csv`
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["identity", "k", "n", "m", "groups", "exact", "a", "b"])
-    for r in reports:
-        writer.writerow([
-            r.identity,
-            r.k,
-            r.n,
-            "" if r.m is None else r.m,
-            "" if r.groups is None else "+".join(map(str, r.groups)),
-            str(r.exact_match).lower(),
-            "" if r.a is None else r.a,
-            "" if r.b is None else r.b,
-        ])
-    return out.getvalue()
+    return csv_text(["identity", "k", "n", "m", "groups", "exact", "a", "b"], (
+        [r.identity, r.k, r.n, "" if r.m is None else r.m,
+         "" if r.groups is None else "+".join(map(str, r.groups)), str(r.exact_match).lower(),
+         "" if r.a is None else r.a, "" if r.b is None else r.b]
+        for r in reports))
 
 
 def reports_to_json_obj(reports: Sequence[IdentityReport]) -> list:

@@ -1,5 +1,9 @@
 """Byte-deterministic CSV and JSON forms of tables, reports and batches.
 
+Every document the CLI writes is laid out here, the identity reports'
+rows aside (`identities.reports_to_csv`, `reports_to_json_obj`), and
+`csv_text` writes every CSV body.
+
 Exact scalars serialize as rational strings ("4/7"); approximate ones as
 float reprs.  JSON objects are emitted with sorted keys and a schema
 version so round-tripping is byte-identical.
@@ -10,22 +14,28 @@ from __future__ import annotations
 import io
 import math
 from operator import add
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .records import Record
 from .scalars import Scalar, scalar_str
 
 if TYPE_CHECKING:  # annotations only: `rpq verify` loads neither module
+    from .algebra import TriangularRecurrenceReport
     from .pmf import MomentReport, PmfStream, PmfTable
     from .sampler import SampleBatch
 
 SCHEMA_VERSION = 1
 
 
-def _csv_writer(out: io.StringIO) -> "csv.writer":
+def csv_text(header: Sequence, rows: Iterable[Sequence] = ()) -> str:
+    """CSV text of the header row, then of each of `rows`, one line each."""
     import csv  # CSV output alone loads `csv`
 
-    return csv.writer(out, lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def config_header(config: Mapping[str, object]) -> str:
@@ -120,12 +130,10 @@ def table_to_csv(table: PmfTable, start: int = 0, stop: Optional[int] = None,
     starts at row `start`, those rows instead.  Coordinates are ints and
     scalar strings hold no comma or quote, so the rows need no CSV
     quoting."""
-    out = io.StringIO()
-    if start == 0:
-        _csv_writer(out).writerow(list(table.coord_labels) + ["weight", "probability"])
+    head = csv_text([*table.coord_labels, "weight", "probability"]) if start == 0 else ""
     if rows is None:
         rows = _rows(table, start, stop, _CSV.point_format(len(table.coord_labels)), _CSV.suffix, {})
-    return out.getvalue() + "".join(rows)
+    return head + "".join(rows)
 
 
 def table_csv_chunks(table: Union[PmfTable, PmfStream]) -> Iterator[str]:
@@ -148,7 +156,7 @@ def _table_head(table: PmfTable) -> dict:
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": table.kind,
-        "params": {k: _plain(v) for k, v in table.params.items()},
+        "params": _plain(table.params),
         "coords": list(table.coord_labels),
         "z_enumerated": scalar_str(table.z_enumerated),
         "z_closed_form": None if table.z_closed_form is None else scalar_str(table.z_closed_form),
@@ -206,18 +214,10 @@ def table_json_chunks(
 
 
 def moments_to_csv(reports: Sequence[MomentReport]) -> str:
-    out = io.StringIO()
-    writer = _csv_writer(out)
-    writer.writerow(["quantity", "oracle", "closed_form", "match", "note"])
-    for r in reports:
-        writer.writerow([
-            r.quantity,
-            scalar_str(r.oracle_value),
-            "" if r.closed_form is None else scalar_str(r.closed_form),
-            "" if r.match is None else str(r.match).lower(),
-            r.note,
-        ])
-    return out.getvalue()
+    return csv_text(["quantity", "oracle", "closed_form", "match", "note"], (
+        [r.quantity, scalar_str(r.oracle_value), "" if r.closed_form is None else scalar_str(r.closed_form),
+         "" if r.match is None else str(r.match).lower(), r.note]
+        for r in reports))
 
 
 def moments_to_json_obj(reports: Sequence[MomentReport]) -> dict:
@@ -237,12 +237,7 @@ def moments_to_json_obj(reports: Sequence[MomentReport]) -> dict:
 
 
 def batch_to_csv(batch: SampleBatch, coord_labels: Sequence[str]) -> str:
-    out = io.StringIO()
-    writer = _csv_writer(out)
-    writer.writerow(list(coord_labels))
-    for draw in batch.draws:
-        writer.writerow(list(draw))
-    return out.getvalue()
+    return csv_text(coord_labels, batch.draws)
 
 
 def batch_to_json_obj(batch: SampleBatch, law: Union[PmfTable, PmfStream]) -> dict:
@@ -252,7 +247,7 @@ def batch_to_json_obj(batch: SampleBatch, law: Union[PmfTable, PmfStream]) -> di
         "schema_version": SCHEMA_VERSION,
         "seed": batch.seed,
         "count": batch.count,
-        "params": {k: _plain(v) for k, v in batch.params.items()},
+        "params": _plain(batch.params),
         "frequencies": [
             {
                 "point": list(point),
@@ -262,6 +257,17 @@ def batch_to_json_obj(batch: SampleBatch, law: Union[PmfTable, PmfStream]) -> di
             for point, freq in batch.empirical
         ],
     }
+
+
+def triangular_to_csv(report: TriangularRecurrenceReport) -> str:
+    return csv_text(["m", "n", "variant_a", "variant_b"], (
+        [e.m, e.n, str(e.variant_a).lower(), str(e.variant_b).lower()] for e in report.entries))
+
+
+def triangular_to_json_obj(report: TriangularRecurrenceReport) -> dict:
+    entries = [{"m": e.m, "n": e.n, "variant_a": e.variant_a, "variant_b": e.variant_b} for e in report.entries]
+    return {"schema_version": SCHEMA_VERSION, "variant_a_holds": report.variant_a_holds,
+            "variant_b_holds": report.variant_b_holds, "entries": entries}
 
 
 def _float_text(value: float) -> str:
@@ -324,6 +330,9 @@ def dumps_json(obj) -> str:
 
 
 def _plain(value):
+    """`value` as JSON data, each Fraction in it, at any depth, as its `scalar_str`."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:

@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_PRESETS, CJ, JS, Q_HALF, QUESNE
 from rpq import (
     AlgebraSpec,
     ModeMixError,
+    UnderflowError,
     ValidationError,
     arik_coon,
     check_triangular_recurrence,
@@ -23,7 +26,7 @@ from rpq import (
     make_preset,
     q_deformation,
 )
-from rpq.algebra import binomial_or_zero, tau_monomial
+from rpq.algebra import _has_foreign_prime, binomial_or_zero, tau_monomial
 
 
 def test_preset_tau_assignments():
@@ -230,6 +233,56 @@ def test_tau_monomials_equal_the_power_product_and_are_memoised():
                 assert value == expected and type(value) is type(expected)
                 assert tau_monomial(alg, a, b) is value
         assert len(alg._monomials) == 81
+
+
+def test_tau_monomials_past_the_float_range_are_the_exact_product_rounded_once():
+    # tau1^2 = 1e-400 underflows and tau2^-2 = 1e600 overflows as floats,
+    # though tau1^2 tau2^-1 = 1e-100 and tau1^-2 tau2^2 = 1e-200.
+    alg = make_preset("js", p="1e-200", q="1e-300")
+    t1, t2 = Fraction(alg.tau1), Fraction(alg.tau2)
+    for a, b, near in ((2, -1, 1e-100), (-2, 2, 1e-200)):
+        value = tau_monomial(alg, a, b)
+        assert value == float(t1**a * t2**b) and math.isclose(value, near)
+    # A product out of the range is 0.0 or overflows, whatever its powers do.
+    assert tau_monomial(alg, 3, 0) == tau_monomial(alg, 6, -1) == 0.0
+    for a, b in ((-2, 0), (-6, 1)):
+        with pytest.raises(OverflowError):
+            tau_monomial(alg, a, b)
+
+
+def _has_foreign_prime_by_division(value, base):
+    """The reference: strip the factors `value` shares with `base`, one gcd
+    per pass."""
+    common = math.gcd(value, base)
+    while common > 1:
+        value //= common
+        common = math.gcd(value, common)
+    return value != 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    primes=st.sampled_from([(2,), (2, 3), (2, 3, 5), (3, 5, 7), (2, 5, 13)]),
+    base_powers=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    exponents=st.lists(st.integers(0, 2000), min_size=3, max_size=3),
+    foreign=st.sampled_from([1, 11, 11**2, 17 * 19, 10007, 2**61 - 1]),
+)
+def test_foreign_prime_power_test_matches_the_division_loop(primes, base_powers, exponents, foreign):
+    base = math.prod(p**k for p, k in zip(primes, base_powers))
+    value = math.prod(p**e for p, e in zip(primes, exponents)) * foreign
+    assert _has_foreign_prime(value, base) == _has_foreign_prime_by_division(value, base) == (foreign != 1)
+
+
+def test_foreign_prime_of_one_and_of_a_unit_base():
+    assert not _has_foreign_prime(1, 90) and not _has_foreign_prime(1, 1)
+    assert _has_foreign_prime(2, 1) == _has_foreign_prime_by_division(2, 1)
+
+
+def test_decimal_triangular_recurrence_refuses_an_underflowed_side():
+    # [2 over 1] = tau1 + tau2 is near 1e-200, but its difference quotient
+    # (tau1^2 - tau2^2) / (tau1 - tau2) rounds to 0.0.
+    with pytest.raises(UnderflowError, match="triangular m=2 n=1: the lhs is 0.0"):
+        check_triangular_recurrence(make_preset("js", p="1e-200", q="1e-300"), 3)
 
 
 def test_binomial_or_zero_conventions():

@@ -259,6 +259,8 @@ TINY = ("--preset", "js", "--p", "1e-200", "--q", "1e-300")
     ("sample", "--k", "4", "--n", "2", "--seed", "1", "--count", "3", "--sequential") + TINY,
     ("verify", "--suite", "hs1", "--kmax", "3") + TINY,
     ("verify", "--suite", "cauchy", "--kmax", "3") + TINY,
+    # [2 over 1] rounds to 0.0 though tau1 + tau2 is near 1e-200.
+    ("verify", "--suite", "triangular", "--kmax", "3") + TINY,
     # The rhs [1075 over 1074] rounds to 0.0; no fit reads it.
     ("verify", "--suite", "hsb", "--preset", "js", "--p", "0.5", "--q", "0.25", "--kmax", "1", "--nmax", "1080"),
     ("moments", "--kind", "first", "--preset", "js", "--p", "1e-300", "--q", "1e-310",

@@ -124,6 +124,13 @@ GOLDEN = {
     ("sample", "--kind", "second", "--sequential") + JS + ("--k", "3", "--n", "180", "--seed", "21", "--count", "1000",
                                                            "--format", "csv"):
         "6b01f631561d7bedf7c926e215cc0ec43ca51e132f2656336a4e4d3da577f97e",
+    # The triangular recurrence map in both layouts, and its decimal twin.
+    ("verify", "--suite", "triangular", "--kmax", "6") + JS + ("--format", "csv"):
+        "c33bd505817e6fc054a7eaed060ad0a4c57b2a9a68cd2aec1e0f522e5ef06a94",
+    ("verify", "--suite", "triangular", "--kmax", "6") + JS + ("--format", "json"):
+        "e1088f89871e49a56504483a33a63922f5fc01638faaaf156695950903b7d0ee",
+    ("verify", "--suite", "triangular", "--kmax", "6") + JS_DECIMAL + ("--format", "json"):
+        "079f19f23f6784908602bf653e36d7defef0ba985f53aa8fe87ba080e245fd5f",
 }
 
 

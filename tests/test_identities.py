@@ -20,6 +20,7 @@ from rpq import (
     hs2_lhs,
     hsa_lhs,
     hsb_lhs,
+    make_preset,
     q_deformation,
     verify_identity,
 )
@@ -93,6 +94,15 @@ def test_decimal_binomials_do_not_build_a_float_factorial():
     rows = list(csv.DictReader(line for line in io.StringIO(out) if not line.startswith("#")))
     assert code == 0 and len(rows) == 1101
     assert [row["n"] for row in rows if row["exact"] != "true"] == []
+
+
+def test_decimal_sums_whose_group_factors_leave_the_float_range_as_powers():
+    # At k = 2 hs1's group factor tau1^-2 tau2^2 is 1e-200, though tau1^-2
+    # overflows a float: each decimal sum is its exact twin's to a few ulps.
+    decimal = make_preset("js", p="1e-200", q="1e-300")
+    exact = make_preset("js", p=Fraction(decimal.p), q=Fraction(decimal.q))
+    for n in (1, 2, 3):
+        assert math.isclose(hs1_lhs(decimal, 2, n), hs1_lhs(exact, 2, n), rel_tol=1e-15)
 
 
 def test_js_discrepancy_monomials():
