@@ -392,11 +392,16 @@ def binomial_or_zero(alg: AlgebraSpec, m: int, n: int) -> Scalar:
 _TINY = 2.0**-1022  # the least positive normal float
 
 
+def _exact_monomial(alg: AlgebraSpec, a: int, b: int) -> Fraction:
+    """tau1^a * tau2^b exactly, a float tau read as the rational it is."""
+    return Fraction(alg.tau1) ** a * Fraction(alg.tau2) ** b
+
+
 def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
     """tau1^a * tau2^b, memoised per (a, b).  A float power or product out
     of the normal range (overflowed, 0.0 or subnormal) gives way to the
-    exact product of the dyadic taus, rounded once: 0.0 or OverflowError if
-    its logs put it far out of range, OverflowError for an inf or nan tau."""
+    exact one rounded once: 0.0 or OverflowError if its logs put it far out
+    of range, OverflowError for an inf or nan tau."""
     value = alg._monomials.get((a, b))
     if value is None:
         t1, t2 = alg.tau1, alg.tau2
@@ -406,16 +411,11 @@ def tau_monomial(alg: AlgebraSpec, a: int, b: int) -> Scalar:
             x = y = 0.0
         value = x * y
         if isinstance(value, float) and not (min(x, y) >= _TINY and _TINY <= value < math.inf):
-            ratios = integer_ratios((t1, t2))
+            integer_ratios((t1, t2))  # OverflowError for an inf or nan tau
             log2 = a * math.log2(t1) + b * math.log2(t2)
             if log2 > 1100:
                 raise OverflowError(f"tau1^{a} tau2^{b} is past the float range")
-            value = 0.0
-            if log2 > -1100:
-                top = bottom = 1
-                for (n, d), e in zip(ratios, (a, b)):
-                    top, bottom = (top * n**e, bottom * d**e) if e >= 0 else (top * d**-e, bottom * n**-e)
-                value = top / bottom
+            value = float(_exact_monomial(alg, a, b)) if log2 > -1100 else 0.0
         alg._monomials[(a, b)] = value
     return value
 
@@ -561,7 +561,7 @@ def fit_monomial(alg: AlgebraSpec, lhs: Scalar, rhs: Scalar, bound: int) -> Mono
     if alg.exact:
         for a, bs in screened:
             for b in bs:
-                if t1**a * t2**b == ratio:
+                if _exact_monomial(alg, a, b) == ratio:
                     return MonomialFit(False, True, a, b)
     else:
         # Relative comparison lets at most one b match each a unless tau2 = 1;
@@ -596,7 +596,7 @@ def _decimal_match(alg: AlgebraSpec, ratio: float, need: Optional[float], a: int
             return math.isclose(alg.tau2**b, need, rel_tol=alg.tol)
         except OverflowError:
             pass
-    x, y = Fraction(alg.tau1) ** a * Fraction(alg.tau2) ** b, Fraction(ratio)
+    x, y = _exact_monomial(alg, a, b), Fraction(ratio)
     return abs(x - y) <= Fraction(alg.tol) * max(x, y)
 
 

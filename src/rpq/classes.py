@@ -8,7 +8,7 @@ sum t and area e.  Appending a last coordinate v to a vector y of sum t - v
 adds the new sum t to the area (E is the sum of the prefix sums), so
 N_d(t, e) = sum_v N_{d-1}(t - v, e - t); over {0..cap}^d its generating
 polynomial is a Gaussian binomial (Andrews, *The Theory of Partitions*,
-ch. 3), which the recursion needs no closed form of.
+ch. 3), which the recursion (`lattice._sum_ways`) needs no closed form of.
 
 The class route.  Cut a support point x of k coordinates after r of them
 into a prefix p and a suffix s: E(x) = E(p) + (k - r) sum(p) + E(s), and
@@ -16,32 +16,32 @@ the suffixes of p are the points of the suffix box, k - r coordinates with
 sums in the joint's window shifted down by sum(p).  So the mass of p, the
 summed weight of its extensions, depends only on its class (r, sum p,
 base = E(p) + (k - r) sum p), and so does a step of a sequential draw: the
-children of (r, s, base) are (r + 1, s + v, base + (k - r) v).  A block of coordinates ending at S adds
-E(v) + (k - S) sum(v) for its vectors v, which gives grouped laws their
-masses.  `PrefixClasses` computes all of these without the joint's points,
-in both modes from the same integers: its memos hold one mass, one step
-and one closed value per class, a mass summed as an integer over the
+children of (r, s, base) are (r + 1, s + v, base + (k - r) v).  A block of
+coordinates ending at S adds E(v) + (k - S) sum(v) for its vectors v, so
+one depth-first walk per grouping scheme gives every leading block sum its
+mass (`blocks`).  `PrefixClasses` computes all of these without the joint's
+points, in both modes from the same integers: its memos hold one mass, one
+step and one closed value per class, a mass summed as an integer over the
 joint's one denominator (the exact sum of float weights, in approximate
 mode), and one value and one probability per mass, the objects a table
-holds: Fractions reduced once, or floats rounded once.  `make_table`
-takes the integers along, so no decimal sum depends on an order of
-points.  Besides, a process keeps the count tables of 128 boxes
-(`sum_rows`) and the most recent listings of 2^16 points in all
-(`Recent`) with their class partitions, which derived tables normalize
-once per class.
+holds: Fractions reduced once, or floats rounded once.  `make_table` takes
+the integers along, so no decimal sum depends on an order of points.
+Besides, a process keeps the count tables of 128 boxes (`sum_rows`) and the
+most recent listings of 2^16 points in all (`Recent`) with their class
+partitions, which derived tables normalize once per class.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter, OrderedDict, namedtuple
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .lattice import ConstraintSet, SupportPoint, area, enumerate_areas
+from .lattice import ConstraintSet, SupportPoint, _sum_ways, area, count_points, enumerate_areas
 from .pmf import PmfStream, cdf_thresholds
 from .scalars import Scalar, ratio
 
@@ -49,25 +49,13 @@ from .scalars import Scalar, ratio
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _packed(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], int]:
-    """The polynomials of the vectors of the box `upper` by running sum t
-    <= smax, and the width in bytes of one coefficient.
-
-    Each sum t keeps its vectors' polynomial in X with exponent e - t (in
-    [0, (d-1) t]) as one int, at X = 2^(8 width): a coefficient is at most
-    the number of vectors with sum <= smax, which `width` bytes hold, so
-    ints add and subtract coefficient by coefficient.  Appending v takes
-    the vectors of sum s = t - v to exponent e - t + s, a shift by s, and
-    the v in [0, upper] of a coordinate are a difference of running sums.
-    """
-    need = (comb(smax + len(upper), smax).bit_length() + 7) // 8
-    width = next((w for w in _CODES if w >= need), need)
-    bits = 8 * width
-    ways = [1] + [0] * smax
-    for up in upper:
-        below = [0, *accumulate(w << (bits * s) for s, w in enumerate(ways))]
-        ways = [below[t + 1] - below[max(0, t - up)] for t in range(smax + 1)]
-    return ways, width
+def _width(dim: int, smax: int) -> int:
+    """The bytes of one coefficient of the area polynomials of a box of at
+    most `dim` coordinates with sums <= smax (`lattice._sum_ways`): enough
+    for C(smax + dim, dim), its number of vectors, rounded up to 1, 2, 4 or
+    8 (the widths `_decode` reads in one pass) where one of these suffices."""
+    need = (comb(smax + dim, dim).bit_length() + 7) // 8
+    return next((w for w in _CODES if w >= need), need)
 
 
 def _decode(value: int, width: int) -> List[int]:
@@ -89,7 +77,8 @@ def area_counts(constraints: ConstraintSet) -> Dict[int, int]:
     each at its offset t in e, are added pairwise (so no int grows beyond
     the span of the areas it holds) and decoded in one pass."""
     smax = min(constraints.sum_max, sum(constraints.upper))
-    ways, width = _packed(constraints.upper, max(smax, 0))
+    width = _width(constraints.dim, max(smax, 0))
+    ways = _sum_ways(constraints.upper, max(smax, 0), width)
     terms = [(t, ways[t]) for t in range(max(constraints.sum_min, 0), smax + 1)]
     while len(terms) > 1:
         pairs = zip(terms[::2], terms[1::2])
@@ -103,8 +92,8 @@ def area_counts(constraints: ConstraintSet) -> Dict[int, int]:
 def sum_rows(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], ...]:
     """The area counts of the box `upper` by sum: row t lists the number
     of its vectors with sum t and area t + i at index i, for t <= smax."""
-    ways, width = _packed(upper, smax)
-    return tuple(_decode(w, width) for w in ways)
+    width = _width(len(upper), smax)
+    return tuple(_decode(w, width) for w in _sum_ways(upper, smax, width))
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -229,25 +218,36 @@ class PrefixClasses:
         children = [(r + 1, s + v, base + (rest + 1) * v) for v in range(lo, min(self.bound, self.smax - s) + 1)]
         return cdf_thresholds(list(map(self.mass, children))), lo, children
 
-    def blocks(self, sizes: Sequence[int]) -> Tuple[Tuple[SupportPoint, ...], Tuple[int, ...]]:
-        """The block-sum vectors y of the consecutive blocks of `sizes`
-        (which cover the k coordinates), in lexicographic order, and the
-        mass of the points of each.  The points of y are the blocks'
-        vectors nested, first block outermost, as (area, count) pairs, one
-        per area (`sum_rows`), merged as blocks are added; a block ending
-        at S adds E(v) + (k - S) y_j."""
-        ends, blocks, masses = list(accumulate(sizes)), {}, []
-        support = enumerate_areas(ConstraintSet(tuple(self.bound * m for m in sizes), self.smin, self.smax))[0]
-        for y in support:
-            pairs = [(0, 1)]
-            for j, v in enumerate(y):
-                if (j, v) not in blocks:
-                    shift, row = (self.k - ends[j]) * v, sum_rows((self.bound,) * sizes[j], self.smax)[v]
-                    blocks[j, v] = [(shift + v + i, c) for i, c in enumerate(row) if c]
-                merged: Counter = Counter()
-                for a, c in pairs:
-                    for e, n in blocks[j, v]:
-                        merged[a + e] += c * n
-                pairs = merged.items()
-            masses.append(sum(c * self._scaled[a] for a, c in pairs))
-        return support, tuple(masses)
+    def blocks(self, sizes: Sequence[int]) -> List[Dict[SupportPoint, int]]:
+        """The block sums y of the consecutive blocks of `sizes` (which cover
+        the k coordinates) by depth: `levels[d - 1]` maps each admissible
+        y[:d], in lexicographic order, to the mass of the points it leads.
+        One depth-first walk, after the guard on the box of block sums,
+        merges the (area, count) pairs of each y[:d] once, packed as
+        `lattice._sum_ways` packs those of each (block, sum): a block ending
+        at S adds E(v) + (k - S) y_j for its vectors v of sum y_j.  A leaf's
+        mass is its pairs dotted with the class weights, an inner one the
+        sum of its children's."""
+        uppers, tails = [self.bound * m for m in sizes], [self.k - end + 1 for end in accumulate(sizes)]
+        expected = count_points(ConstraintSet(tuple(uppers), self.smin, self.smax))
+        room = list(accumulate(reversed(uppers), initial=0))[::-1]  # uppers[j] + ... + uppers[-1]
+        width = _width(self.k, self.smax)
+        rows = [_sum_ways((self.bound,) * m, self.smax, width) for m in sizes]
+        levels: List[Dict[SupportPoint, int]] = [{} for _ in range(len(sizes) + 1)]
+
+        def descend(y: SupportPoint, s: int, low: int, pairs: int) -> int:
+            # `pairs`: the areas of the vectors of y's blocks, packed from area `low`.
+            j = len(y)
+            if j < len(sizes):
+                mass = sum(descend(y + (v,), s + v, low + tails[j] * v, pairs * rows[j][v])
+                           for v in range(max(0, self.smin - s - room[j + 1]), min(uppers[j], self.smax - s) + 1))
+            else:
+                counts = _decode(pairs, width)
+                mass = sum(map(mul, counts, self._scaled[low:low + len(counts)]))
+            levels[j][y] = mass
+            return mass
+
+        descend((), 0, 0, 1)
+        if len(levels[-1]) != expected:
+            raise AssertionError(f"block walk self-check failed: {len(levels[-1])} listed, {expected} counted")
+        return levels[1:]

@@ -63,18 +63,26 @@ def check_dimension(dim: int) -> None:
         raise CapacityError(f"dimension {dim} exceeds the guard ({MAX_DIM})")
 
 
-def sum_counts(upper: Tuple[int, ...], smax: int) -> List[int]:
-    """The number of points of the box `upper` with sum s, for s <= smax,
-    by a sum-indexed recursion (no listing), after the sum guard."""
-    if smax > MAX_SUM:
-        raise CapacityError(f"sum window up to {smax} exceeds the guard ({MAX_SUM})")
-    # ways[s]: points of the coordinates so far with sum s.  A coordinate
-    # of cap `up` adds ways[s - up..s], a difference of running sums.
+def _sum_ways(upper: Tuple[int, ...], smax: int, width: int) -> List[int]:
+    """ways[t], t <= smax: the number of points of the box `upper` with sum
+    t at width 0, else the polynomial of their areas e, exponent e - t, at
+    X = 2^(8 width), as one int (`classes`).  A coordinate of cap `up` takes
+    ways[t - up..t], a difference of running sums; appending v to a point
+    of sum s = t - v adds t to its area, a shift of its exponent by s."""
+    bits = 8 * width
     ways = [1] + [0] * smax
     for up in upper:
-        below = [0, *accumulate(ways)]
-        ways = [below[s + 1] - below[max(0, s - up)] for s in range(smax + 1)]
+        below = [0, *accumulate(w << (bits * s) for s, w in enumerate(ways))]
+        ways = [below[t + 1] - below[max(0, t - up)] for t in range(smax + 1)]
     return ways
+
+
+def sum_counts(upper: Tuple[int, ...], smax: int) -> List[int]:
+    """The number of points of the box `upper` with sum s, for s <= smax,
+    without a listing (`_sum_ways`), after the sum guard."""
+    if smax > MAX_SUM:
+        raise CapacityError(f"sum window up to {smax} exceeds the guard ({MAX_SUM})")
+    return _sum_ways(upper, smax, 0)
 
 
 def check_points(total: int) -> int:

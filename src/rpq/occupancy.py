@@ -16,15 +16,17 @@ normalizes them once per class, in both modes as integers over the joint's
 one denominator, with their closed values as unreduced integer pairs (a
 float factor read as the rational it is) and a conditional's divisor
 applied once; a decimal value is rounded once, at the end.  Each first
-takes the joint's 10^7-point guard and checks, from its memoised class
-law, so it refuses what it refused when it summed the joint; so does
-`rpq sample`, whose draws descend the same classes and list no joint.  Memos, each
-bounded: the 32 most recent class laws with their streams (one mass, one
-step and one closed pair per class, one value and one probability per
-mass), the block masses and closed pairs of 32 schemes, and the most
-recent joint tables of 2^19 points in all.  What the kinds differ in lives
-on their params classes (`OccupancyParams`), which `rpq.first_kind` and
-`rpq.second_kind` define; they re-export these functions.
+takes the joint's 10^7-point guard and checks, from its memoised class law,
+so it refuses what it refused when it summed the joint; so does
+`rpq sample`, whose draws descend the same classes and list no joint.
+Memos, each bounded: the 32 most recent class laws with their streams (one
+mass, one step and one closed pair per class, one value and one probability
+per mass), the leading block sums of 32 schemes, each scheme walked once
+(`PrefixClasses.blocks`), with their masses and closed pairs (one rule,
+`grouped_terms`), and the most recent joint tables of 2^19 points in all.
+What the kinds differ in lives on their params classes (`OccupancyParams`),
+which `rpq.first_kind` and `rpq.second_kind` define; they re-export these
+functions.
 """
 
 from __future__ import annotations
@@ -100,14 +102,17 @@ class OccupancyParams(Record):
         return self.normalizer(self.alg, self.k - len(given), self.n - sum(given))
 
     def grouped_terms(self, scheme: "GroupingScheme", y: SupportPoint) -> Tuple[int, int, Tuple[Scalar, ...]]:
-        """The exponents of tau1 and tau2 and the binomials of the closed
-        weight of the block counts `y` (all blocks, or the leading ones)."""
+        """The exponents of tau1 and tau2 and the factors of the closed
+        weight of the leading block counts `y`: the binomial of each block,
+        then the closed normalizer of the urns and balls the blocks leave
+        over (for all the blocks, [1 over 0 or 1] or [n' over n'], the
+        mode's 1)."""
         z, factors = 0, []
         for m_j, y_j, s_j in zip(scheme.sizes, y, scheme.partial_sums):
             z += y_j
             factors.append(self.block_factor(m_j, y_j, z, s_j))
         e1, e2, binomials = zip(*factors)
-        return sum(e1), sum(e2), binomials
+        return sum(e1), sum(e2), (*binomials, self.normalizer(self.alg, self.k - s_j, self.n - z))
 
 
 def support_constraints(params: OccupancyParams) -> ConstraintSet:
@@ -302,21 +307,14 @@ class GroupingScheme(Record):
 
 
 # Bounded: a long-lived process keeps the block masses of 32 schemes, each
-# with at most one closed pair per block-sum vector and per leading prefix.
+# with at most one closed pair per leading block-sum vector.
 @lru_cache(maxsize=32)
-def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[tuple, Tuple[int, ...], Memo]:
-    """The block-sum vectors y of the scheme `sizes`, the mass of each, and
-    `closed[y]`, the closed pair of y or of its leading blocks, made once."""
-    support, masses = _joint_law(params).blocks(sizes)
-    return support, masses, Memo(partial(_block_closed, params, GroupingScheme(sizes)))
-
-
-def _block_closed(params: OccupancyParams, scheme: GroupingScheme, y: SupportPoint) -> Tuple[int, int]:
-    """The closed pair of the block counts `y`: the grouped weight of all
-    the blocks, or of the leading ones (`_grouped_marginal_terms`)."""
-    full = len(y) == len(scheme.sizes)
-    terms = params.grouped_terms(scheme, y) if full else _grouped_marginal_terms(params, scheme, y)
-    return _closed_pair(params.alg, *terms)
+def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[list, Memo]:
+    """The masses of the leading block sums y[:d] of the scheme `sizes`, by
+    depth d (`PrefixClasses.blocks`), and `closed[y]`, the closed pair of
+    the block counts y (`grouped_terms`), made once."""
+    scheme = GroupingScheme(sizes)
+    return _joint_law(params).blocks(sizes), Memo(lambda y: _closed_pair(params.alg, *params.grouped_terms(scheme, y)))
 
 
 def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
@@ -326,18 +324,11 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     attached as a cross-check.
     """
     scheme.validate_for(params.k)
-    support, masses, closed = _block_law(params, scheme.sizes)
-    return _derived_table(params, _joint_law(params), "grouped", ("y", 1, len(scheme.sizes)), support, masses,
-                          range(len(support)), map(closed.__getitem__, support), scheme=list(scheme.sizes))
-
-
-def _grouped_marginal_terms(params: OccupancyParams, scheme: GroupingScheme, prefix: SupportPoint) -> tuple:
-    """The terms of the closed weight of the leading block counts `prefix`:
-    those of the grouped weight of these blocks, with the normalizer of
-    the urns and balls they leave over as one more factor."""
-    rest_k = params.k - scheme.partial_sums[len(prefix) - 1]
-    e1, e2, binomials = params.grouped_terms(scheme, prefix)
-    return e1, e2, (*binomials, params.normalizer(params.alg, rest_k, params.n - sum(prefix)))
+    levels, closed = _block_law(params, scheme.sizes)
+    support = tuple(levels[-1])
+    return _derived_table(params, _joint_law(params), "grouped", ("y", 1, len(scheme.sizes)), support,
+                          list(levels[-1].values()), range(len(support)), map(closed.__getitem__, support),
+                          scheme=list(scheme.sizes))
 
 
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
@@ -345,15 +336,11 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    # The block masses summed by their leading blocks; the blocks are
-    # sorted, so the sums come sorted.
-    blocks, block_masses, closed = _block_law(params, scheme.sizes)
-    sums = {}
-    for y, mass in zip(blocks, block_masses):
-        sums[y[:nu]] = sums.get(y[:nu], 0) + mass
-    support, masses = tuple(sums), list(sums.values())
-    return _derived_table(params, _joint_law(params), "grouped-marginal", ("y", 1, nu), support, masses,
-                          range(len(support)), map(closed.__getitem__, support), scheme=list(scheme.sizes), nu=nu)
+    levels, closed = _block_law(params, scheme.sizes)
+    support = tuple(levels[nu - 1])
+    return _derived_table(params, _joint_law(params), "grouped-marginal", ("y", 1, nu), support,
+                          list(levels[nu - 1].values()), range(len(support)), map(closed.__getitem__, support),
+                          scheme=list(scheme.sizes), nu=nu)
 
 
 def grouped_conditional_pmf(
@@ -366,11 +353,10 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    blocks, block_masses, closed = _block_law(params, scheme.sizes)
-    rows = [(y, mass) for y, mass in zip(blocks, block_masses) if y[:nu] == given]
-    if not rows:
+    levels, closed = _block_law(params, scheme.sizes)
+    if given not in levels[nu - 1]:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    ys, masses = zip(*rows)
+    ys, masses = zip(*((y, mass) for y, mass in levels[-1].items() if y[:nu] == given))
     return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
                           [y[nu:] for y in ys], masses, range(len(ys)), map(closed.__getitem__, ys), closed[given],
                           scheme=list(scheme.sizes), given=list(given))

@@ -199,6 +199,17 @@ def test_sample_refusals(argv, code, err, sequential):
     assert run_cli("sample", *sequential, "--preset", "js", "--p", "9/10", "--q", "1/2", *argv) == (code, "", err)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("conditional", "--kind", "first", "--given", "2"), "given: capacity-one occupancies are 0/1, got (2,)"),
+    (("conditional", "--kind", "second", "--given=-1,0"), "given: occupancies are nonnegative, got (-1, 0)"),
+    (("conditional", "--given", "1,x"), "given: expected comma-separated integers, got '1,x'"),
+    (("grouped", "--groups", "2,x"), "groups: expected comma-separated integers, got '2,x'"),
+], ids=("first-given-2", "negative-given", "given-not-integers", "groups-not-integers"))
+def test_model_command_refusals(argv, err):
+    model = ("--preset", "js", "--p", "9/10", "--q", "1/2", "--k", "3", "--n", "2")
+    assert run_cli(*argv, *model) == (2, "", f"error: {err}\n")
+
+
 def test_output_file_and_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("RPQ_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run_cli("tabulate", "--preset", "q", "--q", "1/2", "--k", "1", "--n", "1",

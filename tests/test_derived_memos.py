@@ -297,7 +297,7 @@ def test_closed_terms_equal_per_point_products(case):
             for y in scan(joint.support, joint.weights, lambda x: True, block_sums(sizes))[0]:
                 _same(closed(params.grouped_terms(scheme, y)), grouped(params, scheme, y))
                 for prefix in (y[:nu] for nu in range(1, len(sizes))):
-                    _same(closed(occupancy._grouped_marginal_terms(params, scheme, prefix)),
+                    _same(closed(params.grouped_terms(scheme, prefix)),
                           grouped_marginal(params, scheme, prefix))
 
 
@@ -402,6 +402,18 @@ def test_grouped_law_needs_blocks_covering_the_point():
     assert (table.support, table.weights) == scan(joint.support, joint.weights, lambda x: True, lambda x: (sum(x),))
 
 
+@pytest.mark.parametrize("law, leading, message", [
+    (first_kind.grouped_marginal_pmf, 0, "nu: need 1 <= nu < 2, got 0"),
+    (first_kind.grouped_marginal_pmf, 2, "nu: need 1 <= nu < 2, got 2"),
+    (first_kind.grouped_conditional_pmf, (), "given: need 1 <= len(given) < 2, got 0"),
+    (first_kind.grouped_conditional_pmf, (1, 0), "given: need 1 <= len(given) < 2, got 2"),
+], ids=("nu-0", "nu-r", "given-empty", "given-of-r"))
+def test_grouped_laws_refuse_leading_blocks_outside_the_scheme(law, leading, message):
+    with pytest.raises(ValidationError) as raised:
+        law(FirstKindParams(JS, 3, 2), GroupingScheme((1, 2)), leading)
+    assert str(raised.value) == message
+
+
 def test_replace_copies_a_table_that_samples_alike():
     params = SecondKindParams(JS, 4, 3)
     _clear_caches()
@@ -455,7 +467,7 @@ def test_class_memos_stay_bounded(module, params):
     module.marginal_pmf(params, 2)
     module.conditional_pmf(params, (0, 1), 4)
     # The closed pairs live and go with their class law and their scheme.
-    memos = [occupancy._joint_law(params).closed, occupancy._block_law(params, schemes[0].sizes)[2]]
+    memos = [occupancy._joint_law(params).closed, occupancy._block_law(params, schemes[0].sizes)[1]]
     assert all(map(len, memos))
     memos = [weakref.ref(memo) for memo in memos]
     for scheme in schemes:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import KINDS, block_sums, compositions, fraction_route, grid, joint_table, kind_id, prefixes, scan
-from rpq import ValidationError, first_kind, jagannathan_srinivasa, occupancy, second_kind
+from rpq import ValidationError, first_kind, jagannathan_srinivasa, second_kind
 from rpq.algebra import _closed_pair, custom_algebra
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
@@ -65,11 +65,11 @@ def _derived(module, params, joint):
                [_closed(params, params.grouped_terms(scheme, y)) for y in blocks])
         for nu in range(1, len(sizes)):
             support, masses = scan(blocks, block_masses, lambda y: True, lambda y: y[:nu])
-            closed = [_closed(params, occupancy._grouped_marginal_terms(params, scheme, p)) for p in support]
+            closed = [_closed(params, params.grouped_terms(scheme, p)) for p in support]
             yield module.grouped_marginal_pmf(params, scheme, nu), support, masses, closed
             for prefix in support:
                 suffixes, masses = scan(blocks, block_masses, lambda y: y[:nu] == prefix, lambda y: y[nu:])
-                divisor = _closed(params, occupancy._grouped_marginal_terms(params, scheme, prefix))
+                divisor = _closed(params, params.grouped_terms(scheme, prefix))
                 closed = [_closed(params, params.grouped_terms(scheme, prefix + s), divisor) for s in suffixes]
                 yield module.grouped_conditional_pmf(params, scheme, prefix), suffixes, masses, closed
 

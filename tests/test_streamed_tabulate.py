@@ -16,17 +16,18 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import rpq
 from oracle import grid, joint_table, mantissas, path_probabilities, prefix_masses, scan_sequential
-from rpq import (ValidationError, chakrabarty_jagannathan, first_kind, jagannathan_srinivasa, occupancy,
+from rpq import (ValidationError, chakrabarty_jagannathan, classes, first_kind, jagannathan_srinivasa, occupancy,
                  q_deformation, quesne, sampler, second_kind, serialize)
 from rpq.classes import area_counts, sum_rows
 from rpq.cli import main
 from rpq.first_kind import FirstKindParams
-from rpq.lattice import ConstraintSet, area, enumerate_points
+from rpq.lattice import ConstraintSet, area, enumerate_points, sum_counts
 from rpq.pmf import _check_exact_probabilities
 from rpq.second_kind import SecondKindParams
 
@@ -81,6 +82,20 @@ def test_class_counts_on_wide_boxes(constraints):
         if t >= constraints.sum_min:
             by_sum.update({t + i: c for i, c in enumerate(row) if c})
     assert by_sum == counts
+
+
+def test_class_counts_of_nine_byte_coefficients():
+    """C(90, 20) vectors of 20 coordinates with sums <= 70 take 9 bytes a
+    coefficient, a width `_decode` reads byte by byte: their areas are 0 to
+    20 * 70, the classes of each sum add up to its count (`sum_counts`) and
+    agree with its row, and all of them to C(90, 20)."""
+    upper = (70,) * 20
+    assert classes._width(20, 70) == 9
+    counts, rows = area_counts(ConstraintSet(upper, 0, 70)), sum_rows(upper, 70)
+    assert list(counts) == list(range(1401)) and sum(counts.values()) == comb(90, 20)
+    for t, total in enumerate(sum_counts(upper, 70)):
+        by_area = area_counts(ConstraintSet(upper, t, t))
+        assert by_area == {t + i: c for i, c in enumerate(rows[t]) if c} and sum(by_area.values()) == total
 
 
 def _same(values, reference):
