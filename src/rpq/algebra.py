@@ -43,14 +43,6 @@ Q_DEFORMATION = "q-deformation"
 QUESNE = "quesne"
 CHAKRABARTY_JAGANNATHAN = "chakrabarty-jagannathan"
 ARIK_COON = "arik-coon"
-CUSTOM = "custom"
-
-PRESET_NAMES = (
-    JAGANNATHAN_SRINIVASA,
-    Q_DEFORMATION,
-    QUESNE,
-    CHAKRABARTY_JAGANNATHAN,
-)
 
 # The identity suites of `rpq.identities`, named here so the CLI can list
 # them without loading that module.
@@ -186,14 +178,13 @@ def q_deformation(q, tol: float = DEFAULT_TOL) -> AlgebraSpec:
 def quesne(p, q, tol: float = DEFAULT_TOL) -> AlgebraSpec:
     """Deformation with (tau1, tau2) = (p, 1/q)."""
     p, q, tol = _preset_parameters(p, q, tol)
-    return AlgebraSpec(QUESNE, p, q, p, 1 / q if isinstance(q, float) else Fraction(1) / q, tol=tol)
+    return AlgebraSpec(QUESNE, p, q, p, 1 / q, tol=tol)
 
 
 def chakrabarty_jagannathan(p, q, tol: float = DEFAULT_TOL) -> AlgebraSpec:
     """Deformation with (tau1, tau2) = (1/p, q)."""
     p, q, tol = _preset_parameters(p, q, tol)
-    tau1 = 1 / p if isinstance(p, float) else Fraction(1) / p
-    return AlgebraSpec(CHAKRABARTY_JAGANNATHAN, p, q, tau1, q, tol=tol)
+    return AlgebraSpec(CHAKRABARTY_JAGANNATHAN, p, q, 1 / p, q, tol=tol)
 
 
 def arik_coon(q, tol: float = DEFAULT_TOL) -> AlgebraSpec:
@@ -205,7 +196,7 @@ def arik_coon(q, tol: float = DEFAULT_TOL) -> AlgebraSpec:
     q = coerce_scalar(q, approximate)
     if q <= 0 or q == 1:
         raise ValidationError(f"arik-coon needs q > 0, q != 1, got q={q}")
-    qinv = 1 / q if approximate else Fraction(1) / q
+    qinv = 1 / q
 
     def rule(n: int) -> Scalar:
         if n == 0:
@@ -458,9 +449,7 @@ def inverse_algebra(alg: AlgebraSpec) -> AlgebraSpec:
             raise ValidationError(f"algebra {alg.name!r}: cannot invert a custom number rule")
 
         def flip(v):
-            if v is None:
-                return None
-            return 1 / v if isinstance(v, float) else Fraction(1) / v
+            return None if v is None else 1 / v
 
         inv = alg.replace(p=flip(alg.p), q=flip(alg.q), tau1=flip(alg.tau1), tau2=flip(alg.tau2))
         object.__setattr__(alg, "_inverse", inv)

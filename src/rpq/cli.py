@@ -113,10 +113,9 @@ def _make_algebra(args) -> AlgebraSpec:
         try:
             with open(args.algebra_config, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ValidationError(
-                f"algebra-config: cannot read {args.algebra_config}: {exc.strerror}"
-            ) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+            raise ValidationError(f"algebra-config: cannot read {args.algebra_config}: {reason}") from None
         return load_algebra_config(text)
     if args.preset is None:
         raise ValidationError("preset: required (or pass --algebra-config)")

@@ -273,14 +273,14 @@ def _walk(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int], groups: Op
         for m_j in range(1, big_m_j + 1) if groups is None else (groups[-1 - len(suffix)],):
             memo = factors.setdefault((m_j, big_m_j), {}) if groups is None else {}
 
-            def factor(j, r_j, t_j, m_j=m_j, memo=memo):
+            def factor(r_j, t_j, m_j=m_j, memo=memo):
                 value = memo.get((r_j, t_j))
                 if value is None:
                     value = memo[r_j, t_j] = _term(identity, alg, k, m_j, big_m_j, r_j, t_j - r_j)
                 return value
 
             cap = m_j if capacity_one else top
-            visit((m_j,) + suffix, after + m_j, layer_step(layer, len(suffix), cap, 0, top, factor))
+            visit((m_j,) + suffix, after + m_j, layer_step(layer, cap, top, factor))
 
     visit((), 0, FIRST_LAYER)
     return out

@@ -219,21 +219,18 @@ Layer = Tuple[Dict[int, int], int]
 FIRST_LAYER: Layer = ({0: 1}, 1)
 
 
-def layer_step(
-    layer: Layer, j: int, upper_j: int, t_lo: int, t_hi: int,
-    factor: Callable[[int, int, int], Tuple[int, int]],
-) -> Layer:
-    """Extend every prefix of `layer` by coordinate j: a value v in
-    [0, upper_j] whose new running sum t = s + v lies in [t_lo, t_hi],
-    weighted by factor(j, v, t), a (numerator, denominator) pair of ints
+def layer_step(layer: Layer, cap: int, top: int, factor: Callable[[int, int], Tuple[int, int]]) -> Layer:
+    """Extend every prefix of `layer` by one coordinate: a value v in
+    [0, cap] whose new running sum t = s + v is at most `top`, weighted by
+    factor(v, t), a (numerator, denominator) pair of ints
     (`algebra._closed_pair`).  The factors of the step are brought to their
     least common denominator and integers are added, so no step reduces a
     fraction or rounds a float."""
     partial, denominator = layer
     terms = [
-        (value, t, factor(j, t - s, t))
+        (value, t, factor(t - s, t))
         for s, value in partial.items()
-        for t in range(max(s, t_lo), min(s + upper_j, t_hi) + 1)
+        for t in range(s, min(s + cap, top) + 1)
     ]
     scale = lcm(*{bottom for _, _, (_, bottom) in terms})
     nxt = {}

@@ -48,7 +48,6 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*getattr(cls, "_compared", cls._fields))
-        cls.__match_args__ = cls._fields
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields

@@ -2,7 +2,10 @@
 
 Every document the CLI writes is laid out here, the identity reports'
 rows aside (`identities.reports_to_csv`, `reports_to_json_obj`), and
-`csv_text` writes every CSV body.
+`csv_text` writes every CSV body.  The rows of every table, a listed
+`PmfTable` or a streamed `PmfStream`, become text through one generator,
+`_row_chunks`, one chunk at a time; each CSV chunk is one `table_to_csv`
+call.
 
 Exact scalars serialize as rational strings ("4/7"); approximate ones as
 float reprs.  JSON objects are emitted with sorted keys and a schema
@@ -14,7 +17,7 @@ from __future__ import annotations
 import io
 import math
 from operator import add
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
 from .records import Record
 from .scalars import Scalar, scalar_str
@@ -85,70 +88,54 @@ _JSON = _Layout('    {\n      "point": [\n        ', ",\n        ", "\n      ],\
                 lambda w, p: f'      "probability": "{p}",\n      "weight": "{w}"\n    }}')
 
 
-def _rows(
-    table: PmfTable,
-    start: int,
-    stop: Optional[int],
-    point_format: str,
-    suffix: Callable[[str, str], str],
-    suffixes: Dict[Tuple[int, int], str],
-) -> List[str]:
-    """Text of the rows support[start:stop].  A row is `point_format % point`
-    followed by `suffix(weight text, probability text)`, formatted once per
-    distinct (weight, probability) object pair and kept in `suffixes`: the
-    points of a weight class share both objects."""
-    rows = []
-    for point, weight, prob in zip(
-        table.support[start:stop], table.weights[start:stop], table.probabilities[start:stop]
-    ):
-        key = (id(weight), id(prob))
-        text = suffixes.get(key)
-        if text is None:
-            text = suffixes[key] = suffix(scalar_str(weight), scalar_str(prob))
-        rows.append(point_format % point + text)
-    return rows
-
-
-def _stream_rows(stream: PmfStream, layout: _Layout) -> Iterator[List[str]]:
-    """Text of the rows of a PmfStream, one chunk of `PmfStream.rows` at a
-    time: each row's prefix is its point's text, from `layout.cells`,
-    followed by the suffix of its area class, formatted once per class."""
-    suffixes = {e: layout.suffix(scalar_str(w), scalar_str(stream.probabilities[e]))
-                for e, w in stream.weights.items()}
-    for prefixes, areas in stream.rows(layout.cells(stream.constraints.upper), layout.head):
-        yield list(map(add, prefixes, map(suffixes.__getitem__, areas)))
-
-
 def _is_stream(table) -> bool:
     return hasattr(table, "constraints")
 
 
-def table_to_csv(table: PmfTable, start: int = 0, stop: Optional[int] = None,
-                 rows: Optional[List[str]] = None) -> str:
-    """CSV text of the rows support[start:stop], after the header row when
-    `start` is 0; given `rows`, the row texts of a PmfStream chunk that
-    starts at row `start`, those rows instead.  Coordinates are ints and
-    scalar strings hold no comma or quote, so the rows need no CSV
-    quoting."""
-    head = csv_text([*table.coord_labels, "weight", "probability"]) if start == 0 else ""
+def _row_chunks(table: Union[PmfTable, PmfStream], layout: _Layout) -> Iterator[List[str]]:
+    """The row texts of `table` in `layout`, one chunk at a time: CHUNK_ROWS
+    rows of a PmfTable per chunk (one empty chunk for an empty table), or
+    one chunk of `PmfStream.rows`.  A row is its point's text followed by
+    `layout.suffix(weight text, probability text)`, formatted once per area
+    class of a stream, and once per (weight, probability) object pair of a
+    table for the whole table: the points of a weight class share both."""
+    if _is_stream(table):
+        suffixes = {e: layout.suffix(scalar_str(w), scalar_str(table.probabilities[e]))
+                    for e, w in table.weights.items()}
+        for prefixes, areas in table.rows(layout.cells(table.constraints.upper), layout.head):
+            yield list(map(add, prefixes, map(suffixes.__getitem__, areas)))
+        return
+    point_format, suffixes = layout.point_format(len(table.coord_labels)), {}
+    for start in range(0, max(len(table.support), 1), CHUNK_ROWS):
+        stop, rows = start + CHUNK_ROWS, []
+        for point, weight, prob in zip(
+            table.support[start:stop], table.weights[start:stop], table.probabilities[start:stop]
+        ):
+            key = (id(weight), id(prob))
+            text = suffixes.get(key)
+            if text is None:
+                text = suffixes[key] = layout.suffix(scalar_str(weight), scalar_str(prob))
+            rows.append(point_format % point + text)
+        yield rows
+
+
+def table_to_csv(table: Union[PmfTable, PmfStream], rows: Optional[List[str]] = None, head: bool = True) -> str:
+    """CSV text of `rows`, row texts of `table` from `_row_chunks`, after the
+    header row when `head`; without `rows`, of the whole table.
+    Coordinates are ints and scalar strings hold no comma or quote, so the
+    rows need no CSV quoting."""
     if rows is None:
-        rows = _rows(table, start, stop, _CSV.point_format(len(table.coord_labels)), _CSV.suffix, {})
-    return head + "".join(rows)
+        rows = [row for chunk in _row_chunks(table, _CSV) for row in chunk]
+    return (csv_text([*table.coord_labels, "weight", "probability"]) if head else "") + "".join(rows)
 
 
 def table_csv_chunks(table: Union[PmfTable, PmfStream]) -> Iterator[str]:
-    """`table_to_csv(table)` as a stream: one `table_to_csv` call per
-    CHUNK_ROWS rows, the first with the header row; for a PmfStream, one
-    call per chunk of its rows.  Every byte passes through `table_to_csv`,
-    so a wrapper of it (the benchmark's tracer) sees the whole document."""
-    if not _is_stream(table):
-        for start in range(0, max(len(table.support), 1), CHUNK_ROWS):
-            yield table_to_csv(table, start, start + CHUNK_ROWS)
-        return
-    start = 0
-    for rows in _stream_rows(table, _CSV):
-        yield table_to_csv(table, start, start + len(rows), rows)
-        start += len(rows)
+    """`table_to_csv(table)` as a stream: one `table_to_csv` call per chunk
+    of `_row_chunks`, the first with the header row.  Every byte passes
+    through `table_to_csv`, so a wrapper of it (the benchmark's tracer)
+    sees the whole document."""
+    for i, rows in enumerate(_row_chunks(table, _CSV)):
+        yield table_to_csv(table, rows, i == 0)
 
 
 def _table_head(table: PmfTable) -> dict:
@@ -193,8 +180,8 @@ def table_json_chunks(
     The object without its rows goes through `dumps_json` with a marker in
     place of the rows and is cut at the marker.  The keys after "rows" hold
     a number or a scalar string, so the last occurrence of the marker is the
-    rows.  The rows follow the JSON row layout, CHUNK_ROWS of a PmfTable
-    per chunk, or one chunk of a PmfStream's rows.
+    rows.  The rows follow the JSON row layout, one chunk of `_row_chunks`
+    at a time.
     """
     obj = _table_head(table)
     if config is not None:
@@ -202,13 +189,7 @@ def table_json_chunks(
     obj["rows"] = _ROWS_MARK
     head, _, tail = dumps_json(obj).rpartition(dumps_json(_ROWS_MARK)[:-1])
     yield head + "[\n"
-    if _is_stream(table):
-        chunks = _stream_rows(table, _JSON)
-    else:
-        point_format, suffixes = _JSON.point_format(len(table.coord_labels)), {}
-        chunks = (_rows(table, start, start + CHUNK_ROWS, point_format, _JSON.suffix, suffixes)
-                  for start in range(0, len(table.support), CHUNK_ROWS))
-    for i, rows in enumerate(chunks):
+    for i, rows in enumerate(_row_chunks(table, _JSON)):
         yield (",\n" if i else "") + ",\n".join(rows)
     yield "\n  ]" + tail
 

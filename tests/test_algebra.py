@@ -361,3 +361,27 @@ def test_exact_algebra_refuses_a_float_number_rule_in_identities():
 
     with pytest.raises(ModeMixError):
         verify_identity("hs2", FLOAT_RULE, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: deformed_number(JS, -1), "n: deformed number needs n >= 0, got -1"),
+    (lambda: deformed_factorial(JS, -1), "n: factorial needs n >= 0, got -1"),
+    (lambda: deformed_falling_factorial(JS, -1, 0), "falling factorial needs n, i >= 0, got n=-1, i=0"),
+    (lambda: deformed_falling_factorial(JS, 2, -1), "falling factorial needs n, i >= 0, got n=2, i=-1"),
+    (lambda: check_triangular_recurrence(JS, 0), "mmax: need mmax >= 1, got 0"),
+    (lambda: check_triangular_recurrence(custom_algebra("rule", numbers=[0, 1, 2, 3]), 3),
+     "triangular recurrence needs structure constants"),
+    (lambda: custom_algebra("x", numbers=[1, 1, 2]), "custom number rule must give [0] = 0"),
+    (lambda: custom_algebra("x", numbers=[0, 1, 0]), "custom number rule must be positive for n >= 1, got [2] = 0"),
+    (lambda: deformed_number(custom_algebra("short", numbers=[0, 1]), 2), "custom sequence of 'short' has no entry for n=2"),
+    (lambda: make_preset("q"), "q: required for the q-deformation preset"),
+    (lambda: make_preset("q", p="1/2", q="1/3"), "p: q-deformation fixes p = 1"),
+    (lambda: make_preset("ac"), "q: required for the arik-coon preset"),
+    (lambda: load_algebra_config("name=q\nq=1/2\nmode exact\n"), "config line 3: expected key=value, got 'mode exact'"),
+], ids=("number-negative", "factorial-negative", "falling-n-negative", "falling-i-negative", "triangular-mmax-0",
+        "triangular-no-taus", "custom-zero", "custom-nonpositive", "custom-no-entry", "q-without-q",
+        "q-with-p", "arik-coon-without-q", "config-line-without-equals"))
+def test_refusal_messages(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -243,8 +243,14 @@ def test_large_n_second_kind_table_exits_zero():
     assert len([line for line in out.splitlines() if not line.startswith("#")]) == 2002
 
 
-def test_unreadable_algebra_config_exit_code(tmp_path):
-    path = tmp_path / "missing.cfg"
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe"),
+], ids=("missing", "directory", "not-utf8"))
+def test_unreadable_algebra_config_exit_code(tmp_path, make):
+    path = tmp_path / "alg.cfg"
+    make(path)
     out_path = tmp_path / "x.csv"
     code, out, err = run_cli("tabulate", "--algebra-config", str(path), "--k", "1", "--n", "1",
                              "--output", str(out_path))

@@ -223,3 +223,27 @@ def test_report_count_is_the_number_of_reports(identity):
         for nmax in (None, 0, 1, 2, 4, 7):
             expected = len(verify_identity(identity, Q_HALF, kmax, nmax))
             assert identities.report_count(identity, kmax, nmax) == expected, (kmax, nmax)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hs2_lhs(Q_HALF, 0, 1), "hs2 needs k >= 1 and n >= 0, got k=0, n=1"),
+    (lambda: hs2_lhs(Q_HALF, 2, -1), "hs2 needs k >= 1 and n >= 0, got k=2, n=-1"),
+    (lambda: hsa_lhs(Q_HALF, 2, 0, (1, 1)), "n: hsa needs 1 <= n <= k+1, got k=2, n=0"),
+    (lambda: hsa_lhs(Q_HALF, 2, 4, (1, 1)), "n: hsa needs 1 <= n <= k+1, got k=2, n=4"),
+    (lambda: hsa_lhs(Q_HALF, 2, 1, (2, 0)), "groups: sizes must be positive, got (2, 0)"),
+    (lambda: hsb_lhs(Q_HALF, 2, -1, (1, 1)), "n: hsb needs n >= 0, got -1"),
+    (lambda: hsb_lhs(Q_HALF, 2, 1, (0, 2)), "groups: sizes must be positive, got (0, 2)"),
+    (lambda: cauchy_lhs(Q_HALF, 2, 1, 3), "m: cauchy needs 0 <= m <= k, got m=3, k=2"),
+    (lambda: cauchy_lhs(Q_HALF, 2, 1, -1), "m: cauchy needs 0 <= m <= k, got m=-1, k=2"),
+    (lambda: cauchy_lhs(Q_HALF, 2, -1, 1), "n: cauchy needs n >= 0, got -1"),
+    (lambda: verify_identity("hs3", Q_HALF, 2), "identity: unknown suite 'hs3'"),
+    (lambda: verify_identity("hs1", Q_HALF, 0), "kmax: need kmax >= 1, got 0"),
+    (lambda: verify_identity("hs2", Q_HALF, 2, -1), "nmax: need nmax >= 0, got -1"),
+    (lambda: list(compositions(0)), "k: compositions need k >= 1, got 0"),
+], ids=("hs2-k-0", "hs2-n-negative", "hsa-n-0", "hsa-n-past-k-plus-1", "hsa-group-0", "hsb-n-negative",
+        "hsb-group-0", "cauchy-m-past-k", "cauchy-m-negative", "cauchy-n-negative", "verify-unknown-suite",
+        "verify-kmax-0", "verify-nmax-negative", "compositions-0"))
+def test_refusal_messages(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

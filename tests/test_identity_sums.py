@@ -260,7 +260,7 @@ def fit_reference(alg, lhs, rhs, bound):
 
 def _fit_algebras():
     out = list(ALGEBRAS)
-    for tol in (1e-10, 1e-3, 0.5):
+    for tol in (1e-10, 1e-3, 0.5, 0.95):  # 0.95 >= 0.9: the unscreened search
         out.append(jagannathan_srinivasa(0.9, 0.5, tol=tol))
         out.append(q_deformation(0.5, tol=tol))
         out.append(custom_algebra("tau2-one", tau1=0.8, tau2=1.0, tol=tol))

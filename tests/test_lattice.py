@@ -190,7 +190,7 @@ def test_layer_windows_are_the_exact_sums_of_their_points(upper, lo, hi, pairs):
     top = max(lo, hi)
     layer = lattice.FIRST_LAYER
     for j, up in enumerate(upper):
-        layer = lattice.layer_step(layer, j, up, 0, top, factor)
+        layer = lattice.layer_step(layer, up, top, lambda v, t, j=j: factor(j, v, t))
     partial, denominator = layer
     total = sum(value for s, value in partial.items() if lo <= s <= hi)
     want = weighted_sum(ConstraintSet(upper, lo, max(lo, hi)), weight) if lo <= hi else 0

@@ -198,3 +198,15 @@ def test_classical_covariance_is_negative():
     assert reports["covariance"].oracle_value == Fraction(-5, 18)
     assert reports["covariance"].oracle_value < 0
     assert reports["covariance"].match
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bivariate_moments(SecondKindParams(JS, 3, 2), 0, 1), "moment orders must be >= 1, got i1=0, i2=1"),
+    (lambda: bivariate_moments(SecondKindParams(JS, 3, 2), 1, 0), "moment orders must be >= 1, got i1=1, i2=0"),
+    (lambda: factorial_moment_closed_form(JS, 3, 2, 0), "i: moment order must be >= 1, got 0"),
+    (lambda: mixed_closed_form(JS, 3, 2, 0), "i2: moment order must be >= 1, got 0"),
+], ids=("bivariate-i1-0", "bivariate-i2-0", "factorial-i-0", "mixed-i2-0"))
+def test_moment_orders_below_one_are_refused(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

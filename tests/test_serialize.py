@@ -64,24 +64,36 @@ def test_streamed_tables_equal_whole_documents(alg, chunk_rows, monkeypatch):
             assert len(chunks) == 2 + -(-len(table.support) // chunk_rows)
 
 
-def test_rows_share_one_suffix_per_weight_class():
+@pytest.mark.parametrize("writer", (serialize.table_csv_chunks, serialize.table_json_chunks))
+def test_rows_share_one_suffix_per_weight_class(writer, monkeypatch):
+    """Each distinct (weight, probability) object pair is formatted once for
+    the whole table, however many chunks its points fall in."""
     table = first_kind.joint_pmf(FirstKindParams(ALL_PRESETS[0], 8, 4))
+    monkeypatch.setattr(serialize, "CHUNK_ROWS", 1)
     calls = []
-    rows = serialize._rows(table, 0, None, "%d" * 8, lambda w, p: calls.append((w, p)) or "\n", {})
-    assert len(rows) == len(table.support)
-    assert len(calls) == len({id(w) for w in table.weights}) < len(table.support)
-    assert calls[0] == (scalar_str(table.weights[0]), scalar_str(table.probabilities[0]))
+    monkeypatch.setattr(serialize, "scalar_str", lambda value: calls.append(value) or scalar_str(value))
+    chunks = writer(table)
+    if writer is serialize.table_json_chunks:
+        next(chunks)  # the object without its rows formats z and the closed form
+        calls.clear()
+    assert len(list(chunks)) >= len(table.support)
+    pairs = {(id(w), id(p)) for w, p in zip(table.weights, table.probabilities)}
+    assert len(calls) == 2 * len(pairs) < len(table.support)
 
 
-def test_csv_stream_is_made_of_table_to_csv_calls(monkeypatch):
+@pytest.mark.parametrize("stream", (False, True), ids=("table", "stream"))
+def test_csv_stream_is_made_of_table_to_csv_calls(stream, monkeypatch):
     """Each chunk is the return value of `table_to_csv`, so wrapping that
-    one function sees every byte of a streamed CSV table."""
-    table = first_kind.joint_pmf(FirstKindParams(ALL_PRESETS[0], 8, 4))
+    one function sees every byte of a streamed CSV table, listed or
+    streamed; `table_to_csv` of the whole table writes the same bytes."""
+    params = FirstKindParams(ALL_PRESETS[0], 12, 6)  # 1716 rows, several chunks
+    table = first_kind.joint_stream(params) if stream else first_kind.joint_pmf(params)
     returned = []
     original = serialize.table_to_csv
     monkeypatch.setattr(serialize, "table_to_csv", lambda *args: returned.append(original(*args)) or returned[-1])
     assert list(serialize.table_csv_chunks(table)) == returned
-    assert "".join(returned) == original(table)
+    assert len(returned) > 1
+    assert "".join(returned) == original(table) == _csv_reference(first_kind.joint_pmf(params))
 
 
 def _json_documents():
