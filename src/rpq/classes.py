@@ -24,7 +24,8 @@ points, in both modes from the same integers: its memos hold one mass, one
 step and one closed value per class, a mass summed as an integer over the
 joint's one denominator (the exact sum of float weights, in approximate
 mode), and one value and one probability per mass, the objects a table
-holds: Fractions reduced once, or floats rounded once.  `make_table` takes
+holds: Fractions reduced once, or floats rounded once, and the derived
+tables read from it, by call, within a budget of points.  `make_table` takes
 the integers along, so no decimal sum depends on an order of points.
 Besides, a process keeps the count tables of 128 boxes (`sum_rows`) and the
 most recent listings of 2^16 points in all (`Recent`) with their class
@@ -167,7 +168,9 @@ class PrefixClasses:
     the weights.  `value(mass)` and `probability(mass)`, memoised, are the
     objects a table holds for a mass and for its share of `total`, the
     normalizer's mass: Fractions, or floats rounded once.  `closed[key]`,
-    made once, is `closed_pair(key)`, the closed value of a class."""
+    made once, is `closed_pair(key)`, the closed value of a class.
+    `tables(call)` is `build(*args)` of a call (build, *args), a derived
+    table kept while the tables hold at most 2^14 support points."""
 
     def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, exact: bool,
                  closed_pair: Callable[[tuple], Tuple[int, int]]) -> None:
@@ -177,6 +180,7 @@ class PrefixClasses:
         self.mass, self.step, self.value, self.probability = (
             lru_cache(maxsize=None)(f) for f in (self._mass, self._step, self._value, self._probability))
         self.closed = Memo(closed_pair)
+        self.tables = Recent(lambda call: call[0](*call[1:]), lambda table: len(table.support), 1 << 14)
         scaled = dict(zip(law.weights, numerators))
         self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
         self.total = sum(law.counts[e] * n for e, n in scaled.items())

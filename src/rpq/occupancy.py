@@ -23,7 +23,9 @@ Memos, each bounded: the 32 most recent class laws with their streams (one
 mass, one step and one closed pair per class, one value and one probability
 per mass), the leading block sums of 32 schemes, each scheme walked once
 (`PrefixClasses.blocks`), with their masses and closed pairs (one rule,
-`grouped_terms`), and the most recent joint tables of 2^19 points in all.
+`grouped_terms`), the most recent joint tables of 2^19 points in all, and
+on each class law the derived tables it returned, by call, while they hold
+2^14 points (`_kept`): a repeated call returns the same, shared table.
 What the kinds differ in lives on their params classes (`OccupancyParams`),
 which `rpq.first_kind` and `rpq.second_kind` define; they re-export these
 functions.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import ClassVar, Iterable, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterable, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, _closed_pair, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
@@ -242,6 +244,13 @@ def _derived_table(
     )
 
 
+def _kept(params: OccupancyParams, build: Callable, *args) -> PmfTable:
+    """`build(params, *args)` after the joint's guard, kept on the joint's
+    class law (`PrefixClasses.tables`): a repeated call returns the table it
+    returned before, and a call that raises keeps nothing."""
+    return _joint_law(params).tables((build, params, *args))
+
+
 def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     """Law of the prefix (X_1..X_r), 1 <= r < k, by exact summation.
 
@@ -251,6 +260,10 @@ def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     """
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
+    return _kept(params, _marginal, r)
+
+
+def _marginal(params: OccupancyParams, r: int) -> PmfTable:
     law = _joint_law(params)
     support, keys, index, masses = law.prefixes((), r)
     closed = [law.closed[(r, *key)] for key in keys]
@@ -277,13 +290,17 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
+    return _kept(params, _conditional, given, m)
+
+
+def _conditional(params: OccupancyParams, given: SupportPoint, m: int) -> PmfTable:
     law = _joint_law(params)
     support, keys, index, masses = law.prefixes(given, m)
     if not support:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
     y = sum(given)
     closed = [law.closed[(m, y + t, t, e)] for t, e in keys]
-    return _derived_table(params, law, "conditional", ("x", r + 1, m), support, masses, index, closed,
+    return _derived_table(params, law, "conditional", ("x", len(given) + 1, m), support, masses, index, closed,
                           params.prefix_normalizer(given), given=list(given), m=m)
 
 
@@ -324,11 +341,7 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
     attached as a cross-check.
     """
     scheme.validate_for(params.k)
-    levels, closed = _block_law(params, scheme.sizes)
-    support = tuple(levels[-1])
-    return _derived_table(params, _joint_law(params), "grouped", ("y", 1, len(scheme.sizes)), support,
-                          list(levels[-1].values()), range(len(support)), map(closed.__getitem__, support),
-                          scheme=list(scheme.sizes))
+    return _kept(params, _grouped, scheme.sizes, len(scheme.sizes))
 
 
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
@@ -336,11 +349,16 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
     scheme.validate_for(params.k)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
-    levels, closed = _block_law(params, scheme.sizes)
-    support = tuple(levels[nu - 1])
-    return _derived_table(params, _joint_law(params), "grouped-marginal", ("y", 1, nu), support,
-                          list(levels[nu - 1].values()), range(len(support)), map(closed.__getitem__, support),
-                          scheme=list(scheme.sizes), nu=nu)
+    return _kept(params, _grouped, scheme.sizes, nu)
+
+
+def _grouped(params: OccupancyParams, sizes: Tuple[int, ...], nu: int) -> PmfTable:
+    """The law of the leading nu blocks of `sizes`: the grouped law at nu = r."""
+    levels, closed = _block_law(params, sizes)
+    support, extra = tuple(levels[nu - 1]), {} if nu == len(sizes) else {"nu": nu}
+    return _derived_table(params, _joint_law(params), "grouped-marginal" if extra else "grouped", ("y", 1, nu),
+                          support, list(levels[nu - 1].values()), range(len(support)),
+                          map(closed.__getitem__, support), scheme=list(sizes), **extra)
 
 
 def grouped_conditional_pmf(
@@ -353,13 +371,18 @@ def grouped_conditional_pmf(
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
-    levels, closed = _block_law(params, scheme.sizes)
+    return _kept(params, _grouped_conditional, scheme.sizes, given)
+
+
+def _grouped_conditional(params: OccupancyParams, sizes: Tuple[int, ...], given: SupportPoint) -> PmfTable:
+    nu = len(given)
+    levels, closed = _block_law(params, sizes)
     if given not in levels[nu - 1]:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
     ys, masses = zip(*((y, mass) for y, mass in levels[-1].items() if y[:nu] == given))
-    return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(scheme.sizes)),
+    return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(sizes)),
                           [y[nu:] for y in ys], masses, range(len(ys)), map(closed.__getitem__, ys), closed[given],
-                          scheme=list(scheme.sizes), given=list(given))
+                          scheme=list(sizes), given=list(given))
 
 
 def bivariate_table(params: OccupancyParams) -> PmfTable:

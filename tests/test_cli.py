@@ -199,15 +199,25 @@ def test_sample_refusals(argv, code, err, sequential):
     assert run_cli("sample", *sequential, "--preset", "js", "--p", "9/10", "--q", "1/2", *argv) == (code, "", err)
 
 
+# 601,080,390 joint points, past the guard (exit 3): a command validates
+# its own arguments first, before it takes the joint's guard.
+K16 = ("--kind", "second", "--k", "16", "--n", "16")
+
+
 @pytest.mark.parametrize("argv, err", [
     (("conditional", "--kind", "first", "--given", "2"), "given: capacity-one occupancies are 0/1, got (2,)"),
     (("conditional", "--kind", "second", "--given=-1,0"), "given: occupancies are nonnegative, got (-1, 0)"),
     (("conditional", "--given", "1,x"), "given: expected comma-separated integers, got '1,x'"),
     (("grouped", "--groups", "2,x"), "groups: expected comma-separated integers, got '2,x'"),
-], ids=("first-given-2", "negative-given", "given-not-integers", "groups-not-integers"))
+    (("marginal", *K16, "--r", "99"), "r: marginal needs 1 <= r < k, got r=99, k=16"),
+    (("conditional", *K16, "--given", "0,1", "--m", "99"), "conditional needs 1 <= r < m <= k, got r=2, m=99, k=16"),
+    (("grouped", *K16, "--groups", "8,9"), "scheme: group sizes (8, 9) must sum to k=16"),
+    (("moments", *K16, "--i1", "0"), "moment orders must be >= 1, got i1=0, i2=1"),
+], ids=("first-given-2", "negative-given", "given-not-integers", "groups-not-integers",
+        "k16-marginal-r", "k16-conditional-m", "k16-groups-sum", "k16-moment-order"))
 def test_model_command_refusals(argv, err):
-    model = ("--preset", "js", "--p", "9/10", "--q", "1/2", "--k", "3", "--n", "2")
-    assert run_cli(*argv, *model) == (2, "", f"error: {err}\n")
+    size = () if "--k" in argv else ("--k", "3", "--n", "2")
+    assert run_cli(*argv, "--preset", "js", "--p", "9/10", "--q", "1/2", *size) == (2, "", f"error: {err}\n")
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch):

@@ -458,18 +458,38 @@ def test_exact_and_decimal_algebras_of_equal_values_keep_their_own_tables(module
 )
 def test_class_memos_stay_bounded(module, params):
     """A long-lived process keeps at most 32 class laws, the block masses of
-    32 schemes, 128 count tables and listings of 2^16 points, and
-    recomputes what it evicted to equal tables."""
+    32 schemes, 128 count tables and listings of 2^16 points, and on each
+    class law the derived tables it returned while they hold at most a
+    budget of points; it recomputes what it evicted to equal tables."""
     schemes = [GroupingScheme(sizes) for sizes in compositions(7)][:40]
     assert len(set(schemes)) == 40
     _clear_caches()
     first = module.grouped_pmf(params, schemes[0])
     module.marginal_pmf(params, 2)
     module.conditional_pmf(params, (0, 1), 4)
-    # The closed pairs live and go with their class law and their scheme.
-    memos = [occupancy._joint_law(params).closed, occupancy._block_law(params, schemes[0].sizes)[1]]
+    law = occupancy._joint_law(params)
+    # Many distinct conditionals on one law: its kept tables stay within its
+    # budget of support points (2^14, made small here), the most recently
+    # read kept.
+    tables = law.tables
+    assert tables.budget == 1 << 14 and len(tables) == 3
+    tables.budget, returned = 20, 0
+    for r in range(1, params.k):
+        for given, m in product(prefixes(module, params, r), range(r + 1, params.k + 1)):
+            returned += type(_outcome(partial(module.conditional_pmf, params, given, m))) is tuple
+            assert tables.points == sum(len(t.support) for t in tables.values()) <= tables.budget
+    assert returned > 100 and len(tables) < returned
+    # A table past the budget is returned but not kept.
+    large = module.marginal_pmf(params, params.k - 1)
+    assert len(large.support) > tables.budget and all(t is not large for t in tables.values())
+    again = module.marginal_pmf(params, params.k - 1)
+    assert again is not large and (again, repr(again)) == (large, repr(large))
+    # The closed pairs and the kept tables live and go with their class law
+    # and their scheme.
+    memos = [law.closed, occupancy._block_law(params, schemes[0].sizes)[1], tables]
     assert all(map(len, memos))
-    memos = [weakref.ref(memo) for memo in memos]
+    memos = [weakref.ref(memo) for memo in (*memos, *tables.values())]
+    del law, tables
     for scheme in schemes:
         module.grouped_pmf(params, scheme)
         assert occupancy._block_law.cache_info().currsize <= 32
@@ -489,7 +509,7 @@ def test_class_memos_stay_bounded(module, params):
         assert [keys[c] for c in index] == [(sum(x), area(x)) for x in points]
     assert occupancy._joint_law.cache_info().currsize == 32
     gc.collect()
-    assert [memo() for memo in memos] == [None, None]
+    assert [memo() for memo in memos] == [None] * len(memos)
     # An evicted law and scheme are summed again, to an equal table.
     again = module.grouped_pmf(params, schemes[0])
     assert (again, repr(again)) == (first, repr(first))
@@ -515,11 +535,56 @@ def _one_of_each(module, params):
 
 @pytest.mark.parametrize("alg", (JS, jagannathan_srinivasa(0.9, 0.5)), ids=("exact", "decimal"))
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
+def test_a_warm_derived_call_returns_the_table_it_returned(module, alg):
+    """Each derived table is kept on its joint's class law, by call: a
+    repeated call returns the object its first call returned, with no new
+    normalization; after the memos are cleared a call gives an equal table
+    again."""
+    names = set()
+    for params in grid(module, alg, first_k=5, second_k=4, second_n=3):
+        if params.k < 2:
+            continue
+        calls = _one_of_each(module, params)
+        _clear_caches()
+        cold = [_outcome(call) for _, call in calls]
+        assert [_outcome(call) for _, call in calls] == cold
+        for (name, call), first in zip(calls, cold):
+            if type(first) is tuple:
+                assert call() is first[0], (params, name)
+                names.add(name)
+        _clear_caches()
+        again = [_outcome(call) for _, call in calls]
+        assert again == cold
+        assert all(a[0] is not c[0] for a, c in zip(again, cold) if type(c) is tuple)
+    assert names == {"marginal", "conditional", "grouped", "grouped_marginal", "grouped_conditional"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda params: first_kind.conditional_pmf(params, (0, 0), 3),
+    lambda params: first_kind.grouped_conditional_pmf(params, GroupingScheme((2, 1)), (0,)),
+], ids=("conditional", "grouped-conditional"))
+def test_a_refused_derived_call_raises_again_and_keeps_nothing(call):
+    """A zero-probability event found after the joint's guard (every point
+    of first kind k3 n3 has sum 2 or 3): the call raises again when
+    repeated, and the class law keeps no table for it."""
+    params = FirstKindParams(JS, 3, 3)
+    _clear_caches()
+    kept = first_kind.marginal_pmf(params, 1)
+    tables = occupancy._joint_law(params).tables
+    for _ in range(2):
+        with pytest.raises(ZeroProbabilityEventError, match="has probability zero"):
+            call(params)
+        assert list(map(id, tables.values())) == [id(kept)] and tables.points == len(kept.support)
+
+
+@pytest.mark.parametrize("alg", (JS, jagannathan_srinivasa(0.9, 0.5)), ids=("exact", "decimal"))
+@pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
 def test_warm_derived_laws_reuse_their_closed_pairs_and_probabilities(module, alg, monkeypatch):
-    """A repeated call builds no closed pair (they are memoised with the
-    class law and the scheme) and gives an equal table, which a marginal or
-    grouped law builds from the first call's probability objects; after
-    the memos are cleared the call gives an equal table again."""
+    """A call rebuilt on a warm class law (its kept table dropped) builds no
+    closed pair (they are memoised with the class law and the scheme) and
+    gives an equal table, which a marginal or grouped law builds from the
+    first call's probability objects; after the memos are cleared the call
+    gives an equal table again."""
     built = [0]
 
     def counting(*args):
@@ -534,6 +599,7 @@ def test_warm_derived_laws_reuse_their_closed_pairs_and_probabilities(module, al
             _clear_caches()
             first = _outcome(call)
             before = built[0]
+            occupancy._joint_law(params).tables.cache_clear()
             second = _outcome(call)
             assert built[0] == before, (params, name)
             _clear_caches()

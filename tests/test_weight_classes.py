@@ -163,14 +163,19 @@ def test_decimal_derived_law_refuses_an_underflowed_class_at_its_first_point(mod
     decimal = jagannathan_srinivasa(0.9, 0.5)
     params = (FirstKindParams(decimal, 7, 3) if module is first_kind else SecondKindParams(decimal, 4, 4))
     given, m = (0,), params.k
-    table = module.conditional_pmf(params, given, m)
-    keys = [(sum(s), area(s)) for s in table.support]
+    # The support and the (sum, area) key of each point, read from the class
+    # law, not from a conditional: a returned table is kept, so the first
+    # `conditional_pmf` call must come after the patch.
+    law = occupancy._joint_law(params)
+    support, classes, index, _ = law.prefixes(given, m)
+    keys = [classes[c] for c in index]
+    assert keys == [(sum(s), area(s)) for s in support]
     # The last point of a class of several points that is not the first class.
     last = max(j for j, key in enumerate(keys) if keys.count(key) > 1 and key != keys[0])
-    first = table.support[keys.index(keys[last])]
-    assert first < table.support[last]
+    first = support[keys.index(keys[last])]
+    assert first < support[last]
     # With given (0,) and m = k, a point's class is (k, sum, area) of its suffix.
-    law, target = occupancy._joint_law(params), (m, *keys[last])
+    target = (m, *keys[last])
     mass = law.mass
     monkeypatch.setattr(law, "mass", lambda key: 0 if key == target else mass(key))
     with pytest.raises(UnderflowError, match=re.escape(f"probability of {first} is 0.0")):
