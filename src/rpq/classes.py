@@ -24,18 +24,19 @@ points, in both modes from the same integers: its memos hold one mass, one
 step and one closed value per class, a mass summed as an integer over the
 joint's one denominator (the exact sum of float weights, in approximate
 mode), and one value and one probability per mass, the objects a table
-holds: Fractions reduced once, or floats rounded once, and the derived
-tables read from it, by call, within a budget of points.  `make_table` takes
-the integers along, so no decimal sum depends on an order of points.
-Besides, a process keeps the count tables of 128 boxes (`sum_rows`) and the
-most recent listings of 2^16 points in all (`Recent`) with their class
-partitions, which derived tables normalize once per class.
+holds: Fractions reduced once, or floats rounded once, the count rows of
+its suffix boxes, and, within a budget of points, the tables read from it
+by call and its schemes' walks (`Walk`).  `make_table` takes the integers
+along, so no decimal sum depends on an order of points.  Besides, a process
+keeps the most recent box listings of 2^16 points in all (`Recent`) with
+their class partitions (no algebra), which derived tables of any law over
+the box normalize once per class.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -87,9 +88,6 @@ def area_counts(constraints: ConstraintSet) -> Dict[int, int]:
     return {t + i: count for t, total in terms for i, count in enumerate(_decode(total, width)) if count}
 
 
-# Bounded: one table per box a process reads class masses of (a joint of k
-# coordinates has k + 1 suffix boxes); each holds one count per (t, e).
-@lru_cache(maxsize=128)
 def sum_rows(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], ...]:
     """The area counts of the box `upper` by sum: row t lists the number
     of its vectors with sum t and area t + i at index i, for t <= smax."""
@@ -97,26 +95,21 @@ def sum_rows(upper: Tuple[int, ...], smax: int) -> Tuple[List[int], ...]:
     return tuple(_decode(w, width) for w in _sum_ways(upper, smax, width))
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
 class Recent(OrderedDict):
     """`make(key)` by key: the most recently read values, while they hold
     at most `budget` points in all, `size(value)` each (a larger value is
-    not kept).  `cache_info()` and `cache_clear()` work as `lru_cache`'s;
-    its currsize counts values, and it has no maxsize of values."""
+    not kept).  `cache_clear()` drops them all."""
 
     def __init__(self, make: Callable, size: Callable[[object], int], budget: int) -> None:
         super().__init__()
-        self.make, self.size, self.budget = make, size, budget
-        self.points = self.hits = self.misses = 0
+        self.make, self.size, self.budget, self.points = make, size, budget, 0
 
     def __call__(self, key):
-        if key in self:
-            self.hits += 1
+        try:  # a kept value, now the most recently read
             self.move_to_end(key)
             return self[key]
-        self.misses += 1
+        except KeyError:
+            pass
         value = self.make(key)
         if self.size(value) <= self.budget:
             self[key], self.points = value, self.points + self.size(value)
@@ -124,12 +117,9 @@ class Recent(OrderedDict):
                 self.points -= self.size(self.popitem(last=False)[1])
         return value
 
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, None, len(self))
-
     def cache_clear(self) -> None:
         self.clear()
-        self.points = self.hits = self.misses = 0
+        self.points = 0
 
 
 class Memo(dict):
@@ -142,6 +132,22 @@ class Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
+
+
+class Walk(Memo):
+    """The walk of one grouping scheme: `levels[d - 1]` maps each admissible
+    y[:d] to its mass (`PrefixClasses.blocks`), and `walk[y]` is `make(y)`,
+    the closed pair of the block counts y, made at its first read."""
+
+    def __init__(self, make: Callable, levels: List[Dict[SupportPoint, int]]) -> None:
+        super().__init__(make)
+        self.levels = levels
+
+
+def _points(kept) -> int:
+    """The size of a value kept on a class law: a walk's block vectors at
+    every depth, or a table's support points."""
+    return sum(map(len, kept.levels)) if isinstance(kept, Walk) else len(kept.support)
 
 
 def _listing(box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[int, int], ...], List[int]]:
@@ -163,14 +169,15 @@ class PrefixClasses:
     sequential draw, memoised, one entry per class.  A mass is the summed
     weight of the support points in the class (at r = 0 the normalizer's),
     an integer over the joint's one denominator `denominator`: in both
-    modes the suffix box's counts by sum (`sum_rows`) dotted with the class
-    weights of `law` as `numerators` over `denominator`, the exact sum of
-    the weights.  `value(mass)` and `probability(mass)`, memoised, are the
-    objects a table holds for a mass and for its share of `total`, the
-    normalizer's mass: Fractions, or floats rounded once.  `closed[key]`,
-    made once, is `closed_pair(key)`, the closed value of a class.
-    `tables(call)` is `build(*args)` of a call (build, *args), a derived
-    table kept while the tables hold at most 2^14 support points."""
+    modes the counts by sum of the suffix box of d coordinates (`rows[d]`,
+    `sum_rows`, made once) dotted with the class weights of `law` as
+    `numerators` over `denominator`, the exact sum of the weights.
+    `value(mass)` and `probability(mass)`, memoised, are the objects a table
+    holds for a mass and for its share of `total`, the normalizer's mass:
+    Fractions, or floats rounded once.  `closed[key]`, made once, is
+    `closed_pair(key)`, the closed value of a class.  `tables(call)` is
+    `build(*args)` of a call (build, *args), kept while they hold at most
+    2^14 points (`_points`)."""
 
     def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, exact: bool,
                  closed_pair: Callable[[tuple], Tuple[int, int]]) -> None:
@@ -180,7 +187,8 @@ class PrefixClasses:
         self.mass, self.step, self.value, self.probability = (
             lru_cache(maxsize=None)(f) for f in (self._mass, self._step, self._value, self._probability))
         self.closed = Memo(closed_pair)
-        self.tables = Recent(lambda call: call[0](*call[1:]), lambda table: len(table.support), 1 << 14)
+        self.rows = Memo(lambda d: sum_rows((self.bound,) * d, self.smax))
+        self.tables = Recent(lambda call: call[0](*call[1:]), _points, 1 << 14)
         scaled = dict(zip(law.weights, numerators))
         self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
         self.total = sum(law.counts[e] * n for e, n in scaled.items())
@@ -195,7 +203,7 @@ class PrefixClasses:
         r, s, base = key
         if r == 0:
             return self.total
-        rows, numerator = sum_rows((self.bound,) * (self.k - r), self.smax), 0
+        rows, numerator = self.rows[self.k - r], 0
         for t in range(max(0, self.smin - s), self.smax - s + 1):
             numerator += sum(map(mul, rows[t], self._scaled[base + t:base + t + len(rows[t])]))
         return numerator

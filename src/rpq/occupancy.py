@@ -19,13 +19,12 @@ applied once; a decimal value is rounded once, at the end.  Each first
 takes the joint's 10^7-point guard and checks, from its memoised class law,
 so it refuses what it refused when it summed the joint; so does
 `rpq sample`, whose draws descend the same classes and list no joint.
-Memos, each bounded: the 32 most recent class laws with their streams (one
-mass, one step and one closed pair per class, one value and one probability
-per mass), the leading block sums of 32 schemes, each scheme walked once
-(`PrefixClasses.blocks`), with their masses and closed pairs (one rule,
-`grouped_terms`), the most recent joint tables of 2^19 points in all, and
-on each class law the derived tables it returned, by call, while they hold
-2^14 points (`_kept`): a repeated call returns the same, shared table.
+One memo, `_joint_law`, keeps the 32 most recent class laws, and each law
+all that is its joint's: its stream, per class a mass, a step and a closed
+pair, per mass a value and a probability, its suffix boxes' count rows, and,
+while they hold 2^14 points (`_kept`), the tables it returned by call
+(`joint_pmf`'s too) and its schemes' walks with their closed pairs
+(`PrefixClasses.blocks`, `grouped_terms`).  An evicted law takes them along.
 What the kinds differ in lives on their params classes (`OccupancyParams`),
 which `rpq.first_kind` and `rpq.second_kind` define; they re-export these
 functions.
@@ -33,13 +32,14 @@ functions.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable, ClassVar, Iterable, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, _closed_pair, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
-from .classes import Memo, PrefixClasses, Recent, area_counts
+from .classes import PrefixClasses, Walk, area_counts
 from .lattice import ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_points, point_cells
 from .pmf import PmfStream, PmfTable, make_stream, make_table
 from .records import Record
@@ -126,15 +126,12 @@ def _labels(prefix: str, first: int, last: int) -> Tuple[str, ...]:
     return tuple(f"{prefix}{j}" for j in range(first, last + 1))
 
 
-def _normalizer(params: OccupancyParams) -> dict:
-    """make_table's closed-form normalizer arguments.  A decimal normalizer
-    that overflowed to inf or nan has no exact ratio, so it raises
-    OverflowError (`scalars.integer_ratios`), as a derived law's closed
-    values do."""
-    z = params.normalizer(params.alg, params.k, params.n)
-    if not params.alg.exact:
-        integer_ratios([z])
-    return {"z_closed_form": z, "fit_bound": params.fit_bound()}
+def _integers(name: str, values: Iterable) -> Tuple[int, ...]:
+    """`values` as ints (`operator.index`: a bool is its int), else ValidationError naming `name`."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
 
 
 def joint_weight(params: OccupancyParams, x: SupportPoint) -> Scalar:
@@ -150,7 +147,7 @@ def joint_stream(params: OccupancyParams) -> PmfStream:
 
 
 # Bounded: a long-lived process keeps the class laws of at most 32 params,
-# each with at most one mass, one value and one step per prefix class.
+# each with what its joint has made, tables and walks within 2^14 points.
 @lru_cache(maxsize=32)
 def _joint_law(params: OccupancyParams) -> PrefixClasses:
     """The joint law of `params` as a stream and the memos of its prefix
@@ -162,6 +159,9 @@ def _joint_law(params: OccupancyParams) -> PrefixClasses:
     counts = area_counts(constraints)
     weights = {e: params.area_weight(e) for e in counts}
     numerators, denominator = over_lcm(weights.values())
+    z_closed = params.normalizer(params.alg, params.k, params.n)
+    if not params.alg.exact:  # a decimal inf or nan has no exact ratio: OverflowError
+        integer_ratios([z_closed])
     stream = make_stream(
         kind=params.kind,
         params=params.describe(),
@@ -172,7 +172,8 @@ def _joint_law(params: OccupancyParams) -> PrefixClasses:
         alg=params.alg,
         numerators=numerators,
         denominator=denominator,
-        **_normalizer(params),
+        z_closed_form=z_closed,
+        fit_bound=params.fit_bound(),
     )
     return PrefixClasses(stream, numerators, denominator, params.alg.exact, partial(_class_closed, params))
 
@@ -197,18 +198,14 @@ def _listed(params: OccupancyParams) -> PmfTable:
                     params.alg.exact, params.alg.tol, law.z_closed_form, law.z_discrepancy, None)
 
 
-# Bounded: a long-lived process keeps the most recently read joint tables
-# while they hold at most 2^19 points in all (a first-kind k20 n10 joint,
-# 352,716 points, holds about 80 MB).
-_joint_tables = Recent(_listed, lambda table: len(table.support), 1 << 19)
-
-
 def joint_pmf(params: OccupancyParams) -> PmfTable:
-    """The joint law of (X_1..X_k) as a table (`_listed`), memoised."""
-    return _joint_tables(params)
+    """The joint law of (X_1..X_k) as a table (`_listed`), kept on its class
+    law (`_kept`): one of more than 2^14 points is listed by every call."""
+    return _kept(params, _listed)
 
 
-joint_pmf.cache_info, joint_pmf.cache_clear = _joint_tables.cache_info, _joint_tables.cache_clear
+# The class laws': clearing them frees the tables kept on them.
+joint_pmf.cache_info, joint_pmf.cache_clear = _joint_law.cache_info, _joint_law.cache_clear
 
 
 def _derived_table(
@@ -223,7 +220,7 @@ def _derived_table(
     `closed_divisor`), `index` the class of each point.  Closed values are
     unreduced pairs (`algebra._closed_pair`).  Summed joint masses keep the
     joint's normalizer, so every table but a conditional carries its closed
-    form and takes the class law's probability objects."""
+    form and fit (the stream's) and the class law's probability objects."""
     conditional = table.endswith("conditional")
     described = params.describe()
     described.update(table=table, **extra)
@@ -235,7 +232,7 @@ def _derived_table(
         weights=list(map(law.value, masses)),
         index=index,
         alg=params.alg,
-        **({} if conditional else _normalizer(params)),
+        **({} if conditional else {"z_closed_form": law.law.z_closed_form, "z_discrepancy": law.law.z_discrepancy}),
         closed_values=closed,
         numerators=masses,
         denominator=law.denominator,
@@ -244,10 +241,10 @@ def _derived_table(
     )
 
 
-def _kept(params: OccupancyParams, build: Callable, *args) -> PmfTable:
+def _kept(params: OccupancyParams, build: Callable, *args):
     """`build(params, *args)` after the joint's guard, kept on the joint's
-    class law (`PrefixClasses.tables`): a repeated call returns the table it
-    returned before, and a call that raises keeps nothing."""
+    class law (`PrefixClasses.tables`): a repeated call returns the table or
+    walk it returned before; a call that raises keeps none of its own."""
     return _joint_law(params).tables((build, params, *args))
 
 
@@ -258,6 +255,7 @@ def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
     enumerated normalizer coincides with the joint one.  The kind's closed
     marginal weights, one per class, ride along as a cross-check.
     """
+    (r,) = _integers("r", (r,))
     if not 1 <= r < params.k:
         raise ValidationError(f"r: marginal needs 1 <= r < k, got r={r}, k={params.k}")
     return _kept(params, _marginal, r)
@@ -280,13 +278,13 @@ def conditional_pmf(params: OccupancyParams, given: Sequence[int], m: int) -> Pm
     m-prefix, t of s), and `make_table` divides them by their common
     divisor (`prefix_normalizer`).
     """
-    given = tuple(given)
+    given, (m,) = _integers("given", given), _integers("m", (m,))
     r = len(given)
     if not 1 <= r < m <= params.k:
         raise ValidationError(f"conditional needs 1 <= r < m <= k, got r={r}, m={m}, k={params.k}")
-    if params.cap == 1 and any(v not in (0, 1) for v in given):
+    if params.cap == 1 and not 0 <= min(given) <= max(given) <= 1:
         raise ValidationError(f"given: capacity-one occupancies are 0/1, got {given}")
-    if any(v < 0 for v in given):
+    if min(given) < 0:
         raise ValidationError(f"given: occupancies are nonnegative, got {given}")
     if sum(given) > params.n:
         raise ZeroProbabilityEventError(f"given: prefix places {sum(given)} > n = {params.n} balls")
@@ -310,9 +308,10 @@ class GroupingScheme(Record):
     _fields = ("sizes",)
 
     def __init__(self, sizes: Tuple[int, ...]) -> None:
+        sizes = _integers("scheme", sizes)
         if not sizes or any(m < 1 for m in sizes):
             raise ValidationError(f"scheme: group sizes must be positive, got {sizes}")
-        super().__init__(tuple(sizes))
+        super().__init__(sizes)
 
     def validate_for(self, k: int) -> None:
         if sum(self.sizes) != k:
@@ -323,15 +322,12 @@ class GroupingScheme(Record):
         return tuple(accumulate(self.sizes))
 
 
-# Bounded: a long-lived process keeps the block masses of 32 schemes, each
-# with at most one closed pair per leading block-sum vector.
-@lru_cache(maxsize=32)
-def _block_law(params: OccupancyParams, sizes: Tuple[int, ...]) -> Tuple[list, Memo]:
+def _walk(params: OccupancyParams, sizes: Tuple[int, ...]) -> Walk:
     """The masses of the leading block sums y[:d] of the scheme `sizes`, by
-    depth d (`PrefixClasses.blocks`), and `closed[y]`, the closed pair of
-    the block counts y (`grouped_terms`), made once."""
+    depth d (`PrefixClasses.blocks`), and `walk[y]`, the closed pair of the
+    block counts y (`grouped_terms`), made once; kept as tables are (`_kept`)."""
     scheme = GroupingScheme(sizes)
-    return _joint_law(params).blocks(sizes), Memo(lambda y: _closed_pair(params.alg, *params.grouped_terms(scheme, y)))
+    return Walk(lambda y: _closed_pair(params.alg, *params.grouped_terms(scheme, y)), _joint_law(params).blocks(sizes))
 
 
 def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
@@ -347,6 +343,7 @@ def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
 def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: int) -> PmfTable:
     """Law of the leading blocks (Y_1..Y_nu), 1 <= nu < r."""
     scheme.validate_for(params.k)
+    (nu,) = _integers("nu", (nu,))
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"nu: need 1 <= nu < {len(scheme.sizes)}, got {nu}")
     return _kept(params, _grouped, scheme.sizes, nu)
@@ -354,11 +351,11 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
 
 def _grouped(params: OccupancyParams, sizes: Tuple[int, ...], nu: int) -> PmfTable:
     """The law of the leading nu blocks of `sizes`: the grouped law at nu = r."""
-    levels, closed = _block_law(params, sizes)
-    support, extra = tuple(levels[nu - 1]), {} if nu == len(sizes) else {"nu": nu}
+    walk = _kept(params, _walk, sizes)
+    support, extra = tuple(walk.levels[nu - 1]), {} if nu == len(sizes) else {"nu": nu}
     return _derived_table(params, _joint_law(params), "grouped-marginal" if extra else "grouped", ("y", 1, nu),
-                          support, list(levels[nu - 1].values()), range(len(support)),
-                          map(closed.__getitem__, support), scheme=list(sizes), **extra)
+                          support, list(walk.levels[nu - 1].values()), range(len(support)),
+                          map(walk.__getitem__, support), scheme=list(sizes), **extra)
 
 
 def grouped_conditional_pmf(
@@ -367,7 +364,7 @@ def grouped_conditional_pmf(
     """Law of the trailing blocks given the leading block counts: the
     closed values of the whole block counts, over that of `given`."""
     scheme.validate_for(params.k)
-    given = tuple(given)
+    given = _integers("given", given)
     nu = len(given)
     if not 1 <= nu < len(scheme.sizes):
         raise ValidationError(f"given: need 1 <= len(given) < {len(scheme.sizes)}, got {nu}")
@@ -376,12 +373,12 @@ def grouped_conditional_pmf(
 
 def _grouped_conditional(params: OccupancyParams, sizes: Tuple[int, ...], given: SupportPoint) -> PmfTable:
     nu = len(given)
-    levels, closed = _block_law(params, sizes)
-    if given not in levels[nu - 1]:
+    walk = _kept(params, _walk, sizes)
+    if given not in walk.levels[nu - 1]:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    ys, masses = zip(*((y, mass) for y, mass in levels[-1].items() if y[:nu] == given))
+    ys, masses = zip(*((y, mass) for y, mass in walk.levels[-1].items() if y[:nu] == given))
     return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(sizes)),
-                          [y[nu:] for y in ys], masses, range(len(ys)), map(closed.__getitem__, ys), closed[given],
+                          [y[nu:] for y in ys], masses, range(len(ys)), map(walk.__getitem__, ys), walk[given],
                           scheme=list(sizes), given=list(given))
 
 

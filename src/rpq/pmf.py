@@ -14,10 +14,10 @@ A table may borrow equal quotient objects (`like`): a derived law over the
 joint's total takes those its class law keeps, and still checks them.
 A `PmfStream` is the same law listed by `lattice.walk` rather than held:
 one weight and one probability per area class, normalized from the class
-counts.  It is the one normalization of a joint law, which `occupancy`
-memoises as the class law that derived laws and sequential draws read;
-`joint_pmf` lists it as a table.  A table keeps one memo, its inverse-CDF
-thresholds.
+counts.  It is the one normalization of a joint law, with its fit, which
+`occupancy` memoises as the class law that derived laws and sequential
+draws read; `joint_pmf` lists it as a table.  A table keeps one memo, its
+inverse-CDF thresholds; this module keeps none.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from math import ulp
 from operator import is_, lt, mul, truediv
@@ -178,15 +178,6 @@ def cdf_thresholds(masses: Sequence[int]) -> List[int]:
     return [-(-(c << CDF_BITS) // total) for c in accumulate(masses[:-1])]
 
 
-@lru_cache(maxsize=64, typed=True)
-def _normalizer_fit(alg: AlgebraSpec, z: Scalar, z_closed_form: Scalar, bound: int) -> MonomialFit:
-    """`fit_monomial` of a table normalizer, memoised: an exact joint's
-    marginal and grouped tables share its normalizer and closed form, so
-    they take its fit.  Typed, because an exact and a decimal algebra with
-    the same dyadic parameters compare equal."""
-    return fit_monomial(alg, z, z_closed_form, bound)
-
-
 def make_table(
     *,
     kind: str,
@@ -198,6 +189,7 @@ def make_table(
     alg: AlgebraSpec,
     z_closed_form: Optional[Scalar] = None,
     fit_bound: int = 0,
+    z_discrepancy: Optional[MonomialFit] = None,
     closed_values: Optional[Sequence] = None,
     numerators: Optional[Sequence[int]] = None,
     denominator: Optional[int] = None,
@@ -216,7 +208,9 @@ def make_table(
     (`scalars.over_lcm`).  `closed_divisor`, a scalar or such a pair common to
     every closed value, divides their total once (the quotients do not see
     it; a zero divisor raises that division's ZeroDivisionError).  `like`
-    lends the classes equal probability objects (`_class_quotients`)."""
+    lends the classes equal probability objects (`_class_quotients`).
+    `z_closed_form` is fitted within `fit_bound` (`fit_monomial`) unless
+    its fit `z_discrepancy` is given, a derived law's from its joint."""
     support, weights, index = tuple(support), list(weights), list(index)
     if not support:
         raise ValidationError(f"{kind} table: empty support")
@@ -231,7 +225,7 @@ def make_table(
                                              lambda refused: next((x, c) for x, c in zip(support, index)
                                                                   if c in refused), like)
     point_weights, probabilities = tuple(map(weights.__getitem__, index)), tuple(map(quotients.__getitem__, index))
-    z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
+    z_fit = z_discrepancy or (None if z_closed_form is None else fit_monomial(alg, z, z_closed_form, fit_bound))
 
     check = None
     if closed_values is not None:
@@ -315,7 +309,7 @@ def make_stream(
 
     z, quotients, _ = _normalize_classes(kind, numerators, denominator, [counts[e] for e in classes], alg,
                                          first_point)
-    z_fit = None if z_closed_form is None else _normalizer_fit(alg, z, z_closed_form, fit_bound)
+    z_fit = None if z_closed_form is None else fit_monomial(alg, z, z_closed_form, fit_bound)
     return PmfStream(kind, dict(params), tuple(coord_labels), constraints, dict(counts), dict(weights), z,
                      dict(zip(classes, quotients)), z_closed_form, z_fit)
 

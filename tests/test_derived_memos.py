@@ -29,7 +29,8 @@ from oracle import (KINDS, block_sums, compositions, exact, grid, joint_table, k
 from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jagannathan,
                  jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
 from rpq import classes, first_kind, occupancy, pmf, second_kind
-from rpq.algebra import MonomialFit, _closed_pair, binomial_or_zero, deformed_binomial, fit_monomial
+from rpq.algebra import AlgebraSpec, _closed_pair, binomial_or_zero, deformed_binomial, fit_monomial
+from rpq.classes import PrefixClasses, Walk
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.lattice import area
 from rpq.pmf import make_table
@@ -302,9 +303,8 @@ def test_closed_terms_equal_per_point_products(case):
 
 
 def _clear_caches():
-    for memo in (occupancy.joint_pmf, occupancy._joint_law, occupancy._block_law, classes.sum_rows,
-                 pmf._normalizer_fit):
-        memo.cache_clear()
+    # The class laws hold every memo of a joint: its tables, walks and count rows.
+    occupancy._joint_law.cache_clear()
 
 
 CORE_NAMES = (
@@ -386,7 +386,8 @@ def test_cold_derived_calls_read_one_class_law_and_one_scheme(monkeypatch):
     first_kind.grouped_marginal_pmf(params, scheme, 2)
     table = first_kind.grouped_conditional_pmf(params, scheme, (1,))
     assert occupancy._joint_law.cache_info().currsize == 1
-    assert occupancy._block_law.cache_info().currsize == 1
+    walks = [key for key, kept in occupancy._joint_law(params).tables.items() if isinstance(kept, Walk)]
+    assert walks == [(occupancy._walk, params, (2, 3, 1))]
     blocks, masses = scan(joint.support, joint.weights, lambda x: True, block_sums((2, 3, 1)))
     assert table.weights == scan(blocks, masses, lambda y: y[:1] == (1,), lambda y: y[1:])[1]
 
@@ -457,10 +458,11 @@ def test_exact_and_decimal_algebras_of_equal_values_keep_their_own_tables(module
     ids=("first", "second"),
 )
 def test_class_memos_stay_bounded(module, params):
-    """A long-lived process keeps at most 32 class laws, the block masses of
-    32 schemes, 128 count tables and listings of 2^16 points, and on each
-    class law the derived tables it returned while they hold at most a
-    budget of points; it recomputes what it evicted to equal tables."""
+    """A long-lived process keeps at most 32 class laws and listings of 2^16
+    points.  Each class law keeps the count rows of its suffix boxes, and
+    the tables it returned and the walks of the schemes it read while they
+    hold at most a budget of points; what a law keeps goes with it, and
+    what was evicted is recomputed to equal tables."""
     schemes = [GroupingScheme(sizes) for sizes in compositions(7)][:40]
     assert len(set(schemes)) == 40
     _clear_caches()
@@ -468,38 +470,39 @@ def test_class_memos_stay_bounded(module, params):
     module.marginal_pmf(params, 2)
     module.conditional_pmf(params, (0, 1), 4)
     law = occupancy._joint_law(params)
-    # Many distinct conditionals on one law: its kept tables stay within its
-    # budget of support points (2^14, made small here), the most recently
-    # read kept.
     tables = law.tables
-    assert tables.budget == 1 << 14 and len(tables) == 3
+    # The grouped law, its scheme's walk, the marginal and the conditional,
+    # each sized by its points (a walk by its block vectors at every depth).
+    assert tables.budget == 1 << 14 and len(tables) == 4
+    walk = tables[(occupancy._walk, params, schemes[0].sizes)]
+    assert tables.size(walk) == sum(map(len, walk.levels)) and tables.size(first) == len(first.support)
+    memos = [law.closed, law.rows, walk, tables]
+    assert all(map(len, memos))
+    memos = [weakref.ref(memo) for memo in (*memos, *tables.values()) if memo is not first]
+    # Many distinct conditionals and schemes on one law: its kept tables and
+    # walks stay within its budget of points (2^14, made small here), the
+    # most recently read kept.
     tables.budget, returned = 20, 0
     for r in range(1, params.k):
         for given, m in product(prefixes(module, params, r), range(r + 1, params.k + 1)):
             returned += type(_outcome(partial(module.conditional_pmf, params, given, m))) is tuple
-            assert tables.points == sum(len(t.support) for t in tables.values()) <= tables.budget
+            assert tables.points == sum(map(tables.size, tables.values())) <= tables.budget
     assert returned > 100 and len(tables) < returned
+    for scheme in schemes:
+        module.grouped_pmf(params, scheme)
+        assert tables.points == sum(map(tables.size, tables.values())) <= tables.budget
     # A table past the budget is returned but not kept.
     large = module.marginal_pmf(params, params.k - 1)
     assert len(large.support) > tables.budget and all(t is not large for t in tables.values())
     again = module.marginal_pmf(params, params.k - 1)
     assert again is not large and (again, repr(again)) == (large, repr(large))
-    # The closed pairs and the kept tables live and go with their class law
-    # and their scheme.
-    memos = [law.closed, occupancy._block_law(params, schemes[0].sizes)[1], tables]
-    assert all(map(len, memos))
-    memos = [weakref.ref(memo) for memo in (*memos, *tables.values())]
-    del law, tables
-    for scheme in schemes:
-        module.grouped_pmf(params, scheme)
-        assert occupancy._block_law.cache_info().currsize <= 32
+    del law, tables, walk
     make = type(params)
     for j in range(40):
         other = make(jagannathan_srinivasa(Fraction(j + 2, j + 3), Fraction(1, 3)), 3 + j % 4, 2)
         module.marginal_pmf(other, 2)
         sequential_sample(other, j, 5)
         assert occupancy._joint_law.cache_info().currsize <= 32
-    assert classes.sum_rows.cache_info().currsize <= 128
     # Each listing keeps its class partition: the distinct (sum, area) keys
     # in first-seen order and each point's key, one index per point.
     listings = classes._listings
@@ -516,6 +519,71 @@ def test_class_memos_stay_bounded(module, params):
     joint = joint_table(params)
     support, masses = scan(joint.support, joint.weights, lambda x: True, block_sums(schemes[0].sizes))
     assert (again.support, again.weights) == (support, masses)
+
+
+def _live(kind):
+    """The number of live objects of type `kind`, after a collection."""
+    gc.collect()
+    return sum(type(o) is kind for o in gc.get_objects())
+
+
+def test_nothing_outlives_its_class_law():
+    """Every memo of a joint lives on its class law: once derived laws of
+    40 other models have evicted a law, its algebra, its scheme's walk and
+    its joint table are gone, and the algebras made meanwhile never
+    outnumber the live class laws."""
+    _clear_caches()
+    base = _live(AlgebraSpec)
+
+    def first_model():
+        params = FirstKindParams(jagannathan_srinivasa(Fraction(9, 10), Fraction(1, 2)), 5, 3)
+        first_kind.grouped_pmf(params, GroupingScheme((2, 3)))
+        first_kind.marginal_pmf(params, 2)
+        joint = first_kind.joint_pmf(params)
+        walk = occupancy._joint_law(params).tables[(occupancy._walk, params, (2, 3))]
+        return [weakref.ref(memo) for memo in (params.alg, walk, joint)]
+
+    memos = first_model()
+    for j in range(40):
+        params = SecondKindParams(jagannathan_srinivasa(Fraction(9, 10), Fraction(1, j + 3)), 3 + j % 3, 3)
+        second_kind.marginal_pmf(params, 2)
+        second_kind.grouped_pmf(params, GroupingScheme((1, params.k - 1)))
+        if j % 10 == 9:
+            del params
+            assert _live(AlgebraSpec) - base <= _live(PrefixClasses)
+    assert [memo() for memo in memos] == [None] * 3
+
+
+def test_derived_arguments_are_read_as_integers():
+    """r, m, nu, given and a scheme's sizes are read through
+    `operator.index` before they are checked: a bool is its int, so a call
+    equal to an earlier one returns the table the earlier one kept, and it
+    records ints; any other non-integer is refused, naming its field."""
+    params = SecondKindParams(JS, 3, 2)
+    _clear_caches()
+    table = second_kind.conditional_pmf(params, (True, 0), 3)
+    assert second_kind.conditional_pmf(params, (1, 0), 3) is table
+    marginal = second_kind.marginal_pmf(params, True)
+    assert second_kind.marginal_pmf(params, 1) is marginal
+    scheme = GroupingScheme((True, 2))
+    grouped = second_kind.grouped_marginal_pmf(params, scheme, True)
+    conditional = second_kind.grouped_conditional_pmf(params, scheme, (True,))
+    assert second_kind.grouped_conditional_pmf(params, GroupingScheme((1, 2)), (1,)) is conditional
+    recorded = [*table.params["given"], table.params["m"], marginal.params["r"], *scheme.sizes,
+                *grouped.params["scheme"], grouped.params["nu"], *conditional.params["given"]]
+    assert recorded == [1, 0, 3, 1, 1, 2, 1, 2, 1, 1] and {type(v) for v in recorded} == {int}
+    pair = GroupingScheme((1, 2))
+    refused = [
+        ("r", lambda: second_kind.marginal_pmf(params, 1.0)),
+        ("given", lambda: second_kind.conditional_pmf(params, (1.0, 0), 3)),
+        ("m", lambda: second_kind.conditional_pmf(params, (1, 0), 3.0)),
+        ("scheme", lambda: GroupingScheme((1.0, 2))),
+        ("nu", lambda: second_kind.grouped_marginal_pmf(params, pair, 1.0)),
+        ("given", lambda: second_kind.grouped_conditional_pmf(params, pair, (Fraction(1),))),
+    ]
+    for field, call in refused:
+        with pytest.raises(ValidationError, match=f"^{field}: '.+' object cannot be interpreted as an integer$"):
+            call()
 
 
 def _one_of_each(module, params):
@@ -566,7 +634,8 @@ def test_a_warm_derived_call_returns_the_table_it_returned(module, alg):
 def test_a_refused_derived_call_raises_again_and_keeps_nothing(call):
     """A zero-probability event found after the joint's guard (every point
     of first kind k3 n3 has sum 2 or 3): the call raises again when
-    repeated, and the class law keeps no table for it."""
+    repeated, and the class law keeps no table for it (a grouped
+    conditional keeps the walk of its scheme, which it read)."""
     params = FirstKindParams(JS, 3, 3)
     _clear_caches()
     kept = first_kind.marginal_pmf(params, 1)
@@ -574,14 +643,16 @@ def test_a_refused_derived_call_raises_again_and_keeps_nothing(call):
     for _ in range(2):
         with pytest.raises(ZeroProbabilityEventError, match="has probability zero"):
             call(params)
-        assert list(map(id, tables.values())) == [id(kept)] and tables.points == len(kept.support)
+        assert [id(t) for t in tables.values() if not isinstance(t, Walk)] == [id(kept)]
+        assert tables.points == sum(map(tables.size, tables.values()))
 
 
 @pytest.mark.parametrize("alg", (JS, jagannathan_srinivasa(0.9, 0.5)), ids=("exact", "decimal"))
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
 def test_warm_derived_laws_reuse_their_closed_pairs_and_probabilities(module, alg, monkeypatch):
-    """A call rebuilt on a warm class law (its kept table dropped) builds no
-    closed pair (they are memoised with the class law and the scheme) and
+    """A call rebuilt on a warm class law (its kept tables dropped, its
+    walks kept) builds no closed pair (they are memoised with the class law
+    and the scheme's walk) and
     gives an equal table, which a marginal or grouped law builds from the
     first call's probability objects; after the memos are cleared the call
     gives an equal table again."""
@@ -599,7 +670,9 @@ def test_warm_derived_laws_reuse_their_closed_pairs_and_probabilities(module, al
             _clear_caches()
             first = _outcome(call)
             before = built[0]
-            occupancy._joint_law(params).tables.cache_clear()
+            tables = occupancy._joint_law(params).tables
+            for key in [key for key, kept in tables.items() if not isinstance(kept, Walk)]:
+                tables.points -= tables.size(tables.pop(key))
             second = _outcome(call)
             assert built[0] == before, (params, name)
             _clear_caches()
@@ -610,42 +683,45 @@ def test_warm_derived_laws_reuse_their_closed_pairs_and_probabilities(module, al
 
 
 def test_joint_tables_stay_within_their_point_budget(monkeypatch):
-    """`joint_pmf` keeps the most recently read tables while they hold at
-    most `budget` points: a repeated call within it returns the same
+    """`joint_pmf` keeps its table on its class law, within the law's budget
+    of points with the derived tables: a repeated call returns the same
     object, an evicted table is listed again to an equal one, and a table
     larger than the budget is returned but not kept."""
-    tables = occupancy._joint_tables
-    tables.cache_clear()
-    monkeypatch.setattr(tables, "budget", 60)
-    params = [FirstKindParams(JS, k, 3) for k in (3, 4, 5, 6)]  # 7, 14, 25 and 41 points
-    first = occupancy.joint_pmf(params[0])
-    assert occupancy.joint_pmf(params[0]) is first
-    for p in params[1:]:
-        table = occupancy.joint_pmf(p)
-        assert occupancy.joint_pmf(p) is table
-        assert tables.points == sum(len(t.support) for t in tables.values()) <= tables.budget
-    assert list(tables) == params[2:] and params[0] not in tables
-    again = occupancy.joint_pmf(params[0])
+    _clear_caches()
+    params = FirstKindParams(JS, 6, 3)
+    tables = occupancy._joint_law(params).tables
+    monkeypatch.setattr(tables, "budget", 50)
+    first = occupancy.joint_pmf(params)
+    assert len(first.support) == 35 and occupancy.joint_pmf(params) is first
+    # A derived table read after the joint evicts it, the least recently read.
+    marginal = occupancy.marginal_pmf(params, 5)
+    assert len(marginal.support) + 35 > 50 and list(tables.values()) == [marginal]
+    again = occupancy.joint_pmf(params)
     assert again is not first and (again, repr(again)) == (first, repr(first))
-    large = FirstKindParams(JS, 8, 4)  # 126 points
-    assert len(occupancy.joint_pmf(large).support) == 126 and large not in tables
-    assert tables.points <= tables.budget
+    assert list(tables.values()) == [again] and tables.points == 35
     tables.cache_clear()
+    monkeypatch.setattr(tables, "budget", 30)
+    large = occupancy.joint_pmf(params)
+    assert occupancy.joint_pmf(params) is not large and not tables and tables.points == 0
 
 
 def test_joint_pmf_reports_and_clears_its_memo_as_an_lru_cache_does():
-    """Each kind's `joint_pmf` has `cache_info()` (hits, misses, maxsize
-    None, currsize the tables held) and `cache_clear()`, which profiling
-    and reference scripts call."""
+    """Each kind's `joint_pmf` has the `cache_info()` and `cache_clear()`
+    of the class laws (`_joint_law`), which keep the joint tables:
+    profiling and reference scripts call them, and clearing the laws frees
+    their tables."""
     first_kind.joint_pmf.cache_clear()
-    assert tuple(first_kind.joint_pmf.cache_info()) == (0, 0, None, 0)
+    assert tuple(first_kind.joint_pmf.cache_info()) == (0, 0, 32, 0)
     params = FirstKindParams(JS, 3, 3)
     table = first_kind.joint_pmf(params)
     assert first_kind.joint_pmf(params) is table
     info = second_kind.joint_pmf.cache_info()
-    assert tuple(info) == (1, 1, None, 1)
+    assert info == occupancy._joint_law.cache_info() and info.hits > 0 and (info.misses, info.currsize) == (1, 1)
+    table = weakref.ref(table)
     second_kind.joint_pmf.cache_clear()
-    assert tuple(first_kind.joint_pmf.cache_info()) == (0, 0, None, 0)
+    assert tuple(first_kind.joint_pmf.cache_info()) == (0, 0, 32, 0)
+    gc.collect()
+    assert table() is None
 
 
 def test_shared_closed_value_is_compared_with_every_probability():
@@ -663,11 +739,14 @@ def test_shared_closed_value_is_compared_with_every_probability():
 
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
 @pytest.mark.parametrize("alg", ALL_PRESETS, ids=lambda alg: alg.name)
-def test_exact_derived_tables_reuse_the_joint_fit(module, alg):
+def test_exact_derived_tables_reuse_the_joint_fit(module, alg, monkeypatch):
+    fits = []
+    monkeypatch.setattr(pmf, "fit_monomial", lambda *args: fits.append(args) or fit_monomial(*args))
     for params in _params(module, alg):
         if params.k < 2:
             continue
         _clear_caches()
+        fits.clear()
         module.joint_pmf(params)
         z_closed, bound = _z_reference(module, params)
         tables = [module.marginal_pmf(params, r) for r in range(1, params.k)]
@@ -677,22 +756,6 @@ def test_exact_derived_tables_reuse_the_joint_fit(module, alg):
             tables.extend(module.grouped_marginal_pmf(params, scheme, nu) for nu in range(1, len(sizes)))
         tables.append(module.bivariate_table(params))
         # The joint's fit is the only one computed.
-        assert pmf._normalizer_fit.cache_info().misses == 1
+        assert len(fits) == 1
         for table in tables:
             assert table.z_discrepancy == fit_monomial(alg, table.z_enumerated, z_closed, bound)
-
-
-def test_fit_memo_keys_on_the_bound_the_algebra_and_the_scalar_types():
-    fit = pmf._normalizer_fit
-    fit.cache_clear()
-    cube = JS.tau1**3
-    assert fit(JS, Fraction(1), cube, 3) == MonomialFit(exact=False, found=True, a=3, b=0)
-    assert not fit(JS, Fraction(1), cube, 2).found
-    assert not fit(JS.replace(tau1=Fraction(2, 3)), Fraction(1), cube, 3).found
-    # Algebras with equal values in the other mode, and equal scalars of
-    # another type: a separate entry.
-    exact, decimal = q_deformation(Fraction(1, 2)), q_deformation(0.5)
-    assert exact != decimal
-    assert fit(exact, Fraction(1, 4), Fraction(1, 2), 3) == MonomialFit(exact=False, found=True, a=0, b=-1)
-    assert fit(decimal, 0.25, 0.5, 3) == MonomialFit(exact=False, found=True, a=0, b=-1)
-    assert fit.cache_info().misses == 5

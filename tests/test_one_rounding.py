@@ -64,8 +64,8 @@ def _counted_walks(monkeypatch):
 
 
 def _cold():
-    for memo in (occupancy._joint_law, occupancy._block_law, occupancy.joint_pmf, classes.sum_rows,
-                 classes._listings):
+    # The class laws hold every memo of a joint; the listings are shared.
+    for memo in (occupancy._joint_law, classes._listings):
         memo.cache_clear()
 
 
