@@ -20,17 +20,14 @@ children of (r, s, base) are (r + 1, s + v, base + (k - r) v).  A block of
 coordinates ending at S adds E(v) + (k - S) sum(v) for its vectors v, so
 one depth-first walk per grouping scheme gives every leading block sum its
 mass (`blocks`).  `PrefixClasses` computes all of these without the joint's
-points, in both modes from the same integers: its memos hold one mass, one
-step and one closed value per class, a mass summed as an integer over the
-joint's one denominator (the exact sum of float weights, in approximate
-mode), and one value and one probability per mass, the objects a table
-holds: Fractions reduced once, or floats rounded once, the count rows of
-its suffix boxes, and, within a budget of points, the tables read from it
-by call and its schemes' walks (`Walk`).  `make_table` takes the integers
-along, so no decimal sum depends on an order of points.  Besides, a process
-keeps the most recent box listings of 2^16 points in all (`Recent`) with
-their class partitions (no algebra), which derived tables of any law over
-the box normalize once per class.
+points, in both modes from the same integers: a mass is summed as an
+integer over the joint's one denominator (the exact sum of float weights,
+in approximate mode), and `make_table` takes the integers along, so no
+decimal sum depends on an order of points.  A law keeps one mass and one
+step per class, the count rows of its suffix boxes and, within a budget of
+points, the tables read from it by call and its schemes' walks: a repeated
+call is one lookup, so nothing that only serves a table's first build is
+kept besides.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .lattice import ConstraintSet, SupportPoint, _sum_ways, area, count_points, enumerate_areas
 from .pmf import PmfStream, cdf_thresholds
-from .scalars import Scalar, ratio
 
 # The array type code of each coefficient width `_decode` reads in one pass.
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -122,32 +118,11 @@ class Recent(OrderedDict):
         self.points = 0
 
 
-class Memo(dict):
-    """`memo[key]` is `make(key)`, made at its first read and kept."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-class Walk(Memo):
-    """The walk of one grouping scheme: `levels[d - 1]` maps each admissible
-    y[:d] to its mass (`PrefixClasses.blocks`), and `walk[y]` is `make(y)`,
-    the closed pair of the block counts y, made at its first read."""
-
-    def __init__(self, make: Callable, levels: List[Dict[SupportPoint, int]]) -> None:
-        super().__init__(make)
-        self.levels = levels
-
-
 def _points(kept) -> int:
     """The size of a value kept on a class law: a walk's block vectors at
-    every depth, or a table's support points."""
-    return sum(map(len, kept.levels)) if isinstance(kept, Walk) else len(kept.support)
+    every depth (its list of levels, `PrefixClasses.blocks`), or a table's
+    support points."""
+    return sum(map(len, kept)) if isinstance(kept, list) else len(kept.support)
 
 
 def _listing(box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[int, int], ...], List[int]]:
@@ -159,51 +134,38 @@ def _listing(box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[
     return points, tuple(keys), index
 
 
-_listings = Recent(_listing, lambda listing: len(listing[0]), 1 << 16)
-
-
 class PrefixClasses:
     """The prefix classes of one joint law, `law`, over a box of k
     coordinates, each at most `bound`, with sums in [smin, smax]: `mass`
     and `step` give a class (r, s, base) its mass and its step of a
     sequential draw, memoised, one entry per class.  A mass is the summed
-    weight of the support points in the class (at r = 0 the normalizer's),
-    an integer over the joint's one denominator `denominator`: in both
-    modes the counts by sum of the suffix box of d coordinates (`rows[d]`,
-    `sum_rows`, made once) dotted with the class weights of `law` as
-    `numerators` over `denominator`, the exact sum of the weights.
-    `value(mass)` and `probability(mass)`, memoised, are the objects a table
-    holds for a mass and for its share of `total`, the normalizer's mass:
-    Fractions, or floats rounded once.  `closed[key]`, made once, is
-    `closed_pair(key)`, the closed value of a class.  `tables(call)` is
-    `build(*args)` of a call (build, *args), kept while they hold at most
-    2^14 points (`_points`)."""
+    weight of the support points in the class (at r = 0 the normalizer's,
+    `total`), an integer over the joint's one denominator `denominator`: in
+    both modes the counts by sum of the suffix box of d coordinates
+    (`rows(d)`, `sum_rows`, memoised) dotted with the class weights of `law`
+    as `numerators` over `denominator`, the exact sum of the weights.
+    `tables(call)` is `build(params, *args)` of a call (build, *args),
+    `params` the model of the joint, kept while they hold at most 2^14
+    points (`_points`)."""
 
-    def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, exact: bool,
-                 closed_pair: Callable[[tuple], Tuple[int, int]]) -> None:
-        self.law, self.exact, self.denominator = law, exact, denominator
+    def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, params) -> None:
+        self.law, self.denominator = law, denominator
         box = law.constraints
         self.k, self.bound, self.smin, self.smax = box.dim, box.upper[0], box.sum_min, box.sum_max
-        self.mass, self.step, self.value, self.probability = (
-            lru_cache(maxsize=None)(f) for f in (self._mass, self._step, self._value, self._probability))
-        self.closed = Memo(closed_pair)
-        self.rows = Memo(lambda d: sum_rows((self.bound,) * d, self.smax))
-        self.tables = Recent(lambda call: call[0](*call[1:]), _points, 1 << 14)
+        self.mass, self.step, self.rows = (lru_cache(maxsize=None)(f) for f in (self._mass, self._step, self._rows))
+        self.tables = Recent(lambda call: call[0](params, *call[1:]), _points, 1 << 14)
         scaled = dict(zip(law.weights, numerators))
         self._scaled = [scaled.get(e, 0) for e in range(max(scaled) + 1)]
         self.total = sum(law.counts[e] * n for e, n in scaled.items())
 
-    def _value(self, mass: int) -> Scalar:
-        return ratio(mass, self.denominator, self.exact)
-
-    def _probability(self, mass: int) -> Scalar:
-        return ratio(mass, self.total, self.exact)
+    def _rows(self, d: int) -> Tuple[List[int], ...]:
+        return sum_rows((self.bound,) * d, self.smax)
 
     def _mass(self, key: Tuple[int, int, int]) -> int:
         r, s, base = key
         if r == 0:
             return self.total
-        rows, numerator = self.rows[self.k - r], 0
+        rows, numerator = self.rows(self.k - r), 0
         for t in range(max(0, self.smin - s), self.smax - s + 1):
             numerator += sum(map(mul, rows[t], self._scaled[base + t:base + t + len(rows[t])]))
         return numerator
@@ -216,7 +178,7 @@ class PrefixClasses:
         class partition, and the mass of each class."""
         r, y = len(given), sum(given)
         box = ConstraintSet((self.bound,) * (m - r), max(0, self.smin - y - (self.k - m) * self.bound), self.smax - y)
-        points, keys, index = _listings(box)
+        points, keys, index = _listing(box)
         base, tail, mass = area(given) + (self.k - r) * y, self.k - m, self.mass
         return points, keys, index, [mass((m, y + t, base + e + tail * t)) for t, e in keys]
 

@@ -20,11 +20,11 @@ takes the joint's 10^7-point guard and checks, from its memoised class law,
 so it refuses what it refused when it summed the joint; so does
 `rpq sample`, whose draws descend the same classes and list no joint.
 One memo, `_joint_law`, keeps the 32 most recent class laws, and each law
-all that is its joint's: its stream, per class a mass, a step and a closed
-pair, per mass a value and a probability, its suffix boxes' count rows, and,
-while they hold 2^14 points (`_kept`), the tables it returned by call
-(`joint_pmf`'s too) and its schemes' walks with their closed pairs
-(`PrefixClasses.blocks`, `grouped_terms`).  An evicted law takes them along.
+all that is its joint's: its stream, per class a mass and a step, its
+suffix boxes' count rows, and, while they hold 2^14 points (`_kept`), the
+tables it returned by call (`joint_pmf`'s too) and its schemes' walks
+(`PrefixClasses.blocks`).  A table's closed pairs are built with it, from
+its kind's terms.  An evicted law takes them along.
 What the kinds differ in lives on their params classes (`OccupancyParams`),
 which `rpq.first_kind` and `rpq.second_kind` define; they re-export these
 functions.
@@ -33,13 +33,13 @@ functions.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, ClassVar, Iterable, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec, _closed_pair, coerce_scalar, inverse_algebra
 from .errors import ModeMixError, ValidationError, ZeroProbabilityEventError
-from .classes import PrefixClasses, Walk, area_counts
+from .classes import PrefixClasses, area_counts
 from .lattice import ConstraintSet, SupportPoint, area, check_dimension, count_points, enumerate_points, point_cells
 from .pmf import PmfStream, PmfTable, make_stream, make_table
 from .records import Record
@@ -175,13 +175,7 @@ def _joint_law(params: OccupancyParams) -> PrefixClasses:
         z_closed_form=z_closed,
         fit_bound=params.fit_bound(),
     )
-    return PrefixClasses(stream, numerators, denominator, params.alg.exact, partial(_class_closed, params))
-
-
-def _class_closed(params: OccupancyParams, key: tuple) -> Tuple[int, int]:
-    """The closed pair of a marginal class (r, y, E) or a conditional one (m, y_m, t, E(s))."""
-    terms = params.marginal_terms if len(key) == 3 else params.conditional_terms
-    return _closed_pair(params.alg, *terms(key[0], key[1:]))
+    return PrefixClasses(stream, numerators, denominator, params)
 
 
 def _listed(params: OccupancyParams) -> PmfTable:
@@ -220,7 +214,7 @@ def _derived_table(
     `closed_divisor`), `index` the class of each point.  Closed values are
     unreduced pairs (`algebra._closed_pair`).  Summed joint masses keep the
     joint's normalizer, so every table but a conditional carries its closed
-    form and fit (the stream's) and the class law's probability objects."""
+    form and fit (the stream's)."""
     conditional = table.endswith("conditional")
     described = params.describe()
     described.update(table=table, **extra)
@@ -229,7 +223,7 @@ def _derived_table(
         params=described,
         coord_labels=_labels(*coords),
         support=support,
-        weights=list(map(law.value, masses)),
+        weights=[ratio(mass, law.denominator, params.alg.exact) for mass in masses],
         index=index,
         alg=params.alg,
         **({} if conditional else {"z_closed_form": law.law.z_closed_form, "z_discrepancy": law.law.z_discrepancy}),
@@ -237,15 +231,15 @@ def _derived_table(
         numerators=masses,
         denominator=law.denominator,
         closed_divisor=closed_divisor,
-        like=None if conditional else (masses, law.total, list(map(law.probability, masses))),
     )
 
 
 def _kept(params: OccupancyParams, build: Callable, *args):
     """`build(params, *args)` after the joint's guard, kept on the joint's
-    class law (`PrefixClasses.tables`): a repeated call returns the table or
-    walk it returned before; a call that raises keeps none of its own."""
-    return _joint_law(params).tables((build, params, *args))
+    class law by (build, *args) (`PrefixClasses.tables`): a repeated call
+    returns the table or walk it returned before; a call that raises keeps
+    none of its own."""
+    return _joint_law(params).tables((build, *args))
 
 
 def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
@@ -264,7 +258,7 @@ def marginal_pmf(params: OccupancyParams, r: int) -> PmfTable:
 def _marginal(params: OccupancyParams, r: int) -> PmfTable:
     law = _joint_law(params)
     support, keys, index, masses = law.prefixes((), r)
-    closed = [law.closed[(r, *key)] for key in keys]
+    closed = [_closed_pair(params.alg, *params.marginal_terms(r, key)) for key in keys]
     return _derived_table(params, law, "marginal", ("x", 1, r), support, masses, index, closed, r=r)
 
 
@@ -297,7 +291,7 @@ def _conditional(params: OccupancyParams, given: SupportPoint, m: int) -> PmfTab
     if not support:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
     y = sum(given)
-    closed = [law.closed[(m, y + t, t, e)] for t, e in keys]
+    closed = [_closed_pair(params.alg, *params.conditional_terms(m, (y + t, t, e))) for t, e in keys]
     return _derived_table(params, law, "conditional", ("x", len(given) + 1, m), support, masses, index, closed,
                           params.prefix_normalizer(given), given=list(given), m=m)
 
@@ -322,12 +316,16 @@ class GroupingScheme(Record):
         return tuple(accumulate(self.sizes))
 
 
-def _walk(params: OccupancyParams, sizes: Tuple[int, ...]) -> Walk:
+def _walk(params: OccupancyParams, sizes: Tuple[int, ...]) -> List[Dict[SupportPoint, int]]:
     """The masses of the leading block sums y[:d] of the scheme `sizes`, by
-    depth d (`PrefixClasses.blocks`), and `walk[y]`, the closed pair of the
-    block counts y (`grouped_terms`), made once; kept as tables are (`_kept`)."""
+    depth d (`PrefixClasses.blocks`), kept as tables are (`_kept`)."""
+    return _joint_law(params).blocks(sizes)
+
+
+def _block_closed(params: OccupancyParams, sizes: Tuple[int, ...], ys: Iterable[SupportPoint]) -> list:
+    """The closed pair of each of the leading block counts `ys` (`grouped_terms`)."""
     scheme = GroupingScheme(sizes)
-    return Walk(lambda y: _closed_pair(params.alg, *params.grouped_terms(scheme, y)), _joint_law(params).blocks(sizes))
+    return [_closed_pair(params.alg, *params.grouped_terms(scheme, y)) for y in ys]
 
 
 def grouped_pmf(params: OccupancyParams, scheme: GroupingScheme) -> PmfTable:
@@ -351,11 +349,11 @@ def grouped_marginal_pmf(params: OccupancyParams, scheme: GroupingScheme, nu: in
 
 def _grouped(params: OccupancyParams, sizes: Tuple[int, ...], nu: int) -> PmfTable:
     """The law of the leading nu blocks of `sizes`: the grouped law at nu = r."""
-    walk = _kept(params, _walk, sizes)
-    support, extra = tuple(walk.levels[nu - 1]), {} if nu == len(sizes) else {"nu": nu}
+    level = _kept(params, _walk, sizes)[nu - 1]
+    support, extra = tuple(level), {} if nu == len(sizes) else {"nu": nu}
     return _derived_table(params, _joint_law(params), "grouped-marginal" if extra else "grouped", ("y", 1, nu),
-                          support, list(walk.levels[nu - 1].values()), range(len(support)),
-                          map(walk.__getitem__, support), scheme=list(sizes), **extra)
+                          support, list(level.values()), range(len(support)), _block_closed(params, sizes, support),
+                          scheme=list(sizes), **extra)
 
 
 def grouped_conditional_pmf(
@@ -374,11 +372,12 @@ def grouped_conditional_pmf(
 def _grouped_conditional(params: OccupancyParams, sizes: Tuple[int, ...], given: SupportPoint) -> PmfTable:
     nu = len(given)
     walk = _kept(params, _walk, sizes)
-    if given not in walk.levels[nu - 1]:
+    if given not in walk[nu - 1]:
         raise ZeroProbabilityEventError(f"conditioning event {given} has probability zero")
-    ys, masses = zip(*((y, mass) for y, mass in walk.levels[-1].items() if y[:nu] == given))
+    ys, masses = zip(*((y, mass) for y, mass in walk[-1].items() if y[:nu] == given))
+    *closed, divisor = _block_closed(params, sizes, (*ys, given))
     return _derived_table(params, _joint_law(params), "grouped-conditional", ("y", nu + 1, len(sizes)),
-                          [y[nu:] for y in ys], masses, range(len(ys)), map(walk.__getitem__, ys), walk[given],
+                          [y[nu:] for y in ys], masses, range(len(ys)), closed, divisor,
                           scheme=list(sizes), given=list(given))
 
 

@@ -10,8 +10,6 @@ public value is built, a Fraction reduced once per class for each column
 it holds, or a float rounded once (a decimal normalizer is the correctly
 rounded exact sum of its float terms, a decimal probability the correctly
 rounded quotient of its class weight by that sum, whatever their order).
-A table may borrow equal quotient objects (`like`): a derived law over the
-joint's total takes those its class law keeps, and still checks them.
 A `PmfStream` is the same law listed by `lattice.walk` rather than held:
 one weight and one probability per area class, normalized from the class
 counts.  It is the one normalization of a joint law, with its fit, which
@@ -106,18 +104,17 @@ def _check_decimal_probabilities(kind: str, probabilities: Sequence[float], coun
 
 
 def _normalize_classes(kind: str, scaled: Sequence[int], denominator: int, sizes: Sequence[int], alg: AlgebraSpec,
-                       first_point: Callable[[set], Tuple[SupportPoint, int]],
-                       like: Optional[tuple] = None) -> Tuple[Scalar, List[Scalar], int]:
+                       first_point: Callable[[set], Tuple[SupportPoint, int]]) -> Tuple[Scalar, List[Scalar], int]:
     """`_class_quotients` of classes of weight `scaled[i]` / `denominator`
-    and `sizes[i]` points (lent `like`'s), with a table's checks and its
-    normalizer z built once: a decimal z of 0.0 raises UnderflowError.
-    Approximate mode refuses a probability that is not positive at the
-    first point of its class, (point, class) = `first_point(refused
-    classes)` (every support point has positive exact mass, so a 0.0 has
-    underflowed), and probabilities whose exact sum is not 1 within their
-    rounding and `tol`."""
+    and `sizes[i]` points, with a table's checks and its normalizer z built
+    once: a decimal z of 0.0 raises UnderflowError.  Approximate mode
+    refuses a probability that is not positive at the first point of its
+    class, (point, class) = `first_point(refused classes)` (every support
+    point has positive exact mass, so a 0.0 has underflowed), and
+    probabilities whose exact sum is not 1 within their rounding and
+    `tol`."""
     nonpositive = f"{kind} table: nonpositive normalizer"
-    normalizer, quotients, total = _class_quotients(scaled, denominator, sizes, alg.exact, nonpositive, like)
+    normalizer, quotients, total = _class_quotients(scaled, denominator, sizes, alg.exact, nonpositive)
     z = ratio(*normalizer, alg.exact)
     if z == 0:  # a decimal 0.0 of a positive sum
         raise UnderflowError(f"{nonpositive} {z}")
@@ -194,7 +191,6 @@ def make_table(
     numerators: Optional[Sequence[int]] = None,
     denominator: Optional[int] = None,
     closed_divisor: Optional[Scalar] = None,
-    like: Optional[tuple] = None,
 ) -> PmfTable:
     """Normalize weights into a table and attach the cross-check records.
     `weights` and `closed_values` hold one value per class of points, and
@@ -207,8 +203,7 @@ def make_table(
     or unreduced (numerator, denominator) pairs, over the lcm of theirs
     (`scalars.over_lcm`).  `closed_divisor`, a scalar or such a pair common to
     every closed value, divides their total once (the quotients do not see
-    it; a zero divisor raises that division's ZeroDivisionError).  `like`
-    lends the classes equal probability objects (`_class_quotients`).
+    it; a zero divisor raises that division's ZeroDivisionError).
     `z_closed_form` is fitted within `fit_bound` (`fit_monomial`) unless
     its fit `z_discrepancy` is given, a derived law's from its joint."""
     support, weights, index = tuple(support), list(weights), list(index)
@@ -223,7 +218,7 @@ def make_table(
         numerators, denominator = over_lcm(weights)
     z, quotients, total = _normalize_classes(kind, numerators, denominator, sizes, alg,
                                              lambda refused: next((x, c) for x, c in zip(support, index)
-                                                                  if c in refused), like)
+                                                                  if c in refused))
     point_weights, probabilities = tuple(map(weights.__getitem__, index)), tuple(map(quotients.__getitem__, index))
     z_fit = z_discrepancy or (None if z_closed_form is None else fit_monomial(alg, z, z_closed_form, fit_bound))
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import comb
-from operator import is_
 
 import pytest
 
@@ -30,9 +29,9 @@ from rpq import (ValidationError, ZeroProbabilityEventError, chakrabarty_jaganna
                  jagannathan_srinivasa, q_deformation, quesne, sample, sequential_sample)
 from rpq import classes, first_kind, occupancy, pmf, second_kind
 from rpq.algebra import AlgebraSpec, _closed_pair, binomial_or_zero, deformed_binomial, fit_monomial
-from rpq.classes import PrefixClasses, Walk
+from rpq.classes import PrefixClasses
 from rpq.first_kind import FirstKindParams, GroupingScheme
-from rpq.lattice import area
+from rpq.lattice import ConstraintSet, area
 from rpq.pmf import make_table
 from rpq.scalars import scalars_close
 from rpq.second_kind import SecondKindParams
@@ -386,8 +385,8 @@ def test_cold_derived_calls_read_one_class_law_and_one_scheme(monkeypatch):
     first_kind.grouped_marginal_pmf(params, scheme, 2)
     table = first_kind.grouped_conditional_pmf(params, scheme, (1,))
     assert occupancy._joint_law.cache_info().currsize == 1
-    walks = [key for key, kept in occupancy._joint_law(params).tables.items() if isinstance(kept, Walk)]
-    assert walks == [(occupancy._walk, params, (2, 3, 1))]
+    walks = [key for key in occupancy._joint_law(params).tables if key[0] is occupancy._walk]
+    assert walks == [(occupancy._walk, (2, 3, 1))]
     blocks, masses = scan(joint.support, joint.weights, lambda x: True, block_sums((2, 3, 1)))
     assert table.weights == scan(blocks, masses, lambda y: y[:1] == (1,), lambda y: y[1:])[1]
 
@@ -458,11 +457,11 @@ def test_exact_and_decimal_algebras_of_equal_values_keep_their_own_tables(module
     ids=("first", "second"),
 )
 def test_class_memos_stay_bounded(module, params):
-    """A long-lived process keeps at most 32 class laws and listings of 2^16
-    points.  Each class law keeps the count rows of its suffix boxes, and
-    the tables it returned and the walks of the schemes it read while they
-    hold at most a budget of points; what a law keeps goes with it, and
-    what was evicted is recomputed to equal tables."""
+    """A long-lived process keeps at most 32 class laws.  Each class law
+    keeps the count rows of its suffix boxes, and the tables it returned
+    and the walks of the schemes it read while they hold at most a budget
+    of points; what a law keeps goes with it, and what was evicted is
+    recomputed to equal tables."""
     schemes = [GroupingScheme(sizes) for sizes in compositions(7)][:40]
     assert len(set(schemes)) == 40
     _clear_caches()
@@ -474,11 +473,11 @@ def test_class_memos_stay_bounded(module, params):
     # The grouped law, its scheme's walk, the marginal and the conditional,
     # each sized by its points (a walk by its block vectors at every depth).
     assert tables.budget == 1 << 14 and len(tables) == 4
-    walk = tables[(occupancy._walk, params, schemes[0].sizes)]
-    assert tables.size(walk) == sum(map(len, walk.levels)) and tables.size(first) == len(first.support)
-    memos = [law.closed, law.rows, walk, tables]
-    assert all(map(len, memos))
-    memos = [weakref.ref(memo) for memo in (*memos, *tables.values()) if memo is not first]
+    walk = tables[(occupancy._walk, schemes[0].sizes)]
+    assert tables.size(walk) == sum(map(len, walk)) and tables.size(first) == len(first.support)
+    assert law.rows.cache_info().currsize and all(map(len, walk))
+    # A walk, a list of levels, has no weak reference: it goes with its law.
+    memos = [weakref.ref(memo) for memo in (law, law.rows, *tables.values()) if memo is not first and memo is not walk]
     # Many distinct conditionals and schemes on one law: its kept tables and
     # walks stay within its budget of points (2^14, made small here), the
     # most recently read kept.
@@ -503,13 +502,12 @@ def test_class_memos_stay_bounded(module, params):
         module.marginal_pmf(other, 2)
         sequential_sample(other, j, 5)
         assert occupancy._joint_law.cache_info().currsize <= 32
-    # Each listing keeps its class partition: the distinct (sum, area) keys
+    # A listing gives its class partition: the distinct (sum, area) keys
     # in first-seen order and each point's key, one index per point.
-    listings = classes._listings
-    assert listings.points == sum(len(index) for _, _, index in listings.values()) <= listings.budget
-    for points, keys, index in listings.values():
-        assert keys == tuple(dict.fromkeys((sum(x), area(x)) for x in points))
-        assert [keys[c] for c in index] == [(sum(x), area(x)) for x in points]
+    points, keys, index = classes._listing(ConstraintSet((2,) * 4, 1, 5))
+    assert len(points) > len(keys) > 1
+    assert keys == tuple(dict.fromkeys((sum(x), area(x)) for x in points))
+    assert [keys[c] for c in index] == [(sum(x), area(x)) for x in points]
     assert occupancy._joint_law.cache_info().currsize == 32
     gc.collect()
     assert [memo() for memo in memos] == [None] * len(memos)
@@ -529,9 +527,9 @@ def _live(kind):
 
 def test_nothing_outlives_its_class_law():
     """Every memo of a joint lives on its class law: once derived laws of
-    40 other models have evicted a law, its algebra, its scheme's walk and
-    its joint table are gone, and the algebras made meanwhile never
-    outnumber the live class laws."""
+    40 other models have evicted a law, its algebra, the law with the walk
+    of its scheme, and its joint table are gone, and the algebras made
+    meanwhile never outnumber the live class laws."""
     _clear_caches()
     base = _live(AlgebraSpec)
 
@@ -540,8 +538,9 @@ def test_nothing_outlives_its_class_law():
         first_kind.grouped_pmf(params, GroupingScheme((2, 3)))
         first_kind.marginal_pmf(params, 2)
         joint = first_kind.joint_pmf(params)
-        walk = occupancy._joint_law(params).tables[(occupancy._walk, params, (2, 3))]
-        return [weakref.ref(memo) for memo in (params.alg, walk, joint)]
+        law = occupancy._joint_law(params)
+        assert (occupancy._walk, (2, 3)) in law.tables
+        return [weakref.ref(memo) for memo in (params.alg, law, joint)]
 
     memos = first_model()
     for j in range(40):
@@ -643,43 +642,38 @@ def test_a_refused_derived_call_raises_again_and_keeps_nothing(call):
     for _ in range(2):
         with pytest.raises(ZeroProbabilityEventError, match="has probability zero"):
             call(params)
-        assert [id(t) for t in tables.values() if not isinstance(t, Walk)] == [id(kept)]
+        assert [id(t) for key, t in tables.items() if key[0] is not occupancy._walk] == [id(kept)]
         assert tables.points == sum(map(tables.size, tables.values()))
 
 
 @pytest.mark.parametrize("alg", (JS, jagannathan_srinivasa(0.9, 0.5)), ids=("exact", "decimal"))
 @pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
-def test_warm_derived_laws_reuse_their_closed_pairs_and_probabilities(module, alg, monkeypatch):
-    """A call rebuilt on a warm class law (its kept tables dropped, its
-    walks kept) builds no closed pair (they are memoised with the class law
-    and the scheme's walk) and
-    gives an equal table, which a marginal or grouped law builds from the
-    first call's probability objects; after the memos are cleared the call
-    gives an equal table again."""
-    built = [0]
+def test_a_warm_call_hashes_its_params_once(module, alg, monkeypatch):
+    """A warm call of each derived law and of `joint_pmf` hashes its params
+    once, to find its class law, whose kept tables are keyed by call alone:
+    every table a law keeps belongs to its own params."""
+    params = (FirstKindParams if module is first_kind else SecondKindParams)(alg, 5, 3)
+    scheme = GroupingScheme((2, 2, 1))
+    calls = {
+        "joint": lambda: module.joint_pmf(params),
+        "marginal": lambda: module.marginal_pmf(params, 2),
+        "conditional": lambda: module.conditional_pmf(params, (1, 0), 4),
+        "grouped": lambda: module.grouped_pmf(params, scheme),
+        "grouped_marginal": lambda: module.grouped_marginal_pmf(params, scheme, 2),
+        "grouped_conditional": lambda: module.grouped_conditional_pmf(params, scheme, (1,)),
+    }
+    _clear_caches()
+    cold = {name: call() for name, call in calls.items()}
+    hashes, record_hash = [0], occupancy.OccupancyParams.__hash__
 
-    def counting(*args):
-        built[0] += 1
-        return _closed_pair(*args)
+    def counting(self):
+        hashes[0] += 1
+        return record_hash(self)
 
-    monkeypatch.setattr(occupancy, "_closed_pair", counting)
-    for params in grid(module, alg, first_k=7, second_k=5, second_n=5):
-        if params.k < 2:
-            continue
-        for name, call in _one_of_each(module, params):
-            _clear_caches()
-            first = _outcome(call)
-            before = built[0]
-            tables = occupancy._joint_law(params).tables
-            for key in [key for key, kept in tables.items() if not isinstance(kept, Walk)]:
-                tables.points -= tables.size(tables.pop(key))
-            second = _outcome(call)
-            assert built[0] == before, (params, name)
-            _clear_caches()
-            assert first == second == _outcome(call), (params, name)
-            if type(first) is tuple and name in ("marginal", "grouped", "grouped_marginal"):
-                assert all(map(is_, second[0].probabilities, first[0].probabilities)), (params, name)
-    assert built[0]
+    monkeypatch.setattr(occupancy.OccupancyParams, "__hash__", counting)
+    for name, call in calls.items():
+        before = hashes[0]
+        assert call() is cold[name] and hashes[0] - before == 1, name
 
 
 def test_joint_tables_stay_within_their_point_budget(monkeypatch):

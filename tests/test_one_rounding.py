@@ -31,7 +31,7 @@ import pytest
 
 from oracle import compositions, identity_lhs
 from test_cli import run_cli
-from rpq import ValidationError, classes, deformed_number, first_kind, jagannathan_srinivasa, lattice, occupancy, \
+from rpq import ValidationError, deformed_number, first_kind, jagannathan_srinivasa, lattice, occupancy, \
     oracle_expectation, second_kind, sequential_sample, verify_identity
 from rpq.first_kind import FirstKindParams, GroupingScheme
 from rpq.pmf import _check_decimal_probabilities
@@ -64,9 +64,8 @@ def _counted_walks(monkeypatch):
 
 
 def _cold():
-    # The class laws hold every memo of a joint; the listings are shared.
-    for memo in (occupancy._joint_law, classes._listings):
-        memo.cache_clear()
+    # The class laws hold every memo of a joint.
+    occupancy._joint_law.cache_clear()
 
 
 def _listed_by(listed, call):
