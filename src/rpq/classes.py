@@ -25,9 +25,9 @@ integer over the joint's one denominator (the exact sum of float weights,
 in approximate mode), and `make_table` takes the integers along, so no
 decimal sum depends on an order of points.  A law keeps one mass and one
 step per class, the count rows of its suffix boxes and, within a budget of
-points, the tables read from it by call and its schemes' walks: a repeated
-call is one lookup, so nothing that only serves a table's first build is
-kept besides.
+points, the tables and moment reports read from it by call and its schemes'
+walks: a repeated call is one lookup, so nothing that only serves a table's
+first build is kept besides.
 """
 
 from __future__ import annotations
@@ -120,9 +120,11 @@ class Recent(OrderedDict):
 
 def _points(kept) -> int:
     """The size of a value kept on a class law: a walk's block vectors at
-    every depth (its list of levels, `PrefixClasses.blocks`), or a table's
-    support points."""
-    return sum(map(len, kept)) if isinstance(kept, list) else len(kept.support)
+    every depth (its list of levels, `PrefixClasses.blocks`), moment reports
+    (a tuple of them), or a table's support points."""
+    if isinstance(kept, list):
+        return sum(map(len, kept))
+    return len(kept) if isinstance(kept, tuple) else len(kept.support)
 
 
 def _listing(box: ConstraintSet) -> Tuple[Tuple[SupportPoint, ...], Tuple[Tuple[int, int], ...], List[int]]:
@@ -145,8 +147,8 @@ class PrefixClasses:
     (`rows(d)`, `sum_rows`, memoised) dotted with the class weights of `law`
     as `numerators` over `denominator`, the exact sum of the weights.
     `tables(call)` is `build(params, *args)` of a call (build, *args),
-    `params` the model of the joint, kept while they hold at most 2^14
-    points (`_points`)."""
+    `params` the model of the joint: a table, a walk or moment reports,
+    kept while they hold at most 2^14 points (`_points`)."""
 
     def __init__(self, law: PmfStream, numerators: Sequence[int], denominator: int, params) -> None:
         self.law, self.denominator = law, denominator

@@ -43,9 +43,10 @@ from .algebra import (
 )
 from .errors import ValidationError
 # The core's functions, re-exported under their usual names.
-from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table, coerce_theta,
-                        conditional_pmf, construction_report, grouped_conditional_pmf, grouped_marginal_pmf,
-                        grouped_pmf, joint_pmf, joint_stream, joint_weight, marginal_pmf, support_constraints)
+from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, _kept_moments, bivariate_table,
+                        coerce_theta, conditional_pmf, construction_report, grouped_conditional_pmf,
+                        grouped_marginal_pmf, grouped_pmf, joint_pmf, joint_stream, joint_weight, marginal_pmf,
+                        support_constraints)
 from .pmf import PmfTable, compare_moment, make_table, oracle_expectation
 from .scalars import Scalar
 
@@ -196,14 +197,17 @@ def covariance_closed_form(alg: AlgebraSpec, k: int, n: int) -> Scalar:
 
 def bivariate_moments(params: FirstKindParams, i1: int = 1, i2: int = 1) -> list:
     """Closed-form mean, variance, mixed expectation and covariance of
-    (X_1, X_2) against exact oracle expectations.
+    (X_1, X_2) against exact oracle expectations, kept on the joint's class
+    law (`occupancy._kept_moments`).
 
     Moments live in the inverse-parameter algebra.  Powers i1, i2 >= 1 are
     inert because occupancies are 0/1-valued and [1] = 1; the reports note
     this rather than pretending an extra computation happened.
     """
-    if i1 < 1 or i2 < 1:
-        raise ValidationError(f"moment orders must be >= 1, got i1={i1}, i2={i2}")
+    return _kept_moments(params, _moments, i1, i2)
+
+
+def _moments(params: FirstKindParams, i1: int, i2: int) -> tuple:
     alg = params.alg
     inv = inverse_algebra(alg)
     table = bivariate_table(params)
@@ -221,9 +225,9 @@ def bivariate_moments(params: FirstKindParams, i1: int = 1, i2: int = 1) -> list
     )
     cov_o = cross_o - mean_o * mixed_o
 
-    return [
+    return (
         compare_moment(f"mean[i1={i1}]", mean_o, mean_closed_form(alg, k, n), alg, note=inert),
         compare_moment("variance", var_o, variance_closed_form(alg, k, n), alg),
         compare_moment(f"mixed[i2={i2}]", mixed_o, mixed_closed_form(alg, k, n), alg, note=inert),
         compare_moment("covariance", cov_o, covariance_closed_form(alg, k, n), alg),
-    ]
+    )

@@ -22,9 +22,10 @@ so it refuses what it refused when it summed the joint; so does
 One memo, `_joint_law`, keeps the 32 most recent class laws, and each law
 all that is its joint's: its stream, per class a mass and a step, its
 suffix boxes' count rows, and, while they hold 2^14 points (`_kept`), the
-tables it returned by call (`joint_pmf`'s too) and its schemes' walks
-(`PrefixClasses.blocks`).  A table's closed pairs are built with it, from
-its kind's terms.  An evicted law takes them along.
+tables it returned by call (`joint_pmf`'s too), its schemes' walks
+(`PrefixClasses.blocks`) and the moment reports of `bivariate_moments`
+(`_kept_moments`), a report counting one point.  A table's closed pairs
+are built with it, from its kind's terms.  An evicted law takes them along.
 What the kinds differ in lives on their params classes (`OccupancyParams`),
 which `rpq.first_kind` and `rpq.second_kind` define; they re-export these
 functions.
@@ -390,6 +391,17 @@ def bivariate_table(params: OccupancyParams) -> PmfTable:
     if params.k == 2:
         return _listed(params)
     return marginal_pmf(params, 2)
+
+
+def _kept_moments(params: OccupancyParams, build: Callable, i1, i2) -> list:
+    """The moment reports of (X_1, X_2), `build(params, i1, i2)` as a tuple,
+    kept on the joint's class law as its tables are (`_kept`): a repeated
+    call computes no expectation or closed form, and each call returns a new
+    list of the reports.  i1 and i2 are read as ints (`_integers`)."""
+    (i1,), (i2,) = _integers("i1", (i1,)), _integers("i2", (i2,))
+    if i1 < 1 or i2 < 1:
+        raise ValidationError(f"moment orders must be >= 1, got i1={i1}, i2={i2}")
+    return list(_kept(params, build, i1, i2))
 
 
 class ConstructionReport(Record):

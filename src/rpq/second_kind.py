@@ -41,9 +41,10 @@ from .algebra import (
 )
 from .errors import ValidationError
 # The core's functions, re-exported under their usual names.
-from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, bivariate_table, coerce_theta,
-                        conditional_pmf, construction_report, grouped_conditional_pmf, grouped_marginal_pmf,
-                        grouped_pmf, joint_pmf, joint_stream, joint_weight, marginal_pmf, support_constraints)
+from .occupancy import (ConstructionReport, GroupingScheme, OccupancyParams, _kept_moments, bivariate_table,
+                        coerce_theta, conditional_pmf, construction_report, grouped_conditional_pmf,
+                        grouped_marginal_pmf, grouped_pmf, joint_pmf, joint_stream, joint_weight, marginal_pmf,
+                        support_constraints)
 from .pmf import compare_moment, oracle_expectation
 from .scalars import Scalar
 
@@ -209,9 +210,12 @@ def covariance_closed_form(alg: AlgebraSpec, k: int, n: int) -> Scalar:
 
 def bivariate_moments(params: SecondKindParams, i1: int = 1, i2: int = 1) -> list:
     """Closed-form factorial moments, variance and covariance of (X_1, X_2)
-    against exact oracle expectations over the bivariate law."""
-    if i1 < 1 or i2 < 1:
-        raise ValidationError(f"moment orders must be >= 1, got i1={i1}, i2={i2}")
+    against exact oracle expectations over the bivariate law, kept on the
+    joint's class law (`occupancy._kept_moments`)."""
+    return _kept_moments(params, _moments, i1, i2)
+
+
+def _moments(params: SecondKindParams, i1: int, i2: int) -> tuple:
     alg = params.alg
     k, n = params.k, params.n
     table = bivariate_table(params)
@@ -239,11 +243,11 @@ def bivariate_moments(params: SecondKindParams, i1: int = 1, i2: int = 1) -> lis
 
     variance_closed = variance_closed_form(alg, k, n)
     variance_note = "" if variance_closed is not None else "printed form unevaluable for tau1 != 1"
-    return [
+    return (
         compare_moment(
             f"factorial-moment[i1={i1}]", fact_o, factorial_moment_closed_form(alg, k, n, i1), alg
         ),
         compare_moment("variance", var_o, variance_closed, alg, note=variance_note),
         compare_moment(f"mixed[i2={i2}]", mixed_o, mixed_closed_form(alg, k, n, i2), alg),
         compare_moment("covariance", cov_o, covariance_closed_form(alg, k, n), alg),
-    ]
+    )

@@ -585,6 +585,56 @@ def test_derived_arguments_are_read_as_integers():
             call()
 
 
+def test_moment_arguments_are_read_as_integers():
+    """i1 and i2 are read through `operator.index` before they are checked,
+    in both kinds: a bool is its int, so its reports, labels included, are
+    those of the int, and any other non-integer is refused, naming its
+    field."""
+    for module, params in ((first_kind, FirstKindParams(JS, 3, 2)), (second_kind, SecondKindParams(JS, 3, 2))):
+        _clear_caches()
+        reports = module.bivariate_moments(params, True, 2)
+        assert reports == module.bivariate_moments(params, 1, 2)
+        assert [r.quantity for r in reports if "[" in r.quantity] == [
+            "mean[i1=1]" if module is first_kind else "factorial-moment[i1=1]", "mixed[i2=2]"]
+        _clear_caches()
+        assert module.bivariate_moments(params, 1, True) == module.bivariate_moments(params, 1, 1)
+        for field, args in (("i1", (1.0, 1)), ("i2", (1, 2.0)), ("i1", (Fraction(1), 1))):
+            with pytest.raises(ValidationError, match=f"^{field}: '.+' object cannot be interpreted as an integer$"):
+                module.bivariate_moments(params, *args)
+        with pytest.raises(ValidationError, match="^moment orders must be >= 1, got i1=0, i2=1$"):
+            module.bivariate_moments(params, False, 1)
+
+
+@pytest.mark.parametrize("alg", (JS, jagannathan_srinivasa(0.9, 0.5)), ids=("exact", "decimal"))
+@pytest.mark.parametrize("module", (first_kind, second_kind), ids=("first", "second"))
+def test_warm_moments_are_kept_reports(module, alg, monkeypatch):
+    """`bivariate_moments` keeps its reports on the joint's class law, by
+    (i1, i2): a warm call computes no oracle expectation and returns equal
+    reports in a new list, which a caller may change without changing the
+    next call's; the kept reports count toward the law's point budget."""
+    for params in grid(module, alg, first_k=5, second_k=4, second_n=3):
+        if params.k < 2:
+            continue
+        _clear_caches()
+        cold = module.bivariate_moments(params, 1, 2)
+        tables = occupancy._joint_law(params).tables
+        kept = tables[(module._moments, 1, 2)]
+        assert type(kept) is tuple and list(kept) == cold
+        assert tables.points == sum(map(tables.size, tables.values())) and tables.size(kept) == len(cold) == 4
+        expectations = []
+        monkeypatch.setattr(module, "oracle_expectation", lambda *args: expectations.append(args))
+        warm = module.bivariate_moments(params, 1, 2)
+        assert warm == cold and warm is not cold and not expectations
+        warm.clear()
+        warm = module.bivariate_moments(params, True, 2)
+        assert warm == cold and all(a is b for a, b in zip(warm, kept)) and not expectations
+        monkeypatch.undo()
+        # Other orders are other reports, computed once.
+        other = module.bivariate_moments(params, 2, 1)
+        assert tables[(module._moments, 2, 1)] == tuple(other)
+        assert tables.points == sum(map(tables.size, tables.values()))
+
+
 def _one_of_each(module, params):
     """Calls of each of the five derived laws at `params`, k >= 2, by name."""
     k, n = params.k, params.n

@@ -313,6 +313,8 @@ def test_exact_tables_from_integer_weights_hold_fractions():
 def test_moments_share_one_inverse_algebra():
     alg = q_deformation(Fraction(1, 2))
     inv = inverse_algebra(alg)
+    # Moments are kept on the class law: computed afresh only without it.
+    joint_pmf.cache_clear()
     bivariate_moments(FirstKindParams(alg, 3, 2))
     assert inverse_algebra(alg) is inv
     assert inv._numbers  # the moments filled the shared inverse's memo

@@ -125,10 +125,10 @@ def _either_side(bound):
 def _fed(monkeypatch, variates):
     """Make the sampler read `variates` as its mantissas, whatever the seed:
     the draws ask for all of them in one list."""
-    def outputs(seed, count):
+    def fed(seed, count):
         assert count == len(variates)
-        return [u << 11 for u in variates]
-    monkeypatch.setattr(sampler, "_outputs", outputs)
+        return list(variates)
+    monkeypatch.setattr(sampler, "_variates", fed)
 
 
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)

@@ -32,6 +32,16 @@ def test_generator_is_fully_specified():
     assert [again.next_uint64() for _ in range(3)] == first
 
 
+@pytest.mark.parametrize("seed", (0, (1 << 64) - 1))
+def test_variates_are_the_outputs_mantissas(seed):
+    # The variates are cut from the packed outputs by one shift: each is
+    # its output's top 53 bits, across lists of 2^12 outputs as well.
+    for count in (1, 2, 4096, 4097, (1 << 16) + 1):
+        mantissas = [u >> 11 for u in sampler._outputs(seed, count)]
+        assert sampler._variates(seed, count) == mantissas
+        assert list(sampler._stream(seed, count)) == mantissas
+
+
 def test_draws_continue_one_stream_across_output_lists():
     # The outputs come in lists of at most 2^12: a count past two lists
     # draws what one stream gives.
@@ -62,7 +72,7 @@ def test_threshold_selection_rule(monkeypatch):
     denom = 1 << 53
     low, high = -(-4 * denom // 7), -(-6 * denom // 7)
     variates = [0, low - 1, low, int(0.6 * denom), high - 1, high, denom - 1]
-    monkeypatch.setattr(sampler, "_outputs", lambda seed, count: [u << 11 for u in variates[:count]])
+    monkeypatch.setattr(sampler, "_variates", lambda seed, count: variates[:count])
     # u = 0.6 lies between 4/7 and 6/7, so the second point is selected.
     assert sample(table, 1, len(variates)).draws == tuple(
         table.support[i] for i in (0, 0, 1, 1, 1, 2, 2))
@@ -128,9 +138,21 @@ def test_sequential_zero_balls():
 
 
 def test_count_validation():
-    table = joint_pmf(FirstKindParams(Q_HALF, 2, 1))
-    with pytest.raises(ValidationError):
-        sample(table, seed=1, count=0)
+    params = FirstKindParams(Q_HALF, 2, 1)
+    table = joint_pmf(params)
+    for draw, source in ((sample, table), (sequential_sample, params)):
+        with pytest.raises(ValidationError, match="^count: need count >= 1, got 0$"):
+            draw(source, seed=1, count=0)
+        # Seed and count are read through `operator.index`: a bool is its
+        # int, any other non-integer is refused, naming its field.
+        for field, seed, count in (("count", 1, 2.0), ("seed", 1.5, 2), ("count", 1, Fraction(2))):
+            with pytest.raises(ValidationError, match=f"^{field}: '.+' object cannot be interpreted as an integer$"):
+                draw(source, seed, count)
+        with pytest.raises(ValidationError, match="^count: need count >= 1, got 0$"):
+            draw(source, 1, False)
+        batch = draw(source, True, True)
+        assert (batch.seed, batch.count) == (1, 1) and {type(batch.seed), type(batch.count)} == {int}
+        assert batch.draws == draw(source, 1, 1).draws
 
 
 def test_second_kind_path_probabilities_are_the_second_kind_joint():
