@@ -56,17 +56,18 @@ def _width(dim: int, smax: int) -> int:
     return next((w for w in _CODES if w >= need), need)
 
 
-def _decode(value: int, width: int) -> List[int]:
+def _decode(value: int, width: int, stride: int = 1) -> List[int]:
     """The coefficients of a packed polynomial, lowest first, up to its
-    last nonzero one, read in one pass."""
+    last nonzero one, read in one pass: every `stride`-th of them, from
+    the lowest."""
     size = -(-value.bit_length() // (8 * width)) * width
     if width not in _CODES:
         raw = value.to_bytes(size, "little")
-        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, size, width)]
-    coefficients = memoryview(value.to_bytes(size, sys.byteorder)).cast(_CODES[width]).tolist()
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, size, width * stride)]
+    coefficients = memoryview(value.to_bytes(size, sys.byteorder)).cast(_CODES[width])
     if sys.byteorder == "big":
-        coefficients.reverse()
-    return coefficients
+        coefficients = coefficients[::-1]
+    return coefficients[::stride].tolist()
 
 
 def area_counts(constraints: ConstraintSet) -> Dict[int, int]:
@@ -140,7 +141,8 @@ class PrefixClasses:
     """The prefix classes of one joint law, `law`, over a box of k
     coordinates, each at most `bound`, with sums in [smin, smax]: `mass`
     and `step` give a class (r, s, base) its mass and its step of a
-    sequential draw, memoised, one entry per class.  A mass is the summed
+    sequential draw, memoised, one entry per class (a step links the steps
+    of the children drawn from it, `_step`).  A mass is the summed
     weight of the support points in the class (at r = 0 the normalizer's,
     `total`), an integer over the joint's one denominator `denominator`: in
     both modes the counts by sum of the suffix box of d coordinates
@@ -184,15 +186,20 @@ class PrefixClasses:
         base, tail, mass = area(given) + (self.k - r) * y, self.k - m, self.mass
         return points, keys, index, [mass((m, y + t, base + e + tail * t)) for t, e in keys]
 
-    def _step(self, key: Tuple[int, int, int]) -> Tuple[List[int], int, list]:
-        # The children of class (r, s, base), r < k, take the values v from
-        # `lo` up that leave the rest of the point room in the window; a
-        # variate u takes child bisect_right(thresholds, u).
+    def _step(self, key: Tuple[int, int, int]) -> Tuple[List[int], int, list, list]:
+        """The step of class (r, s, base), r < k, as a linked node
+        (thresholds, lo, children, kids).  The children take the values v
+        from `lo` up that leave the rest of the point room in the window; a
+        variate u takes child i = bisect_right(thresholds, u).  kids[i] is
+        None until a draw first reaches child i of an inner class, which
+        fills it with step(children[i]): the memo of `step` is the one memo,
+        nothing is built ahead of a draw, and a warm draw follows the links,
+        reading no key."""
         r, s, base = key
         rest = self.k - r - 1
         lo = max(0, self.smin - s - rest * self.bound)
         children = [(r + 1, s + v, base + (rest + 1) * v) for v in range(lo, min(self.bound, self.smax - s) + 1)]
-        return cdf_thresholds(list(map(self.mass, children))), lo, children
+        return cdf_thresholds(list(map(self.mass, children))), lo, children, [None] * len(children)
 
     def blocks(self, sizes: Sequence[int]) -> List[Dict[SupportPoint, int]]:
         """The block sums y of the consecutive blocks of `sizes` (which cover

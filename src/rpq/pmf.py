@@ -14,8 +14,8 @@ A `PmfStream` is the same law listed by `lattice.walk` rather than held:
 one weight and one probability per area class, normalized from the class
 counts.  It is the one normalization of a joint law, with its fit, which
 `occupancy` memoises as the class law that derived laws and sequential
-draws read; `joint_pmf` lists it as a table.  A table keeps one memo, its
-inverse-CDF thresholds; this module keeps none.
+draws read; `joint_pmf` lists it as a table.  A table keeps two memos, its
+inverse-CDF thresholds and their bucket guide; this module keeps none.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ class ClosedFormCheck(Record):
 
 class PmfTable(Record):
     """A normalized law over a strictly increasing (lexicographic) support.
-    Its inverse-CDF thresholds (`cdf`) are kept once read; they are no
-    field, so equality, repr and `replace()` do not see them."""
+    Its inverse-CDF thresholds (`cdf`) and their bucket guide (`guide`),
+    which `sampler.sample` reads, are kept once read; they are no field, so
+    equality, repr and `replace()` do not see them."""
 
     _fields = ("kind", "params", "coord_labels", "support", "weights", "z_enumerated", "probabilities", "exact",
                "tol", "z_closed_form", "z_discrepancy", "closed_form_check")
@@ -164,6 +165,13 @@ class PmfTable(Record):
         distinct = list({id(w): w for w in self.weights}.values())
         scaled = dict(zip(map(id, distinct), over_lcm(distinct)[0]))
         return cdf_thresholds([scaled[id(w)] for w in self.weights])
+
+    @cached_property
+    def guide(self) -> Tuple[int, List[int]]:
+        """The bucket guide of `cdf` (`sampler.bucket_guide`): a variate's
+        bucket gives its support index, unless a threshold splits it."""
+        from .sampler import bucket_guide
+        return bucket_guide(self.cdf)
 
 
 def cdf_thresholds(masses: Sequence[int]) -> List[int]:

@@ -15,11 +15,15 @@ count (`_lanes`), and their mantissas are cut from that int by one shift
 
 `sample` draws a table's points, one variate each, against the thresholds
 the table keeps (`PmfTable.cdf`), and tallies them by support index, whose
-order is the points'; the CLI draws the joint's the same way by
+order is the points': a variate reads its bucket in the thresholds' guide
+(`bucket_guide`, kept as `PmfTable.guide`), and only one in a bucket that
+a threshold splits is bisected.  The CLI draws the joint's the same way by
 a descent of its prefix classes (`classes.PrefixClasses`), listing no table.
 `sequential_sample` draws the joint law one coordinate at a time (the
 conditional-distribution method), by the steps of the same classes; its
-thresholds are exact in both modes, from the classes' integer masses.
+thresholds are exact in both modes, from the classes' integer masses.  A
+draw follows the steps as linked nodes, linking a child's step the first
+time it reaches it, so a warm draw looks no class up.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice
-from operator import truediv
-from typing import Dict, Iterator, List, Tuple
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter, truediv
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .classes import _decode
 from .errors import ValidationError
@@ -90,22 +94,28 @@ def _variates(seed: int, count: int) -> List[int]:
     """The mantissas of the first `count` outputs from `seed`, their top 53
     bits, cut by one shift of the packed outputs (`_packed`): the zeros of
     each lane's upper word shift in above its mantissa, and an output's low
-    bits go to the upper word of the lane below, which is not read."""
-    return _decode(_packed(seed, count) >> _MANTISSA_SHIFT, 8)[0:2 * count:2]
+    bits go to the upper word of the lane below, which is not read.  The
+    shifted int holds 2 count words, of which the even ones are read."""
+    return _decode(_packed(seed, count) >> _MANTISSA_SHIFT, 8, 2)
 
 
-def _stream(seed: int, count: int) -> Iterator[int]:
+def _lists(seed: int, count: int) -> Iterator[List[int]]:
     """The mantissas of the first `count` outputs from `seed` (`_variates`)
     in lists of at most 2^12, which bounds what a large count holds: after
     i outputs the state is seed + i gamma."""
-    return chain.from_iterable(_variates(seed + i * _GOLDEN_GAMMA, min(1 << 12, count - i))
-                               for i in range(0, count, 1 << 12))
+    return (_variates(seed + i * _GOLDEN_GAMMA, min(1 << 12, count - i)) for i in range(0, count, 1 << 12))
+
+
+def _stream(seed: int, count: int) -> Iterator[int]:
+    """The mantissas of `_lists`, one by one."""
+    return chain.from_iterable(_lists(seed, count))
 
 
 class SplitMix64:
     """Counter-based 64-bit generator with a fully specified stream."""
 
     def __init__(self, seed: int) -> None:
+        (seed,) = _integers("seed", (seed,))
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
@@ -138,14 +148,46 @@ def _check_count(seed: int, count: int) -> Tuple[int, int]:
     return seed, count
 
 
+def bucket_guide(thresholds: Sequence[int]) -> Tuple[int, List[int]]:
+    """The guide of the indexed search (Chen & Asau, 1974; Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, III.2.4) of inverse-CDF
+    thresholds, non-decreasing ints in [0, 2^53]: (shift, guide), the guide
+    2^b >= 4 (len(thresholds) + 1) entries, shift = 53 - b.  Entry j is
+    bisect_right(thresholds, u) for every u of bucket j, [j << shift,
+    (j + 1) << shift), or -1 where a threshold falls inside the bucket,
+    past its first variate.  One pass over the thresholds fills each run of
+    equal entries at once."""
+    shift = CDF_BITS - (4 * len(thresholds) + 3).bit_length()
+    inside, guide = (1 << shift) - 1, []
+    for i, t in enumerate(thresholds):
+        j = t >> shift
+        guide += repeat(i, j - len(guide))  # the buckets from the last one filled up to t's
+        if t & inside and len(guide) == j:
+            guide.append(-1)
+    guide += repeat(len(thresholds), (1 << (CDF_BITS - shift)) - len(guide))
+    return shift, guide
+
+
 def sample(table: PmfTable, seed: int, count: int) -> SampleBatch:
     """Draw `count` inverse-CDF samples from a normalized table: one variate
     per draw, against the table's thresholds (`PmfTable.cdf`), tallied by
-    support index."""
+    support index.  A variate takes the entry of its bucket in the table's
+    guide (`PmfTable.guide`, `bucket_guide`), and is bisected among the
+    thresholds only where a threshold splits its bucket."""
+    if not isinstance(table, PmfTable):
+        raise ValidationError(
+            f"sample draws the points of a table, not of a {type(table).__name__}: draw the joint table, "
+            "joint_pmf(params), or draw the joint law without listing it by the descent of `rpq sample`")
     seed, count = _check_count(seed, count)
-    thresholds, support = table.cdf, table.support
-    drawn = [bisect_right(thresholds, u) for u in _stream(seed, count)]
-    draws = tuple(map(support.__getitem__, drawn))
+    thresholds, (shift, guide), support = table.cdf, table.guide, table.support
+    drawn: List[int] = []
+    for variates in _lists(seed, count):
+        picked, i = [guide[u >> shift] for u in variates], -1
+        for _ in range(picked.count(-1)):
+            i = picked.index(-1, i + 1)
+            picked[i] = bisect_right(thresholds, variates[i])
+        drawn += picked
+    draws = itemgetter(*drawn)(support) if count > 1 else (support[drawn[0]],)
     return SampleBatch(dict(table.params), seed, count, draws, _empirical(drawn, count, support))
 
 
@@ -161,7 +203,7 @@ def _descent(params: OccupancyParams, seed: int, count: int) -> SampleBatch:
     outputs, shared, draws = _stream(seed, count), {}, []
 
     def descend(key, point, offset, start, stop):
-        _, lo, children = step(key)
+        _, lo, children, _ = step(key)
         cumulative = list(accumulate(map(mass, children)))
         for v, (child, before, c) in enumerate(zip(children, [0, *cumulative], cumulative), lo):
             bound = float(-(-((offset + c) << CDF_BITS) // total))
@@ -216,14 +258,20 @@ def sequential_sample(params: OccupancyParams, seed: int, count: int) -> SampleB
     """
     classes = _joint_law(params)
     seed, count = _check_count(seed, count)
-    step, outputs, coordinates, draws = classes.step, _stream(seed, count * params.k), range(params.k), []
-    for _ in range(count):
-        key, point = (0, 0, 0), []
-        for _ in coordinates:
-            thresholds, lo, children = step(key)
-            i = bisect_right(thresholds, next(outputs))
+    step, draws = classes.step, []
+    root = step((0, 0, 0))
+    # A draw's k variates, one per coordinate: the step of its last
+    # coordinate has leaves for children, whose kids are never filled.
+    for *head, last in zip(*[_stream(seed, count * params.k)] * params.k):
+        node, point = root, []
+        for u in head:
+            thresholds, lo, children, kids = node
+            i = bisect_right(thresholds, u)
             point.append(lo + i)
-            key = children[i]
+            node = kids[i]
+            if node is None:
+                node = kids[i] = step(children[i])
+        point.append(node[1] + bisect_right(node[0], last))
         draws.append(tuple(point))
     return SampleBatch(dict(classes.law.params, sampler="sequential"), seed, count, tuple(draws),
                        _empirical(draws, count))

@@ -170,6 +170,22 @@ def test_steps_equal_uncached_on_either_side_of_every_threshold(case, monkeypatc
 
 
 @pytest.mark.parametrize("case", KINDS, ids=kind_id)
+def test_draws_at_the_edges_of_every_split_guide_bucket_equal_scan(case, monkeypatch):
+    """The guide's buckets, pinned by draws: for every bucket of the joint
+    table's guide that holds a threshold, the variates just below and at
+    its start, against the linear scan fed the same variates."""
+    module = case[0]
+    for params in _params(*case):
+        table, reference = module.joint_pmf(params), joint_table(params)
+        shift, _ = table.guide
+        starts = sorted({t >> shift << shift for t in table.cdf if t < DENOM})
+        variates = [u for start in starts for u in (start - 1, start) if u >= 0] + [0, DENOM - 1]
+        _fed(monkeypatch, variates)
+        assert sample(table, 0, len(variates)).draws == scan_sample(reference, iter(variates), len(variates))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", KINDS, ids=kind_id)
 def test_cold_warm_and_copied_walks_equal_scan(case):
     module = case[0]
     for params in _params(*case):

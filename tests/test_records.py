@@ -180,9 +180,16 @@ def test_replace_drops_the_memos_and_runs_the_checks_again():
     assert alg.replace(q=1, tau2=1).q == Fraction(1) and type(alg.replace(q=1).q) is Fraction
 
     table = first_kind.joint_pmf(first_kind.FirstKindParams(alg, 3, 2))
-    assert type(pmf.PmfTable.__dict__["cdf"]) is cached_property
-    assert table.cdf is table.cdf and "cdf" in vars(table)
-    assert "cdf" not in vars(table.replace()) and table.replace().cdf == table.cdf
+    # The thresholds and their guide are kept once read, and are no field:
+    # a copy starts without them and reads equal ones of its own.
+    for memo in ("cdf", "guide"):
+        copy = table.replace()
+        assert type(pmf.PmfTable.__dict__[memo]) is cached_property and memo not in table._fields
+        assert memo not in vars(copy)
+        assert getattr(copy, memo) is getattr(copy, memo) and memo in vars(copy)
+        assert getattr(copy, memo) == getattr(table, memo) and getattr(copy, memo) is not getattr(table, memo)
+        assert memo not in vars(copy.replace()) and copy == table and repr(copy) == repr(table)
+    assert table.guide == sampler.bucket_guide(table.cdf)
 
     params = first_kind.FirstKindParams(alg, 3, 2)
     with pytest.raises(ValidationError, match="first kind needs"):

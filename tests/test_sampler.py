@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from rpq import (
     sample,
     sequential_sample,
 )
-from rpq import sampler
+from rpq import first_kind, occupancy, sampler
 from rpq.first_kind import joint_pmf
 from rpq.sampler import SplitMix64
 
@@ -30,6 +31,12 @@ def test_generator_is_fully_specified():
     ]
     again = SplitMix64(0)
     assert [again.next_uint64() for _ in range(3)] == first
+    # The seed is read through `operator.index`, as the samplers read it: a
+    # bool is its int, any other non-integer is refused, naming the seed.
+    assert SplitMix64(True).next_uint64() == SplitMix64(1).next_uint64()
+    for seed in (1.5, "3", None, Fraction(2)):
+        with pytest.raises(ValidationError, match="^seed: '.+' object cannot be interpreted as an integer$"):
+            SplitMix64(seed)
 
 
 @pytest.mark.parametrize("seed", (0, (1 << 64) - 1))
@@ -55,6 +62,77 @@ def test_draws_continue_one_stream_across_output_lists():
     draws = sampler._descent(params, 9, count).draws
     assert draws == sample(table, 9, count).draws
     assert len(set(map(id, draws))) == len(set(draws)) == len(table.support)
+
+
+def _guide_cases():
+    """Threshold lists on the 53-bit scale: none (a one-point table), one at
+    the start of a bucket, two in one bucket, some in the first and last
+    buckets, repeated and extreme ones."""
+    top = 1 << 53
+    one = 1 << 50  # the bucket width of a guide of one threshold (8 entries)
+    four = 1 << 48  # of four thresholds (32 entries)
+    return [
+        [],
+        [one],
+        [3 * one + 5],
+        [0],
+        [top],
+        [one + 1, one + 2],
+        [1, top - 1],
+        [0, 1, top - 1, top],
+        [four, 2 * four, 2 * four + 7, 31 * four],
+        [four + 3, four + 3, four + 3],
+        [5 * four, 5 * four, 5 * four + 1],
+        list(range(1, 4096, 7)),
+        [round(top * i / 101) for i in range(1, 101)],
+    ]
+
+
+@pytest.mark.parametrize("thresholds", _guide_cases())
+def test_bucket_guide_is_bisect_right_at_both_edges_of_every_bucket(thresholds):
+    shift, guide = sampler.bucket_guide(thresholds)
+    assert len(guide) == 1 << (53 - shift) >= 4 * (len(thresholds) + 1)
+    assert len(guide) < 8 * (len(thresholds) + 1)
+    for j, entry in enumerate(guide):
+        first, last = j << shift, ((j + 1) << shift) - 1
+        split = any(first < t <= last for t in thresholds)
+        if split:
+            assert entry == -1
+        else:
+            assert entry == bisect_right(thresholds, first) == bisect_right(thresholds, last)
+
+
+def test_sample_refuses_a_stream():
+    # A stream lists its points and holds none, so it has no thresholds:
+    # the refusal names the joint table and the CLI's descent instead.
+    params = FirstKindParams(Q_HALF, 2, 1)
+    with pytest.raises(ValidationError, match=r"not of a PmfStream: .*joint_pmf\(params\).*descent of `rpq sample`"):
+        sample(first_kind.joint_stream(params), 1, 10)
+
+
+def test_sequential_draws_follow_linked_steps():
+    params = FirstKindParams(JS, 5, 3)
+    occupancy._joint_law.cache_clear()
+    law = occupancy._joint_law(params)
+    first = sequential_sample(params, 3, 400)
+    size = law.step.cache_info().currsize
+    # A warm draw follows the links its first draws filled: it adds no step.
+    assert sequential_sample(params, 3, 400) == first
+    assert law.step.cache_info().currsize == size
+    assert sequential_sample(params, 4, 4000).draws[:400] != first.draws
+    # Each filled kid is the step its child's key gives, and every step
+    # but the root's was reached so; the last coordinate's steps fill none.
+    root = law.step((0, 0, 0))
+    linked, todo = {}, [root]
+    while todo:
+        _, _, keys, kids = todo.pop()
+        for key, kid in zip(keys, kids):
+            if kid is not None:
+                assert kid is law.step(key) and key[0] < params.k
+                if id(kid) not in linked:
+                    linked[id(kid)] = kid
+                    todo.append(kid)
+    assert len(linked) + 1 == law.step.cache_info().currsize > size
 
 
 def test_point_mass_draws():
