@@ -7,8 +7,9 @@ resolved configuration (CSV: leading `#` comment lines; JSON: a config
 object).  Rational parameters are "a/b" or integer strings; decimal input
 switches the run to approximate mode and says so in the banner.
 
-Every command writes through `_emit` (`_emit_table` streams a table):
-its document, laid out by `serialize`, with its config added.
+Every command writes through `_emit` (`_emit_table` streams a table,
+`identities.verify_chunks` the identity reports): its document, laid out
+by `serialize`, with its config added.
 
 Each command imports the modules it uses when it runs: `verify` loads
 neither model nor the sampler, and a table of one kind loads neither the
@@ -217,6 +218,8 @@ def _cmd_sample(args, alg: AlgebraSpec) -> Iterable[str]:
 def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
     if args.nmax is not None and args.nmax < 0:
         raise ValidationError(f"nmax: need nmax >= 0, got {args.nmax}")
+    if args.kmax < 1:
+        raise ValidationError(f"kmax: need kmax >= 1, got {args.kmax}")
     if args.suite == "triangular":
         if args.nmax is not None:
             raise ValidationError("nmax: the triangular suite takes no --nmax; it checks every 1 <= n <= m <= kmax")
@@ -225,20 +228,13 @@ def _cmd_verify(args, alg: AlgebraSpec) -> Iterable[str]:
         return _emit(args, config, lambda: serialize.triangular_to_json_obj(report),
                      lambda: serialize.triangular_to_csv(report))
 
-    from .identities import check_report_count, reports_to_csv, reports_to_json_obj, verify_identity
+    from .identities import verify_chunks
 
     config = _config(args, alg, suite=args.suite, kmax=args.kmax,
                      nmax=args.kmax if args.nmax is None else args.nmax)
     suites = IDENTITY_IDS if args.suite == "all" else (args.suite,)
-    # The suites' reports together pass the guard before any suite runs.
-    check_report_count(suites, args.kmax, args.nmax)
-    reports = [report for suite in suites
-               for report in verify_identity(suite, alg, args.kmax, args.nmax, literal_window=args.literal_window)]
-    config["exact_count"] = f"{sum(r.exact_match for r in reports)}/{len(reports)}"
-    config["fitted_count"] = f"{sum(r.monomial_found for r in reports)}/{len(reports)}"
-    return _emit(args, config, lambda: {"schema_version": serialize.SCHEMA_VERSION,
-                                        "reports": reports_to_json_obj(reports)},
-                 lambda: reports_to_csv(reports))
+    return verify_chunks(suites, alg, args.kmax, args.nmax, config, args.format == "json",
+                         literal_window=args.literal_window)
 
 
 _COMMANDS = {

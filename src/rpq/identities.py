@@ -50,8 +50,9 @@ diagnostics.
 from __future__ import annotations
 
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
+from . import serialize
 from .algebra import (
     IDENTITY_IDS,
     AlgebraSpec,
@@ -73,7 +74,7 @@ from .lattice import (
 )
 from .records import Record
 from .scalars import Scalar, over_lcm, ratio, scalar_str
-from .serialize import csv_text
+from .serialize import SCHEMA_VERSION, csv_text
 
 
 def _require_taus(alg: AlgebraSpec) -> None:
@@ -286,8 +287,9 @@ def _walk(identity: str, alg: AlgebraSpec, k: int, ns: Sequence[int], groups: Op
     return out
 
 
-# The most reports one `verify` run may ask for.  At the bound the reports
-# take about 25 MB, and their JSON output peaks near 250 MB of RSS.
+# The most reports one `verify` run may ask for.  Near the bound, `--suite
+# all --kmax 12` (101,754 reports at JS 9/10, 1/2, the guard lifted) peaks
+# at 90 MB of RSS for 48 MB of JSON, and at 42 MB for its CSV.
 MAX_REPORTS = 100_000
 
 
@@ -390,16 +392,36 @@ def verify_identity(
     return reports
 
 
-def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
-    """One CSV record per tuple: identity, k, n, m, groups, exact, a, b."""
-    return csv_text(["identity", "k", "n", "m", "groups", "exact", "a", "b"], (
-        [r.identity, r.k, r.n, "" if r.m is None else r.m,
-         "" if r.groups is None else "+".join(map(str, r.groups)), str(r.exact_match).lower(),
-         "" if r.a is None else r.a, "" if r.b is None else r.b]
-        for r in reports))
+def reports_to_csv(reports: Sequence[IdentityReport], head: bool = True) -> str:
+    """One CSV record per tuple: identity, k, n, m, groups, exact, a, b,
+    after the header row when `head`.  No field needs quoting."""
+    header = csv_text(["identity", "k", "n", "m", "groups", "exact", "a", "b"]) if head else ""
+    return header + "".join(
+        f"{r.identity},{r.k},{r.n},{'' if r.m is None else r.m},"
+        f"{'' if r.groups is None else '+'.join(map(str, r.groups))},{'true' if r.exact_match else 'false'},"
+        f"{'' if r.a is None else r.a},{'' if r.b is None else r.b}\n" for r in reports)
 
 
-def reports_to_json_obj(reports: Sequence[IdentityReport]) -> list:
+def _json_body(r: IdentityReport) -> str:
+    """The text between the braces of `r`'s object in a `verify` document,
+    as `dumps_json` lays it out at that depth: no string needs an escape,
+    and `note` is always empty."""
+    groups = "null" if r.groups is None else "[\n        " + ",\n        ".join(map(str, r.groups)) + "\n      ]"
+    return (f'\n      "a": {"null" if r.a is None else r.a},\n      "b": {"null" if r.b is None else r.b},\n'
+            f'      "exact": {"true" if r.exact_match else "false"},\n      "groups": {groups},\n'
+            f'      "identity": "{r.identity}",\n      "k": {r.k},\n      "lhs": "{scalar_str(r.lhs)}",\n'
+            f'      "m": {"null" if r.m is None else r.m},\n'
+            f'      "monomial_found": {"true" if r.monomial_found else "false"},\n      "n": {r.n},\n'
+            f'      "note": "",\n      "rhs": "{scalar_str(r.rhs)}"\n    ')
+
+
+def reports_to_json_obj(reports: Sequence[IdentityReport], text: bool = False, head: bool = True) -> Union[list, str]:
+    """The JSON object of each report.  With `text`, their text in a
+    `verify` document instead: the objects' bodies (`_json_body`) joined by
+    the text between two objects, which also leads unless `head`."""
+    if text:
+        sep = "},\n    {"
+        return ("" if head else sep) + sep.join(map(_json_body, reports))
     rows = []
     for r in reports:
         rows.append({
@@ -417,3 +439,36 @@ def reports_to_json_obj(reports: Sequence[IdentityReport]) -> list:
             "note": r.note,
         })
     return rows
+
+
+def verify_chunks(suites: Sequence[str], alg: AlgebraSpec, kmax: int, nmax: Optional[int], config: dict,
+                  json_format: bool, *, literal_window: bool = False) -> List[str]:
+    """`dumps_json` of {"config": config, "reports": reports_to_json_obj(R),
+    "schema_version": SCHEMA_VERSION} (`json_format`), or `config_header(config)
+    + reports_to_csv(R)`, in chunks with the same bytes, R the reports of each
+    suite in turn, after the report guard on all; `config` gains exact_count
+    and fitted_count.  Each suite's reports become text, CHUNK_ROWS per chunk,
+    as it returns.  The JSON head and tail are `dumps_json` with one empty
+    object as the reports, cut between its braces.  Every byte comes from a
+    function the benchmark's tracer wraps, so it sees the whole document."""
+    check_report_count(suites, kmax, nmax)
+    chunks, exact, fitted, total = [], 0, 0, 0
+    for suite in suites:
+        reports = verify_identity(suite, alg, kmax, nmax, literal_window=literal_window)
+        exact += sum(r.exact_match for r in reports)
+        fitted += sum(r.monomial_found for r in reports)
+        total += len(reports)
+        for start in range(0, len(reports), serialize.CHUNK_ROWS):
+            part = reports[start:start + serialize.CHUNK_ROWS]
+            chunks.append(reports_to_json_obj(part, text=True, head=not chunks) if json_format
+                          else reports_to_csv(part, head=False))
+        del reports  # not held while the next suite runs
+    config["exact_count"], config["fitted_count"] = f"{exact}/{total}", f"{fitted}/{total}"
+    if not json_format:
+        return [serialize.config_header(config) + reports_to_csv(()), *chunks]
+    doc = serialize.dumps_json({"config": serialize._plain(config), "reports": [{}] if chunks else [],
+                                "schema_version": SCHEMA_VERSION})
+    if not chunks:
+        return [doc]
+    cut = doc.rindex("{}") + 1  # only schema_version's number follows the reports
+    return [doc[:cut], *chunks, doc[cut:]]

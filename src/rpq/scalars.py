@@ -97,10 +97,13 @@ def scalars_close(a: Scalar, b: Scalar, exact: bool, tol: float = DEFAULT_TOL) -
 
 def scalar_str(value: Scalar) -> str:
     """Deterministic string form: "4/7" style for rationals, repr for floats.
-    `Decimal` writes an int's digits past the interpreter's limit on int-to-str
-    conversion, which guards parsing, not output."""
+    An int past the interpreter's limit on int-to-str conversion, which
+    guards parsing, not output, is written by `Decimal`."""
     if isinstance(value, float):
         return repr(value)
-    value = Fraction(value)
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+    numerator, denominator = value.as_integer_ratio()
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:
+        text = str(Decimal(numerator))
+        return text if denominator == 1 else f"{text}/{Decimal(denominator)}"

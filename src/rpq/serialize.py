@@ -304,7 +304,9 @@ def _text(obj, pad: str, atoms: dict) -> str:
 
 def dumps_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) plus a newline, laid out
-    here: the json module runs its pure-Python encoder whenever it indents."""
+    here: the json module runs its pure-Python encoder whenever it indents.
+    Two writers lay out text as this does, at its depth: the `_JSON` table
+    rows and `identities._json_body`; a change of layout changes them too."""
     from json.encoder import encode_basestring_ascii
 
     return _text(obj, "", {**_ATOM_TEXT, str: encode_basestring_ascii}) + "\n"

@@ -32,6 +32,7 @@ the summand's n part.  So tests compare with `==`: the library must
 reproduce these bit for bit.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -350,3 +351,14 @@ def identity_lhs(alg, report, literal_window=False):
             value *= exact(factor)
         total += value
     return total if alg.exact else float(total)
+
+
+def scalar_str(value):
+    """The text of a scalar by the route of `Fraction` and `Decimal`: the
+    float's repr, or the rational's numerator and denominator, each written
+    by `Decimal`, which the int-to-str digit limit does not bound."""
+    if isinstance(value, float):
+        return repr(value)
+    value = Fraction(value)
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

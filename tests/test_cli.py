@@ -338,6 +338,15 @@ def test_negative_nmax_exit_code(suite):
     assert "nmax: need nmax >= 0" in err
 
 
+@pytest.mark.parametrize("suite", ("triangular", "hs1", "all"))
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_nonpositive_kmax_names_kmax(suite, fmt):
+    # The triangular suite's own check names its mmax, a field the CLI does not have.
+    code, out, err = run_cli("verify", "--suite", suite, "--preset", "js", "--p", "9/10", "--q", "1/2",
+                             "--kmax", "0", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: kmax: need kmax >= 1, got 0\n")
+
+
 def test_triangular_suite_refuses_nmax():
     argv = ("verify", "--suite", "triangular", "--preset", "js", "--p", "9/10", "--q", "1/2",
             "--kmax", "3")

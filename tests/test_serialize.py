@@ -9,9 +9,12 @@ and ones that do not are both covered.
 import csv
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+import oracle
 from conftest import ALL_PRESETS
 from rpq import first_kind, jagannathan_srinivasa, second_kind, serialize
 from rpq.first_kind import FirstKindParams, GroupingScheme
@@ -133,3 +136,19 @@ def test_dumps_json_refuses_what_the_json_module_refuses(doc):
         json.dumps(doc, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         serialize.dumps_json(doc)
+
+
+def test_scalar_str_equals_the_decimal_route():
+    # Just below and just past the default int-to-str digit limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        below, past = 10**4299 + 7, 10**4300 + 7
+        values = [0, 1, -1, 12345, -(2**70), True, False, Fraction(4, 7), Fraction(-3, 4), Fraction(6, 3),
+                  Fraction(-1, 2**80), 0.1, -2.5, 1e300, 5e-324, -0.0, float("inf"), float("nan"),
+                  below, -below, past, -past, Fraction(below, 3), Fraction(1, below), Fraction(-past, 3),
+                  Fraction(1, past), Fraction(past, below)]
+        for value in values:
+            assert scalar_str(value) == oracle.scalar_str(value), value
+    finally:
+        sys.set_int_max_str_digits(limit)
